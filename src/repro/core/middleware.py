@@ -5,10 +5,15 @@ This is the pure-middleware proxy of Figure 2.  Customers connect through
 :meth:`Middleware.submit`; a *worker* (Algorithm 1/2) executes inline on
 the customer's connection, classifying each statement, forwarding it to
 the tenant's master node, maintaining the master logical clock (MLC), and
-building syncset buffers.  :meth:`Middleware.migrate` is the *manager*
-(Algorithm 3), orchestrating the four migration steps with a conductor
-and players (Algorithms 4/5) chosen by the propagation policy — Madeus or
-any of the Table-2 baselines.
+building syncset buffers.  :meth:`Middleware.migrate` hands over to the
+*manager* (Algorithm 3, :mod:`repro.core.migration`), which walks the
+four migration steps with a conductor and players (Algorithms 4/5)
+chosen by the propagation policy — Madeus or any of the Table-2
+baselines.
+
+This module owns the request path and the per-tenant state it reads
+and writes; the migration machine lives in :mod:`repro.core.migration`,
+its durable records in :mod:`repro.core.journal`.
 """
 
 from __future__ import annotations
@@ -22,49 +27,55 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from ..cluster.cluster import Cluster
-from ..engine.dump import (
-    SchemaSpec,
-    SnapshotTruncated,
-    TransferRates,
-    create_from_schemas,
-    dump,
-    dump_stream,
-    finalize_indexes,
-    plan_chunks,
-    restore,
-    restore_duration,
-    restore_stream,
-    watermark_select,
-)
+from ..engine.dump import TransferRates
 from ..engine.session import Session, SessionResult
 from ..engine.sqlmini import parse
-from ..errors import (
-    CatchUpTimeout,
-    MigrationError,
-    NetworkDown,
-    NodeCrashed,
-    RoutingError,
-    SourceCrashed,
-)
+from ..errors import NetworkDown, RoutingError
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import MIGRATION, Tracer
-from ..sim.events import Event, Interrupt
-from ..sim.sync import Channel, Gate
+from ..obs.trace import Tracer
+from ..sim.events import Event
+from ..sim.sync import Gate
+from . import migration
+from .journal import (
+    JOURNAL_ABANDONED,
+    JOURNAL_ACTIVE,
+    JOURNAL_COMPLETED,
+    JOURNAL_SUSPENDED,
+    HandoverRecord,
+    Journal,
+    MigrationJournal,
+    MigrationReport,
+)
 from .operations import Operation, OpKind, TxnTracker
-from .pipeline import ChangeTap, ChunkFeed
+from .pipeline import ChangeTap
 from .policy import MADEUS, PropagationPolicy
-from .propagation import make_propagator
-from .watermark import ChangeStreamApplier, SnapshotStrategy
 from .region import COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion
 from .ssb import SyncsetBuffer, SyncsetList
-from .theory import LsirValidator, states_equal
+from .theory import LsirValidator
+from .watermark import SnapshotStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
+
+#: The journal records and the report are defined next to the machine
+#: that writes them and re-exported here, their long-standing home.
+__all__ = [
+    "JOURNAL_ABANDONED",
+    "JOURNAL_ACTIVE",
+    "JOURNAL_COMPLETED",
+    "JOURNAL_SUSPENDED",
+    "Connection",
+    "HandoverRecord",
+    "Middleware",
+    "MiddlewareConfig",
+    "MigrationJournal",
+    "MigrationOptions",
+    "MigrationReport",
+    "TenantState",
+]
 
 
 @dataclass
@@ -116,19 +127,6 @@ class MiddlewareConfig:
     resumable: bool = False
 
 
-#: Retired :class:`MigrationOptions` field spellings and the unified
-#: knob each maps to (shared with :class:`~repro.core.scheduler.
-#: ScheduleOptions` and ``RebalanceOptions``).  Their one-release
-#: DeprecationWarning shim cycle (README "Public API" policy) has
-#: passed; constructing with any of them raises :class:`TypeError`.
-_RETIRED_OPTION_FIELDS = (
-    ("ship_retry_limit", "retry_limit"),
-    ("ship_retry_base", "retry_base"),
-    ("ship_retry_cap", "retry_cap"),
-    ("resumable", "resume"),
-)
-
-
 @dataclass(frozen=True)
 class MigrationOptions:
     """Per-migration knobs for :meth:`Middleware.migrate`.
@@ -158,10 +156,6 @@ class MigrationOptions:
     #: value): ``SERIAL``, ``PIPELINED``, or ``WATERMARK``.  ``None``
     #: inherits :attr:`MiddlewareConfig.pipeline_snapshot`.
     strategy: Optional[SnapshotStrategy] = None
-    #: Retired boolean spelling of :attr:`strategy`; its one-release
-    #: DeprecationWarning shim cycle has passed, so any non-``None``
-    #: value raises :class:`TypeError` naming ``SnapshotStrategy``.
-    pipeline: Optional[bool] = None
     #: Bounded-buffer depth of the pipelined path (None -> config).
     pipeline_depth: Optional[int] = None
     #: Chunk size for the streamed dump (None -> ``rates.chunk_mb``).
@@ -177,28 +171,10 @@ class MigrationOptions:
     divergence_min_growth: Optional[int] = None
     #: Journal progress for restart-and-resume (None -> config).
     resume: Optional[bool] = None
-    # -- retired spellings (shim cycle over; TypeError on use) ---------
-    ship_retry_limit: Optional[int] = None
-    ship_retry_base: Optional[float] = None
-    ship_retry_cap: Optional[float] = None
-    resumable: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        for old, new in _RETIRED_OPTION_FIELDS:
-            if getattr(self, old) is not None:
-                raise TypeError(
-                    "MigrationOptions(%s=...) was removed after its "
-                    "deprecation cycle; use the unified knob name %r "
-                    "(shared with ScheduleOptions and RebalanceOptions)"
-                    % (old, new))
         object.__setattr__(self, "strategy",
                            SnapshotStrategy.coerce(self.strategy))
-        if self.pipeline is not None:
-            raise TypeError(
-                "MigrationOptions(pipeline=...) was removed after its "
-                "deprecation cycle; use strategy=SnapshotStrategy.%s "
-                "instead"
-                % ("PIPELINED" if self.pipeline else "SERIAL"))
 
     def resolve(self, config: MiddlewareConfig) -> "MigrationOptions":
         """Fill every ``None`` from ``config`` / library defaults."""
@@ -268,225 +244,6 @@ class TenantState:
         return engines
 
 
-@dataclass
-class MigrationReport:
-    """Everything the experiments need to know about one migration."""
-
-    tenant: str
-    source: str
-    destination: str
-    policy: str
-    started_at: float
-    snapshot_at: float = 0.0
-    restored_at: float = 0.0
-    caught_up_at: float = 0.0
-    switched_at: float = 0.0
-    ended_at: float = 0.0
-    mts: int = 0
-    snapshot_size_mb: float = 0.0
-    syncsets_propagated: int = 0
-    operations_propagated: int = 0
-    max_concurrent_players: int = 0
-    rounds: int = 0
-    slave_commit_count: int = 0
-    slave_flush_count: int = 0
-    slave_mean_group_size: float = 0.0
-    consistent: Optional[bool] = None
-    inconsistencies: List[str] = field(default_factory=list)
-    lsir_violations: List[str] = field(default_factory=list)
-    #: Multi-slave migration: per-standby-node consistency verdicts for
-    #: the standbys that survived to switch-over.
-    standby_consistency: Dict[str, bool] = field(default_factory=dict)
-    #: Standby nodes dropped mid-migration (injected failures).
-    failed_standbys: List[str] = field(default_factory=list)
-    #: "ok", "aborted", or "suspended" (resumable migration parked by a
-    #: source crash); non-ok migrations are reported too.
-    outcome: str = "ok"
-    #: Times a crashed destination was replaced by a promoted standby.
-    failovers: int = 0
-    #: Snapshot ship/restore resends across transient outages.
-    ship_retries: int = 0
-    #: Whether the snapshot was streamed (dump/ship/restore overlapped).
-    pipelined: bool = False
-    #: Snapshot strategy used: "serial", "pipelined", or "watermark".
-    strategy: str = "serial"
-    #: Chunks the streamed dump emitted (0 on the serial path).
-    chunks: int = 0
-    #: The master (source) node crashed at some point mid-migration.
-    source_crashed: bool = False
-    #: Node owning the tenant when the migration ended — the (possibly
-    #: failed-over) destination on success, the source on any abort.
-    owner: str = ""
-    #: This report covers a journalled re-entry of an interrupted
-    #: migration (see :meth:`Middleware.resume_migration`).
-    resumed: bool = False
-    #: Chunks the journal let this attempt skip because every
-    #: destination had already installed them (0 on a fresh migration).
-    chunks_skipped: int = 0
-
-    @property
-    def migration_time(self) -> float:
-        """End-to-end migration duration (Figure 6's metric)."""
-        return self.ended_at - self.started_at
-
-    @property
-    def dump_time(self) -> float:
-        """Step 1 duration."""
-        return self.snapshot_at - self.started_at
-
-    @property
-    def restore_time(self) -> float:
-        """Step 2 duration."""
-        return self.restored_at - self.snapshot_at
-
-    @property
-    def catchup_time(self) -> float:
-        """Step 3 duration (first catch-up)."""
-        return self.caught_up_at - self.restored_at
-
-    @property
-    def switch_time(self) -> float:
-        """Step 4 duration (suspend, drain, switch-over, resume)."""
-        return self.ended_at - self.caught_up_at
-
-
-#: HandoverRecord lifecycle states.
-HANDOVER_PREPARED = "prepared"
-HANDOVER_READY = "ready"
-HANDOVER_COMMITTED = "committed"
-HANDOVER_ROLLED_BACK = "rolled-back"
-
-
-@dataclass
-class HandoverRecord:
-    """Journal entry for the two-step atomic ownership switch (Step 4).
-
-    The routing flip at the end of the handover phase is the only moment
-    ownership changes, so a crash racing it must resolve to exactly one
-    owner — never zero, never two.  The manager journals the switch:
-
-    * ``prepared`` — handover entered; the source still owns the tenant.
-    * ``ready`` — every active transaction and every propagator drained;
-      the destination holds all remotely-committed state (commits link
-      their SSBs into the SSL at commit time, and the drain delivered
-      them), so from here the switch can only *roll forward*.
-    * ``committed`` / ``rolled-back`` — resolved: routing points at the
-      destination / source respectively and the record is inert.
-
-    :meth:`Middleware.recover_routing` applies the recovery rule to an
-    in-doubt record; :meth:`Middleware.owners` reads the same rule
-    without mutating anything.
-    """
-
-    tenant: str
-    source: str
-    destination: str
-    prepared_at: float
-    state: str = HANDOVER_PREPARED
-    resolved_at: Optional[float] = None
-
-
-#: MigrationJournal lifecycle states.
-JOURNAL_ACTIVE = "active"
-JOURNAL_SUSPENDED = "suspended"
-JOURNAL_COMPLETED = "completed"
-JOURNAL_ABANDONED = "abandoned"
-
-
-@dataclass
-class MigrationJournal:
-    """Durable per-migration progress record (the resume journal).
-
-    Extends the two-step handover journal idea to the whole migration:
-    everything :meth:`Middleware.resume_migration` needs to re-enter an
-    interrupted migration without re-dumping is recorded as it happens —
-    the chunk plan and snapshot CSN frozen at dump start (Step 1),
-    per-node installed-chunk high-water marks (Step 2), and the catch-up
-    low-water mark (syncsets replayed by stopped engines; the SSL itself
-    *is* the remaining backlog).  In a real deployment this record lives
-    in the middleware's stable storage next to the handover journal;
-    here it is the in-memory stand-in, exactly like
-    :class:`HandoverRecord`.
-    """
-
-    tenant: str
-    source: str
-    destination: str
-    mts: int
-    snapshot_csn: int
-    #: Chunk plan frozen at dump start: the tenant keeps growing under
-    #: load, so a resumed dump must not re-derive it — under MVCC the
-    #: versions visible at ``snapshot_csn`` survive the source's
-    #: crash-and-recovery, so the frozen slices stay byte-identical.
-    size_mb: float
-    total_chunks: int
-    pipelined: bool
-    #: Snapshot strategy of the journalled attempt; a resume re-enters
-    #: with the same strategy regardless of the options it was given.
-    strategy: str = "pipelined"
-    #: Watermark resume state: the ``(table, key)`` cursor after the
-    #: last fully installed chunk (``None`` = walk not started, or
-    #: exhausted once ``watermark_chunks > 0``) and the installed-chunk
-    #: count.  The interrupted chunk itself is deliberately absent — a
-    #: re-entry re-selects it from live data under a fresh watermark
-    #: bracket.
-    watermark_cursor: Optional[Tuple[str, Any]] = None
-    watermark_chunks: int = 0
-    schemas: List[SchemaSpec] = field(default_factory=list)
-    state: str = JOURNAL_ACTIVE
-    #: Current phase: "dump", "catch-up", "handover", or "done".
-    phase: str = "dump"
-    #: Per-node installed-chunk high-water marks (counts, not indexes).
-    chunks_restored: Dict[str, int] = field(default_factory=dict)
-    #: Per-node install log of absolute chunk indexes — the audit trail
-    #: tests use to prove a resume never double-ships a chunk.  (A ship
-    #: *retry* inside one attempt may legitimately repeat an index;
-    #: keyed re-installs are value-idempotent.)
-    chunk_log: Dict[str, List[int]] = field(default_factory=dict)
-    #: Syncsets replayed by engines retired at quiesce time — the
-    #: catch-up low-water mark.  An SSB is taken off the SSL when an
-    #: engine claims it, so a successor engine starts strictly after
-    #: these and never replays one twice.
-    replayed_syncsets: int = 0
-    suspended_at: Optional[float] = None
-    suspend_phase: Optional[str] = None
-    resumes: int = 0
-    #: Live dump/ship/restore processes of the current attempt; a
-    #: re-entry after a manager death interrupts any still alive so an
-    #: orphaned stream cannot keep mutating the destination.
-    snapshot_procs: List[Any] = field(default_factory=list)
-    #: The manager process of the current attempt (None when parked).
-    manager: Any = None
-
-
-@dataclass
-class _MigrationRun:
-    """Mutable context threaded through the migration phase helpers.
-
-    :meth:`Middleware.migrate` and :meth:`Middleware.resume_migration`
-    build one and hand it through :meth:`Middleware._snapshot_phase` ->
-    :meth:`Middleware._catchup_phase` ->
-    :meth:`Middleware._handover_phase`; a destination failover mutates
-    ``destination`` / ``dest_instance`` in place.
-    """
-
-    tenant: str
-    state: TenantState
-    opts: MigrationOptions
-    report: MigrationReport
-    migration_span: Any
-    source_instance: Any
-    dest_instance: Any
-    destination: str
-    standby_instances: Dict[str, Any]
-    source_down: Event
-    snapshot_csn: int
-    journal: Optional[MigrationJournal] = None
-    resume: bool = False
-    #: Per-slave WAL baselines captured at catch-up start.
-    wal_before: Dict[str, Any] = field(default_factory=dict)
-
-
 class Connection:
     """One customer connection proxied by the middleware."""
 
@@ -530,13 +287,10 @@ class Middleware:
                         else MetricsRegistry())
         self.cluster.network.bind_obs(self.metrics)
         self._tenants: Dict[str, TenantState] = {}
-        self._routes: Dict[str, str] = {}
-        #: Two-step ownership-switch journal, one record per tenant for
-        #: the most recent handover (see :class:`HandoverRecord`).
-        self._handovers: Dict[str, HandoverRecord] = {}
-        #: Per-migration resume journal, one record per tenant for the
-        #: most recent resumable migration (see :class:`MigrationJournal`).
-        self._journals: Dict[str, MigrationJournal] = {}
+        #: Routing table, handover records and migration journals (the
+        #: middleware's stable storage; see :mod:`repro.core.journal`).
+        self.journal = Journal(env, self.tracer, self.metrics)
+        self._routes = self.journal.routes
         self.validator: Optional[LsirValidator] = (
             LsirValidator() if self.config.validate_lsir else None)
         self.reports: List[MigrationReport] = []
@@ -608,14 +362,7 @@ class Middleware:
         A list so tests can assert ``len(owners(t)) == 1`` as the
         exactly-one-owner invariant rather than trusting the type.
         """
-        route = self.route(tenant)
-        record = self._handovers.get(tenant)
-        if record is None or record.state in (HANDOVER_COMMITTED,
-                                              HANDOVER_ROLLED_BACK):
-            return [route]
-        if record.state == HANDOVER_READY:
-            return [record.destination]
-        return [record.source]
+        return self.journal.owners(tenant, self.route(tenant))
 
     def recover_routing(self, tenant: str) -> str:
         """Resolve an in-doubt handover after a crash; return the owner.
@@ -628,47 +375,11 @@ class Middleware:
         migration scaffolding is torn down and the gate reopens, so the
         single surviving owner serves reads and writes again.
         """
-        state = self.tenant_state(tenant)
-        record = self._handovers.get(tenant)
-        if record is not None and record.state == HANDOVER_READY:
-            self._commit_handover(record, recovered=True)
-        elif record is not None and record.state == HANDOVER_PREPARED:
-            self._rollback_handover(record, reason="crash_recovery")
-        journal = self._journals.get(tenant)
-        if journal is not None and journal.state in (JOURNAL_ACTIVE,
-                                                     JOURNAL_SUSPENDED):
-            # Recovery forfeits the resume: a rolled-forward handover
-            # completes the journal, anything else abandons it.  Orphan
-            # dump/restore streams are silenced either way.
-            if self.route(tenant) == journal.destination:
-                journal.state = JOURNAL_COMPLETED
-                journal.phase = "done"
-            else:
-                journal.state = JOURNAL_ABANDONED
-            journal.manager = None
-            for proc in journal.snapshot_procs:
-                if proc.is_alive:
-                    proc.interrupt("routing recovered")
-            journal.snapshot_procs = []
-        if state.migrating or state.propagator is not None:
-            state.migrating = False
-            if state.propagator is not None:
-                state.propagator.request_stop()
-                state.propagator = None
-            state.ssl.take_all()
-            for name in sorted(state.standby_propagators):
-                self._drop_standby(state, name, phase="recovery",
-                                   reason="handover recovery")
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        if not state.gate.is_open:
-            state.gate.open()
-        return self.owners(tenant)[0]
+        return migration.recover_routing(self, tenant)
 
     def migration_journal(self, tenant: str) -> Optional[MigrationJournal]:
         """The most recent resume journal of ``tenant`` (or ``None``)."""
-        return self._journals.get(tenant)
+        return self.journal.migrations.get(tenant)
 
     def tenant_state(self, tenant: str) -> TenantState:
         """Middleware-side state of a tenant."""
@@ -956,625 +667,7 @@ class Middleware:
            cycle; :class:`MigrationOptions` is the only way to pass
            per-migration knobs.
         """
-        if options is not None and not isinstance(options,
-                                                  MigrationOptions):
-            raise TypeError(
-                "migrate() takes a MigrationOptions instance, got %r; "
-                "the old rates/standbys call shapes were removed"
-                % (type(options).__name__,))
-        opts = (options or MigrationOptions()).resolve(self.config)
-        rates = opts.rates
-        standbys = list(opts.standbys)
-        state = self.tenant_state(tenant)
-        if state.migrating:
-            raise MigrationError("tenant %r is already migrating" % tenant)
-        source = self.route(tenant)
-        for node_name in [destination] + standbys:
-            if source == node_name:
-                raise MigrationError("tenant %r is already on %s"
-                                     % (tenant, node_name))
-        if destination in standbys:
-            raise MigrationError("destination cannot also be a standby")
-        source_instance = self.cluster.node(source).instance
-        dest_instance = self.cluster.node(destination).instance
-        standby_instances = {name: self.cluster.node(name).instance
-                             for name in standbys}
-        # Supervise the master for the whole migration: a source crash
-        # must abort (Section 4.2) even in phases where nothing else
-        # would notice — the middleware buffers the syncsets, so replay
-        # could quietly finish against a dead master.
-        source_down = source_instance.wait_crashed()
-        overlapped = opts.strategy is not SnapshotStrategy.SERIAL
-        report = MigrationReport(tenant, source, destination,
-                                 self.config.policy.name,
-                                 started_at=self.env.now,
-                                 pipelined=(opts.strategy
-                                            is SnapshotStrategy.PIPELINED),
-                                 strategy=opts.strategy.value)
-        migration_span = self.tracer.start(
-            "migration", kind=MIGRATION, tenant=tenant, source=source,
-            destination=destination, policy=self.config.policy.name,
-            standbys=len(standbys), pipelined=overlapped,
-            strategy=opts.strategy.value)
-        # --- Step 1: snapshot at a commit boundary --------------------
-        phase_span = self.tracer.phase("dump", parent=migration_span,
-                                       pipelined=overlapped,
-                                       strategy=opts.strategy.value)
-        yield from state.region.enter(FIRST_READ_CLASS)
-        report.mts = state.mlc
-        snapshot_csn = source_instance.current_csn()
-        state.migrating = True  # commits from here on link their SSBs
-        if opts.strategy is SnapshotStrategy.WATERMARK:
-            # From the very next commit every row post-image flows into
-            # the change tap instead of the SSL — created inside the
-            # critical region so no commit slips between the two.
-            state.change_tap = ChangeTap(self.env, name=tenant)
-        state.region.leave()
-        del rates  # phases read opts.rates
-        run = _MigrationRun(
-            tenant=tenant, state=state, opts=opts, report=report,
-            migration_span=migration_span,
-            source_instance=source_instance, dest_instance=dest_instance,
-            destination=destination, standby_instances=standby_instances,
-            source_down=source_down, snapshot_csn=snapshot_csn)
-        if opts.resume:
-            run.journal = self._open_journal(run)
-        yield from self._snapshot_phase(run, phase_span)
-        yield from self._catchup_phase(run)
-        return (yield from self._handover_phase(run))
-
-    def _open_journal(self, run: _MigrationRun) -> MigrationJournal:
-        """Journal a fresh migration's immutable facts and chunk plan."""
-        opts = run.opts
-        tenant_db = run.source_instance.tenant(run.tenant)
-        size_mb = tenant_db.size_mb()
-        chunk_cap = (opts.chunk_mb if opts.chunk_mb is not None
-                     else opts.rates.chunk_mb)
-        specs = []
-        for table_name in tenant_db.catalog.table_names():
-            table = tenant_db.table(table_name)
-            specs.append(SchemaSpec(table_name, table.schema.columns,
-                                    dict(table.schema.indexes)))
-        journal = MigrationJournal(
-            tenant=run.tenant, source=run.report.source,
-            destination=run.destination, mts=run.report.mts,
-            snapshot_csn=run.snapshot_csn, size_mb=size_mb,
-            total_chunks=plan_chunks(size_mb, chunk_cap),
-            pipelined=(opts.strategy is SnapshotStrategy.PIPELINED),
-            strategy=opts.strategy.value, schemas=specs)
-        journal.manager = self.env.active_process
-        self._journals[run.tenant] = journal
-        return journal
-
-    # ------------------------------------------------------------------
-    # migration phases (shared by migrate() and resume_migration())
-    # ------------------------------------------------------------------
-    def _snapshot_phase(self, run: _MigrationRun,
-                        phase_span: Any) -> Generator[Any, Any, None]:
-        """Steps 1 (dump) + 2 (restore) against every destination node.
-
-        ``phase_span`` is the already-open ``dump`` span.  On return the
-        (possibly failed-over) destination holds the full snapshot and
-        ``report.restored_at`` is stamped; a source crash raises
-        :class:`SourceCrashed` (suspending first when journalled).
-        """
-        state, opts, report = run.state, run.opts, run.report
-        tenant = run.tenant
-        rates = opts.rates
-        restore_errors: Dict[str, Optional[str]] = {}
-
-        def retry_backoff(node_name: str, attempt: int) -> Generator:
-            delay = min(opts.retry_cap,
-                        opts.retry_base * (2 ** (attempt - 1)))
-            report.ship_retries += 1
-            self.metrics.counter("migration.retries").inc()
-            self.tracer.event("migration.retry", tenant=tenant,
-                              node=node_name, attempt=attempt,
-                              delay=delay)
-            yield self.env.timeout(delay)
-
-        if opts.strategy is SnapshotStrategy.WATERMARK:
-            phase_span = yield from self._watermark_snapshot(
-                run, phase_span, restore_errors, retry_backoff)
-        elif (opts.strategy is SnapshotStrategy.PIPELINED
-                or run.resume):
-            dump_error, phase_span = yield from self._pipelined_snapshot(
-                run, phase_span, restore_errors, retry_backoff)
-            if isinstance(dump_error, NodeCrashed):
-                # The *source* died mid-dump: nothing useful restored
-                # anywhere; abort and keep source ownership.
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="dump")
-        else:
-            try:
-                snapshot = yield from dump(run.source_instance, tenant,
-                                           run.snapshot_csn, rates)
-            except NodeCrashed:
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="dump")
-            report.snapshot_at = self.env.now
-            report.snapshot_size_mb = snapshot.size_mb
-            self.tracer.finish(phase_span, mts=report.mts,
-                               size_mb=snapshot.size_mb)
-            # --- Step 2: create the slave(s) ---------------------------
-            phase_span = self.tracer.phase("restore",
-                                           parent=run.migration_span,
-                                           size_mb=snapshot.size_mb)
-
-            def ship_and_restore(node_name: str,
-                                 instance: Any) -> Generator:
-                """Ship + restore one node; resend across outages.
-
-                Never raises: per-node outcomes land in
-                ``restore_errors`` so one dead node cannot fail the
-                whole fan-out (``all_of`` fails fast on a sub-event
-                failure).
-                """
-                attempt = 0
-                while True:
-                    try:
-                        yield from self.cluster.network.message(
-                            snapshot.size_mb)
-                        yield from restore(instance, snapshot, rates,
-                                           tenant_name=tenant)
-                        restore_errors[node_name] = None
-                        if run.journal is not None:
-                            # The serial restore lands whole: journal
-                            # the entire chunk plan as installed.
-                            run.journal.chunks_restored[node_name] = (
-                                run.journal.total_chunks)
-                        return
-                    except NetworkDown as exc:
-                        attempt += 1
-                        if instance.has_tenant(tenant):
-                            # Discard the partial copy before resending.
-                            instance.drop_tenant(tenant)
-                        if run.journal is not None:
-                            run.journal.chunks_restored[node_name] = 0
-                        if attempt > opts.retry_limit:
-                            restore_errors[node_name] = str(exc)
-                            return
-                        yield from retry_backoff(node_name, attempt)
-                    except NodeCrashed as exc:
-                        restore_errors[node_name] = str(exc)
-                        return
-                    except Interrupt:
-                        # Quiesced by a journalled re-entry.
-                        restore_errors[node_name] = "interrupted"
-                        return
-
-            restores = [self.env.process(
-                ship_and_restore(run.destination, run.dest_instance))]
-            restores += [self.env.process(ship_and_restore(name, instance))
-                         for name, instance
-                         in run.standby_instances.items()]
-            if run.journal is not None:
-                run.journal.snapshot_procs = list(restores)
-            yield self.env.all_of(restores)
-        if run.source_instance.crashed:
-            # The master died while the slaves restored (the serial path
-            # restores from an already-materialised snapshot, so nothing
-            # in the pipeline notices).  Whatever landed is abandoned.
-            self._abort_source_crash(state, run.dest_instance, tenant,
-                                     report, run.migration_span,
-                                     phase_span, phase="restore")
-        # A standby that failed to restore is discarded (Section 4.2); a
-        # dead destination promotes a restored standby or aborts.
-        for name in sorted(run.standby_instances):
-            error = restore_errors.get(name)
-            if error is not None:
-                run.standby_instances.pop(name)
-                self._drop_standby(state, name, phase="restore",
-                                   reason=error)
-        dest_error = restore_errors.get(run.destination)
-        if dest_error is not None:
-            survivors = sorted(run.standby_instances)
-            if not survivors:
-                self._abort_migration(state, run.dest_instance, tenant)
-                self.tracer.finish(phase_span, outcome="failed")
-                self.tracer.finish(run.migration_span, outcome="aborted",
-                                   reason="restore_failed",
-                                   owner=report.source)
-                self._finalize_abort(state, report)
-                raise MigrationError(
-                    "restore on destination %s failed (%s) and no "
-                    "standby survives to take over"
-                    % (run.destination, dest_error))
-            run.destination, run.dest_instance = self._promote_standby(
-                state, run.standby_instances, report, tenant,
-                failed=run.destination, phase="restore",
-                reason=dest_error)
-            if run.journal is not None:
-                run.journal.destination = run.destination
-        if run.journal is not None:
-            run.journal.snapshot_procs = []
-        report.restored_at = self.env.now
-        self.tracer.finish(phase_span, retries=report.ship_retries)
-
-    @staticmethod
-    def _replication_backlog(state: TenantState) -> int:
-        """Pending replication units: tap records under a watermark
-        migration (the SSL stays empty there), linked SSBs otherwise."""
-        if state.change_tap is not None:
-            return state.change_tap.pending_count()
-        return state.ssl.pending_count()
-
-    def _catchup_phase(self, run: _MigrationRun
-                       ) -> Generator[Any, Any, None]:
-        """Step 3: concurrent syncset propagation until caught up."""
-        state, opts, report = run.state, run.opts, run.report
-        tenant = run.tenant
-        if run.journal is not None:
-            run.journal.phase = "catch-up"
-        phase_span = self.tracer.phase(
-            "catch-up", parent=run.migration_span,
-            backlog=self._replication_backlog(state))
-        adopted = state.propagator is not None
-        if adopted:
-            # Keep an engine that is already replaying toward the
-            # destination rather than racing a successor against its
-            # claimed work: the watermark applier spun up during the
-            # snapshot walk, and a resumed migration's parked engine
-            # kept draining while the journal was suspended.
-            propagator = state.propagator
-        else:
-            propagator = make_propagator(self.env, state.ssl,
-                                         run.dest_instance, tenant,
-                                         self.cluster.network,
-                                         self.config.policy,
-                                         self.validator,
-                                         tracer=self.tracer,
-                                         metrics=self.metrics)
-            state.propagator = propagator
-        for name, instance in run.standby_instances.items():
-            if name in state.standby_propagators:
-                # Watermark standby appliers were adopted during the
-                # snapshot walk; they keep consuming their tap cursors.
-                continue
-            standby_ssl = SyncsetList()
-            standby_ssl.adopt_opens(state.ssl)
-            standby_ssl.adopt_backlog(state.ssl)
-            standby_prop = make_propagator(
-                self.env, standby_ssl, instance, tenant,
-                self.cluster.network, self.config.policy,
-                metrics=self.metrics,
-                metrics_prefix="propagation.standby.%s" % name)
-            state.standby_ssls[name] = standby_ssl
-            state.standby_propagators[name] = standby_prop
-            standby_prop.start()
-        # Per-slave WAL baselines, recorded up front so a standby
-        # promoted mid-catch-up still reports correct deltas.
-        run.wal_before = {
-            run.destination: (run.dest_instance.wal.flush_count,
-                              run.dest_instance.wal.commit_count)}
-        for name, instance in run.standby_instances.items():
-            run.wal_before[name] = (instance.wal.flush_count,
-                                    instance.wal.commit_count)
-        if not adopted:
-            propagator.start()
-        deadline_event = None
-        diverging: Optional[Event] = None
-        watchdog_control = {"stop": False}
-        if self.config.catchup_deadline is not None:
-            deadline_event = self.env.timeout(self.config.catchup_deadline)
-            diverging = Event(self.env)
-            self.env.process(
-                self._divergence_watchdog(state, diverging,
-                                          watchdog_control, opts),
-                name="catchup.watchdog.%s" % tenant)
-        # Supervision loop: wait for catch-up while reacting to slave
-        # faults.  A dead standby is discarded and propagation continues
-        # (Section 4.2); a dead destination promotes a surviving standby
-        # or aborts; the deadline / divergence watchdog abort early.
-        while True:
-            caught_up = state.propagator.wait_caught_up()
-            primary_failed = state.propagator.wait_failed()
-            standby_failed = {
-                name: prop.wait_failed()
-                for name, prop in state.standby_propagators.items()}
-            waits = [caught_up, run.source_down, primary_failed]
-            waits.extend(standby_failed.values())
-            if deadline_event is not None:
-                waits.append(deadline_event)
-            if diverging is not None:
-                waits.append(diverging)
-            fired = yield self.env.any_of(waits)
-            if fired is caught_up:
-                break
-            if fired is run.source_down:
-                watchdog_control["stop"] = True
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="catch-up")
-            dropped = None
-            for name, event in standby_failed.items():
-                if fired is event:
-                    dropped = name
-                    break
-            if dropped is not None:
-                reason = (state.standby_propagators[dropped].failed
-                          or "replay failed")
-                self._drop_standby(state, dropped, phase="catch-up",
-                                   reason=reason)
-                run.standby_instances.pop(dropped, None)
-                continue
-            if fired is primary_failed:
-                reason = state.propagator.failed or "replay failed"
-                if run.standby_instances:
-                    run.destination, run.dest_instance = (
-                        self._promote_standby(
-                            state, run.standby_instances, report, tenant,
-                            failed=run.destination, phase="catch-up",
-                            reason=reason))
-                    if run.journal is not None:
-                        run.journal.destination = run.destination
-                    continue
-                abort_reason = "destination_failed"
-            elif diverging is not None and fired is diverging:
-                abort_reason = "diverging"
-            else:
-                abort_reason = "timeout"
-            # --- abort: tear down, report, raise -----------------------
-            watchdog_control["stop"] = True
-            backlog = self._replication_backlog(state)
-            elapsed = self.env.now - report.restored_at
-            self._abort_migration(state, run.dest_instance, tenant)
-            self.tracer.finish(phase_span, outcome=abort_reason,
-                               backlog_at_timeout=backlog)
-            self.tracer.finish(run.migration_span, outcome="aborted",
-                               reason=abort_reason, owner=report.source)
-            self._finalize_abort(state, report)
-            if abort_reason == "destination_failed":
-                raise MigrationError(
-                    "destination %s failed during catch-up (%s) and no "
-                    "standby survives to take over"
-                    % (run.destination, reason))
-            if abort_reason == "diverging":
-                raise CatchUpTimeout(
-                    "%s: slave backlog is diverging (%d syncsets and "
-                    "strictly growing); aborting ahead of the %.0f s "
-                    "deadline"
-                    % (self.config.policy.name, backlog,
-                       self.config.catchup_deadline),
-                    backlog=backlog, elapsed=elapsed, reason="diverging")
-            raise CatchUpTimeout(
-                "%s: slave could not catch up with the master within "
-                "%.0f s (backlog: %d syncsets)"
-                % (self.config.policy.name,
-                   self.config.catchup_deadline, backlog),
-                backlog=backlog, elapsed=elapsed)
-        watchdog_control["stop"] = True
-        report.caught_up_at = self.env.now
-        self.tracer.finish(
-            phase_span, rounds=state.propagator.stats.rounds,
-            syncsets=state.propagator.stats.syncsets_replayed)
-
-    def _handover_phase(self, run: _MigrationRun
-                        ) -> Generator[Any, Any, MigrationReport]:
-        """Step 4: suspend, drain, switch over, resume.
-
-        The ownership switch is journalled as a two-step prepare /
-        commit (see :class:`HandoverRecord`): a crash racing this phase
-        — the source dying mid-drain, or the manager itself dying
-        before the routing flip — always recovers to exactly one owner.
-        Once the record is ``ready`` the destination holds every
-        remotely-committed transaction, so even a source crash from
-        here on rolls *forward* instead of aborting.
-        """
-        state, report = run.state, run.report
-        tenant = run.tenant
-        if run.journal is not None:
-            run.journal.phase = "handover"
-        phase_span = self.tracer.phase("handover",
-                                       parent=run.migration_span)
-        record = self._prepare_handover(tenant, report.source,
-                                        run.destination)
-        state.gate.close()
-        if state.active_txns > 0:
-            drained = Event(self.env)
-            state.drain_waiters.append(drained)
-            yield drained
-        drain_events = []
-        for engine in state.all_propagators():
-            engine.request_stop()
-            drain_events.append(engine.wait_fully_drained())
-        yield self.env.all_of(drain_events)
-        self._mark_handover_ready(record)
-        # Persist the ready record before flipping the route: this is
-        # the commit point, and the window it opens (a crash here rolls
-        # *forward*) is exactly what the recovery rule resolves.
-        yield self.env.timeout(self.config.handover_journal_sync)
-        report.switched_at = self.env.now
-        self.tracer.event("migration.switched", tenant=tenant,
-                          destination=run.destination)
-        if self.config.verify_consistency:
-            equal, differences = states_equal(
-                run.source_instance.tenant(tenant),
-                run.dest_instance.tenant(tenant))
-            report.consistent = equal
-            report.inconsistencies = differences
-            for name in list(state.standby_propagators):
-                standby_equal, _diffs = states_equal(
-                    run.source_instance.tenant(tenant),
-                    run.standby_instances[name].tenant(tenant))
-                report.standby_consistency[name] = standby_equal
-        self._commit_handover(record)
-        state.migrating = False
-        propagator = state.propagator
-        state.propagator = None
-        state.change_tap = None
-        state.standby_ssls.clear()
-        state.standby_propagators.clear()
-        if self.config.drop_source_copy:
-            run.source_instance.drop_tenant(tenant)
-        state.gate.open()
-        report.ended_at = self.env.now
-        stats = propagator.stats
-        report.syncsets_propagated = stats.syncsets_replayed
-        report.operations_propagated = stats.operations_replayed
-        report.max_concurrent_players = stats.max_concurrent_players
-        report.rounds = stats.rounds
-        flushes_before, commits_before = run.wal_before[run.destination]
-        report.slave_commit_count = (run.dest_instance.wal.commit_count
-                                     - commits_before)
-        report.slave_flush_count = (run.dest_instance.wal.flush_count
-                                    - flushes_before)
-        if report.slave_flush_count:
-            report.slave_mean_group_size = (report.slave_commit_count
-                                            / report.slave_flush_count)
-        if self.validator is not None:
-            report.lsir_violations = self.validator.violations()
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
-        report.owner = run.destination
-        report.source_crashed = run.source_instance.crashed
-        if run.journal is not None:
-            run.journal.state = JOURNAL_COMPLETED
-            run.journal.phase = "done"
-            run.journal.manager = None
-        self.tracer.finish(phase_span)
-        self.tracer.finish(
-            run.migration_span, outcome="ok", owner=run.destination,
-            source_crashed=report.source_crashed,
-            rounds=report.rounds,
-            max_concurrent_players=report.max_concurrent_players,
-            syncsets=report.syncsets_propagated,
-            slave_commit_count=report.slave_commit_count,
-            slave_flush_count=report.slave_flush_count,
-            consistent=report.consistent,
-            failovers=report.failovers,
-            standby_dropped=len(report.failed_standbys),
-            resumed=report.resumed)
-        self._publish_report_metrics(report, stats)
-        self.reports.append(report)
-        return report
-
-    # ------------------------------------------------------------------
-    # suspend / resume (journalled re-entry after a source crash)
-    # ------------------------------------------------------------------
-    def _suspend_migration(self, state: TenantState,
-                           journal: MigrationJournal,
-                           report: MigrationReport, phase: str) -> None:
-        """Park a journalled migration instead of aborting it.
-
-        The destination keeps its partial copy and the SSL keeps the
-        backlog — ``state.migrating`` stays True so commits on the
-        recovered source keep linking their SSBs, which is exactly what
-        lets :meth:`resume_migration` catch up instead of re-dumping.
-        The primary propagation engine is deliberately left attached
-        and running: the *source* crashed, not the middleware, so the
-        engine keeps draining the backlog toward the destination while
-        the migration is parked, and the resume adopts it.  (Standbys
-        are discarded — the resumed attempt re-runs without them.)
-        """
-        journal.state = JOURNAL_SUSPENDED
-        journal.suspend_phase = phase
-        journal.suspended_at = self.env.now
-        journal.manager = None
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("migration suspended")
-        journal.snapshot_procs = []
-        for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase=phase,
-                               reason="migration suspended")
-        record = self._handovers.get(state.name)
-        if record is not None and record.state == HANDOVER_PREPARED:
-            self._rollback_handover(record, reason="migration suspended")
-        if not state.gate.is_open:
-            state.gate.open()
-        report.outcome = "suspended"
-        report.ended_at = self.env.now
-        report.owner = report.source
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
-        self.metrics.counter("migration.suspended").inc()
-        self.tracer.event("migration.suspended", tenant=state.name,
-                          phase=phase, resumes=journal.resumes,
-                          chunks_restored=dict(journal.chunks_restored))
-        self.reports.append(report)
-
-    def _quiesce_for_resume(self, state: TenantState,
-                            journal: MigrationJournal
-                            ) -> Generator[Any, Any, None]:
-        """Silence every leftover of the interrupted attempt.
-
-        Idempotent from any journal offset: orphan dump/restore streams
-        are interrupted and leftover standbys are dropped.  A healthy
-        primary engine is *kept* — it holds SSBs it already claimed off
-        the SSL, so the safe continuations are exactly two: adopt it
-        (catch-up reuses it) or wait out its drain.  An engine caught
-        mid-stop (the previous attempt died inside the handover drain)
-        is drained here and retired into the journal's catch-up
-        low-water mark; a *failed* engine makes the journal unsafe —
-        its claimed SSBs died unreplayed, so the destination is
-        incomplete in a way no journal offset records — and the resume
-        abandons instead.
-        """
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("migration resumed")
-        journal.snapshot_procs = []
-        for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase="resume",
-                               reason="migration resumed")
-        tap = state.change_tap
-        if tap is not None:
-            # Unpark an applier left waiting at a watermark of the
-            # interrupted attempt: its marker is still at the tap
-            # cursor, so cancelling fires the pending ``proceed`` and
-            # the resumed walk brackets the re-selected chunk afresh.
-            cancelled = tap.cancel_pending_markers()
-            if cancelled:
-                self.tracer.event("watermark.markers_cancelled",
-                                  tenant=state.name, count=cancelled)
-        elif journal.strategy == "watermark" and journal.phase == "dump":
-            journal.state = JOURNAL_ABANDONED
-            journal.manager = None
-            state.migrating = False
-            if not state.gate.is_open:
-                state.gate.open()
-            raise MigrationError(
-                "cannot resume tenant %r: the watermark change tap was "
-                "torn down mid-walk, so commit images since the last "
-                "watermark are unrecoverable — re-migrate from scratch"
-                % (state.name,))
-        engine = state.propagator
-        if engine is not None:
-            if engine.failed is not None:
-                journal.state = JOURNAL_ABANDONED
-                journal.manager = None
-                state.propagator = None
-                state.migrating = False
-                if state.change_tap is not None:
-                    state.change_tap.cancel_pending_markers()
-                    state.change_tap = None
-                state.ssl.take_all()
-                if not state.gate.is_open:
-                    state.gate.open()
-                raise MigrationError(
-                    "cannot resume tenant %r: propagation failed while "
-                    "the migration was parked (%s); the destination "
-                    "copy is unrecoverable — re-migrate from scratch"
-                    % (state.name, engine.failed))
-            if engine._stop_requested:
-                # The previous attempt died inside the handover drain.
-                # Wait the drain out (the gate is still closed, so the
-                # backlog is bounded) and retire the engine.
-                if engine.process is not None and engine.process.is_alive:
-                    yield engine.wait_fully_drained()
-                journal.replayed_syncsets += (
-                    engine.stats.syncsets_replayed)
-                state.propagator = None
-            # else: healthy and running — catch-up adopts it.
-        if not state.gate.is_open:
-            state.gate.open()
-        state.migrating = True
+        return migration.migrate(self, tenant, destination, options)
 
     def resume_migration(self, tenant: str,
                          options: Optional[MigrationOptions] = None
@@ -1596,679 +689,18 @@ class Middleware:
         there is nothing to resume and :class:`SourceCrashed` when the
         journalled source is still down.
         """
-        state = self.tenant_state(tenant)
-        journal = self._journals.get(tenant)
-        if journal is None:
-            raise MigrationError(
-                "tenant %r has no migration journal to resume" % tenant)
-        if journal.state in (JOURNAL_COMPLETED, JOURNAL_ABANDONED):
-            raise MigrationError(
-                "migration journal for tenant %r is %s; nothing to "
-                "resume" % (tenant, journal.state))
-        if (journal.state == JOURNAL_ACTIVE
-                and journal.manager is not None
-                and journal.manager.is_alive):
-            raise MigrationError(
-                "tenant %r migration is still being managed" % tenant)
-        record = self._handovers.get(tenant)
-        if record is not None and record.state == HANDOVER_READY:
-            # The interrupted attempt got past the point of no return:
-            # roll forward exactly as recover_routing() would.
-            self._commit_handover(record, recovered=True)
-        if self.route(tenant) == journal.destination:
-            return self._settle_resumed_handover(state, journal)
-        if record is not None and record.state == HANDOVER_PREPARED:
-            self._rollback_handover(record, reason="resume")
-        source_instance = self.cluster.node(journal.source).instance
-        if source_instance.crashed:
-            raise SourceCrashed(journal.source, "resume")
-        opts = (options or MigrationOptions()).resolve(self.config)
-        # A resume continues the journalled attempt; its snapshot
-        # strategy is a fact of the journal, not a per-call choice.
-        opts = replace(opts, strategy=SnapshotStrategy(journal.strategy))
-        watermark = opts.strategy is SnapshotStrategy.WATERMARK
-        journal.state = JOURNAL_ACTIVE
-        journal.resumes += 1
-        journal.manager = self.env.active_process
-        dest_instance = self.cluster.node(journal.destination).instance
-        report = MigrationReport(tenant, journal.source,
-                                 journal.destination,
-                                 self.config.policy.name,
-                                 started_at=self.env.now,
-                                 pipelined=journal.pipelined,
-                                 strategy=journal.strategy)
-        report.mts = journal.mts
-        report.resumed = True
-        self.metrics.counter("migration.resumed").inc()
-        self.tracer.event(
-            "migration.resumed", tenant=tenant,
-            phase=journal.suspend_phase or journal.phase,
-            resumes=journal.resumes,
-            chunks_restored=dict(journal.chunks_restored),
-            total_chunks=journal.total_chunks,
-            backlog=state.ssl.pending_count())
-        migration_span = self.tracer.start(
-            "migration", kind=MIGRATION, tenant=tenant,
-            source=journal.source, destination=journal.destination,
-            policy=self.config.policy.name, standbys=0,
-            pipelined=True,  # resumed snapshots always stream
-            strategy=journal.strategy,
-            resumed=True, resumes=journal.resumes)
-        run = _MigrationRun(
-            tenant=tenant, state=state, opts=opts, report=report,
-            migration_span=migration_span,
-            source_instance=source_instance,
-            dest_instance=dest_instance,
-            destination=journal.destination, standby_instances={},
-            source_down=source_instance.wait_crashed(),
-            snapshot_csn=journal.snapshot_csn, journal=journal,
-            resume=True)
-        try:
-            yield from self._quiesce_for_resume(state, journal)
-        except MigrationError:
-            self.tracer.finish(migration_span, outcome="abandoned",
-                               reason="unresumable",
-                               owner=journal.source)
-            raise
-        restored = journal.chunks_restored.get(run.destination, 0)
-        if (watermark and restored
-                and not run.dest_instance.has_tenant(tenant)):
-            # A watermark copy lost while parked restarts the key walk
-            # from scratch: every change record already drained into
-            # the lost copy is re-covered by the live re-selects (the
-            # current row state *includes* those changes), so unlike
-            # the frozen-plan stream below nothing is unrecoverable.
-            journal.watermark_cursor = None
-            journal.watermark_chunks = 0
-            journal.chunks_restored[run.destination] = 0
-            journal.chunk_log.pop(run.destination, None)
-            journal.phase = "dump"
-            restored = 0
-            self.tracer.event("watermark.walk_restarted", tenant=tenant,
-                              destination=run.destination)
-        elif restored and not run.dest_instance.has_tenant(tenant):
-            # The destination lost its partial copy while the journal
-            # was parked.  Chunks can be re-shipped from the frozen
-            # plan, but a syncset already replayed into the lost copy
-            # is gone for good — only a dump-phase journal (no replay
-            # yet) may start the ship over.
-            if (state.propagator is not None or journal.replayed_syncsets
-                    or journal.phase != "dump"):
-                journal.state = JOURNAL_ABANDONED
-                journal.manager = None
-                if state.propagator is not None:
-                    state.propagator.request_stop()
-                    state.propagator = None
-                state.migrating = False
-                state.ssl.take_all()
-                self.tracer.finish(migration_span, outcome="abandoned",
-                                   reason="destination_lost_copy",
-                                   owner=journal.source)
-                raise MigrationError(
-                    "cannot resume tenant %r: destination %s lost its "
-                    "copy after catch-up began — re-migrate from "
-                    "scratch" % (tenant, run.destination))
-            journal.chunks_restored[run.destination] = 0
-            journal.chunk_log.pop(run.destination, None)
-            restored = 0
-        if watermark:
-            # The key walk has no frozen chunk plan; the journal phase
-            # says whether it finished before the interruption.
-            snapshot_done = journal.phase != "dump"
-        else:
-            snapshot_done = restored >= journal.total_chunks
-        if snapshot_done:
-            # Snapshot fully installed before the interruption: skip
-            # straight to catch-up.
-            report.snapshot_at = self.env.now
-            report.restored_at = self.env.now
-            report.snapshot_size_mb = journal.size_mb
-            report.chunks_skipped = (journal.watermark_chunks if watermark
-                                     else journal.total_chunks)
-        else:
-            journal.phase = "dump"
-            phase_span = self.tracer.phase(
-                "dump", parent=migration_span, pipelined=True,
-                resumed=True,
-                **({"strategy": "watermark"} if watermark else {}))
-            yield from self._snapshot_phase(run, phase_span)
-        yield from self._catchup_phase(run)
-        return (yield from self._handover_phase(run))
+        return migration.resume(self, tenant, options)
 
-    def _settle_resumed_handover(self, state: TenantState,
-                                 journal: MigrationJournal
-                                 ) -> MigrationReport:
-        """Finish a resume whose handover already rolled forward.
-
-        The interrupted attempt crashed after its ready record (or even
-        after the routing flip): the destination owns the tenant and
-        holds every remotely-committed transaction, so the only work
-        left is tearing down the source-side migration scaffolding and
-        reporting the migration as complete.
-        """
-        tenant = state.name
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("handover rolled forward")
-        journal.snapshot_procs = []
-        state.migrating = False
-        if state.propagator is not None:
-            state.propagator.request_stop()
-            state.propagator = None
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        state.ssl.take_all()
-        for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase="resume",
-                               reason="handover rolled forward")
-        if not state.gate.is_open:
-            state.gate.open()
-        journal.state = JOURNAL_COMPLETED
-        journal.phase = "done"
-        journal.resumes += 1
-        journal.manager = None
-        report = MigrationReport(tenant, journal.source,
-                                 journal.destination,
-                                 self.config.policy.name,
-                                 started_at=self.env.now,
-                                 pipelined=journal.pipelined,
-                                 strategy=journal.strategy)
-        report.mts = journal.mts
-        report.resumed = True
-        report.snapshot_at = self.env.now
-        report.restored_at = self.env.now
-        report.caught_up_at = self.env.now
-        report.switched_at = self.env.now
-        report.ended_at = self.env.now
-        report.snapshot_size_mb = journal.size_mb
-        report.chunks_skipped = journal.total_chunks
-        report.owner = journal.destination
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
-        self.metrics.counter("migration.resumed").inc()
-        self.metrics.counter("migration.completed").inc()
-        self.tracer.event("migration.resumed", tenant=tenant,
-                          phase="handover", resumes=journal.resumes,
-                          settled=True)
-        span = self.tracer.start(
-            "migration", kind=MIGRATION, tenant=tenant,
-            source=journal.source, destination=journal.destination,
-            policy=self.config.policy.name, standbys=0,
-            pipelined=journal.pipelined, strategy=journal.strategy,
-            resumed=True, settled=True)
-        self.tracer.finish(span, outcome="ok",
-                           owner=journal.destination, resumed=True,
-                           settled=True)
-        self.reports.append(report)
-        return report
-
-    def _pipelined_snapshot(self, run: _MigrationRun, dump_span: Any,
-                            restore_errors: Dict[str, Optional[str]],
-                            retry_backoff: Any) -> Generator:
-        """Steps 1+2, streamed: dump, ship, and restore overlap.
-
-        One producer process runs :func:`dump_stream` into a
-        :class:`ChunkFeed`; per destination node, a network pump and a
-        :func:`restore_stream` consume it through a bounded channel.
-        Back-pressure flows the whole way: slow destination disk ->
-        full channel -> idle pump -> stalled feed reader -> paused dump.
-
-        Per-node failure semantics match the serial path: transient
-        outages rewind the reader and resend from the feed base (the
-        feed retains emitted chunks exactly as the serial path retains
-        its materialised snapshot), crashes mark the node failed.
-
-        On a resumed run the journal's frozen chunk plan governs the
-        stream: the producer re-slices from the lowest chunk any node
-        still needs and each node's restore re-enters at its own
-        journalled offset.  Returns ``(dump_error, restore_span)`` with
-        the restore span left open — the caller owns standby discard /
-        failover and closes it.
-        """
-        tenant, opts, report = run.tenant, run.opts, run.report
-        journal = run.journal
-        rates = opts.rates
-        nodes = [run.destination, *run.standby_instances]
-        if run.resume:
-            assert journal is not None
-            size_mb = journal.size_mb
-            total: Optional[int] = journal.total_chunks
-            offsets = {name: min(journal.chunks_restored.get(name, 0),
-                                 journal.total_chunks)
-                       for name in nodes}
-            base = min(offsets.values())
-        else:
-            size_mb = run.source_instance.tenant(tenant).size_mb()
-            total = None
-            offsets = {name: 0 for name in nodes}
-            base = 0
-        report.snapshot_size_mb = size_mb
-        report.chunks_skipped = base
-        started = self.env.now
-        feed = ChunkFeed(self.env, depth=opts.pipeline_depth,
-                         name="feed.%s" % tenant)
-        readers = {name: feed.reader(name, start=offsets[name] - base)
-                   for name in nodes}
-        dump_result: Dict[str, Any] = {}
-
-        def journal_progress(node_name: str) -> Any:
-            def on_chunk(chunk: Any) -> None:
-                done = journal.chunks_restored.get(node_name, 0)
-                journal.chunks_restored[node_name] = max(
-                    done, chunk.index + 1)
-                journal.chunk_log.setdefault(node_name,
-                                             []).append(chunk.index)
-            return on_chunk
-
-        def producer() -> Generator:
-            try:
-                chunks = yield from dump_stream(
-                    run.source_instance, tenant, run.snapshot_csn,
-                    rates, feed, chunk_mb=opts.chunk_mb,
-                    start_index=base, total_chunks=total,
-                    total_size_mb=size_mb if run.resume else None)
-            except NodeCrashed as exc:
-                dump_result["error"] = exc
-                feed.fail(exc)
-                self.tracer.finish(dump_span, outcome="failed")
-            except RuntimeError as exc:
-                # Every reader failed permanently; the per-node errors
-                # in ``restore_errors`` tell the real story.
-                dump_result["error"] = exc
-                self.tracer.finish(dump_span, outcome="abandoned")
-            except Interrupt:
-                # Quiesced by a journalled re-entry; the resume's own
-                # producer takes over from the journalled offsets.
-                return
-            else:
-                report.chunks = chunks
-                report.snapshot_at = self.env.now
-                self.tracer.finish(dump_span, mts=report.mts,
-                                   size_mb=size_mb, chunks=chunks,
-                                   chunks_skipped=base)
-
-        producer_proc = self.env.process(producer(),
-                                         name="dump.%s" % tenant)
-        restore_span = self.tracer.phase("restore",
-                                         parent=run.migration_span,
-                                         size_mb=size_mb, pipelined=True)
-
-        def node_stream(node_name: str, instance: Any) -> Generator:
-            """Pump + streaming restore for one node; never raises."""
-            reader = readers[node_name]
-            resume_from = offsets[node_name]
-            attempt = 0
-            while True:
-                channel = Channel(self.env,
-                                  capacity=opts.pipeline_depth,
-                                  name="ship.%s.%s" % (tenant, node_name))
-                pump = self.env.process(
-                    self.cluster.network.pump_chunks(
-                        reader, channel,
-                        route=(report.source, node_name)),
-                    name="pump.%s.%s" % (tenant, node_name))
-                try:
-                    yield from restore_stream(
-                        instance, channel, rates, tenant_name=tenant,
-                        resume_from=resume_from,
-                        schemas=(journal.schemas if journal is not None
-                                 else None),
-                        expected_total=total,
-                        on_chunk=(journal_progress(node_name)
-                                  if journal is not None else None))
-                    restore_errors[node_name] = None
-                    return
-                except NetworkDown as exc:
-                    attempt += 1
-                    if pump.is_alive:
-                        pump.interrupt("ship retry")
-                    if base > 0:
-                        # Chunks below the feed base can never be
-                        # re-shipped on this stream; keep the copy and
-                        # re-enter at the base after the retry.
-                        resume_from = base
-                    else:
-                        if instance.has_tenant(tenant):
-                            # Discard the partial copy before resending.
-                            instance.drop_tenant(tenant)
-                        resume_from = 0
-                        if journal is not None:
-                            journal.chunks_restored[node_name] = 0
-                            journal.chunk_log.pop(node_name, None)
-                    if attempt > opts.retry_limit:
-                        restore_errors[node_name] = str(exc)
-                        reader.close()
-                        return
-                    yield from retry_backoff(node_name, attempt)
-                    reader.rewind()
-                except (NodeCrashed, SnapshotTruncated) as exc:
-                    if pump.is_alive:
-                        pump.interrupt("restore failed")
-                    restore_errors[node_name] = str(exc)
-                    reader.close()
-                    return
-                except Interrupt:
-                    # Quiesced by a journalled re-entry.
-                    if pump.is_alive:
-                        pump.interrupt("migration suspended")
-                    restore_errors[node_name] = "interrupted"
-                    return
-
-        runners = [self.env.process(
-            node_stream(run.destination, run.dest_instance),
-            name="restore.%s.%s" % (tenant, run.destination))]
-        runners += [self.env.process(
-            node_stream(name, instance),
-            name="restore.%s.%s" % (tenant, name))
-            for name, instance in run.standby_instances.items()]
-        if journal is not None:
-            journal.snapshot_procs = [producer_proc] + list(runners)
-        yield self.env.all_of(runners)
-        yield producer_proc  # the dump span is closed either way
-        window = self.env.now - started
-        dump_elapsed = report.snapshot_at - started
-        if size_mb > 0 and dump_elapsed > 0:
-            self.metrics.gauge("pipeline.dump_mb_s").set(
-                size_mb / dump_elapsed)
-        if size_mb > 0 and window > 0:
-            self.metrics.gauge("pipeline.restore_mb_s").set(
-                size_mb / window)
-        self.metrics.gauge("pipeline.chunks").set(report.chunks)
-        self.metrics.gauge("pipeline.backpressure_wait_s").set(
-            feed.producer_wait_time)
-        return dump_result.get("error"), restore_span
-
-    def _watermark_snapshot(self, run: _MigrationRun, dump_span: Any,
-                            restore_errors: Dict[str, Optional[str]],
-                            retry_backoff: Any) -> Generator:
-        """Steps 1+2, virtual-cut style: chunked selects under live load.
-
-        The DBLog watermark algorithm: every committed transaction's
-        row post-images flow through the tenant's :class:`ChangeTap`
-        and are replayed on the destination by a
-        :class:`ChangeStreamApplier` while this manager walks the key
-        space in chunks.  Each chunk select is bracketed by ``lo`` /
-        ``hi`` markers injected into the change stream; once the
-        applier has consumed everything before ``hi`` it parks, chunk
-        rows whose keys changed inside the window are dropped (the
-        stream already delivered a newer image), the survivors ship
-        over the shared prioritised bulk stream and install, and the
-        applier proceeds.  Installs therefore land strictly between the
-        in-window records and anything newer, so the copy is
-        snapshot-equivalent without ever freezing a CSN — and the
-        post-walk catch-up is bounded by chunk size, not dump duration.
-
-        Returns the still-open ``restore`` span (the caller's shared
-        tail stamps ``restored_at`` and closes it); destination
-        failures land in ``restore_errors`` like the other arms, and a
-        source crash raises through :meth:`_abort_source_crash`
-        (suspending first when journalled — ``journal.watermark_cursor``
-        / ``watermark_chunks`` let the resume re-enter the key walk at
-        the last fully installed chunk).
-        """
-        state, opts, report = run.state, run.opts, run.report
-        tenant = run.tenant
-        rates = opts.rates
-        journal = run.journal
-        tap = state.change_tap
-        assert tap is not None, "watermark migration without a change tap"
-        source_db = run.source_instance.tenant(tenant)
-        size_mb = source_db.size_mb()
-        total_rows = source_db.row_count()
-        mb_per_row = size_mb / total_rows if total_rows else 0.0
-        chunk_cap = (opts.chunk_mb if opts.chunk_mb is not None
-                     else rates.chunk_mb)
-        rows_per_chunk = (max(1, int(chunk_cap / mb_per_row))
-                          if mb_per_row > 0 else 1)
-        report.snapshot_size_mb = size_mb
-        cursor: Any = None
-        chunk_index = 0
-        if journal is not None:
-            cursor = journal.watermark_cursor
-            chunk_index = journal.watermark_chunks
-            report.chunks_skipped = journal.watermark_chunks
-        if journal is not None and journal.schemas:
-            specs = journal.schemas
-        else:
-            specs = []
-            for table_name in source_db.catalog.table_names():
-                table = source_db.table(table_name)
-                specs.append(SchemaSpec(table_name, table.schema.columns,
-                                        dict(table.schema.indexes)))
-        if not run.dest_instance.has_tenant(tenant):
-            create_from_schemas(run.dest_instance, tenant, specs,
-                                source_db.fixed_overhead_mb,
-                                source_db.size_multiplier)
-        applier = state.propagator
-        if applier is None:
-            applier = ChangeStreamApplier(
-                self.env, tap.consumer("dest"), report.source, state.ssl,
-                run.dest_instance, tenant, self.cluster.network,
-                self.config.policy, tracer=self.tracer,
-                metrics=self.metrics)
-            state.propagator = applier
-            applier.start()
-        # Standby fan-out off the same broadcast tap: each standby gets
-        # its own named cursor (one feed, N consumers — no per-reader
-        # re-read of the source) and replays the identical stream; the
-        # chunk walk below ships every deduplicated chunk to standbys
-        # too, so a surviving standby is exactly as complete as the
-        # destination at every point past the walk.
-        for name, instance in run.standby_instances.items():
-            if name in state.standby_propagators:
-                continue  # adopted across a resume
-            if not instance.has_tenant(tenant):
-                create_from_schemas(instance, tenant, specs,
-                                    source_db.fixed_overhead_mb,
-                                    source_db.size_multiplier)
-            standby_applier = ChangeStreamApplier(
-                self.env, tap.consumer("standby:%s" % name),
-                report.source, state.ssl, instance, tenant,
-                self.cluster.network, self.config.policy,
-                tracer=self.tracer, metrics=self.metrics,
-                metrics_prefix="propagation.standby.%s" % name)
-            state.standby_propagators[name] = standby_applier
-            standby_applier.start()
-        restore_span = self.tracer.phase(
-            "restore", parent=run.migration_span, size_mb=size_mb,
-            pipelined=True, strategy="watermark")
-        dest_tenant = run.dest_instance.tenant(tenant)
-
-        def fail_destination(reason: str) -> None:
-            restore_errors[run.destination] = reason
-            # A mid-walk standby holds chunks only up to the point of
-            # failure, so there is nothing complete to promote: discard
-            # the lot and let the shared tail abort.
-            for name in sorted(run.standby_instances):
-                run.standby_instances.pop(name)
-                self._drop_standby(state, name, phase="watermark",
-                                   reason="primary walk failed: %s"
-                                   % reason)
-            self.tracer.finish(dump_span, outcome="failed")
-
-        while True:
-            lo = tap.marker("lo", chunk_index)
-            self.tracer.event("watermark.lo", tenant=tenant,
-                              chunk=chunk_index)
-            applier.notify_linked()
-            try:
-                rows, next_cursor = yield from watermark_select(
-                    run.source_instance, tenant, cursor, rows_per_chunk,
-                    mb_per_row, rates)
-            except NodeCrashed:
-                self.tracer.finish(restore_span,
-                                   outcome="source_crashed")
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, dump_span,
-                                         phase="dump")
-            hi = tap.marker("hi", chunk_index)
-            applier.notify_linked()
-            for prop in state.standby_propagators.values():
-                prop.notify_linked()
-            while not hi.reached.triggered:
-                standby_failed = {
-                    name: prop.wait_failed()
-                    for name, prop in state.standby_propagators.items()}
-                waits = [hi.reached, applier.wait_failed(),
-                         run.source_down]
-                waits.extend(standby_failed.values())
-                fired = yield self.env.any_of(waits)
-                if fired is run.source_down:
-                    self.tracer.finish(restore_span,
-                                       outcome="source_crashed")
-                    self._abort_source_crash(state, run.dest_instance,
-                                             tenant, report,
-                                             run.migration_span,
-                                             dump_span, phase="dump")
-                if hi.reached.triggered:
-                    break
-                dropped = None
-                for name, event in standby_failed.items():
-                    if fired is event:
-                        dropped = name
-                        break
-                if dropped is not None:
-                    # Section 4.2 applied to the broadcast: discard the
-                    # dead consumer's cursor (which may be the one the
-                    # ``hi`` marker is still waiting on) and walk on.
-                    reason = (state.standby_propagators[dropped].failed
-                              or "replay failed")
-                    run.standby_instances.pop(dropped, None)
-                    self._drop_standby(state, dropped, phase="watermark",
-                                       reason=reason)
-                    continue
-                # The destination applier died replaying the stream;
-                # the shared tail aborts.
-                fail_destination(applier.failed or "replay failed")
-                return restore_span
-            window = tap.window_keys(lo, hi)
-            fresh = [(table_name, key, row)
-                     for table_name, key, row in rows
-                     if (table_name, key) not in window]
-            chunk_mb = mb_per_row * len(fresh)
-            attempt = 0
-            while True:
-                try:
-                    if chunk_mb > 0:
-                        yield from self.cluster.network.bulk_transfer(
-                            report.source, run.destination, chunk_mb)
-                    break
-                except NetworkDown as exc:
-                    attempt += 1
-                    if attempt > opts.retry_limit:
-                        fail_destination(str(exc))
-                        return restore_span
-                    yield from retry_backoff(run.destination, attempt)
-            if chunk_mb > 0:
-                yield from run.dest_instance.disk.write(chunk_mb)
-                spec = run.dest_instance.disk.spec
-                io_time = (spec.seek_latency
-                           + chunk_mb / spec.write_bandwidth_mb_s)
-                pace = restore_duration(chunk_mb, rates) - io_time
-                if pace > 0:
-                    yield self.env.timeout(pace)
-            if run.dest_instance.crashed:
-                fail_destination("%s crashed during watermark install"
-                                 % run.destination)
-                return restore_span
-            csn = run.dest_instance.next_csn()
-            for table_name, key, row in fresh:
-                dest_tenant.table(table_name).install(key, csn, row)
-            # Fan the deduplicated chunk out to the standbys before any
-            # consumer resumes past ``hi``: installs must land strictly
-            # between the in-window records and anything newer on every
-            # copy, or the standby loses snapshot-equivalence.  A
-            # standby that cannot take the chunk is discarded; it never
-            # stalls the primary walk.
-            for name in sorted(run.standby_instances):
-                instance = run.standby_instances[name]
-                standby_error: Optional[str] = None
-                attempt = 0
-                try:
-                    while True:
-                        try:
-                            if chunk_mb > 0:
-                                yield from (
-                                    self.cluster.network.bulk_transfer(
-                                        report.source, name, chunk_mb))
-                            break
-                        except NetworkDown as exc:
-                            attempt += 1
-                            if attempt > opts.retry_limit:
-                                standby_error = str(exc)
-                                break
-                            yield from retry_backoff(name, attempt)
-                    if standby_error is None and chunk_mb > 0:
-                        yield from instance.disk.write(chunk_mb)
-                except NodeCrashed as exc:
-                    standby_error = str(exc)
-                if standby_error is None and instance.crashed:
-                    standby_error = ("%s crashed during watermark "
-                                     "install" % name)
-                if standby_error is not None:
-                    run.standby_instances.pop(name)
-                    self._drop_standby(state, name, phase="watermark",
-                                       reason=standby_error)
-                    continue
-                standby_csn = instance.next_csn()
-                standby_tenant = instance.tenant(tenant)
-                for table_name, key, row in fresh:
-                    standby_tenant.table(table_name).install(
-                        key, standby_csn, row)
-            if not hi.proceed.triggered:
-                hi.proceed.succeed()
-            self.tracer.event("watermark.hi", tenant=tenant,
-                              chunk=chunk_index, rows=len(rows),
-                              deduped=len(rows) - len(fresh),
-                              window=len(window))
-            chunk_index += 1
-            report.chunks += 1
-            if journal is not None:
-                journal.watermark_chunks = chunk_index
-                journal.watermark_cursor = next_cursor
-                journal.chunks_restored[run.destination] = chunk_index
-                journal.chunk_log.setdefault(
-                    run.destination, []).append(chunk_index - 1)
-                for name in run.standby_instances:
-                    journal.chunks_restored[name] = chunk_index
-                    journal.chunk_log.setdefault(
-                        name, []).append(chunk_index - 1)
-            if next_cursor is None:
-                break
-            cursor = next_cursor
-        finalize_indexes(dest_tenant, specs)
-        for name, instance in run.standby_instances.items():
-            finalize_indexes(instance.tenant(tenant), specs)
-        report.snapshot_at = self.env.now
-        self.metrics.gauge("watermark.chunks").set(report.chunks)
-        self.metrics.gauge("watermark.backlog_at_walk_end").set(
-            tap.pending_count())
-        self.tracer.finish(dump_span, mts=report.mts, size_mb=size_mb,
-                           chunks=report.chunks,
-                           chunks_skipped=report.chunks_skipped)
-        return restore_span
-
-    def _publish_report_metrics(self, report: MigrationReport,
-                                stats: Any) -> None:
-        """Mirror one finished migration into the metrics registry."""
-        self.metrics.counter("migration.completed").inc()
-        self.metrics.absorb("propagation", stats)
-        self.metrics.absorb("migration.last", {
-            "migration_time": report.migration_time,
-            "dump_time": report.dump_time,
-            "restore_time": report.restore_time,
-            "catchup_time": report.catchup_time,
-            "switch_time": report.switch_time,
-            "snapshot_size_mb": report.snapshot_size_mb,
-            "slave_commit_count": report.slave_commit_count,
-            "slave_flush_count": report.slave_flush_count,
-            "slave_mean_group_size": report.slave_mean_group_size,
-            "failovers": report.failovers,
-            "ship_retries": report.ship_retries,
-            "chunks": report.chunks,
-        })
+    def resolve_options(self, options: Optional[MigrationOptions]
+                        ) -> MigrationOptions:
+        """``options`` (``None`` = all defaults) filled from the config."""
+        if options is not None and not isinstance(options,
+                                                  MigrationOptions):
+            raise TypeError(
+                "migrate() takes a MigrationOptions instance, got %r; "
+                "the old rates/standbys call shapes were removed"
+                % (type(options).__name__,))
+        return (options or MigrationOptions()).resolve(self.config)
 
     def fail_standby(self, tenant: str, node_name: str) -> None:
         """Drop a failed standby slave and continue the migration.
@@ -2278,237 +710,6 @@ class Middleware:
         The standby's backlog is discarded and its propagator told to
         wind down; the primary slave (and other standbys) are
         unaffected.  (This manual hook shares its teardown with the
-        automatic crash-detection path in :meth:`migrate`.)
+        automatic crash-detection path of the migration machine.)
         """
-        state = self.tenant_state(tenant)
-        if node_name not in state.standby_propagators:
-            raise MigrationError("no standby %r for tenant %r"
-                                 % (node_name, tenant))
-        self._drop_standby(state, node_name, phase="manual",
-                           reason="failed by operator")
-
-    def _drop_standby(self, state: TenantState, node_name: str,
-                      phase: str, reason: str) -> None:
-        """Discard one standby: stop its engine, drop its backlog."""
-        propagator = state.standby_propagators.pop(node_name, None)
-        ssl = state.standby_ssls.pop(node_name, None)
-        if ssl is not None:
-            ssl.take_all()
-        if propagator is not None:
-            propagator.request_stop()
-        if state.change_tap is not None:
-            # Broadcast stream: forget this consumer's cursor so pending
-            # watermark markers stop waiting on a dead reader.
-            state.change_tap.discard_consumer("standby:%s" % node_name)
-        state.failed_standbys.append(node_name)
-        self.metrics.counter("migration.standby_dropped").inc()
-        self.tracer.event("migration.standby_dropped", tenant=state.name,
-                          node=node_name, phase=phase, reason=reason)
-
-    def _promote_standby(self, state: TenantState,
-                         standby_instances: Dict[str, Any],
-                         report: MigrationReport, tenant: str,
-                         failed: str, phase: str, reason: str):
-        """Fail over: the first surviving standby becomes destination.
-
-        During catch-up the standby's SSL and propagator simply take
-        over the primary role — the standby replayed the same syncset
-        stream, so it is exactly as caught up as its own backlog says.
-        Under a watermark migration the standby consumed its own cursor
-        of the shared broadcast tap, so only the engine swaps: the dead
-        primary's cursor is discarded and the tap keeps feeding the
-        survivor.  Survivor choice is sorted-order for determinism.
-        """
-        promoted = sorted(standby_instances)[0]
-        instance = standby_instances.pop(promoted)
-        standby_prop = state.standby_propagators.pop(promoted, None)
-        standby_ssl = state.standby_ssls.pop(promoted, None)
-        if standby_prop is not None:
-            if standby_ssl is not None:
-                old_ssl = state.ssl
-                state.ssl = standby_ssl
-                old_ssl.take_all()  # the dead destination's backlog
-            state.propagator = standby_prop
-        if state.change_tap is not None:
-            # The dead primary's cursor must not hold up future markers;
-            # the promoted applier keeps reading its own named cursor.
-            state.change_tap.discard_consumer("dest")
-        report.destination = promoted
-        report.failovers += 1
-        self.metrics.counter("migration.failover").inc()
-        self.tracer.event("migration.failover", tenant=tenant,
-                          failed=failed, promoted=promoted, phase=phase,
-                          reason=reason)
-        return promoted, instance
-
-    # ------------------------------------------------------------------
-    # two-step ownership switch (handover journal)
-    # ------------------------------------------------------------------
-    def _prepare_handover(self, tenant: str, source: str,
-                          destination: str) -> HandoverRecord:
-        """Journal the intent to switch ownership (step one of two)."""
-        record = HandoverRecord(tenant, source, destination,
-                                prepared_at=self.env.now)
-        self._handovers[tenant] = record
-        self.metrics.counter("migration.handover_prepared").inc()
-        self.tracer.event("handover.prepare", tenant=tenant,
-                          source=source, destination=destination)
-        return record
-
-    def _mark_handover_ready(self, record: HandoverRecord) -> None:
-        """Point of no return: drains done, destination is complete."""
-        record.state = HANDOVER_READY
-        self.tracer.event("handover.ready", tenant=record.tenant,
-                          destination=record.destination)
-
-    def _commit_handover(self, record: HandoverRecord,
-                         recovered: bool = False) -> None:
-        """Step two: flip the routing entry to the destination."""
-        record.state = HANDOVER_COMMITTED
-        record.resolved_at = self.env.now
-        self._routes[record.tenant] = record.destination
-        self.metrics.counter("migration.handover_committed").inc()
-        self.tracer.event("handover.commit", tenant=record.tenant,
-                          owner=record.destination, recovered=recovered)
-
-    def _rollback_handover(self, record: HandoverRecord,
-                           reason: str) -> None:
-        """Resolve an unfinished switch back to the source."""
-        record.state = HANDOVER_ROLLED_BACK
-        record.resolved_at = self.env.now
-        self._routes[record.tenant] = record.source
-        self.metrics.counter("migration.handover_rolled_back").inc()
-        self.tracer.event("handover.rollback", tenant=record.tenant,
-                          owner=record.source, reason=reason)
-
-    def _abort_source_crash(self, state: TenantState, dest_instance: Any,
-                            tenant: str, report: MigrationReport,
-                            migration_span: Any, phase_span: Any,
-                            phase: str) -> None:
-        """Abort because the master crashed; raises :class:`SourceCrashed`.
-
-        Section 4.2: "if the master fails, Madeus aborts the migration."
-        The tenant keeps routing to the source, and nothing committed
-        remotely is lost — the commit protocol installs versions only
-        after the WAL flush, so every transaction the customer saw
-        commit survives the crash and WAL-replay recovery on the source.
-
-        Under a journalled (``resumable=True``) migration the abort is
-        *suspension* instead: progress stays in the journal so
-        :meth:`resume_migration` can re-enter after the master recovers.
-        Either way :class:`SourceCrashed` propagates to the caller.
-        """
-        report.source_crashed = True
-        self.metrics.counter("migration.source_crashed").inc()
-        self.tracer.event("migration.source_crashed", tenant=tenant,
-                          source=report.source, phase=phase)
-        journal = self._journals.get(tenant)
-        if journal is not None and journal.state == JOURNAL_ACTIVE:
-            self._suspend_migration(state, journal, report, phase)
-            self.tracer.finish(phase_span, outcome="source_crashed")
-            self.tracer.finish(migration_span, outcome="suspended",
-                               reason="source_crashed",
-                               owner=report.source)
-            raise SourceCrashed(report.source, phase)
-        self._abort_migration(state, dest_instance, tenant)
-        self.tracer.finish(phase_span, outcome="source_crashed")
-        self.tracer.finish(migration_span, outcome="aborted",
-                           reason="source_crashed", owner=report.source)
-        self._finalize_abort(state, report)
-        raise SourceCrashed(report.source, phase)
-
-    def _finalize_abort(self, state: TenantState,
-                        report: MigrationReport) -> None:
-        """Stamp and record a report for a migration that aborted.
-
-        Aborted migrations are reported too: ``ended_at`` is set (so
-        ``migration_time`` is meaningful), ``outcome`` says why it is
-        not "ok", and the report joins :attr:`reports` and the metrics
-        registry like any completed migration.  The source keeps (or
-        recovers) ownership, and any handover record left in doubt by
-        the abort rolls back so the journal resolves to one owner.
-        """
-        report.outcome = "aborted"
-        report.ended_at = self.env.now
-        report.owner = report.source
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
-        record = self._handovers.get(report.tenant)
-        if record is not None and record.state in (HANDOVER_PREPARED,
-                                                   HANDOVER_READY):
-            self._rollback_handover(record, reason="migration aborted")
-        journal = self._journals.get(report.tenant)
-        if journal is not None and journal.state == JOURNAL_ACTIVE:
-            journal.state = JOURNAL_ABANDONED
-            journal.manager = None
-        self.metrics.counter("migration.aborted").inc()
-        self.metrics.absorb("migration.last", {
-            "migration_time": report.migration_time,
-            "dump_time": report.dump_time,
-            "snapshot_size_mb": report.snapshot_size_mb,
-            "failovers": report.failovers,
-            "ship_retries": report.ship_retries,
-        })
-        self.reports.append(report)
-
-    def _divergence_watchdog(self, state: TenantState, fired: Event,
-                             control: Dict[str, bool],
-                             opts: MigrationOptions) -> Generator:
-        """Abort-early detector over the primary replay backlog.
-
-        Samples the replication backlog each interval (the SSL — read
-        live, so a promoted standby's SSL is followed automatically —
-        or the change tap under a watermark migration) and fires
-        once the backlog has grown *strictly monotonically* across the
-        whole window by at least the configured floor.  A healthy
-        catch-up oscillates toward zero and never sustains that, so a
-        positive signal means replay throughput is provably below the
-        master's commit rate — the situation the paper reports as "N/A".
-        """
-        samples: List[int] = []
-        while not control["stop"]:
-            yield self.env.timeout(opts.divergence_interval)
-            if control["stop"]:
-                return
-            samples.append(self._replication_backlog(state))
-            if len(samples) > opts.divergence_window:
-                samples.pop(0)
-            if (len(samples) == opts.divergence_window
-                    and all(later > earlier for earlier, later
-                            in zip(samples, samples[1:]))
-                    and (samples[-1] - samples[0]
-                         >= opts.divergence_min_growth)):
-                self.tracer.event("migration.diverging",
-                                  tenant=state.name,
-                                  samples=list(samples))
-                if not fired.triggered:
-                    fired.succeed()
-                return
-
-    def _abort_migration(self, state: TenantState,
-                         dest_instance: Any, tenant: str) -> None:
-        """Tear down a failed migration: stop linking and drop backlog.
-
-        The orphaned slave copy is intentionally left in place: in-flight
-        players may still be replaying against it, and the destination is
-        abandoned by the caller anyway (the paper reports this outcome as
-        "N/A" for B-CON under heavy workload).
-        """
-        del dest_instance, tenant
-        state.migrating = False
-        if state.propagator is not None:
-            state.propagator.request_stop()
-            state.propagator = None
-        # A watermark tap dies with the migration: unpark any applier
-        # waiting at a marker so its engine can wind down, then stop
-        # capturing commit images.
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        # Unlink any backlog so the SSL does not leak into a retry.
-        state.ssl.take_all()
-        # Standby engines must wind down too, or their propagators and
-        # SSLs would leak into (and corrupt) a retry of the migration.
-        for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase="abort",
-                               reason="migration aborted")
+        migration.fail_standby(self, tenant, node_name)

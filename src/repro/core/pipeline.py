@@ -45,14 +45,35 @@ the same footprint the serial path's :class:`LogicalSnapshot` has; the
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Any, Deque, Dict, Generator,
-                    Hashable, List, Optional, Set, Tuple)
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..sim.events import Event
-from ..sim.sync import CLOSED
+from ..engine.dump import (
+    SnapshotTruncated,
+    dump,
+    dump_stream,
+    restore,
+    restore_stream,
+)
+from ..errors import NetworkDown, NodeCrashed
+from ..sim.events import Event, Interrupt
+from ..sim.sync import CLOSED, Channel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
+    from .migration import Migration
 
 
 class ChunkFeed:
@@ -211,6 +232,251 @@ class ChunkReader:
         if self.active:
             self.active = False
             self.feed._wake_producer()
+
+
+# ----------------------------------------------------------------------
+# shipping, shared by every snapshot strategy
+# ----------------------------------------------------------------------
+
+def ship_with_retry(run: "Migration", node_name: str,
+                    attempt: Callable[[], Generator],
+                    on_outage: Optional[Callable[[], None]] = None
+                    ) -> Generator[Any, Any, Optional[str]]:
+    """Run ``attempt()`` until it lands; ``None`` or why it cannot.
+
+    A transient outage (:class:`NetworkDown`) calls ``on_outage``
+    (discard the partial copy, rewind the reader, ...) and resends
+    after a capped exponential backoff, up to ``opts.retry_limit``
+    times; a crashed node or truncated stream is final.
+    """
+    opts = run.opts
+    attempts = 0
+    while True:
+        try:
+            yield from attempt()
+            return None
+        except NetworkDown as exc:
+            attempts += 1
+            if on_outage is not None:
+                on_outage()
+            if attempts > opts.retry_limit:
+                return str(exc)
+        except (NodeCrashed, SnapshotTruncated) as exc:
+            return str(exc)
+        delay = min(opts.retry_cap, opts.retry_base * (2 ** (attempts - 1)))
+        run.report.ship_retries += 1
+        run.metrics.counter("migration.retries").inc()
+        run.tracer.event("migration.retry", tenant=run.tenant,
+                         node=node_name, attempt=attempts, delay=delay)
+        yield run.env.timeout(delay)
+
+
+def fan_out(run: "Migration",
+            node_stream: Callable[[str, Any], Generator],
+            producers: Sequence[Any] = ()) -> Generator[Any, Any, None]:
+    """One ``node_stream`` process per destination node; wait for all.
+
+    A stream never raises: its verdict (``None`` or the error) lands in
+    ``run.restore_errors``, so one dead node cannot fail the whole
+    fan-out (``all_of`` fails fast on a sub-event failure).
+    """
+    def guarded(node_name: str, instance: Any) -> Generator:
+        try:
+            error = yield from node_stream(node_name, instance)
+        except Interrupt:
+            # Quiesced by a journalled re-entry.
+            error = "interrupted"
+        run.restore_errors[node_name] = error
+
+    nodes = [(run.destination, run.dest_instance),
+             *run.standby_instances.items()]
+    streams = [run.env.process(guarded(name, instance),
+                               name="restore.%s.%s" % (run.tenant, name))
+               for name, instance in nodes]
+    if run.journal is not None:
+        run.journal.snapshot_procs = [*producers, *streams]
+    yield run.env.all_of(streams)
+
+
+def discard_copy(run: "Migration", node_name: str, instance: Any) -> None:
+    """Drop ``node_name``'s partial copy ahead of a full resend."""
+    if instance.has_tenant(run.tenant):
+        instance.drop_tenant(run.tenant)
+    if run.journal is not None:
+        run.journal.forget_copy(node_name)
+
+
+# ----------------------------------------------------------------------
+# snapshot producers over the feed (and its one-chunk degenerate case)
+# ----------------------------------------------------------------------
+
+def serial_snapshot(run: "Migration",
+                    dump_span: Any) -> Generator[Any, Any, None]:
+    """Steps 1+2, the paper-faithful chain: one monolithic chunk.
+
+    Dump the whole tenant, then ship + restore it whole on every node;
+    the materialised snapshot outlives a failed ship and is re-sent.
+    """
+    report, rates, tenant = run.report, run.opts.rates, run.tenant
+    journal = run.journal
+    try:
+        snapshot = yield from dump(run.source_instance, tenant,
+                                   run.snapshot_csn, rates)
+    except NodeCrashed:
+        run.source_crashed("dump")
+    report.snapshot_at = run.env.now
+    report.snapshot_size_mb = snapshot.size_mb
+    run.close_phase(dump_span, mts=report.mts, size_mb=snapshot.size_mb)
+    run.open_phase("restore", size_mb=snapshot.size_mb)
+
+    def node_stream(node_name: str, instance: Any) -> Generator:
+        def attempt() -> Generator:
+            yield from run.network.message(snapshot.size_mb)
+            yield from restore(instance, snapshot, rates,
+                               tenant_name=tenant)
+
+        error = yield from ship_with_retry(
+            run, node_name, attempt,
+            lambda: discard_copy(run, node_name, instance))
+        if error is None and journal is not None:
+            # The serial restore lands whole: journal the entire chunk
+            # plan as installed.
+            journal.chunks_restored[node_name] = journal.total_chunks
+        return error
+
+    yield from fan_out(run, node_stream)
+
+
+def pipelined_snapshot(run: "Migration",
+                       dump_span: Any) -> Generator[Any, Any, None]:
+    """Steps 1+2, streamed: dump, ship, and restore overlap.
+
+    One producer process runs :func:`dump_stream` into a
+    :class:`ChunkFeed`; per destination node, a network pump and a
+    :func:`restore_stream` consume it through a bounded channel.
+    Back-pressure flows the whole way: slow destination disk -> full
+    channel -> idle pump -> stalled feed reader -> paused dump.
+
+    Per-node failure semantics match the serial path: transient outages
+    rewind the reader and resend from the feed base (the feed retains
+    emitted chunks exactly as the serial path retains its materialised
+    snapshot), crashes mark the node failed.
+
+    On a resumed run the journal's frozen chunk plan governs the
+    stream: the producer re-slices from the lowest chunk any node still
+    needs and each node's restore re-enters at its own journalled
+    offset.  Returns with the ``restore`` span left open — the machine
+    owns standby discard / failover and closes it.
+    """
+    tenant, opts, report = run.tenant, run.opts, run.report
+    env, journal, rates = run.env, run.journal, run.opts.rates
+    nodes = [run.destination, *run.standby_instances]
+    if run.resumed:
+        size_mb = journal.size_mb
+        total: Optional[int] = journal.total_chunks
+        offsets = {name: min(journal.chunks_restored.get(name, 0), total)
+                   for name in nodes}
+        base = min(offsets.values())
+    else:
+        size_mb = run.source_instance.tenant(tenant).size_mb()
+        total = None
+        offsets = dict.fromkeys(nodes, 0)
+        base = 0
+    report.snapshot_size_mb = size_mb
+    report.chunks_skipped = base
+    started = env.now
+    feed = ChunkFeed(env, depth=opts.pipeline_depth,
+                     name="feed.%s" % tenant)
+    readers = {name: feed.reader(name, start=offsets[name] - base)
+               for name in nodes}
+    source_died = False
+
+    def producer() -> Generator:
+        nonlocal source_died
+        try:
+            chunks = yield from dump_stream(
+                run.source_instance, tenant, run.snapshot_csn, rates,
+                feed, chunk_mb=opts.chunk_mb, start_index=base,
+                total_chunks=total,
+                total_size_mb=size_mb if run.resumed else None)
+        except NodeCrashed as exc:
+            source_died = True
+            feed.fail(exc)
+            run.close_phase(dump_span, outcome="failed")
+        except RuntimeError:
+            # Every reader failed permanently; the per-node errors in
+            # ``run.restore_errors`` tell the real story.
+            run.close_phase(dump_span, outcome="abandoned")
+        except Interrupt:
+            # Quiesced by a journalled re-entry; the resume's own
+            # producer takes over from the journalled offsets.
+            return
+        else:
+            report.chunks = chunks
+            report.snapshot_at = env.now
+            run.close_phase(dump_span, mts=report.mts, size_mb=size_mb,
+                            chunks=chunks, chunks_skipped=base)
+
+    producer_proc = env.process(producer(), name="dump.%s" % tenant)
+    run.open_phase("restore", size_mb=size_mb, pipelined=True)
+
+    def node_stream(node_name: str, instance: Any) -> Generator:
+        """Pump + streaming restore for one node."""
+        reader = readers[node_name]
+        resume_from = offsets[node_name]
+
+        def attempt() -> Generator:
+            channel = Channel(env, capacity=opts.pipeline_depth,
+                              name="ship.%s.%s" % (tenant, node_name))
+            pump = env.process(
+                run.network.pump_chunks(
+                    reader, channel, route=(report.source, node_name)),
+                name="pump.%s.%s" % (tenant, node_name))
+            try:
+                yield from restore_stream(
+                    instance, channel, rates, tenant_name=tenant,
+                    resume_from=resume_from,
+                    schemas=journal.schemas if journal else None,
+                    expected_total=total,
+                    on_chunk=((lambda chunk: journal.installed(
+                        node_name, chunk.index)) if journal else None))
+            except (NetworkDown, NodeCrashed, SnapshotTruncated,
+                    Interrupt):
+                if pump.is_alive:
+                    pump.interrupt("restore ended")
+                raise
+
+        def on_outage() -> None:
+            nonlocal resume_from
+            if base > 0:
+                # Chunks below the feed base can never be re-shipped on
+                # this stream; keep the copy and re-enter at the base.
+                resume_from = base
+            else:
+                discard_copy(run, node_name, instance)
+                resume_from = 0
+            reader.rewind()
+
+        error = yield from ship_with_retry(run, node_name, attempt,
+                                           on_outage)
+        if error is not None:
+            reader.close()
+        return error
+
+    yield from fan_out(run, node_stream, producers=[producer_proc])
+    yield producer_proc  # the dump span is closed either way
+    window = env.now - started
+    dump_elapsed = report.snapshot_at - started
+    if size_mb > 0 and dump_elapsed > 0:
+        run.metrics.gauge("pipeline.dump_mb_s").set(size_mb / dump_elapsed)
+    if size_mb > 0 and window > 0:
+        run.metrics.gauge("pipeline.restore_mb_s").set(size_mb / window)
+    run.metrics.gauge("pipeline.chunks").set(report.chunks)
+    run.metrics.gauge("pipeline.backpressure_wait_s").set(
+        feed.producer_wait_time)
+    if source_died:
+        # The *source* died mid-dump: nothing useful restored anywhere.
+        run.source_crashed("dump")
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,15 @@ manager through ``caught_up`` events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+)
 
 from ..engine.session import Session
 from ..engine.sqlmini import Begin, Commit
@@ -565,3 +573,38 @@ def make_propagator(env: "Environment", ssl: SyncsetList,
     return engine_cls(env, ssl, slave, tenant_name, network, policy,
                       validator, tracer=tracer, metrics=metrics,
                       metrics_prefix=metrics_prefix)
+
+
+def divergence_watchdog(env: "Environment", tracer: "Tracer", tenant: str,
+                        opts: Any, backlog: Callable[[], int],
+                        fired: Event, control: Dict[str, bool]
+                        ) -> Generator:
+    """Abort-early detector over the primary replay backlog.
+
+    Samples ``backlog()`` each ``opts.divergence_interval`` (the SSL —
+    read live, so a promoted standby's SSL is followed automatically —
+    or the change tap under a watermark migration) and fires once the
+    backlog has grown *strictly monotonically* across the whole window
+    by at least the configured floor.  A healthy catch-up oscillates
+    toward zero and never sustains that, so a positive signal means
+    replay throughput is provably below the master's commit rate — the
+    situation the paper reports as "N/A".
+    """
+    samples: List[int] = []
+    while not control["stop"]:
+        yield env.timeout(opts.divergence_interval)
+        if control["stop"]:
+            return
+        samples.append(backlog())
+        if len(samples) > opts.divergence_window:
+            samples.pop(0)
+        if (len(samples) == opts.divergence_window
+                and all(later > earlier for earlier, later
+                        in zip(samples, samples[1:]))
+                and (samples[-1] - samples[0]
+                     >= opts.divergence_min_growth)):
+            tracer.event("migration.diverging", tenant=tenant,
+                         samples=list(samples))
+            if not fired.triggered:
+                fired.succeed()
+            return

@@ -37,7 +37,7 @@ dead node.  A :class:`~repro.errors.SourceCrashed` abort is final by
 default — the tenant's master must recover first, and the paper's rule
 is to abort and keep serving from the source.  With
 ``ScheduleOptions(resume=True)`` and a journalled
-(:attr:`MigrationOptions.resumable`) migration, the scheduler instead
+(:attr:`MigrationOptions.resume`) migration, the scheduler instead
 waits for the crashed master's recovery
 (:meth:`~repro.engine.instance.DbmsInstance.wait_recovered`) and
 re-enters the parked migration via

@@ -25,11 +25,18 @@ selector threaded through ``MigrationOptions`` / ``ScheduleOptions`` /
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Generator, Optional, Union
+from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
+from ..engine.dump import (
+    create_from_schemas,
+    finalize_indexes,
+    restore_duration,
+    schema_specs,
+    watermark_select,
+)
 from ..engine.wal import change_payload_mb
 from ..errors import NetworkDown, NodeCrashed
-from .pipeline import TapCursor, TapMarker
+from .pipeline import TapCursor, TapMarker, ship_with_retry
 from .propagation import _BasePropagator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
     from ..obs.trace import Tracer
     from ..sim.core import Environment
+    from .migration import Migration
     from .policy import PropagationPolicy
     from .ssb import SyncsetList
 
@@ -226,3 +234,193 @@ class ChangeStreamApplier(_BasePropagator):
             self.stats.max_concurrent_players, 1)
         if self.stats.rounds % 32 == 0:
             self._publish_stats()
+
+
+def watermark_snapshot(run: "Migration",
+                       dump_span: Any) -> Generator[Any, Any, None]:
+    """Steps 1+2, virtual-cut style: chunked selects under live load.
+
+    The DBLog watermark algorithm: every committed transaction's row
+    post-images flow through the tenant's
+    :class:`~repro.core.pipeline.ChangeTap` and are replayed on the
+    destination by a :class:`ChangeStreamApplier` while this manager
+    walks the key space in chunks.  Each chunk select is bracketed by
+    ``lo`` / ``hi`` markers injected into the change stream; once the
+    applier has consumed everything before ``hi`` it parks, chunk rows
+    whose keys changed inside the window are dropped (the stream
+    already delivered a newer image), the survivors ship over the
+    shared prioritised bulk stream and install, and the applier
+    proceeds.  Installs therefore land strictly between the in-window
+    records and anything newer, so the copy is snapshot-equivalent
+    without ever freezing a CSN — and the post-walk catch-up is bounded
+    by chunk size, not dump duration.
+
+    Returns with the ``restore`` span left open (the machine's shared
+    tail stamps ``restored_at`` and closes it); a destination failure
+    lands in ``run.restore_errors`` like the other strategies, and a
+    source crash suspends a journalled walk —
+    ``journal.watermark_cursor`` / ``watermark_chunks`` let the resume
+    re-enter at the last fully installed chunk.
+    """
+    state, opts, report = run.state, run.opts, run.report
+    tenant, rates, journal = run.tenant, run.opts.rates, run.journal
+    tap = state.change_tap
+    assert tap is not None, "watermark migration without a change tap"
+    source_db = run.source_instance.tenant(tenant)
+    size_mb = source_db.size_mb()
+    total_rows = source_db.row_count()
+    mb_per_row = size_mb / total_rows if total_rows else 0.0
+    chunk_cap = opts.chunk_mb if opts.chunk_mb is not None \
+        else rates.chunk_mb
+    rows_per_chunk = (max(1, int(chunk_cap / mb_per_row))
+                      if mb_per_row > 0 else 1)
+    report.snapshot_size_mb = size_mb
+    cursor: Any = None
+    chunk_index = 0
+    if journal is not None:
+        cursor = journal.watermark_cursor
+        chunk_index = journal.watermark_chunks
+        report.chunks_skipped = journal.watermark_chunks
+    specs = (journal.schemas if journal is not None and journal.schemas
+             else schema_specs(source_db))
+
+    def attach(consumer: str, instance: Any, **metrics: Any) -> Any:
+        """A started applier for ``instance`` off the broadcast tap."""
+        applier = ChangeStreamApplier(
+            run.env, tap.consumer(consumer), report.source, state.ssl,
+            instance, tenant, run.network, run.mw.config.policy,
+            tracer=run.tracer, metrics=run.metrics, **metrics)
+        applier.start()
+        return applier
+
+    # Standby fan-out off the same broadcast tap: each standby gets its
+    # own named cursor (one feed, N consumers — no per-reader re-read of
+    # the source) and replays the identical stream; the chunk walk below
+    # ships every deduplicated chunk to standbys too, so a surviving
+    # standby is exactly as complete as the destination at every point
+    # past the walk.  Engines adopted across a resume are kept.
+    for instance in [run.dest_instance, *run.standby_instances.values()]:
+        if not instance.has_tenant(tenant):
+            create_from_schemas(instance, tenant, specs,
+                                source_db.fixed_overhead_mb,
+                                source_db.size_multiplier)
+    if state.propagator is None:
+        state.propagator = attach("dest", run.dest_instance)
+    applier = state.propagator
+    for name, instance in run.standby_instances.items():
+        if name not in state.standby_propagators:
+            state.standby_propagators[name] = attach(
+                "standby:%s" % name, instance,
+                metrics_prefix="propagation.standby.%s" % name)
+    run.open_phase("restore", size_mb=size_mb, pipelined=True,
+                   strategy="watermark")
+
+    def fail_destination(reason: str) -> None:
+        run.restore_errors[run.destination] = reason
+        # A mid-walk standby holds chunks only up to the point of
+        # failure, so there is nothing complete to promote: discard the
+        # lot and let the shared tail abort.
+        for name in sorted(run.standby_instances):
+            run.discard_standby(name, "watermark",
+                                "primary walk failed: %s" % reason)
+        run.close_phase(dump_span, outcome="failed")
+
+    def install(node_name: str, instance: Any, rows: Any,
+                chunk_mb: float) -> Generator[Any, Any, Optional[str]]:
+        """Ship one deduplicated chunk to one node and install it."""
+        def ship() -> Generator:
+            if chunk_mb > 0:
+                yield from run.network.bulk_transfer(
+                    report.source, node_name, chunk_mb)
+
+        error = yield from ship_with_retry(run, node_name, ship)
+        if error is not None:
+            return error
+        if chunk_mb > 0:
+            yield from instance.disk.write(chunk_mb)
+            if instance is run.dest_instance:
+                # Only the destination is paced to the restore rate;
+                # standbys are charged the disk write alone.
+                spec = instance.disk.spec
+                pace = restore_duration(chunk_mb, rates) - (
+                    spec.seek_latency
+                    + chunk_mb / spec.write_bandwidth_mb_s)
+                if pace > 0:
+                    yield run.env.timeout(pace)
+        if instance.crashed:
+            return "%s crashed during watermark install" % node_name
+        csn = instance.next_csn()
+        copy = instance.tenant(tenant)
+        for table_name, key, row in rows:
+            copy.table(table_name).install(key, csn, row)
+        return None
+
+    while True:
+        lo = tap.marker("lo", chunk_index)
+        run.tracer.event("watermark.lo", tenant=tenant, chunk=chunk_index)
+        applier.notify_linked()
+        try:
+            rows, next_cursor = yield from watermark_select(
+                run.source_instance, tenant, cursor, rows_per_chunk,
+                mb_per_row, rates)
+        except NodeCrashed:
+            run.source_crashed("dump")
+        hi = tap.marker("hi", chunk_index)
+        applier.notify_linked()
+        for prop in state.standby_propagators.values():
+            prop.notify_linked()
+        while not hi.reached.triggered:
+            # Section 4.2 applied to the broadcast: a dead standby's
+            # cursor (which may be the one ``hi`` still waits on) is
+            # discarded inside ``watch`` and the walk goes on.
+            fired = yield from run.watch(hi.reached, "dump",
+                                         standby_phase="watermark")
+            if fired is not None and not hi.reached.triggered:
+                # The destination applier died replaying the stream;
+                # the shared tail aborts.
+                fail_destination(applier.failed or "replay failed")
+                return
+        window = tap.window_keys(lo, hi)
+        fresh = [(table_name, key, row) for table_name, key, row in rows
+                 if (table_name, key) not in window]
+        chunk_mb = mb_per_row * len(fresh)
+        error = yield from install(run.destination, run.dest_instance,
+                                   fresh, chunk_mb)
+        if error is not None:
+            fail_destination(error)
+            return
+        # Fan the deduplicated chunk out to the standbys before any
+        # consumer resumes past ``hi``: installs must land strictly
+        # between the in-window records and anything newer on every
+        # copy, or the standby loses snapshot-equivalence.  A standby
+        # that cannot take the chunk is discarded; it never stalls the
+        # primary walk.
+        for name in sorted(run.standby_instances):
+            error = yield from install(
+                name, run.standby_instances[name], fresh, chunk_mb)
+            if error is not None:
+                run.discard_standby(name, "watermark", error)
+        if not hi.proceed.triggered:
+            hi.proceed.succeed()
+        run.tracer.event("watermark.hi", tenant=tenant, chunk=chunk_index,
+                         rows=len(rows), deduped=len(rows) - len(fresh),
+                         window=len(window))
+        report.chunks += 1
+        if journal is not None:
+            journal.watermark_chunks = chunk_index + 1
+            journal.watermark_cursor = next_cursor
+            for name in [run.destination, *run.standby_instances]:
+                journal.installed(name, chunk_index)
+        chunk_index += 1
+        if next_cursor is None:
+            break
+        cursor = next_cursor
+    for instance in [run.dest_instance, *run.standby_instances.values()]:
+        finalize_indexes(instance.tenant(tenant), specs)
+    report.snapshot_at = run.env.now
+    run.metrics.gauge("watermark.chunks").set(report.chunks)
+    run.metrics.gauge("watermark.backlog_at_walk_end").set(
+        tap.pending_count())
+    run.close_phase(dump_span, mts=report.mts, size_mb=size_mb,
+                    chunks=report.chunks,
+                    chunks_skipped=report.chunks_skipped)

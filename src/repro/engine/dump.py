@@ -81,6 +81,16 @@ class LogicalSnapshot:
     size_multiplier: float = 1.0
 
 
+def schema_specs(tenant: Any) -> List[SchemaSpec]:
+    """One :class:`SchemaSpec` per table of ``tenant``, catalog order."""
+    specs = []
+    for table_name in tenant.catalog.table_names():
+        schema = tenant.table(table_name).schema
+        specs.append(SchemaSpec(table_name, schema.columns,
+                                dict(schema.indexes)))
+    return specs
+
+
 def snapshot_size_mb(instance: DbmsInstance, tenant_name: str) -> float:
     """Current nominal size of a tenant, in MB."""
     return instance.tenant(tenant_name).size_mb()
@@ -141,15 +151,13 @@ def dump(instance: DbmsInstance, tenant_name: str, snapshot_csn: int,
         if pace > 0:
             yield instance.env.timeout(pace)
         remaining -= chunk
-    schemas: List[SchemaSpec] = []
     rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
-        schemas.append(SchemaSpec(table_name, table.schema.columns,
-                                  dict(table.schema.indexes)))
         rows[table_name] = {key: dict(row)
                             for key, row in table.visible_rows(snapshot_csn)}
-    return LogicalSnapshot(tenant_name, snapshot_csn, schemas, rows, size_mb,
+    return LogicalSnapshot(tenant_name, snapshot_csn, schema_specs(tenant),
+                           rows, size_mb,
                            tenant.fixed_overhead_mb, tenant.size_multiplier)
 
 
@@ -284,12 +292,10 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     # Capture the row set at the snapshot CSN up front: under MVCC the
     # same versions stay visible for the whole dump transaction, so
     # slicing the capture across chunk emissions changes nothing.
-    schemas: List[SchemaSpec] = []
+    schemas = schema_specs(tenant)
     flat: List[Tuple[str, Hashable, Dict[str, Any]]] = []
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
-        schemas.append(SchemaSpec(table_name, table.schema.columns,
-                                  dict(table.schema.indexes)))
         for key, row in table.visible_rows(snapshot_csn):
             flat.append((table_name, key, dict(row)))
     read_bw = instance.disk.spec.read_bandwidth_mb_s

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..engine.session import SessionResult
-from ..errors import RouterCrashed
+from ..errors import NetworkDown, RouterCrashed
 from ..sim.rand import StreamFactory
 from .shard import RouterConfig, RouterConnection, RouterShard
 
@@ -97,10 +97,9 @@ class RouterFleet:
         if conn.shard.crashed:
             mid_txn = conn.inner.in_active_txn
             dead = conn.shard.name
-            reconnected = yield from self._reconnect(conn)
-            if not reconnected:
-                return SessionResult(kind="error",
-                                     error="no live router shard")
+            error = yield from self._reconnect(conn)
+            if error is not None:
+                return SessionResult(kind="error", error=error)
             if mid_txn:
                 # The shard died between statements of an open
                 # transaction; the reconnect rolled it back.  Silently
@@ -123,19 +122,21 @@ class RouterFleet:
 
     # ------------------------------------------------------------------
     def _reconnect(self, conn: RouterConnection
-                   ) -> Generator[Any, Any, bool]:
+                   ) -> Generator[Any, Any, Optional[str]]:
         """Rebind ``conn`` to a surviving shard (seeded choice).
 
         The abandoned middleware connection is disconnected first so a
         transaction left open by the dead shard rolls back instead of
-        wedging the next handover drain.  Returns False (leaving the
-        connection on its dead shard) when no shard survives; the next
-        submit retries, so clients ride out a full-fleet outage.
+        wedging the next handover drain.  Returns ``None`` once
+        rebound, else the error the client sees: no shard survives (the
+        connection stays on its dead shard and the next submit retries,
+        so clients ride out a full-fleet outage), or the handshake hit
+        a link outage (like :meth:`Middleware.submit`'s customer hop).
         """
         start = self.env.now
         alive = self.alive_shards()
         if not alive:
-            return False
+            return "no live router shard"
         shard = self._rng.choice(alive)
         self.middleware.disconnect(conn.inner)
         conn.inner = self.middleware.connect(conn.tenant)
@@ -144,12 +145,15 @@ class RouterFleet:
         self.tracer.event("router.reconnect", tenant=conn.tenant,
                           shard=shard.name)
         # The reconnect handshake is one client -> router round trip.
-        yield from self.middleware.cluster.network.round_trip()
+        try:
+            yield from self.middleware.cluster.network.round_trip()
+        except NetworkDown as exc:
+            return str(exc)
         blocked = self.env.now - start
         self.metrics.counter("router.blocked_requests").inc()
         self.metrics.quantile_histogram("router.downtime").observe(
             blocked)
-        return True
+        return None
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -122,31 +122,19 @@ class TestUnifiedKnobNames:
             fields = {f.name for f in dataclasses.fields(cls)}
             assert "strategy" in fields, cls.__name__
 
-    def test_retired_ship_retry_spellings_raise_type_error(self):
-        # The PR 8 shim served its one-release DeprecationWarning
-        # window; the old names are now hard errors that point at the
-        # unified spellings.
-        for retired, current in (("ship_retry_limit", "retry_limit"),
-                                 ("ship_retry_base", "retry_base"),
-                                 ("ship_retry_cap", "retry_cap"),
-                                 ("resumable", "resume")):
-            with pytest.raises(TypeError, match=current):
-                MigrationOptions(**{retired: 1})
-
-    def test_retired_pipeline_bool_raises_naming_the_strategy(self):
-        # The PR 9 one-release DeprecationWarning window is over: the
-        # boolean spelling is now a hard error that names the exact
-        # SnapshotStrategy member to use instead.
-        with pytest.raises(TypeError, match="SnapshotStrategy.PIPELINED"):
-            MigrationOptions(pipeline=True)
-        with pytest.raises(TypeError, match="SnapshotStrategy.SERIAL"):
-            MigrationOptions(pipeline=False)
-
-    def test_retired_pipeline_bool_rejects_even_with_strategy(self):
-        from repro.api import SnapshotStrategy
-        with pytest.raises(TypeError, match="SnapshotStrategy"):
-            MigrationOptions(
-                strategy=SnapshotStrategy.WATERMARK, pipeline=True)
+    @pytest.mark.parametrize("retired", [
+        {"ship_retry_limit": 1}, {"ship_retry_base": 1},
+        {"ship_retry_cap": 1}, {"resumable": True},
+        {"pipeline": True}, {"pipeline": False},
+        {"pipeline": True, "strategy": "watermark"}],
+        ids=lambda retired: "+".join("%s=%s" % kv
+                                     for kv in retired.items()))
+    def test_each_retired_spelling_raises_type_error(self, retired):
+        # The one-release DeprecationWarning shims (PR 8 / PR 9) are
+        # long over and the fields are gone: an unknown keyword is a
+        # TypeError from the dataclass itself.
+        with pytest.raises(TypeError):
+            MigrationOptions(**retired)
 
     def test_new_spellings_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -162,7 +150,6 @@ class TestMigrationOptions:
     def test_defaults_are_all_inherit(self):
         options = MigrationOptions()
         assert options.rates is None
-        assert options.pipeline is None
         assert options.standbys is None
 
     def test_resolve_fills_from_config(self):

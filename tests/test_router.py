@@ -328,6 +328,21 @@ class TestCrashRecovery:
         result = drive(env, fleet.submit(conn, "BEGIN"))
         assert result.ok
 
+    def test_reconnect_over_a_failed_link_is_an_error_result(self, env):
+        """Regression: the handshake's NetworkDown used to escape
+        ``fleet.submit`` into the client process and end ``env.run``."""
+        cluster, middleware, fleet = _routed(env, shards=2)
+        _register_kv_tenant(env, cluster, middleware)
+        conn = fleet.connect("A")
+        conn.shard.crash()
+        cluster.network.fail_link()
+        result = drive(env, fleet.submit(conn, "BEGIN"))
+        assert not result.ok and result.kind == "error"
+        assert middleware.tenant_state("A").active_txns == 0
+        cluster.network.restore_link()
+        assert drive(env, fleet.submit(conn, "BEGIN")).ok
+        assert drive(env, fleet.submit(conn, "COMMIT")).ok
+
     def test_crash_and_restart_are_idempotent(self, env):
         _cluster, middleware, fleet = _routed(env, shards=1)
         shard = fleet.shard("router0")
