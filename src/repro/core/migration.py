@@ -695,6 +695,16 @@ class Migration:
             engine.request_stop()
             drain_events.append(engine.wait_fully_drained())
         yield self.env.all_of(drain_events)
+        if state.propagator.failed is not None:
+            # A dead engine releases its drain waiters too, with its
+            # backlog unreplayed: the destination misses acknowledged
+            # commits, so the prepared record rolls back instead of
+            # becoming ready and the source keeps the tenant.
+            self._end("aborted", "destination_failed", MigrationError(
+                "destination %s failed during the handover drain (%s); "
+                "the source keeps tenant %r"
+                % (self.destination, state.propagator.failed, tenant)),
+                closing={"outcome": "destination_failed"})
         mw.journal.mark_ready(record)
         # Persist the ready record before flipping the route: this is
         # the commit point, and the window it opens (a crash here rolls

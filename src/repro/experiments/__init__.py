@@ -11,11 +11,20 @@ module              reproduces
 ``costmodel``       Section 4.5.2 (Equations 2-4)
 ``chaos``           robustness: migration under injected faults
 ``soak``            robustness: failure-model chaos soak (days)
+``rebalance``       control plane: shifting-hotspot kv fleet
 ``bench``           perf harness: BENCH_*.json artifacts
+``common``          the shared harness: ``build_testbed`` (TPC-W),
+                    ``build_kv_testbed`` (kv fleets), ``Testbed``
 ==================  =============================================
 
 Every module exposes a uniform ``run(profile, *, seed, trace_dir)``
 entry point returning a :class:`~repro.experiments.common.Report`.
+The kv-fleet scenarios (``bench``'s router scenario, ``soak``,
+``rebalance``) share one :class:`~repro.experiments.common.Testbed`
+builder, one client loop and one acknowledged-increment audit
+(:func:`repro.workload.simplekv.kv_client` /
+:func:`~repro.workload.simplekv.audit_kv_tenant`) and one artifact
+writer; each supplies only its fleet shape, load shape and report.
 """
 
 from .common import Report, TenantSetup, Testbed, build_testbed

@@ -63,12 +63,10 @@ ordering, never absolute timings.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.cluster import Cluster
 from ..core.middleware import (
     Middleware,
     MiddlewareConfig,
@@ -80,13 +78,20 @@ from ..core.scheduler import ScheduleOptions
 from ..core.watermark import SnapshotStrategy
 from ..engine.dump import TransferRates, restore_duration
 from ..metrics.report import format_table
-from ..obs.export import write_trace
 from ..router import RouterFleet
-from ..sim.core import Environment
 from ..sim.rand import StreamFactory
 from ..workload import simplekv
 from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
-from .common import Report, TenantSetup, Testbed, build_testbed, seeded
+from .common import (
+    Report,
+    TenantSetup,
+    Testbed,
+    build_kv_testbed,
+    build_testbed,
+    new_cluster,
+    seeded,
+    write_json_artifact,
+)
 from .profiles import Profile, get_profile
 from .simthroughput import (
     SimThroughputResult,
@@ -504,56 +509,35 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
                          trace_dir: Optional[str]) -> Dict[str, Any]:
     """One strategy's leg: bounce a tenant ``migrations`` times under
     kv load through the router tier, collect the downtime histogram."""
-    env = Environment()
-    cluster = Cluster(env)
-    for name in ("node0", "node1"):
-        cluster.add_node(name)
+    cluster = new_cluster(["node0", "node1"])
+    env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=MADEUS, verify_consistency=True, drop_source_copy=True))
     fleet = RouterFleet(env, middleware, shards=ROUTER_SHARD_COUNT,
                         seed=profile.seed)
-    ready: Dict[str, bool] = {}
+    testbed = build_kv_testbed(
+        middleware, profile, {"A": "node0"}, ROUTER_KEYS,
+        ROUTER_TENANT_MB, setup_name="bench.router.setup", step=0.1,
+        trace_dir=trace_dir)
 
-    def setup(env: Environment) -> Any:
-        instance = cluster.node("node0").instance
-        yield from simplekv.setup_kv_tenant(instance, "A", ROUTER_KEYS)
-        instance.tenant("A").fixed_overhead_mb = ROUTER_TENANT_MB
-        middleware.register_tenant("A", "node0")
-        ready["ok"] = True
-
-    env.process(setup(env), name="bench.router.setup")
-    while "ok" not in ready:
-        env.run(until=env.now + 0.1)
-
+    # Deadline-free load: clients issue transactions through the fleet
+    # until the mover finishes, then quiesce cleanly (never frozen
+    # mid-transaction, so the ack ledger stays exact).
     stop = {"flag": False}
     workload = KvWorkloadResult()
     config = KvWorkloadConfig(keys=ROUTER_KEYS, clients=ROUTER_CLIENTS,
                               think_time=ROUTER_THINK_TIME)
     streams = StreamFactory(profile.seed)
-
-    def client(env: Environment, rng: Any) -> Any:
-        # Deadline-free load: clients issue transactions through the
-        # fleet until the mover finishes, then quiesce cleanly (never
-        # frozen mid-transaction, so the ack ledger stays exact).
-        conn = fleet.connect("A")
-        while not stop["flag"]:
-            yield env.timeout(rng.exponential(config.think_time))
-            if stop["flag"]:
-                return
-            if rng.random() < config.read_only_ratio:
-                yield from simplekv._read_only_txn(fleet, conn, rng,
-                                                   config, workload)
-            else:
-                yield from simplekv._update_txn(fleet, conn, rng,
-                                                config, workload)
-
     clients = [
-        env.process(client(env, streams.stream("bench-router-%d" % i)),
-                    name="bench.router.kv.%d" % i)
+        env.process(
+            simplekv.kv_client(env, fleet, "A",
+                               streams.stream("bench-router-%d" % i),
+                               config, workload, lambda: stop["flag"]),
+            name="bench.router.kv.%d" % i)
         for i in range(ROUTER_CLIENTS)]
     counts = {"ok": 0, "failed": 0}
 
-    def mover(env: Environment) -> Any:
+    def mover() -> Any:
         destination = "node1"
         for _index in range(migrations):
             report = yield from middleware.migrate(
@@ -567,25 +551,16 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
             yield env.timeout(ROUTER_GAP)
         stop["flag"] = True
 
-    env.process(mover(env), name="bench.router.mover")
-    while not stop["flag"]:
-        env.run(until=env.now + 10.0)
-    while any(proc.is_alive for proc in clients):
-        env.run(until=env.now + 10.0)
+    env.process(mover(), name="bench.router.mover")
+    testbed.run_until(lambda: stop["flag"], cap=float("inf"))
+    testbed.run_until(lambda: not any(proc.is_alive for proc in clients),
+                      cap=float("inf"))
     env.run(until=env.now + 1.0)
 
     # Safety ledger: every acknowledged increment must be on the final
     # owner; without router crashes there is no phantom allowance.
-    owner = middleware.route("A")
-    table = cluster.node(owner).instance.tenant("A").table("kv")
-    lost = phantom = 0
-    for key, increments in sorted(
-            workload.committed_increments.items()):
-        got = table.chain(key).latest()["v"]
-        if got < increments:
-            lost += increments - got
-        elif got > increments:
-            phantom += got - increments
+    audit = simplekv.audit_kv_tenant(middleware, "A", workload)
+    lost, phantom = audit.lost_increments, audit.phantom_increments
 
     stats = fleet.stats()
     histogram = middleware.metrics.get("router.downtime")
@@ -622,16 +597,11 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
         phantom_increments=phantom,
         phantom_bound=config.writes_per_txn
         * int(stats["acks_dropped"]), **stats)
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-        path = os.path.join(trace_dir,
-                            "trace_router_%s.jsonl" % strategy.value)
-        write_trace(path, middleware.tracer, middleware.metrics, {
-            "experiment": "bench-router",
-            "profile": profile.name,
-            "strategy": strategy.value,
-            "seed": profile.seed,
-        })
+    # This trace's meta line has never carried a "policy" key.
+    testbed.export_trace_as(
+        "trace_router_%s.jsonl" % strategy.value,
+        {"experiment": "bench-router", "strategy": strategy.value,
+         "policy": None})
     return record
 
 
@@ -667,15 +637,6 @@ def run_router_scenario(profile: Profile,
                                 if serial_p99 else 0.0),
         })
     return result
-
-
-def _write_artifact(result: Any, bench_dir: str) -> str:
-    os.makedirs(bench_dir, exist_ok=True)
-    path = os.path.join(bench_dir, "BENCH_%s.json" % result.scenario)
-    with open(path, "w") as handle:
-        json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def run_benchmark(profile: Optional[Profile] = None, *,
@@ -717,7 +678,9 @@ def run_benchmark(profile: Optional[Profile] = None, *,
         else:
             raise ValueError("unknown bench scenario %r (one of %s)"
                              % (scenario, ", ".join(SCENARIOS)))
-        result.path = _write_artifact(result, directory)
+        result.path = write_json_artifact(
+            directory, "BENCH_%s.json" % result.scenario,
+            result.to_dict())
         results.append(result)
     return results
 

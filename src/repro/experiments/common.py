@@ -3,16 +3,21 @@
 Every experiment builds the same five-role testbed the paper used — a
 master node, a destination node, the middleware, and (folded into the EB
 processes) the Tomcat and load-generator tiers — then attaches TPC-W
-tenants and emulated-browser populations to it.
+tenants and emulated-browser populations to it
+(:func:`build_testbed`).  The key-value fleet scenarios (router bench,
+chaos soak, rebalance) get the same :class:`Testbed` from
+:func:`build_kv_testbed` and write their JSON artifacts through
+:func:`write_json_artifact`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from ..cluster.cluster import Cluster
 from ..cluster.node import NodeSpec
@@ -31,6 +36,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..sim.core import Environment
 from ..sim.rand import StreamFactory
+from ..workload.simplekv import setup_kv_tenant
 from ..workload.tpcw import (
     EbConfig,
     PopulationParams,
@@ -123,7 +129,11 @@ class Testbed:
 
     def export_trace(self, path: str,
                      meta: Optional[Dict[str, Any]] = None) -> int:
-        """Write this testbed's trace + metrics to ``path`` (JSONL)."""
+        """Write this testbed's trace + metrics to ``path`` (JSONL).
+
+        The meta line carries the profile, policy and seed plus
+        ``meta``; a ``None`` value in ``meta`` leaves that key out.
+        """
         base: Dict[str, Any] = {
             "profile": self.profile.name,
             "policy": self.middleware.config.policy.name,
@@ -132,20 +142,32 @@ class Testbed:
         if meta:
             base.update(meta)
         return write_trace(path, self.middleware.tracer,
-                           self.middleware.metrics, base)
+                           self.middleware.metrics,
+                           {key: value for key, value in base.items()
+                            if value is not None})
 
-    def _maybe_export_trace(self, tenant: str) -> Optional[str]:
-        """Export a trace artifact when a trace directory is set."""
+    def export_trace_as(self, name: str,
+                        meta: Optional[Dict[str, Any]] = None
+                        ) -> Optional[str]:
+        """Export the trace as ``name`` under :attr:`trace_dir`, else
+        under ``$REPRO_TRACE_DIR``; ``None`` when neither is set."""
         directory = self.trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)
         if not directory:
             return None
         os.makedirs(directory, exist_ok=True)
-        name = ("trace_%03d_%s_%s.jsonl"
-                % (next(_trace_sequence),
-                   self.middleware.config.policy.name, tenant))
         path = os.path.join(directory, name)
-        self.export_trace(path, meta={"tenant": tenant})
+        self.export_trace(path, meta)
         return path
+
+    def _maybe_export_trace(self, tenant: str) -> Optional[str]:
+        """Export a per-migration trace when a trace directory is set."""
+        if not (self.trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)):
+            return None     # and leave the sequence number unused
+        return self.export_trace_as(
+            "trace_%03d_%s_%s.jsonl"
+            % (next(_trace_sequence),
+               self.middleware.config.policy.name, tenant),
+            meta={"tenant": tenant})
 
     def run(self, until: float) -> None:
         """Advance the simulation to ``until``."""
@@ -225,6 +247,37 @@ class Testbed:
         return outcome
 
 
+def new_cluster(node_names: Sequence[str],
+                spec: Optional[NodeSpec] = None) -> Cluster:
+    """A fresh simulation with one node per name."""
+    cluster = Cluster(Environment())
+    for name in node_names:
+        cluster.add_node(name, spec)
+    return cluster
+
+
+def bind_node_obs(middleware: Middleware) -> None:
+    """Point every node's DBMS counters at the middleware's registry."""
+    for node in middleware.cluster.nodes.values():
+        node.instance.bind_obs(middleware.metrics,
+                               tracer=middleware.tracer)
+
+
+def write_json_artifact(directory: str, name: str,
+                        record: Dict[str, Any]) -> str:
+    """Write ``record`` as ``directory/name``; returns the path.
+
+    Sorted keys, fixed indent and no timestamps: a seeded run's
+    artifact is byte-identical across runs.
+    """
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
 def build_testbed(profile: Profile,
                   tenants: List[TenantSetup],
                   policy: PropagationPolicy = MADEUS,
@@ -234,23 +287,19 @@ def build_testbed(profile: Profile,
                   verify_consistency: bool = True,
                   trace_dir: Optional[str] = None) -> Testbed:
     """Assemble nodes, middleware, tenant databases, and EB load."""
-    env = Environment()
-    cluster = Cluster(env)
     checkpoint_spec = None
     if checkpoints:
         checkpoint_spec = CheckpointSpec(
             interval=max(5.0, profile.duration(290.0)))
-    node_spec = NodeSpec(checkpoint=checkpoint_spec)
-    for node_name in (nodes or ["node0", "node1"]):
-        cluster.add_node(node_name, node_spec)
+    cluster = new_cluster(nodes or ["node0", "node1"],
+                          NodeSpec(checkpoint=checkpoint_spec))
+    env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=policy,
         validate_lsir=validate_lsir,
         verify_consistency=verify_consistency,
         catchup_deadline=profile.catchup_deadline))
-    for node_name in (nodes or ["node0", "node1"]):
-        cluster.node(node_name).instance.bind_obs(
-            middleware.metrics, tracer=middleware.tracer)
+    bind_node_obs(middleware)
     testbed = Testbed(env, cluster, middleware, profile,
                       trace_dir=trace_dir)
     streams = StreamFactory(profile.seed)
@@ -278,4 +327,37 @@ def build_testbed(profile: Profile,
         testbed.metrics[setup.name] = start_tenant_load(
             env, middleware, setup.name, ctx, config,
             seed=profile.seed + zlib.crc32(setup.name.encode()) % 1000)
+    return testbed
+
+
+def build_kv_testbed(middleware: Middleware, profile: Profile,
+                     homes: Dict[str, str], keys: int, tenant_mb: float,
+                     setup_name: str, step: float,
+                     trace_dir: Optional[str] = None) -> Testbed:
+    """Wrap ``middleware`` in a testbed whose kv tenants are ready.
+
+    ``homes`` maps each tenant to its first node.  Every tenant gets a
+    ``kv`` table of ``keys`` rows and a ``tenant_mb`` footprint and is
+    then registered, all concurrently (process name: ``setup_name``
+    formatted with the tenant); the clock advances in ``step`` chunks
+    until the last one is, which fixes the instant load starts at.
+    """
+    env, cluster = middleware.env, middleware.cluster
+    testbed = Testbed(env, cluster, middleware, profile,
+                      trace_dir=trace_dir)
+    ready: List[str] = []
+
+    def setup(tenant: str, home: str) -> Generator[Any, Any, None]:
+        instance = cluster.node(home).instance
+        yield from setup_kv_tenant(instance, tenant, keys)
+        instance.tenant(tenant).fixed_overhead_mb = tenant_mb
+        middleware.register_tenant(tenant, home)
+        ready.append(tenant)
+
+    for tenant, home in homes.items():
+        env.process(setup(tenant, home), name=setup_name.format(tenant))
+    testbed.run_until(lambda: len(ready) == len(homes), step=step,
+                      cap=env.now + 120.0)
+    if len(ready) != len(homes):
+        raise RuntimeError("kv tenant setup did not finish")
     return testbed

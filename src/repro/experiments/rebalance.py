@@ -25,23 +25,25 @@ and a trace with ``rebalance.decide/submit/settle`` markers gated by
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..cluster.cluster import Cluster
 from ..control import RebalanceOptions, Rebalancer, imbalance_coefficient
 from ..core.middleware import Middleware, MiddlewareConfig, MigrationOptions
 from ..core.policy import MADEUS
 from ..engine.dump import TransferRates
 from ..metrics.report import format_table
-from ..obs.export import write_trace
-from ..sim.core import Environment
 from ..sim.rand import StreamFactory
 from ..workload import simplekv
 from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
-from .common import TRACE_DIR_ENV_VAR, Report, seeded
+from .common import (
+    Report,
+    bind_node_obs,
+    build_kv_testbed,
+    new_cluster,
+    seeded,
+    write_json_artifact,
+)
 from .profiles import Profile, get_profile
 
 #: Transfer rates for the fleet's moves: slow enough that migrations
@@ -138,35 +140,6 @@ class RebalanceOutcome:
         }
 
 
-def _kv_client(env: Environment, middleware: Middleware, tenant: str,
-               rng: Any, config: KvWorkloadConfig,
-               result: KvWorkloadResult,
-               deadline: float) -> Generator[Any, Any, None]:
-    """A deadline-bounded kv client reading its think time live.
-
-    ``config.think_time`` is mutated by the phase schedule while the
-    client runs — each loop iteration re-reads it, so a tenant turns
-    hot or cold without restarting its client.
-    """
-    conn = middleware.connect(tenant)
-    while env.now < deadline:
-        yield env.timeout(rng.exponential(config.think_time))
-        if env.now >= deadline:
-            return
-        if rng.random() < config.read_only_ratio:
-            yield from simplekv._read_only_txn(middleware, conn, rng,
-                                               config, result)
-        else:
-            yield from simplekv._update_txn(middleware, conn, rng,
-                                            config, result)
-
-
-def _run_until(env: Environment, condition: Any, step: float,
-               cap: float) -> None:
-    while not condition() and env.now < cap:
-        env.run(until=env.now + step)
-
-
 def run_rebalance(profile: Optional[Profile] = None, *,
                   seed: Optional[int] = None,
                   tenants: int = 100,
@@ -197,36 +170,22 @@ def run_rebalance(profile: Optional[Profile] = None, *,
     group_of = {name: index % nodes
                 for index, name in enumerate(tenant_names)}
 
-    env = Environment()
-    cluster = Cluster(env)
-    for name in node_names:
-        cluster.add_node(name)
+    cluster = new_cluster(node_names)
+    env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=MADEUS, validate_lsir=False, verify_consistency=True,
         catchup_deadline=120.0, resumable=True))
-    for name in node_names:
-        cluster.node(name).instance.bind_obs(middleware.metrics,
-                                             tracer=middleware.tracer)
+    bind_node_obs(middleware)
+    testbed = build_kv_testbed(
+        middleware, profile,
+        {tenant: node_names[group_of[tenant]] for tenant in tenant_names},
+        KV_KEYS, TENANT_MB, setup_name="rebalance.setup.{}", step=0.5,
+        trace_dir=trace_dir)
 
-    # -- tenants + load -------------------------------------------------
+    # -- load -----------------------------------------------------------
+    # One client per tenant; the phase schedule retunes each tenant's
+    # ``config.think_time`` while its client runs.
     streams = StreamFactory(root_seed)
-    ready: Dict[str, bool] = {}
-
-    def setup(tenant: str, home: str) -> Generator[Any, Any, None]:
-        instance = cluster.node(home).instance
-        yield from simplekv.setup_kv_tenant(instance, tenant, KV_KEYS)
-        instance.tenant(tenant).fixed_overhead_mb = TENANT_MB
-        middleware.register_tenant(tenant, home)
-        ready[tenant] = True
-
-    for tenant in tenant_names:
-        env.process(setup(tenant, node_names[group_of[tenant]]),
-                    name="rebalance.setup.%s" % tenant)
-    _run_until(env, lambda: len(ready) == len(tenant_names), step=0.5,
-               cap=120.0)
-    if len(ready) != len(tenant_names):
-        raise RuntimeError("tenant setup did not finish")
-
     horizon = env.now + phases * phase_seconds
     configs: Dict[str, KvWorkloadConfig] = {}
     workloads: Dict[str, KvWorkloadResult] = {}
@@ -240,8 +199,8 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         workloads[tenant] = result
         rng = streams.stream("rebalance-kv-%s" % tenant)
         client_procs.append(env.process(
-            _kv_client(env, middleware, tenant, rng, config, result,
-                       horizon),
+            simplekv.kv_client(env, middleware, tenant, rng, config,
+                               result, lambda: env.now >= horizon),
             name="rebalance.kv.%s" % tenant))
 
     # -- the control plane ----------------------------------------------
@@ -298,11 +257,11 @@ def run_rebalance(profile: Optional[Profile] = None, *,
 
     # -- stop, quiesce, audit -------------------------------------------
     stop_proc = env.process(rebalancer.stop(), name="rebalance.stop")
-    _run_until(env, lambda: stop_proc.triggered, step=5.0,
-               cap=env.now + 600.0)
-    _run_until(env, lambda: all(not proc.is_alive
-                                for proc in client_procs),
-               step=5.0, cap=env.now + 600.0)
+    testbed.run_until(lambda: stop_proc.triggered, step=5.0,
+                      cap=env.now + 600.0)
+    testbed.run_until(lambda: all(not proc.is_alive
+                                  for proc in client_procs),
+                      step=5.0, cap=env.now + 600.0)
     env.run(until=env.now + 5.0)
     control_report = rebalancer.report
     outcome.samples = control_report.samples
@@ -342,15 +301,10 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         workload = workloads[tenant]
         outcome.committed_txns += workload.committed_txns
         outcome.aborted_txns += workload.aborted_txns
-        owner = middleware.route(tenant)
-        table = cluster.node(owner).instance.tenant(tenant).table("kv")
-        for key, increments in sorted(
-                workload.committed_increments.items()):
-            got = table.chain(key).latest()["v"]
-            if got != increments:
-                outcome.value_mismatches += 1
-                if got < increments:
-                    outcome.lost_commits += increments - got
+        audit = simplekv.audit_kv_tenant(middleware, tenant, workload)
+        # No router tier here, so any difference is a mismatch.
+        outcome.value_mismatches += audit.keys_below + audit.keys_above
+        outcome.lost_commits += audit.lost_increments
 
     middleware.tracer.event(
         "rebalance.summary", phases=len(outcome.phases),
@@ -361,35 +315,18 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         converged=outcome.converged, ok=outcome.ok)
 
     # -- artifacts -------------------------------------------------------
-    artifacts: List[str] = []
-    directory = trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        outcome.trace_path = os.path.join(directory,
-                                          "trace_rebalance.jsonl")
-        write_trace(outcome.trace_path, middleware.tracer,
-                    middleware.metrics, {
-                        "experiment": "rebalance",
-                        "profile": profile.name,
-                        "policy": middleware.config.policy.name,
-                        "seed": root_seed,
-                        "tenants": tenants,
-                        "nodes": nodes,
-                        "phases": phases,
-                    })
-        artifacts.append(outcome.trace_path)
+    outcome.trace_path = testbed.export_trace_as(
+        "trace_rebalance.jsonl",
+        {"experiment": "rebalance", "tenants": tenants, "nodes": nodes,
+         "phases": phases})
     if bench_dir:
-        os.makedirs(bench_dir, exist_ok=True)
-        outcome.report_path = os.path.join(bench_dir,
-                                           "BENCH_rebalance.json")
-        with open(outcome.report_path, "w") as handle:
-            json.dump(outcome.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        artifacts.append(outcome.report_path)
+        outcome.report_path = write_json_artifact(
+            bench_dir, "BENCH_rebalance.json", outcome.to_dict())
     return Report(experiment="rebalance", profile=profile.name,
                   seed=root_seed, text=report(outcome), data=outcome,
-                  artifacts=artifacts)
+                  artifacts=[path for path in (outcome.trace_path,
+                                               outcome.report_path)
+                             if path])
 
 
 def report(outcome: RebalanceOutcome) -> str:

@@ -16,9 +16,13 @@ What the soak asserts, continuously and at the end:
 
 * **Exactly one owner** per tenant after every wave — the two-step
   handover invariant, under arbitrary generated crash timings.
-* **Zero lost commits**: the key-value workload counts every
-  acknowledged increment; at the end of the run the owning node's
-  table must hold exactly that value for every key of every tenant.
+* **Zero lost commits**: the key-value clients
+  (:func:`repro.workload.simplekv.kv_client`, stopped at the horizon)
+  count every acknowledged increment; at the end of the run
+  :func:`~repro.workload.simplekv.audit_kv_tenant` compares the owning
+  node's table with that ledger, key by key, for every tenant — below
+  it is a loss, above it a phantom bounded by the router tier's
+  ``acks_dropped``.
 * **All tenants keep migrating**: every tenant completes at least one
   successful migration, and parked (suspended) migrations are resumed
   from their journal — never re-dumped — once the crashed master
@@ -34,8 +38,6 @@ gates the exported trace in CI.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
@@ -52,14 +54,19 @@ from ..engine.dump import TransferRates
 from ..errors import CatchUpTimeout, MigrationError, SourceCrashed
 from ..faults import FailureModel, FaultInjector, generate_plan
 from ..metrics.report import format_table
-from ..obs.export import write_trace
 from ..obs.trace import MIGRATION
 from ..router import RouterFleet
-from ..sim.core import Environment
 from ..sim.rand import StreamFactory
 from ..workload import simplekv
 from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
-from .common import TRACE_DIR_ENV_VAR, Report, seeded
+from .common import (
+    Report,
+    bind_node_obs,
+    build_kv_testbed,
+    new_cluster,
+    seeded,
+    write_json_artifact,
+)
 from .profiles import Profile, get_profile
 
 #: Deliberately slow transfer rates: migrations take minutes of sim
@@ -198,34 +205,6 @@ class SoakOutcome:
         }
 
 
-def _kv_client(env: Environment, gateway: Any, tenant: str,
-               rng: Any, config: KvWorkloadConfig,
-               result: KvWorkloadResult,
-               deadline: float) -> Generator[Any, Any, None]:
-    """A kv client that stops issuing transactions at ``deadline``.
-
-    Unlike :func:`repro.workload.simplekv.kv_client` (fixed transaction
-    budget), the soak needs load across the whole horizon and a clean
-    quiesce afterwards, so the loop is bounded by the simulated clock —
-    the client always finishes shortly after the horizon closes, never
-    mid-transaction.  ``gateway`` is anything with the middleware's
-    ``connect``/``submit`` surface — here the
-    :class:`~repro.router.RouterFleet`, so every transaction rides the
-    crashable router tier.
-    """
-    conn = gateway.connect(tenant)
-    while env.now < deadline:
-        yield env.timeout(rng.exponential(config.think_time))
-        if env.now >= deadline:
-            return
-        if rng.random() < config.read_only_ratio:
-            yield from simplekv._read_only_txn(gateway, conn, rng,
-                                               config, result)
-        else:
-            yield from simplekv._update_txn(gateway, conn, rng,
-                                            config, result)
-
-
 def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
                    options: MigrationOptions,
                    holder: Dict[str, Any]) -> Generator[Any, Any, None]:
@@ -257,12 +236,6 @@ def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
     holder["done"] = True
 
 
-def _run_until(env: Environment, condition: Any, step: float,
-               cap: float) -> None:
-    while not condition() and env.now < cap:
-        env.run(until=env.now + step)
-
-
 def run_soak(profile: Optional[Profile] = None, *,
              seed: Optional[int] = None,
              hours: float = 2.0,
@@ -288,36 +261,24 @@ def run_soak(profile: Optional[Profile] = None, *,
     if tenants < 1 or nodes < 2:
         raise ValueError("a soak needs >= 1 tenant and >= 2 nodes")
 
-    env = Environment()
-    cluster = Cluster(env)
-    for name in node_names:
-        cluster.add_node(name)
+    cluster = new_cluster(node_names)
+    env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=MADEUS, validate_lsir=False, verify_consistency=True,
         catchup_deadline=120.0, resumable=True))
-    for name in node_names:
-        cluster.node(name).instance.bind_obs(middleware.metrics,
-                                             tracer=middleware.tracer)
+    bind_node_obs(middleware)
     fleet = RouterFleet(env, middleware, shards=ROUTER_SHARDS,
                         seed=root_seed)
+    testbed = build_kv_testbed(
+        middleware, profile,
+        {tenant: node_names[index % nodes]
+         for index, tenant in enumerate(tenant_names)},
+        KV_KEYS, TENANT_MB, setup_name="soak.setup.{}", step=0.5,
+        trace_dir=trace_dir)
 
-    # -- tenants + load -------------------------------------------------
+    # -- load: through the router tier, until the horizon ---------------
     workloads: Dict[str, KvWorkloadResult] = {}
     streams = StreamFactory(root_seed)
-    ready: Dict[str, bool] = {}
-
-    def setup(tenant: str, home: str) -> Generator[Any, Any, None]:
-        instance = cluster.node(home).instance
-        yield from simplekv.setup_kv_tenant(instance, tenant, KV_KEYS)
-        instance.tenant(tenant).fixed_overhead_mb = TENANT_MB
-        middleware.register_tenant(tenant, home)
-        ready[tenant] = True
-
-    for index, tenant in enumerate(tenant_names):
-        env.process(setup(tenant, node_names[index % nodes]),
-                    name="soak.setup.%s" % tenant)
-    _run_until(env, lambda: len(ready) == len(tenant_names), step=0.5,
-               cap=60.0)
     kv_config = KvWorkloadConfig(keys=KV_KEYS, clients=KV_CLIENTS,
                                  think_time=KV_THINK_TIME,
                                  read_only_ratio=0.4)
@@ -328,8 +289,8 @@ def run_soak(profile: Optional[Profile] = None, *,
         for client in range(KV_CLIENTS):
             rng = streams.stream("soak-kv-%s-%d" % (tenant, client))
             client_procs.append(env.process(
-                _kv_client(env, fleet, tenant, rng, kv_config,
-                           result, horizon),
+                simplekv.kv_client(env, fleet, tenant, rng, kv_config,
+                                   result, lambda: env.now >= horizon),
                 name="soak.kv.%s.%d" % (tenant, client)))
 
     # -- generated fault scenario ---------------------------------------
@@ -405,7 +366,7 @@ def run_soak(profile: Optional[Profile] = None, *,
                     and all("done" in holder
                             for holder in resumers.values()))
 
-        _run_until(env, wave_done, step=5.0, cap=started + WAVE_CAP)
+        testbed.run_until(wave_done, step=5.0, cap=started + WAVE_CAP)
         wedged = not wave_done()
         if wedged:
             outcome.wedged_waves += 1
@@ -470,12 +431,13 @@ def run_soak(profile: Optional[Profile] = None, *,
         outcome.waves.append(run_wave(wave_index))
 
     # -- quiesce and verify ---------------------------------------------
-    _run_until(env, lambda: all(not proc.is_alive
-                                for proc in client_procs),
-               step=5.0, cap=env.now + 600.0)
-    _run_until(env, lambda: all(not cluster.node(name).instance.crashed
-                                for name in node_names),
-               step=5.0, cap=env.now + 600.0)
+    testbed.run_until(lambda: all(not proc.is_alive
+                                  for proc in client_procs),
+                      step=5.0, cap=env.now + 600.0)
+    testbed.run_until(
+        lambda: all(not cluster.node(name).instance.crashed
+                    for name in node_names),
+        step=5.0, cap=env.now + 600.0)
     env.run(until=env.now + 5.0)
     injector.close()
     check_owners("final")
@@ -483,20 +445,14 @@ def run_soak(profile: Optional[Profile] = None, *,
         workload = workloads[tenant]
         outcome.committed_txns += workload.committed_txns
         outcome.aborted_txns += workload.aborted_txns
-        owner = middleware.route(tenant)
-        table = cluster.node(owner).instance.tenant(tenant).table("kv")
-        for key, increments in sorted(
-                workload.committed_increments.items()):
-            got = table.chain(key).latest()["v"]
-            if got < increments:
-                # An acknowledged increment is missing: a real loss.
-                outcome.value_mismatches += 1
-                outcome.lost_commits += increments - got
-            elif got > increments:
-                # Surplus: a COMMIT executed but its reply died in a
-                # crashed router shard (outcome-unknown, never acked).
-                # Bounded below by the router's acks_dropped counter.
-                outcome.phantom_increments += got - increments
+        audit = simplekv.audit_kv_tenant(middleware, tenant, workload)
+        # Below the acknowledged count is a real loss.  Surplus is a
+        # COMMIT that executed but whose reply died in a crashed router
+        # shard (outcome-unknown, never acked); it is bounded by the
+        # router's acks_dropped counter.
+        outcome.value_mismatches += audit.keys_below
+        outcome.lost_commits += audit.lost_increments
+        outcome.phantom_increments += audit.phantom_increments
         if ok_by_tenant[tenant] == 0:
             outcome.unmigrated_tenants.append(tenant)
     registry = middleware.metrics
@@ -531,33 +487,17 @@ def run_soak(profile: Optional[Profile] = None, *,
         phantom_bound=outcome.phantom_bound, **outcome.router)
 
     # -- artifacts -------------------------------------------------------
-    artifacts: List[str] = []
-    directory = trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        outcome.trace_path = os.path.join(directory,
-                                          "trace_chaos_soak.jsonl")
-        write_trace(outcome.trace_path, middleware.tracer,
-                    middleware.metrics, {
-                        "experiment": "chaos-soak",
-                        "profile": profile.name,
-                        "policy": middleware.config.policy.name,
-                        "seed": root_seed,
-                        "hours": hours,
-                    })
-        artifacts.append(outcome.trace_path)
+    outcome.trace_path = testbed.export_trace_as(
+        "trace_chaos_soak.jsonl",
+        {"experiment": "chaos-soak", "hours": hours})
     if soak_dir:
-        os.makedirs(soak_dir, exist_ok=True)
-        outcome.report_path = os.path.join(
-            soak_dir, "SOAK_seed%s.json" % root_seed)
-        with open(outcome.report_path, "w") as handle:
-            json.dump(outcome.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        artifacts.append(outcome.report_path)
+        outcome.report_path = write_json_artifact(
+            soak_dir, "SOAK_seed%s.json" % root_seed, outcome.to_dict())
     return Report(experiment="chaos-soak", profile=profile.name,
-                  seed=root_seed, text=report(outcome),
-                  data=outcome, artifacts=artifacts)
+                  seed=root_seed, text=report(outcome), data=outcome,
+                  artifacts=[path for path in (outcome.trace_path,
+                                               outcome.report_path)
+                             if path])
 
 
 def report(outcome: SoakOutcome) -> str:

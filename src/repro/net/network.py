@@ -20,8 +20,8 @@ Two bandwidth models coexist:
   port, re-evaluated whenever a stream joins or leaves either port —
   so two tenants migrating over the same source→destination pair each
   see half the link, while migrations between disjoint node pairs do
-  not contend at all.  :meth:`Network.pump_chunks` uses this model
-  when given a ``route``.
+  not contend at all.  :meth:`Network.pump_chunks` ships every chunk
+  through this model.
 
 The link can also degrade (see :mod:`repro.faults`): latency spikes and
 bandwidth collapse multiply the effective cost of every hop, and a
@@ -366,7 +366,7 @@ class Network:
         self._check_link()
 
     def pump_chunks(self, reader: Any, sink: Any,
-                    route: Optional[Tuple[str, str]] = None
+                    route: Tuple[str, str]
                     ) -> Generator[Any, Any, int]:
         """Bounded-buffer shipper for the pipelined snapshot path.
 
@@ -385,10 +385,9 @@ class Network:
         quietly — the migration orchestrator owns retries.  Returns the
         number of chunks shipped.
 
-        With ``route=(source, destination)`` each chunk crosses the
-        shared-link model (:meth:`bulk_transfer`) and contends with
-        other streams on those ports; without it, chunks use the legacy
-        cluster-wide channel of :meth:`message`.
+        Each chunk crosses the shared-link model (:meth:`bulk_transfer`)
+        from ``route[0]`` to ``route[1]`` and contends with other
+        streams on those ports.
         """
         shipped = 0
         try:
@@ -397,11 +396,8 @@ class Network:
                 if chunk is CLOSED:
                     sink.close()
                     return shipped
-                if route is not None:
-                    yield from self.bulk_transfer(
-                        route[0], route[1], chunk.size_mb)
-                else:
-                    yield from self.message(chunk.size_mb)
+                yield from self.bulk_transfer(
+                    route[0], route[1], chunk.size_mb)
                 yield from sink.put(chunk)
                 shipped += 1
                 if self._metrics is not None:

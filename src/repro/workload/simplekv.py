@@ -9,7 +9,7 @@ is counted so tests can check the final state value-by-value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
 from ..core.middleware import Connection, Middleware
 from ..engine.session import Session
@@ -65,15 +65,33 @@ def setup_kv_tenant(instance: "DbmsInstance", tenant: str,
 
 def kv_client(env: "Environment", middleware: Middleware, tenant: str,
               rng: RandomStream, config: KvWorkloadConfig,
-              result: KvWorkloadResult) -> Generator[Any, Any, None]:
-    """One client running the configured number of transactions."""
+              result: KvWorkloadResult,
+              stop: Optional[Callable[[], bool]] = None
+              ) -> Generator[Any, Any, None]:
+    """One client issuing transactions until ``stop()`` turns true.
+
+    ``stop`` is checked before and after each think time, so a client
+    always quiesces between transactions, never inside one; without it
+    the client runs ``config.transactions_per_client`` transactions.
+    ``config.think_time`` is re-read every iteration (a scenario may
+    change it while the client runs).  ``middleware`` is anything with
+    the ``connect``/``submit`` surface, e.g. a
+    :class:`~repro.router.RouterFleet`.
+    """
     conn = middleware.connect(tenant)
-    for _txn_index in range(config.transactions_per_client):
+    issued = 0
+    if stop is None:
+        def stop() -> bool:
+            return issued >= config.transactions_per_client
+    while not stop():
         yield env.timeout(rng.exponential(config.think_time))
+        if stop():
+            return
         if rng.random() < config.read_only_ratio:
             yield from _read_only_txn(middleware, conn, rng, config, result)
         else:
             yield from _update_txn(middleware, conn, rng, config, result)
+        issued += 1
 
 
 def _read_only_txn(middleware: Middleware, conn: Connection,
@@ -144,3 +162,37 @@ def run_kv_clients(env: "Environment", middleware: Middleware,
         env.process(kv_client(env, middleware, tenant, rng, config, result),
                     name="kv-client-%d" % index)
     return result
+
+
+@dataclass(frozen=True)
+class KvAudit:
+    """One tenant's final ``kv`` values against its acknowledged ledger."""
+
+    #: Acknowledged increments missing from the table.
+    lost_increments: int
+    #: Increments in the table that no client saw acknowledged.
+    phantom_increments: int
+    #: Keys whose value is below / above their acknowledged count.
+    keys_below: int
+    keys_above: int
+
+
+def audit_kv_tenant(middleware: Middleware, tenant: str,
+                    result: KvWorkloadResult) -> KvAudit:
+    """Compare ``tenant``'s ``kv`` table on its owner with ``result``.
+
+    Every key starts at 0 and every committed update adds 1, so a key
+    must hold exactly its acknowledged increment count.
+    """
+    owner = middleware.cluster.node(middleware.route(tenant)).instance
+    table = owner.tenant(tenant).table("kv")
+    lost = phantom = below = above = 0
+    for key, increments in result.committed_increments.items():
+        got = table.chain(key).latest()["v"]
+        if got < increments:
+            below += 1
+            lost += increments - got
+        elif got > increments:
+            above += 1
+            phantom += got - increments
+    return KvAudit(lost, phantom, below, above)

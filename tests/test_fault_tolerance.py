@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import (B_CON, MADEUS, Middleware, MiddlewareConfig,
                         MigrationOptions, states_equal)
+from repro.core.journal import HANDOVER_ROLLED_BACK
 from repro.engine.dump import TransferRates
 from repro.errors import CatchUpTimeout, MigrationError, SourceCrashed
 from repro.faults import FaultInjector, FaultPlan
@@ -362,6 +363,57 @@ class TestDestinationCrash:
         assert "error" in holder
         assert holder["report"].consistent is True
         assert middleware.route("A") == "node1"
+
+    def test_replay_dying_in_the_handover_drain_rolls_back(self, env):
+        """A dead engine releases its drain waiters with its backlog
+        unreplayed; the handover must not mistake that for drained."""
+        cluster, middleware = build(env, nodes=2)
+        workload = seed_tenant(env, cluster, middleware, clients=8,
+                               txns=400, think_time=0.005)
+        state = middleware.tenant_state("A")
+        holder = {}
+
+        def outage(env):
+            # Open the outage once the handover is prepared and the
+            # primary engine still has syncsets to replay; keep it open
+            # past the engine's resend budget (~2.6 s).
+            while True:
+                record = middleware.journal.handovers.get("A")
+                if (record is not None and record.in_doubt
+                        and state.propagator is not None
+                        and state.propagator.ssl.pending_count() > 0):
+                    break
+                yield env.timeout(0.0005)
+            holder["backlog"] = state.propagator.ssl.pending_count()
+            cluster.network.fail_link()
+            yield env.timeout(5.0)
+            cluster.network.restore_link()
+        env.process(outage(env))
+
+        def main(env):
+            try:
+                yield from middleware.migrate(
+                    "A", "node1", MigrationOptions(rates=RATES))
+            except MigrationError as exc:
+                holder["error"] = exc
+        env.process(main(env))
+        env.run()
+        assert holder["backlog"] > 0
+        assert "failed during the handover drain" in str(holder["error"])
+        assert middleware.route("A") == "node0"
+        assert middleware.owners("A") == ["node0"]
+        assert (middleware.journal.handovers["A"].state
+                == HANDOVER_ROLLED_BACK)
+        assert state.gate.is_open
+        assert not state.migrating
+        assert middleware.reports[-1].outcome == "aborted"
+        names = [event.name for event in middleware.tracer.events]
+        assert "propagation.failed" in names
+        assert "handover.ready" not in names
+        # every acknowledged increment is on the owner
+        table = cluster.node("node0").instance.tenant("A").table("kv")
+        for key, increments in workload.committed_increments.items():
+            assert table.chain(key).latest()["v"] == increments
 
 
 class TestShipRetries:

@@ -12,7 +12,10 @@ from repro.errors import (CatchUpTimeout, MigrationError, ReproError,
                           RoutingError, SchemaError, SqlError,
                           TransactionAborted)
 from repro.sim import Environment
-from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
+from repro.sim.rand import StreamFactory
+from repro.workload.simplekv import (KvAudit, KvWorkloadConfig,
+                                     KvWorkloadResult, audit_kv_tenant,
+                                     kv_client, run_kv_clients,
                                      setup_kv_tenant)
 
 from _helpers import drive
@@ -193,6 +196,112 @@ class TestSimpleKvWorkload:
             return (result.committed_txns, result.aborted_txns,
                     dict(result.committed_increments))
         assert run_once() == run_once()
+
+
+def _kv_world(env, keys=3):
+    cluster = Cluster(env)
+    cluster.add_node("n0")
+    middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
+
+    def main(env):
+        yield from setup_kv_tenant(cluster.node("n0").instance, "A", keys)
+        middleware.register_tenant("A", "n0")
+    drive(env, main(env))
+    return cluster, middleware
+
+
+class TestKvClientStopCondition:
+    def _spy(self, monkeypatch):
+        """Replace both transaction bodies by one that only counts."""
+        issued = []
+
+        def txn(middleware, conn, rng, config, result):
+            issued.append(middleware.env.now)
+            yield middleware.env.timeout(0.001)
+        monkeypatch.setattr("repro.workload.simplekv._read_only_txn", txn)
+        monkeypatch.setattr("repro.workload.simplekv._update_txn", txn)
+        return issued
+
+    def test_default_runs_exactly_the_transaction_budget(
+            self, env, monkeypatch):
+        _cluster, middleware = _kv_world(env)
+        issued = self._spy(monkeypatch)
+        config = KvWorkloadConfig(keys=3, transactions_per_client=7,
+                                  think_time=0.01)
+        drive(env, kv_client(env, middleware, "A",
+                             StreamFactory(1).stream("c"), config,
+                             KvWorkloadResult()))
+        assert len(issued) == 7
+
+    def test_stop_turning_true_during_think_time_issues_nothing_more(
+            self, env, monkeypatch):
+        _cluster, middleware = _kv_world(env)
+        issued = self._spy(monkeypatch)
+        config = KvWorkloadConfig(keys=3, think_time=1.0)
+        started = env.now
+        deadline = started + 5.0
+        drive(env, kv_client(env, middleware, "A",
+                             StreamFactory(1).stream("c"), config,
+                             KvWorkloadResult(),
+                             lambda: env.now >= deadline))
+        # The loop was entered before the deadline and left during a
+        # think time that straddled it: no transaction starts after it.
+        assert issued and max(issued) < deadline
+        assert env.now >= deadline
+
+    def test_stop_already_true_never_connects_a_transaction(
+            self, env, monkeypatch):
+        _cluster, middleware = _kv_world(env)
+        issued = self._spy(monkeypatch)
+        started = env.now
+        drive(env, kv_client(env, middleware, "A",
+                             StreamFactory(1).stream("c"),
+                             KvWorkloadConfig(keys=3),
+                             KvWorkloadResult(), lambda: True))
+        assert issued == [] and env.now == started
+
+
+class TestKvAudit:
+    def test_counts_lost_phantom_below_above(self, env):
+        _cluster, middleware = _kv_world(env)
+
+        def bump(key, times):
+            conn = middleware.connect("A")
+            for _ in range(times):
+                yield from middleware.submit(conn, "BEGIN")
+                yield from middleware.submit(
+                    conn, "UPDATE kv SET v = v + 1 WHERE k = %d" % key)
+                response = yield from middleware.submit(conn, "COMMIT")
+                assert response.ok
+        # table: key 0 -> 1, key 1 -> 5, key 2 -> 4
+        for key, times in ((0, 1), (1, 5), (2, 4)):
+            drive(env, bump(key, times))
+        # acknowledged: key 0 three (two lost), key 1 two (three
+        # phantom), key 2 four (equal)
+        result = KvWorkloadResult(committed_increments={0: 3, 1: 2, 2: 4})
+        audit = audit_kv_tenant(middleware, "A", result)
+        assert audit == KvAudit(lost_increments=2, phantom_increments=3,
+                                keys_below=1, keys_above=1)
+        # what each scenario reports from it
+        router_bench = (audit.lost_increments, audit.phantom_increments)
+        soak = (audit.lost_increments, audit.keys_below,
+                audit.phantom_increments)
+        rebalance = (audit.lost_increments,
+                     audit.keys_below + audit.keys_above)
+        assert router_bench == (2, 3)
+        assert soak == (2, 1, 3)
+        assert rebalance == (2, 2)
+
+    def test_clean_run_audits_clean(self, env):
+        _cluster, middleware = _kv_world(env, keys=10)
+        config = KvWorkloadConfig(keys=10, clients=3,
+                                  transactions_per_client=20,
+                                  think_time=0.004)
+        result = run_kv_clients(env, middleware, "A", config, seed=4)
+        env.run()
+        assert sum(result.committed_increments.values()) > 0
+        assert audit_kv_tenant(middleware, "A",
+                               result) == KvAudit(0, 0, 0, 0)
 
 
 class TestErrorHierarchy:

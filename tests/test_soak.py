@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import soak
+from repro.experiments.profiles import QUICK
 
 SEED = 7
 HOURS = 0.5
@@ -74,6 +75,16 @@ class TestInvariants:
         assert outcome.committed_txns > 100
 
 
+class TestHandoverDrainDefectSeed:
+    def test_seed_12_loses_no_acknowledged_commit(self):
+        """At t~1173 s the primary engine dies in the handover drain
+        with 7 syncsets unreplayed; that attempt must roll back."""
+        outcome = soak.run_soak(QUICK, seed=12, hours=1.5).data
+        assert outcome.lost_commits == 0
+        assert outcome.value_mismatches == 0
+        assert outcome.ok
+
+
 class TestArtifacts:
     def test_report_matches_schema(self, soak_run):
         with open(soak_run.data.report_path) as handle:
@@ -119,6 +130,11 @@ class TestArtifacts:
         with open(rerun.data.trace_path, "rb") as handle:
             second_trace = handle.read()
         assert first_trace == second_trace
+
+
+def test_check_trace_phase_order_matches_the_tracer():
+    from repro.obs.trace import PHASE_ORDER
+    assert _load_check_trace().PHASE_ORDER == PHASE_ORDER
 
 
 class TestTraceGate:
