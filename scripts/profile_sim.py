@@ -15,6 +15,17 @@ Usage::
 
 Run from the repository root (the script puts ``src/`` on ``sys.path``
 itself, so no ``PYTHONPATH`` needed).
+
+Use the profile to *find* a rock, not to size it.  cProfile charges its
+per-call hook to Python frames and nothing to the work inside C calls,
+so C-heavy frames are under-reported: ``theory.states_equal`` (two
+``sorted(row.items())`` fingerprints per handover, almost all of it in
+C) showed as 2.9 % of the traced ``tpcw_order_migrate`` section of
+``benchmarks/perf`` (0.58 s of 19.8 s) while, timed directly with
+profiling off, it was 0.44 s of the 5.7 s section: 7.7 %, and ISSUE 15
+measured 12 % saved end to end once the garbage it made was gone too.
+Size a rock by timing it directly (``time.perf_counter`` around the
+call, or ``benchmarks/perf/run.py --trace 0`` before and after).
 """
 
 import argparse

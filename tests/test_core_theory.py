@@ -188,31 +188,54 @@ class TestStatesEqual:
             table.install(key, 1, {"k": key, "v": value})
         return tenant
 
+    def _extra_table(self):
+        from repro.engine.schema import TableSchema
+        from repro.engine.sqlmini import ColumnDef
+        return TableSchema("extra", (ColumnDef("k", "INT", True),))
+
     def test_equal_states(self, env):
         a = self._tenant(env, {1: 10, 2: 20})
         b = self._tenant(env, {1: 10, 2: 20})
         equal, differences = states_equal(a, b)
         assert equal and not differences
 
+    # The difference strings below are what a failing migration reports
+    # in ``MigrationReport.inconsistencies``; they were recorded before
+    # states_equal learned to settle equal states without fingerprints.
+
     def test_value_difference_reported(self, env):
-        a = self._tenant(env, {1: 10})
-        b = self._tenant(env, {1: 11})
-        equal, differences = states_equal(a, b)
-        assert not equal
-        assert "key 1" in differences[0]
+        a = self._tenant(env, {1: 10, 2: 20})
+        b = self._tenant(env, {1: 10, 2: 21})
+        assert states_equal(a, b) == (False, [
+            "table 't' key 2: master=(('k', 2), ('v', 20)) "
+            "slave=(('k', 2), ('v', 21))"])
 
     def test_missing_row_reported(self, env):
         a = self._tenant(env, {1: 10, 2: 20})
         b = self._tenant(env, {1: 10})
-        equal, differences = states_equal(a, b)
-        assert not equal
+        assert states_equal(a, b) == (False, [
+            "table 't' key 2: master=(('k', 2), ('v', 20)) slave=None"])
+        assert states_equal(b, a) == (False, [
+            "table 't' key 2: master=None slave=(('k', 2), ('v', 20))"])
 
     def test_missing_table_reported(self, env):
         a = self._tenant(env, {1: 10})
         b = self._tenant(env, {1: 10})
-        from repro.engine.schema import TableSchema
-        from repro.engine.sqlmini import ColumnDef
-        a.create_table(TableSchema("extra", (ColumnDef("k", "INT", True),)))
+        a.create_table(self._extra_table())
+        assert states_equal(a, b) == (
+            False, ["table 'extra' missing on slave"])
+        assert states_equal(b, a) == (
+            False, ["table 'extra' missing on master"])
+
+    def test_differences_truncated_at_twenty(self, env):
+        a = self._tenant(env, {key: key for key in range(1, 26)})
+        b = self._tenant(env, {key: -key for key in range(1, 26)})
         equal, differences = states_equal(a, b)
         assert not equal
-        assert "missing on slave" in differences[0]
+        # keys in repr order, cut after the twentieth
+        keys = [1, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 2, 20, 21, 22,
+                23, 24, 25, 3, 4]
+        assert differences == [
+            "table 't' key %d: master=(('k', %d), ('v', %d)) "
+            "slave=(('k', %d), ('v', %d))" % (key, key, key, key, -key)
+            for key in keys]

@@ -1,5 +1,6 @@
 """Property-based round-trip tests for the mini-SQL parser/renderer:
-``parse(render(ast)) == ast`` for randomly generated statements."""
+``parse(render(ast)) == ast`` for randomly generated statements, and
+the cached ``parse`` against a fresh full parser."""
 
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,8 @@ from repro.engine.sqlmini import (Begin, BinaryOp, ColumnDef, ColumnRef,
                                   Commit, Comparison, CreateIndex,
                                   CreateTable, Delete, Insert, Literal,
                                   Rollback, Select, Update, parse)
+
+from _helpers import assert_parses_like_the_full_parser
 
 identifier = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True) \
     .filter(lambda s: s.upper() not in {
@@ -107,6 +110,18 @@ def test_parse_render_roundtrip(statement):
     text = render(statement)
     reparsed = parse(text)
     assert reparsed == statement
+
+
+@given(statement=any_statement, cold=st.booleans())
+def test_shape_cache_matches_the_full_parser(statement, cold):
+    """Binding literals into a statement shape gives what tokenising
+    and parsing the text gives, down to ``1`` versus ``1.0`` -- with the
+    shape compiled for this statement (cold) or left behind by earlier
+    examples (warm)."""
+    if cold:
+        parse.cache_clear()
+    outcome = assert_parses_like_the_full_parser(render(statement))
+    assert outcome[0] == "ok"
 
 
 @given(statement=any_statement)

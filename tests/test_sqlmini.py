@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import sqlmini
 from repro.engine.sqlmini import (AlterTable, Begin, BinaryOp, ColumnRef,
                                   Commit, Comparison, CreateIndex,
                                   CreateTable, Delete, Insert, Literal,
@@ -9,6 +10,10 @@ from repro.engine.sqlmini import (AlterTable, Begin, BinaryOp, ColumnRef,
                                   is_read_statement, is_write_statement,
                                   parse, tokenize)
 from repro.errors import SqlError
+from repro.sim.rand import RandomStream
+from repro.workload.tpcw import INTERACTIONS, EbState, TpcwContext
+
+from _helpers import assert_parses_like_the_full_parser
 
 
 class TestTokenizer:
@@ -261,9 +266,24 @@ class TestErrors:
             parse("SELECT a FROM t WHERE x = y")
 
 
+@pytest.fixture
+def parsers(monkeypatch):
+    """The SQL text of every ``_Parser`` built while the test runs."""
+    built = []
+
+    class CountingParser(sqlmini._Parser):
+        def __init__(self, sql):
+            built.append(sql)
+            super().__init__(sql)
+
+    monkeypatch.setattr(sqlmini, "_Parser", CountingParser)
+    return built
+
+
 class TestParseMemoisation:
-    """``parse`` is memoised on the SQL text; safe because every AST
-    node is a frozen dataclass and nothing mutates statements."""
+    """``parse`` is memoised on the SQL text, then on the statement
+    shape; safe because every AST node is a frozen dataclass and
+    nothing mutates statements."""
 
     def test_same_text_returns_the_cached_object(self):
         first = parse("SELECT id FROM items WHERE id = 1")
@@ -277,6 +297,23 @@ class TestParseMemoisation:
         second = parse(sql)
         assert first is not second
         assert first == second
+
+    def test_cache_clear_empties_the_shape_level_too(self, parsers):
+        parse("SELECT cost FROM items WHERE id = 2")
+        parse.cache_clear()
+        del parsers[:]
+        parse("SELECT cost FROM items WHERE id = 3")
+        assert len(parsers) == 1  # the shape was compiled again
+
+    def test_cache_info_reports_the_text_level(self):
+        parse.cache_clear()
+        assert parse.cache_info()[:2] == (0, 0)
+        for key in (1, 2, 2, 1, 3):
+            parse("SELECT cost FROM items WHERE id = %d" % key)
+        # Three texts missed although two of them found their shape.
+        info = parse.cache_info()
+        assert (info.hits, info.misses) == (2, 3)
+        assert info.currsize == 3 and info.maxsize == 4096
 
     def test_distinct_spellings_are_distinct_entries(self):
         lower = parse("select id from items where id = 3")
@@ -297,3 +334,164 @@ class TestParseMemoisation:
             statement = parse(sql)
             assert not is_read_statement(statement)
             assert not is_write_statement(statement)
+
+
+def _workload_statements():
+    """One statement per TPC-W interaction step (both rounds of an EB,
+    so that the cart exists the second time) and per simplekv call."""
+    ctx = TpcwContext(customers=100, items=200, orders=90)
+    state = EbState(customer_id=7)
+    rng = RandomStream(3)
+    statements = [
+        "INSERT INTO kv (k, v, tag) VALUES (5, 0, 'key5')",
+        "SELECT v FROM kv WHERE k = 5",
+        "UPDATE kv SET v = v + 1 WHERE k = 5",
+    ]
+    for _round in range(2):
+        for name in sorted(INTERACTIONS):
+            statements.extend(
+                sql for sql, _cpu in INTERACTIONS[name](ctx, state, rng, 1.0))
+    return sorted(set(statements))
+
+
+#: Literal spellings a template slot is refilled with: ints, floats in
+#: every form the tokenizer reads, negated numbers, strings holding
+#: digits, quotes, ``?`` and keywords, NULL, and the binder's own probe
+#: values.  ``?`` alone is no token: both parsers must say so alike.
+_FILLINGS = ("7", "0", "3.25", ".5", "1.", "-4", "- 2.5", "- - 3", "-0",
+             "'x9y'", "'12'", "''", "'it''s'", "'?'", "?", "'SELECT'",
+             "'NULL'", "NULL", "1", "2", "1.5", "2.5", "'1'", "'2'")
+
+
+def _refilled(sql, offset):
+    """``sql`` with its literals replaced by :data:`_FILLINGS`, found
+    with the reference tokenizer (the templates escape no quote)."""
+    pieces, end = [], 0
+    literals = [token for token in tokenize(sql)
+                if token.kind in ("number", "string")]
+    for slot, token in enumerate(literals):
+        width = len(token.text) + (2 if token.kind == "string" else 0)
+        pieces.append(sql[end:token.position])
+        pieces.append(_FILLINGS[(offset + 5 * slot) % len(_FILLINGS)])
+        end = token.position + width
+    return "".join(pieces) + sql[end:]
+
+
+#: (test id, statement, the full parser's message).
+_ERRORS = (
+    ("unterminated-string", "SELECT a FROM t WHERE b = 1 AND c = 'x",
+     "unterminated string literal at 36"),
+    ("limit-float", "SELECT a FROM t WHERE b = 1 LIMIT 1.5",
+     "LIMIT must be a non-negative integer"),
+    ("limit-negative", "SELECT a FROM t WHERE b = 1 LIMIT -1",
+     "LIMIT must be a non-negative integer"),
+    ("limit-string", "SELECT a FROM t WHERE b = 1 LIMIT '1'",
+     "LIMIT must be a non-negative integer"),
+    ("negated-string", "SELECT a FROM t WHERE b = - 'a'",
+     "cannot negate 'a'"),
+    ("twice-negated-string", "SELECT a FROM t WHERE b = - - 'a'",
+     "cannot negate 'a'"),
+    ("negated-string-in-set", "UPDATE t SET a = b - - 'a' WHERE c = 1",
+     "cannot negate 'a'"),
+    ("insert-arity", "INSERT INTO t (a, b) VALUES (1, 2, 3)",
+     "INSERT arity mismatch: 2 columns, 3 values"),
+    ("trailing-number", "SELECT a FROM t WHERE b = 1 2",
+     "trailing input '2' in 'SELECT a FROM t WHERE b = 1 2'"),
+    ("digit-glued-to-letter", "SELECT a FROM t WHERE b = 1x",
+     "trailing input 'x' in 'SELECT a FROM t WHERE b = 1x'"),
+    ("second-dot", "SELECT a FROM t WHERE b = 1.2.3",
+     "trailing input '.3' in 'SELECT a FROM t WHERE b = 1.2.3'"),
+    ("dangling-dot", "SELECT a FROM t WHERE b = 1.2.",
+     "unexpected character '.' at 29"),
+    ("dot-number-after-name", "SELECT a FROM t WHERE b1.5 = 2",
+     "expected comparison operator, found '.5' in "
+     "'SELECT a FROM t WHERE b1.5 = 2'"),
+)
+
+
+class TestShapeCache:
+    """Behind the text LRU ``parse`` binds literals into a binder
+    compiled once per statement shape; it must never be told apart from
+    ``_Parser(sql).parse()``."""
+
+    def test_one_full_parse_per_shape(self, parsers):
+        parse.cache_clear()
+        statements = [parse("SELECT v FROM kv WHERE k = %d" % key)
+                      for key in range(1000)]
+        assert len(parsers) == 1
+        assert statements[417] == Select(
+            "kv", ("v",), (Comparison("k", "=", 417),))
+        assert len(set(map(id, statements))) == 1000
+
+    def test_statements_without_literals_take_the_full_parser(
+            self, parsers):
+        parse.cache_clear()
+        for sql in ("BEGIN", "SELECT a FROM t WHERE b = NULL",
+                    "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)"):
+            parse(sql)
+        assert parsers == ["BEGIN", "SELECT a FROM t WHERE b = NULL",
+                           "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)"]
+
+    @pytest.mark.parametrize("sql", [
+        pytest.param(sql, id="%02d-%s" % (number, sql.split()[0].lower()))
+        for number, sql in enumerate(_workload_statements())])
+    def test_workload_templates_with_fresh_literals(self, sql):
+        assert assert_parses_like_the_full_parser(sql)[0] == "ok"
+        for offset in range(len(_FILLINGS)):
+            assert_parses_like_the_full_parser(_refilled(sql, offset))
+
+    def test_workload_templates_are_all_covered(self):
+        statements = _workload_statements()
+        assert len(statements) >= 30
+        heads = {sql.split()[0] for sql in statements}
+        assert heads == {"SELECT", "INSERT", "UPDATE"}
+
+    @pytest.mark.parametrize("sql, expected", [
+        pytest.param(sql, expected, id=name)
+        for name, sql, expected in _ERRORS])
+    def test_errors_are_the_full_parsers(self, sql, expected):
+        # Warm the shapes a valid neighbour of each statement leaves.
+        for neighbour in ("SELECT a FROM t WHERE b = 1 AND c = 'x'",
+                          "SELECT a FROM t WHERE b = 1 LIMIT 1",
+                          "SELECT a FROM t WHERE b = - 1",
+                          "SELECT a FROM t WHERE b = - - 1",
+                          "UPDATE t SET a = b - - 1 WHERE c = 1",
+                          "INSERT INTO t (a, b) VALUES (1, 2)",
+                          "SELECT a FROM t WHERE b = 1.2",
+                          "SELECT a FROM t WHERE b1 = 2"):
+            parse(neighbour)
+        for _cold in (False, True):
+            assert assert_parses_like_the_full_parser(sql) == (
+                "error", expected)
+            parse.cache_clear()
+
+    @pytest.mark.parametrize("sql, statement", [
+        ("SELECT a FROM t LIMIT -0", Select("t", ("a",), limit=0)),
+        ("SELECT a FROM t WHERE b = - - 2",
+         Select("t", ("a",), (Comparison("b", "=", 2),))),
+        ("SELECT a FROM t WHERE b = -0.0",
+         Select("t", ("a",), (Comparison("b", "=", -0.0),))),
+        ("SELECT addr_street1 FROM address WHERE addr_id = 3",
+         Select("address", ("addr_street1",),
+                (Comparison("addr_id", "=", 3),))),
+        ("UPDATE t SET a = a - 1, b = -1 WHERE c = 'it''s 5'",
+         Update("t", (("a", BinaryOp("-", ColumnRef("a"), Literal(1))),
+                      ("b", Literal(-1))),
+                (Comparison("c", "=", "it's 5"),))),
+        ("INSERT INTO t (a, b, c, d) VALUES (1., .5, NULL, '')",
+         Insert("t", ("a", "b", "c", "d"), (1.0, 0.5, None, ""))),
+    ])
+    def test_edge_literals(self, sql, statement):
+        for _cold in (False, True):
+            outcome = assert_parses_like_the_full_parser(sql)
+            assert outcome == ("ok", statement, repr(statement))
+            parse.cache_clear()
+
+    def test_a_shape_is_its_text_and_its_literal_types(self, parsers):
+        parse.cache_clear()
+        for value in ("1", "2", "1.5", "2.5", "'a'", "'b'"):
+            assert_parses_like_the_full_parser(
+                "SELECT a FROM t WHERE b = %s" % value)
+        # assert_... builds one reference parser per call; parse() adds
+        # one per (text, type) shape: int, float, str.
+        assert len(parsers) == 6 + 3
