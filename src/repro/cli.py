@@ -33,9 +33,9 @@ from .experiments import (
     performance,
     preliminary,
     rebalance,
-    simthroughput,
     soak,
 )
+from .experiments.common import seeded
 
 
 def _print_run(module_run: Callable) -> Callable:
@@ -82,79 +82,44 @@ DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-def bench_main(argv=None) -> int:
-    """Entry point for ``python -m repro bench``.
+def _run_experiment(args: argparse.Namespace) -> int:
+    """A paper experiment, or ``all`` of them in the paper's order."""
+    profile = get_profile(args.profile)
+    if args.command != "all":
+        COMMANDS[args.command](profile, trace_dir=args.trace_dir,
+                               seed=args.seed)
+        return 0
+    for name in ("table2", "table3", "fig5", "fig6", "fig7", "fig9",
+                 "multitenant", "costmodel"):
+        print("=" * 72)
+        print("== %s: %s" % (name, DESCRIPTIONS[name]))
+        print("=" * 72)
+        COMMANDS[name](profile, trace_dir=args.trace_dir, seed=args.seed)
+        print()
+    return 0
 
-    Runs the performance harness from :mod:`repro.experiments.bench`
-    and writes one ``BENCH_<scenario>.json`` per scenario (validated in
-    CI by ``scripts/check_bench.py``).
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Benchmark the migration middleware: serial vs "
-                    "pipelined vs watermark snapshot shipping, a "
-                    "per-policy sweep, and serialized vs "
-                    "scheduler-concurrent multi-tenant migration. "
-                    "Writes BENCH_<scenario>.json artifacts.")
-    parser.add_argument("--scenario", default="all",
-                        choices=sorted(bench.SCENARIOS)
-                        + sorted(bench.SCENARIO_ALIASES) + ["all"],
-                        help="bench scenario to run (default: all)")
-    parser.add_argument("--list-scenarios", action="store_true",
-                        help="list the bench scenarios with their "
-                             "one-line descriptions and exit")
-    parser.add_argument("--profile", default=None,
-                        choices=["paper", "quick", "smoke"],
-                        help="experiment scale (default: $REPRO_PROFILE "
-                             "or 'quick')")
-    parser.add_argument("--bench-dir", default=None,
-                        help="directory for BENCH_*.json (default: "
-                             "$REPRO_BENCH_DIR or benchmarks/results/"
-                             "bench)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="also export per-migration traces here "
-                             "(default: $REPRO_TRACE_DIR, or none)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the profile's root random seed")
-    parser.add_argument("--paper-smoke", action="store_true",
-                        help="simthroughput only: additionally time one "
-                             "paper-profile migration and fail unless it "
-                             "finishes within the CI budget (%.0f s)"
-                             % simthroughput.PAPER_SMOKE_BUDGET_S)
-    args = parser.parse_args(argv)
+
+def _run_bench(args: argparse.Namespace) -> int:
+    """``repro bench``: the performance harness from
+    :mod:`repro.experiments.bench`; writes one ``BENCH_<scenario>.json``
+    per scenario (gated in CI by ``scripts/gate.py bench``)."""
     if args.list_scenarios:
         for name in sorted(bench.SCENARIOS
                            + tuple(bench.SCENARIO_ALIASES)):
             print("%-22s %s" % (name,
                                 bench.SCENARIO_DESCRIPTIONS[name]))
         return 0
-    profile = get_profile(args.profile)
     scenarios = None if args.scenario == "all" else [args.scenario]
-    if args.paper_smoke and "simthroughput" not in (scenarios
-                                                    or bench.SCENARIOS):
-        parser.error("--paper-smoke requires the simthroughput scenario")
-    result = bench.run(profile, seed=args.seed,
-                       trace_dir=args.trace_dir,
-                       bench_dir=args.bench_dir, scenarios=scenarios,
-                       paper_smoke=args.paper_smoke)
-    print(result.text)
-    for scenario_result in result.data:
-        ok = getattr(scenario_result, "paper_smoke_ok", True)
-        if not ok:
-            print("FAIL: paper-profile migration exceeded the "
-                  "%.0f s CI budget" % simthroughput.PAPER_SMOKE_BUDGET_S)
-            return 1
+    print(bench.run(get_profile(args.profile), seed=args.seed,
+                    trace_dir=args.trace_dir, bench_dir=args.bench_dir,
+                    scenarios=scenarios).text)
     return 0
 
 
-def chaos_main(argv=None) -> int:
-    """Entry point for ``python -m repro chaos``.
-
-    Runs one (or all) fault-injection scenarios from
-    :mod:`repro.experiments.chaos` and prints the outcome table.  With
-    ``$REPRO_TRACE_DIR`` set, each scenario exports its trace as
-    ``trace_chaos_<scenario>.jsonl`` for offline gating with
-    ``scripts/check_trace.py``.
+def _run_chaos(args: argparse.Namespace) -> int:
+    """``repro chaos``: one (or all) fault-injection scenarios from
+    :mod:`repro.experiments.chaos`, each exporting
+    ``trace_chaos_<scenario>.jsonl`` when a trace directory is set.
 
     With ``--soak`` it instead runs the long-horizon chaos soak from
     :mod:`repro.experiments.soak`: a multi-tenant fleet migrating in
@@ -163,40 +128,6 @@ def chaos_main(argv=None) -> int:
     lands as ``trace_chaos_soak.jsonl`` and the deterministic JSON soak
     report in ``--soak-dir``.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Run a TPC-W live migration under a seeded fault "
-                    "plan (crashes, outages, degradation, disk stalls), "
-                    "or a long multi-tenant soak with --soak.")
-    parser.add_argument("--scenario", default="all",
-                        choices=sorted(chaos.SCENARIOS) + ["all"],
-                        help="fault plan to run (default: all)")
-    parser.add_argument("--list-scenarios", action="store_true",
-                        help="list the fault scenarios with their "
-                             "one-line descriptions and exit")
-    parser.add_argument("--profile", default=None,
-                        choices=["paper", "quick", "smoke"],
-                        help="experiment scale (default: $REPRO_PROFILE "
-                             "or 'quick')")
-    parser.add_argument("--trace-dir", default=None,
-                        help="export each scenario's trace here "
-                             "(default: $REPRO_TRACE_DIR, or none)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the profile's root random seed")
-    parser.add_argument("--soak", action="store_true",
-                        help="run the failure-model chaos soak instead "
-                             "of the single-migration scenarios")
-    parser.add_argument("--hours", type=float, default=2.0,
-                        help="soak horizon in simulated hours "
-                             "(default: 2.0)")
-    parser.add_argument("--tenants", type=int, default=3,
-                        help="soak tenant count (default: 3)")
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="soak cluster size (default: 4)")
-    parser.add_argument("--soak-dir", default=None,
-                        help="write the deterministic SOAK_seed<N>.json "
-                             "report here (soak only)")
-    args = parser.parse_args(argv)
     if args.list_scenarios:
         for name in sorted(chaos.SCENARIOS):
             print("%-22s %s" % (name, chaos.DESCRIPTIONS[name]))
@@ -212,9 +143,7 @@ def chaos_main(argv=None) -> int:
         for path in result.artifacts:
             print("artifact: %s" % path)
         return 0 if result.data.ok else 1
-    if args.seed is not None:
-        from .experiments.common import seeded
-        profile = seeded(profile, args.seed)
+    profile = seeded(profile, args.seed)
     names = (sorted(chaos.SCENARIOS) if args.scenario == "all"
              else [args.scenario])
     outcomes = chaos.run_all(profile, names, trace_dir=args.trace_dir)
@@ -225,49 +154,14 @@ def chaos_main(argv=None) -> int:
     return 0
 
 
-def rebalance_main(argv=None) -> int:
-    """Entry point for ``python -m repro rebalance``.
-
-    Runs the continuous-rebalancer experiment from
-    :mod:`repro.experiments.rebalance`: a 100-tenant kv fleet under a
-    shifting-hotspot load schedule, kept balanced autonomously by the
-    :class:`repro.control.Rebalancer`.  Writes the deterministic
-    ``BENCH_rebalance.json`` (gated in CI by
-    ``scripts/check_bench.py``) and, with a trace directory, the
-    ``trace_rebalance.jsonl`` trace (gated by
-    ``scripts/check_trace.py``).
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro rebalance",
-        description="Continuous cluster rebalancing: a large kv fleet "
-                    "under a shifting hotspot, balanced autonomously "
-                    "by the cost-model-driven control plane.")
-    parser.add_argument("--profile", default=None,
-                        choices=["paper", "quick", "smoke"],
-                        help="experiment scale (default: $REPRO_PROFILE "
-                             "or 'quick')")
-    parser.add_argument("--tenants", type=int, default=100,
-                        help="fleet size (default: 100)")
-    parser.add_argument("--nodes", type=int, default=8,
-                        help="cluster size (default: 8)")
-    parser.add_argument("--phases", type=int, default=3,
-                        help="hotspot phases (default: 3)")
-    parser.add_argument("--phase-seconds", type=float,
-                        default=rebalance.PHASE_SECONDS,
-                        help="simulated seconds per phase (default: "
-                             "%.0f)" % rebalance.PHASE_SECONDS)
-    parser.add_argument("--bench-dir", default=None,
-                        help="write BENCH_rebalance.json here "
-                             "(default: none)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="export the run's trace here "
-                             "(default: $REPRO_TRACE_DIR, or none)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the profile's root random seed")
-    args = parser.parse_args(argv)
-    profile = get_profile(args.profile)
+def _run_rebalance(args: argparse.Namespace) -> int:
+    """``repro rebalance``: the continuous-rebalancer experiment from
+    :mod:`repro.experiments.rebalance`; writes the deterministic
+    ``BENCH_rebalance.json`` and, with a trace directory,
+    ``trace_rebalance.jsonl`` (both gated in CI by ``scripts/gate.py
+    rebalance``)."""
     result = rebalance.run_rebalance(
-        profile, seed=args.seed, tenants=args.tenants,
+        get_profile(args.profile), seed=args.seed, tenants=args.tenants,
         nodes=args.nodes, phases=args.phases,
         phase_seconds=args.phase_seconds,
         trace_dir=args.trace_dir, bench_dir=args.bench_dir)
@@ -277,30 +171,14 @@ def rebalance_main(argv=None) -> int:
     return 0 if result.data.ok else 1
 
 
-def trace_main(argv=None) -> int:
-    """Entry point for ``python -m repro trace``.
-
-    Parses one or more ``trace.jsonl`` files (the artifact every
-    instrumented migration emits; see ``repro.obs``) and renders the
-    phase timeline, the migration-phase table, the propagation-round
-    summary, and every exported metric.
-    """
+def _run_trace(args: argparse.Namespace) -> int:
+    """``repro trace``: render ``trace.jsonl`` files (the artifact every
+    instrumented migration emits; see ``repro.obs``) — the phase
+    timeline, the migration-phase table, the propagation-round summary,
+    and every exported metric."""
     from .obs import check_phase_order, read_trace
     from .obs.timeline import render_report
 
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Render a structured trace.jsonl: phase timeline, "
-                    "span summary, and metrics.")
-    parser.add_argument("trace", nargs="+",
-                        help="path(s) to trace.jsonl files emitted by "
-                             "an instrumented run (Testbed.export_trace "
-                             "or $REPRO_TRACE_DIR)")
-    parser.add_argument("--check-phases", action="store_true",
-                        help="exit nonzero unless every migration's "
-                             "phase spans are finished and ordered "
-                             "dump -> restore -> catch-up -> handover")
-    args = parser.parse_args(argv)
     status = 0
     for index, path in enumerate(args.trace):
         if index:
@@ -327,73 +205,121 @@ def trace_main(argv=None) -> int:
     return status
 
 
-def main(argv=None) -> int:
-    """Entry point for ``python -m repro``."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:])
-    if argv and argv[0] == "rebalance":
-        return rebalance_main(argv[1:])
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` command tree: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Madeus (SIGMOD 2015) reproduction: run any paper "
-                    "experiment, or inspect a trace with "
-                    "'repro trace FILE'.")
-    parser.add_argument("command",
-                        choices=sorted(COMMANDS) + ["list", "all"],
-                        help="experiment to run ('list' to enumerate, "
-                             "'all' for everything; see also the "
-                             "'trace', 'chaos', 'bench', and "
-                             "'rebalance' subcommands)")
-    parser.add_argument("--profile", default=None,
+                    "experiment, a chaos / bench / rebalance scenario, "
+                    "or inspect a trace ('repro list' enumerates).")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--profile", default=None,
                         choices=["paper", "quick", "smoke"],
                         help="experiment scale (default: $REPRO_PROFILE "
                              "or 'quick')")
-    parser.add_argument("--trace-dir", default=None,
-                        help="export per-migration traces here "
-                             "(default: $REPRO_TRACE_DIR, or none)")
-    parser.add_argument("--seed", type=int, default=None,
+    common.add_argument("--trace-dir", default=None,
+                        help="export traces here (default: "
+                             "$REPRO_TRACE_DIR, or none)")
+    common.add_argument("--seed", type=int, default=None,
                         help="override the profile's root random seed")
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        for name in sorted(COMMANDS):
-            print("%-12s %s" % (name, DESCRIPTIONS[name]))
-        print("%-12s %s" % ("trace",
-                            "render a trace.jsonl (phase timeline, "
-                            "spans, metrics)"))
-        print("%-12s %s" % ("chaos",
-                            "migration under injected faults (crash, "
-                            "outage, degradation, stall); --soak runs "
-                            "the failure-model soak"))
-        print("%-12s %s" % ("bench",
-                            "perf harness: serial vs pipelined vs "
-                            "watermark snapshots, parallel "
-                            "multi-tenant schedules, BENCH_*.json "
-                            "artifacts"))
-        print("%-12s %s" % ("rebalance",
-                            "continuous control plane: 100-tenant "
-                            "fleet under a shifting hotspot, balanced "
-                            "autonomously by the cost-model planner"))
+
+    listing = []
+
+    def add(name: str, handler: Callable, text: str,
+            **kwargs) -> argparse.ArgumentParser:
+        listing.append("%-12s %s" % (name, text))
+        sub = commands.add_parser(name, help=text, description=text,
+                                  **kwargs)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    for name in sorted(COMMANDS):
+        add(name, _run_experiment, DESCRIPTIONS[name], parents=[common])
+    add("all", _run_experiment, "every paper experiment, in order",
+        parents=[common])
+
+    def print_listing(args: argparse.Namespace) -> int:
+        print("\n".join(listing))
         return 0
-    profile = get_profile(args.profile)
-    if args.command == "all":
-        for name in ("table2", "table3", "fig5", "fig6", "fig7", "fig9",
-                     "multitenant", "costmodel"):
-            print("=" * 72)
-            print("== %s: %s" % (name, DESCRIPTIONS[name]))
-            print("=" * 72)
-            COMMANDS[name](profile, trace_dir=args.trace_dir,
-                           seed=args.seed)
-            print()
-        return 0
-    COMMANDS[args.command](profile, trace_dir=args.trace_dir,
-                           seed=args.seed)
-    return 0
+
+    add("list", print_listing, "enumerate the commands")
+
+    sub = add("trace", _run_trace,
+              "render a trace.jsonl (phase timeline, spans, metrics)")
+    sub.add_argument("trace", nargs="+",
+                     help="path(s) to trace.jsonl files emitted by an "
+                          "instrumented run (Testbed.export_trace or "
+                          "$REPRO_TRACE_DIR)")
+    sub.add_argument("--check-phases", action="store_true",
+                     help="exit nonzero unless every migration's phase "
+                          "spans are finished and ordered dump -> "
+                          "restore -> catch-up -> handover")
+
+    sub = add("chaos", _run_chaos,
+              "migration under injected faults (crash, outage, "
+              "degradation, stall); --soak runs the failure-model soak",
+              parents=[common])
+    sub.add_argument("--scenario", default="all",
+                     choices=sorted(chaos.SCENARIOS) + ["all"],
+                     help="fault plan to run (default: all)")
+    sub.add_argument("--list-scenarios", action="store_true",
+                     help="list the fault scenarios with their one-line "
+                          "descriptions and exit")
+    sub.add_argument("--soak", action="store_true",
+                     help="run the failure-model chaos soak instead of "
+                          "the single-migration scenarios")
+    sub.add_argument("--hours", type=float, default=2.0,
+                     help="soak horizon in simulated hours "
+                          "(default: 2.0)")
+    sub.add_argument("--tenants", type=int, default=3,
+                     help="soak tenant count (default: 3)")
+    sub.add_argument("--nodes", type=int, default=4,
+                     help="soak cluster size (default: 4)")
+    sub.add_argument("--soak-dir", default=None,
+                     help="write the deterministic SOAK_seed<N>.json "
+                          "report here (soak only)")
+
+    sub = add("bench", _run_bench,
+              "perf harness: serial vs pipelined vs watermark "
+              "snapshots, parallel multi-tenant schedules, router "
+              "downtime; BENCH_*.json artifacts", parents=[common])
+    sub.add_argument("--scenario", default="all",
+                     choices=sorted(bench.SCENARIOS)
+                     + sorted(bench.SCENARIO_ALIASES) + ["all"],
+                     help="bench scenario to run (default: all)")
+    sub.add_argument("--list-scenarios", action="store_true",
+                     help="list the bench scenarios with their one-line "
+                          "descriptions and exit")
+    sub.add_argument("--bench-dir", default=None,
+                     help="directory for BENCH_*.json (default: "
+                          "$REPRO_BENCH_DIR or benchmarks/results/bench)")
+
+    sub = add("rebalance", _run_rebalance,
+              "continuous control plane: 100-tenant fleet under a "
+              "shifting hotspot, balanced autonomously by the "
+              "cost-model planner", parents=[common])
+    sub.add_argument("--tenants", type=int, default=100,
+                     help="fleet size (default: 100)")
+    sub.add_argument("--nodes", type=int, default=8,
+                     help="cluster size (default: 8)")
+    sub.add_argument("--phases", type=int, default=3,
+                     help="hotspot phases (default: 3)")
+    sub.add_argument("--phase-seconds", type=float,
+                     default=rebalance.PHASE_SECONDS,
+                     help="simulated seconds per phase (default: %.0f)"
+                          % rebalance.PHASE_SECONDS)
+    sub.add_argument("--bench-dir", default=None,
+                     help="write BENCH_rebalance.json here "
+                          "(default: none)")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point for ``python -m repro``."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,8 @@ Four scenarios:
     once while the pipeline pays it per chunk, so the serial-vs-
     pipelined comparison there is the headline number; the watermark
     rows additionally expose the catch-up window, which the watermark
-    path bounds by chunk size instead of dump duration (gated by
-    ``scripts/check_bench.py --require-watermark``).  ``watermark`` is
+    path bounds by chunk size instead of dump duration (the
+    ``watermark`` key of ``scripts/gate.py``).  ``watermark`` is
     an alias for this scenario.  Each strategy runs on its own freshly
     seeded testbed, so the serial and pipelined figures are bit-stable
     against pre-watermark artifacts.
@@ -34,13 +34,6 @@ Four scenarios:
     tenants.  The fifo-policy improvement over serialized is the
     headline number.
 
-``simthroughput``
-    Real wall-clock substrate rates (kernel events/sec, parses/sec,
-    MVCC reads/sec, point selects/sec, and a whole migration's
-    events/sec) — see :mod:`repro.experiments.simthroughput`.  CI's
-    perf gate compares this artifact between a PR and its base commit
-    on the same runner.
-
 ``router``
     Measures what clients actually feel instead of migration
     wall-clock: a kv workload runs through the crashable
@@ -50,15 +43,14 @@ Four scenarios:
     stale-route bounces, reconnects) lands in the ``router.downtime``
     quantile histogram.  The artifact reports p50/p90/p99/max per
     strategy plus zero-loss safety counters; the headline gate is
-    relative — watermark p99 below serial p99 (``check_bench.py
-    --require-router``).
+    relative — watermark p99 below serial p99.
 
 Each scenario writes one ``BENCH_<scenario>.json`` file (see
-EXPERIMENTS.md for the schema).  Except for ``simthroughput`` (which
-honestly measures the host clock), values are *simulated* seconds from
-a seeded run, so the artifacts are exactly reproducible and safe to
-gate in CI — ``scripts/check_bench.py`` checks structure and relative
-ordering, never absolute timings.
+EXPERIMENTS.md for the schema).  Values are *simulated* seconds from a
+seeded run, so the artifacts are exactly reproducible and safe to gate
+in CI — ``scripts/gate.py bench <dir>`` checks structure and relative
+ordering, never absolute timings.  (The simulator's own host-clock
+speed is measured by ``benchmarks/perf``, not here.)
 """
 
 from __future__ import annotations
@@ -93,11 +85,6 @@ from .common import (
     write_json_artifact,
 )
 from .profiles import Profile, get_profile
-from .simthroughput import (
-    SimThroughputResult,
-    render as render_simthroughput,
-    run_scenario as run_simthroughput_scenario,
-)
 
 #: When set, ``run_benchmark`` writes its ``BENCH_*.json`` files here
 #: (mirrors the ``REPRO_TRACE_DIR`` convention for traces).
@@ -146,8 +133,7 @@ ROUTER_GAP = 2.0
 #: drain) spans enough sim time for requests to land inside it.
 ROUTER_RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
 
-SCENARIOS = ("pipeline", "policies", "multitenant_parallel",
-             "simthroughput", "router")
+SCENARIOS = ("pipeline", "policies", "multitenant_parallel", "router")
 
 #: Alternate scenario spellings accepted by ``run_benchmark`` and the
 #: CLI.  ``watermark`` names the same three-way run as ``pipeline``
@@ -164,8 +150,6 @@ SCENARIO_DESCRIPTIONS = {
     "multitenant_parallel": "N-tenant evacuation: serialized vs "
                             "scheduler-concurrent, per admission "
                             "policy",
-    "simthroughput": "DES substrate throughput gate (events/s, sim "
-                     "speedup)",
     "router": "per-request downtime histograms through the router "
               "tier, 25 migrations per snapshot strategy",
 }
@@ -643,15 +627,12 @@ def run_benchmark(profile: Optional[Profile] = None, *,
                   scenarios: Optional[Sequence[str]] = None,
                   seed: Optional[int] = None,
                   bench_dir: Optional[str] = None,
-                  trace_dir: Optional[str] = None,
-                  paper_smoke: bool = False
+                  trace_dir: Optional[str] = None
                   ) -> List[Any]:
     """Run the selected bench scenarios and write ``BENCH_*.json``.
 
     ``bench_dir`` falls back to ``$REPRO_BENCH_DIR``, then to
-    ``benchmarks/results/bench``.  ``paper_smoke`` only affects the
-    ``simthroughput`` scenario (it adds the timed paper-profile
-    migration).
+    ``benchmarks/results/bench``.
     """
     profile = seeded(profile or get_profile(), seed)
     directory = (bench_dir or os.environ.get(BENCH_DIR_ENV_VAR)
@@ -670,9 +651,6 @@ def run_benchmark(profile: Optional[Profile] = None, *,
         elif scenario == "multitenant_parallel":
             result = run_multitenant_parallel_scenario(
                 profile, trace_dir=trace_dir)
-        elif scenario == "simthroughput":
-            result = run_simthroughput_scenario(profile,
-                                                paper_smoke=paper_smoke)
         elif scenario == "router":
             result = run_router_scenario(profile, trace_dir=trace_dir)
         else:
@@ -688,14 +666,8 @@ def run_benchmark(profile: Optional[Profile] = None, *,
 def report(results: List[Any], profile: Profile) -> str:
     """The bench cases as a table, plus the headline comparisons."""
     rows = []
-    throughput_lines: List[str] = []
     router_lines: List[str] = []
     for result in results:
-        if isinstance(result, SimThroughputResult):
-            throughput_lines.extend(render_simthroughput(result))
-            if result.path is not None:
-                throughput_lines.append("artifact: %s" % result.path)
-            continue
         if isinstance(result, RouterBenchResult):
             router_rows = []
             for record in result.strategies:
@@ -748,7 +720,7 @@ def report(results: List[Any], profile: Profile) -> str:
             title="repro bench (profile=%s, seed=%d)"
                   % (profile.name, profile.seed)))
     for result in results:
-        if isinstance(result, (SimThroughputResult, RouterBenchResult)):
+        if isinstance(result, RouterBenchResult):
             continue
         for comparison in result.comparisons:
             if "size_mb" in comparison:
@@ -783,7 +755,6 @@ def report(results: List[Any], profile: Profile) -> str:
         if result.path is not None:
             lines.append("artifact: %s" % result.path)
     lines.extend(router_lines)
-    lines.extend(throughput_lines)
     return "\n".join(lines)
 
 
@@ -791,13 +762,11 @@ def run(profile: Optional[Profile] = None, *,
         seed: Optional[int] = None,
         trace_dir: Optional[str] = None,
         bench_dir: Optional[str] = None,
-        scenarios: Optional[Sequence[str]] = None,
-        paper_smoke: bool = False) -> Report:
+        scenarios: Optional[Sequence[str]] = None) -> Report:
     """Uniform entry point: run the bench, return the rendered table."""
     profile = seeded(profile or get_profile(), seed)
     results = run_benchmark(profile, scenarios=scenarios,
-                            bench_dir=bench_dir, trace_dir=trace_dir,
-                            paper_smoke=paper_smoke)
+                            bench_dir=bench_dir, trace_dir=trace_dir)
     artifacts = [r.path for r in results if r.path is not None]
     return Report(experiment="bench", profile=profile.name,
                   seed=profile.seed, text=report(results, profile),

@@ -18,12 +18,11 @@ migration ends:
 Every injected fault and every recovery action lands in the trace
 (``fault.injected``, ``migration.retry``, ``migration.standby_dropped``,
 ``migration.failover``), so a chaos run is fully auditable offline —
-``scripts/check_trace.py --expect-outcome ...`` gates exactly that in CI.
+``scripts/gate.py chaos <dir>`` gates exactly that in CI.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -31,13 +30,7 @@ from ..core.middleware import MigrationOptions, MigrationReport
 from ..errors import CatchUpTimeout, MigrationError
 from ..faults import FaultInjector, FaultPlan
 from ..metrics.report import format_table
-from .common import (
-    TRACE_DIR_ENV_VAR,
-    Report,
-    TenantSetup,
-    build_testbed,
-    seeded,
-)
+from .common import Report, TenantSetup, build_testbed, seeded
 from .profiles import Profile, get_profile
 
 #: Same warm-up rule as the Figure-6 harness.
@@ -285,26 +278,11 @@ def run_chaos(scenario: str,
         consistent=report.consistent if report is not None else None,
         gate_open=testbed.middleware.tenant_state("A").gate.is_open,
         plan=plan.to_dicts())
-    chaos.trace_path = _maybe_export(testbed, scenario, chaos,
-                                     trace_dir)
+    chaos.trace_path = testbed.export_trace_as(
+        "trace_chaos_%s.jsonl" % scenario,
+        {"tenant": "A", "scenario": scenario,
+         "chaos_outcome": chaos.outcome, "plan": chaos.plan})
     return chaos
-
-
-def _maybe_export(testbed: Any, scenario: str, chaos: ChaosOutcome,
-                  trace_dir: Optional[str] = None) -> Optional[str]:
-    """Export the run's trace when a trace directory is set."""
-    directory = trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "trace_chaos_%s.jsonl" % scenario)
-    testbed.export_trace(path, meta={
-        "tenant": "A",
-        "scenario": scenario,
-        "chaos_outcome": chaos.outcome,
-        "plan": chaos.plan,
-    })
-    return path
 
 
 def run_all(profile: Optional[Profile] = None,

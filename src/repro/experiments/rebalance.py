@@ -17,10 +17,10 @@ phase: it noticed the hotspot, drained it, and did not ping-pong
 anything (a cooldown audit and a per-key lost-commit audit run too).
 
 Everything lands in a deterministic ``BENCH_rebalance.json`` — same
-seed, byte-identical artifact — gated by ``scripts/check_bench.py``
-(imbalance must decrease; structural facts only, no absolute timings)
-and a trace with ``rebalance.decide/submit/settle`` markers gated by
-``scripts/check_trace.py``.
+seed, byte-identical artifact — and a trace with
+``rebalance.decide/submit/settle`` markers, both gated by
+``scripts/gate.py rebalance <dir>`` (imbalance must decrease;
+structural facts only, no absolute timings).
 """
 
 from __future__ import annotations

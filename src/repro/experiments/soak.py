@@ -32,8 +32,7 @@ Everything lands in the trace (``soak.wave`` / ``soak.summary`` events
 plus the usual migration and fault records) and in a deterministic
 JSON soak report: the artifact is byte-identical across two runs with
 the same seed, model, and dimensions (no wall-clock time is recorded).
-``scripts/check_trace.py --expect-resumed N --max-lost-commits 0``
-gates the exported trace in CI.
+``scripts/gate.py soak <dir>`` gates the exported trace in CI.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ theirs open), and bumps the ``faults.injected`` (and
 ``faults.injected.<kind>``) counters plus the ``faults.active`` gauge;
 recoveries mirror that with ``fault.recovered`` / ``faults.recovered``.
 That makes chaos runs auditable purely from the exported trace, which is
-what ``scripts/check_trace.py`` gates on in CI.
+what ``scripts/gate.py`` gates on in CI.
 
 Multi-fault plans: specs arm independently (overlap is the norm), and a
 spec with ``after=<name>`` waits on a trigger event the named fault

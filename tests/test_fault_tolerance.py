@@ -3,16 +3,13 @@ divergence handled inside ``Middleware.migrate`` (Section 4.2).
 
 These tests exercise the *automatic* recovery paths -- the manual
 ``fail_standby`` hook is covered in test_multislave.py -- plus the
-chaos experiment harness end to end, gated by scripts/check_trace.py
+chaos experiment harness end to end, gated by scripts/gate.py
 exactly as CI does it.
 """
 
-import argparse
-import importlib.util
-import os
-
 import pytest
 
+from _gate import gate, trace_failures
 from repro.cluster import Cluster
 from repro.core import (B_CON, MADEUS, Middleware, MiddlewareConfig,
                         MigrationOptions, states_equal)
@@ -588,23 +585,10 @@ class TestInjectorDrivenMigration:
         assert equal, diffs
 
 
-def _load_check_trace():
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "scripts", "check_trace.py")
-    spec = importlib.util.spec_from_file_location("check_trace", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _gate_args(**overrides):
-    base = dict(policy=None, min_rounds=None, min_players=None,
-                require_phase_order=False, expect_outcome=None,
-                min_fault_events=None, expect_standby_dropped=None,
-                expect_owner_count=None, min_overlapping_faults=None,
-                expect_resumed=None, max_lost_commits=None)
-    base.update(overrides)
-    return argparse.Namespace(**base)
+def _chaos_row(scenario):
+    """What ``scripts/gate.py`` expects of the scenario's trace."""
+    return next(row["expect"] for row in gate.GATES["chaos"]
+                if row["says"] == {"scenario": scenario})
 
 
 class TestChaosExperiment:
@@ -621,13 +605,8 @@ class TestChaosExperiment:
         assert outcome.standby_dropped == 1
         assert outcome.consistent is True
         assert outcome.trace_path is not None
-        check_trace = _load_check_trace()
-        _policy, failures, _skipped = check_trace.check_file(
-            outcome.trace_path,
-            _gate_args(expect_outcome="ok", min_fault_events=1,
-                       expect_standby_dropped=1,
-                       require_phase_order=True))
-        assert failures == []
+        assert trace_failures(outcome.trace_path,
+                              **_chaos_row("standby-crash")) == []
 
     def test_destination_crash_scenario_fails_over(self, trace_dir):
         from repro.experiments import chaos
@@ -636,15 +615,10 @@ class TestChaosExperiment:
         assert outcome.outcome == "failover"
         assert outcome.route == "node2"
         assert outcome.consistent is True
-        check_trace = _load_check_trace()
-        _policy, failures, _skipped = check_trace.check_file(
-            outcome.trace_path,
-            _gate_args(expect_outcome="failover", min_fault_events=1))
-        assert failures == []
+        assert trace_failures(outcome.trace_path,
+                              **_chaos_row("destination-crash")) == []
         # the same trace must NOT pass as a plain 'ok'
-        _policy, failures, _skipped = check_trace.check_file(
-            outcome.trace_path, _gate_args(expect_outcome="ok"))
-        assert failures
+        assert trace_failures(outcome.trace_path, outcome="ok")
 
     def test_unknown_scenario_rejected(self):
         from repro.experiments import chaos

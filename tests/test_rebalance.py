@@ -3,18 +3,18 @@
 One short seeded run is shared by the whole module (a 12-tenant /
 3-node fleet through two hotspot phases); the tests assert the control
 plane's structural invariants, the BENCH_rebalance.json schema,
-byte-determinism across same-seed runs, the ``check_bench.py`` /
-``check_trace.py`` gates, and the CLI wiring (including the
+byte-determinism across same-seed runs, the rebalance rows of
+``scripts/gate.py``, and the CLI wiring (including the
 ``--list-scenarios`` flags).
 """
 
-import argparse
-import importlib.util
 import json
 import os
+import shutil
 
 import pytest
 
+from _gate import gate, trace_failures
 from repro.cli import main as cli_main
 from repro.experiments import bench, chaos, rebalance
 from repro.experiments.profiles import get_profile
@@ -24,15 +24,6 @@ TENANTS = 12
 NODES = 3
 PHASES = 2
 PHASE_SECONDS = 60.0
-
-
-def _load_script(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "scripts", "%s.py" % name)
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run(directory):
@@ -164,61 +155,40 @@ class TestArtifacts:
 class TestGates:
     def test_check_bench_passes_the_artifact(self, rebalance_run,
                                              capsys):
-        check_bench = _load_script("check_bench")
-        rc = check_bench.main([rebalance_run.data.report_path])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        # the run wrote its trace and its BENCH_rebalance.json to one
+        # directory, so this gates both exactly as CI does
+        directory = os.path.dirname(rebalance_run.data.report_path)
+        assert gate.main(["rebalance", directory]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
 
-    def test_check_bench_fails_a_divergent_run(self, rebalance_run,
-                                               tmp_path):
-        check_bench = _load_script("check_bench")
+    def test_check_bench_fails_a_divergent_run(self, rebalance_run):
         with open(rebalance_run.data.report_path) as handle:
             record = json.load(handle)
         record["cases"][0]["imbalance_after"] = (
             record["cases"][0]["imbalance_before"] + 1.0)
         record["summary"]["lost_commits"] = 3
-        path = str(tmp_path / "BENCH_rebalance.json")
-        with open(path, "w") as handle:
-            json.dump(record, handle)
-        assert check_bench.main([path]) == 1
+        failures = gate.check_artifact(record, {})
+        assert any("imbalance did not decrease" in failure
+                   for failure in failures)
+        assert "summary.lost_commits = 3, expected 0" in failures
 
     def test_check_trace_gates_the_control_plane(self, rebalance_run,
-                                                 capsys):
-        check_trace = _load_script("check_trace")
-        rc = check_trace.main([
-            rebalance_run.data.trace_path,
-            "--min-event", "rebalance.decide:1",
-            "--min-event", "rebalance.submit:1",
-            "--min-event", "rebalance.settle:1",
-            "--require-all-migrations-ok",
-            "--expect-owner-count", "1",
-        ])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+                                                 tmp_path):
+        # without its trace the directory fails, naming the file
+        shutil.copy(rebalance_run.data.report_path, tmp_path)
+        lines, code = gate.run_gate("rebalance", str(tmp_path))
+        assert code == 1
+        assert "missing required artifact trace_rebalance.jsonl" in lines[0]
+        assert lines[1].startswith("PASS")
 
     def test_check_trace_min_event_floor_fails_when_unmet(
             self, rebalance_run):
-        check_trace = _load_script("check_trace")
-        rc = check_trace.main([
+        failures = trace_failures(
             rebalance_run.data.trace_path,
-            "--min-event", "rebalance.submit:100000",
-        ])
-        assert rc == 1
-
-    def test_check_trace_namespace_without_new_flags_still_works(
-            self, rebalance_run):
-        # Older callers build the args namespace by hand; the new
-        # flags must be optional for them (read via getattr).
-        check_trace = _load_script("check_trace")
-        args = argparse.Namespace(
-            policy=None, min_rounds=None, min_players=None,
-            require_phase_order=False, expect_outcome=None,
-            min_fault_events=None, expect_standby_dropped=None,
-            expect_owner_count=None, min_overlapping_faults=None,
-            expect_resumed=None, max_lost_commits=None)
-        _policy, failures, _skipped = check_trace.check_file(
-            rebalance_run.data.trace_path, args)
-        assert failures == []
+            min_events={"rebalance.submit": 100000})
+        assert len(failures) == 1
+        assert "rebalance.submit: %d record(s) < required 100000" % (
+            rebalance_run.data.moves_submitted) in failures[0]
 
 
 class TestCli:

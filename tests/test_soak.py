@@ -3,41 +3,21 @@
 One short seeded soak is shared by the whole module (it runs a full
 multi-tenant fleet for half a simulated hour); the tests then assert
 the structural invariants, the artifact schema, byte-determinism
-across same-seed runs, and the ``check_trace.py`` soak gate.
+across same-seed runs, and the soak row of ``scripts/gate.py``.
 """
 
-import argparse
-import importlib.util
 import json
 import os
 
 import pytest
 
+from _gate import corrupt_trace, gate, trace_failures
 from repro.cli import main as cli_main
 from repro.experiments import soak
 from repro.experiments.profiles import QUICK
 
 SEED = 7
 HOURS = 0.5
-
-
-def _load_check_trace():
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "scripts", "check_trace.py")
-    spec = importlib.util.spec_from_file_location("check_trace", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _gate_args(**overrides):
-    base = dict(policy=None, min_rounds=None, min_players=None,
-                require_phase_order=False, expect_outcome=None,
-                min_fault_events=None, expect_standby_dropped=None,
-                expect_owner_count=None, min_overlapping_faults=None,
-                expect_resumed=None, max_lost_commits=None)
-    base.update(overrides)
-    return argparse.Namespace(**base)
 
 
 @pytest.fixture(scope="module")
@@ -134,32 +114,37 @@ class TestArtifacts:
 
 def test_check_trace_phase_order_matches_the_tracer():
     from repro.obs.trace import PHASE_ORDER
-    assert _load_check_trace().PHASE_ORDER == PHASE_ORDER
+    assert gate.PHASE_ORDER == PHASE_ORDER
 
 
 class TestTraceGate:
+    EXPECT = gate.GATES["soak"][0]["expect"]
+
     def test_check_trace_soak_gate_passes(self, soak_run):
-        check_trace = _load_check_trace()
-        _policy, failures, _skipped = check_trace.check_file(
-            soak_run.data.trace_path,
-            _gate_args(expect_resumed=1, max_lost_commits=0,
-                       expect_owner_count=1, min_fault_events=1))
-        assert failures == []
+        assert trace_failures(soak_run.data.trace_path,
+                              **self.EXPECT) == []
 
-    def test_check_trace_flags_missing_resumes(self, soak_run):
-        check_trace = _load_check_trace()
-        _policy, failures, _skipped = check_trace.check_file(
-            soak_run.data.trace_path,
-            _gate_args(expect_resumed=9999))
-        assert failures
-        assert any("resume" in failure for failure in failures)
+    def test_check_trace_flags_missing_resumes(self, soak_run, tmp_path):
+        def unresumed(record):
+            if record.get("kind") == "migration":
+                record["attrs"]["resumed"] = False
+            return record
+        failures = trace_failures(
+            corrupt_trace(soak_run.data.trace_path, tmp_path / "t.jsonl",
+                          unresumed), **self.EXPECT)
+        assert failures == ["migrations completed via resume = 0 "
+                            "< required 3"]
 
-    def test_check_trace_flags_lost_commit_budget(self, soak_run):
-        check_trace = _load_check_trace()
-        _policy, failures, _skipped = check_trace.check_file(
-            soak_run.data.trace_path,
-            _gate_args(max_lost_commits=-1))
-        assert failures
+    def test_check_trace_flags_lost_commit_budget(self, soak_run,
+                                                  tmp_path):
+        def lose_one(record):
+            if record.get("name") == "soak.summary":
+                record["attrs"]["lost_commits"] = 1
+            return record
+        failures = trace_failures(
+            corrupt_trace(soak_run.data.trace_path, tmp_path / "t.jsonl",
+                          lose_one), **self.EXPECT)
+        assert failures == ["soak lost_commits = 1 > allowed 0"]
 
 
 class TestCli:
