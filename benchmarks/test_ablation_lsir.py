@@ -12,6 +12,7 @@
 import pytest
 
 from repro.cluster.node import NodeSpec
+from repro.core.middleware import MigrationReport
 from repro.core.policy import (B_ALL, B_CON, B_MIN, MADEUS,
                                PropagationPolicy)
 from repro.experiments import TenantSetup, build_testbed
@@ -28,12 +29,9 @@ def _migrate_with_group_commit(profile, group_commit):
         policy=MADEUS)
     # rebuild node1 without group commit by flipping the WAL flag
     testbed.node("node1").instance.wal.group_commit = group_commit
-    warmup = max(2.0, profile.duration(30.0))
-    testbed.run(until=warmup)
-    outcome = testbed.migrate_async("A", "node1")
-    cap = warmup + profile.catchup_deadline + profile.duration(600.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    return outcome.get("report")
+    testbed.warm_up(30.0)
+    report = testbed.migrate("A", "node1")
+    return report if isinstance(report, MigrationReport) else None
 
 
 def test_ablation_lsir_ingredients(benchmark, profile, publish):

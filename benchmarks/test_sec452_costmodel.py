@@ -22,12 +22,8 @@ def test_sec452_cost_model(benchmark, profile, publish):
     def measured_parameters():
         testbed = build_testbed(
             profile, [TenantSetup("A", "node0", paper_ebs=700)])
-        warmup = max(2.0, profile.duration(30.0))
-        testbed.run(until=warmup)
-        outcome = testbed.migrate_async("A", "node1")
-        cap = warmup + profile.catchup_deadline + profile.duration(300.0)
-        testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-        report = outcome["report"]
+        testbed.warm_up(30.0)
+        report = testbed.migrate("A", "node1")
         ops_per_txn = (report.operations_propagated
                        / max(1, report.syncsets_propagated))
         fsync = testbed.node("node1").instance.disk.spec.fsync_latency

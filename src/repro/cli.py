@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .experiments import get_profile
 from .experiments import (
@@ -56,29 +56,25 @@ def _print_table3(profile, trace_dir=None, seed=None) -> None:
     print(dbsize.report_table3(profile))
 
 
-COMMANDS: Dict[str, Callable] = {
-    "fig5": _print_run(preliminary.run),
-    "fig6": _print_run(migration_time.run),
-    "fig7": _print_run(performance.run),
-    "fig8": _print_run(performance.run),
-    "fig9": _print_run(dbsize.run),
-    "table2": _print_table2,
-    "table3": _print_table3,
-    "multitenant": _print_run(multitenant.run),
-    "costmodel": _print_run(costmodel.run),
-}
-
-DESCRIPTIONS: Dict[str, str] = {
-    "fig5": "response time vs EBs (the 2-second-rule banding)",
-    "fig6": "migration time of all four middlewares + Table 2",
-    "fig7": "response-time timeline during migration",
-    "fig8": "throughput timeline during migration",
-    "fig9": "migration time vs database size + Table 3",
-    "table2": "the middleware feature matrix",
-    "table3": "database size vs TPC-W scale parameters",
-    "multitenant": "the hot-spot cases (Figures 10-19, Section 5.6) "
-                   "plus the parallel light-tenant evacuation",
-    "costmodel": "the analytic LSIR cost model (Section 4.5.2)",
+#: name -> (one-line description, command): what ``repro list`` and
+#: each ``--help`` print and what the command runs.
+COMMANDS: Dict[str, Tuple[str, Callable]] = {
+    "fig5": ("response time vs EBs (the 2-second-rule banding)",
+             _print_run(preliminary.run)),
+    "fig6": ("migration time of all four middlewares + Table 2",
+             _print_run(migration_time.run)),
+    "fig7": ("response-time timeline during migration",
+             _print_run(performance.run)),
+    "fig8": ("throughput timeline during migration",
+             _print_run(performance.run)),
+    "fig9": ("migration time vs database size + Table 3",
+             _print_run(dbsize.run)),
+    "table2": ("the middleware feature matrix", _print_table2),
+    "table3": ("database size vs TPC-W scale parameters", _print_table3),
+    "multitenant": ("the hot-spot cases (Figures 10-19, Section 5.6)",
+                    _print_run(multitenant.run)),
+    "costmodel": ("the analytic LSIR cost model (Section 4.5.2)",
+                  _print_run(costmodel.run)),
 }
 
 
@@ -86,16 +82,24 @@ def _run_experiment(args: argparse.Namespace) -> int:
     """A paper experiment, or ``all`` of them in the paper's order."""
     profile = get_profile(args.profile)
     if args.command != "all":
-        COMMANDS[args.command](profile, trace_dir=args.trace_dir,
-                               seed=args.seed)
+        COMMANDS[args.command][1](profile, trace_dir=args.trace_dir,
+                                  seed=args.seed)
         return 0
     for name in ("table2", "table3", "fig5", "fig6", "fig7", "fig9",
                  "multitenant", "costmodel"):
+        description, command = COMMANDS[name]
         print("=" * 72)
-        print("== %s: %s" % (name, DESCRIPTIONS[name]))
+        print("== %s: %s" % (name, description))
         print("=" * 72)
-        COMMANDS[name](profile, trace_dir=args.trace_dir, seed=args.seed)
+        command(profile, trace_dir=args.trace_dir, seed=args.seed)
         print()
+    return 0
+
+
+def _list_scenarios(table: Dict[str, Tuple[str, Callable]]) -> int:
+    """``--list-scenarios``: a scenario table's names and descriptions."""
+    for name in sorted(table):
+        print("%-22s %s" % (name, table[name][0]))
     return 0
 
 
@@ -104,11 +108,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     :mod:`repro.experiments.bench`; writes one ``BENCH_<scenario>.json``
     per scenario (gated in CI by ``scripts/gate.py bench``)."""
     if args.list_scenarios:
-        for name in sorted(bench.SCENARIOS
-                           + tuple(bench.SCENARIO_ALIASES)):
-            print("%-22s %s" % (name,
-                                bench.SCENARIO_DESCRIPTIONS[name]))
-        return 0
+        return _list_scenarios(bench.SCENARIOS)
     scenarios = None if args.scenario == "all" else [args.scenario]
     print(bench.run(get_profile(args.profile), seed=args.seed,
                     trace_dir=args.trace_dir, bench_dir=args.bench_dir,
@@ -129,9 +129,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     report in ``--soak-dir``.
     """
     if args.list_scenarios:
-        for name in sorted(chaos.SCENARIOS):
-            print("%-22s %s" % (name, chaos.DESCRIPTIONS[name]))
-        return 0
+        return _list_scenarios(chaos.SCENARIOS)
     profile = get_profile(args.profile)
     if args.soak:
         result = soak.run_soak(profile, seed=args.seed,
@@ -144,9 +142,9 @@ def _run_chaos(args: argparse.Namespace) -> int:
             print("artifact: %s" % path)
         return 0 if result.data.ok else 1
     profile = seeded(profile, args.seed)
-    names = (sorted(chaos.SCENARIOS) if args.scenario == "all"
-             else [args.scenario])
-    outcomes = chaos.run_all(profile, names, trace_dir=args.trace_dir)
+    outcomes = chaos.run_all(
+        profile, None if args.scenario == "all" else [args.scenario],
+        trace_dir=args.trace_dir)
     print(chaos.report(outcomes, profile))
     for outcome in outcomes:
         if outcome.trace_path is not None:
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     for name in sorted(COMMANDS):
-        add(name, _run_experiment, DESCRIPTIONS[name], parents=[common])
+        add(name, _run_experiment, COMMANDS[name][0], parents=[common])
     add("all", _run_experiment, "every paper experiment, in order",
         parents=[common])
 
@@ -286,15 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
               "snapshots, parallel multi-tenant schedules, router "
               "downtime; BENCH_*.json artifacts", parents=[common])
     sub.add_argument("--scenario", default="all",
-                     choices=sorted(bench.SCENARIOS)
-                     + sorted(bench.SCENARIO_ALIASES) + ["all"],
+                     choices=sorted(bench.SCENARIOS) + ["all"],
                      help="bench scenario to run (default: all)")
     sub.add_argument("--list-scenarios", action="store_true",
                      help="list the bench scenarios with their one-line "
                           "descriptions and exit")
     sub.add_argument("--bench-dir", default=None,
                      help="directory for BENCH_*.json (default: "
-                          "$REPRO_BENCH_DIR or benchmarks/results/bench)")
+                          "benchmarks/results/bench)")
 
     sub = add("rebalance", _run_rebalance,
               "continuous control plane: 100-tenant fleet under a "

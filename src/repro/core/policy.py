@@ -51,10 +51,9 @@ class PropagationPolicy:
     #: Per-player mutex hand-off cost when commits are serialised while
     #: players run concurrently (B-CON only; seconds).  Every player in
     #: the pool competes for the pthread mutex at every commit time, so
-    #: each serial commit pays ``penalty * (player_pool - 1)``.
+    #: each serial commit pays ``penalty * (PLAYER_POOL - 1)``
+    #: (:data:`repro.core.propagation.PLAYER_POOL`).
     commit_mutex_penalty: float = 0.0
-    #: Size of the player thread pool competing for the commit mutex.
-    player_pool: int = 32
 
     def with_penalty(self, penalty: float) -> "PropagationPolicy":
         """A copy with a different commit-mutex penalty."""

@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.trace import Tracer
     from ..sim.core import Environment
 
+#: Size of the player thread pool competing for the commit mutex.
+PLAYER_POOL = 32
+
 _BEGIN = Begin()
 _COMMIT = Commit()
 
@@ -520,7 +523,7 @@ class Conductor(_BasePropagator):
                 # out); each hand-off costs a futex round per contender.
                 self.stats.commit_mutex_waits += 1
                 penalty = (self.policy.commit_mutex_penalty
-                           * max(0, self.policy.player_pool - 1))
+                           * (PLAYER_POOL - 1))
                 if penalty > 0:
                     yield self.env.timeout(penalty)
                 yield from self._commit_mutex.acquire()

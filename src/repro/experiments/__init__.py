@@ -18,11 +18,12 @@ module              reproduces
 ==================  =============================================
 
 Every module exposes a uniform ``run(profile, *, seed, trace_dir)``
-entry point returning a :class:`~repro.experiments.common.Report`.
-The kv-fleet scenarios (``bench``'s router scenario, ``soak``,
-``rebalance``) share one :class:`~repro.experiments.common.Testbed`
-builder, one client loop and one acknowledged-increment audit
-(:func:`repro.workload.simplekv.kv_client` /
+entry point returning a :class:`~repro.experiments.common.Report`
+(from the shell: ``python -m repro <command>``).  The TPC-W modules
+run their migrations through ``Testbed.migrate``; the kv-fleet
+scenarios (``bench``'s router scenario, ``soak``, ``rebalance``) share
+one ``Testbed`` builder, one client loop and acknowledged-increment
+audit (:func:`repro.workload.simplekv.run_kv_clients` /
 :func:`~repro.workload.simplekv.audit_kv_tenant`) and one artifact
 writer; each supplies only its fleet shape, load shape and report.
 """

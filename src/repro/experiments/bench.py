@@ -26,10 +26,11 @@ Four scenarios:
 
 ``multitenant_parallel``
     Four tenants of descending size evacuate node0 -> node1, once
-    serialized (one migration at a time, the paper's Section 5.5
-    shape) and once per :class:`~repro.core.scheduler.ScheduleOptions`
-    policy under the :class:`~repro.core.scheduler.MigrationScheduler`
-    — concurrent streams honestly split the shared link's bandwidth,
+    serialized (one migration at a time, back to back: the paper's
+    Section 5.5 shape) and once per
+    :class:`~repro.core.scheduler.ScheduleOptions` policy, all under
+    the :class:`~repro.core.scheduler.MigrationScheduler` —
+    concurrent streams honestly split the shared link's bandwidth,
     and the win comes from overlapping the restore-side work across
     tenants.  The fifo-policy improvement over serialized is the
     headline number.
@@ -68,27 +69,23 @@ from ..core.middleware import (
 from ..core.policy import ALL_POLICIES, MADEUS, PropagationPolicy
 from ..core.scheduler import ScheduleOptions
 from ..core.watermark import SnapshotStrategy
-from ..engine.dump import TransferRates, restore_duration
+from ..engine.dump import TransferRates
 from ..metrics.report import format_table
 from ..router import RouterFleet
-from ..sim.rand import StreamFactory
 from ..workload import simplekv
-from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
+from ..workload.simplekv import KvWorkloadConfig
 from .common import (
     Report,
     TenantSetup,
     Testbed,
     build_kv_testbed,
     build_testbed,
+    migrate_one_tenant,
     new_cluster,
     seeded,
     write_json_artifact,
 )
 from .profiles import Profile, get_profile
-
-#: When set, ``run_benchmark`` writes its ``BENCH_*.json`` files here
-#: (mirrors the ``REPRO_TRACE_DIR`` convention for traces).
-BENCH_DIR_ENV_VAR = "REPRO_BENCH_DIR"
 
 #: Default artifact directory (relative to the working directory).
 DEFAULT_BENCH_DIR = os.path.join("benchmarks", "results", "bench")
@@ -132,27 +129,6 @@ ROUTER_GAP = 2.0
 #: Deliberately modest rates so each migration (and its handover
 #: drain) spans enough sim time for requests to land inside it.
 ROUTER_RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
-
-SCENARIOS = ("pipeline", "policies", "multitenant_parallel", "router")
-
-#: Alternate scenario spellings accepted by ``run_benchmark`` and the
-#: CLI.  ``watermark`` names the same three-way run as ``pipeline``
-#: (both write ``BENCH_pipeline.json``); asking for both runs it once.
-SCENARIO_ALIASES = {"watermark": "pipeline"}
-
-#: One-line summaries for ``repro bench --list-scenarios``.
-SCENARIO_DESCRIPTIONS = {
-    "pipeline": "serial vs pipelined vs watermark snapshot shipping "
-                "across database sizes",
-    "watermark": "alias for the three-way pipeline scenario",
-    "policies": "migration time under each propagation policy at one "
-                "fixed load",
-    "multitenant_parallel": "N-tenant evacuation: serialized vs "
-                            "scheduler-concurrent, per admission "
-                            "policy",
-    "router": "per-request downtime histograms through the router "
-              "tier, 25 migrations per snapshot strategy",
-}
 
 
 @dataclass
@@ -265,34 +241,15 @@ def _run_migration(profile: Profile,
                    trace_dir: Optional[str] = None
                    ) -> Tuple[MigrationReport, float]:
     """One seeded migration; returns (report, tenant size in MB)."""
-    testbed = build_testbed(
-        profile,
-        [TenantSetup("A", "node0", paper_ebs=BENCH_PAPER_EBS)],
-        policy=policy, trace_dir=trace_dir)
-    tenant = testbed.node("node0").instance.tenant("A")
-    if size_mb is not None:
-        # Rescale the size *model* (not the row count) so dump/restore
-        # time what a database of size_mb would, while the identical
-        # seeded row data keeps serial-vs-pipelined runs comparable.
-        factor = size_mb / tenant.size_mb()
-        tenant.fixed_overhead_mb *= factor
-        tenant.size_multiplier *= factor
-    actual_mb = tenant.size_mb()
-    warmup = max(2.0, profile.duration(30.0))
-    testbed.run(until=warmup)
-    outcome = testbed.migrate_async(
-        "A", "node1", options=MigrationOptions(strategy=strategy))
-    transfer = (actual_mb / profile.rates.dump_mb_s
-                + restore_duration(actual_mb, profile.rates))
-    cap = (warmup + profile.catchup_deadline + profile.duration(60.0)
-           + 3.0 * transfer)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    report = outcome.get("report")
-    if report is None:
+    report, actual_mb = migrate_one_tenant(
+        profile, TenantSetup("A", "node0", paper_ebs=BENCH_PAPER_EBS),
+        warmup=30.0, policy=policy, size_mb=size_mb, strategy=strategy,
+        trace_dir=trace_dir)
+    if not isinstance(report, MigrationReport):
         raise RuntimeError(
             "bench migration did not complete (policy=%s, size=%.0f MB, "
             "strategy=%s): %s" % (policy.name, actual_mb, strategy,
-                                  outcome.get("timeout")))
+                                  report))
     return report, actual_mb
 
 
@@ -313,21 +270,15 @@ def run_pipeline_scenario(profile: Profile,
                                  seed=profile.seed)
     for factor in size_factors:
         size_mb = profile.rates.base_mb * factor
-        serial, actual_mb = _run_migration(
-            profile, size_mb=size_mb, strategy=SnapshotStrategy.SERIAL,
-            trace_dir=trace_dir)
-        piped, _ = _run_migration(
-            profile, size_mb=size_mb,
-            strategy=SnapshotStrategy.PIPELINED, trace_dir=trace_dir)
-        watermark, _ = _run_migration(
-            profile, size_mb=size_mb,
-            strategy=SnapshotStrategy.WATERMARK, trace_dir=trace_dir)
-        result.cases.append(
-            _case_from_report("pipeline", serial, actual_mb))
-        result.cases.append(
-            _case_from_report("pipeline", piped, actual_mb))
-        result.cases.append(
-            _case_from_report("pipeline", watermark, actual_mb))
+        reports = []
+        for strategy in SnapshotStrategy:
+            report, actual_mb = _run_migration(
+                profile, size_mb=size_mb, strategy=strategy,
+                trace_dir=trace_dir)
+            result.cases.append(
+                _case_from_report("pipeline", report, actual_mb))
+            reports.append(report)
+        serial, piped, watermark = reports
         improvement = ((serial.migration_time - piped.migration_time)
                        / serial.migration_time)
         result.comparisons.append({
@@ -368,28 +319,16 @@ def run_policies_scenario(profile: Profile,
 def _build_parallel_testbed(profile: Profile,
                             trace_dir: Optional[str]
                             ) -> Tuple[Testbed, List[str]]:
-    """Four tenants of descending size on node0, ready to evacuate."""
+    """Four tenants of descending size on node0, warmed up and ready
+    to evacuate."""
     setups = [TenantSetup("T%d" % (index + 1), "node0",
                           paper_ebs=PARALLEL_PAPER_EBS)
               for index in range(len(PARALLEL_SIZE_FACTORS))]
     testbed = build_testbed(profile, setups, trace_dir=trace_dir)
     for setup, factor in zip(setups, PARALLEL_SIZE_FACTORS):
-        tenant = testbed.node("node0").instance.tenant(setup.name)
-        # Same size-model rescale as _run_migration: identical seeded
-        # rows across modes, only the rate model sees the target size.
-        scale = (profile.rates.base_mb * factor) / tenant.size_mb()
-        tenant.fixed_overhead_mb *= scale
-        tenant.size_multiplier *= scale
+        testbed.resize(setup.name, profile.rates.base_mb * factor)
+    testbed.warm_up(30.0)
     return testbed, [setup.name for setup in setups]
-
-
-def _parallel_run_cap(profile: Profile, warmup: float) -> float:
-    """Generous sim-time budget for one evacuation run."""
-    total_mb = profile.rates.base_mb * sum(PARALLEL_SIZE_FACTORS)
-    transfer = (total_mb / profile.rates.dump_mb_s
-                + restore_duration(total_mb, profile.rates))
-    return (warmup + profile.catchup_deadline + profile.duration(60.0)
-            + 3.0 * transfer)
 
 
 def run_multitenant_parallel_scenario(profile: Profile,
@@ -400,54 +339,34 @@ def run_multitenant_parallel_scenario(profile: Profile,
                                  profile=profile.name,
                                  seed=profile.seed)
 
-    def finished_reports(mode: str,
-                         reports: List[MigrationReport]) -> None:
-        for report in reports:
-            case = _case_from_report("multitenant_parallel", report,
-                                     report.snapshot_size_mb)
-            case.tenant = report.tenant
+    def evacuate(policy: str, max_concurrent: int, mode: str) -> Any:
+        testbed, names = _build_parallel_testbed(profile, trace_dir)
+        schedule = testbed.schedule(
+            [(name, "node1") for name in names],
+            ScheduleOptions(policy=policy, max_concurrent=max_concurrent))
+        if schedule.ok_count != len(names):
+            raise RuntimeError(
+                "evacuation (%s) did not finish cleanly: %r"
+                % (mode, [(job.tenant, job.outcome, job.error)
+                          for job in schedule.jobs]))
+        for job in schedule.jobs:
+            case = _case_from_report("multitenant_parallel", job.report,
+                                     job.report.snapshot_size_mb)
+            case.tenant = job.tenant
             case.mode = mode
             result.cases.append(case)
+        return schedule
 
-    # --- serialized baseline: one migration at a time ----------------
-    testbed, names = _build_parallel_testbed(profile, trace_dir)
-    warmup = max(2.0, profile.duration(30.0))
-    cap = _parallel_run_cap(profile, warmup)
-    testbed.run(until=warmup)
-    serial_start = testbed.env.now
-    reports: List[MigrationReport] = []
-    for name in names:
-        outcome = testbed.migrate_async(name, "node1")
-        testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-        report = outcome.get("report")
-        if report is None:
-            raise RuntimeError(
-                "serialized evacuation stalled on tenant %s: %s"
-                % (name, outcome.get("timeout")))
-        reports.append(report)
-    serial_wall = testbed.env.now - serial_start
-    finished_reports("serialized", reports)
-
-    # --- concurrent: the scheduler, per admission configuration ------
+    # The serialized baseline is the other end of the one parameter
+    # the concurrent runs vary: admitted one at a time, each migration
+    # starts the instant the previous one ends, so the span is exactly
+    # the migrations' sum (which ``scripts/gate.py`` checks).
+    serial_wall = evacuate("fifo", 1, "serialized").wall_clock
     for policy, max_concurrent in PARALLEL_SCHEDULES:
-        testbed, names = _build_parallel_testbed(profile, trace_dir)
-        testbed.run(until=warmup)
-        outcome = testbed.schedule_async(
-            [(name, "node1") for name in names],
-            ScheduleOptions(policy=policy,
-                            max_concurrent=max_concurrent))
-        testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-        schedule = outcome.get("report")
-        if schedule is None or schedule.ok_count != len(names):
-            raise RuntimeError(
-                "concurrent evacuation (%s) did not finish cleanly: %r"
-                % (policy, schedule and [(job.tenant, job.outcome,
-                                          job.error)
-                                         for job in schedule.jobs]))
         mode = "concurrent:%s" % policy
         if max_concurrent:
             mode += ":cap%d" % max_concurrent
-        finished_reports(mode, [job.report for job in schedule.jobs])
+        schedule = evacuate(policy, max_concurrent, mode)
         improvement = (serial_wall - schedule.wall_clock) / serial_wall
         result.comparisons.append({
             "policy": policy,
@@ -508,17 +427,13 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
     # until the mover finishes, then quiesce cleanly (never frozen
     # mid-transaction, so the ack ledger stays exact).
     stop = {"flag": False}
-    workload = KvWorkloadResult()
     config = KvWorkloadConfig(keys=ROUTER_KEYS, clients=ROUTER_CLIENTS,
                               think_time=ROUTER_THINK_TIME)
-    streams = StreamFactory(profile.seed)
-    clients = [
-        env.process(
-            simplekv.kv_client(env, fleet, "A",
-                               streams.stream("bench-router-%d" % i),
-                               config, workload, lambda: stop["flag"]),
-            name="bench.router.kv.%d" % i)
-        for i in range(ROUTER_CLIENTS)]
+    clients: List[Any] = []
+    workload = simplekv.run_kv_clients(
+        env, fleet, "A", config, profile.seed,
+        stop=lambda: stop["flag"], stream="bench-router-{}",
+        process="bench.router.kv.{}", spawned=clients)
     counts = {"ok": 0, "failed": 0}
 
     def mover() -> Any:
@@ -623,42 +538,50 @@ def run_router_scenario(profile: Profile,
     return result
 
 
+#: name -> (one-line description, runner): what ``repro bench
+#: --list-scenarios`` prints and what :func:`run_benchmark` runs, in
+#: this order.  ``watermark`` names the same three-way run as
+#: ``pipeline`` (both write ``BENCH_pipeline.json``); asking for both
+#: runs it once.
+SCENARIOS = {
+    "pipeline": ("serial vs pipelined vs watermark snapshot shipping "
+                 "across database sizes", run_pipeline_scenario),
+    "policies": ("migration time under each propagation policy at one "
+                 "fixed load", run_policies_scenario),
+    "multitenant_parallel": (
+        "N-tenant evacuation: serialized vs scheduler-concurrent, per "
+        "admission policy", run_multitenant_parallel_scenario),
+    "router": ("per-request downtime histograms through the router "
+               "tier, 25 migrations per snapshot strategy",
+               run_router_scenario),
+    "watermark": ("alias for the three-way pipeline scenario",
+                  run_pipeline_scenario),
+}
+
+
 def run_benchmark(profile: Optional[Profile] = None, *,
                   scenarios: Optional[Sequence[str]] = None,
                   seed: Optional[int] = None,
                   bench_dir: Optional[str] = None,
                   trace_dir: Optional[str] = None
                   ) -> List[Any]:
-    """Run the selected bench scenarios and write ``BENCH_*.json``.
-
-    ``bench_dir`` falls back to ``$REPRO_BENCH_DIR``, then to
-    ``benchmarks/results/bench``.
-    """
+    """Run the selected bench scenarios and write ``BENCH_*.json``
+    under ``bench_dir`` (default ``benchmarks/results/bench``)."""
     profile = seeded(profile or get_profile(), seed)
-    directory = (bench_dir or os.environ.get(BENCH_DIR_ENV_VAR)
-                 or DEFAULT_BENCH_DIR)
-    results: List[Any] = []
-    requested: List[str] = []
+    runners: List[Any] = []
     for scenario in (scenarios or SCENARIOS):
-        scenario = SCENARIO_ALIASES.get(scenario, scenario)
-        if scenario not in requested:
-            requested.append(scenario)
-    for scenario in requested:
-        if scenario == "pipeline":
-            result = run_pipeline_scenario(profile, trace_dir=trace_dir)
-        elif scenario == "policies":
-            result = run_policies_scenario(profile, trace_dir=trace_dir)
-        elif scenario == "multitenant_parallel":
-            result = run_multitenant_parallel_scenario(
-                profile, trace_dir=trace_dir)
-        elif scenario == "router":
-            result = run_router_scenario(profile, trace_dir=trace_dir)
-        else:
+        if scenario not in SCENARIOS:
             raise ValueError("unknown bench scenario %r (one of %s)"
                              % (scenario, ", ".join(SCENARIOS)))
+        runner = SCENARIOS[scenario][1]
+        if runner not in runners:
+            runners.append(runner)
+    results: List[Any] = []
+    for runner in runners:
+        result = runner(profile, trace_dir=trace_dir)
         result.path = write_json_artifact(
-            directory, "BENCH_%s.json" % result.scenario,
-            result.to_dict())
+            bench_dir or DEFAULT_BENCH_DIR,
+            "BENCH_%s.json" % result.scenario, result.to_dict())
         results.append(result)
     return results
 
@@ -771,12 +694,3 @@ def run(profile: Optional[Profile] = None, *,
     return Report(experiment="bench", profile=profile.name,
                   seed=profile.seed, text=report(results, profile),
                   data=results, artifacts=artifacts)
-
-
-def main() -> None:
-    """Run every scenario at the default profile and print the table."""
-    print(run().text)
-
-
-if __name__ == "__main__":
-    main()

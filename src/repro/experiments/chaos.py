@@ -24,17 +24,14 @@ Every injected fault and every recovery action lands in the trace
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.middleware import MigrationOptions, MigrationReport
-from ..errors import CatchUpTimeout, MigrationError
 from ..faults import FaultInjector, FaultPlan
 from ..metrics.report import format_table
 from .common import Report, TenantSetup, build_testbed, seeded
+from .migration_time import WARMUP_SECONDS
 from .profiles import Profile, get_profile
-
-#: Same warm-up rule as the Figure-6 harness.
-WARMUP_SECONDS = 30.0
 
 
 def _plan_standby_crash(profile: Profile) -> Tuple[FaultPlan, List[str]]:
@@ -170,35 +167,33 @@ def _plan_baseline(profile: Profile) -> Tuple[FaultPlan, List[str]]:
     return FaultPlan(), []
 
 
+#: name -> (one-line description, fault-plan builder): what ``repro
+#: chaos --list-scenarios`` prints and what :func:`run_chaos` runs.
 SCENARIOS = {
-    "baseline": _plan_baseline,
-    "standby-crash": _plan_standby_crash,
-    "destination-crash": _plan_destination_crash,
-    "flaky-network": _plan_flaky_network,
-    "disk-stall": _plan_disk_stall,
-    "source-crash-dump": _plan_source_crash_dump,
-    "source-crash-catchup": _plan_source_crash_catchup,
-    "source-crash-handover": _plan_source_crash_handover,
-    "storm-ship": _plan_storm_ship,
-    "crash-on-recovery": _plan_crash_on_recovery,
-    "degrade-storm": _plan_degrade_storm,
-}
-
-DESCRIPTIONS = {
-    "baseline": "no faults (control)",
-    "standby-crash": "standby node crashes mid-catch-up -> dropped",
-    "destination-crash": "destination crashes mid-catch-up -> failover",
-    "flaky-network": "link outage during snapshot ship -> retries",
-    "disk-stall": "destination disk stalls during catch-up -> slowdown",
-    "source-crash-dump": "master crashes while dumping -> abort (4.2)",
-    "source-crash-catchup": "master crashes mid-catch-up -> abort (4.2)",
-    "source-crash-handover":
+    "baseline": ("no faults (control)", _plan_baseline),
+    "standby-crash": ("standby node crashes mid-catch-up -> dropped",
+                      _plan_standby_crash),
+    "destination-crash": ("destination crashes mid-catch-up -> failover",
+                          _plan_destination_crash),
+    "flaky-network": ("link outage during snapshot ship -> retries",
+                      _plan_flaky_network),
+    "disk-stall": ("destination disk stalls during catch-up -> slowdown",
+                   _plan_disk_stall),
+    "source-crash-dump": ("master crashes while dumping -> abort (4.2)",
+                          _plan_source_crash_dump),
+    "source-crash-catchup": ("master crashes mid-catch-up -> abort (4.2)",
+                             _plan_source_crash_catchup),
+    "source-crash-handover": (
         "master crashes inside handover -> one owner either way",
-    "storm-ship": "link outage + standby crash overlap -> ok, dropped",
-    "crash-on-recovery":
+        _plan_source_crash_handover),
+    "storm-ship": ("link outage + standby crash overlap -> ok, dropped",
+                   _plan_storm_ship),
+    "crash-on-recovery": (
         "destination dies as the outage heals -> failover",
-    "degrade-storm":
+        _plan_crash_on_recovery),
+    "degrade-storm": (
         "latency+bandwidth collapse + standby crash -> ok, dropped",
+        _plan_degrade_storm),
 }
 
 
@@ -226,11 +221,10 @@ def run_chaos(scenario: str,
               trace_dir: Optional[str] = None) -> ChaosOutcome:
     """Run one chaos scenario; deterministic under the profile's seed."""
     profile = profile or get_profile()
-    builder = SCENARIOS.get(scenario)
-    if builder is None:
+    if scenario not in SCENARIOS:
         raise ValueError("unknown chaos scenario %r (one of %s)"
                          % (scenario, ", ".join(sorted(SCENARIOS))))
-    plan, standbys = builder(profile)
+    plan, standbys = SCENARIOS[scenario][1](profile)
     testbed = build_testbed(
         profile, [TenantSetup("A", "node0", paper_ebs=100)],
         nodes=["node0", "node1", "node2"], trace_dir=trace_dir)
@@ -238,27 +232,20 @@ def run_chaos(scenario: str,
                              tracer=testbed.tracer,
                              metrics=testbed.observability,
                              seed=profile.seed)
-    warmup = max(2.0, WARMUP_SECONDS * profile.time_scale * 8)
-    testbed.run(until=warmup)
+    testbed.warm_up(WARMUP_SECONDS)
     injector.start()
-    result: Dict[str, Any] = {}
-
-    def runner() -> Generator:
-        try:
-            report = yield from testbed.middleware.migrate(
-                "A", "node1", MigrationOptions(
-                    rates=profile.rates, standbys=tuple(standbys)))
-            result["report"] = report
-        except (CatchUpTimeout, MigrationError) as exc:
-            result["error"] = exc
-        result["done"] = True
-
-    testbed.env.process(runner(), name="chaos-migrate-A")
-    cap = warmup + (profile.catchup_deadline or 1000.0) \
-        + profile.duration(300.0)
-    testbed.run_until(lambda: "done" in result, step=1.0, cap=cap)
-    report = result.get("report")
-    error = result.get("error")
+    # A chaos run is one trace, written below once the outcome is
+    # known: taking the directory off the testbed meanwhile keeps the
+    # migration from exporting a per-migration trace beside it.
+    directory, testbed.trace_dir = testbed.trace_dir, None
+    try:
+        ended = testbed.migrate(
+            "A", "node1", MigrationOptions(rates=profile.rates,
+                                           standbys=tuple(standbys)),
+            step=1.0)
+    finally:
+        testbed.trace_dir = directory
+    report = ended if isinstance(ended, MigrationReport) else None
     if report is not None:
         outcome = "failover" if report.failovers else "ok"
     else:
@@ -268,7 +255,7 @@ def run_chaos(scenario: str,
         scenario=scenario,
         outcome=outcome,
         route=testbed.middleware.route("A"),
-        error=str(error) if error is not None else None,
+        error=str(ended) if report is None else None,
         report=report,
         faults_injected=int(registry.counter("faults.injected").value),
         retries=int(registry.counter("migration.retries").value),
@@ -324,14 +311,3 @@ def report(outcomes: List[ChaosOutcome], profile: Profile) -> str:
         rows,
         title="Chaos - migration under injected faults (profile=%s)"
               % profile.name)
-
-
-def main() -> None:
-    """Run every chaos scenario at the default profile."""
-    profile = get_profile()
-    outcomes = run_all(profile)
-    print(report(outcomes, profile))
-
-
-if __name__ == "__main__":
-    main()

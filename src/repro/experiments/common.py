@@ -8,6 +8,12 @@ tenants and emulated-browser populations to it
 chaos soak, rebalance) get the same :class:`Testbed` from
 :func:`build_kv_testbed` and write their JSON artifacts through
 :func:`write_json_artifact`.
+
+The paper's evaluation is one procedure run many times — warm a tenant
+up, order a migration, wait, read the report — so the harness says it
+once: :meth:`Testbed.migrate` / :meth:`Testbed.schedule`,
+:func:`migrate_one_tenant` (Figures 6 and 9, the bench) and
+:class:`WindowStats` (Figures 7-8 and 10-19).
 """
 
 from __future__ import annotations
@@ -17,7 +23,17 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..cluster.cluster import Cluster
 from ..cluster.node import NodeSpec
@@ -28,9 +44,15 @@ from ..core.middleware import (
     MigrationReport,
 )
 from ..core.policy import MADEUS, PropagationPolicy
-from ..core.scheduler import MigrationScheduler, ScheduleOptions
+from ..core.scheduler import (
+    MigrationScheduler,
+    ScheduleOptions,
+    ScheduleReport,
+)
+from ..core.watermark import SnapshotStrategy
 from ..engine.checkpoint import CheckpointSpec
-from ..errors import CatchUpTimeout
+from ..engine.dump import restore_duration
+from ..errors import CatchUpTimeout, MigrationError
 from ..obs.export import write_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
@@ -47,9 +69,8 @@ from ..workload.tpcw import (
 )
 from .profiles import Profile
 
-#: When set, every migration run through :meth:`Testbed.migrate_async`
-#: exports its trace into this directory (the CI bench-smoke artifact
-#: convention; see EXPERIMENTS.md).
+#: Where a :class:`Testbed` built without a ``trace_dir`` exports its
+#: traces (the CI artifact convention; see EXPERIMENTS.md).
 TRACE_DIR_ENV_VAR = "REPRO_TRACE_DIR"
 
 #: Monotonic sequence number keeping artifact names unique per process.
@@ -96,6 +117,35 @@ class TenantSetup:
 
 
 @dataclass
+class WindowStats:
+    """One tenant's mean response time and throughput before, during
+    and after a migration window, plus both series over the whole run."""
+
+    rt_before: float
+    rt_during: float
+    rt_after: float
+    tput_before: float
+    tput_during: float
+    tput_after: float
+    response_series: List[Tuple[float, float]]
+    throughput_series: List[Tuple[float, float]]
+
+    @classmethod
+    def measure(cls, metrics: TenantMetrics, warm: float, start: float,
+                end: float, final: float, width: float,
+                **extra: Any) -> "WindowStats":
+        """Read ``metrics`` over ``[warm, start)``, ``[start, end)`` and
+        ``[end, final)``, and bucket ``[0, final)`` at ``width``;
+        ``extra`` fills a subclass's own fields."""
+        rt, done = metrics.response_times, metrics.completions
+        return cls(rt.mean(warm, start), rt.mean(start, end),
+                   rt.mean(end, final), done.rate(warm, start),
+                   done.rate(start, end), done.rate(end, final),
+                   rt.bucketed_mean(width, 0.0, final),
+                   done.bucketed_rate(width, 0.0, final), **extra)
+
+
+@dataclass
 class Testbed:
     """A fully assembled simulation: cluster, middleware, tenants, load."""
 
@@ -105,13 +155,31 @@ class Testbed:
     profile: Profile
     metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
     contexts: Dict[str, TpcwContext] = field(default_factory=dict)
-    #: Where :meth:`migrate_async` exports trace artifacts; ``None``
-    #: falls back to the ``$REPRO_TRACE_DIR`` environment variable.
+    #: Where traces are exported; a testbed built with ``None`` takes
+    #: ``$REPRO_TRACE_DIR``, and with neither set exports nothing.
     trace_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        self.trace_dir = (self.trace_dir
+                          or os.environ.get(TRACE_DIR_ENV_VAR))
 
     def node(self, name: str):
         """Shorthand for a cluster node."""
         return self.cluster.node(name)
+
+    def tenant_db(self, tenant: str):
+        """``tenant``'s database on the node that serves it now."""
+        return self.node(self.middleware.route(tenant)).instance.tenant(
+            tenant)
+
+    def resize(self, tenant: str, size_mb: float) -> None:
+        """Make dump and restore time ``tenant`` as a ``size_mb``
+        database: the size *model* is rescaled, not the row count, so
+        runs that differ only in size replay identical seeded rows."""
+        database = self.tenant_db(tenant)
+        factor = size_mb / database.size_mb()
+        database.fixed_overhead_mb *= factor
+        database.size_multiplier *= factor
 
     @property
     def tracer(self) -> Tracer:
@@ -149,19 +217,18 @@ class Testbed:
     def export_trace_as(self, name: str,
                         meta: Optional[Dict[str, Any]] = None
                         ) -> Optional[str]:
-        """Export the trace as ``name`` under :attr:`trace_dir`, else
-        under ``$REPRO_TRACE_DIR``; ``None`` when neither is set."""
-        directory = self.trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)
-        if not directory:
+        """Export the trace as ``name`` under :attr:`trace_dir`;
+        ``None`` when there is none."""
+        if not self.trace_dir:
             return None
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, name)
+        os.makedirs(self.trace_dir, exist_ok=True)
+        path = os.path.join(self.trace_dir, name)
         self.export_trace(path, meta)
         return path
 
     def _maybe_export_trace(self, tenant: str) -> Optional[str]:
         """Export a per-migration trace when a trace directory is set."""
-        if not (self.trace_dir or os.environ.get(TRACE_DIR_ENV_VAR)):
+        if not self.trace_dir:
             return None     # and leave the sequence number unused
         return self.export_trace_as(
             "trace_%03d_%s_%s.jsonl"
@@ -172,6 +239,11 @@ class Testbed:
     def run(self, until: float) -> None:
         """Advance the simulation to ``until``."""
         self.env.run(until=until)
+
+    def warm_up(self, paper_seconds: float) -> None:
+        """Let the load run for ``paper_seconds`` of the paper's
+        timeline (profile-scaled, at least 2 simulated seconds)."""
+        self.run(until=max(2.0, self.profile.duration(paper_seconds)))
 
     def run_until(self, condition: Callable[[], bool], step: float = 10.0,
                   cap: float = 100000.0) -> None:
@@ -185,11 +257,13 @@ class Testbed:
         """Launch a migration; returns a dict later holding the outcome.
 
         The returned dict gains ``report`` (a
-        :class:`~repro.core.middleware.MigrationReport`) on success or
+        :class:`~repro.core.middleware.MigrationReport`) on success,
         ``timeout`` (a :class:`~repro.errors.CatchUpTimeout`) when the
-        slave diverges, plus ``done`` either way.  ``options`` defaults
-        to the profile's transfer rates; an explicit options object
-        without rates inherits them too.
+        slave diverges or ``error`` (any other
+        :class:`~repro.errors.MigrationError`), plus ``done`` in every
+        case.  ``options`` defaults to the profile's transfer rates; an
+        explicit options object without rates inherits them too.
+        :meth:`migrate` is the blocking form.
         """
         if options is None:
             options = MigrationOptions(rates=self.profile.rates)
@@ -204,12 +278,60 @@ class Testbed:
                 outcome["report"] = report
             except CatchUpTimeout as exc:
                 outcome["timeout"] = exc
+            except MigrationError as exc:
+                outcome["error"] = exc
             outcome["done"] = True
             trace_path = self._maybe_export_trace(tenant)
             if trace_path is not None:
                 outcome["trace_path"] = trace_path
         self.env.process(runner(), name="migrate-%s" % tenant)
         return outcome
+
+    def _patience(self, tenants: List[str]) -> float:
+        """How long the harness waits for a migration of ``tenants``, in
+        simulated seconds: the catch-up deadline, ten minutes of the
+        paper's timeline (the widest slack any experiment used to
+        spell) and three times the closed-form dump + restore estimate
+        for their summed size.  A watchdog: every migration that ends,
+        ends well inside it."""
+        rates = self.profile.rates
+        size_mb = sum(self.tenant_db(tenant).size_mb()
+                      for tenant in tenants)
+        return (self.profile.catchup_deadline
+                + self.profile.duration(600.0)
+                + 3.0 * (size_mb / rates.dump_mb_s
+                         + restore_duration(size_mb, rates)))
+
+    def _finish(self, outcome: Dict[str, Any], what: str,
+                tenants: List[str], step: float) -> None:
+        """Advance in ``step`` chunks until ``outcome`` is done or
+        :meth:`_patience` runs out, which is recorded as its error."""
+        patience = self._patience(tenants)
+        self.run_until(lambda: outcome.get("done"), step=step,
+                       cap=self.env.now + patience)
+        if not outcome.get("done"):
+            outcome["error"] = MigrationError(
+                "%s still running after %.0f simulated seconds"
+                % (what, patience))
+
+    def migrate(self, tenant: str, destination: str,
+                options: Optional[MigrationOptions] = None, *,
+                step: float = 5.0
+                ) -> Union[MigrationReport, MigrationError]:
+        """Run one migration to its end; returns how it ended.
+
+        That is the :class:`~repro.core.middleware.MigrationReport`, or
+        — returned, not raised: an N/A cell is a result — the
+        :class:`~repro.errors.CatchUpTimeout` or other
+        :class:`~repro.errors.MigrationError` that ended it.  Built on
+        :meth:`migrate_async` (same options, same per-migration trace)
+        and :meth:`_finish`: the clock overshoots the end by up to
+        ``step``, so read the exact end off the report.
+        """
+        outcome = self.migrate_async(tenant, destination, options)
+        self._finish(outcome, "migration of %s" % tenant, [tenant], step)
+        return (outcome.get("report") or outcome.get("timeout")
+                or outcome["error"])
 
     def schedule_async(self, jobs: List[Any],
                        options: Optional[ScheduleOptions] = None
@@ -245,6 +367,23 @@ class Testbed:
                 outcome["trace_path"] = trace_path
         self.env.process(runner(), name="schedule")
         return outcome
+
+    def schedule(self, jobs: List[Any],
+                 options: Optional[ScheduleOptions] = None
+                 ) -> ScheduleReport:
+        """Run a schedule to its end: :meth:`schedule_async`, blocking
+        the way :meth:`migrate` does, in 5-second steps.
+
+        Per-job errors live on the report's job outcomes; only a
+        schedule that outlasts the patience raises, a
+        :class:`~repro.errors.MigrationError`.
+        """
+        outcome = self.schedule_async(jobs, options)
+        self._finish(outcome, "schedule",
+                     [tenant for tenant, _ in jobs], step=5.0)
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["report"]
 
 
 def new_cluster(node_names: Sequence[str],
@@ -328,6 +467,30 @@ def build_testbed(profile: Profile,
             env, middleware, setup.name, ctx, config,
             seed=profile.seed + zlib.crc32(setup.name.encode()) % 1000)
     return testbed
+
+
+def migrate_one_tenant(profile: Profile, setup: TenantSetup, *,
+                       warmup: float,
+                       policy: PropagationPolicy = MADEUS,
+                       size_mb: Optional[float] = None,
+                       strategy: Optional[SnapshotStrategy] = None,
+                       trace_dir: Optional[str] = None
+                       ) -> Tuple[Union[MigrationReport, MigrationError],
+                                  float]:
+    """The one-tenant experiment: host ``setup`` on a fresh two-node
+    testbed (its size model rescaled to ``size_mb`` when given), warm
+    the load up for ``warmup`` paper seconds, migrate it to ``node1``.
+    Returns :meth:`Testbed.migrate`'s value and the tenant's size in MB.
+    """
+    testbed = build_testbed(profile, [setup], policy=policy,
+                            trace_dir=trace_dir)
+    if size_mb is not None:
+        testbed.resize(setup.name, size_mb)
+    size_mb = testbed.tenant_db(setup.name).size_mb()
+    testbed.warm_up(warmup)
+    result = testbed.migrate(setup.name, "node1",
+                             MigrationOptions(strategy=strategy))
+    return result, size_mb
 
 
 def build_kv_testbed(middleware: Middleware, profile: Profile,

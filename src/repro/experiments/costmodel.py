@@ -149,12 +149,3 @@ def run(profile: Optional[Profile] = None, *,
     ]
     return Report(experiment="costmodel", profile=profile.name,
                   seed=profile.seed, text="\n".join(lines), data=params)
-
-
-def main() -> None:
-    """Print the model for a representative heavy-workload run."""
-    print(run().text)
-
-
-if __name__ == "__main__":
-    main()

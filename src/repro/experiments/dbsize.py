@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..core.middleware import MigrationOptions
+from ..core.middleware import MigrationReport
+from ..core.watermark import SnapshotStrategy
 from ..metrics.report import format_table
 from ..workload.tpcw import (
     PAPER_TABLE3,
     PopulationParams,
     nominal_database_size_mb,
 )
-from .common import Report, TenantSetup, build_testbed, seeded
+from .common import Report, TenantSetup, migrate_one_tenant, seeded
 from .profiles import Profile, get_profile
 
 #: Paper Figure 9: (items, population EBs, migration seconds).
@@ -53,30 +54,15 @@ def run_one_size(items: int, population_ebs: int,
                  paper_ebs: int = 700,
                  trace_dir: Optional[str] = None) -> SizeResult:
     """Migrate one database of the given scale under heavy workload."""
-    profile = profile or get_profile()
-    testbed = build_testbed(
-        profile,
-        [TenantSetup("A", "node0", paper_ebs=paper_ebs, items=items,
-                     population_ebs=population_ebs)],
-        trace_dir=trace_dir)
-    size_mb = testbed.node("node0").instance.tenant("A").size_mb()
-    warmup = max(2.0, profile.duration(30.0))
-    testbed.run(until=warmup)
     # Figure 9's superlinearity comes from the serial restore's index
     # builds, so the streamed snapshot path is pinned off here.
-    outcome = testbed.migrate_async(
-        "A", "node1", options=MigrationOptions(strategy="serial"))
-    # Large databases legitimately take long; the patience budget is
-    # several times the closed-form dump+restore estimate (the size is
-    # already profile-scaled, so no further time scaling applies).
-    from ..engine.dump import restore_duration
-    pipeline = (size_mb / profile.rates.dump_mb_s
-                + restore_duration(size_mb, profile.rates))
-    cap = (warmup + profile.catchup_deadline + profile.duration(60.0)
-           + 3.0 * pipeline)
-    testbed.run_until(lambda: "done" in outcome, step=10.0, cap=cap)
-    report = outcome.get("report")
-    if report is None:
+    report, size_mb = migrate_one_tenant(
+        profile or get_profile(),
+        TenantSetup("A", "node0", paper_ebs=paper_ebs, items=items,
+                    population_ebs=population_ebs),
+        warmup=30.0, strategy=SnapshotStrategy.SERIAL,
+        trace_dir=trace_dir)
+    if not isinstance(report, MigrationReport):
         return SizeResult(items, population_ebs, size_mb, None)
     return SizeResult(items, population_ebs, size_mb,
                       report.migration_time, report.dump_time,
@@ -141,16 +127,3 @@ def report_table3(profile: Optional[Profile] = None) -> str:
     return format_table(
         ["items", "EBs", "paper [GB]", "model [GB]", "ratio"],
         rows, title="Table 3 - database size vs scale parameters")
-
-
-def main() -> None:
-    """Run at the default profile and print Table 3 + Figure 9."""
-    profile = get_profile()
-    print(report_table3(profile))
-    print()
-    results = run_figure9(profile)
-    print(report_fig9(results, profile))
-
-
-if __name__ == "__main__":
-    main()

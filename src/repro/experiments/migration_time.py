@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.middleware import MigrationOptions
+from ..core.middleware import MigrationReport
 from ..core.policy import ALL_POLICIES, PropagationPolicy, feature_matrix
+from ..core.watermark import SnapshotStrategy
 from ..metrics.report import format_table
-from .common import Report, TenantSetup, build_testbed, seeded
+from .common import Report, TenantSetup, migrate_one_tenant, seeded
 from .profiles import Profile, get_profile
 
 #: Paper-reported migration times in seconds (math.nan = N/A).
@@ -38,8 +39,9 @@ PAPER_MIGRATION_TIMES: Dict[str, Dict[int, float]] = {
     "Madeus": {100: 110.0, 400: 104.0, 700: 101.0},
 }
 
-#: Warm-up before the migration order is issued (paper: ~150 s).
-WARMUP_SECONDS = 30.0
+#: Warm-up before the migration order is issued, in paper seconds
+#: (the paper's own was ~150 s).
+WARMUP_SECONDS = 240.0
 
 
 @dataclass
@@ -62,33 +64,26 @@ def run_one(policy: PropagationPolicy, paper_ebs: int,
             profile: Optional[Profile] = None,
             trace_dir: Optional[str] = None) -> MigrationResult:
     """Run one migration under ``policy`` at ``paper_ebs`` workload."""
-    profile = profile or get_profile()
-    testbed = build_testbed(
-        profile, [TenantSetup("A", "node0", paper_ebs=paper_ebs)],
-        policy=policy, trace_dir=trace_dir)
-    warmup = max(2.0, WARMUP_SECONDS * profile.time_scale * 8)
-    testbed.run(until=warmup)
     # Figure 6 reproduces the paper's serial dump -> ship -> restore
     # timings, so the streamed snapshot path is pinned off here.
-    outcome = testbed.migrate_async(
-        "A", "node1", options=MigrationOptions(strategy="serial"))
-    cap = warmup + profile.catchup_deadline + profile.duration(300.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    if "report" in outcome:
-        report = outcome["report"]
+    report, _size_mb = migrate_one_tenant(
+        profile or get_profile(),
+        TenantSetup("A", "node0", paper_ebs=paper_ebs),
+        warmup=WARMUP_SECONDS, policy=policy,
+        strategy=SnapshotStrategy.SERIAL, trace_dir=trace_dir)
+    if not isinstance(report, MigrationReport):
         return MigrationResult(
-            policy=policy.name, paper_ebs=paper_ebs,
-            migration_time=report.migration_time,
-            dump_time=report.dump_time,
-            restore_time=report.restore_time,
-            catchup_time=report.catchup_time,
-            syncsets=report.syncsets_propagated,
-            mean_group_size=report.slave_mean_group_size,
-            consistent=report.consistent)
-    timeout = outcome.get("timeout")
-    return MigrationResult(policy=policy.name, paper_ebs=paper_ebs,
-                           migration_time=None,
-                           backlog_at_timeout=getattr(timeout, "backlog", 0))
+            policy=policy.name, paper_ebs=paper_ebs, migration_time=None,
+            backlog_at_timeout=getattr(report, "backlog", 0))
+    return MigrationResult(
+        policy=policy.name, paper_ebs=paper_ebs,
+        migration_time=report.migration_time,
+        dump_time=report.dump_time,
+        restore_time=report.restore_time,
+        catchup_time=report.catchup_time,
+        syncsets=report.syncsets_propagated,
+        mean_group_size=report.slave_mean_group_size,
+        consistent=report.consistent)
 
 
 def run_figure6(profile: Optional[Profile] = None,
@@ -152,16 +147,3 @@ def report_table2() -> str:
                      "yes" if flags["CON-COM"] else "-"])
     return format_table(["middleware", "MIN", "CON-FW", "CON-COM"], rows,
                         title="Table 2 - middleware feature matrix")
-
-
-def main() -> None:
-    """Run Figure 6 at the default profile and print both tables."""
-    profile = get_profile()
-    print(report_table2())
-    print()
-    results = run_figure6(profile)
-    print(report(results, profile))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,10 +16,9 @@ The paper's answer to "which tenant should be migrated?" is the heavy
 one — shorter migration *and* it removes the hot spot.  The report
 derives the same answer from the measured windows.
 
-Beyond the paper, a third section evacuates *both* light tenants at
-once under the :class:`~repro.core.scheduler.MigrationScheduler` and
-compares the wall clock against doing them one at a time — the
-multi-tenant generalisation the scheduler exists for.
+(Evacuating several tenants at once under the
+:class:`~repro.core.scheduler.MigrationScheduler`, against one at a
+time, is ``repro bench``'s ``multitenant_parallel`` scenario.)
 """
 
 from __future__ import annotations
@@ -28,9 +27,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.middleware import MigrationOptions, MigrationReport
-from ..core.scheduler import ScheduleOptions, ScheduleReport
 from ..metrics.report import format_table, sparkline
-from .common import Report, TenantSetup, build_testbed, seeded
+from .common import (
+    Report,
+    TenantSetup,
+    WindowStats,
+    build_testbed,
+    seeded,
+)
 from .profiles import Profile, get_profile
 
 #: Paper timings: migration order at ~500 s; B takes ~100 s, C ~130 s.
@@ -43,21 +47,6 @@ LIGHT_EBS = 200
 
 
 @dataclass
-class TenantWindowStats:
-    """Mean RT/throughput before, during, and after the migration."""
-
-    tenant: str
-    rt_before: float
-    rt_during: float
-    rt_after: float
-    tput_before: float
-    tput_during: float
-    tput_after: float
-    rt_series: List[Tuple[float, float]] = field(default_factory=list)
-    tput_series: List[Tuple[float, float]] = field(default_factory=list)
-
-
-@dataclass
 class CaseResult:
     """One case: which tenant migrated, its report, per-tenant stats."""
 
@@ -66,7 +55,7 @@ class CaseResult:
     report: Optional[MigrationReport]
     migration_start: float
     migration_end: float
-    tenants: Dict[str, TenantWindowStats] = field(default_factory=dict)
+    tenants: Dict[str, WindowStats] = field(default_factory=dict)
 
     @property
     def migration_time(self) -> Optional[float]:
@@ -90,122 +79,22 @@ def run_case(migrate_tenant: str,
     order_at = max(3.0, profile.duration(PAPER_MIGRATION_ORDER_AT) * 0.3)
     testbed.run(until=order_at)
     # Paper-faithful case timings: serial dump -> ship -> restore.
-    outcome = testbed.migrate_async(
-        migrate_tenant, "node1", options=MigrationOptions(strategy="serial"))
-    cap = order_at + profile.catchup_deadline + profile.duration(600.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    report = outcome.get("report")
+    ended = testbed.migrate(migrate_tenant, "node1",
+                            MigrationOptions(strategy="serial"))
+    report = ended if isinstance(ended, MigrationReport) else None
     end = report.ended_at if report is not None else testbed.env.now
-    tail = profile.duration(200.0)
-    final = end + tail
+    final = end + profile.duration(200.0)
     testbed.run(until=final)
     bucket = max(0.5, profile.duration(10.0))
     case = CaseResult(
         case="heavy" if migrate_tenant == "B" else "light",
         migrated=migrate_tenant, report=report,
         migration_start=order_at, migration_end=end)
-    warm = order_at * 0.3
     for tenant in ("A", "B", "C"):
-        metrics = testbed.metrics[tenant]
-        case.tenants[tenant] = TenantWindowStats(
-            tenant=tenant,
-            rt_before=metrics.response_times.mean(warm, order_at),
-            rt_during=metrics.response_times.mean(order_at, end),
-            rt_after=metrics.response_times.mean(end, final),
-            tput_before=metrics.completions.rate(warm, order_at),
-            tput_during=metrics.completions.rate(order_at, end),
-            tput_after=metrics.completions.rate(end, final),
-            rt_series=metrics.response_times.bucketed_mean(bucket, 0.0,
-                                                           final),
-            tput_series=metrics.completions.bucketed_rate(bucket, 0.0,
-                                                          final))
+        case.tenants[tenant] = WindowStats.measure(
+            testbed.metrics[tenant], order_at * 0.3, order_at, end,
+            final, bucket)
     return case
-
-
-@dataclass
-class ParallelResult:
-    """Evacuating both light tenants: scheduler vs. one-at-a-time."""
-
-    serialized_wall_clock: float
-    schedule: ScheduleReport
-
-    @property
-    def concurrent_wall_clock(self) -> float:
-        return self.schedule.wall_clock
-
-    @property
-    def improvement(self) -> float:
-        if self.serialized_wall_clock <= 0.0:
-            return 0.0
-        return 1.0 - (self.concurrent_wall_clock
-                      / self.serialized_wall_clock)
-
-
-def _evacuation_testbed(profile: Profile,
-                        trace_dir: Optional[str]) -> Tuple[object, float]:
-    """A fresh hot-spot testbed warmed to the migration-order time."""
-    testbed = build_testbed(
-        profile,
-        [TenantSetup("A", "node0", paper_ebs=LIGHT_EBS),
-         TenantSetup("B", "node0", paper_ebs=HEAVY_EBS),
-         TenantSetup("C", "node0", paper_ebs=LIGHT_EBS)],
-        checkpoints=True, trace_dir=trace_dir)
-    order_at = max(3.0, profile.duration(PAPER_MIGRATION_ORDER_AT) * 0.3)
-    testbed.run(until=order_at)
-    return testbed, order_at
-
-
-def run_parallel_evacuation(profile: Optional[Profile] = None,
-                            trace_dir: Optional[str] = None
-                            ) -> ParallelResult:
-    """Evacuate light tenants A and C to node 1, both ways.
-
-    The serialized baseline migrates them one after the other (two
-    plain :meth:`~repro.core.middleware.Middleware.migrate` calls); the
-    concurrent run submits both to a FIFO
-    :class:`~repro.core.scheduler.MigrationScheduler` so their snapshot
-    streams share node 0's egress link.  Case 1/Case 2 runs above are
-    untouched — this uses fresh testbeds.
-    """
-    profile = profile or get_profile()
-    cap_extra = profile.catchup_deadline + profile.duration(600.0)
-    testbed, order_at = _evacuation_testbed(profile, trace_dir)
-    serial_start = testbed.env.now
-    serial_end = serial_start
-    for tenant in ("A", "C"):
-        outcome = testbed.migrate_async(tenant, "node1")
-        testbed.run_until(lambda: "done" in outcome, step=5.0,
-                          cap=serial_start + cap_extra)
-        report = outcome.get("report")
-        # run_until advances in coarse steps; the report's own end
-        # time keeps the baseline honest
-        serial_end = (report.ended_at if report is not None
-                      else testbed.env.now)
-    serialized_wall = serial_end - serial_start
-    testbed, order_at = _evacuation_testbed(profile, trace_dir)
-    outcome = testbed.schedule_async([("A", "node1"), ("C", "node1")],
-                                     ScheduleOptions(policy="fifo"))
-    testbed.run_until(lambda: "done" in outcome, step=5.0,
-                      cap=testbed.env.now + cap_extra)
-    return ParallelResult(serialized_wall_clock=serialized_wall,
-                          schedule=outcome["report"])
-
-
-def report_parallel(result: ParallelResult) -> str:
-    """Render the scheduler section of the multitenant report."""
-    lines = ["Parallel evacuation of light tenants A + C (scheduler, "
-             "fifo):",
-             "  serialized %.1f s -> concurrent %.1f s (%.0f%% faster, "
-             "max in flight %d)"
-             % (result.serialized_wall_clock,
-                result.concurrent_wall_clock,
-                result.improvement * 100.0,
-                result.schedule.max_in_flight)]
-    for job in result.schedule.jobs:
-        lines.append("  tenant %s: %s in %.1f s (queue wait %.1f s)"
-                     % (job.tenant, job.outcome, job.duration,
-                        job.queue_wait))
-    return "\n".join(lines)
 
 
 def run(profile: Optional[Profile] = None, *,
@@ -216,17 +105,15 @@ def run(profile: Optional[Profile] = None, *,
     case1 = run_case("B", profile, trace_dir=trace_dir)
     case2 = run_case("C", profile, trace_dir=trace_dir)
     answer, reasons = which_migration_is_better(case1, case2)
-    parallel = run_parallel_evacuation(profile, trace_dir=trace_dir)
     lines = [report_case(case1, profile, "Figures 10-13 (Case 1)"), "",
              report_case(case2, profile, "Figures 14-19 (Case 2)"), "",
              "Section 5.6 - which tenant should be migrated? -> the "
              "%s one" % answer]
     lines.extend("  - %s" % reason for reason in reasons)
-    lines.extend(["", report_parallel(parallel)])
     return Report(experiment="multitenant", profile=profile.name,
                   seed=profile.seed, text="\n".join(lines),
                   data={"case1": case1, "case2": case2,
-                        "answer": answer, "parallel": parallel})
+                        "answer": answer})
 
 
 def report_case(case: CaseResult, profile: Profile,
@@ -249,10 +136,10 @@ def report_case(case: CaseResult, profile: Profile,
                   case.migration_start, case.migration_end,
                   "%.1f s" % duration if duration else "N/A")))]
     for tenant, stats in sorted(case.tenants.items()):
-        lines.append("tenant %s RT   |%s|" % (tenant,
-                                              sparkline(stats.rt_series)))
-        lines.append("tenant %s tput |%s|" % (tenant,
-                                              sparkline(stats.tput_series)))
+        lines.append("tenant %s RT   |%s|"
+                     % (tenant, sparkline(stats.response_series)))
+        lines.append("tenant %s tput |%s|"
+                     % (tenant, sparkline(stats.throughput_series)))
     return "\n".join(lines)
 
 
@@ -286,25 +173,3 @@ def which_migration_is_better(case1: CaseResult,
             "heavy workload" % (time1, time2))
     answer = "heavy" if (hot_spot_resolved_1 or time1 < time2) else "light"
     return answer, reasons
-
-
-def main() -> None:
-    """Run both cases at the default profile and print everything."""
-    profile = get_profile()
-    case1 = run_case("B", profile)
-    print(report_case(case1, profile, "Figures 10-13 (Case 1)"))
-    print()
-    case2 = run_case("C", profile)
-    print(report_case(case2, profile, "Figures 14-19 (Case 2)"))
-    print()
-    answer, reasons = which_migration_is_better(case1, case2)
-    print("Section 5.6 - which tenant should be migrated? -> the %s one"
-          % answer)
-    for reason in reasons:
-        print("  - %s" % reason)
-    print()
-    print(report_parallel(run_parallel_evacuation(profile)))
-
-
-if __name__ == "__main__":
-    main()

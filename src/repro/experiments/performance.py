@@ -13,11 +13,17 @@ that is *larger* than any migration-induced disturbance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..core.middleware import MigrationOptions, MigrationReport
 from ..metrics.report import format_series, format_table, sparkline
-from .common import Report, TenantSetup, build_testbed, seeded
+from .common import (
+    Report,
+    TenantSetup,
+    WindowStats,
+    build_testbed,
+    seeded,
+)
 from .profiles import Profile, get_profile
 
 #: Paper timeline: migration runs roughly [150 s, 250 s] of a ~350 s run.
@@ -26,23 +32,14 @@ PAPER_RUN_LENGTH = 360.0
 
 
 @dataclass
-class TimelineResult:
-    """Both series plus the migration window and summary statistics."""
+class TimelineResult(WindowStats):
+    """Both series and the window means, plus the migration window."""
 
-    response_series: List[Tuple[float, float]]
-    throughput_series: List[Tuple[float, float]]
     report: Optional[MigrationReport]
     migration_start: float
     migration_end: float
     run_length: float
     bucket: float
-    #: window means: (before, during, after) migration
-    rt_before: float = 0.0
-    rt_during: float = 0.0
-    rt_after: float = 0.0
-    tput_before: float = 0.0
-    tput_during: float = 0.0
-    tput_after: float = 0.0
     checkpoints: int = 0
 
 
@@ -60,32 +57,16 @@ def run_timeline(profile: Optional[Profile] = None,
         checkpoints=checkpoints, trace_dir=trace_dir)
     testbed.run(until=start)
     # Paper-faithful timeline: serial dump -> ship -> restore.
-    outcome = testbed.migrate_async(
-        "A", "node1", options=MigrationOptions(strategy="serial"))
-    cap = start + profile.catchup_deadline + profile.duration(400.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    report = outcome.get("report")
+    ended = testbed.migrate("A", "node1",
+                            MigrationOptions(strategy="serial"))
+    report = ended if isinstance(ended, MigrationReport) else None
     end = report.ended_at if report is not None else testbed.env.now
     final = max(run_length, end + profile.duration(60.0))
     testbed.run(until=final)
-    metrics = testbed.metrics["A"]
-    rt_series = metrics.response_times.bucketed_mean(bucket, 0.0, final)
-    tput_series = metrics.completions.bucketed_rate(bucket, 0.0, final)
-    warm = profile.duration(60.0)
-    result = TimelineResult(
-        response_series=rt_series,
-        throughput_series=tput_series,
-        report=report,
-        migration_start=start,
-        migration_end=end,
-        run_length=final,
-        bucket=bucket,
-        rt_before=metrics.response_times.mean(warm, start),
-        rt_during=metrics.response_times.mean(start, end),
-        rt_after=metrics.response_times.mean(end, final),
-        tput_before=metrics.completions.rate(warm, start),
-        tput_during=metrics.completions.rate(start, end),
-        tput_after=metrics.completions.rate(end, final))
+    result = TimelineResult.measure(
+        testbed.metrics["A"], profile.duration(60.0), start, end, final,
+        bucket, report=report, migration_start=start, migration_end=end,
+        run_length=final, bucket=bucket)
     node0 = testbed.node("node0").instance
     if node0.checkpointer is not None:
         result.checkpoints = node0.checkpointer.checkpoints
@@ -134,16 +115,3 @@ def report_fig8(result: TimelineResult, profile: Profile) -> str:
     if result.checkpoints:
         lines.append("checkpoints during run: %d" % result.checkpoints)
     return "\n".join(lines)
-
-
-def main() -> None:
-    """Run at the default profile and print both figures."""
-    profile = get_profile()
-    result = run_timeline(profile)
-    print(report_fig7(result, profile))
-    print()
-    print(report_fig8(result, profile))
-
-
-if __name__ == "__main__":
-    main()

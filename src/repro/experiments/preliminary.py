@@ -125,14 +125,3 @@ def bands_match(points: List[PreliminaryPoint]) -> Dict[int, bool]:
     """Per-EB-count: does the measured band equal the paper's band?"""
     return {p.paper_ebs: p.band == PAPER_BANDS.get(p.paper_ebs)
             for p in points if p.paper_ebs in PAPER_BANDS}
-
-
-def main() -> None:
-    """Run at the default profile and print the table."""
-    profile = get_profile()
-    points = run_preliminary(profile)
-    print(report(points, profile))
-
-
-if __name__ == "__main__":
-    main()

@@ -34,8 +34,10 @@ class Profile:
     eb_scale: float
     #: Mean EB think time in seconds (spec: 7 s).
     think_time: float
-    #: CPU cost scale placing the Figure-5 knee (calibrated: 1.35 puts
-    #: the 2-second threshold between 600 and 700 paper-EBs).
+    #: CPU cost scale placing the Figure-5 knee: 1.35 puts the 2-second
+    #: threshold between 600 and 700 paper-EBs with the network's
+    #: ``coalesce_hops`` off; with it on (the default) 700 EBs reads
+    #: 8 % lower, just under the threshold.
     cpu_scale: float
     #: Multiplier applied to paper database sizes.
     size_scale: float

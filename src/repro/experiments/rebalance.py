@@ -33,9 +33,8 @@ from ..core.middleware import Middleware, MiddlewareConfig, MigrationOptions
 from ..core.policy import MADEUS
 from ..engine.dump import TransferRates
 from ..metrics.report import format_table
-from ..sim.rand import StreamFactory
 from ..workload import simplekv
-from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
+from ..workload.simplekv import KvWorkloadConfig
 from .common import (
     Report,
     bind_node_obs,
@@ -185,23 +184,20 @@ def run_rebalance(profile: Optional[Profile] = None, *,
     # -- load -----------------------------------------------------------
     # One client per tenant; the phase schedule retunes each tenant's
     # ``config.think_time`` while its client runs.
-    streams = StreamFactory(root_seed)
     horizon = env.now + phases * phase_seconds
-    configs: Dict[str, KvWorkloadConfig] = {}
-    workloads: Dict[str, KvWorkloadResult] = {}
-    client_procs = []
-    for tenant in tenant_names:
-        config = KvWorkloadConfig(keys=KV_KEYS, clients=1,
-                                  think_time=COLD_THINK,
-                                  read_only_ratio=0.4)
-        configs[tenant] = config
-        result = KvWorkloadResult()
-        workloads[tenant] = result
-        rng = streams.stream("rebalance-kv-%s" % tenant)
-        client_procs.append(env.process(
-            simplekv.kv_client(env, middleware, tenant, rng, config,
-                               result, lambda: env.now >= horizon),
-            name="rebalance.kv.%s" % tenant))
+    configs = {
+        tenant: KvWorkloadConfig(keys=KV_KEYS, clients=1,
+                                 think_time=COLD_THINK,
+                                 read_only_ratio=0.4)
+        for tenant in tenant_names}
+    client_procs: List[Any] = []
+    workloads = {
+        tenant: simplekv.run_kv_clients(
+            env, middleware, tenant, configs[tenant], root_seed,
+            stop=lambda: env.now >= horizon,
+            stream="rebalance-kv-%s" % tenant,
+            process="rebalance.kv.%s" % tenant, spawned=client_procs)
+        for tenant in tenant_names}
 
     # -- the control plane ----------------------------------------------
     rebalance_options = options or RebalanceOptions(

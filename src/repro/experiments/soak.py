@@ -55,9 +55,8 @@ from ..faults import FailureModel, FaultInjector, generate_plan
 from ..metrics.report import format_table
 from ..obs.trace import MIGRATION
 from ..router import RouterFleet
-from ..sim.rand import StreamFactory
 from ..workload import simplekv
-from ..workload.simplekv import KvWorkloadConfig, KvWorkloadResult
+from ..workload.simplekv import KvWorkloadConfig
 from .common import (
     Report,
     bind_node_obs,
@@ -276,21 +275,17 @@ def run_soak(profile: Optional[Profile] = None, *,
         trace_dir=trace_dir)
 
     # -- load: through the router tier, until the horizon ---------------
-    workloads: Dict[str, KvWorkloadResult] = {}
-    streams = StreamFactory(root_seed)
     kv_config = KvWorkloadConfig(keys=KV_KEYS, clients=KV_CLIENTS,
                                  think_time=KV_THINK_TIME,
                                  read_only_ratio=0.4)
-    client_procs = []
-    for tenant in tenant_names:
-        result = KvWorkloadResult()
-        workloads[tenant] = result
-        for client in range(KV_CLIENTS):
-            rng = streams.stream("soak-kv-%s-%d" % (tenant, client))
-            client_procs.append(env.process(
-                simplekv.kv_client(env, fleet, tenant, rng, kv_config,
-                                   result, lambda: env.now >= horizon),
-                name="soak.kv.%s.%d" % (tenant, client)))
+    client_procs: List[Any] = []
+    workloads = {
+        tenant: simplekv.run_kv_clients(
+            env, fleet, tenant, kv_config, root_seed,
+            stop=lambda: env.now >= horizon,
+            stream="soak-kv-%s-{}" % tenant,
+            process="soak.kv.%s.{}" % tenant, spawned=client_procs)
+        for tenant in tenant_names}
 
     # -- generated fault scenario ---------------------------------------
     plan = generate_plan(model, node_names, horizon, seed=root_seed,

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs import MetricsRegistry
     from ..sim.core import Environment
 
+#: Messages larger than this (MB) are serialised on the shared link.
+_BULK_THRESHOLD_MB = 1.0
+
 #: Residual megabytes below which a shared-link transfer is complete
 #: (one thousandth of a byte; guards float accumulation).
 _STREAM_EPS = 1e-9
@@ -58,8 +61,6 @@ class NetworkSpec:
     latency: float = 0.0001
     #: Aggregate link bandwidth in MB/s (1 Gbps ~ 125 MB/s).
     bandwidth_mb_s: float = 125.0
-    #: Transfers larger than this are serialised on the shared link.
-    bulk_threshold_mb: float = 1.0
 
 
 class _Stream:
@@ -159,11 +160,18 @@ class Network:
         self.bandwidth_factor = 1.0
         self._down_count = 0
         #: While True, a zero-payload :meth:`round_trip` coalesces its
-        #: two latency hops into one ``2 * latency`` timeout — the same
-        #: arrival time with half the kernel events.  Only valid while
-        #: link state cannot change mid-flight, so the fault injector
-        #: clears it before arming any network fault (outage or
-        #: degradation), restoring the exact per-hop check timing.
+        #: two latency hops into one ``2 * latency`` timeout: the same
+        #: arrival *time* with half the kernel events, but not the same
+        #: arrival *order* — one event instead of two takes a different
+        #: place among the events of its instant, and on a saturated
+        #: node that order decides who queues behind whom (Figure 5 at
+        #: 700 EBs, quick profile: mean response time 282 ms with it,
+        #: 307 ms without, 8 % apart and on either side of the
+        #: medium / heavy band edge).  It is a second model, not a
+        #: free optimisation.  Also only valid while link state cannot
+        #: change mid-flight, so the fault injector clears it before
+        #: arming any network fault (outage or degradation), restoring
+        #: the exact per-hop check timing.
         self.coalesce_hops = True
         # statistics
         self.messages = 0
@@ -246,7 +254,7 @@ class Network:
         yield self.env.timeout(self.spec.latency * self.latency_factor)
         self._check_link()
         bandwidth = self.spec.bandwidth_mb_s / self.bandwidth_factor
-        if size_mb > self.spec.bulk_threshold_mb:
+        if size_mb > _BULK_THRESHOLD_MB:
             grant = self._bulk.request()
             try:
                 yield grant
@@ -261,10 +269,12 @@ class Network:
                    response_mb: float = 0.0) -> Generator[Any, Any, None]:
         """A request hop followed by a response hop.
 
-        The common zero-payload case (an operation and its ack) pays
-        exactly ``2 * latency`` either way; while :attr:`coalesce_hops`
-        holds, it is billed as a single timeout instead of two chained
-        hops, halving the event cost of every customer operation.
+        The common zero-payload case (an operation and its ack) takes
+        ``2 * latency`` either way; while :attr:`coalesce_hops` holds,
+        it is billed as a single timeout instead of two chained hops,
+        halving the event cost of every customer operation — and
+        changing where the reply falls among same-instant events (see
+        the attribute: not result-neutral at saturation).
         """
         if request_mb == 0.0 and response_mb == 0.0 and self.coalesce_hops:
             self._check_link()

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
 from ..core.middleware import Connection, Middleware
 from ..engine.session import Session
-from ..sim.rand import RandomStream
+from ..sim.rand import RandomStream, StreamFactory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.instance import DbmsInstance
@@ -151,16 +151,29 @@ def _update_txn(middleware: Middleware, conn: Connection,
 
 def run_kv_clients(env: "Environment", middleware: Middleware,
                    tenant: str, config: KvWorkloadConfig,
-                   seed: int = 0) -> KvWorkloadResult:
-    """Spawn all clients; returns the (live) shared result object."""
-    from ..sim.rand import StreamFactory
+                   seed: int = 0, *,
+                   stop: Optional[Callable[[], bool]] = None,
+                   stream: str = "kv-client-{}",
+                   process: str = "kv-client-{}",
+                   spawned: Optional[list] = None
+                   ) -> KvWorkloadResult:
+    """Spawn all clients; returns the (live) shared result object.
 
+    Client ``i`` draws from the ``seed``'s substream named
+    ``stream.format(i)`` and runs as the process ``process.format(i)``
+    until ``stop()`` (see :func:`kv_client`); the processes are
+    appended to ``spawned`` for a caller that waits for them to end.
+    """
     result = KvWorkloadResult()
     streams = StreamFactory(seed)
     for index in range(config.clients):
-        rng = streams.stream("kv-client-%d" % index)
-        env.process(kv_client(env, middleware, tenant, rng, config, result),
-                    name="kv-client-%d" % index)
+        client = env.process(
+            kv_client(env, middleware, tenant,
+                      streams.stream(stream.format(index)), config,
+                      result, stop),
+            name=process.format(index))
+        if spawned is not None:
+            spawned.append(client)
     return result
 
 

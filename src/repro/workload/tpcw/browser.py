@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...sim.core import Environment
 
 
+#: Fixed app-server (servlet) processing delay per interaction, seconds.
+_APPSERVER_DELAY = 0.002
+
+
 @dataclass
 class EbConfig:
     """Load-generator knobs for one tenant's EB population."""
@@ -37,8 +41,6 @@ class EbConfig:
     think_time: float = 7.0
     #: CPU-cost scale applied to every statement (hardware calibration).
     cpu_scale: float = 1.0
-    #: Fixed app-server processing delay per interaction.
-    appserver_delay: float = 0.002
     #: Stop issuing new interactions after this simulated time (None =
     #: run until the environment stops).
     until: Optional[float] = None
@@ -88,7 +90,7 @@ def emulated_browser(env: "Environment", middleware: Middleware,
         try:
             # app-server hop: one LAN round trip + servlet processing
             yield from middleware.cluster.network.round_trip()
-            yield env.timeout(config.appserver_delay)
+            yield env.timeout(_APPSERVER_DELAY)
             ok = yield from _run_transaction(middleware, conn, steps)
         except NetworkDown:
             # The browser sees a connection error and moves on; the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import COMMANDS, DESCRIPTIONS, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.engine.render import render, render_expression, render_literal
 from repro.engine.sqlmini import (BinaryOp, ColumnRef, Literal, parse)
 from repro.errors import SqlError
@@ -56,8 +56,26 @@ class TestCli:
         for name in COMMANDS:
             assert name in output
 
-    def test_descriptions_cover_commands(self):
-        assert set(DESCRIPTIONS) == set(COMMANDS)
+    def test_descriptions_cover_commands(self, capsys):
+        """Every name ``repro list`` prints is registered exactly once,
+        with the description it prints and something to run."""
+        assert main(["list"]) == 0
+        listed = [line.split(None, 1)
+                  for line in capsys.readouterr().out.splitlines()]
+        names = [name for name, _text in listed]
+        assert len(names) == len(set(names))
+        subparsers = next(
+            action for action in build_parser()._subparsers._actions
+            if action.choices)
+        assert set(names) == set(subparsers.choices)
+        assert set(COMMANDS) < set(names)
+        for name, text in listed:
+            sub = subparsers.choices[name]
+            assert sub.description == text
+            assert callable(sub.get_default("handler"))
+            if name in COMMANDS:
+                description, command = COMMANDS[name]
+                assert description == text and callable(command)
 
     def test_table2_command(self, capsys):
         assert main(["table2"]) == 0

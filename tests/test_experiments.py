@@ -6,14 +6,20 @@ benchmarks; here we assert the machinery and the qualitative invariants
 that hold even at tiny scale.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.policy import B_MIN, MADEUS
+from repro.cli import main as cli_main
+from repro.core.middleware import MigrationReport
+from repro.core.policy import B_CON, B_MIN, MADEUS
+from repro.errors import CatchUpTimeout, MigrationError
 from repro.experiments import SMOKE, TenantSetup, build_testbed, \
     get_profile
-from repro.experiments import costmodel, dbsize, migration_time, \
+from repro.experiments import bench, dbsize, migration_time, \
     multitenant, performance, preliminary
 from repro.experiments.profiles import PAPER, PROFILES, QUICK
+from repro.faults import FaultInjector, FaultPlan
 
 
 class TestProfiles:
@@ -72,6 +78,72 @@ class TestTestbedBuilder:
         outcome = testbed.migrate_async("A", "node1")
         testbed.run_until(lambda: "done" in outcome, step=2.0, cap=300.0)
         assert outcome["report"].consistent is True
+
+
+class TestTestbedMigrate:
+    """``Testbed.migrate``: the blocking form of ``migrate_async``."""
+
+    @staticmethod
+    def _warm(**kwargs):
+        testbed = build_testbed(
+            SMOKE, [TenantSetup("A", "node0", paper_ebs=100)], **kwargs)
+        testbed.warm_up(30.0)
+        return testbed
+
+    def test_returns_the_report_migrate_async_yields(self):
+        polled = self._warm()
+        outcome = polled.migrate_async("A", "node1")
+        polled.run_until(lambda: "done" in outcome, step=5.0, cap=300.0)
+        blocking = self._warm()
+        report = blocking.migrate("A", "node1")
+        assert isinstance(report, MigrationReport)
+        assert dataclasses.asdict(report) \
+            == dataclasses.asdict(outcome["report"])
+        # ... and the clock stops where the poll loop stopped it
+        assert blocking.env.now == polled.env.now
+
+    def test_a_cell_that_cannot_catch_up_returns_its_timeout(self):
+        # Figure 6's N/A cell, on a shorter leash than SMOKE's 60 s
+        impatient = dataclasses.replace(SMOKE, catchup_deadline=15.0)
+        testbed = build_testbed(
+            impatient, [TenantSetup("A", "node0", paper_ebs=700)],
+            policy=B_CON)
+        testbed.warm_up(240.0)
+        ended = testbed.migrate("A", "node1")
+        assert isinstance(ended, CatchUpTimeout) and ended.backlog > 0
+        assert testbed.middleware.route("A") == "node0"
+
+    def test_a_destination_crash_is_returned_not_raised(self):
+        testbed = self._warm()
+        plan = FaultPlan()
+        plan.add("destination-dies", "crash", target="node1",
+                 phase="catch-up")
+        FaultInjector(testbed.env, testbed.cluster, plan,
+                      tracer=testbed.tracer,
+                      metrics=testbed.observability,
+                      seed=SMOKE.seed).start()
+        ended = testbed.migrate("A", "node1", step=1.0)
+        assert isinstance(ended, MigrationError)
+        assert not isinstance(ended, CatchUpTimeout)
+        assert "no standby survives" in str(ended)
+        # the simulation is alive and the tenant still served
+        before = testbed.metrics["A"].interactions
+        testbed.run(until=testbed.env.now + 2.0)
+        assert testbed.metrics["A"].interactions > before
+        assert testbed.middleware.route("A") == "node0"
+
+    def test_patience_is_a_watchdog(self, monkeypatch):
+        testbed = self._warm()
+        assert testbed._patience(["A"]) > SMOKE.catchup_deadline
+        monkeypatch.setattr(testbed, "_patience", lambda tenants: 1.0)
+        ended = testbed.migrate("A", "node1", step=0.5)
+        assert isinstance(ended, MigrationError)
+        assert "still running after 1 simulated seconds" in str(ended)
+
+    def test_schedule_returns_the_schedule_report(self):
+        report = self._warm().schedule([("A", "node1")])
+        assert report.ok_count == 1
+        assert report.jobs[0].report.consistent is True
 
 
 class TestFigure5:
@@ -150,20 +222,31 @@ class TestMultitenant:
         assert isinstance(reasons, list)
 
     def test_parallel_evacuation_beats_serialized(self):
-        result = multitenant.run_parallel_evacuation(SMOKE)
-        assert result.schedule.ok_count == 2
-        assert result.schedule.max_in_flight == 2
-        assert result.concurrent_wall_clock < \
-            result.serialized_wall_clock
-        assert 0.0 < result.improvement < 1.0
-        text = multitenant.report_parallel(result)
-        assert "Parallel evacuation" in text
-        assert "tenant A" in text and "tenant C" in text
+        """The evacuation experiment lives in ``repro bench``."""
+        result = bench.run_multitenant_parallel_scenario(SMOKE)
+        tenants = len(bench.PARALLEL_SIZE_FACTORS)
+        by_mode = {}
+        for case in result.cases:
+            assert case.consistent is True
+            by_mode.setdefault(case.mode, []).append(case)
+        assert all(len(cases) == tenants for cases in by_mode.values())
+        assert len(result.comparisons) == len(bench.PARALLEL_SCHEDULES)
+        for comparison in result.comparisons:
+            assert comparison["max_in_flight"] \
+                == (comparison["max_concurrent"] or tenants)
+            assert comparison["concurrent_wall_clock"] \
+                < comparison["serialized_wall_clock"]
+            assert 0.0 < comparison["improvement"] < 1.0
+        # the serialized span is what its migrations took, not the
+        # harness' poll step rounded up four times
+        migrated = sum(case.wall_clock for case in by_mode["serialized"])
+        assert result.comparisons[0]["serialized_wall_clock"] \
+            == pytest.approx(migrated, rel=1e-3)
 
 
 class TestCostModelCli:
     def test_main_prints(self, capsys):
-        costmodel.main()
+        assert cli_main(["costmodel"]) == 0
         output = capsys.readouterr().out
         assert "C_madeus" in output
         assert "identity holds: True" in output
