@@ -16,6 +16,12 @@ Usage::
 Run from the repository root (the script puts ``src/`` on ``sys.path``
 itself, so no ``PYTHONPATH`` needed).
 
+The last line printed is the count that repeats exactly, where host
+times on a shared box do not: ``pstats`` total calls (Python and C),
+the kernel events every ``Environment`` of the run processed, and their
+ratio — calls per event, what a request-path change should lower while
+the events stay put (``tpcw_order_migrate``: 31.0 before ISSUE 18).
+
 Use the profile to *find* a rock, not to size it.  cProfile charges its
 per-call hook to Python frames and nothing to the work inside C calls,
 so C-heavy frames are under-reported: ``theory.states_equal`` (two
@@ -112,6 +118,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     run = _runner(args.experiment, args.profile, args.seed)
+    # The events total: what every Environment.run() of the experiment
+    # dispatched, summed as it returns (no world is kept alive for it).
+    from repro.sim.core import Environment
+    events, run_loop = 0, Environment.run
+
+    def counting_run(self, until=None):
+        nonlocal events
+        before = self.events_processed
+        try:
+            run_loop(self, until)
+        finally:
+            events += self.events_processed - before
+    Environment.run = counting_run
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -124,6 +143,9 @@ def main(argv=None):
         print("raw stats written to %s" % args.out)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    print("%d calls / %d kernel events = %.2f calls per event"
+          % (stats.total_calls, events,
+             stats.total_calls / max(1, events)))
     return 0
 
 

@@ -60,6 +60,10 @@ from .watermark import SnapshotStrategy
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
 
+#: An enum member read through its class costs a metaclass lookup, and
+#: :meth:`Middleware.submit` compares the kind several times a statement.
+_BEGIN, _FIRST_READ, _READ, _WRITE, _COMMIT, _ABORT = OpKind
+
 #: The journal records and the report are defined next to the machine
 #: that writes them and re-exported here, their long-standing home.
 __all__ = [
@@ -261,7 +265,9 @@ class Connection:
 
     def session(self) -> Session:
         """The master-side session, re-bound after switch-over."""
-        node_name = self.middleware.route(self.tenant)
+        node_name = self.middleware._routes.get(self.tenant)
+        if node_name is None:
+            node_name = self.middleware.route(self.tenant)  # raises
         if self._session is None or self._node_name != node_name:
             instance = self.middleware.cluster.node(node_name).instance
             self._session = Session(instance, self.tenant)
@@ -424,182 +430,134 @@ class Middleware:
 
         The customer -> middleware and middleware -> master hops each pay
         one network round trip; the worker logic itself is free (the
-        paper measured the middleware node as ~100% idle).
+        paper measured the middleware node as ~100% idle).  This is the
+        one generator frame between the customer and ``Session.execute``
+        (a frame costs host time on every kernel event that resumes
+        through it): what a kind of statement does to the SSB, the MLC
+        and the gate is plain code around the one master hop.
         """
-        state = self.tenant_state(conn.tenant)
+        state = self._tenants.get(conn.tenant)
+        if state is None:
+            state = self.tenant_state(conn.tenant)  # raises
         was_update = conn.tracker.is_update
         operation = conn.tracker.classify(parse(sql), sql, cpu_cost)
+        kind = operation.kind
         conn.statements += 1
         state.operations_seen += 1
+        network = self.cluster.network
         # customer -> middleware hop
         try:
-            yield from self.cluster.network.round_trip()
+            yield from network.round_trip()
         except NetworkDown as exc:
             conn.errors += 1
             self._connection_lost(conn, state)
             return SessionResult(kind="error", error=str(exc))
-        if operation.kind == OpKind.BEGIN:
+        region = txn = None
+        if kind is _BEGIN:
             # Suspended during switch-over: new transactions wait at the
             # gate; running ones drain (Algorithm 3 lines 14-17).
             yield state.gate.wait()
             state.active_txns += 1
             conn.in_active_txn = True
-            result = yield from self._forward(conn, operation)
-            if not result.ok:
-                # The master refused/never saw the BEGIN (crash, outage):
-                # release the gate slot instead of leaking active_txns.
-                self._transaction_ended(conn, state, aborted=True)
-            return result
-        if operation.kind == OpKind.FIRST_READ:
-            result = yield from self._first_read(conn, state, operation)
-        elif operation.kind == OpKind.WRITE:
-            result = yield from self._write(conn, state, operation)
-        elif operation.kind == OpKind.COMMIT:
-            result = yield from self._commit(conn, state, operation,
-                                             was_update)
-        elif operation.kind == OpKind.ABORT:
-            result = yield from self._abort(conn, state, operation)
-        else:  # plain read
-            result = yield from self._read(conn, state, operation)
-        if not result.ok:
-            conn.errors += 1
-        return result
-
-    def _forward(self, conn: Connection, operation: Operation
-                 ) -> Generator[Any, Any, SessionResult]:
-        """middleware -> master round trip plus execution.
-
-        A link outage surfaces as an error result, like a proxy
-        returning 503; the master-side transaction (which never saw the
-        statement) is rolled back, as a real server does when it loses
-        the client connection.
-        """
-        try:
-            yield from self.cluster.network.round_trip()
-        except NetworkDown as exc:
+        elif kind is _FIRST_READ:
+            # Algorithm 1 lines 1-10: execute, tag STS, allocate the SSB.
+            region = state.region
+            yield from region.enter(FIRST_READ_CLASS)
+        elif kind is _COMMIT and was_update:
+            # Algorithm 1 lines 16-29: execute, tag ETS, bump MLC, link.
+            # A read-only commit changes no snapshot state: no MLC bump,
+            # no critical region (Algorithm 2), nothing to replay.
+            region = state.region
+            yield from region.enter(COMMIT_CLASS)
+            # Capture the row post-images *before* forwarding: the session
+            # drops its Transaction the instant the engine commit returns.
             session = conn._session
-            if session is not None and session.in_transaction:
-                session.reset()
-            return SessionResult(kind="error", error=str(exc))
-        result = yield from conn.session().execute(operation.statement,
-                                                   cpu_cost=operation.cpu_cost)
-        return result
-
-    def _first_read(self, conn: Connection, state: TenantState,
-                    operation: Operation
-                    ) -> Generator[Any, Any, SessionResult]:
-        """Algorithm 1 lines 1-10: execute, tag STS, allocate the SSB."""
-        yield from state.region.enter(FIRST_READ_CLASS)
+            txn = session.txn if session is not None else None
         try:
-            result = yield from self._forward(conn, operation)
-            if result.ok:
+            # middleware -> master hop plus execution.  A link outage
+            # surfaces as an error result, like a proxy returning 503;
+            # the master-side transaction (which never saw the statement)
+            # is rolled back, as a real server does when it loses the
+            # client connection.
+            try:
+                yield from network.round_trip()
+            except NetworkDown as exc:
+                session = conn._session
+                if session is not None and session.in_transaction:
+                    session.reset()
+                result = SessionResult(kind="error", error=str(exc))
+            else:
+                result = yield from conn.session().execute(
+                    operation.statement, cpu_cost=operation.cpu_cost)
+            if kind is _COMMIT and result.ok:
+                if was_update:
+                    self._committed(conn, state, operation, txn)
+                else:
+                    # The mapping function maps a read-only transaction
+                    # to the empty set under every policy.
+                    state.commits_seen += 1
+                    state.read_only_commits += 1
+                    self._transaction_ended(conn, state, aborted=False)
+            elif kind is _ABORT or not result.ok:
+                # Client rollback, the master refusing or never seeing
+                # the statement (crash, outage), or an engine-initiated
+                # abort (first-updater-wins): the master already rolled
+                # the transaction back; discard the SSB and release the
+                # gate slot.
+                self._transaction_ended(conn, state, aborted=True)
+            elif kind is _FIRST_READ:
                 ssb = SyncsetBuffer(sts=state.mlc,
                                     txn_label=operation.txn_label)
                 ssb.save(operation)
                 conn.ssb = ssb
                 for ssl in state.all_ssls():
                     ssl.register_open(ssb)
-            else:
-                self._transaction_ended(conn, state, aborted=True)
-        finally:
-            state.region.leave()
-        return result
-
-    def _write(self, conn: Connection, state: TenantState,
-               operation: Operation
-               ) -> Generator[Any, Any, SessionResult]:
-        """Algorithm 1 lines 11-15: execute, then save to the SSB."""
-        result = yield from self._forward(conn, operation)
-        if result.ok:
-            if conn.ssb is not None:
+            elif conn.ssb is not None and (
+                    kind is _WRITE
+                    or (kind is _READ
+                        and not self.config.policy.minimum_set)):
+                # Algorithm 1 lines 11-15 and 30-33 / Algorithm 2: the
+                # minimum-set policies discard non-first reads; B-ALL
+                # keeps them so the slave can replay entire transactions.
                 conn.ssb.save(operation)
-        else:
-            # Engine-initiated abort (first-updater-wins): the master
-            # already rolled the transaction back; discard the SSB.
-            self._transaction_ended(conn, state, aborted=True)
-        return result
-
-    def _read(self, conn: Connection, state: TenantState,
-              operation: Operation
-              ) -> Generator[Any, Any, SessionResult]:
-        """Algorithm 1 lines 30-33 / Algorithm 2: forward, maybe save.
-
-        The minimum-set policies discard non-first reads; B-ALL keeps
-        them so the slave can replay entire transactions.
-        """
-        result = yield from self._forward(conn, operation)
-        if result.ok:
-            if not self.config.policy.minimum_set and conn.ssb is not None:
-                conn.ssb.save(operation)
-        else:
-            self._transaction_ended(conn, state, aborted=True)
-        return result
-
-    def _commit(self, conn: Connection, state: TenantState,
-                operation: Operation, was_update: bool
-                ) -> Generator[Any, Any, SessionResult]:
-        """Algorithm 1 lines 16-29: execute, tag ETS, bump MLC, link."""
-        if not was_update:
-            # Read-only commit: no snapshot state changes, no MLC bump,
-            # no critical region (Algorithm 2), and nothing to replay —
-            # the mapping function maps it to the empty set under every
-            # policy (a read-only transaction changes no data).
-            result = yield from self._forward(conn, operation)
-            if result.ok:
-                state.commits_seen += 1
-                state.read_only_commits += 1
-            self._transaction_ended(conn, state,
-                                    aborted=not result.ok)
-            return result
-        yield from state.region.enter(COMMIT_CLASS)
-        # Capture the row post-images *before* forwarding: the session
-        # drops its Transaction the instant the engine commit returns.
-        session = conn._session
-        txn = session.txn if session is not None else None
-        try:
-            result = yield from self._forward(conn, operation)
-            if result.ok:
-                state.commits_seen += 1
-                if (state.migrating and state.change_tap is not None
-                        and txn is not None and txn.write_order):
-                    state.change_tap.append_txn(
-                        [(table_name, key,
-                          dict(txn.writes[(table_name, key)])
-                          if txn.writes[(table_name, key)] is not None
-                          else None)
-                         for table_name, key in txn.write_order])
-                ssb = conn.ssb
-                if ssb is not None:
-                    ssb.ets = state.mlc
-                    ssb.save(operation)
-                state.mlc += 1
-                if ssb is not None:
-                    conn.ssb = None
-                    for ssl in state.all_ssls():
-                        ssl.resolve_open(ssb)
-                        # Under a watermark migration the change tap is
-                        # the replication stream; linking SSBs too would
-                        # leak an undrained SSL backlog.
-                        if state.migrating and state.change_tap is None:
-                            ssl.link(ssb, self.env.now)
-                    for propagator in state.all_propagators():
-                        if state.migrating:
-                            propagator.notify_linked()
-                        propagator.notify_open_changed()
-                self._transaction_closed(conn, state)
-            else:
-                self._transaction_ended(conn, state, aborted=True)
         finally:
-            state.region.leave()
+            if region is not None:
+                region.leave()
+        if kind is not _BEGIN and not result.ok:
+            conn.errors += 1
         return result
 
-    def _abort(self, conn: Connection, state: TenantState,
-               operation: Operation
-               ) -> Generator[Any, Any, SessionResult]:
-        """Client rollback: forward and discard the SSB."""
-        result = yield from self._forward(conn, operation)
-        self._transaction_ended(conn, state, aborted=True)
-        return result
+    def _committed(self, conn: Connection, state: TenantState,
+                   operation: Operation, txn: Any) -> None:
+        """An update transaction committed: tag ETS, bump MLC, link."""
+        state.commits_seen += 1
+        if (state.migrating and state.change_tap is not None
+                and txn is not None and txn.write_order):
+            state.change_tap.append_txn(
+                [(table_name, key,
+                  dict(txn.writes[(table_name, key)])
+                  if txn.writes[(table_name, key)] is not None
+                  else None)
+                 for table_name, key in txn.write_order])
+        ssb = conn.ssb
+        if ssb is not None:
+            ssb.ets = state.mlc
+            ssb.save(operation)
+        state.mlc += 1
+        if ssb is not None:
+            conn.ssb = None
+            for ssl in state.all_ssls():
+                ssl.resolve_open(ssb)
+                # Under a watermark migration the change tap is the
+                # replication stream; linking SSBs too would leak an
+                # undrained SSL backlog.
+                if state.migrating and state.change_tap is None:
+                    ssl.link(ssb, self.env.now)
+            for propagator in state.all_propagators():
+                if state.migrating:
+                    propagator.notify_linked()
+                propagator.notify_open_changed()
+        self._transaction_closed(conn, state)
 
     # ------------------------------------------------------------------
     def _transaction_ended(self, conn: Connection, state: TenantState,

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..engine.sqlmini import (
+    _WRITE_TYPES,
     Begin,
     Commit,
     Rollback,
+    Select,
     Statement,
-    is_read_statement,
-    is_write_statement,
     parse,
 )
 from ..errors import SqlError
@@ -38,7 +38,7 @@ class OpKind(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """One classified statement flowing through the middleware.
 
@@ -82,7 +82,9 @@ class TxnTracker:
     def classify(self, statement: Statement, sql: str,
                  cpu_cost: Optional[float] = None) -> Operation:
         """Classify one statement and advance the state machine."""
-        if isinstance(statement, Begin):
+        # AST nodes are never subclassed: dispatch on the class itself.
+        cls = statement.__class__
+        if cls is Begin:
             if self.in_txn:
                 raise SqlError("nested BEGIN on one connection")
             self.in_txn = True
@@ -91,35 +93,31 @@ class TxnTracker:
             self.label = next(TxnTracker._labels)
             return Operation(OpKind.BEGIN, sql, statement, cpu_cost,
                              self.label)
-        if isinstance(statement, Commit):
+        if cls is Commit:
             label = self.label
             self._finish()
             return Operation(OpKind.COMMIT, sql, statement, cpu_cost, label)
-        if isinstance(statement, Rollback):
+        if cls is Rollback:
             label = self.label
             self._finish()
             return Operation(OpKind.ABORT, sql, statement, cpu_cost, label)
         if not self.in_txn:
             # Autocommit statement: treated as its own tiny transaction by
             # the caller; classification is still read/write.
-            kind = OpKind.WRITE if is_write_statement(statement) \
-                else OpKind.READ
+            kind = OpKind.WRITE if cls in _WRITE_TYPES else OpKind.READ
             return Operation(kind, sql, statement, cpu_cost, None)
-        if is_write_statement(statement):
+        if cls in _WRITE_TYPES:
             # "No blind writes" (Section 3.1): the workload always reads
             # first, so a write can never be the first operation.  Guard
-            # anyway: a leading write also creates the snapshot.
-            first = not self.saw_first_operation
+            # anyway: a blind first write both creates the snapshot and
+            # modifies data; Madeus treats it as first operation and
+            # write combined.  The mapping function keeps it.
+            kind = (OpKind.WRITE if self.saw_first_operation
+                    else OpKind.FIRST_READ)
             self.saw_first_operation = True
             self.is_update = True
-            kind = OpKind.FIRST_READ if first else OpKind.WRITE
-            if first:
-                # A blind first write both creates the snapshot and
-                # modifies data; Madeus treats it as first operation and
-                # write combined.  The mapping function keeps it.
-                kind = OpKind.FIRST_READ
             return Operation(kind, sql, statement, cpu_cost, self.label)
-        if is_read_statement(statement):
+        if cls is Select:
             if not self.saw_first_operation:
                 self.saw_first_operation = True
                 return Operation(OpKind.FIRST_READ, sql, statement,

@@ -18,7 +18,8 @@ manager through ``caught_up`` events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -27,6 +28,7 @@ from typing import (
     Generator,
     List,
     Optional,
+    Tuple,
 )
 
 from ..engine.session import Session
@@ -90,6 +92,10 @@ class _BasePropagator:
         self.metrics = metrics
         self.metrics_prefix = metrics_prefix
         self.stats = PropagationStats()
+        #: ``(field name, gauge)`` per stats field, resolved at the
+        #: first publish: an engine that never publishes adds no
+        #: instrument to the registry (or to an exported trace).
+        self._stat_gauges: Optional[List[Tuple[str, Any]]] = None
         self._stop_requested = False
         self._link_signal: Optional[Event] = None
         self._open_signal: Optional[Event] = None
@@ -164,8 +170,16 @@ class _BasePropagator:
     # ------------------------------------------------------------------
     def _publish_stats(self) -> None:
         """Mirror the cumulative stats into the metrics registry."""
-        if self.metrics is not None:
-            self.metrics.absorb(self.metrics_prefix, self.stats)
+        if self.metrics is None:
+            return
+        if self._stat_gauges is None:
+            self._stat_gauges = [
+                (field.name, self.metrics.gauge(
+                    "%s.%s" % (self.metrics_prefix, field.name)))
+                for field in fields(self.stats)]
+        stats = self.stats
+        for name, gauge in self._stat_gauges:
+            gauge.set(getattr(stats, name))
 
     def _fire_caught_up(self) -> None:
         self._publish_stats()
@@ -280,7 +294,10 @@ class SerialReplayer(_BasePropagator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._queue: List[SyncsetBuffer] = []
+        #: The backlog, a heap of ``(linked_at, ssb_id, ssb)``: the pair
+        #: is unique, so pops come in master commit-completion order
+        #: and two SSBs are never compared.
+        self._queue: List[Tuple[float, int, SyncsetBuffer]] = []
         self._busy = False
 
     def _in_flight(self) -> int:
@@ -289,10 +306,10 @@ class SerialReplayer(_BasePropagator):
     def _run(self) -> Generator:
         session = Session(self.slave, self.tenant_name)
         while True:
-            # Collect anything linked since the last look, preserving
-            # master commit-completion order.
-            self._queue.extend(self.ssl.take_all())
-            self._queue.sort(key=lambda s: (s.linked_at or 0.0, s.ssb_id))
+            # Collect anything linked since the last look.
+            for ssb in self.ssl.take_all():
+                heappush(self._queue,
+                         (ssb.linked_at or 0.0, ssb.ssb_id, ssb))
             if not self._queue:
                 if self._stop_requested and self._is_drained():
                     self._fire_drained()
@@ -300,7 +317,7 @@ class SerialReplayer(_BasePropagator):
                 self._fire_caught_up()
                 yield from self._wait_for_work()
                 continue
-            ssb = self._queue.pop(0)
+            ssb = heappop(self._queue)[2]
             self._busy = True
             try:
                 yield from self._replay_serial(session, ssb)

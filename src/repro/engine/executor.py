@@ -42,7 +42,7 @@ ReadHook = Callable[[int, str, Hashable, int], None]
 WriteHook = Callable[[int, str, Hashable], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecResult:
     """Outcome of one statement: result rows or an affected-row count."""
 
@@ -115,19 +115,21 @@ class Executor:
     def execute(self, txn: Optional[Transaction],
                 statement: Statement) -> Generator[Any, Any, ExecResult]:
         """Execute one statement; a generator that may wait on locks."""
-        if isinstance(statement, Select):
-            return (yield from self._select(txn, statement))
-        if isinstance(statement, Update):
+        # AST nodes are never subclassed: dispatch on the class itself.
+        cls = statement.__class__
+        if cls is Select:
+            return self.select(txn, statement)
+        if cls is Update:
             return (yield from self._update(txn, statement))
-        if isinstance(statement, Insert):
+        if cls is Insert:
             return (yield from self._insert(txn, statement))
-        if isinstance(statement, Delete):
+        if cls is Delete:
             return (yield from self._delete(txn, statement))
-        if isinstance(statement, CreateTable):
+        if cls is CreateTable:
             return self._create_table(statement)
-        if isinstance(statement, CreateIndex):
+        if cls is CreateIndex:
             return self._create_index(statement)
-        if isinstance(statement, AlterTable):
+        if cls is AlterTable:
             return self._alter_table(statement)
         raise SqlError("executor cannot run %r"
                        % statement.__class__.__name__)
@@ -153,13 +155,16 @@ class Executor:
         because indexes only cover committed versions.
         """
         schema = table.schema
+        columns = schema._column_set
         for comparison in where:
-            schema.require_column(comparison.column)
+            if comparison.column not in columns:
+                schema.require_column(comparison.column)  # raises
+        primary_key = schema._primary_key
         keys: Optional[List[Hashable]] = None
         for comparison in where:
             if comparison.op != "=":
                 continue
-            if comparison.column == schema.primary_key:
+            if comparison.column == primary_key:
                 keys = [comparison.value]
                 break
         if keys is None:
@@ -184,11 +189,11 @@ class Executor:
     def _visible_row(self, txn: Optional[Transaction], table: Table,
                      key: Hashable, snapshot_csn: int) -> Optional[Row]:
         """Snapshot read of one key, honouring own uncommitted writes."""
-        if txn is not None:
+        if txn is not None and txn.writes:
             written, value = txn.own_write((table.schema.name, key))
             if written:
                 return value
-        chain = table.chain(key)
+        chain = table.chains.get(key)
         if chain is None:
             return None
         return chain.read(snapshot_csn)
@@ -196,9 +201,12 @@ class Executor:
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
-    def _select(self, txn: Optional[Transaction],
-                statement: Select) -> Generator[Any, Any, ExecResult]:
-        table = self.database.table(statement.table)
+    def select(self, txn: Optional[Transaction],
+               statement: Select) -> ExecResult:
+        """A snapshot read never waits, so unlike the writes it is a
+        plain function (the instance calls it without a generator)."""
+        table = (self.database.tables.get(statement.table)
+                 or self.database.table(statement.table))  # raises
         snapshot = (self._ensure_snapshot(txn) if txn is not None
                     else self._current_csn())
         rows: List[Row] = []
@@ -221,7 +229,8 @@ class Executor:
             rows = rows[:statement.limit]
         if statement.columns:
             for column in statement.columns:
-                table.schema.require_column(column)
+                if column not in table.schema._column_set:
+                    table.schema.require_column(column)  # raises
             rows = [{c: row.get(c) for c in statement.columns}
                     for row in rows]
         else:
@@ -229,7 +238,6 @@ class Executor:
         if txn is not None:
             txn.read_count += 1
         return ExecResult(rows=rows)
-        yield  # pragma: no cover - makes this function a generator
 
     # ------------------------------------------------------------------
     # write-path helpers
@@ -243,7 +251,7 @@ class Executor:
         lock holder commits first.
         """
         snapshot = self._ensure_snapshot(txn)
-        chain = table.chain(key)
+        chain = table.chains.get(key)
         if chain is not None and chain.latest_csn() > snapshot:
             self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
@@ -253,7 +261,7 @@ class Executor:
         yield grant  # may raise TransactionAborted via event failure
         # Re-check after a wait: the previous holder must have aborted, so
         # the newest committed version is unchanged, but be defensive.
-        chain = table.chain(key)
+        chain = table.chains.get(key)
         if chain is not None and chain.latest_csn() > snapshot:
             self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
@@ -266,10 +274,12 @@ class Executor:
                 statement: Update) -> Generator[Any, Any, ExecResult]:
         if txn is None:
             raise SqlError("UPDATE requires a transaction")
-        table = self.database.table(statement.table)
+        table = (self.database.tables.get(statement.table)
+                 or self.database.table(statement.table))  # raises
         snapshot = self._ensure_snapshot(txn)
         for column, _expr in statement.assignments:
-            table.schema.require_column(column)
+            if column not in table.schema._column_set:
+                table.schema.require_column(column)  # raises
         affected = 0
         for key in self._candidates(txn, table, statement.where):
             row = self._visible_row(txn, table, key, snapshot)
@@ -307,12 +317,14 @@ class Executor:
                 statement: Insert) -> Generator[Any, Any, ExecResult]:
         if txn is None:
             raise SqlError("INSERT requires a transaction")
-        table = self.database.table(statement.table)
+        table = (self.database.tables.get(statement.table)
+                 or self.database.table(statement.table))  # raises
         snapshot = self._ensure_snapshot(txn)
         schema = table.schema
         row: Row = {}
         for column, value in zip(statement.columns, statement.values):
-            schema.require_column(column)
+            if column not in schema._column_set:
+                schema.require_column(column)  # raises
             row[column] = value
         key = row.get(schema.primary_key)
         if key is None:

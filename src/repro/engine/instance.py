@@ -21,12 +21,14 @@ from .checkpoint import Checkpointer, CheckpointSpec
 from .database import TenantDatabase
 from .disk import Disk, DiskSpec
 from .executor import ExecResult, Executor
-from .sqlmini import Statement
+from .sqlmini import Select, Statement
 from .transaction import Transaction, TxnStatus
 from .wal import WalWriter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
+
+_ACTIVE = TxnStatus.ACTIVE
 
 
 @dataclass
@@ -287,8 +289,10 @@ class DbmsInstance:
     # ------------------------------------------------------------------
     def begin(self, tenant_name: str) -> Transaction:
         """Start a transaction; the snapshot is taken at the first op."""
-        self._require_up()
-        self.tenant(tenant_name)  # validate
+        if self.crashed:
+            self._require_up()
+        if tenant_name not in self.tenants:
+            self.tenant(tenant_name)  # raises
         txn = Transaction(tenant_name, self.env.now)
         if self.observer is not None:
             self.observer.on_begin(txn)
@@ -304,9 +308,10 @@ class DbmsInstance:
         wait, so a transaction blocked on a row lock does not occupy a
         core (as in a real DBMS, where it sleeps on a lock queue).
         """
-        self._require_up()
-        if txn is not None:
-            txn.require_active()
+        if self.crashed:
+            self._require_up()  # raises
+        if txn is not None and txn.status is not _ACTIVE:
+            txn.require_active()  # raises
         executor = self._executors.get(tenant_name)
         if executor is None:
             raise SchemaError("no tenant %r on %s" % (tenant_name, self.name))
@@ -319,7 +324,10 @@ class DbmsInstance:
         self.statements_executed += 1
         if self._m_statements is not None:
             self._m_statements.inc()
-        result = yield from executor.execute(txn, statement)
+        if statement.__class__ is Select:
+            result = executor.select(txn, statement)    # cannot wait
+        else:
+            result = yield from executor.execute(txn, statement)
         extra = self.costs.per_row_cpu * (len(result.rows) + result.affected)
         if extra > 0:
             yield self.env.timeout(extra)
@@ -333,13 +341,15 @@ class DbmsInstance:
         read-only ones (which need no flush and create no snapshot —
         exactly why the mapping function discards them).
         """
-        self._require_up()
-        txn.require_active()
+        if self.crashed:
+            self._require_up()
+        if txn.status is not _ACTIVE:
+            txn.require_active()
         core = self.cpu.request()
         yield core
         yield self.env.timeout(self.costs.end_cpu)
         self.cpu.release(core)
-        if not txn.is_update:
+        if not txn.writes:
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
             tenant = self.tenants.get(txn.tenant)
@@ -349,7 +359,8 @@ class DbmsInstance:
                 self.observer.on_commit(txn)
             return None
         # Durability first: wait for the (possibly grouped) WAL flush.
-        self._require_up()  # the CPU wait may have straddled a crash
+        if self.crashed:  # the CPU wait may have straddled a crash
+            self._require_up()
         yield self.wal.commit()
         # Atomic visibility: no yields from here to the end.
         tenant = self.tenant(txn.tenant)

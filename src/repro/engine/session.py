@@ -9,7 +9,6 @@ aborts into error results, and accepts raw SQL text or pre-parsed ASTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Union
 
 from ..errors import (
@@ -22,23 +21,43 @@ from ..errors import (
 from .instance import DbmsInstance
 from .mvcc import Row
 from .sqlmini import Begin, Commit, Rollback, Statement, parse
-from .transaction import Transaction
+from .transaction import Transaction, TxnStatus
+
+_ACTIVE = TxnStatus.ACTIVE
 
 
-@dataclass
 class SessionResult:
-    """Outcome of one statement as seen by the client."""
+    """Outcome of one statement as seen by the client.
 
-    kind: str                       # "rows" | "affected" | "ok" | "error"
-    rows: List[Row] = field(default_factory=list)
-    affected: int = 0
-    error: Optional[str] = None
-    commit_csn: Optional[int] = None
+    ``kind`` is ``"rows"``, ``"affected"``, ``"ok"`` or ``"error"``;
+    ``ok`` (whether the statement succeeded) is derived from it once,
+    at construction, because every layer above reads it.
+    """
 
-    @property
-    def ok(self) -> bool:
-        """Whether the statement succeeded."""
-        return self.kind != "error"
+    __slots__ = ("kind", "rows", "affected", "error", "commit_csn", "ok")
+
+    def __init__(self, kind: str, rows: Optional[List[Row]] = None,
+                 affected: int = 0, error: Optional[str] = None,
+                 commit_csn: Optional[int] = None):
+        self.kind = kind
+        self.rows: List[Row] = [] if rows is None else rows
+        self.affected = affected
+        self.error = error
+        self.commit_csn = commit_csn
+        self.ok = kind != "error"
+
+    def __repr__(self) -> str:
+        return ("SessionResult(kind=%r, rows=%r, affected=%r, error=%r, "
+                "commit_csn=%r)" % (self.kind, self.rows, self.affected,
+                                    self.error, self.commit_csn))
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.rows, self.affected, self.error,
+                 self.commit_csn)
+                == (other.kind, other.rows, other.affected, other.error,
+                    other.commit_csn))
 
 
 class Session:
@@ -73,11 +92,13 @@ class Session:
             except SqlError as exc:
                 return SessionResult(kind="error", error=str(exc))
         self.statements += 1
-        if isinstance(statement, Begin):
+        # AST nodes are never subclassed: dispatch on the class itself.
+        cls = statement.__class__
+        if cls is Begin:
             return self._begin()
-        if isinstance(statement, Commit):
+        if cls is Commit:
             return (yield from self._commit())
-        if isinstance(statement, Rollback):
+        if cls is Rollback:
             return self._rollback()
         try:
             result = yield from self.instance.execute(
@@ -107,7 +128,8 @@ class Session:
 
     # ------------------------------------------------------------------
     def _begin(self) -> SessionResult:
-        if self.in_transaction:
+        txn = self.txn
+        if txn is not None and txn.status is _ACTIVE:
             return SessionResult(kind="error",
                                  error="transaction already in progress")
         try:
@@ -117,10 +139,10 @@ class Session:
         return SessionResult(kind="ok")
 
     def _commit(self) -> Generator[Any, Any, SessionResult]:
-        if not self.in_transaction:
+        txn = self.txn
+        if txn is None or txn.status is not _ACTIVE:
             return SessionResult(kind="error",
                                  error="no transaction in progress")
-        txn = self.txn
         try:
             csn = yield from self.instance.commit(txn)
         except InvalidTransactionState as exc:

@@ -277,11 +277,13 @@ class Network:
         the attribute: not result-neutral at saturation).
         """
         if request_mb == 0.0 and response_mb == 0.0 and self.coalesce_hops:
-            self._check_link()
+            if self._down_count:
+                self._check_link()  # raises
             self.messages += 2
             yield self.env.timeout(
                 2.0 * self.spec.latency * self.latency_factor)
-            self._check_link()
+            if self._down_count:
+                self._check_link()  # raises
             return
         yield from self.message(request_mb)
         yield from self.message(response_mb)

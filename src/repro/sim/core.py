@@ -22,7 +22,10 @@ order, merged at dispatch by lexicographic entry compare.
 * a monotone FIFO *lane* for future normal events whose entry is >= the
   current lane tail — fixed think times, uniform retry intervals and
   constant cpu-cost chains schedule in near-sorted order, and each such
-  event costs two deque operations instead of two heap operations, and
+  event costs two deque operations instead of two heap operations (under
+  client think times it stays idle: one long think time becomes the lane
+  tail and every shorter timeout behind it takes the heap — measured,
+  99.96 % of ``tpcw_order_migrate``'s timeouts, on a heap ~50 deep), and
 * a binary heap for everything else: out-of-order future events and the
   rare urgent kernel events (process starts, interrupts, the ``until``
   stop).
@@ -58,11 +61,6 @@ from .events import (
 
 ProcessGenerator = Generator[Event, Any, Any]
 
-#: Priority used for normal events.
-NORMAL = 1
-#: Priority used for urgent (kernel-internal) events.
-URGENT = 0
-
 
 class StopSimulation(Exception):
     """Raised internally to stop :meth:`Environment.run` at ``until``."""
@@ -85,11 +83,13 @@ class Environment:
         assert p.value == 5
     """
 
-    __slots__ = ("_now", "_queue", "_tick", "_lane", "_lane_when", "_seq",
+    __slots__ = ("now", "_queue", "_tick", "_lane", "_lane_when", "_seq",
                  "_active_process", "_pool")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time: a plain slot, written only by the
+        #: dispatch loop, so the ~one read per event costs no call.
+        self.now = float(initial_time)
         #: Out-of-order future + urgent events: heap of ``(when, key, ev)``.
         self._queue: List[Tuple[float, int, Event]] = []
         #: Zero-delay normal events at the current timestamp (FIFO).
@@ -108,11 +108,6 @@ class Environment:
     # time and scheduling
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional["Process"]:
         """The process currently executing, if any."""
         return self._active_process
@@ -128,28 +123,6 @@ class Environment:
         """
         return (self._seq - len(self._tick) - len(self._lane)
                 - len(self._queue))
-
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
-        """Enqueue ``event`` after ``delay`` (kernel-internal API).
-
-        Hot callers (``succeed``/``fail``/``timeout``) inline this; the
-        method is kept for cold paths and compatibility.
-        """
-        self._seq = seq = self._seq + 1
-        if priority == URGENT:
-            heappush(self._queue, (self._now + delay, seq - URGENT_BIAS,
-                                   event))
-        elif delay == 0:
-            self._tick.append((self._now, seq, event))
-        else:
-            when = self._now + delay
-            lane = self._lane
-            if when >= self._lane_when or not lane:
-                self._lane_when = when
-                lane.append((when, seq, event))
-            else:
-                heappush(self._queue, (when, seq, event))
 
     # ------------------------------------------------------------------
     # event factories
@@ -193,7 +166,7 @@ class Environment:
             event.delay = delay
         self._seq = seq = self._seq + 1
         if delay > 0:
-            when = self._now + delay
+            when = self.now + delay
             lane = self._lane
             # One comparison on the hot path: a stale ``_lane_when`` on
             # an empty lane is harmless either way (any entry may start
@@ -205,7 +178,7 @@ class Environment:
             else:
                 _heappush(self._queue, (when, seq, event))
         elif delay == 0:
-            self._tick.append((self._now, seq, event))
+            self._tick.append((self.now, seq, event))
         else:
             # Undo the speculative bookkeeping from the fast path above.
             self._seq = seq - 1
@@ -273,7 +246,7 @@ class Environment:
 
     def _dispatch(self, item: Tuple[float, int, Event]) -> None:
         event = item[2]
-        self._now = item[0]
+        self.now = item[0]
         callbacks = event.callbacks
         event.callbacks = None
         event._state = PROCESSED
@@ -287,9 +260,9 @@ class Environment:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or simulated time reaches ``until``."""
         if until is not None:
-            if until < self._now:
+            if until < self.now:
                 raise ValueError("until=%r is in the past (now=%r)"
-                                 % (until, self._now))
+                                 % (until, self.now))
             stop = Event(self)
             stop.callbacks = self._stop_callback
             stop._state = TRIGGERED
@@ -330,7 +303,7 @@ class Environment:
                     item = pop(queue)
                 else:
                     break
-                self._now, _key, event = item
+                self.now, _key, event = item
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._state = PROCESSED
@@ -432,7 +405,7 @@ class Process(Event):
         start.callbacks = self
         start._state = TRIGGERED
         env._seq += 1
-        heappush(env._queue, (env._now, env._seq - URGENT_BIAS, start))
+        heappush(env._queue, (env.now, env._seq - URGENT_BIAS, start))
 
     @property
     def is_alive(self) -> bool:
@@ -454,7 +427,7 @@ class Process(Event):
             self._target.remove_callback(self)
             self._target = None
         env._seq += 1
-        heappush(env._queue, (env._now, env._seq - URGENT_BIAS,
+        heappush(env._queue, (env.now, env._seq - URGENT_BIAS,
                               interrupt_event))
 
     # ------------------------------------------------------------------
@@ -512,9 +485,6 @@ class Process(Event):
     # itself usable as an event callback (including inside callback lists
     # and for Process subclasses the run-loop fast path doesn't match).
     __call__ = _resume
-
-    def _has_waiters(self) -> bool:
-        return bool(self.callbacks)
 
 
 def run_processes(*generators: ProcessGenerator,

@@ -24,8 +24,8 @@ simulated statement, disk I/O and network hop allocates events here):
   ~20% of kernel throughput.  Use :meth:`Event.add_callback` /
   :meth:`Event.remove_callback` instead of poking the attribute.
 * Scheduling is inlined into :meth:`Event.succeed`, :meth:`Event.fail`
-  and :class:`Timeout` instead of calling
-  :meth:`~repro.sim.core.Environment.schedule`: zero-delay triggers go
+  and :class:`Timeout` (there is no ``schedule()`` call; each writes the
+  environment's queues itself): zero-delay triggers go
   to the environment's same-tick FIFO (no heap traffic), delayed ones
   to the heap.  Both paths assign keys from the same monotonic sequence
   counter, so the total event order is exactly the classic
@@ -140,7 +140,7 @@ class Event:
         # Inlined zero-delay NORMAL-priority schedule (the hot path).
         env = self.env
         env._seq = seq = env._seq + 1
-        env._tick.append((env._now, seq, self))
+        env._tick.append((env.now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -156,11 +156,8 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        env._tick.append((env._now, seq, self))
+        env._tick.append((env.now, seq, self))
         return self
-
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = getattr(self, "name", None) or self.__class__.__name__
@@ -187,9 +184,9 @@ class Timeout(Event):
         env._seq = seq = env._seq + 1
         if delay == 0:
             # Same-tick fast path: FIFO append instead of heap traffic.
-            env._tick.append((env._now, seq, self))
+            env._tick.append((env.now, seq, self))
         else:
-            heappush(env._queue, (env._now + delay, seq, self))
+            heappush(env._queue, (env.now + delay, seq, self))
 
 
 class Condition(Event):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from .events import Event
+from .events import PENDING, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -28,9 +28,15 @@ class Request(Event):
     __slots__ = ("resource", "enqueued_at", "granted_at", "released")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Flattened Event.__init__, as in Timeout: one per statement.
+        self.env = env = resource.env
+        self.callbacks = None
+        self._value = None
+        self._exception = None
+        self._state = PENDING
+        self.name = None
         self.resource = resource
-        self.enqueued_at = resource.env.now
+        self.enqueued_at = env.now
         self.granted_at: Optional[float] = None
         self.released = False
 
@@ -86,13 +92,20 @@ class Resource:
             self._grant(self.queue.popleft())
 
     def _grant(self, req: Request) -> None:
-        self._account()
+        # _account() and Event.succeed() flattened in.
+        if req._state is not PENDING:
+            raise RuntimeError("event %r already triggered" % req)
+        env = self.env
+        req.granted_at = now = env.now
+        self._busy_integral += self.users * (now - self._last_change)
+        self._last_change = now
         self.users += 1
-        req.granted_at = self.env.now
-        wait = req.granted_at - req.enqueued_at
         self.total_waits += 1
-        self.total_wait_time += wait
-        req.succeed(self)
+        self.total_wait_time += now - req.enqueued_at
+        req._value = self
+        req._state = TRIGGERED
+        env._seq = seq = env._seq + 1
+        env._tick.append((now, seq, req))
 
     def _account(self) -> None:
         now = self.env.now

@@ -185,6 +185,31 @@ class TestSerialReplayer:
         commits = [e for e in validator.events if e.kind == "commit"]
         assert [c.ets for c in commits] == [1, 0]  # link order
 
+    def test_backlog_pops_in_the_order_of_a_full_resort(self, env):
+        """Equal ``linked_at``, out-of-order ``ssb_id``s, two arrivals:
+        the SSBs that arrive while one is being replayed overtake the
+        waiting one with the larger id, as re-sorting the whole backlog
+        before every pop did."""
+        _s, ssl, prop = _build(env, B_MIN)
+        ssbs = [_ssb(index, index, index, 10 + index) for index in range(6)]
+        for index in (5, 3):
+            ssl.link(ssbs[index], 0.0)
+        prop.start()
+        prop.notify_linked()
+
+        def second_arrival(env):
+            yield env.timeout(0.0005)        # ssbs[3] is mid-replay
+            assert prop._in_flight() == 2    # it, and ssbs[5] waiting
+            for index in (4, 1):
+                ssl.link(ssbs[index], 0.0)
+            prop.notify_linked()
+            prop.request_stop()
+            yield prop.wait_fully_drained()
+        drive(env, second_arrival(env))
+        replayed = sorted((ssb for ssb in ssbs if ssb.propagated_at),
+                          key=lambda ssb: ssb.propagated_at)
+        assert [ssbs.index(ssb) for ssb in replayed] == [3, 1, 4, 5]
+
     def test_single_player_only(self, env):
         _s, ssl, prop = _build(env, B_MIN)
         for index in range(5):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.sim import (AllOf, AnyOf, Environment, Event, Interrupt, Resource,
+                       Timeout)
 from repro.sim.core import run_processes
 
 from _helpers import drive
@@ -78,6 +79,46 @@ class TestTimeout:
             env.process(waiter(env, tag))
         env.run()
         assert order == ["x", "y", "z"]
+
+
+class TestClock:
+    """``env.now`` is the slot the dispatch loop writes, not a property
+    over it: every reader sees the time of the event being processed."""
+
+    def test_now_is_a_plain_slot(self):
+        assert "now" in Environment.__slots__
+        assert not isinstance(vars(Environment)["now"], property)
+
+    def test_every_reader_sees_the_same_time(self, env):
+        resource = Resource(env, capacity=1)
+        seen = {}
+
+        def holder(env):
+            request = resource.request()
+            yield request
+            yield env.timeout(3)
+            seen["callback"] = []
+            event = env.timeout(2)
+            event.add_callback(lambda _ev: seen["callback"].append(env.now))
+            yield event
+            seen["process"] = env.now
+            resource.release(request)
+
+        def waiter(env):
+            yield env.timeout(1)
+            request = resource.request()
+            yield request
+            seen["request"] = (request.enqueued_at, request.granted_at)
+            resource.release(request)
+        env.process(holder(env))
+        env.process(waiter(env))
+        env.run(until=4)
+        assert env.now == 4
+        env.run()
+        assert env.now == 5
+        assert seen == {"callback": [5], "process": 5, "request": (1, 5)}
+        assert resource.mean_wait() == 2.0      # (0 + 4) / 2 grants
+        assert resource.utilisation() == 1.0
 
 
 class TestRunUntil:
