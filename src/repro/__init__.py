@@ -34,6 +34,8 @@ Quickstart::
     middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
     # ... create a tenant, drive load, then:
     # report = yield from middleware.migrate("tenant", "node1")
+    # (what one migration does differently is its third argument, a
+    # MigrationOptions; MiddlewareConfig.migration is what all start from)
 """
 
 from .cluster import Cluster, Node, NodeSpec
@@ -79,7 +81,7 @@ from .obs import MetricsRegistry, Tracer, read_trace, write_trace
 from .router import RouterConfig, RouterFleet, RouterShard
 from .sim import Environment
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALL_POLICIES",

@@ -1,23 +1,26 @@
 """The stable public API of the Madeus reproduction.
 
-Import from here when building on the library; everything this module
-exports follows the deprecation policy in README.md ("Public API"):
-breaking changes are preceded by one release of ``DeprecationWarning``
-shims.  Internal modules (``repro.core.middleware``, ``repro.engine``,
-...) may reorganise without notice.
+Import from here when building on the library: the names in
+``__all__`` are stable (README.md, "Public API").  A keyword or method
+that is retired is listed there with its replacement and raises
+``TypeError`` from then on — there are no shims.  Internal modules
+(``repro.core.middleware``, ``repro.engine``, ...) may reorganise
+without notice.
 
 The surface, by layer:
 
 **Mechanism** — migrate one tenant:
 
 * :class:`Middleware` / :class:`MiddlewareConfig` — the proxy itself;
+  ``MiddlewareConfig.migration`` is what its migrations start from;
 * :class:`MigrationOptions` — per-migration knobs for
   :meth:`Middleware.migrate` (rates, standbys, the snapshot
-  ``strategy``, and the shared retry/resume knobs ``retry_limit`` /
-  ``retry_base`` / ``retry_cap`` / ``resume``);
+  ``strategy``, ship retries, the divergence watchdog, ``resume``);
+  a field left ``None`` is taken from the config, then the library
+  default;
 * :class:`SnapshotStrategy` — how the initial copy is produced
-  (``SERIAL`` / ``PIPELINED`` / ``WATERMARK``), the same ``strategy``
-  knob on all three options classes;
+  (``SERIAL`` / ``PIPELINED`` / ``WATERMARK``), the type of
+  ``MigrationOptions.strategy``;
 * :class:`MigrationReport` — what a finished migration reports;
 * :class:`TransferRates` — the dump/restore rate model;
 * :func:`policy_by_name` — resolve ``"Madeus"`` / ``"B-ALL"`` / ... to
@@ -67,12 +70,10 @@ The surface, by layer:
 * :func:`run_benchmark` — the ``repro bench`` harness,
   programmatically.
 
-The three options classes (:class:`MigrationOptions`,
-:class:`ScheduleOptions`, :class:`RebalanceOptions`) spell their
-retry/backoff/resume knobs identically — ``retry_limit``,
-``retry_base``, ``retry_cap``, ``resume`` — and share the
-``strategy`` knob (a :class:`SnapshotStrategy` or its string
-spelling), so a knob learned once applies everywhere.
+Every knob is a field of exactly one class, with its default beside
+it: how a migration runs is said in a :class:`MigrationOptions`, which
+:class:`MiddlewareConfig`, :class:`ScheduleOptions` and
+:class:`RebalanceOptions` each carry as their ``migration`` field.
 """
 
 from .control import (

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..engine.checkpoint import CheckpointSpec
 from ..engine.disk import DiskSpec
-from ..engine.instance import DbmsInstance, EngineCosts, Observer
+from ..engine.instance import DbmsInstance, Observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
@@ -28,7 +28,6 @@ class NodeSpec:
 
     cpu_cores: int = 4
     disk: DiskSpec = field(default_factory=DiskSpec)
-    costs: EngineCosts = field(default_factory=EngineCosts)
     group_commit: bool = True
     checkpoint: Optional[CheckpointSpec] = None
 
@@ -46,7 +45,6 @@ class Node:
             env, name,
             cpu_cores=self.spec.cpu_cores,
             disk_spec=self.spec.disk,
-            costs=self.spec.costs,
             group_commit=self.spec.group_commit,
             checkpoint_spec=self.spec.checkpoint,
             observer=observer,

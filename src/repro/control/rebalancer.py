@@ -9,7 +9,8 @@ borderline node never ping-pongs), and the
 moves) onto a service-mode
 :class:`~repro.core.scheduler.MigrationScheduler` — every chosen move
 is submitted live with the scheduler's full retry/resume machinery
-(``resume=True`` by default) and a max-concurrent-moves budget.
+(a crash-parked move is resumed from its journal) and a
+max-concurrent-moves budget.
 
 The decision loop emits three trace markers per round, all under the
 ``rebalance.`` prefix so gates can audit the control plane from the
@@ -23,18 +24,15 @@ trace alone:
   observed cost, for the predicted-vs-observed error the report
   carries.
 
-All knobs live on :class:`RebalanceOptions`, which follows the
-repo-wide option-dataclass convention (every field ``None`` = "use the
-default", :meth:`RebalanceOptions.resolve` fills them in) and shares
-the ``retry_limit`` / ``retry_base`` / ``retry_cap`` / ``resume`` knob
-names with :class:`~repro.core.scheduler.ScheduleOptions` and
+All knobs live on :class:`RebalanceOptions`, each with its default
+beside it; how one move migrates is its ``migration`` field, a
 :class:`~repro.core.middleware.MigrationOptions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Generator, List, Optional, Set
 
 from ..core.middleware import Middleware, MigrationOptions
 from ..core.scheduler import (
@@ -42,8 +40,6 @@ from ..core.scheduler import (
     ScheduleOptions,
     ScheduleReport,
 )
-from ..core.watermark import SnapshotStrategy
-from ..engine.dump import TransferRates
 from ..errors import MigrationError
 from ..obs.trace import SPAN
 from .detector import HotspotDetector
@@ -53,121 +49,40 @@ from .watcher import ClusterView, LoadWatcher
 
 @dataclass(frozen=True)
 class RebalanceOptions:
-    """Per-rebalancer knobs, following the repo's options convention.
-
-    Every field defaults to ``None`` meaning "use the default";
-    :meth:`resolve` fills them in, so callers only name what they
-    change.  The retry/backoff/resume knobs use the same names as
-    :class:`~repro.core.scheduler.ScheduleOptions` and
-    :class:`~repro.core.middleware.MigrationOptions` and are passed
-    through to the underlying scheduler.
-    """
+    """Per-rebalancer knobs; callers name only what they change."""
 
     # -- sensing -------------------------------------------------------
-    #: Sim seconds between load samples (default 1.0).
-    sample_interval: Optional[float] = None
-    #: Samples in the rolling rate window (default 5).
-    window: Optional[int] = None
-    #: Planning cadence: decide every N samples (default 2).
-    decide_every: Optional[int] = None
+    #: Sim seconds between load samples.
+    sample_interval: float = 1.0
+    #: Samples in the rolling rate window.
+    window: int = 5
+    #: Planning cadence: decide every N samples.
+    decide_every: int = 2
     # -- hotspot detection (hysteresis) --------------------------------
-    #: Hot when load > enter_ratio * cluster mean ... (default 1.5)
-    enter_ratio: Optional[float] = None
-    #: ... for sustain consecutive samples (default 2); cold again when
-    #: load < exit_ratio * mean (default 1.1; must be < enter_ratio).
-    exit_ratio: Optional[float] = None
-    sustain: Optional[int] = None
+    #: Hot when load > enter_ratio * cluster mean for ``sustain``
+    #: consecutive samples; cold again when load < exit_ratio * mean
+    #: (must be < enter_ratio).
+    enter_ratio: float = 1.5
+    exit_ratio: float = 1.1
+    sustain: int = 2
     #: Sim seconds a node (after cooling) and a tenant (after moving)
-    #: are left alone (default 30.0) — the anti-ping-pong dwell.
-    cooldown: Optional[float] = None
-    #: Absolute load floor below which a node is never hot (default 0).
-    min_node_load: Optional[float] = None
+    #: are left alone — the anti-ping-pong dwell.
+    cooldown: float = 30.0
     # -- planning / actuation ------------------------------------------
-    #: Moves in flight at once (default 2).
-    max_concurrent_moves: Optional[int] = None
-    #: Sim seconds a failed destination stays barred (default 60.0).
-    exclusion_ttl: Optional[float] = None
-    #: Workload shape fed to the Section 4.5.2 cost model.
-    est_reads_per_txn: Optional[float] = None
-    est_writes_per_txn: Optional[float] = None
-    fsync_latency: Optional[float] = None
-    # -- shared retry/backoff/resume knobs -----------------------------
-    #: Scheduler re-attempts per move (default 2).
-    retry_limit: Optional[int] = None
-    #: Capped exponential backoff between attempts (defaults 0.5/5.0).
-    retry_base: Optional[float] = None
-    retry_cap: Optional[float] = None
-    #: Resume crash-parked migrations from their journal (default True
-    #: — the control plane always journals its moves).
-    resume: Optional[bool] = None
-    #: Snapshot strategy for every move — the same knob as
-    #: :attr:`~repro.core.middleware.MigrationOptions.strategy` and
-    #: :attr:`~repro.core.scheduler.ScheduleOptions.strategy`.
-    strategy: Optional[SnapshotStrategy] = None
-    #: Per-move migration knobs (default resumable migrations).
-    migration: Optional[MigrationOptions] = None
+    #: Moves in flight at once.
+    max_concurrent_moves: int = 2
+    #: Per-move migration knobs: the control plane journals its moves.
+    migration: MigrationOptions = MigrationOptions(resume=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "strategy", SnapshotStrategy.coerce(self.strategy))
-
-    def resolve(self) -> "RebalanceOptions":
-        """A copy with every ``None`` replaced by its default."""
-        sample_interval = (self.sample_interval
-                           if self.sample_interval is not None else 1.0)
-        if sample_interval <= 0:
+        if self.sample_interval <= 0:
             raise ValueError("sample_interval must be > 0")
-        window = self.window if self.window is not None else 5
-        if window < 1:
+        if self.window < 1:
             raise ValueError("window must be >= 1")
-        decide_every = (self.decide_every
-                        if self.decide_every is not None else 2)
-        if decide_every < 1:
+        if self.decide_every < 1:
             raise ValueError("decide_every must be >= 1")
-        max_moves = (self.max_concurrent_moves
-                     if self.max_concurrent_moves is not None else 2)
-        if max_moves < 1:
+        if self.max_concurrent_moves < 1:
             raise ValueError("max_concurrent_moves must be >= 1")
-        retry_limit = (self.retry_limit
-                       if self.retry_limit is not None else 2)
-        if retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
-        resume = self.resume if self.resume is not None else True
-        migration = self.migration
-        if migration is None:
-            migration = MigrationOptions(resume=True)
-        if self.strategy is not None and migration.strategy is None:
-            migration = replace(migration, strategy=self.strategy)
-        return replace(
-            self, sample_interval=sample_interval, window=window,
-            decide_every=decide_every,
-            enter_ratio=(self.enter_ratio
-                         if self.enter_ratio is not None else 1.5),
-            exit_ratio=(self.exit_ratio
-                        if self.exit_ratio is not None else 1.1),
-            sustain=self.sustain if self.sustain is not None else 2,
-            cooldown=(self.cooldown
-                      if self.cooldown is not None else 30.0),
-            min_node_load=(self.min_node_load
-                           if self.min_node_load is not None else 0.0),
-            max_concurrent_moves=max_moves,
-            exclusion_ttl=(self.exclusion_ttl
-                           if self.exclusion_ttl is not None else 60.0),
-            est_reads_per_txn=(self.est_reads_per_txn
-                               if self.est_reads_per_txn is not None
-                               else 2.0),
-            est_writes_per_txn=(self.est_writes_per_txn
-                                if self.est_writes_per_txn is not None
-                                else 2.0),
-            fsync_latency=(self.fsync_latency
-                           if self.fsync_latency is not None
-                           else 0.005),
-            retry_limit=retry_limit,
-            retry_base=(self.retry_base
-                        if self.retry_base is not None else 0.5),
-            retry_cap=(self.retry_cap
-                       if self.retry_cap is not None else 5.0),
-            resume=resume, migration=migration)
 
 
 @dataclass
@@ -253,30 +168,21 @@ class Rebalancer:
                  nodes: Optional[List[str]] = None):
         self.middleware = middleware
         self.env = middleware.env
-        self.options = (options or RebalanceOptions()).resolve()
-        opts = self.options
+        self.options = opts = options or RebalanceOptions()
         self.watcher = LoadWatcher(middleware, nodes=nodes,
                                    window=opts.window)
         self.detector = HotspotDetector(
             enter_ratio=opts.enter_ratio, exit_ratio=opts.exit_ratio,
-            sustain=opts.sustain, cooldown=opts.cooldown,
-            min_load=opts.min_node_load)
-        rates = (opts.migration.rates
-                 if opts.migration is not None
-                 and opts.migration.rates is not None
-                 else TransferRates())
+            sustain=opts.sustain, cooldown=opts.cooldown)
+        rates = middleware.resolve_options(opts.migration).rates
         self.planner = Planner(
             middleware, cooldown=opts.cooldown,
-            exclusion_ttl=opts.exclusion_ttl,
-            est_reads_per_txn=opts.est_reads_per_txn,
-            est_writes_per_txn=opts.est_writes_per_txn,
-            fsync_latency=opts.fsync_latency,
             dump_mb_s=rates.dump_mb_s, restore_mb_s=rates.restore_mb_s)
+        # Every move gets two scheduler re-attempts, and a crash-parked
+        # one is resumed from its journal.
         self.scheduler = MigrationScheduler(middleware, ScheduleOptions(
             max_concurrent=opts.max_concurrent_moves,
-            migration=opts.migration, retry_limit=opts.retry_limit,
-            retry_base=opts.retry_base, retry_cap=opts.retry_cap,
-            resume=opts.resume))
+            migration=opts.migration, retry_limit=2, resume=True))
         self.report = RebalanceReport()
         self._running = False
         self._in_flight: Set[str] = set()

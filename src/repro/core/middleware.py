@@ -73,6 +73,7 @@ __all__ = [
     "JOURNAL_SUSPENDED",
     "Connection",
     "HandoverRecord",
+    "MIGRATION_DEFAULTS",
     "Middleware",
     "MiddlewareConfig",
     "MigrationJournal",
@@ -80,6 +81,75 @@ __all__ = [
     "MigrationReport",
     "TenantState",
 ]
+
+
+@dataclass(frozen=True)
+class MigrationOptions:
+    """Per-migration knobs for :meth:`Middleware.migrate`.
+
+    The one options class whose fields default to ``None``, meaning
+    "not set here": a migration runs on the call's options laid
+    :meth:`over` :attr:`MiddlewareConfig.migration` laid over
+    :data:`MIGRATION_DEFAULTS` (:meth:`Middleware.resolve_options`), so
+    a caller names only what it changes and every default is written
+    once, in that constant.
+    """
+
+    #: Dump/restore throughput model.
+    rates: Optional[TransferRates] = None
+    #: Extra nodes fed the snapshot + syncset stream (Section 4.2).
+    standbys: Optional[Sequence[str]] = None
+    #: How the initial copy is produced — a
+    #: :class:`~repro.core.watermark.SnapshotStrategy` (or its string
+    #: value): ``SERIAL``, ``PIPELINED``, or ``WATERMARK``.
+    strategy: Optional[SnapshotStrategy] = None
+    #: Chunk size for the streamed dump (unset -> ``rates.chunk_mb``).
+    chunk_mb: Optional[float] = None
+    #: Resend attempts per node when the snapshot ship/restore hits a
+    #: transient network outage, and the capped exponential backoff
+    #: between them.
+    retry_limit: Optional[int] = None
+    retry_base: Optional[float] = None
+    retry_cap: Optional[float] = None
+    #: Catch-up divergence watchdog (active only with a
+    #: ``catchup_deadline``): sample the backlog every
+    #: ``divergence_interval`` seconds and abort early once it has grown
+    #: strictly monotonically across ``divergence_window`` samples by at
+    #: least ``divergence_min_growth`` syncsets — a healthy catch-up
+    #: never sustains that.
+    divergence_interval: Optional[float] = None
+    divergence_window: Optional[int] = None
+    divergence_min_growth: Optional[int] = None
+    #: Journal per-migration progress (frozen chunk plan, snapshot CSN,
+    #: per-node installed chunks, catch-up low-water mark) so a source
+    #: crash *suspends* the migration instead of aborting it, and
+    #: :meth:`Middleware.resume_migration` can re-enter from the journal
+    #: after the source recovers — without re-dumping what already
+    #: landed.
+    resume: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strategy",
+                           SnapshotStrategy.coerce(self.strategy))
+        if self.standbys is not None:
+            object.__setattr__(self, "standbys", tuple(self.standbys))
+
+    def over(self, base: "MigrationOptions") -> "MigrationOptions":
+        """``base`` with every field that is set here laid over it."""
+        return replace(base, **{
+            name: value for name, value in vars(self).items()
+            if value is not None})
+
+
+#: What a migration does where neither the call nor the config says
+#: otherwise.  ``chunk_mb`` stays unset: it follows the resolved
+#: ``rates``.
+MIGRATION_DEFAULTS = MigrationOptions(
+    rates=TransferRates(), standbys=(),
+    strategy=SnapshotStrategy.PIPELINED,
+    retry_limit=5, retry_base=0.1, retry_cap=2.0,
+    divergence_interval=5.0, divergence_window=6,
+    divergence_min_growth=64, resume=False)
 
 
 @dataclass
@@ -97,115 +167,9 @@ class MiddlewareConfig:
     catchup_deadline: Optional[float] = None
     #: Drop the tenant from the source node after switch-over.
     drop_source_copy: bool = False
-    #: Max resend attempts per node when the snapshot ship/restore hits a
-    #: transient network outage (capped exponential backoff between them).
-    ship_retry_limit: int = 5
-    ship_retry_base: float = 0.1
-    ship_retry_cap: float = 2.0
-    #: Catch-up divergence watchdog (active only with a catchup_deadline):
-    #: sample the backlog every ``divergence_interval`` seconds and abort
-    #: early once it has grown strictly monotonically across
-    #: ``divergence_window`` samples by at least ``divergence_min_growth``
-    #: syncsets — a healthy catch-up never sustains that.
-    divergence_interval: float = 5.0
-    divergence_window: int = 6
-    divergence_min_growth: int = 64
-    #: Stream the snapshot (dump/ship/restore overlap) instead of the
-    #: serial paper-faithful chain.  Per-migration override:
-    #: :attr:`MigrationOptions.strategy`.
-    pipeline_snapshot: bool = True
-    #: Chunks the dump may run ahead of the slowest destination (also
-    #: the per-destination in-flight channel capacity).
-    pipeline_depth: int = 4
-    #: Durable-write latency of the handover journal's ``ready`` record
-    #: (the commit point of the two-step ownership switch).  The switch
-    #: is only crash-atomic because this record hits stable storage
-    #: before the routing entry flips, so the write costs real time.
-    handover_journal_sync: float = 0.002
-    #: Journal per-migration progress (frozen chunk plan, snapshot CSN,
-    #: per-node installed chunks, catch-up low-water mark) so a source
-    #: crash *suspends* the migration instead of aborting it, and
-    #: :meth:`Middleware.resume_migration` can re-enter from the journal
-    #: after the source recovers — without re-dumping what already
-    #: landed.  Per-migration override: :attr:`MigrationOptions.resume`.
-    resumable: bool = False
-
-
-@dataclass(frozen=True)
-class MigrationOptions:
-    """Per-migration knobs for :meth:`Middleware.migrate`.
-
-    Every field defaults to ``None`` ("inherit"): :meth:`resolve` fills
-    it from the :class:`MiddlewareConfig` (or the library default), so a
-    bare ``MigrationOptions()`` reproduces the configured behaviour and
-    callers override only what they mean to change.
-
-    The retry/backoff/resume knobs share their names with
-    :class:`~repro.core.scheduler.ScheduleOptions` and
-    :class:`~repro.control.RebalanceOptions`: ``retry_limit`` /
-    ``retry_base`` / ``retry_cap`` bound the capped-exponential retry
-    loop at each layer (here: per-node snapshot ship/restore resends),
-    ``resume`` opts into journalled restart-and-resume, and
-    ``strategy`` picks the snapshot path
-    (:class:`~repro.core.watermark.SnapshotStrategy`) uniformly at
-    every layer.
-    """
-
-    #: Dump/restore throughput model (None -> library defaults).
-    rates: Optional[TransferRates] = None
-    #: Extra nodes fed the snapshot + syncset stream (Section 4.2).
-    standbys: Optional[Sequence[str]] = None
-    #: How the initial copy is produced — a
-    #: :class:`~repro.core.watermark.SnapshotStrategy` (or its string
-    #: value): ``SERIAL``, ``PIPELINED``, or ``WATERMARK``.  ``None``
-    #: inherits :attr:`MiddlewareConfig.pipeline_snapshot`.
-    strategy: Optional[SnapshotStrategy] = None
-    #: Bounded-buffer depth of the pipelined path (None -> config).
-    pipeline_depth: Optional[int] = None
-    #: Chunk size for the streamed dump (None -> ``rates.chunk_mb``).
-    chunk_mb: Optional[float] = None
-    #: Snapshot ship/restore retry policy: resend attempts per node and
-    #: the capped exponential backoff between them (None -> config).
-    retry_limit: Optional[int] = None
-    retry_base: Optional[float] = None
-    retry_cap: Optional[float] = None
-    # divergence-watchdog thresholds (None -> config)
-    divergence_interval: Optional[float] = None
-    divergence_window: Optional[int] = None
-    divergence_min_growth: Optional[int] = None
-    #: Journal progress for restart-and-resume (None -> config).
-    resume: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strategy",
-                           SnapshotStrategy.coerce(self.strategy))
-
-    def resolve(self, config: MiddlewareConfig) -> "MigrationOptions":
-        """Fill every ``None`` from ``config`` / library defaults."""
-
-        def pick(value: Any, fallback: Any) -> Any:
-            return fallback if value is None else value
-
-        return replace(
-            self,
-            rates=self.rates if self.rates is not None else TransferRates(),
-            standbys=tuple(self.standbys or ()),
-            strategy=pick(self.strategy,
-                          SnapshotStrategy.PIPELINED
-                          if config.pipeline_snapshot
-                          else SnapshotStrategy.SERIAL),
-            pipeline_depth=pick(self.pipeline_depth, config.pipeline_depth),
-            retry_limit=pick(self.retry_limit, config.ship_retry_limit),
-            retry_base=pick(self.retry_base, config.ship_retry_base),
-            retry_cap=pick(self.retry_cap, config.ship_retry_cap),
-            divergence_interval=pick(self.divergence_interval,
-                                     config.divergence_interval),
-            divergence_window=pick(self.divergence_window,
-                                   config.divergence_window),
-            divergence_min_growth=pick(self.divergence_min_growth,
-                                       config.divergence_min_growth),
-            resume=pick(self.resume, config.resumable),
-        )
+    #: What every migration of this middleware starts from; the options
+    #: of one :meth:`Middleware.migrate` call override it field by field.
+    migration: MigrationOptions = MigrationOptions()
 
 
 @dataclass
@@ -609,21 +573,16 @@ class Middleware:
         destination — streamed in overlapping chunks by default, or the
         serial paper-faithful chain with
         ``MigrationOptions(strategy=SnapshotStrategy.SERIAL)``; (3)
-        propagate syncsets
-        under the configured policy until caught up; (4) suspend new
-        transactions, drain, switch over, resume.
+        propagate syncsets under the configured policy until caught up;
+        (4) suspend new transactions, drain, switch over, resume.
 
-        All per-migration knobs live on :class:`MigrationOptions`;
-        ``options.standbys`` names additional nodes that receive the
-        snapshot and the same syncset stream concurrently (Section 4.2)
-        — they end up as consistent warm replicas, and a standby that
-        fails mid-migration is dropped without stopping the migration.
-
-        .. versionchanged::
-           The deprecated positional-``TransferRates`` and ``rates=`` /
-           ``standbys=`` call shapes were removed after one release
-           cycle; :class:`MigrationOptions` is the only way to pass
-           per-migration knobs.
+        All per-migration knobs live on :class:`MigrationOptions`, the
+        only way to pass them (what ``options`` leaves unset comes from
+        :attr:`MiddlewareConfig.migration`); ``options.standbys`` names
+        additional nodes that receive the snapshot and the same syncset
+        stream concurrently (Section 4.2) — they end up as consistent
+        warm replicas, and a standby that fails mid-migration is dropped
+        without stopping the migration.
         """
         return migration.migrate(self, tenant, destination, options)
 
@@ -651,14 +610,19 @@ class Middleware:
 
     def resolve_options(self, options: Optional[MigrationOptions]
                         ) -> MigrationOptions:
-        """``options`` (``None`` = all defaults) filled from the config."""
+        """``options`` over the config's over :data:`MIGRATION_DEFAULTS`."""
         if options is not None and not isinstance(options,
                                                   MigrationOptions):
             raise TypeError(
                 "migrate() takes a MigrationOptions instance, got %r; "
                 "the old rates/standbys call shapes were removed"
                 % (type(options).__name__,))
-        return (options or MigrationOptions()).resolve(self.config)
+        configured = self.config.migration
+        opts = (options or configured).over(configured).over(
+            MIGRATION_DEFAULTS)
+        if opts.chunk_mb is None:
+            opts = replace(opts, chunk_mb=opts.rates.chunk_mb)
+        return opts
 
     def fail_standby(self, tenant: str, node_name: str) -> None:
         """Drop a failed standby slave and continue the migration.

@@ -58,6 +58,12 @@ from .watermark import SnapshotStrategy, watermark_snapshot
 if TYPE_CHECKING:  # pragma: no cover
     from .middleware import Middleware, MigrationOptions, TenantState
 
+#: Durable-write latency of the handover journal's ``ready`` record (the
+#: commit point of the two-step ownership switch).  The switch is only
+#: crash-atomic because this record hits stable storage before the
+#: routing entry flips, so the write costs real time.
+HANDOVER_JOURNAL_SYNC = 0.002
+
 
 # ----------------------------------------------------------------------
 # tenant scaffolding shared by the machine and the operator hooks
@@ -467,13 +473,11 @@ class Migration:
         opts, report = self.opts, self.report
         tenant_db = self.source_instance.tenant(self.tenant)
         size_mb = tenant_db.size_mb()
-        chunk_cap = (opts.chunk_mb if opts.chunk_mb is not None
-                     else opts.rates.chunk_mb)
         journal = MigrationJournal(
             tenant=self.tenant, source=report.source,
             destination=self.destination, mts=report.mts,
             snapshot_csn=self.snapshot_csn, size_mb=size_mb,
-            total_chunks=plan_chunks(size_mb, chunk_cap),
+            total_chunks=plan_chunks(size_mb, opts.chunk_mb),
             pipelined=report.pipelined, strategy=report.strategy,
             schemas=schema_specs(tenant_db))
         journal.manager = self.env.active_process
@@ -709,7 +713,7 @@ class Migration:
         # Persist the ready record before flipping the route: this is
         # the commit point, and the window it opens (a crash here rolls
         # *forward*) is exactly what the recovery rule resolves.
-        yield self.env.timeout(mw.config.handover_journal_sync)
+        yield self.env.timeout(HANDOVER_JOURNAL_SYNC)
         report.switched_at = self.env.now
         self.tracer.event("migration.switched", tenant=tenant,
                           destination=self.destination)

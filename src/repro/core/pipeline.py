@@ -69,11 +69,15 @@ from ..engine.dump import (
 )
 from ..errors import NetworkDown, NodeCrashed
 from ..sim.events import Event, Interrupt
-from ..sim.sync import CLOSED, Channel
+from ..sim.sync import CLOSED, Channel, backoff_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
     from .migration import Migration
+
+#: Chunks the dump may run ahead of the slowest destination (also the
+#: per-destination in-flight channel capacity).
+PIPELINE_DEPTH = 4
 
 
 class ChunkFeed:
@@ -263,7 +267,7 @@ def ship_with_retry(run: "Migration", node_name: str,
                 return str(exc)
         except (NodeCrashed, SnapshotTruncated) as exc:
             return str(exc)
-        delay = min(opts.retry_cap, opts.retry_base * (2 ** (attempts - 1)))
+        delay = backoff_delay(attempts, opts.retry_base, opts.retry_cap)
         run.report.ship_retries += 1
         run.metrics.counter("migration.retries").inc()
         run.tracer.event("migration.retry", tenant=run.tenant,
@@ -385,7 +389,7 @@ def pipelined_snapshot(run: "Migration",
     report.snapshot_size_mb = size_mb
     report.chunks_skipped = base
     started = env.now
-    feed = ChunkFeed(env, depth=opts.pipeline_depth,
+    feed = ChunkFeed(env, depth=PIPELINE_DEPTH,
                      name="feed.%s" % tenant)
     readers = {name: feed.reader(name, start=offsets[name] - base)
                for name in nodes}
@@ -426,7 +430,7 @@ def pipelined_snapshot(run: "Migration",
         resume_from = offsets[node_name]
 
         def attempt() -> Generator:
-            channel = Channel(env, capacity=opts.pipeline_depth,
+            channel = Channel(env, capacity=PIPELINE_DEPTH,
                               name="ship.%s.%s" % (tenant, node_name))
             pump = env.process(
                 run.network.pump_chunks(

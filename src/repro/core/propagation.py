@@ -36,7 +36,7 @@ from ..engine.sqlmini import Begin, Commit
 from ..errors import MigrationError, NetworkDown, NodeCrashed
 from ..obs.trace import ROUND
 from ..sim.events import Event
-from ..sim.sync import CountdownLatch, Mutex
+from ..sim.sync import CountdownLatch, Mutex, backoff_delay
 from .operations import Operation, OpKind
 from .policy import PropagationPolicy
 from .ssb import SyncsetBuffer, SyncsetList
@@ -257,9 +257,8 @@ class _BasePropagator:
                 if attempt > self.NET_RETRY_LIMIT:
                     raise
                 self.stats.net_retries += 1
-                yield self.env.timeout(
-                    min(self.NET_RETRY_CAP,
-                        self.NET_RETRY_BASE * (2 ** (attempt - 1))))
+                yield self.env.timeout(backoff_delay(
+                    attempt, self.NET_RETRY_BASE, self.NET_RETRY_CAP))
         result = yield from session.execute(operation.statement,
                                             cpu_cost=operation.cpu_cost)
         if not result.ok:

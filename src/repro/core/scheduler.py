@@ -18,9 +18,8 @@ concurrent sim-clock players over one :class:`Middleware`:
   egress links), or ``smallest-first`` (shortest-job-first on tenant
   size, minimising mean wait).
 
-All knobs live on :class:`ScheduleOptions`, which mirrors the
-:class:`MigrationOptions` shape: every field defaults to ``None`` =
-"use the default", and :meth:`ScheduleOptions.resolve` fills them in.
+All knobs live on :class:`ScheduleOptions`, each with its default
+beside it.
 
 One failed job never stops the schedule: per-job errors are captured on
 the :class:`JobOutcome` and the remaining jobs keep running — mirroring
@@ -59,7 +58,7 @@ returns the accumulated :class:`ScheduleReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -70,14 +69,13 @@ from ..errors import (
     SourceCrashed,
 )
 from ..obs.trace import FAULT, SPAN
-from ..sim.sync import Semaphore
+from ..sim.sync import Semaphore, backoff_delay
 from .middleware import (
     JOURNAL_SUSPENDED,
     Middleware,
     MigrationOptions,
     MigrationReport,
 )
-from .watermark import SnapshotStrategy
 
 #: Admission-order policies understood by :class:`ScheduleOptions`.
 SCHEDULE_POLICIES = ("fifo", "round-robin", "smallest-first")
@@ -85,71 +83,44 @@ SCHEDULE_POLICIES = ("fifo", "round-robin", "smallest-first")
 
 @dataclass(frozen=True)
 class ScheduleOptions:
-    """Per-schedule knobs for :class:`MigrationScheduler`.
-
-    Mirrors :class:`MigrationOptions`: every field defaults to ``None``
-    meaning "use the default", so callers only name what they change::
+    """Per-schedule knobs for :class:`MigrationScheduler`; callers name
+    only what they change::
 
         ScheduleOptions(policy="smallest-first", max_concurrent=2)
     """
 
-    #: Admission order: one of :data:`SCHEDULE_POLICIES` (default fifo).
-    policy: Optional[str] = None
+    #: Admission order: one of :data:`SCHEDULE_POLICIES`.
+    policy: str = "fifo"
     #: Cap on migrations in flight at once; ``0`` means unlimited.
-    max_concurrent: Optional[int] = None
-    #: Snapshot strategy applied to every job whose own
-    #: :class:`MigrationOptions` does not name one — the same
-    #: :class:`~repro.core.watermark.SnapshotStrategy` knob as
-    #: ``MigrationOptions.strategy`` / ``RebalanceOptions.strategy``.
-    strategy: Optional["SnapshotStrategy"] = None
-    #: Default per-job knobs; a job's own options override this.
+    max_concurrent: int = 0
+    #: Per-job knobs of every job submitted without its own options
+    #: (which replace this whole, they are not laid over it).
     migration: Optional[MigrationOptions] = None
-    #: Re-attempts per job after a failed/aborted migration (default 0 =
-    #: give up immediately, the pre-retry behaviour).
-    retry_limit: Optional[int] = None
-    #: Capped exponential backoff between attempts, in sim seconds:
-    #: ``min(retry_cap, retry_base * 2**(attempt-1))``.
-    retry_base: Optional[float] = None
-    retry_cap: Optional[float] = None
+    #: Re-attempts per job after a failed/aborted migration (0 = give up
+    #: immediately).
+    retry_limit: int = 0
+    #: Capped exponential backoff between attempts, in sim seconds
+    #: (:func:`~repro.sim.sync.backoff_delay`).
+    retry_base: float = 0.5
+    retry_cap: float = 5.0
     #: Treat a ``SourceCrashed`` suspension as retriable: wait for the
     #: crashed master to recover, then re-enter the parked migration
     #: with :meth:`Middleware.resume_migration` instead of giving up.
     #: Resumes consume retry attempts like any other retry, so this
-    #: needs ``retry_limit >= 1`` to have any effect (default False).
-    resume: Optional[bool] = None
+    #: needs ``retry_limit >= 1`` to have any effect.
+    resume: bool = False
 
-    def resolve(self) -> "ScheduleOptions":
-        """A copy with every ``None`` replaced by its default."""
-        policy = self.policy if self.policy is not None else "fifo"
-        if policy not in SCHEDULE_POLICIES:
+    def __post_init__(self) -> None:
+        if self.policy not in SCHEDULE_POLICIES:
             raise ValueError("unknown schedule policy %r; expected one "
-                             "of %s" % (policy,
+                             "of %s" % (self.policy,
                                         ", ".join(SCHEDULE_POLICIES)))
-        max_concurrent = (self.max_concurrent
-                          if self.max_concurrent is not None else 0)
-        if max_concurrent < 0:
+        if self.max_concurrent < 0:
             raise ValueError("max_concurrent must be >= 0")
-        retry_limit = (self.retry_limit
-                       if self.retry_limit is not None else 0)
-        if retry_limit < 0:
+        if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
-        retry_base = (self.retry_base
-                      if self.retry_base is not None else 0.5)
-        retry_cap = (self.retry_cap
-                     if self.retry_cap is not None else 5.0)
-        if retry_base < 0 or retry_cap < 0:
+        if self.retry_base < 0 or self.retry_cap < 0:
             raise ValueError("retry backoff must be >= 0")
-        strategy = SnapshotStrategy.coerce(self.strategy)
-        migration = self.migration or MigrationOptions()
-        if strategy is not None and migration.strategy is None:
-            migration = replace(migration, strategy=strategy)
-        return replace(self, policy=policy,
-                       max_concurrent=max_concurrent,
-                       strategy=strategy,
-                       migration=migration,
-                       retry_limit=retry_limit, retry_base=retry_base,
-                       retry_cap=retry_cap,
-                       resume=bool(self.resume))
 
 
 @dataclass
@@ -286,7 +257,7 @@ class MigrationScheduler:
                  router: Optional[Any] = None):
         self.middleware = middleware
         self.env = middleware.env
-        self.options = (options or ScheduleOptions()).resolve()
+        self.options = options or ScheduleOptions()
         #: Optional router tier (:class:`~repro.router.RouterFleet`):
         #: each completed job pushes a route invalidation for its
         #: tenant, so shard caches stop bouncing off the old master
@@ -548,9 +519,8 @@ class MigrationScheduler:
                     source_instance = self.middleware.cluster.node(
                         journal.source).instance
                     yield source_instance.wait_recovered()
-                    delay = min(opts.retry_cap,
-                                opts.retry_base
-                                * (2 ** (outcome.attempts - 1)))
+                    delay = backoff_delay(outcome.attempts,
+                                          opts.retry_base, opts.retry_cap)
                     metrics.counter("scheduler.resumes").inc()
                     tracer.event("schedule.resume",
                                  tenant=outcome.tenant,
@@ -580,9 +550,8 @@ class MigrationScheduler:
                     outcome.excluded_destinations.append(destination)
                 if self._next_destination(outcome, candidates) is None:
                     break
-                delay = min(opts.retry_cap,
-                            opts.retry_base
-                            * (2 ** (outcome.attempts - 1)))
+                delay = backoff_delay(outcome.attempts, opts.retry_base,
+                                      opts.retry_cap)
                 metrics.counter("scheduler.retries").inc()
                 tracer.event("schedule.retry", tenant=outcome.tenant,
                              attempt=outcome.attempts, delay=delay,

@@ -17,9 +17,8 @@ already carries a newer image — so every restored copy is
 snapshot-equivalent without ever freezing a CSN, and catch-up after
 the last chunk is bounded by chunk size instead of dump duration.
 
-This module also defines :class:`SnapshotStrategy`, the first-class
-selector threaded through ``MigrationOptions`` / ``ScheduleOptions`` /
-``RebalanceOptions``.
+This module also defines :class:`SnapshotStrategy`, the type of
+``MigrationOptions.strategy``.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from ..engine.dump import (
 )
 from ..engine.wal import change_payload_mb
 from ..errors import NetworkDown, NodeCrashed
+from ..sim.sync import backoff_delay
 from .pipeline import TapCursor, TapMarker, ship_with_retry
 from .propagation import _BasePropagator
 
@@ -208,9 +208,8 @@ class ChangeStreamApplier(_BasePropagator):
                 if attempt > self.NET_RETRY_LIMIT:
                     raise
                 self.stats.net_retries += 1
-                yield self.env.timeout(
-                    min(self.NET_RETRY_CAP,
-                        self.NET_RETRY_BASE * (2 ** (attempt - 1))))
+                yield self.env.timeout(backoff_delay(
+                    attempt, self.NET_RETRY_BASE, self.NET_RETRY_CAP))
         if self.slave.crashed:
             raise NodeCrashed(self.slave.name,
                               "crashed during change-stream apply")
@@ -270,9 +269,7 @@ def watermark_snapshot(run: "Migration",
     size_mb = source_db.size_mb()
     total_rows = source_db.row_count()
     mb_per_row = size_mb / total_rows if total_rows else 0.0
-    chunk_cap = opts.chunk_mb if opts.chunk_mb is not None \
-        else rates.chunk_mb
-    rows_per_chunk = (max(1, int(chunk_cap / mb_per_row))
+    rows_per_chunk = (max(1, int(opts.chunk_mb / mb_per_row))
                       if mb_per_row > 0 else 1)
     report.snapshot_size_mb = size_mb
     cursor: Any = None

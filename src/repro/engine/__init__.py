@@ -24,7 +24,7 @@ from .dump import (
     snapshot_size_mb,
 )
 from .executor import ExecResult, Executor
-from .instance import DbmsInstance, EngineCosts, Observer
+from .instance import DbmsInstance, Observer
 from .locks import LockTable
 from .mvcc import SecondaryIndex, VersionChain
 from .schema import Catalog, TableSchema
@@ -63,7 +63,6 @@ __all__ = [
     "Delete",
     "Disk",
     "DiskSpec",
-    "EngineCosts",
     "ExecResult",
     "Executor",
     "Insert",

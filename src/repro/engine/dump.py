@@ -43,14 +43,12 @@ class TransferRates:
     """Throughput model for dump and restore.
 
     ``restore_mb_s`` is deliberately several times slower than
-    ``dump_mb_s``; ``index_log_coeff`` adds the n·log n index-build term
-    that makes Figure 9 superlinear.
+    ``dump_mb_s``; above ``base_mb`` :func:`restore_duration` adds the
+    n·log n index-build term that makes Figure 9 superlinear.
     """
 
     dump_mb_s: float = 40.0
     restore_mb_s: float = 10.0
-    #: Extra restore time fraction per decade of size above ``base_mb``.
-    index_log_coeff: float = 0.35
     base_mb: float = 800.0
     chunk_mb: float = 32.0
 
@@ -161,13 +159,17 @@ def dump(instance: DbmsInstance, tenant_name: str, snapshot_csn: int,
                            tenant.fixed_overhead_mb, tenant.size_multiplier)
 
 
+#: Extra restore time fraction per decade of size above ``base_mb``.
+INDEX_LOG_COEFF = 0.35
+
+
 def restore_duration(size_mb: float, rates: TransferRates) -> float:
     """Closed-form restore time: linear insert cost + index-build term."""
     base = size_mb / rates.restore_mb_s
     if size_mb <= rates.base_mb:
         return base
     decades = math.log10(size_mb / rates.base_mb)
-    return base * (1.0 + rates.index_log_coeff * decades * math.log2(
+    return base * (1.0 + INDEX_LOG_COEFF * decades * math.log2(
         size_mb / rates.base_mb))
 
 

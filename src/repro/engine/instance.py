@@ -10,7 +10,6 @@ primitives sessions are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..errors import NodeCrashed, SchemaError
@@ -31,21 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
 _ACTIVE = TxnStatus.ACTIVE
 
 
-@dataclass
-class EngineCosts:
-    """CPU service-time model, in simulated seconds.
-
-    Per-statement costs can be overridden by the workload templates (a
-    TPC-W "best sellers" query costs far more than a point lookup); these
-    are the defaults for unannotated statements.
-    """
-
-    #: Base CPU held per statement (parse/plan/execute overhead).
-    base_statement_cpu: float = 0.0008
-    #: Extra CPU per row touched by a statement.
-    per_row_cpu: float = 0.0001
-    #: CPU to process a commit or abort (excluding the WAL flush).
-    end_cpu: float = 0.0002
+# The CPU service-time model, in simulated seconds.
+#: Base CPU held per statement (parse/plan/execute overhead) unless the
+#: workload template says otherwise (a TPC-W "best sellers" query costs
+#: far more than a point lookup).
+BASE_STATEMENT_CPU = 0.0008
+#: Extra CPU per row touched by a statement.
+PER_ROW_CPU = 0.0001
+#: CPU to process a commit or abort (excluding the WAL flush).
+END_CPU = 0.0002
 
 
 class Observer:
@@ -74,13 +67,11 @@ class DbmsInstance:
     def __init__(self, env: "Environment", name: str,
                  cpu_cores: int = 4,
                  disk_spec: Optional[DiskSpec] = None,
-                 costs: Optional[EngineCosts] = None,
                  group_commit: bool = True,
                  checkpoint_spec: Optional[CheckpointSpec] = None,
                  observer: Optional[Observer] = None):
         self.env = env
         self.name = name
-        self.costs = costs or EngineCosts()
         self.cpu = Resource(env, capacity=cpu_cores, name="%s.cpu" % name)
         self.disk = Disk(env, disk_spec, name="%s.disk" % name)
         self.wal = WalWriter(env, self.disk, group_commit=group_commit,
@@ -316,7 +307,7 @@ class DbmsInstance:
         if executor is None:
             raise SchemaError("no tenant %r on %s" % (tenant_name, self.name))
         service = (cpu_cost if cpu_cost is not None
-                   else self.costs.base_statement_cpu)
+                   else BASE_STATEMENT_CPU)
         core = self.cpu.request()
         yield core
         yield self.env.timeout(service)
@@ -328,7 +319,7 @@ class DbmsInstance:
             result = executor.select(txn, statement)    # cannot wait
         else:
             result = yield from executor.execute(txn, statement)
-        extra = self.costs.per_row_cpu * (len(result.rows) + result.affected)
+        extra = PER_ROW_CPU * (len(result.rows) + result.affected)
         if extra > 0:
             yield self.env.timeout(extra)
         return result
@@ -347,7 +338,7 @@ class DbmsInstance:
             txn.require_active()
         core = self.cpu.request()
         yield core
-        yield self.env.timeout(self.costs.end_cpu)
+        yield self.env.timeout(END_CPU)
         self.cpu.release(core)
         if not txn.writes:
             txn.status = TxnStatus.COMMITTED

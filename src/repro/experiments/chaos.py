@@ -240,9 +240,7 @@ def run_chaos(scenario: str,
     directory, testbed.trace_dir = testbed.trace_dir, None
     try:
         ended = testbed.migrate(
-            "A", "node1", MigrationOptions(rates=profile.rates,
-                                           standbys=tuple(standbys)),
-            step=1.0)
+            "A", "node1", MigrationOptions(standbys=standbys), step=1.0)
     finally:
         testbed.trace_dir = directory
     report = ended if isinstance(ended, MigrationReport) else None

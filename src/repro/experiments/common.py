@@ -261,14 +261,8 @@ class Testbed:
         ``timeout`` (a :class:`~repro.errors.CatchUpTimeout`) when the
         slave diverges or ``error`` (any other
         :class:`~repro.errors.MigrationError`), plus ``done`` in every
-        case.  ``options`` defaults to the profile's transfer rates; an
-        explicit options object without rates inherits them too.
-        :meth:`migrate` is the blocking form.
+        case.  :meth:`migrate` is the blocking form.
         """
-        if options is None:
-            options = MigrationOptions(rates=self.profile.rates)
-        elif options.rates is None:
-            options = replace(options, rates=self.profile.rates)
         outcome: Dict[str, Any] = {}
 
         def runner() -> Generator:
@@ -342,17 +336,8 @@ class Testbed:
         :meth:`migrate_async`: the returned dict gains ``report`` (a
         :class:`~repro.core.scheduler.ScheduleReport`) and ``done``
         when the whole schedule has finished; per-job errors live on
-        the report's job outcomes, they never surface here.  The
-        schedule's default migration options inherit the profile's
-        transfer rates unless overridden.
+        the report's job outcomes, they never surface here.
         """
-        options = options or ScheduleOptions()
-        migration = options.migration
-        if migration is None:
-            migration = MigrationOptions(rates=self.profile.rates)
-        elif migration.rates is None:
-            migration = replace(migration, rates=self.profile.rates)
-        options = replace(options, migration=migration)
         scheduler = MigrationScheduler(self.middleware, options)
         for tenant, destination in jobs:
             scheduler.submit(tenant, destination)
@@ -425,7 +410,8 @@ def build_testbed(profile: Profile,
                   validate_lsir: bool = False,
                   verify_consistency: bool = True,
                   trace_dir: Optional[str] = None) -> Testbed:
-    """Assemble nodes, middleware, tenant databases, and EB load."""
+    """Assemble nodes, middleware (its migrations run at the profile's
+    transfer rates), tenant databases, and EB load."""
     checkpoint_spec = None
     if checkpoints:
         checkpoint_spec = CheckpointSpec(
@@ -437,7 +423,8 @@ def build_testbed(profile: Profile,
         policy=policy,
         validate_lsir=validate_lsir,
         verify_consistency=verify_consistency,
-        catchup_deadline=profile.catchup_deadline))
+        catchup_deadline=profile.catchup_deadline,
+        migration=MigrationOptions(rates=profile.rates)))
     bind_node_obs(middleware)
     testbed = Testbed(env, cluster, middleware, profile,
                       trace_dir=trace_dir)

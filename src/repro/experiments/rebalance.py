@@ -173,7 +173,9 @@ def run_rebalance(profile: Optional[Profile] = None, *,
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=MADEUS, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=120.0, resumable=True))
+        catchup_deadline=120.0,
+        migration=MigrationOptions(rates=REBALANCE_RATES, chunk_mb=4.0,
+                                   resume=True)))
     bind_node_obs(middleware)
     testbed = build_kv_testbed(
         middleware, profile,
@@ -201,12 +203,7 @@ def run_rebalance(profile: Optional[Profile] = None, *,
 
     # -- the control plane ----------------------------------------------
     rebalance_options = options or RebalanceOptions(
-        sample_interval=1.0, window=3, decide_every=2,
-        enter_ratio=1.5, exit_ratio=1.1, sustain=2,
-        cooldown=min(25.0, phase_seconds / 3.0),
-        max_concurrent_moves=2,
-        migration=MigrationOptions(rates=REBALANCE_RATES, chunk_mb=4.0,
-                                   resume=True))
+        window=3, cooldown=min(25.0, phase_seconds / 3.0))
     rebalancer = Rebalancer(middleware, rebalance_options,
                             nodes=node_names)
     rebalancer.start()

@@ -8,8 +8,8 @@ processes, link flaps, degradation windows, disk stalls, correlated
 bursts, router-shard crashes — and runs a multi-tenant key-value fleet
 (fronted by a crashable :class:`~repro.router.RouterFleet`) through
 wave after wave of scheduled migrations for simulated hours or days,
-with
-restart-and-resume enabled (``MiddlewareConfig(resumable=True)`` plus
+with restart-and-resume enabled
+(``MiddlewareConfig(migration=MigrationOptions(resume=True, ...))`` plus
 the scheduler's ``resume`` retry policy).
 
 What the soak asserts, continuously and at the end:
@@ -204,7 +204,6 @@ class SoakOutcome:
 
 
 def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
-                   options: MigrationOptions,
                    holder: Dict[str, Any]) -> Generator[Any, Any, None]:
     """Wait out the crashed master, then re-enter a parked migration.
 
@@ -219,8 +218,7 @@ def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
         instance = cluster.node(journal.source).instance
         if instance.crashed:
             yield instance.wait_recovered()
-        holder["report"] = yield from middleware.resume_migration(
-            tenant, options)
+        holder["report"] = yield from middleware.resume_migration(tenant)
         holder["outcome"] = "ok"
     except SourceCrashed as exc:
         # Crashed again mid-resume: parked once more, next wave retries.
@@ -263,7 +261,9 @@ def run_soak(profile: Optional[Profile] = None, *,
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=MADEUS, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=120.0, resumable=True))
+        catchup_deadline=120.0,
+        migration=MigrationOptions(rates=SOAK_RATES, chunk_mb=4.0,
+                                   resume=True)))
     bind_node_obs(middleware)
     fleet = RouterFleet(env, middleware, shards=ROUTER_SHARDS,
                         seed=root_seed)
@@ -300,11 +300,9 @@ def run_soak(profile: Optional[Profile] = None, *,
     outcome = SoakOutcome(seed=root_seed, hours=hours, nodes=node_names,
                           tenants=tenant_names, model=model.to_dict(),
                           planned_faults=len(plan))
-    migration_options = MigrationOptions(rates=SOAK_RATES, chunk_mb=4.0)
     schedule_options = ScheduleOptions(
-        policy="fifo", max_concurrent=2, retry_limit=6,
-        retry_base=1.0, retry_cap=30.0, resume=True,
-        migration=migration_options)
+        max_concurrent=2, retry_limit=6, retry_base=1.0, retry_cap=30.0,
+        resume=True)
     ok_by_tenant = {tenant: 0 for tenant in tenant_names}
 
     def parked(tenant: str) -> bool:
@@ -328,8 +326,7 @@ def run_soak(profile: Optional[Profile] = None, *,
                 holder: Dict[str, Any] = {}
                 resumers[tenant] = holder
                 env.process(
-                    _resume_parked(middleware, cluster, tenant,
-                                   migration_options, holder),
+                    _resume_parked(middleware, cluster, tenant, holder),
                     name="soak.resume.%s" % tenant)
         scheduler = MigrationScheduler(middleware, schedule_options,
                                        router=fleet)

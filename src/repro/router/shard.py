@@ -21,6 +21,7 @@ from ..engine.session import SessionResult
 from ..engine.sqlmini import Begin, Commit, parse
 from ..errors import RouterCrashed
 from ..sim.events import Event
+from ..sim.sync import backoff_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.middleware import Connection, Middleware
@@ -223,10 +224,10 @@ class RouterShard:
                 now = self.env.now
                 if now >= deadline:
                     return now - start, True
-                delay = min(self.config.retry_cap,
-                            self.config.retry_base * (2 ** attempt))
-                delay = min(delay, deadline - now)
                 attempt += 1
+                delay = min(backoff_delay(attempt, self.config.retry_base,
+                                          self.config.retry_cap),
+                            deadline - now)
                 yield self.env.any_of([self.env.timeout(delay),
                                        self._crash_event])
                 if self.crashed:

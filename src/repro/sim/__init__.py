@@ -11,7 +11,15 @@ from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .monitor import CounterSeries, SampleSeries
 from .rand import RandomStream, StreamFactory
 from .resources import Request, Resource, Store
-from .sync import CLOSED, Channel, CountdownLatch, Gate, Mutex, Semaphore
+from .sync import (
+    CLOSED,
+    Channel,
+    CountdownLatch,
+    Gate,
+    Mutex,
+    Semaphore,
+    backoff_delay,
+)
 
 __all__ = [
     "AllOf",
@@ -35,5 +43,6 @@ __all__ = [
     "Store",
     "StreamFactory",
     "Timeout",
+    "backoff_delay",
     "run_processes",
 ]

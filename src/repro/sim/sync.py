@@ -23,6 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
 
+def backoff_delay(attempt: int, base: float, cap: float) -> float:
+    """Capped exponential backoff ahead of retry ``attempt`` (1-based)."""
+    return min(cap, base * (2 ** (attempt - 1)))
+
+
 class Mutex:
     """A FIFO mutual-exclusion lock with contention accounting.
 

@@ -14,7 +14,7 @@ never the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ...core.middleware import Middleware
 from ...errors import NetworkDown
@@ -41,9 +41,6 @@ class EbConfig:
     think_time: float = 7.0
     #: CPU-cost scale applied to every statement (hardware calibration).
     cpu_scale: float = 1.0
-    #: Stop issuing new interactions after this simulated time (None =
-    #: run until the environment stops).
-    until: Optional[float] = None
 
 
 @dataclass
@@ -82,8 +79,6 @@ def emulated_browser(env: "Environment", middleware: Middleware,
     names, weights = mix_weights(config.mix)
     while True:
         yield env.timeout(rng.exponential(config.think_time))
-        if config.until is not None and env.now >= config.until:
-            return
         name = rng.weighted_choice(names, weights)
         steps = INTERACTIONS[name](ctx, state, rng, config.cpu_scale)
         started = env.now

@@ -1,10 +1,11 @@
-"""Tests for the redesigned public API surface: the ``repro.api``
-facade, MigrationOptions resolution, the retired ``migrate(tenant,
-dst, rates)`` shim, the control-plane exports, the unified
-retry/backoff/resume knob names, and the docstring-vs-``__all__``
-sweep."""
+"""Tests for the public API surface: the ``repro.api`` facade, the
+knob census, how a migration's options are resolved (call over config
+over ``MIGRATION_DEFAULTS``), the retired spellings, the control-plane
+exports, and the docstring-vs-``__all__`` sweep."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 import warnings
 
@@ -30,9 +31,124 @@ FACADE_NAMES = ("ClusterView", "MetricsRegistry", "Middleware",
                 "ScheduleReport", "SnapshotStrategy", "TransferRates",
                 "policy_by_name", "run_benchmark")
 
-#: The knob names MigrationOptions / ScheduleOptions /
-#: RebalanceOptions must all spell identically.
-SHARED_KNOBS = ("retry_limit", "retry_base", "retry_cap", "resume")
+#: The four classes that configure a migration, outermost last.
+FOUR = ("MigrationOptions", "MiddlewareConfig", "ScheduleOptions",
+        "RebalanceOptions")
+
+#: Field names two of the four classes both use — each time for a knob
+#: of its own, never for a copy of the other's.
+SAME_NAME_OWN_KNOB = {
+    # where the three outer classes carry a MigrationOptions
+    "migration": {"MiddlewareConfig", "ScheduleOptions",
+                  "RebalanceOptions"},
+    # propagation protocol / admission order
+    "policy": {"MiddlewareConfig", "ScheduleOptions"},
+    # per-node snapshot resends and journalling / per-job re-attempts
+    # and re-entering a parked job
+    "retry_limit": {"MigrationOptions", "ScheduleOptions"},
+    "retry_base": {"MigrationOptions", "ScheduleOptions"},
+    "retry_cap": {"MigrationOptions", "ScheduleOptions"},
+    "resume": {"MigrationOptions", "ScheduleOptions"},
+}
+
+#: Keywords this repo once accepted, by class; each now raises the
+#: dataclass's own ``TypeError`` (README "Public API" has the table of
+#: replacements).
+RETIRED = {
+    "MigrationOptions": (
+        {"ship_retry_limit": 1}, {"ship_retry_base": 1},
+        {"ship_retry_cap": 1}, {"resumable": True},
+        {"pipeline": True}, {"pipeline": False},
+        {"pipeline": True, "strategy": "watermark"},
+        {"pipeline_depth": 4}),
+    "MiddlewareConfig": (
+        {"ship_retry_limit": 5}, {"ship_retry_base": 0.1},
+        {"ship_retry_cap": 2.0}, {"divergence_interval": 5.0},
+        {"divergence_window": 6}, {"divergence_min_growth": 64},
+        {"pipeline_snapshot": True}, {"pipeline_depth": 4},
+        {"handover_journal_sync": 0.002}, {"resumable": True}),
+    "ScheduleOptions": ({"strategy": "watermark"},),
+    "RebalanceOptions": (
+        {"strategy": "watermark"}, {"retry_limit": 2},
+        {"retry_base": 0.5}, {"retry_cap": 5.0}, {"resume": True},
+        {"min_node_load": 0.0}, {"exclusion_ttl": 60.0},
+        {"est_reads_per_txn": 2.0}, {"est_writes_per_txn": 2.0},
+        {"fsync_latency": 0.005}),
+}
+
+
+def _retired_id(case):
+    # MigrationOptions ids stay bare, as they were when it was the only
+    # class in the table.
+    name, retired = case
+    spelled = "+".join("%s=%s" % kv for kv in retired.items())
+    return (spelled if name == "MigrationOptions"
+            else "%s-%s" % (name, spelled))
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+#: The "config-dataclass fields" of ROADMAP's settable-options ledger:
+#: every field of every ``*Config / *Options / *Model / *Profile /
+#: *Spec / *Params / *Rates`` dataclass under ``repro``.  A new knob is
+#: a diff of this literal (and of the ledger's count).
+KNOB_CENSUS = {
+    "CheckpointSpec": ["interval", "dirty_mb_per_commit", "min_burst_mb",
+                       "chunk_mb"],
+    "DiskSpec": ["fsync_latency", "seek_latency", "read_bandwidth_mb_s",
+                 "write_bandwidth_mb_s"],
+    "EbConfig": ["ebs", "mix", "think_time", "cpu_scale"],
+    "FailureModel": ["node_mtbf", "node_mttr", "link_mtbf", "link_mttr",
+                     "degrade_mtbf", "degrade_mttr", "degrade_factor",
+                     "disk_stall_mtbf", "disk_stall_mttr", "router_mtbf",
+                     "router_mttr", "burst_probability", "burst_spread",
+                     "max_faults"],
+    "FaultSpec": ["name", "kind", "at", "target", "duration", "factor",
+                  "phase", "after", "after_event"],
+    "KvWorkloadConfig": ["keys", "clients", "transactions_per_client",
+                         "read_only_ratio", "writes_per_txn",
+                         "think_time"],
+    "MiddlewareConfig": ["policy", "validate_lsir", "verify_consistency",
+                         "catchup_deadline", "drop_source_copy",
+                         "migration"],
+    "MigrationOptions": ["rates", "standbys", "strategy", "chunk_mb",
+                         "retry_limit", "retry_base", "retry_cap",
+                         "divergence_interval", "divergence_window",
+                         "divergence_min_growth", "resume"],
+    "NetworkSpec": ["latency", "bandwidth_mb_s"],
+    "NodeSpec": ["cpu_cores", "disk", "group_commit", "checkpoint"],
+    "PopulationParams": ["items", "ebs", "row_scale"],
+    "Profile": ["name", "eb_scale", "think_time", "cpu_scale",
+                "size_scale", "row_scale", "time_scale", "rates",
+                "catchup_deadline", "seed"],
+    "RebalanceOptions": ["sample_interval", "window", "decide_every",
+                         "enter_ratio", "exit_ratio", "sustain",
+                         "cooldown", "max_concurrent_moves", "migration"],
+    "RouterConfig": ["park_capacity", "park_timeout", "retry_base",
+                     "retry_cap"],
+    "ScheduleOptions": ["policy", "max_concurrent", "migration",
+                        "retry_limit", "retry_base", "retry_cap",
+                        "resume"],
+    "SchemaSpec": ["name", "columns", "indexes"],
+    "TransferRates": ["dump_mb_s", "restore_mb_s", "base_mb", "chunk_mb"],
+}
+
+
+def test_knob_census():
+    census_name = re.compile(
+        r"(Config|Options|Model|Profile|Spec|Params|Rates)$")
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__
+                    and census_name.search(name)):
+                found[name] = [f.name for f in dataclasses.fields(obj)]
+    assert found == KNOB_CENSUS
+    assert sum(len(knobs) for knobs in found.values()) == 104
 
 
 class TestFacade:
@@ -96,45 +212,47 @@ class TestFacade:
 
 
 class TestUnifiedKnobNames:
-    """retry/backoff/resume spell the same on all three options."""
+    """One knob, one name, one class."""
 
-    def test_all_three_options_share_the_knob_names(self):
-        from repro.api import (MigrationOptions, RebalanceOptions,
-                               ScheduleOptions)
-        for cls in (MigrationOptions, ScheduleOptions,
-                    RebalanceOptions):
-            fields = {f.name for f in dataclasses.fields(cls)}
-            for knob in SHARED_KNOBS:
-                assert knob in fields, (cls.__name__, knob)
+    def test_each_knob_is_a_field_of_exactly_one_class(self):
+        owners = {}
+        for name in FOUR:
+            for knob in _field_names(getattr(repro.api, name)):
+                owners.setdefault(knob, set()).add(name)
+        shared = {knob: classes for knob, classes in owners.items()
+                  if len(classes) > 1}
+        assert shared == SAME_NAME_OWN_KNOB
 
     def test_no_new_options_class_grows_legacy_spellings(self):
         from repro.api import RebalanceOptions, ScheduleOptions
         for cls in (ScheduleOptions, RebalanceOptions):
-            fields = {f.name for f in dataclasses.fields(cls)}
             assert not any(name.startswith("ship_retry")
-                           for name in fields), cls.__name__
+                           for name in _field_names(cls)), cls.__name__
 
-    def test_all_three_options_share_the_strategy_knob(self):
-        from repro.api import (MigrationOptions, RebalanceOptions,
-                               ScheduleOptions)
-        for cls in (MigrationOptions, ScheduleOptions,
-                    RebalanceOptions):
-            fields = {f.name for f in dataclasses.fields(cls)}
-            assert "strategy" in fields, cls.__name__
+    def test_strategy_is_a_migration_option_only(self):
+        # The outer layers say it as migration=MigrationOptions(
+        # strategy=...); none of them has a pass-through copy.
+        assert "strategy" in _field_names(MigrationOptions)
+        for name in FOUR[1:]:
+            fields = _field_names(getattr(repro.api, name))
+            assert "strategy" not in fields, name
+            assert "migration" in fields, name
 
-    @pytest.mark.parametrize("retired", [
-        {"ship_retry_limit": 1}, {"ship_retry_base": 1},
-        {"ship_retry_cap": 1}, {"resumable": True},
-        {"pipeline": True}, {"pipeline": False},
-        {"pipeline": True, "strategy": "watermark"}],
-        ids=lambda retired: "+".join("%s=%s" % kv
-                                     for kv in retired.items()))
-    def test_each_retired_spelling_raises_type_error(self, retired):
-        # The one-release DeprecationWarning shims (PR 8 / PR 9) are
-        # long over and the fields are gone: an unknown keyword is a
-        # TypeError from the dataclass itself.
+    @pytest.mark.parametrize(
+        "case", [(name, retired) for name in FOUR
+                 for retired in RETIRED[name]], ids=_retired_id)
+    def test_each_retired_spelling_raises_type_error(self, case):
+        # There are no shims: an unknown keyword is a TypeError from
+        # the dataclass itself.
+        name, retired = case
         with pytest.raises(TypeError):
-            MigrationOptions(**retired)
+            getattr(repro.api, name)(**retired)
+
+    def test_no_options_class_has_a_resolve_method(self):
+        # Defaults are readable without a call; the one place options
+        # are combined is Middleware.resolve_options.
+        for name in FOUR:
+            assert not hasattr(getattr(repro.api, name), "resolve"), name
 
     def test_new_spellings_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -154,23 +272,22 @@ class TestMigrationOptions:
 
     def test_resolve_fills_from_config(self):
         from repro.api import SnapshotStrategy
-        config = MiddlewareConfig(policy=MADEUS, pipeline_snapshot=False,
-                                  pipeline_depth=7)
-        resolved = MigrationOptions().resolve(config)
+        _env, _cluster, middleware = _build(MigrationOptions(
+            strategy="serial", retry_limit=7))
+        resolved = middleware.resolve_options(None)
         assert resolved.strategy is SnapshotStrategy.SERIAL
-        assert resolved.pipeline_depth == 7
-        assert isinstance(resolved.rates, TransferRates)
+        assert resolved.retry_limit == 7
+        assert resolved.rates == TransferRates()
         assert resolved.standbys == ()
-        piped = MigrationOptions().resolve(
-            MiddlewareConfig(policy=MADEUS, pipeline_snapshot=True))
+        piped = _build()[2].resolve_options(MigrationOptions())
         assert piped.strategy is SnapshotStrategy.PIPELINED
 
     def test_resolve_keeps_explicit_overrides(self):
         from repro.api import SnapshotStrategy
-        config = MiddlewareConfig(policy=MADEUS, pipeline_snapshot=False)
-        resolved = MigrationOptions(
-            strategy="pipelined", rates=RATES,
-            standbys=["node2"]).resolve(config)
+        _env, _cluster, middleware = _build(MigrationOptions(
+            strategy="serial"))
+        resolved = middleware.resolve_options(MigrationOptions(
+            strategy="pipelined", rates=RATES, standbys=["node2"]))
         assert resolved.strategy is SnapshotStrategy.PIPELINED
         assert resolved.rates is RATES
         assert resolved.standbys == ("node2",)
@@ -180,23 +297,115 @@ class TestMigrationOptions:
             MigrationOptions().pipeline = True
 
 
+#: Every MigrationOptions field set, twice: ``CALL`` differs from
+#: ``CONFIGURED``, which differs from MIGRATION_DEFAULTS.
+CALL = MigrationOptions(
+    rates=RATES, standbys=("node2",), strategy="watermark", chunk_mb=2.0,
+    retry_limit=1, retry_base=0.3, retry_cap=0.9, divergence_interval=1.5,
+    divergence_window=3, divergence_min_growth=9, resume=False)
+CONFIGURED = MigrationOptions(
+    rates=TransferRates(dump_mb_s=3.0), standbys=("node3",),
+    strategy="serial", chunk_mb=8.0, retry_limit=2, retry_base=0.4,
+    retry_cap=1.1, divergence_interval=2.5, divergence_window=4,
+    divergence_min_growth=11, resume=True)
+KNOBS = sorted(_field_names(MigrationOptions))
+
+
+class TestOptionsOverlay:
+    """Call beats config beats MIGRATION_DEFAULTS, field by field."""
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_call_beats_config_beats_defaults(self, knob):
+        from repro.core.middleware import MIGRATION_DEFAULTS
+        call, configured, default = (
+            getattr(options, knob)
+            for options in (CALL, CONFIGURED, MIGRATION_DEFAULTS))
+        assert call is not None and configured is not None
+        assert call != configured != default
+        both = _build(MigrationOptions(**{knob: configured}))[2]
+        plain = _build()[2]
+        said = MigrationOptions(**{knob: call})
+        assert getattr(both.resolve_options(said), knob) == call
+        assert getattr(both.resolve_options(None), knob) == configured
+        assert getattr(both.resolve_options(MigrationOptions()),
+                       knob) == configured
+        assert getattr(plain.resolve_options(said), knob) == call
+        if knob == "chunk_mb":
+            # The one derived default: it follows the resolved rates.
+            default = MIGRATION_DEFAULTS.rates.chunk_mb
+        assert getattr(plain.resolve_options(None), knob) == default
+
+    def test_only_the_chunk_size_has_no_library_default(self):
+        from repro.core.middleware import MIGRATION_DEFAULTS
+        unset = [knob for knob in KNOBS
+                 if getattr(MIGRATION_DEFAULTS, knob) is None]
+        assert unset == ["chunk_mb"]
+        rates = TransferRates(chunk_mb=5.0)
+        resolved = _build()[2].resolve_options(
+            MigrationOptions(rates=rates))
+        assert resolved.chunk_mb == 5.0
+
+    def test_an_explicit_empty_or_false_counts_as_set(self):
+        middleware = _build(MigrationOptions(
+            standbys=("node2",), resume=True))[2]
+        resolved = middleware.resolve_options(
+            MigrationOptions(standbys=(), resume=False))
+        assert resolved.standbys == ()
+        assert resolved.resume is False
+
+    def test_standbys_are_stored_as_a_tuple(self):
+        assert MigrationOptions(standbys=["node2"]).standbys == (
+            "node2",)
+
+    def test_configured_options_run_a_default_call(self):
+        # resolve_options(None) is the configured migration: journalled,
+        # at the configured rates.
+        middleware = _build(MigrationOptions(resume=True, rates=RATES))[2]
+        resolved = middleware.resolve_options(None)
+        assert resolved.resume is True
+        assert resolved.rates is RATES
+        report = _drive_migration(
+            middleware.env, middleware.cluster, middleware,
+            lambda: middleware.migrate("A", "node1"))
+        assert report.outcome == "ok"
+        assert middleware.migration_journal("A") is not None
+
+    def test_testbed_migrations_run_at_the_profile_rates(self):
+        # The frozen benchmark's call shape: options that name no rates.
+        from repro.experiments import SMOKE, TenantSetup, build_testbed
+        testbed = build_testbed(SMOKE, [TenantSetup(
+            "A", "node0", paper_ebs=100)])
+        said = MigrationOptions(strategy="serial")
+        assert (testbed.middleware.resolve_options(said).rates
+                is SMOKE.rates)
+        outcome = testbed.migrate_async("A", "node1", options=said)
+        testbed.run_until(lambda: outcome.get("done"), step=5.0)
+        assert outcome["report"].strategy == "serial"
+
+    def test_non_options_argument_is_a_type_error(self):
+        with pytest.raises(TypeError, match="MigrationOptions"):
+            _build()[2].resolve_options(RATES)
+
+
 class TestScheduleOptions:
-    def test_defaults_resolve_to_fifo_unlimited(self):
+    def test_defaults_are_fifo_unlimited(self):
         from repro.api import ScheduleOptions
-        resolved = ScheduleOptions().resolve()
-        assert resolved.policy == "fifo"
-        assert resolved.max_concurrent == 0
-        assert isinstance(resolved.migration, MigrationOptions)
+        options = ScheduleOptions()
+        assert options.policy == "fifo"
+        assert options.max_concurrent == 0
+        assert options.retry_limit == 0
+        assert options.resume is False
+        assert options.migration is None
 
     def test_unknown_policy_rejected(self):
         from repro.api import ScheduleOptions
-        with pytest.raises(ValueError):
-            ScheduleOptions(policy="magic").resolve()
+        with pytest.raises(ValueError, match="unknown schedule policy"):
+            ScheduleOptions(policy="magic")
 
     def test_negative_cap_rejected(self):
         from repro.api import ScheduleOptions
-        with pytest.raises(ValueError):
-            ScheduleOptions(max_concurrent=-1).resolve()
+        with pytest.raises(ValueError, match="max_concurrent"):
+            ScheduleOptions(max_concurrent=-1)
 
     def test_options_are_immutable(self):
         from repro.api import ScheduleOptions
@@ -204,13 +413,33 @@ class TestScheduleOptions:
             ScheduleOptions().policy = "fifo"
 
 
-def _build():
+class TestRebalanceOptions:
+    def test_defaults_are_readable_without_a_call(self):
+        from repro.api import RebalanceOptions
+        options = RebalanceOptions()
+        assert (options.sample_interval, options.window,
+                options.decide_every) == (1.0, 5, 2)
+        assert (options.enter_ratio, options.exit_ratio, options.sustain,
+                options.cooldown) == (1.5, 1.1, 2, 30.0)
+        assert options.max_concurrent_moves == 2
+        assert options.migration == MigrationOptions(resume=True)
+
+    @pytest.mark.parametrize("bad", [
+        {"sample_interval": 0.0}, {"window": 0}, {"decide_every": 0},
+        {"max_concurrent_moves": 0}], ids=lambda bad: next(iter(bad)))
+    def test_out_of_range_values_raise_at_construction(self, bad):
+        from repro.api import RebalanceOptions
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RebalanceOptions(**bad)
+
+
+def _build(migration=MigrationOptions()):
     env = Environment()
     cluster = Cluster(env)
     cluster.add_node("node0")
     cluster.add_node("node1")
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, verify_consistency=True))
+        policy=MADEUS, verify_consistency=True, migration=migration))
     return env, cluster, middleware
 
 

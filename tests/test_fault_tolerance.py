@@ -23,13 +23,15 @@ from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
 RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
 
 
-def build(env, nodes=3, policy=MADEUS, deadline=None, **config_kwargs):
+def build(env, nodes=3, policy=MADEUS, deadline=None, **migration):
+    """``migration`` keywords become the config's MigrationOptions."""
     cluster = Cluster(env)
     for index in range(nodes):
         cluster.add_node("node%d" % index)
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=policy, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=deadline, **config_kwargs))
+        catchup_deadline=deadline,
+        migration=MigrationOptions(**migration)))
     return cluster, middleware
 
 
@@ -445,8 +447,8 @@ class TestShipRetries:
 
     def test_outage_longer_than_retry_budget_aborts(self, env):
         cluster, middleware = build(
-            env, nodes=2, ship_retry_limit=2, ship_retry_base=0.01,
-            ship_retry_cap=0.02)
+            env, nodes=2, retry_limit=2, retry_base=0.01,
+            retry_cap=0.02)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0,
                     think_time=0.05)
         cluster.network.fail_link()   # never restored

@@ -92,7 +92,7 @@ def _assert_no_lost_commits(cluster, middleware, workload):
 
 class TestSuspend:
     def test_source_crash_parks_instead_of_aborting(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         _workload, holder = _suspend_mid_dump(env, cluster, middleware)
         assert holder["error"].node == "node0"
         journal = middleware.migration_journal("A")
@@ -117,7 +117,7 @@ class TestSuspend:
                    for event in middleware.tracer.events)
 
     def test_fresh_migrate_rejected_while_parked(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         _suspend_mid_dump(env, cluster, middleware)
         _restart(env, cluster.node("node0").instance)
 
@@ -138,7 +138,7 @@ class TestSuspend:
 
 class TestResume:
     def test_resume_completes_and_skips_restored_chunks(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         workload, _holder = _suspend_mid_dump(env, cluster, middleware)
         journal = middleware.migration_journal("A")
         restored_at_park = journal.chunks_restored.get("node1", 0)
@@ -159,7 +159,7 @@ class TestResume:
             "migration.resumed").value == 1
 
     def test_chunk_log_covers_plan_without_duplicates(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         _suspend_mid_dump(env, cluster, middleware)
         _restart(env, cluster.node("node0").instance)
         holder = _launch_resume(env, middleware)
@@ -181,7 +181,7 @@ class TestResume:
 
         def scenario(env, resumable):
             cluster, middleware = build(env, nodes=2,
-                                        resumable=resumable)
+                                        resume=resumable)
             workload = seed_tenant(env, cluster, middleware,
                                    overhead_mb=40.0, clients=2,
                                    txns=40, think_time=2.0)
@@ -223,7 +223,7 @@ class TestResume:
         assert resumed_work < fresh_work
 
     def test_resume_after_catchup_began_skips_snapshot(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         workload = seed_tenant(env, cluster, middleware,
                                overhead_mb=10.0)
         holder = _launch_migration(env, middleware)
@@ -254,7 +254,7 @@ class TestResume:
         _assert_no_lost_commits(cluster, middleware, workload)
 
     def test_resume_while_source_down_raises(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         _suspend_mid_dump(env, cluster, middleware)
         holder = _launch_resume(env, middleware)
         env.run()
@@ -264,7 +264,7 @@ class TestResume:
             == JOURNAL_SUSPENDED
 
     def test_resume_without_journal_rejected(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=1.0)
 
         def main(env):
@@ -276,7 +276,7 @@ class TestResume:
         assert process.ok
 
     def test_resume_completed_journal_rejected(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=1.0)
         holder = _launch_migration(env, middleware)
         env.run()
@@ -292,7 +292,7 @@ class TestResume:
         assert process.ok
 
     def test_destination_losing_copy_after_catchup_abandons(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0)
         holder = _launch_migration(env, middleware)
         state = middleware.tenant_state("A")
@@ -325,7 +325,7 @@ class TestResume:
 
 class TestSchedulerResume:
     def test_resume_policy_rides_out_a_source_crash(self, env):
-        cluster, middleware = build(env, nodes=3, resumable=True)
+        cluster, middleware = build(env, nodes=3, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0)
         source = cluster.node("node0").instance
 
@@ -356,7 +356,7 @@ class TestSchedulerResume:
         assert journal.state == JOURNAL_COMPLETED
 
     def test_without_resume_policy_job_stays_suspended(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0)
         source = cluster.node("node0").instance
 
@@ -381,7 +381,7 @@ class TestSchedulerResume:
 
 class TestJournalLifecycle:
     def test_completed_migration_closes_its_journal(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         seed_tenant(env, cluster, middleware, overhead_mb=2.0)
         holder = _launch_migration(env, middleware)
         env.run()
@@ -392,7 +392,7 @@ class TestJournalLifecycle:
         assert journal.manager is None
 
     def test_journal_freezes_the_chunk_plan(self, env):
-        cluster, middleware = build(env, nodes=2, resumable=True)
+        cluster, middleware = build(env, nodes=2, resume=True)
         _suspend_mid_dump(env, cluster, middleware)
         journal = middleware.migration_journal("A")
         frozen = (journal.size_mb, journal.total_chunks,

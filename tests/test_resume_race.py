@@ -67,7 +67,7 @@ def _clean_resume_duration():
     """Measure how long an uninterrupted resume takes (same scenario)."""
     from repro.sim import Environment
     env = Environment()
-    cluster, middleware = build(env, nodes=2, resumable=True)
+    cluster, middleware = build(env, nodes=2, resume=True)
     _park_first_attempt(env, cluster, middleware)
     drive(env, cluster.node("node0").instance.restart())
     started = env.now
@@ -97,7 +97,7 @@ def _assert_no_lost_commits(cluster, middleware, workload):
 
 @pytest.mark.parametrize("fraction", SWEEP)
 def test_second_crash_during_resume(env, fraction, resume_duration):
-    cluster, middleware = build(env, nodes=2, resumable=True)
+    cluster, middleware = build(env, nodes=2, resume=True)
     workload = _park_first_attempt(env, cluster, middleware)
     _assert_one_owner(middleware)
     source = cluster.node("node0").instance

@@ -1,10 +1,22 @@
-"""Tests for Mutex, CountdownLatch, Gate, Semaphore."""
+"""Tests for Mutex, CountdownLatch, Gate, Semaphore, backoff_delay."""
 
 import pytest
 
-from repro.sim import CountdownLatch, Environment, Gate, Mutex, Semaphore
+from repro.sim import (CountdownLatch, Environment, Gate, Mutex,
+                       Semaphore, backoff_delay)
 
 from _helpers import drive
+
+
+def test_backoff_doubles_from_the_base_up_to_the_cap():
+    assert [backoff_delay(attempt, 0.1, 2.0)
+            for attempt in range(1, 8)] == [
+                0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+    # The very float every call site used to spell out.
+    for base, cap in ((0.1, 2.0), (0.5, 5.0), (0.05, 1.0), (1.0, 30.0)):
+        for attempt in range(1, 12):
+            assert backoff_delay(attempt, base, cap) == min(
+                cap, base * (2 ** (attempt - 1)))
 
 
 class TestMutex:

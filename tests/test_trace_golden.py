@@ -205,8 +205,8 @@ def flaky_network(strategy):
 
 
 def network_outlasts_retries(strategy):
-    world = World(strategy, ship_retry_limit=2, ship_retry_base=0.01,
-                  ship_retry_cap=0.02)
+    world = World(strategy, retry_limit=2, retry_base=0.01,
+                  retry_cap=0.02)
     world.launch(standbys=("node2",))
     world.when(world.phase_open("restore"),
                world.cluster.network.fail_link, delay=0.25)
@@ -243,7 +243,7 @@ def _park(world, phase, delay, standbys=()):
 
 
 def _suspend_resume(strategy, phase, delay, standbys=()):
-    world = _park(World(strategy, resumable=True), phase, delay, standbys)
+    world = _park(World(strategy, resume=True), phase, delay, standbys)
     world.launch(resume=True)
     world.env.run()
     return world
@@ -268,7 +268,7 @@ def source_crash_handover_resume(strategy):
 
 def double_crash_resume(strategy):
     """Park mid-dump, resume, park the resumed attempt, resume again."""
-    world = _park(World(strategy, nodes=2, resumable=True), "dump", 1.25)
+    world = _park(World(strategy, nodes=2, resume=True), "dump", 1.25)
     world.launch(resume=True)
     world.when(world.event_seen("migration.resumed"),
                world.instance("node0").crash, delay=0.25)
@@ -280,7 +280,7 @@ def double_crash_resume(strategy):
 
 
 def _manager_dies(strategy, condition, then, delay=0.0, standbys=()):
-    world = World(strategy, resumable=True)
+    world = World(strategy, resume=True)
     manager = world.launch(standbys=standbys)
     world.when(condition(world),
                lambda: manager.interrupt("manager crash"), delay=delay)
@@ -369,7 +369,7 @@ def diverging_backlog(strategy):
 
 
 def unresumable_destination_lost_copy(strategy):
-    world = _park(World(strategy, nodes=2, resumable=True),
+    world = _park(World(strategy, nodes=2, resume=True),
                   "catch-up", 0.0)
     world.instance("node1").drop_tenant("A")
     world.launch(resume=True)
@@ -378,7 +378,7 @@ def unresumable_destination_lost_copy(strategy):
 
 
 def _destination_dies_while_parked(strategy, phase, delay):
-    world = World(strategy, nodes=2, resumable=True)
+    world = World(strategy, nodes=2, resume=True)
     world.launch()
     world.when(world.phase_open(phase), world.instance("node0").crash,
                delay=delay)
@@ -403,7 +403,7 @@ def destination_dies_parked_in_dump(strategy):
 
 def lost_copy_mid_dump_resume(strategy):
     """A dump-phase journal may start the ship over after a lost copy."""
-    world = _park(World(strategy, nodes=2, resumable=True), "dump", 1.25)
+    world = _park(World(strategy, nodes=2, resume=True), "dump", 1.25)
     if world.instance("node1").has_tenant("A"):
         world.instance("node1").drop_tenant("A")
     world.launch(resume=True)

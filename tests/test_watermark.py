@@ -2,9 +2,9 @@
 
 Three layers of coverage:
 
-* **API** — :class:`SnapshotStrategy` coercion rules and the uniform
-  ``strategy`` knob threading through ``MigrationOptions`` /
-  ``ScheduleOptions`` / ``RebalanceOptions``;
+* **API** — :class:`SnapshotStrategy` coercion rules and how the
+  ``strategy`` knob of ``MigrationOptions`` reaches a scheduled job and
+  a rebalancer move;
 * **Forward path** — a watermark migration under live write load is
   snapshot-equivalent (``consistent``), chunked, emits paired
   ``watermark.lo`` / ``watermark.hi`` markers, keeps its catch-up
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control import RebalanceOptions
+from repro.control import RebalanceOptions, Rebalancer
 from repro.core import MigrationOptions, SnapshotStrategy
 from repro.core.middleware import JOURNAL_COMPLETED
-from repro.core.scheduler import ScheduleOptions
+from repro.core.scheduler import MigrationScheduler, ScheduleOptions
 from repro.errors import MigrationError, SourceCrashed
 from repro.obs.trace import check_phase_order
 from repro.sim import Environment
@@ -76,37 +76,50 @@ class TestSnapshotStrategyCoerce:
             SnapshotStrategy.coerce(7)
 
 
-class TestStrategyThreading:
-    """One knob, three layers: the strategy resolves uniformly."""
+def _scheduled(env, schedule_options, job_options=None):
+    """The report of tenant A's migration as a one-job schedule."""
+    cluster, middleware = build(env, nodes=2)
+    seed_tenant(env, cluster, middleware)
+    scheduler = MigrationScheduler(middleware, schedule_options)
+    scheduler.submit("A", "node1", job_options)
+    process = scheduler.start()
+    env.run()
+    return process.value.job("A").report
 
-    def test_migration_options_coerce_and_resolve(self):
+
+class TestStrategyThreading:
+    """One knob on one class: the scheduler and the rebalancer are told
+    the strategy in their ``migration`` options."""
+
+    def test_migration_options_coerce_and_resolve(self, env):
         options = MigrationOptions(strategy="watermark")
         assert options.strategy is SnapshotStrategy.WATERMARK
-
-    def test_schedule_options_fill_the_migration_strategy(self):
-        resolved = ScheduleOptions(strategy="watermark").resolve()
-        assert resolved.strategy is SnapshotStrategy.WATERMARK
-        assert (resolved.migration.strategy
+        _cluster, middleware = build(env, nodes=2, strategy="serial")
+        assert (middleware.resolve_options(None).strategy
+                is SnapshotStrategy.SERIAL)
+        assert (middleware.resolve_options(options).strategy
                 is SnapshotStrategy.WATERMARK)
 
-    def test_rebalance_options_fill_the_migration_strategy(self):
-        resolved = RebalanceOptions(strategy="watermark").resolve()
-        assert resolved.strategy is SnapshotStrategy.WATERMARK
-        assert (resolved.migration.strategy
-                is SnapshotStrategy.WATERMARK)
+    def test_schedule_options_fill_the_migration_strategy(self, env):
+        report = _scheduled(env, ScheduleOptions(migration=_options()))
+        assert report.strategy == "watermark"
 
-    def test_explicit_migration_strategy_wins(self):
-        for options in (
-                ScheduleOptions(
-                    strategy="watermark",
-                    migration=MigrationOptions(
-                        strategy="pipelined")).resolve(),
-                RebalanceOptions(
-                    strategy="watermark",
-                    migration=MigrationOptions(
-                        strategy="pipelined")).resolve()):
-            assert (options.migration.strategy
-                    is SnapshotStrategy.PIPELINED)
+    def test_rebalance_options_fill_the_migration_strategy(self, env):
+        _cluster, middleware = build(env, nodes=2)
+        moves = _options(resume=True)
+        rebalancer = Rebalancer(middleware,
+                                RebalanceOptions(migration=moves))
+        assert rebalancer.scheduler.options.migration is moves
+        assert (Rebalancer(middleware).scheduler.options.migration
+                == MigrationOptions(resume=True))
+
+    def test_explicit_migration_strategy_wins(self, env):
+        # A job's own options replace the schedule's, whole.
+        report = _scheduled(
+            env, ScheduleOptions(migration=_options()),
+            MigrationOptions(rates=RATES, chunk_mb=CHUNK_MB,
+                             strategy="pipelined"))
+        assert report.strategy == "pipelined"
 
 
 def _launch(env, middleware, *, resume, **extra):
@@ -281,7 +294,7 @@ def _seed_for_sweep(env, cluster, middleware):
 def _probe_walk():
     """Clean run: the walk window and every chunk's lo/hi bracket."""
     env = Environment()
-    cluster, middleware = build(env, nodes=2, resumable=True)
+    cluster, middleware = build(env, nodes=2, resume=True)
     _seed_for_sweep(env, cluster, middleware)
     holder = _launch(env, middleware, resume=False)
     env.run()
@@ -299,7 +312,7 @@ def walk_window():
 def _run_sweep_point(crash_at, inside_window=None):
     """Crash the source at ``crash_at`` and resume until it lands."""
     env = Environment()
-    cluster, middleware = build(env, nodes=2, resumable=True)
+    cluster, middleware = build(env, nodes=2, resume=True)
     workload = _seed_for_sweep(env, cluster, middleware)
     source = cluster.node("node0").instance
     holder = _launch(env, middleware, resume=False)
