@@ -335,7 +335,8 @@ def serial_snapshot(run: "Migration",
 
     def node_stream(node_name: str, instance: Any) -> Generator:
         def attempt() -> Generator:
-            yield from run.network.message(snapshot.size_mb)
+            yield from run.network.bulk_transfer(
+                report.source, node_name, snapshot.size_mb)
             yield from restore(instance, snapshot, rates,
                                tenant_name=tenant)
 

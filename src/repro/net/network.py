@@ -5,30 +5,27 @@ operations, syncset propagation, and the snapshot transfer all cross this
 network; only the snapshot transfer is large enough for bandwidth to
 matter, but modelling it keeps Step 2 honest on big databases.
 
-Two bandwidth models coexist:
+There is one bandwidth model.  :meth:`Network.message` and
+:meth:`Network.round_trip` carry no payload and pay latency only; every
+byte that is big enough to matter — the serial snapshot as one stream,
+the pipelined and watermark snapshots chunk by chunk through
+:meth:`Network.pump_chunks` — crosses :meth:`Network.bulk_transfer`:
+every node has an egress and an ingress :class:`LinkPort`, and
+concurrent streams crossing the same port *split its bandwidth*
+(processor sharing) instead of each getting the full rate.  A stream's
+instantaneous rate is the minimum of its share on the source's egress
+and the destination's ingress port, re-evaluated whenever a stream
+joins or leaves either port — so two tenants migrating over the same
+source→destination pair each see half the link, while migrations
+between disjoint node pairs do not contend at all.  A lone stream on
+idle ports takes exactly ``latency + size / bandwidth``.
 
-* :meth:`Network.message` — the original model: one cluster-wide bulk
-  channel that serialises large transfers.  The paper-figure
-  experiments run exactly one migration at a time, so this is all they
-  need, and the path is kept untouched so their timings stay stable.
-* :meth:`Network.bulk_transfer` — the per-link model behind the
-  multi-tenant migration scheduler: every node has an egress and an
-  ingress :class:`LinkPort`, and concurrent streams crossing the same
-  port *split its bandwidth* (processor sharing) instead of each
-  getting the full rate.  A stream's instantaneous rate is the minimum
-  of its share on the source's egress and the destination's ingress
-  port, re-evaluated whenever a stream joins or leaves either port —
-  so two tenants migrating over the same source→destination pair each
-  see half the link, while migrations between disjoint node pairs do
-  not contend at all.  :meth:`Network.pump_chunks` ships every chunk
-  through this model.
-
-The link can also degrade (see :mod:`repro.faults`): latency spikes and
-bandwidth collapse multiply the effective cost of every hop, and a
-transient outage (:meth:`Network.fail_link`) surfaces a
-:class:`~repro.errors.NetworkDown` to in-flight :meth:`Network.message`
-calls -- the transfer was under way when the cable was pulled, so the
-caller finds out mid-flight, not at its next send.
+The link can also degrade (see :mod:`repro.faults`): latency spikes
+multiply the cost of every hop, bandwidth collapse divides the rate of
+every stream, and a transient outage (:meth:`Network.fail_link`)
+surfaces a :class:`~repro.errors.NetworkDown` to in-flight hops and
+transfers -- the transfer was under way when the cable was pulled, so
+the caller finds out mid-flight, not at its next send.
 """
 
 from __future__ import annotations
@@ -38,15 +35,11 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import NetworkDown, NodeCrashed
 from ..sim.events import Event, Interrupt
-from ..sim.resources import Resource
 from ..sim.sync import CLOSED
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import MetricsRegistry
     from ..sim.core import Environment
-
-#: Messages larger than this (MB) are serialised on the shared link.
-_BULK_THRESHOLD_MB = 1.0
 
 #: Residual megabytes below which a shared-link transfer is complete
 #: (one thousandth of a byte; guards float accumulation).
@@ -148,19 +141,18 @@ class LinkPort:
 
 
 class Network:
-    """The cluster LAN; messages share one bulk-transfer channel."""
+    """The cluster LAN: latency hops plus per-port shared bandwidth."""
 
     def __init__(self, env: "Environment", spec: NetworkSpec | None = None):
         self.env = env
         self.spec = spec or NetworkSpec()
-        self._bulk = Resource(env, capacity=1, name="net.bulk")
         # degradation state (see repro.faults): multiplicative so
         # overlapping faults compose instead of clobbering each other
         self.latency_factor = 1.0
         self.bandwidth_factor = 1.0
         self._down_count = 0
-        #: While True, a zero-payload :meth:`round_trip` coalesces its
-        #: two latency hops into one ``2 * latency`` timeout: the same
+        #: While True, :meth:`round_trip` coalesces its two latency
+        #: hops into one ``2 * latency`` timeout: the same
         #: arrival *time* with half the kernel events, but not the same
         #: arrival *order* — one event instead of two takes a different
         #: place among the events of its instant, and on a saturated
@@ -182,7 +174,6 @@ class Network:
         #: by ``(node, "egress"|"ingress")`` and created on first use.
         self._ports: Dict[Tuple[str, str], LinkPort] = {}
         self._metrics: Optional["MetricsRegistry"] = None
-        self._metrics_prefix = "net"
 
     # ------------------------------------------------------------------
     # fault surface
@@ -198,8 +189,7 @@ class Network:
         self._down_count += 1
         self.outages += 1
         if self._metrics is not None:
-            self._metrics.counter(
-                "%s.outages" % self._metrics_prefix).inc()
+            self._metrics.counter("net.outages").inc()
 
     def restore_link(self) -> None:
         """End one outage started by :meth:`fail_link`."""
@@ -232,51 +222,36 @@ class Network:
         if self._down_count > 0:
             self.messages_failed += 1
             if self._metrics is not None:
-                self._metrics.counter(
-                    "%s.messages_failed" % self._metrics_prefix).inc()
+                self._metrics.counter("net.messages_failed").inc()
             raise NetworkDown("cluster link is down")
 
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------
 
-    def message(self, size_mb: float = 0.0) -> Generator[Any, Any, None]:
-        """One request or response hop.
+    def message(self) -> Generator[Any, Any, None]:
+        """One request or response hop: latency only, no payload.
 
-        Small messages only pay latency; bulk transfers additionally hold
-        the shared link for their serialisation time.  Raises
-        :class:`NetworkDown` if an outage is active when the hop starts
-        *or* begins while the bytes are on the wire.
+        Raises :class:`NetworkDown` if an outage is active when the hop
+        starts *or* when it lands.  Bytes go through
+        :meth:`bulk_transfer`.
         """
         self._check_link()
         self.messages += 1
-        self.bytes_moved += size_mb * 1e6
         yield self.env.timeout(self.spec.latency * self.latency_factor)
         self._check_link()
-        bandwidth = self.spec.bandwidth_mb_s / self.bandwidth_factor
-        if size_mb > _BULK_THRESHOLD_MB:
-            grant = self._bulk.request()
-            try:
-                yield grant
-                yield self.env.timeout(size_mb / bandwidth)
-            finally:
-                self._bulk.release(grant)
-        elif size_mb > 0:
-            yield self.env.timeout(size_mb / bandwidth)
-        self._check_link()
 
-    def round_trip(self, request_mb: float = 0.0,
-                   response_mb: float = 0.0) -> Generator[Any, Any, None]:
+    def round_trip(self) -> Generator[Any, Any, None]:
         """A request hop followed by a response hop.
 
-        The common zero-payload case (an operation and its ack) takes
-        ``2 * latency`` either way; while :attr:`coalesce_hops` holds,
-        it is billed as a single timeout instead of two chained hops,
-        halving the event cost of every customer operation — and
-        changing where the reply falls among same-instant events (see
-        the attribute: not result-neutral at saturation).
+        An operation and its ack take ``2 * latency`` either way; while
+        :attr:`coalesce_hops` holds, it is billed as a single timeout
+        instead of two chained hops, halving the event cost of every
+        customer operation — and changing where the reply falls among
+        same-instant events (see the attribute: not result-neutral at
+        saturation).
         """
-        if request_mb == 0.0 and response_mb == 0.0 and self.coalesce_hops:
+        if self.coalesce_hops:
             if self._down_count:
                 self._check_link()  # raises
             self.messages += 2
@@ -285,8 +260,8 @@ class Network:
             if self._down_count:
                 self._check_link()  # raises
             return
-        yield from self.message(request_mb)
-        yield from self.message(response_mb)
+        yield from self.message()
+        yield from self.message()
 
     # ------------------------------------------------------------------
     # shared-link (per-port processor-sharing) model
@@ -308,8 +283,7 @@ class Network:
                             self.spec.bandwidth_mb_s)
             if self._metrics is not None:
                 port._gauge = self._metrics.gauge(
-                    "%s.link.%s.streams" % (self._metrics_prefix,
-                                            port.name))
+                    "net.link.%s.streams" % port.name)
             self._ports[key] = port
         return port
 
@@ -321,19 +295,17 @@ class Network:
                       size_mb: float) -> Generator[Any, Any, None]:
         """Ship ``size_mb`` from ``source`` to ``destination``.
 
-        Unlike :meth:`message`, which serialises every large transfer on
-        one cluster-wide channel, this shares bandwidth per *port*: the
-        stream's instantaneous rate is the smaller of its equal share on
-        the source's egress port and on the destination's ingress port,
-        re-evaluated whenever another stream joins or leaves either port
-        (or the link degrades).  Remaining bytes are carried across rate
+        Bandwidth is shared per *port*: the stream's instantaneous rate
+        is the smaller of its equal share on the source's egress port
+        and on the destination's ingress port, re-evaluated whenever
+        another stream joins or leaves either port (or the link
+        degrades).  Remaining bytes are carried across rate
         changes, so a stream never pays for bandwidth it did not get —
         and never double-pays after an interrupt, because membership is
         torn down in a ``finally``.
 
-        Raises :class:`NetworkDown` under the same outage windows as
-        :meth:`message`: at the start, after the latency hop, and at
-        completion.
+        Raises :class:`NetworkDown` if an outage is active at the start,
+        after the latency hop, or at completion.
         """
         self._check_link()
         self.messages += 1
@@ -413,8 +385,7 @@ class Network:
                 yield from sink.put(chunk)
                 shipped += 1
                 if self._metrics is not None:
-                    self._metrics.counter(
-                        "%s.chunks_shipped" % self._metrics_prefix).inc()
+                    self._metrics.counter("net.chunks_shipped").inc()
         except Interrupt:
             return shipped
         except (NetworkDown, NodeCrashed) as exc:
@@ -425,11 +396,8 @@ class Network:
     # observability
     # ------------------------------------------------------------------
 
-    def bind_obs(self, metrics: "MetricsRegistry",
-                 prefix: str = "net") -> None:
+    def bind_obs(self, metrics: "MetricsRegistry") -> None:
         """Mirror outage/failure counters into a metrics registry."""
         self._metrics = metrics
-        self._metrics_prefix = prefix
         for port in self._ports.values():
-            port._gauge = metrics.gauge(
-                "%s.link.%s.streams" % (prefix, port.name))
+            port._gauge = metrics.gauge("net.link.%s.streams" % port.name)

@@ -163,34 +163,45 @@ class TestRestoreDuration:
 
 class TestNetwork:
     def test_message_latency_only_for_small(self, env):
+        # message() carries no payload: one latency hop, nothing else
         network = Network(env, NetworkSpec(latency=0.001))
 
         def proc(env):
-            yield from network.message(0.0)
+            yield from network.message()
             return env.now
-        assert drive(env, proc(env)) == pytest.approx(0.001)
+        assert drive(env, proc(env)) == 0.001
 
-    def test_bulk_transfer_pays_bandwidth(self, env):
-        network = Network(env, NetworkSpec(latency=0.0,
-                                           bandwidth_mb_s=100.0))
+    def test_bulk_transfer_pays_bandwidth(self):
+        # The one bandwidth model: a lone stream on idle ports ends at
+        # exactly latency + size / bandwidth (==, not approx) -- what
+        # the cluster-wide bulk channel it replaced charged.
+        spec = NetworkSpec()
+        for size_mb in (0.5, 5.0, 800.0):
+            env = Environment()
+            network = Network(env, spec)
 
-        def proc(env):
-            yield from network.message(200.0)
-            return env.now
-        assert drive(env, proc(env)) == pytest.approx(2.0)
+            def proc(env):
+                yield from network.bulk_transfer("a", "b", size_mb)
+                return env.now
+            assert drive(env, proc(env)) == (
+                spec.latency + size_mb / spec.bandwidth_mb_s)
+            assert network.port("a", "egress").bytes_mb == size_mb
+            assert network.port("b", "ingress").bytes_mb == size_mb
 
-    def test_bulk_transfers_serialise(self, env):
+    def test_transfers_out_of_one_node_share_its_egress(self, env):
         network = Network(env, NetworkSpec(latency=0.0,
                                            bandwidth_mb_s=100.0))
         times = []
 
-        def proc(env):
-            yield from network.message(100.0)
+        def proc(env, destination):
+            yield from network.bulk_transfer("a", destination, 100.0)
             times.append(env.now)
-        env.process(proc(env))
-        env.process(proc(env))
+        env.process(proc(env, "b"))
+        env.process(proc(env, "c"))
         env.run()
-        assert times == [1.0, 2.0]
+        # not one after the other (1.0, 2.0): half the port each
+        assert times == [2.0, 2.0]
+        assert network.port("a", "egress").max_streams == 2
 
     def test_round_trip_two_hops(self, env):
         network = Network(env, NetworkSpec(latency=0.002))

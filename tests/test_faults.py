@@ -78,7 +78,7 @@ class TestNetworkFaults:
         def sender(env):
             try:
                 # 50 MB at 125 MB/s: on the wire for 0.4 s
-                yield from network.message(50.0)
+                yield from network.bulk_transfer("n0", "n1", 50.0)
             except NetworkDown:
                 outcome["failed_at"] = env.now
 
@@ -116,7 +116,7 @@ class TestNetworkFaults:
         network.degrade(bandwidth_scale=5.0)
 
         def main(env):
-            yield from network.message(125.0)
+            yield from network.bulk_transfer("n0", "n1", 125.0)
         env.process(main(env))
         env.run()
         # 125 MB at 125/5 MB/s = 5 s, plus one latency hop
