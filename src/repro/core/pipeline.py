@@ -660,11 +660,6 @@ class ChangeTap:
             if isinstance(record, TapMarker):
                 cursor.reach_marker(record)
 
-    def active_consumers(self) -> List[str]:
-        """Names of the consumers still being broadcast to, sorted."""
-        return sorted(name for name, cursor in self._consumers.items()
-                      if cursor.active)
-
     # ------------------------------------------------------------------
     # producer side (commit path + snapshot manager)
     # ------------------------------------------------------------------

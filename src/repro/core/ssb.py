@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set
 
 from .operations import Operation, OpKind
 
@@ -165,8 +165,3 @@ class SyncsetList:
                                   key=lambda s: (s.ets, s.ssb_id)))
         self._by_sts.clear()
         return drained
-
-    def iter_linked(self) -> Iterable[SyncsetBuffer]:
-        """Iterate linked SSBs (diagnostics only)."""
-        for group in self._by_sts.values():
-            yield from group

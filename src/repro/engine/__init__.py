@@ -21,7 +21,6 @@ from .dump import (
     restore,
     restore_duration,
     restore_stream,
-    snapshot_size_mb,
 )
 from .executor import ExecResult, Executor
 from .instance import DbmsInstance, Observer
@@ -95,5 +94,4 @@ __all__ = [
     "restore",
     "restore_duration",
     "restore_stream",
-    "snapshot_size_mb",
 ]

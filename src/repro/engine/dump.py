@@ -89,11 +89,6 @@ def schema_specs(tenant: Any) -> List[SchemaSpec]:
     return specs
 
 
-def snapshot_size_mb(instance: DbmsInstance, tenant_name: str) -> float:
-    """Current nominal size of a tenant, in MB."""
-    return instance.tenant(tenant_name).size_mb()
-
-
 def create_from_schemas(instance: DbmsInstance, tenant_name: str,
                         schemas: List[SchemaSpec],
                         fixed_overhead_mb: float = 0.0,

@@ -268,13 +268,6 @@ class DbmsInstance:
         self._csn += 1
         return self._csn
 
-    def seed_csn(self, csn: int) -> None:
-        """Fast-forward the CSN counter (bulk population only)."""
-        if csn < self._csn:
-            raise ValueError("CSN counter cannot move backwards "
-                             "(%d -> %d)" % (self._csn, csn))
-        self._csn = csn
-
     # ------------------------------------------------------------------
     # transaction lifecycle
     # ------------------------------------------------------------------

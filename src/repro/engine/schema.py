@@ -90,10 +90,6 @@ class TableSchema:
             raise SchemaError("index %r already exists" % index_name)
         self.indexes[index_name] = column
 
-    def indexed_column_names(self) -> Tuple[str, ...]:
-        """Columns covered by a secondary index."""
-        return tuple(self.indexes.values())
-
     def row_width_bytes(self) -> int:
         """Nominal stored width of one row, including tuple overhead."""
         width = ROW_OVERHEAD_BYTES

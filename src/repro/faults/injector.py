@@ -114,6 +114,11 @@ class FaultInjector:
             # Link state may now flip mid-flight; disable the network's
             # coalesced round-trip fast path so every hop keeps its own
             # outage/degradation check at the exact per-hop timestamps.
+            # BANDWIDTH stays in the list although no hop carries bytes
+            # any more (a collapse only reprices bulk_transfer streams):
+            # the flag is a mode of the whole run, and dropping it would
+            # put a bandwidth-only plan on the coalesced simulator while
+            # every other network-fault plan runs the per-hop one.
             self.cluster.network.coalesce_hops = False
         if self.seed is not None:
             random.Random(self.seed).shuffle(specs)

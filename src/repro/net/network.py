@@ -152,9 +152,9 @@ class Network:
         self.bandwidth_factor = 1.0
         self._down_count = 0
         #: While True, :meth:`round_trip` coalesces its two latency
-        #: hops into one ``2 * latency`` timeout: the same
-        #: arrival *time* with half the kernel events, but not the same
-        #: arrival *order* — one event instead of two takes a different
+        #: hops into one ``2 * latency`` timeout: the same arrival
+        #: *time* with half the kernel events, but not the same arrival
+        #: *order* — one event instead of two takes a different
         #: place among the events of its instant, and on a saturated
         #: node that order decides who queues behind whom (Figure 5 at
         #: 700 EBs, quick profile: mean response time 282 ms with it,
@@ -307,10 +307,7 @@ class Network:
         Raises :class:`NetworkDown` if an outage is active at the start,
         after the latency hop, or at completion.
         """
-        self._check_link()
-        self.messages += 1
-        yield self.env.timeout(self.spec.latency * self.latency_factor)
-        self._check_link()
+        yield from self.message()
         if size_mb > 0:
             egress = self.port(source, "egress")
             ingress = self.port(destination, "ingress")

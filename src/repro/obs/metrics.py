@@ -118,6 +118,13 @@ class Histogram:
                 "max": self.max, "mean": self.mean}
 
 
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank q-quantile of sorted samples; 0.0 if empty."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 class QuantileHistogram(Histogram):
     """A histogram that keeps its samples for exact quantiles.
 
@@ -145,11 +152,7 @@ class QuantileHistogram(Histogram):
         """Exact q-quantile (nearest-rank) of the samples; 0.0 if empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile %r outside [0, 1]" % (q,))
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[rank]
+        return _nearest_rank(sorted(self.samples), q)
 
     def reset(self) -> None:
         """Forget every sample."""
@@ -160,9 +163,9 @@ class QuantileHistogram(Histogram):
         """JSON record: the streaming summary plus tail percentiles."""
         record = super().to_dict()
         record["kind"] = "quantile_histogram"
-        record["p50"] = self.quantile(0.50)
-        record["p90"] = self.quantile(0.90)
-        record["p99"] = self.quantile(0.99)
+        ordered = sorted(self.samples)  # once, not once per percentile
+        for key, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+            record[key] = _nearest_rank(ordered, q)
         return record
 
 

@@ -10,7 +10,7 @@ from .core import Environment, Process, ProcessDied, run_processes
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .monitor import CounterSeries, SampleSeries
 from .rand import RandomStream, StreamFactory
-from .resources import Request, Resource, Store
+from .resources import Request, Resource
 from .sync import (
     CLOSED,
     Channel,
@@ -40,7 +40,6 @@ __all__ = [
     "Resource",
     "SampleSeries",
     "Semaphore",
-    "Store",
     "StreamFactory",
     "Timeout",
     "backoff_delay",

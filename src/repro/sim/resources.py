@@ -1,15 +1,14 @@
 """Shared resources for simulated processes.
 
 :class:`Resource` models a server pool with FIFO queueing (CPU cores, a
-disk head).  :class:`Store` is an unbounded producer/consumer queue used as
-the message channel between middleware threads.  Both integrate with the
-event kernel: requests are events that processes yield on.
+disk head).  It integrates with the event kernel: requests are events
+that processes yield on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from .events import PENDING, TRIGGERED, Event
 
@@ -132,36 +131,3 @@ class Resource:
             return 0.0
         return self.total_wait_time / self.total_waits
 
-
-class Store:
-    """Unbounded FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event that fires when an item
-    is available.  Items are delivered to getters in FIFO order.
-    """
-
-    def __init__(self, env: "Environment", name: Optional[str] = None):
-        self.env = env
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self.items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item."""
-        event = Event(self.env)
-        if self.items:
-            event.succeed(self.items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self.items)

@@ -274,6 +274,36 @@ class TestStandbyCrash:
         assert middleware.route("A") == "node1"
 
 
+class TestSerialShipCrossesTheLinkPorts:
+    def test_serial_migration_is_visible_on_the_link_ports(self, env):
+        # The serial ship is a bulk_transfer like every chunk: one
+        # stream per copy out of node0's egress, one into each ingress.
+        cluster, middleware = build(env)
+        seed_tenant(env, cluster, middleware, overhead_mb=2.0)
+        holder = {}
+
+        def main(env):
+            holder["report"] = yield from middleware.migrate(
+                "A", "node1", MigrationOptions(
+                    rates=RATES, strategy="serial", standbys=["node2"]))
+        env.process(main(env))
+        env.run()
+        report = holder["report"]
+        assert report.outcome == "ok"
+        metrics, network = middleware.metrics, cluster.network
+
+        def peak(port):
+            return metrics.gauge("net.link.%s.streams" % port).max_value
+        assert peak("node0.egress") == 2
+        assert peak("node1.ingress") == 1
+        assert peak("node2.ingress") == 1
+        assert network.port("node0", "egress").bytes_mb == (
+            2 * report.snapshot_size_mb)
+        middleware.publish_load_gauges()
+        assert metrics.gauge_value(
+            "net.link.node0.egress.utilisation") > 0.0
+
+
 class TestDestinationCrash:
     def test_failover_promotes_surviving_standby(self, env):
         cluster, middleware = build(env)

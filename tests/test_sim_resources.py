@@ -1,10 +1,10 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Resource
 
-from _helpers import drive, drive_all
+from _helpers import drive
 
 
 class TestResource:
@@ -137,62 +137,3 @@ class TestResource:
                 res.release(req)
         drive(env, proc(env))
 
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("item")
-
-        def proc(env):
-            value = yield store.get()
-            return value
-        assert drive(env, proc(env)) == "item"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def getter(env):
-            value = yield store.get()
-            return (env.now, value)
-
-        def putter(env):
-            yield env.timeout(3)
-            store.put("late")
-        results = drive_all(env, getter(env), putter(env))
-        assert results[0] == (3, "late")
-
-    def test_fifo_item_order(self, env):
-        store = Store(env)
-        for index in range(3):
-            store.put(index)
-
-        def proc(env):
-            items = []
-            for _count in range(3):
-                items.append((yield store.get()))
-            return items
-        assert drive(env, proc(env)) == [0, 1, 2]
-
-    def test_fifo_getter_order(self, env):
-        store = Store(env)
-        results = []
-
-        def getter(env, tag):
-            value = yield store.get()
-            results.append((tag, value))
-
-        def putter(env):
-            yield env.timeout(1)
-            store.put("x")
-            store.put("y")
-        env.process(getter(env, "first"))
-        env.process(getter(env, "second"))
-        env.process(putter(env))
-        env.run()
-        assert results == [("first", "x"), ("second", "y")]
-
-    def test_len_counts_buffered(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

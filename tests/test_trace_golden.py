@@ -15,6 +15,16 @@ of ``repro.core`` moved code without moving a single event, span
 attribute or metric.  A deliberate behaviour change re-records them::
 
     PYTHONPATH=src python tests/test_trace_golden.py --record
+
+and is reviewed as a diff of traces, not of hashes: ``--dump
+<scenario>/<strategy>`` writes that case's exported trace (the exact
+text the digest hashes) to stdout, and pointing ``PYTHONPATH`` at a
+parent checkout's ``src`` gives the "before" side::
+
+    diff <(PYTHONPATH=<parent>/src python tests/test_trace_golden.py \\
+               --dump clean_standby/serial) \\
+         <(PYTHONPATH=src python tests/test_trace_golden.py \\
+               --dump clean_standby/serial)
 """
 
 from __future__ import annotations
@@ -133,12 +143,16 @@ class World:
                        for event in self.middleware.tracer.events)
         return check
 
-    def digest(self):
+    def trace_text(self):
+        """The exported JSONL trace: the exact text ``digest`` hashes."""
         buffer = io.StringIO()
         write_trace(buffer, self.middleware.tracer,
                     self.middleware.metrics,
                     {"seed": SEED, "strategy": self.strategy})
-        return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        return buffer.getvalue()
+
+    def digest(self):
+        return hashlib.sha256(self.trace_text().encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -515,8 +529,17 @@ def test_scenarios_reach_the_paths_they_name():
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        by_id = {_case_id(*case): case for case in CASES}
+        if sys.argv[2] not in by_id:
+            raise SystemExit("unknown case %r; one of:\n  %s"
+                             % (sys.argv[2], "\n  ".join(sorted(by_id))))
+        scenario, strategy = by_id[sys.argv[2]]
+        sys.stdout.write(scenario(strategy).trace_text())
+        raise SystemExit(0)
     if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: test_trace_golden.py --record")
+        raise SystemExit("usage: test_trace_golden.py --record | "
+                         "--dump <scenario>/<strategy>")
     recorded = {_case_id(scenario, strategy): _run_case(scenario, strategy)
                 for scenario, strategy in CASES}
     with open(DIGEST_PATH, "w") as handle:
