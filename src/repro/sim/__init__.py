@@ -6,7 +6,7 @@ resources, synchronisation primitives, seeded random streams, and
 time-series monitors.
 """
 
-from .core import Environment, Process, ProcessDied, run_processes
+from .core import Environment, Process
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .monitor import CounterSeries, SampleSeries
 from .rand import RandomStream, StreamFactory
@@ -34,7 +34,6 @@ __all__ = [
     "Interrupt",
     "Mutex",
     "Process",
-    "ProcessDied",
     "RandomStream",
     "Request",
     "Resource",
@@ -43,5 +42,4 @@ __all__ = [
     "StreamFactory",
     "Timeout",
     "backoff_delay",
-    "run_processes",
 ]

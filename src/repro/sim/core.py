@@ -13,31 +13,28 @@ sequence number, urgent kernel events use ``seq - URGENT_BIAS``; see
 ``(when, key, event)`` 3-tuples whose first two elements are always
 unique — the event object itself is never reached by a comparison.
 
-Performance: three internally-sorted queues realise the classic total
-order, merged at dispatch by lexicographic entry compare.
+Performance: two internally-sorted queues realise the classic total
+order, merged at dispatch by one lexicographic entry compare.
 
 * a same-tick FIFO deque for zero-delay normal events — every
   ``succeed()``/``fail()`` and ``timeout(0)`` lands here in O(1) instead
-  of paying two O(log n) heap operations,
-* a monotone FIFO *lane* for future normal events whose entry is >= the
-  current lane tail — fixed think times, uniform retry intervals and
-  constant cpu-cost chains schedule in near-sorted order, and each such
-  event costs two deque operations instead of two heap operations (under
-  client think times it stays idle: one long think time becomes the lane
-  tail and every shorter timeout behind it takes the heap — measured,
-  99.96 % of ``tpcw_order_migrate``'s timeouts, on a heap ~50 deep), and
-* a binary heap for everything else: out-of-order future events and the
-  rare urgent kernel events (process starts, interrupts, the ``until``
-  stop).
+  of paying two O(log n) heap operations, and
+* a binary heap for everything else: future timeouts and the rare urgent
+  kernel events (process starts, interrupts, the ``until`` stop).
 
-All three queues draw keys from one monotonic sequence counter, so the
-merge reproduces the single-heap total order exactly; seeded runs are
-bit-identical to the classic implementation.
+Both queues draw keys from one monotonic sequence counter, so the merge
+reproduces the single-heap total order exactly; seeded runs are
+bit-identical to the classic implementation.  There is deliberately no
+FIFO fast path for timeouts scheduled in due-time order: under client
+think times one long wait becomes its tail and every shorter timeout
+behind it takes the heap anyway — counted, it carries < 1 % of every
+benchmark workload's timeouts while every event pays for its arm of the
+merge (ROADMAP direction 2 has the counts).
 
-The dispatch loop in :meth:`Environment.run` is deliberately inlined
-(no per-event ``step()`` call, locals for the queues, the single-waiter
-process resume folded in) — this kernel processes millions of events for
-a paper-scale experiment.
+The dispatch loop in :meth:`Environment.run` is the only one (there is
+no per-event ``step()``) and is deliberately inlined — locals for the
+queues, the single-waiter process resume folded in — because this kernel
+processes millions of events for a paper-scale experiment.
 """
 
 from __future__ import annotations
@@ -83,22 +80,17 @@ class Environment:
         assert p.value == 5
     """
 
-    __slots__ = ("now", "_queue", "_tick", "_lane", "_lane_when", "_seq",
-                 "_active_process", "_pool")
+    __slots__ = ("now", "_queue", "_tick", "_seq", "_active_process",
+                 "_pool")
 
     def __init__(self, initial_time: float = 0.0):
         #: Current simulated time: a plain slot, written only by the
         #: dispatch loop, so the ~one read per event costs no call.
         self.now = float(initial_time)
-        #: Out-of-order future + urgent events: heap of ``(when, key, ev)``.
+        #: Future + urgent events: heap of ``(when, key, event)``.
         self._queue: List[Tuple[float, int, Event]] = []
         #: Zero-delay normal events at the current timestamp (FIFO).
         self._tick: deque = deque()
-        #: Near-sorted future normal events (FIFO, non-decreasing entries).
-        #: Because keys are globally monotone, an entry belongs here iff
-        #: its ``when`` is >= the tail timestamp ``_lane_when``.
-        self._lane: deque = deque()
-        self._lane_when = 0.0
         self._seq = 0
         self._active_process: Optional["Process"] = None
         #: Free list of dead Timeout objects for reuse by :meth:`timeout`.
@@ -121,8 +113,7 @@ class Environment:
         dispatched = scheduled - still-pending.  This keeps one increment
         out of the hot dispatch loop.
         """
-        return (self._seq - len(self._tick) - len(self._lane)
-                - len(self._queue))
+        return self._seq - len(self._tick) - len(self._queue)
 
     # ------------------------------------------------------------------
     # event factories
@@ -166,17 +157,7 @@ class Environment:
             event.delay = delay
         self._seq = seq = self._seq + 1
         if delay > 0:
-            when = self.now + delay
-            lane = self._lane
-            # One comparison on the hot path: a stale ``_lane_when`` on
-            # an empty lane is harmless either way (any entry may start
-            # a fresh lane), so the emptiness test only runs when the
-            # monotonicity test fails.
-            if when >= self._lane_when or not lane:
-                self._lane_when = when
-                lane.append((when, seq, event))
-            else:
-                _heappush(self._queue, (when, seq, event))
+            _heappush(self._queue, (self.now + delay, seq, event))
         elif delay == 0:
             self._tick.append((self.now, seq, event))
         else:
@@ -202,61 +183,6 @@ class Environment:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        item = self._pop_next()
-        if item is None:
-            return float("inf")
-        # Push back (the heap is a correct destination for any entry).
-        heappush(self._queue, item)
-        return item[0]
-
-    def _pop_next(self) -> Optional[Tuple[float, int, Event]]:
-        """Pop the globally smallest ``(when, key, event)`` entry.
-
-        Merges the three internally-sorted sources (same-tick FIFO, lane,
-        heap) by lexicographic entry compare; all three draw keys from one
-        monotonic sequence counter, so the merge reproduces the
-        single-queue total order exactly.
-        """
-        tick, lane, queue = self._tick, self._lane, self._queue
-        if tick:
-            head = tick[0]
-            if lane and lane[0] < head:
-                if queue and queue[0] < lane[0]:
-                    return heappop(queue)
-                return lane.popleft()
-            if queue and queue[0] < head:
-                return heappop(queue)
-            return tick.popleft()
-        if lane:
-            if queue and queue[0] < lane[0]:
-                return heappop(queue)
-            return lane.popleft()
-        if queue:
-            return heappop(queue)
-        return None
-
-    def step(self) -> None:
-        """Process the next event (the one-at-a-time loop for tests)."""
-        item = self._pop_next()
-        if item is None:
-            raise RuntimeError("step() on an empty event queue")
-        self._dispatch(item)
-
-    def _dispatch(self, item: Tuple[float, int, Event]) -> None:
-        event = item[2]
-        self.now = item[0]
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._state = PROCESSED
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or simulated time reaches ``until``."""
         if until is not None:
@@ -270,13 +196,15 @@ class Environment:
             # pre-empts same-time events.
             self._seq += 1
             heappush(self._queue, (until, self._seq - URGENT_BIAS, stop))
-        # Inlined dispatch loop; see module docstring.  The single-waiter
-        # process case (callbacks is exactly a Process) additionally
-        # inlines Process._resume, saving one Python call frame per event,
-        # and recycles dead Timeout objects through the free list —
-        # together these are worth ~3x on the kernel microbench.
-        tick, lane, queue = self._tick, self._lane, self._queue
-        tick_popleft, lane_popleft = tick.popleft, lane.popleft
+        # The dispatch loop; see module docstring.  The merge is one
+        # entry compare, needed only while the tick FIFO is non-empty.
+        # The single-waiter process case (callbacks is exactly a Process)
+        # additionally inlines Process._resume, saving one Python call
+        # frame per event, and recycles dead Timeout objects through the
+        # free list, which serves > 99.5 % of the timeouts of every
+        # benchmark workload (both sized in ROADMAP direction 2).
+        tick, queue = self._tick, self._queue
+        tick_popleft = tick.popleft
         pool = self._pool
         recycle = pool.append
         pop, list_type, process_type = heappop, list, Process
@@ -284,21 +212,10 @@ class Environment:
         try:
             while True:
                 if tick:
-                    head = tick[0]
-                    if lane and lane[0] < head:
-                        if queue and queue[0] < lane[0]:
-                            item = pop(queue)
-                        else:
-                            item = lane_popleft()
-                    elif queue and queue[0] < head:
+                    if queue and queue[0] < tick[0]:
                         item = pop(queue)
                     else:
                         item = tick_popleft()
-                elif lane:
-                    if queue and queue[0] < lane[0]:
-                        item = pop(queue)
-                    else:
-                        item = lane_popleft()
                 elif queue:
                     item = pop(queue)
                 else:
@@ -366,10 +283,6 @@ class Environment:
     @staticmethod
     def _stop_callback(_event: Event) -> None:
         raise StopSimulation
-
-
-class ProcessDied(Exception):
-    """Raised when waiting on a process that terminated with an error."""
 
 
 class Process(Event):
@@ -485,13 +398,3 @@ class Process(Event):
     # itself usable as an event callback (including inside callback lists
     # and for Process subclasses the run-loop fast path doesn't match).
     __call__ = _resume
-
-
-def run_processes(*generators: ProcessGenerator,
-                  until: Optional[float] = None) -> Environment:
-    """Convenience: run a set of process generators in a new environment."""
-    env = Environment()
-    for generator in generators:
-        env.process(generator)
-    env.run(until=until)
-    return env

@@ -24,18 +24,17 @@ simulated statement, disk I/O and network hop allocates events here):
   ~20% of kernel throughput.  Use :meth:`Event.add_callback` /
   :meth:`Event.remove_callback` instead of poking the attribute.
 * Scheduling is inlined into :meth:`Event.succeed`, :meth:`Event.fail`
-  and :class:`Timeout` (there is no ``schedule()`` call; each writes the
-  environment's queues itself): zero-delay triggers go
-  to the environment's same-tick FIFO (no heap traffic), delayed ones
-  to the heap.  Both paths assign keys from the same monotonic sequence
-  counter, so the total event order is exactly the classic
-  ``(time, priority, sequence)`` order and seeded runs stay
-  bit-reproducible.
+  and :meth:`Environment.timeout <repro.sim.core.Environment.timeout>`
+  (there is no ``schedule()`` call; each writes the environment's queues
+  itself): zero-delay triggers go to the environment's same-tick FIFO
+  (no heap traffic), delayed ones to the heap.  Both queues take their
+  keys from the same monotonic sequence counter, so the total event
+  order is exactly the classic ``(time, priority, sequence)`` order and
+  seeded runs stay bit-reproducible.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -165,28 +164,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` units of simulated time in the future."""
+    """An event that fires ``delay`` units of simulated time in the future.
+
+    :meth:`Environment.timeout <repro.sim.core.Environment.timeout>` is
+    the one constructor: it builds (or recycles) the object and puts it
+    on the queue in a single step, so an unscheduled timeout cannot
+    exist.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError("negative delay %r" % delay)
-        # Flattened Event.__init__ + schedule: a Timeout is created for
-        # every simulated wait, so the two saved calls matter.
-        self.env = env
-        self.callbacks = None
-        self._value = value
-        self._exception = None
-        self._state = TRIGGERED
-        self.name = None
-        self.delay = delay
-        env._seq = seq = env._seq + 1
-        if delay == 0:
-            # Same-tick fast path: FIFO append instead of heap traffic.
-            env._tick.append((env.now, seq, self))
-        else:
-            heappush(env._queue, (env.now + delay, seq, self))
+    def __init__(self, *_args: Any, **_kwargs: Any):
+        raise TypeError("make timeouts with env.timeout(delay, value)")
 
 
 class Condition(Event):

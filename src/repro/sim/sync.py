@@ -73,13 +73,6 @@ class Mutex:
         else:
             self.locked = False
 
-    @property
-    def contention_ratio(self) -> float:
-        """Fraction of acquisitions that found the mutex busy."""
-        if not self.acquisitions:
-            return 0.0
-        return self.contended_acquisitions / self.acquisitions
-
 
 class CountdownLatch:
     """Fires an event once :meth:`arrive` has been called ``count`` times.

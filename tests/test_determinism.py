@@ -1,10 +1,11 @@
 """Seeded runs must be bit-for-bit reproducible.
 
-The kernel merges three internally-sorted queues (tick deque, lane
-deque, overflow heap) by a globally unique sequence key, so the merge
-reproduces the single-heap total order exactly.  These tests pin that
-property end to end: a fixed seed yields an identical exported trace,
-an identical migration report, and byte-identical paper-figure text.
+The kernel merges two internally-sorted queues (same-tick FIFO deque
+and heap) by a globally unique sequence key, so the merge reproduces the
+single-heap total order exactly — ``tests/test_sim_core.py`` checks that
+order against its specification.  These tests pin what follows from it
+end to end: a fixed seed yields an identical exported trace, an
+identical migration report, and byte-identical paper-figure text.
 """
 
 import dataclasses

@@ -1,10 +1,10 @@
 """Kernel tests: environment, processes, timeouts, composite events."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import (AllOf, AnyOf, Environment, Event, Interrupt, Resource,
+from repro.sim import (AllOf, Environment, Event, Interrupt, Resource,
                        Timeout)
-from repro.sim.core import run_processes
 
 from _helpers import drive
 
@@ -20,13 +20,6 @@ class TestEnvironmentBasics:
         env = Environment()
         env.run()
         assert env.now == 0.0
-
-    def test_peek_empty_is_infinite(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_on_empty_queue_raises(self):
-        with pytest.raises(RuntimeError):
-            Environment().step()
 
     def test_run_until_in_past_raises(self):
         env = Environment(initial_time=10.0)
@@ -49,7 +42,18 @@ class TestTimeout:
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            Timeout(env, -1)
+            env.timeout(-1)
+        # The rejected call left nothing behind: no queue entry, no
+        # sequence number taken.
+        env.run()
+        assert (env.now, env.events_processed) == (0.0, 0)
+
+    def test_env_timeout_is_the_only_constructor(self, env):
+        """A directly built ``Timeout`` would be on no queue and never
+        fire, so it cannot be built."""
+        with pytest.raises(TypeError, match="env.timeout"):
+            Timeout(env, 1)
+        assert type(env.timeout(1)) is Timeout
 
     def test_zero_delay_allowed(self, env):
         def proc(env):
@@ -223,18 +227,6 @@ class TestProcess:
         with pytest.raises(RuntimeError):
             process.interrupt()
 
-    def test_run_processes_helper(self):
-        seen = []
-
-        def proc(env_ref=[]):
-            # environment injected through closure trick is awkward; use
-            # a timeout-free generator that finishes immediately
-            return
-            yield
-        env = run_processes(proc())
-        assert env.now == 0.0
-        del seen
-
 
 class TestEvents:
     def test_event_succeed_delivers_value(self, env):
@@ -352,18 +344,19 @@ class TestConditions:
 
 class TestSchedulingTies:
     """Entries that tie on (time, priority) must be ordered by the
-    unique sequence key — the queues may never compare the event
-    payloads themselves (events define no ordering, so a key collision
-    would surface as a TypeError from the heap)."""
+    unique sequence key — across the two queues (same-tick FIFO and
+    heap) as well as inside the heap — and the queues may never compare
+    the event payloads themselves (events define no ordering, so a key
+    collision would surface as a TypeError from the heap)."""
 
     def test_equal_time_heap_entries_fire_in_fifo_order(self, env):
         def proc(env):
-            # A far-future timeout parks the lane at t=10, so every
-            # subsequent t=5 timeout is out of order and lands on the
-            # overflow heap, where all of them tie on time.
-            far = env.timeout(10)
+            # Eight heap entries that all tie on time, behind an earlier
+            # and ahead of a later one.
+            near, far = env.timeout(1), env.timeout(10)
             values = []
             ties = [env.timeout(5, value=i) for i in range(8)]
+            yield near
             for tie in ties:
                 values.append((yield tie))
             yield far
@@ -371,21 +364,44 @@ class TestSchedulingTies:
         assert drive(env, proc(env)) == list(range(8))
 
     def test_lane_and_heap_entries_merge_deterministically(self, env):
+        """Timeouts scheduled in and out of time order all live on the
+        one heap (the id dates from a kernel with a separate FIFO for
+        the in-order ones); the two due at t=5 fire in scheduling
+        order."""
         order = []
 
         def waiter(env, delay, tag):
             yield env.timeout(delay)
             order.append((env.now, tag))
-        # lane: 5, 10 (monotone); heap: 7, 5 (out of order). The two
-        # t=5 entries live in *different* queues and must still fire
-        # in scheduling order.
-        env.process(waiter(env, 5, "lane-5"))
-        env.process(waiter(env, 10, "lane-10"))
-        env.process(waiter(env, 7, "heap-7"))
-        env.process(waiter(env, 5, "heap-5"))
+        env.process(waiter(env, 5, "first-5"))
+        env.process(waiter(env, 10, "10"))
+        env.process(waiter(env, 7, "7"))
+        env.process(waiter(env, 5, "second-5"))
         env.run()
-        assert order == [(5, "lane-5"), (5, "heap-5"),
-                         (7, "heap-7"), (10, "lane-10")]
+        assert order == [(5, "first-5"), (5, "second-5"),
+                         (7, "7"), (10, "10")]
+
+    def test_heap_entry_fires_before_a_later_same_time_tick_entry(
+            self, env):
+        """The tick FIFO has no precedence over the heap: a timeout due
+        at t that was scheduled before a ``succeed()`` made at t has the
+        smaller sequence key and fires first."""
+        order = []
+        event = env.event()
+        event.add_callback(lambda _event: order.append("tick"))
+
+        def firer(env):
+            yield env.timeout(5)
+            event.succeed()         # tick entry (5, seq 5)
+            order.append("firer")
+
+        def sleeper(env):
+            yield env.timeout(5)    # heap entry (5, seq 4)
+            order.append("heap")
+        env.process(firer(env))
+        env.process(sleeper(env))
+        env.run()
+        assert order == ["firer", "heap", "tick"]
 
     def test_non_comparable_event_payloads_never_compared(self, env):
         """Regression: succeed a batch of plain Events carrying dict
@@ -402,3 +418,148 @@ class TestSchedulingTies:
             event.succeed({"tag": index})
         env.run()
         assert results == list(range(6))
+
+
+# ---------------------------------------------------------------------
+# dispatch order against a reference
+# ---------------------------------------------------------------------
+URGENT, NORMAL = 0, 1
+DELAYS = (0, 0.5, 1, 1.5, 2)        # exact in binary: 0.5 + 1.5 ties with 2
+MAX_PROCESSES = 12
+
+_ops = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("trigger"),      # Event.succeed / Event.fail
+              st.tuples(st.sampled_from(("callback", "process", "both")),
+                        st.booleans())),
+    st.tuples(st.sampled_from(("start", "interrupt")),
+              st.integers(0, MAX_PROCESSES - 1)),
+)
+
+
+class _Schedule:
+    """Runs generated scripts on a real :class:`Environment` and logs,
+    in the order they happen, every entry put on the kernel's queues —
+    with the key the classic single-queue kernel would give it,
+    ``(when, urgent-first, sequence)``, counted here and never read
+    from the kernel — and every entry seen dispatched."""
+
+    def __init__(self, scripts):
+        self.env = Environment()
+        self.scripts = scripts
+        self.log = []
+        self.scheduled = 0
+        self.waiting = {}           # pid -> (key, timeout) it sleeps on
+        self.exit_keys = {}
+        self.processes = []
+
+    def sched(self, when, priority):
+        self.scheduled += 1
+        key = (when, priority, self.scheduled)
+        self.log.append(("sched", key))
+        return key
+
+    def fire(self, key):
+        self.log.append(("fire", key))
+
+    def start(self, script):
+        if len(self.processes) == MAX_PROCESSES:
+            return
+        pid = len(self.processes)
+        key = self.sched(self.env.now, URGENT)
+        process = self.env.process(self.body(pid, key, script))
+        process.add_callback(self.exited)
+        self.processes.append(process)
+
+    def exited(self, process):
+        if process.exception is not None:       # a bug in this harness
+            raise process.exception
+        self.fire(self.exit_keys[self.processes.index(process)])
+
+    def body(self, pid, start_key, script):
+        self.fire(start_key)
+        for op, arg in script:
+            try:
+                yield from getattr(self, "op_" + op)(pid, arg)
+            except Interrupt as interrupt:
+                self.fire(interrupt.cause)
+        # Returning succeeds the process event: one more tick entry.
+        self.exit_keys[pid] = self.sched(self.env.now, NORMAL)
+
+    def op_timeout(self, pid, delay):
+        key = self.sched(self.env.now + delay, NORMAL)
+        timeout = self.env.timeout(delay)
+        self.waiting[pid] = (key, timeout)
+        yield timeout
+        del self.waiting[pid]
+        self.fire(key)
+
+    def op_trigger(self, pid, how_fail):
+        how, fail = how_fail
+        key = self.sched(self.env.now, NORMAL)
+        event = self.env.event()
+        if how != "process":
+            event.add_callback(lambda _event: self.fire(key))
+        if fail:
+            event.fail(KeyError(key))
+        else:
+            event.succeed(key)
+        if how != "callback":
+            try:
+                assert (yield event) == key and not fail
+            except KeyError:
+                assert fail
+            if how == "process":
+                self.fire(key)
+
+    def op_start(self, pid, index):
+        self.start(self.scripts[index % len(self.scripts)])
+        yield from ()
+
+    def op_interrupt(self, pid, index):
+        victim = index % len(self.processes)
+        if victim in self.waiting:      # asleep, no interrupt under way
+            key, timeout = self.waiting.pop(victim)
+            # The abandoned timeout still fires; keep it observed.
+            self.processes[victim].interrupt(
+                cause=self.sched(self.env.now, URGENT))
+            timeout.add_callback(lambda _event: self.fire(key))
+        yield from ()
+
+    def run(self, roots, untils):
+        for script in self.scripts[:roots]:
+            self.start(script)
+        for until in untils:
+            key = self.sched(until, URGENT)
+            self.env.run(until=until)
+            assert self.env.now == until
+            self.fire(key)
+        self.env.run()
+
+
+class TestDispatchOrderAgainstReference:
+    """The one property the kernel owes its users, checked against a
+    specification instead of against a second run: every dispatch takes
+    the entry that sorts first by ``(when, urgent-first, sequence)``
+    among those scheduled and not yet dispatched."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scripts=st.lists(st.lists(_ops, max_size=6),
+                            min_size=1, max_size=5),
+           roots=st.integers(1, 3),
+           untils=st.lists(st.sampled_from((0, 0.5, 1, 2, 3)),
+                           max_size=3).map(sorted))
+    def test_every_dispatch_takes_the_smallest_pending_key(
+            self, scripts, roots, untils):
+        schedule = _Schedule(scripts)
+        schedule.run(roots, untils)
+        pending, fired = [], 0
+        for kind, key in schedule.log:
+            if kind == "sched":
+                pending.append(key)
+            else:
+                assert key == min(pending)
+                pending.remove(key)
+                fired += 1
+        assert not pending
+        assert schedule.env.events_processed == schedule.scheduled == fired

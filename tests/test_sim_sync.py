@@ -64,21 +64,6 @@ class TestMutex:
         with pytest.raises(RuntimeError):
             Mutex(env).release()
 
-    def test_contention_ratio(self, env):
-        mutex = Mutex(env)
-
-        def locker(env):
-            yield from mutex.acquire()
-            yield env.timeout(1)
-            mutex.release()
-        env.process(locker(env))
-        env.process(locker(env))
-        env.run()
-        assert mutex.contention_ratio == pytest.approx(0.5)
-
-    def test_ratio_zero_without_acquisitions(self, env):
-        assert Mutex(env).contention_ratio == 0.0
-
 
 class TestCountdownLatch:
     def test_zero_count_fires_immediately(self, env):
