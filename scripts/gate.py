@@ -1036,7 +1036,12 @@ def claims(directory, rows):
 def check_artifact(artifact, expect, baseline=None):
     """Failures of one claimed artifact against its row's expectations."""
     if isinstance(artifact, Trace):
-        failures = []
+        # Not a row key: a trace that overflowed Tracer.max_records is
+        # not the whole run, whatever its row goes on to find in it.
+        dropped = artifact.meta.get("dropped", 0)
+        failures = (["trace is truncated: the tracer dropped %d record(s) "
+                     "past its max_records cap" % dropped]
+                    if dropped else [])
         for key, wanted in expect.items():
             failures.extend(TRACE_CHECKS[key](artifact, wanted))
         return failures

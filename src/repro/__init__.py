@@ -81,7 +81,7 @@ from .obs import MetricsRegistry, Tracer, read_trace, write_trace
 from .router import RouterConfig, RouterFleet, RouterShard
 from .sim import Environment
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ALL_POLICIES",

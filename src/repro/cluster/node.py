@@ -28,7 +28,6 @@ class NodeSpec:
 
     cpu_cores: int = 4
     disk: DiskSpec = field(default_factory=DiskSpec)
-    group_commit: bool = True
     checkpoint: Optional[CheckpointSpec] = None
 
 
@@ -45,7 +44,6 @@ class Node:
             env, name,
             cpu_cores=self.spec.cpu_cores,
             disk_spec=self.spec.disk,
-            group_commit=self.spec.group_commit,
             checkpoint_spec=self.spec.checkpoint,
             observer=observer,
         )

@@ -58,19 +58,11 @@ class RebalanceOptions:
     window: int = 5
     #: Planning cadence: decide every N samples.
     decide_every: int = 2
-    # -- hotspot detection (hysteresis) --------------------------------
-    #: Hot when load > enter_ratio * cluster mean for ``sustain``
-    #: consecutive samples; cold again when load < exit_ratio * mean
-    #: (must be < enter_ratio).
-    enter_ratio: float = 1.5
-    exit_ratio: float = 1.1
-    sustain: int = 2
+    # -- hotspot detection / planning ----------------------------------
     #: Sim seconds a node (after cooling) and a tenant (after moving)
     #: are left alone — the anti-ping-pong dwell.
     cooldown: float = 30.0
-    # -- planning / actuation ------------------------------------------
-    #: Moves in flight at once.
-    max_concurrent_moves: int = 2
+    # -- actuation -----------------------------------------------------
     #: Per-move migration knobs: the control plane journals its moves.
     migration: MigrationOptions = MigrationOptions(resume=True)
 
@@ -81,8 +73,6 @@ class RebalanceOptions:
             raise ValueError("window must be >= 1")
         if self.decide_every < 1:
             raise ValueError("decide_every must be >= 1")
-        if self.max_concurrent_moves < 1:
-            raise ValueError("max_concurrent_moves must be >= 1")
 
 
 @dataclass
@@ -154,8 +144,8 @@ class Rebalancer:
 
     Usage::
 
-        rebalancer = Rebalancer(middleware, RebalanceOptions(
-            cooldown=20.0, max_concurrent_moves=2))
+        rebalancer = Rebalancer(middleware,
+                                RebalanceOptions(cooldown=20.0))
         rebalancer.start()                      # spawns the loop
         env.run(until=300.0)
         report = yield from rebalancer.stop()   # inside a process
@@ -171,18 +161,17 @@ class Rebalancer:
         self.options = opts = options or RebalanceOptions()
         self.watcher = LoadWatcher(middleware, nodes=nodes,
                                    window=opts.window)
-        self.detector = HotspotDetector(
-            enter_ratio=opts.enter_ratio, exit_ratio=opts.exit_ratio,
-            sustain=opts.sustain, cooldown=opts.cooldown)
+        self.detector = HotspotDetector(cooldown=opts.cooldown)
         rates = middleware.resolve_options(opts.migration).rates
         self.planner = Planner(
             middleware, cooldown=opts.cooldown,
             dump_mb_s=rates.dump_mb_s, restore_mb_s=rates.restore_mb_s)
-        # Every move gets two scheduler re-attempts, and a crash-parked
-        # one is resumed from its journal.
+        # Two moves in flight at once; every move gets two scheduler
+        # re-attempts, and a crash-parked one is resumed from its
+        # journal.
         self.scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            max_concurrent=opts.max_concurrent_moves,
-            migration=opts.migration, retry_limit=2, resume=True))
+            max_concurrent=2, migration=opts.migration, retry_limit=2,
+            resume=True))
         self.report = RebalanceReport()
         self._running = False
         self._in_flight: Set[str] = set()
@@ -250,7 +239,7 @@ class Rebalancer:
                             hot=list(hot),
                             imbalance=round(view.imbalance, 6),
                             in_flight=len(self._in_flight))
-        budget = (self.options.max_concurrent_moves
+        budget = (self.scheduler.options.max_concurrent
                   - len(self._in_flight))
         moves = self.planner.plan(view, hot, now=self.env.now,
                                   in_flight=self.in_flight(),

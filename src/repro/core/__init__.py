@@ -36,7 +36,6 @@ from .scheduler import (
 )
 from .region import (
     COMMIT_CLASS,
-    EXCLUSIVE_CLASS,
     FIRST_READ_CLASS,
     CriticalRegion,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Connection",
     "CriticalRegion",
     "DependencyType",
-    "EXCLUSIVE_CLASS",
     "FIRST_READ_CLASS",
     "HistoryRecorder",
     "JobOutcome",

@@ -137,7 +137,8 @@ class MigrationJournal:
     #: re-entry after a manager death interrupts any still alive so an
     #: orphaned stream cannot keep mutating the destination.
     snapshot_procs: List[Any] = field(default_factory=list)
-    #: The manager process of the current attempt (None when parked).
+    #: The live :class:`~repro.core.migration.Migration` attempt — the
+    #: one manager; ``None`` once it ended, however it ended.
     manager: Any = None
 
     @property

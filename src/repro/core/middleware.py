@@ -201,12 +201,8 @@ class TenantState:
     read_only_commits: int = 0
     aborts_seen: int = 0
 
-    def all_ssls(self) -> List[SyncsetList]:
-        """The primary SSL plus one per standby slave."""
-        return [self.ssl] + list(self.standby_ssls.values())
-
     def all_propagators(self) -> List[Any]:
-        """Every live propagation engine."""
+        """Every live propagation engine, the primary first."""
         engines = [self.propagator] if self.propagator is not None else []
         engines.extend(self.standby_propagators.values())
         return engines
@@ -243,18 +239,15 @@ class Middleware:
     """A pure-middleware database proxy with live migration."""
 
     def __init__(self, env: "Environment", cluster: Cluster,
-                 config: Optional[MiddlewareConfig] = None,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 config: Optional[MiddlewareConfig] = None):
         self.env = env
         self.cluster = cluster
         self.config = config or MiddlewareConfig()
         #: Span/event recorder on the simulated clock; every migration
         #: emits phase spans (dump -> restore -> catch-up -> handover).
-        self.tracer = tracer if tracer is not None else Tracer(env)
+        self.tracer = Tracer(env)
         #: Structured counters/gauges/histograms for the whole stack.
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry())
+        self.metrics = MetricsRegistry()
         self.cluster.network.bind_obs(self.metrics)
         self._tenants: Dict[str, TenantState] = {}
         #: Routing table, handover records and migration journals (the
@@ -474,7 +467,7 @@ class Middleware:
                                     txn_label=operation.txn_label)
                 ssb.save(operation)
                 conn.ssb = ssb
-                for ssl in state.all_ssls():
+                for ssl in (state.ssl, *state.standby_ssls.values()):
                     ssl.register_open(ssb)
             elif conn.ssb is not None and (
                     kind is _WRITE
@@ -510,17 +503,18 @@ class Middleware:
         state.mlc += 1
         if ssb is not None:
             conn.ssb = None
-            for ssl in state.all_ssls():
+            for ssl in (state.ssl, *state.standby_ssls.values()):
                 ssl.resolve_open(ssb)
                 # Under a watermark migration the change tap is the
                 # replication stream; linking SSBs too would leak an
                 # undrained SSL backlog.
                 if state.migrating and state.change_tap is None:
                     ssl.link(ssb, self.env.now)
-            for propagator in state.all_propagators():
-                if state.migrating:
-                    propagator.notify_linked()
-                propagator.notify_open_changed()
+            if state.propagator is not None or state.standby_propagators:
+                for propagator in state.all_propagators():
+                    if state.migrating:
+                        propagator.notify_linked()
+                    propagator.notify_open_changed()
         self._transaction_closed(conn, state)
 
     # ------------------------------------------------------------------
@@ -528,11 +522,12 @@ class Middleware:
                            aborted: bool) -> None:
         """Discard the SSB (mapping function: aborted/failed -> empty)."""
         if conn.ssb is not None:
-            for ssl in state.all_ssls():
+            for ssl in (state.ssl, *state.standby_ssls.values()):
                 ssl.resolve_open(conn.ssb)
             conn.ssb = None
-            for propagator in state.all_propagators():
-                propagator.notify_open_changed()
+            if state.propagator is not None or state.standby_propagators:
+                for propagator in state.all_propagators():
+                    propagator.notify_open_changed()
         if aborted:
             state.aborts_seen += 1
             # the engine already rolled back; re-sync the tracker

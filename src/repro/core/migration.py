@@ -192,8 +192,7 @@ def resume(mw: "Middleware", tenant: str,
         raise MigrationError(
             "migration journal for tenant %r is %s; nothing to "
             "resume" % (tenant, journal.state))
-    if (journal.state == JOURNAL_ACTIVE and journal.manager is not None
-            and journal.manager.is_alive):
+    if journal.state == JOURNAL_ACTIVE and journal.manager is not None:
         raise MigrationError(
             "tenant %r migration is still being managed" % tenant)
     # An attempt interrupted past its ready record reached the point of
@@ -214,8 +213,7 @@ def resume(mw: "Middleware", tenant: str,
                    strategy=SnapshotStrategy(journal.strategy))
     run = Migration(mw, tenant, opts, journal.source, journal.destination,
                     journal=journal, settled=settled)
-    entry = "done" if settled else (yield from run.reenter())
-    return (yield from run.run(entry))
+    return (yield from run.run("done" if settled else None))
 
 
 class Migration:
@@ -279,7 +277,7 @@ class Migration:
                              resumed=True, settled=True)
             else:
                 journal.state = JOURNAL_ACTIVE
-                journal.manager = self.env.active_process
+                journal.manager = self
                 progress = {
                     "phase": journal.suspend_phase or journal.phase,
                     "chunks_restored": dict(journal.chunks_restored),
@@ -298,14 +296,24 @@ class Migration:
     # ------------------------------------------------------------------
     # the machine
     # ------------------------------------------------------------------
-    def run(self, phase: str) -> Generator[Any, Any, MigrationReport]:
-        """Walk the phases from ``phase`` to ``done``."""
-        if phase == "dump":
-            yield from self._dump()
-        if phase != "done":
-            yield from self._catch_up()
-            yield from self._handover()
-        return self._end("ok")
+    def run(self, phase: Optional[str]
+            ) -> Generator[Any, Any, MigrationReport]:
+        """Walk the phases from ``phase`` (``None``: from where
+        :meth:`reenter` finds the journal) to ``done``; however the
+        attempt ends — a killed manager unwinds through here too — the
+        journal stops naming it as the manager."""
+        try:
+            if phase is None:
+                phase = yield from self.reenter()
+            if phase == "dump":
+                yield from self._dump()
+            if phase != "done":
+                yield from self._catch_up()
+                yield from self._handover()
+            return self._end("ok")
+        finally:
+            if self.journal is not None:
+                self.journal.manager = None
 
     def reenter(self) -> Generator[Any, Any, str]:
         """Adopt what the interrupted attempt left; return the phase.
@@ -480,7 +488,7 @@ class Migration:
             total_chunks=plan_chunks(size_mb, opts.chunk_mb),
             pipelined=report.pipelined, strategy=report.strategy,
             schemas=schema_specs(tenant_db))
-        journal.manager = self.env.active_process
+        journal.manager = self
         self.mw.journal.migrations[self.tenant] = journal
         return journal
 
@@ -824,7 +832,7 @@ class Migration:
                 chunks_restored=dict(journal.chunks_restored))
         elif not ok:
             self.metrics.counter("migration.aborted").inc()
-            self.metrics.absorb("migration.last", last)
+            self._set_gauges("migration.last", last)
         elif self.settled:
             # Entered at ``done``: this attempt copied, replayed and
             # switched nothing, so every milestone is "now".
@@ -856,13 +864,18 @@ class Migration:
                 slave_mean_group_size=report.slave_mean_group_size,
                 chunks=report.chunks)
             self.metrics.counter("migration.completed").inc()
-            self.metrics.absorb("propagation", engine.stats)
-            self.metrics.absorb("migration.last", last)
+            self._set_gauges("propagation", vars(engine.stats))
+            self._set_gauges("migration.last", last)
         self.tracer.finish(self.span, **attrs)
         mw.reports.append(report)
         if error is not None:
             raise error
         return report
+
+    def _set_gauges(self, prefix: str, values: Dict[str, float]) -> None:
+        """Set the gauge ``<prefix>.<key>`` to each (numeric) value."""
+        for key, value in values.items():
+            self.metrics.gauge("%s.%s" % (prefix, key)).set(value)
 
     def _stamp_replay(self, stats: Any) -> None:
         """Fill the report's propagation and slave-WAL figures."""

@@ -10,9 +10,9 @@ Two buffering primitives live here:
   manager injects low/high watermark markers around every chunk select,
   and one change-stream applier *per consumer* replays the whole
   sequence in commit (= CSN) order.  The tap is a single-feed
-  broadcast: each consumer (the destination, every standby, a router
-  warming a replica) holds a named :class:`TapCursor` into the one
-  retained record sequence, a marker's ``reached`` fires only once
+  broadcast: each consumer (the destination and every standby) holds
+  a named :class:`TapCursor` into the one retained record sequence, a
+  marker's ``reached`` fires only once
   every active consumer has applied everything before it, and a
   consumer that crashes is discarded without disturbing the others.
   Cursors — not appliers — own consumption state, so an applier that
@@ -607,8 +607,8 @@ class ChangeTap:
     versions), so the sequence is exactly CSN order.  Each transaction
     record is a tuple of ``(table, key, row_or_None)`` post-images
     (``None`` = delete); :class:`TapMarker` records interleave with
-    them.  One producer feeds N consumers: each — destination, standby,
-    router-warmed replica — reads through its own named
+    them.  One producer feeds N consumers: each — the destination and
+    every standby — reads through its own named
     :class:`TapCursor` over the one retained sequence (the
     :class:`ChunkFeed` retention precedent), a watermark's ``reached``
     fires only when every active consumer passed it, and

@@ -27,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 FIRST_READ_CLASS = "first_read"
 #: Class identifier for commit operations.
 COMMIT_CLASS = "commit"
-#: Fully exclusive class (excludes everything, including itself).
-EXCLUSIVE_CLASS = "exclusive"
 
 
 class CriticalRegion:
@@ -55,7 +53,6 @@ class CriticalRegion:
         self.entries += 1
         compatible = (self._active_count == 0
                       or (self._active_class == op_class
-                          and op_class != EXCLUSIVE_CLASS
                           and not self._waiters))
         if compatible:
             self._active_class = op_class
@@ -82,12 +79,6 @@ class CriticalRegion:
         if not self._waiters:
             return
         head_class, _head_event = self._waiters[0]
-        if head_class == EXCLUSIVE_CLASS:
-            _cls, event = self._waiters.popleft()
-            self._active_class = EXCLUSIVE_CLASS
-            self._active_count = 1
-            event.succeed()
-            return
         self._active_class = head_class
         while self._waiters and self._waiters[0][0] == head_class:
             _cls, event = self._waiters.popleft()

@@ -67,15 +67,13 @@ class DbmsInstance:
     def __init__(self, env: "Environment", name: str,
                  cpu_cores: int = 4,
                  disk_spec: Optional[DiskSpec] = None,
-                 group_commit: bool = True,
                  checkpoint_spec: Optional[CheckpointSpec] = None,
                  observer: Optional[Observer] = None):
         self.env = env
         self.name = name
         self.cpu = Resource(env, capacity=cpu_cores, name="%s.cpu" % name)
         self.disk = Disk(env, disk_spec, name="%s.disk" % name)
-        self.wal = WalWriter(env, self.disk, group_commit=group_commit,
-                             name="%s.wal" % name)
+        self.wal = WalWriter(env, self.disk, name="%s.wal" % name)
         self.checkpointer: Optional[Checkpointer] = None
         if checkpoint_spec is not None:
             self.checkpointer = Checkpointer(env, self.disk, checkpoint_spec,
@@ -103,17 +101,16 @@ class DbmsInstance:
         self._m_recoveries = None
 
     def bind_obs(self, metrics: MetricsRegistry,
-                 prefix: Optional[str] = None,
                  tracer: Optional[Any] = None) -> None:
         """Mirror executor-path counters into a metrics registry.
 
-        Creates ``<prefix>.statements`` / ``.commits`` / ``.aborts``
-        counters (prefix defaults to the instance name) and also binds
-        the instance's WAL under ``<prefix>.wal`` and, when present,
-        its checkpointer under ``<prefix>.checkpoint`` (with burst
-        spans if a ``tracer`` is given).
+        Creates ``<name>.statements`` / ``.commits`` / ``.aborts``
+        counters under the instance name and also binds the instance's
+        WAL under ``<name>.wal`` and, when present, its checkpointer
+        under ``<name>.checkpoint`` (with burst spans if a ``tracer``
+        is given).
         """
-        base = prefix if prefix is not None else self.name
+        base = self.name
         self._m_statements = metrics.counter("%s.statements" % base)
         self._m_commits = metrics.counter("%s.commits" % base)
         self._m_aborts = metrics.counter("%s.aborts" % base)
@@ -121,8 +118,7 @@ class DbmsInstance:
         self._m_recoveries = metrics.counter("%s.recoveries" % base)
         self.wal.bind_obs(metrics, "%s.wal" % base)
         if self.checkpointer is not None:
-            self.checkpointer.bind_obs(metrics,
-                                       "%s.checkpoint" % base,
+            self.checkpointer.bind_obs(metrics, "%s.checkpoint" % base,
                                        tracer=tracer)
 
     # ------------------------------------------------------------------

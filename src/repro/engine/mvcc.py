@@ -70,7 +70,8 @@ class VersionChain:
 
         Keeps the newest version at or below the horizon (it is still
         visible to snapshots at the horizon) plus everything newer.  This
-        is the vacuum analogue; the engine calls it opportunistically.
+        is the vacuum analogue; nothing in the engine calls it yet
+        (ROADMAP direction 1's bounded-memory audit will).
         """
         keep_from = bisect.bisect_right(self.csns, horizon_csn) - 1
         if keep_from <= 0:

@@ -17,9 +17,11 @@ module              reproduces
                     ``build_kv_testbed`` (kv fleets), ``Testbed``
 ==================  =============================================
 
-Every module exposes a uniform ``run(profile, *, seed, trace_dir)``
-entry point returning a :class:`~repro.experiments.common.Report`
-(from the shell: ``python -m repro <command>``).  The TPC-W modules
+The modules behind ``repro.cli.COMMANDS`` (the paper's figures and
+tables) and ``bench`` expose ``run(profile, *, seed, trace_dir)``
+returning a :class:`~repro.experiments.common.Report`, which the CLI
+prints; ``chaos``, ``soak`` and ``rebalance`` are entered through
+``run_all`` / ``run_soak`` / ``run_rebalance``.  The TPC-W modules
 run their migrations through ``Testbed.migrate``; the kv-fleet
 scenarios (``bench``'s router scenario, ``soak``, ``rebalance``) share
 one ``Testbed`` builder, one client loop and acknowledged-increment

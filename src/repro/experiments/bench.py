@@ -14,10 +14,9 @@ Four scenarios:
     pipelined comparison there is the headline number; the watermark
     rows additionally expose the catch-up window, which the watermark
     path bounds by chunk size instead of dump duration (the
-    ``watermark`` key of ``scripts/gate.py``).  ``watermark`` is
-    an alias for this scenario.  Each strategy runs on its own freshly
-    seeded testbed, so the serial and pipelined figures are bit-stable
-    against pre-watermark artifacts.
+    ``watermark`` key of ``scripts/gate.py``).  Each strategy runs on
+    its own freshly seeded testbed, so the serial and pipelined figures
+    are bit-stable against pre-watermark artifacts.
 
 ``policies``
     One migration per propagation policy (Table 2) on the default
@@ -540,9 +539,7 @@ def run_router_scenario(profile: Profile,
 
 #: name -> (one-line description, runner): what ``repro bench
 #: --list-scenarios`` prints and what :func:`run_benchmark` runs, in
-#: this order.  ``watermark`` names the same three-way run as
-#: ``pipeline`` (both write ``BENCH_pipeline.json``); asking for both
-#: runs it once.
+#: this order.
 SCENARIOS = {
     "pipeline": ("serial vs pipelined vs watermark snapshot shipping "
                  "across database sizes", run_pipeline_scenario),
@@ -554,8 +551,6 @@ SCENARIOS = {
     "router": ("per-request downtime histograms through the router "
                "tier, 25 migrations per snapshot strategy",
                run_router_scenario),
-    "watermark": ("alias for the three-way pipeline scenario",
-                  run_pipeline_scenario),
 }
 
 
@@ -568,17 +563,12 @@ def run_benchmark(profile: Optional[Profile] = None, *,
     """Run the selected bench scenarios and write ``BENCH_*.json``
     under ``bench_dir`` (default ``benchmarks/results/bench``)."""
     profile = seeded(profile or get_profile(), seed)
-    runners: List[Any] = []
+    results: List[Any] = []
     for scenario in (scenarios or SCENARIOS):
         if scenario not in SCENARIOS:
             raise ValueError("unknown bench scenario %r (one of %s)"
                              % (scenario, ", ".join(SCENARIOS)))
-        runner = SCENARIOS[scenario][1]
-        if runner not in runners:
-            runners.append(runner)
-    results: List[Any] = []
-    for runner in runners:
-        result = runner(profile, trace_dir=trace_dir)
+        result = SCENARIOS[scenario][1](profile, trace_dir=trace_dir)
         result.path = write_json_artifact(
             bench_dir or DEFAULT_BENCH_DIR,
             "BENCH_%s.json" % result.scenario, result.to_dict())

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.middleware import MigrationOptions, MigrationReport
 from ..faults import FaultInjector, FaultPlan
 from ..metrics.report import format_table
-from .common import Report, TenantSetup, build_testbed, seeded
+from .common import TenantSetup, build_testbed
 from .migration_time import WARMUP_SECONDS
 from .profiles import Profile, get_profile
 
@@ -277,19 +277,6 @@ def run_all(profile: Optional[Profile] = None,
     profile = profile or get_profile()
     return [run_chaos(name, profile, trace_dir=trace_dir)
             for name in (scenarios or sorted(SCENARIOS))]
-
-
-def run(profile: Optional[Profile] = None, *,
-        seed: Optional[int] = None,
-        trace_dir: Optional[str] = None) -> Report:
-    """Uniform entry point: every chaos scenario, outcome table."""
-    profile = seeded(profile or get_profile(), seed)
-    outcomes = run_all(profile, trace_dir=trace_dir)
-    artifacts = [o.trace_path for o in outcomes
-                 if o.trace_path is not None]
-    return Report(experiment="chaos", profile=profile.name,
-                  seed=profile.seed, text=report(outcomes, profile),
-                  data=outcomes, artifacts=artifacts)
 
 
 def report(outcomes: List[ChaosOutcome], profile: Profile) -> str:

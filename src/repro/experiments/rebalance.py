@@ -355,10 +355,3 @@ def report(outcome: RebalanceOutcome) -> str:
                     outcome.cooldown_violations, outcome.converged,
                     "OK" if outcome.ok else "FAIL"))
     return "\n".join(lines)
-
-
-def run(profile: Optional[Profile] = None, *,
-        seed: Optional[int] = None,
-        trace_dir: Optional[str] = None) -> Report:
-    """Uniform entry point: the full fleet at the profile's seed."""
-    return run_rebalance(profile, seed=seed, trace_dir=trace_dir)

@@ -546,10 +546,3 @@ def report(outcome: SoakOutcome) -> str:
                     outcome.wedged_waves,
                     "OK" if outcome.ok else "FAIL"))
     return "\n".join(lines)
-
-
-def run(profile: Optional[Profile] = None, *,
-        seed: Optional[int] = None,
-        trace_dir: Optional[str] = None) -> Report:
-    """Uniform entry point: a short soak at the profile's seed."""
-    return run_soak(profile, seed=seed, trace_dir=trace_dir)

@@ -4,8 +4,7 @@ The subsystem is deliberately tiny and dependency-free:
 
 * :class:`Tracer` records spans (phases, propagation rounds) and events
   against the simulated clock;
-* :class:`MetricsRegistry` holds counters/gauges/histograms and absorbs
-  the legacy stat dataclasses;
+* :class:`MetricsRegistry` holds the named counters/gauges/histograms;
 * :func:`write_trace` / :func:`read_trace` round-trip everything through
   a ``trace.jsonl`` file;
 * :mod:`repro.obs.timeline` renders parsed traces for ``repro trace``.

@@ -1,18 +1,16 @@
 """Counters, gauges, and histograms behind one registry.
 
-The :class:`MetricsRegistry` is the structured replacement for the
-ad-hoc stat dataclasses scattered through the stack
+The :class:`MetricsRegistry` holds the named instruments that reach
+the trace export.  The per-component stat records
 (:class:`~repro.core.propagation.PropagationStats`, the executor/WAL
 counters on :class:`~repro.engine.instance.DbmsInstance` and
-:class:`~repro.engine.wal.WalWriter`): those dataclasses stay for
-backwards compatibility, and :meth:`MetricsRegistry.absorb` mirrors
-them into named instruments so they reach the trace export alongside
-the live-instrumented values.
+:class:`~repro.engine.wal.WalWriter`) are what their owners count in;
+each owner mirrors its record into gauges of the registry it was bound
+to, under the same field names.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Optional
 
 
@@ -30,10 +28,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counter %r cannot decrease" % self.name)
         self.value += amount
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.value = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable record (the ``metric`` line of the JSONL)."""
@@ -64,11 +58,6 @@ class Gauge:
     def dec(self, amount: float = 1) -> None:
         """Adjust the current value by ``-amount``."""
         self.set(self.value - amount)
-
-    def reset(self) -> None:
-        """Zero the value and the high-water mark."""
-        self.value = 0
-        self.max_value = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable record (the ``metric`` line of the JSONL)."""
@@ -103,13 +92,6 @@ class Histogram:
         if not self.count:
             return 0.0
         return self.total / self.count
-
-    def reset(self) -> None:
-        """Forget every sample."""
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable record (the ``metric`` line of the JSONL)."""
@@ -153,11 +135,6 @@ class QuantileHistogram(Histogram):
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile %r outside [0, 1]" % (q,))
         return _nearest_rank(sorted(self.samples), q)
-
-    def reset(self) -> None:
-        """Forget every sample."""
-        super().reset()
-        self.samples = []
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON record: the streaming summary plus tail percentiles."""
@@ -208,27 +185,6 @@ class MetricsRegistry:
         return self._get(name, QuantileHistogram)
 
     # ------------------------------------------------------------------
-    def absorb(self, prefix: str, stats: Any) -> None:
-        """Mirror a stats dataclass (or mapping) into gauges.
-
-        Each numeric field becomes the gauge ``<prefix>.<field>`` set to
-        the field's current value, so repeated calls track a cumulative
-        dataclass without double counting.
-        """
-        if is_dataclass(stats) and not isinstance(stats, type):
-            items = [(f.name, getattr(stats, f.name))
-                     for f in fields(stats)]
-        elif isinstance(stats, dict):
-            items = list(stats.items())
-        else:
-            raise TypeError("cannot absorb %r" % (stats,))
-        for key, value in items:
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                continue
-            self.gauge("%s.%s" % (prefix, key)).set(value)
-
-    # ------------------------------------------------------------------
     def names(self) -> List[str]:
         """Every instrument name, sorted."""
         return sorted(self._instruments)
@@ -270,11 +226,6 @@ class MetricsRegistry:
         if instrument is None or isinstance(instrument, Histogram):
             return default
         return instrument.value
-
-    def reset(self) -> None:
-        """Reset every instrument in place (handles stay valid)."""
-        for instrument in self._instruments.values():
-            instrument.reset()
 
     def __len__(self) -> int:
         return len(self._instruments)

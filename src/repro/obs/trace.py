@@ -20,15 +20,13 @@ Spans come in kinds:
 ``span``
     anything else.
 
-Simulation code is generator-based, so the primary API is explicit
-``start()`` / ``finish()``; a ``span()`` context manager exists for
-synchronous sections (setup, export, analysis).
+Simulation code is generator-based, so the API is explicit
+``start()`` / ``finish()``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 #: Span kinds with dedicated rendering in the timeline view.
 MIGRATION = "migration"
@@ -163,17 +161,6 @@ class Tracer:
         """Open a migration-phase span."""
         return self.start(name, kind=PHASE, parent=parent, **attrs)
 
-    @contextmanager
-    def span(self, name: str, kind: str = SPAN,
-             parent: Optional[Span] = None,
-             **attrs: Any) -> Iterator[Span]:
-        """Context manager for synchronous (non-yielding) sections."""
-        span = self.start(name, kind=kind, parent=parent, **attrs)
-        try:
-            yield span
-        finally:
-            self.finish(span)
-
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
@@ -212,12 +199,6 @@ class Tracer:
     def children(self, span: Span) -> List[Span]:
         """Direct children of ``span``, in start order."""
         return self.find(parent=span)
-
-    def clear(self) -> None:
-        """Drop every recorded span and event (span ids keep counting)."""
-        self.spans.clear()
-        self.events.clear()
-        self.dropped = 0
 
 
 def check_phase_order(spans: List[Span]) -> List[str]:

@@ -22,8 +22,6 @@ from .shard import RouterConfig, RouterConnection, RouterShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.middleware import Middleware
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.trace import Tracer
     from ..sim.core import Environment
 
 
@@ -33,21 +31,17 @@ class RouterFleet:
     def __init__(self, env: "Environment", middleware: "Middleware",
                  shards: int = 2,
                  config: Optional[RouterConfig] = None,
-                 seed: int = 0,
-                 tracer: Optional["Tracer"] = None,
-                 metrics: Optional["MetricsRegistry"] = None):
+                 seed: int = 0):
         if shards < 1:
             raise ValueError("a router fleet needs at least one shard")
         self.env = env
         self.middleware = middleware
         self.config = config or RouterConfig()
-        self.tracer = tracer if tracer is not None else middleware.tracer
-        self.metrics = (metrics if metrics is not None
-                        else middleware.metrics)
+        self.tracer = middleware.tracer
+        self.metrics = middleware.metrics
         self.shards: List[RouterShard] = [
             RouterShard(env, middleware, "router%d" % index,
-                        config=self.config, tracer=self.tracer,
-                        metrics=self.metrics)
+                        config=self.config)
             for index in range(shards)]
         #: Seeded reconnect policy: same seed, same failover choices.
         self._rng = StreamFactory(seed).stream("router-reconnect")

@@ -25,8 +25,6 @@ from ..sim.sync import backoff_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.middleware import Connection, Middleware
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.trace import Tracer
     from ..sim.core import Environment
 
 
@@ -75,17 +73,14 @@ class RouterShard:
     """A crashable connection proxy in front of the middleware."""
 
     def __init__(self, env: "Environment", middleware: "Middleware",
-                 name: str, config: Optional[RouterConfig] = None,
-                 tracer: Optional["Tracer"] = None,
-                 metrics: Optional["MetricsRegistry"] = None):
+                 name: str, config: Optional[RouterConfig] = None):
         self.env = env
         self.middleware = middleware
         self.name = name
         self.config = config or RouterConfig()
         self.config.validate()
-        self.tracer = tracer if tracer is not None else middleware.tracer
-        self.metrics = (metrics if metrics is not None
-                        else middleware.metrics)
+        self.tracer = middleware.tracer
+        self.metrics = middleware.metrics
         self.crashed = False
         self._crash_event = Event(env, name="router.%s.crash" % name)
         #: Cached tenant -> owner entries; deliberately allowed to go

@@ -34,7 +34,10 @@ merge (ROADMAP direction 2 has the counts).
 The dispatch loop in :meth:`Environment.run` is the only one (there is
 no per-event ``step()``) and is deliberately inlined — locals for the
 queues, the single-waiter process resume folded in — because this kernel
-processes millions of events for a paper-scale experiment.
+processes millions of events for a paper-scale experiment.  That copy
+carries every resumption of every benchmark workload;
+:meth:`Process._resume` is its plain reference form for an event with
+several waiters.  No "active process" is tracked: nothing reads one.
 """
 
 from __future__ import annotations
@@ -80,8 +83,7 @@ class Environment:
         assert p.value == 5
     """
 
-    __slots__ = ("now", "_queue", "_tick", "_seq", "_active_process",
-                 "_pool")
+    __slots__ = ("now", "_queue", "_tick", "_seq", "_pool")
 
     def __init__(self, initial_time: float = 0.0):
         #: Current simulated time: a plain slot, written only by the
@@ -92,18 +94,12 @@ class Environment:
         #: Zero-delay normal events at the current timestamp (FIFO).
         self._tick: deque = deque()
         self._seq = 0
-        self._active_process: Optional["Process"] = None
         #: Free list of dead Timeout objects for reuse by :meth:`timeout`.
         self._pool: List[Timeout] = []
 
     # ------------------------------------------------------------------
     # time and scheduling
     # ------------------------------------------------------------------
-    @property
-    def active_process(self) -> Optional["Process"]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     @property
     def events_processed(self) -> int:
         """Total events dispatched so far (the sim-throughput metric).
@@ -345,39 +341,28 @@ class Process(Event):
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        env = self.env
-        env._active_process = self
-        generator = self.generator
+        """Reference form of the resume :meth:`Environment.run` inlines.
+
+        Reached only through ``__call__``, i.e. when the event had a
+        second waiter: 0 of the 2.68 M process resumptions of the four
+        benchmark workloads, 315 of 8.86 M in tier-1 (ROADMAP direction
+        2) — so it is kept plain, and the tests compare the two.
+        """
         try:
             while True:
-                exc = event._exception
-                if exc is None:
-                    target = generator.send(event._value)
+                if event._exception is None:
+                    target = self._send(event._value)
                 else:
-                    target = generator.throw(exc)
-                # Duck-typed yield check: every Event subclass has _state
-                # (slotted), so the AttributeError path only fires for
-                # non-event yields; cheaper than isinstance per event.
+                    target = self.generator.throw(event._exception)
                 try:
-                    state = target._state
+                    if target._state is PROCESSED:
+                        event = target  # consumed without a queue trip
+                        continue
                 except AttributeError:
                     raise TypeError("process %r yielded a non-event: %r"
                                     % (self.name, target)) from None
-                if state is PROCESSED:
-                    # Already fired and processed: loop immediately with
-                    # its outcome instead of registering a callback.
-                    event = target
-                    continue
                 self._target = target
-                # Inlined Event.add_callback (hottest line in the repo);
-                # the registered waiter is the process object itself.
-                callbacks = target.callbacks
-                if callbacks is None:
-                    target.callbacks = self
-                elif type(callbacks) is list:
-                    callbacks.append(self)
-                else:
-                    target.callbacks = [callbacks, self]
+                target.add_callback(self)
                 return
         except StopIteration as stop:
             self._target = None
@@ -386,13 +371,9 @@ class Process(Event):
             if isinstance(error, StopSimulation):
                 raise
             self._target = None
-            if self.callbacks:
-                self.fail(error)
-            else:
-                # Nobody is waiting: surface the crash instead of dropping it.
-                raise
-        finally:
-            env._active_process = None
+            if self.callbacks is None:
+                raise  # nobody is waiting: surface the crash
+            self.fail(error)
 
     # Calling a process resumes it: this is what makes the process object
     # itself usable as an event callback (including inside callback lists

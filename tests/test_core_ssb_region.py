@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import (COMMIT_CLASS, EXCLUSIVE_CLASS, FIRST_READ_CLASS,
-                        CriticalRegion, Operation, OpKind, SyncsetBuffer,
-                        SyncsetList)
+from repro.core import (COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion,
+                        Operation, OpKind, SyncsetBuffer, SyncsetList)
 from repro.engine import parse
 
 from _helpers import drive
@@ -200,20 +199,6 @@ class TestCriticalRegion:
         env.process(enterer(env, COMMIT_CLASS, "c2", 0.2))
         env.run()
         assert times == ["c1", "r1", "c2"]
-
-    def test_exclusive_class_excludes_itself(self, env):
-        region = CriticalRegion(env)
-        times = []
-
-        def enterer(env, tag):
-            yield from region.enter(EXCLUSIVE_CLASS)
-            times.append((tag, env.now))
-            yield env.timeout(1)
-            region.leave()
-        env.process(enterer(env, "x"))
-        env.process(enterer(env, "y"))
-        env.run()
-        assert times == [("x", 0), ("y", 1)]
 
     def test_leave_when_empty_raises(self, env):
         with pytest.raises(RuntimeError):

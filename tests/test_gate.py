@@ -24,6 +24,7 @@ import pytest
 from _gate import REPO, corrupt_trace, gate, trace_failures
 from repro.experiments import bench, chaos, soak
 from repro.experiments.profiles import SMOKE
+from repro.obs import Tracer, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,20 @@ class TestEveryKeyFails:
         assert any("serialized_wall_clock 40.000 s is not the 29.246 s "
                    "its serialized cases sum to" in failure
                    for failure in gate.check_bench(bad))
+
+    def test_a_truncated_trace_fails_whatever_its_row_expects(
+            self, chaos_dir, tmp_path):
+        # not a row key: checked for every claimed trace, on the meta
+        # line the exporter writes when the tracer overflowed
+        tracer = Tracer(lambda: 0.0, max_records=1)
+        for name in ("kept", "dropped", "dropped too"):
+            tracer.event(name)
+        write_trace(str(tmp_path / "trace.jsonl"), tracer)
+        assert trace_failures(tmp_path / "trace.jsonl") == [
+            "trace is truncated: the tracer dropped 2 record(s) past "
+            "its max_records cap"]
+        assert trace_failures(
+            chaos_dir / "trace_chaos_baseline.jsonl") == []
 
     def test_a_rung_only_the_head_has_is_not_compared(self):
         head, base = ladder(), ladder()

@@ -55,10 +55,13 @@ class TestTracerSpans:
     def test_callable_clock_and_context_manager(self):
         now = {"t": 10.0}
         tracer = Tracer(lambda: now["t"])
-        with tracer.span("section", colour="red") as span:
-            now["t"] = 12.5
+        span = tracer.start("section", colour="red")
+        now["t"] = 12.5
+        tracer.finish(span)
         assert span.start == 10.0 and span.end == 12.5
         assert span.attrs["colour"] == "red"
+        # start() / finish() is the whole span API (3.0.0)
+        assert not hasattr(tracer, "span")
 
     def test_events_and_record_cap(self, env):
         tracer = Tracer(env, max_records=2)
@@ -149,13 +152,12 @@ class TestMetricsRegistry:
         snapshot = registry.snapshot()
         # the stable read API: a flat {name: value} mapping
         assert snapshot == {"c": 2, "g": 7, "h": 1.5}
-        registry.reset()
-        # handles stay valid; values zero
-        assert registry.counter("c").value == 0
-        assert registry.gauge("g").max_value == 0
-        assert registry.histogram("h").count == 0
-        # the old snapshot is a copy, not a view
+        # the snapshot is a copy, not a view
+        registry.counter("c").inc()
         assert snapshot["c"] == 2
+        # a fresh registry is the reset (3.0.0)
+        assert not hasattr(registry, "reset")
+        assert not hasattr(registry.counter("c"), "reset")
 
     def test_gauge_value_reads_without_creating(self):
         registry = MetricsRegistry()
@@ -170,22 +172,6 @@ class TestMetricsRegistry:
         # absent names yield the default and are NOT materialised
         assert registry.gauge_value("missing", default=2.5) == 2.5
         assert "missing" not in registry
-
-    def test_absorb_dataclass_and_mapping(self):
-        from repro.core.propagation import PropagationStats
-        registry = MetricsRegistry()
-        stats = PropagationStats(rounds=3, max_concurrent_players=9)
-        registry.absorb("propagation", stats)
-        assert registry.gauge("propagation.rounds").value == 3
-        assert registry.gauge(
-            "propagation.max_concurrent_players").value == 9
-        # absorbing again tracks the new value without double counting
-        stats.rounds = 5
-        registry.absorb("propagation", stats)
-        assert registry.gauge("propagation.rounds").value == 5
-        registry.absorb("extra", {"a": 1.5, "skip": "text"})
-        assert registry.gauge("extra.a").value == 1.5
-        assert "extra.skip" not in registry
 
 
 class TestJsonlRoundTrip:

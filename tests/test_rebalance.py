@@ -245,19 +245,6 @@ class TestCli:
         with pytest.raises(ValueError, match="unknown bench scenario"):
             bench.run_benchmark(SMOKE, scenarios=["meteor"])
 
-    def test_scenario_aliases_resolve_to_real_scenarios(self,
-                                                        monkeypatch,
-                                                        tmp_path):
-        """``watermark`` is the pipeline scenario under another name;
-        asking for both runs it once."""
-        assert (bench.SCENARIOS["watermark"][1]
-                is bench.SCENARIOS["pipeline"][1])
-        ran = stub_scenarios(monkeypatch, "pipeline", "watermark")
-        results = bench.run_benchmark(
-            SMOKE, scenarios=["pipeline", "watermark"],
-            bench_dir=str(tmp_path))
-        assert ran == ["smoke"] and len(results) == 1
-
 
 def stub_scenarios(monkeypatch, *names):
     """Replace the runner of each named ``bench.SCENARIOS`` entry with

@@ -31,11 +31,11 @@ DRIVER_EVENTS = 2
 SESSION_EVENTS = 13
 SUBMIT_EVENTS = 22
 #: Python calls per transaction, the harness's own frames included:
-#: ~5 % above what 3.11 counts (143 through the session, 246 through
+#: ~5 % above what 3.11 counts (143 through the session, 243 through
 #: the middleware; 205 and 375 before ISSUE 18; 3.12 inlines
 #: comprehensions and can only count fewer).
 SESSION_CALLS = 150
-SUBMIT_CALLS = 258
+SUBMIT_CALLS = 255
 
 
 def _txn(submit, key):

@@ -22,6 +22,7 @@ from repro.core.middleware import (
 )
 from repro.core.scheduler import MigrationScheduler, ScheduleOptions
 from repro.errors import MigrationError, SourceCrashed
+from repro.sim import Interrupt
 
 from test_fault_tolerance import RATES, build, seed_tenant
 
@@ -36,30 +37,27 @@ def _options(**kwargs):
     return MigrationOptions(**kwargs)
 
 
-def _launch_migration(env, middleware, options=None):
+def _launch_migration(env, middleware, options=None, resume=False):
+    """Start ``migrate`` (or ``resume_migration``) in its own process;
+    the holder gets the report, or what ended the attempt."""
     holder = {}
 
     def main(env):
         try:
-            holder["report"] = yield from middleware.migrate(
-                "A", "node1", options or _options())
-        except SourceCrashed as exc:
+            if resume:
+                holder["report"] = yield from middleware.resume_migration(
+                    "A", options or _options())
+            else:
+                holder["report"] = yield from middleware.migrate(
+                    "A", "node1", options or _options())
+        except (MigrationError, Interrupt) as exc:
             holder["error"] = exc
-    env.process(main(env))
+    holder["process"] = env.process(main(env))
     return holder
 
 
 def _launch_resume(env, middleware, options=None):
-    holder = {}
-
-    def main(env):
-        try:
-            holder["report"] = yield from middleware.resume_migration(
-                "A", options or _options())
-        except SourceCrashed as exc:
-            holder["error"] = exc
-    env.process(main(env))
-    return holder
+    return _launch_migration(env, middleware, options, resume=True)
 
 
 def _restart(env, instance):
@@ -78,7 +76,7 @@ def _suspend_mid_dump(env, cluster, middleware, crash_after=2.5,
     assert "report" not in holder, "crash_after landed past completion"
     cluster.node("node0").instance.crash()
     env.run()
-    assert "error" in holder
+    assert isinstance(holder["error"], SourceCrashed)
     return workload, holder
 
 
@@ -321,6 +319,55 @@ class TestResume:
         fresh = _launch_migration(env, middleware)
         env.run()
         assert fresh["report"].outcome == "ok"
+
+
+class TestOneManager:
+    """Algorithm 3 has one manager: the journal names the live attempt
+    and turns a second one away."""
+
+    def test_resume_is_rejected_while_the_attempt_is_managed(self, env):
+        cluster, middleware = build(env, nodes=2, resume=True)
+        workload = seed_tenant(env, cluster, middleware, overhead_mb=40.0)
+        first = _launch_migration(env, middleware)
+        env.run(until=env.now + 0.5)
+        journal = middleware.migration_journal("A")
+        assert journal.state == JOURNAL_ACTIVE and journal.phase == "dump"
+        assert journal.manager is not None
+        second = _launch_resume(env, middleware)
+        env.run()
+        assert isinstance(second["error"], MigrationError)
+        assert "still being managed" in str(second["error"])
+        # The healthy first attempt was not disturbed.
+        assert first["report"].outcome == "ok"
+        assert middleware.route("A") == "node1"
+        assert middleware.owners("A") == ["node1"]
+        assert len(middleware.reports) == 1
+        assert journal.state == JOURNAL_COMPLETED
+        assert journal.manager is None
+        _assert_no_lost_commits(cluster, middleware, workload)
+
+    def test_a_killed_manager_releases_the_journal(self, env):
+        """An interrupted manager unwinds through ``Migration.run``'s
+        ``finally``, so once the interrupt has been dispatched the
+        journal is ``active`` with no manager and a resume is admitted
+        (the golden ``manager_dies_*`` cases depend on exactly this)."""
+        cluster, middleware = build(env, nodes=2, resume=True)
+        workload = seed_tenant(env, cluster, middleware, overhead_mb=40.0)
+        first = _launch_migration(env, middleware)
+        env.run(until=env.now + 0.5)
+        journal = middleware.migration_journal("A")
+        first["process"].interrupt("manager crash")
+        assert journal.manager is not None      # not yet dispatched
+        env.run(until=env.now + 0.01)
+        assert isinstance(first["error"], Interrupt)
+        assert journal.state == JOURNAL_ACTIVE
+        assert journal.manager is None
+        second = _launch_resume(env, middleware)
+        env.run()
+        assert second["report"].outcome == "ok"
+        assert second["report"].resumed
+        assert middleware.owners("A") == ["node1"]
+        _assert_no_lost_commits(cluster, middleware, workload)
 
 
 class TestSchedulerResume:

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (AllOf, Environment, Event, Interrupt, Resource,
-                       Timeout)
+from repro.sim import (AllOf, Environment, Event, Interrupt, Process,
+                       Resource, Timeout)
 
 from _helpers import drive
 
@@ -228,6 +228,94 @@ class TestProcess:
             process.interrupt()
 
 
+#: What a process resumed off ``gate`` meets, and does, next:
+#: name -> (how the gate fires, the subject's next step, whether
+#: something waits on the subject, the log it leaves, how it ends).
+RESUME_CASES = {
+    "value sent": (
+        lambda gate: gate.succeed(41), "return", True,
+        [("sent", 41), "exit seen"], ("ok", "returned")),
+    "exception thrown": (
+        lambda gate: gate.fail(KeyError("k")), "return", True,
+        [("thrown", ("k",)), "exit seen"], ("ok", "returned")),
+    "processed event consumed in place": (
+        lambda gate: gate.succeed(1), "yield processed", True,
+        [("sent", 1), ("sent", 7, 0), "exit seen"], ("ok", "returned")),
+    "non-event yield": (
+        lambda gate: gate.succeed(1), "yield 42", True,
+        [("sent", 1), "exit seen"], ("failed", TypeError)),
+    "crash with a waiter": (
+        lambda gate: gate.succeed(1), "raise", True,
+        [("sent", 1), "exit seen"], ("failed", ValueError)),
+    "crash without one": (
+        lambda gate: gate.succeed(1), "raise", False,
+        [("sent", 1)], ("raised out of run()", ValueError)),
+}
+
+
+class TestResumePaths:
+    """``Environment.run`` inlines the resume of an event's sole waiter;
+    an event with two waiters resumes its processes through
+    ``Process._resume``.  One scripted process is driven through each
+    and must not be able to tell them apart."""
+
+    @staticmethod
+    def observe(case, waiters, calls):
+        """(log, how the subject ended) with ``waiters`` on the gate."""
+        fire, then, waited = RESUME_CASES[case][:3]
+        env = Environment()
+        gate, processed = env.event(), env.event().succeed(7)
+        env.run()                       # ``processed`` is now processed
+        log = []
+
+        def subject(env):
+            try:
+                log.append(("sent", (yield gate)))
+            except KeyError as error:
+                log.append(("thrown", error.args))
+            before = env.events_processed
+            if then == "yield processed":
+                log.append(("sent", (yield processed),
+                            env.events_processed - before))
+            elif then == "yield 42":
+                yield 42
+            elif then == "raise":
+                raise ValueError("crash")
+            return "returned"
+
+        process = env.process(subject(env))
+        env.run()                       # the subject now waits on gate
+        if waiters == 2:
+            gate.add_callback(lambda event: None)
+        if waited:
+            process.add_callback(lambda event: log.append("exit seen"))
+        fire(gate)
+        del calls[:]
+        try:
+            env.run()
+        except ValueError as error:
+            assert not process.triggered
+            return log, ("raised out of run()", type(error))
+        finally:
+            assert len(calls) == waiters - 1    # the path it really took
+        if process.ok:
+            return log, ("ok", process.value)
+        return log, ("failed", type(process.exception))
+
+    @pytest.mark.parametrize("case", RESUME_CASES)
+    def test_the_process_cannot_tell_the_paths_apart(self, monkeypatch,
+                                                     case):
+        calls, reference_form = [], Process.__call__
+
+        def counted(process, event):
+            calls.append(process)
+            reference_form(process, event)
+        monkeypatch.setattr(Process, "__call__", counted)
+        expected = RESUME_CASES[case][3:]
+        assert self.observe(case, 1, calls) == expected
+        assert self.observe(case, 2, calls) == expected
+
+
 class TestEvents:
     def test_event_succeed_delivers_value(self, env):
         event = env.event()
@@ -432,7 +520,7 @@ _ops = st.one_of(
     st.tuples(st.just("trigger"),      # Event.succeed / Event.fail
               st.tuples(st.sampled_from(("callback", "process", "both")),
                         st.booleans())),
-    st.tuples(st.sampled_from(("start", "interrupt")),
+    st.tuples(st.sampled_from(("start", "interrupt", "join")),
               st.integers(0, MAX_PROCESSES - 1)),
 )
 
@@ -525,6 +613,17 @@ class _Schedule:
                 cause=self.sched(self.env.now, URGENT))
             timeout.add_callback(lambda _event: self.fire(key))
         yield from ()
+
+    def op_join(self, pid, index):
+        """Wait on the timeout some process already sleeps on: the
+        event then has two process waiters, resumed in arrival order
+        through the kernel's callback-list branch."""
+        asleep = sorted(self.waiting)
+        if asleep:
+            victim = asleep[index % len(asleep)]
+            timeout = self.waiting[victim][1]
+            yield timeout
+            assert self.waiting.get(victim, (None, None))[1] is not timeout
 
     def run(self, roots, untils):
         for script in self.scripts[:roots]:
