@@ -467,8 +467,7 @@ class Middleware:
                                     txn_label=operation.txn_label)
                 ssb.save(operation)
                 conn.ssb = ssb
-                for ssl in (state.ssl, *state.standby_ssls.values()):
-                    ssl.register_open(ssb)
+                state.ssl.register_open(ssb)
             elif conn.ssb is not None and (
                     kind is _WRITE
                     or (kind is _READ
@@ -503,12 +502,12 @@ class Middleware:
         state.mlc += 1
         if ssb is not None:
             conn.ssb = None
-            for ssl in (state.ssl, *state.standby_ssls.values()):
-                ssl.resolve_open(ssb)
-                # Under a watermark migration the change tap is the
-                # replication stream; linking SSBs too would leak an
-                # undrained SSL backlog.
-                if state.migrating and state.change_tap is None:
+            state.ssl.resolve_open(ssb)
+            # Under a watermark migration the change tap is the
+            # replication stream; linking SSBs too would leak an
+            # undrained SSL backlog.
+            if state.migrating and state.change_tap is None:
+                for ssl in (state.ssl, *state.standby_ssls.values()):
                     ssl.link(ssb, self.env.now)
             if state.propagator is not None or state.standby_propagators:
                 for propagator in state.all_propagators():
@@ -522,8 +521,7 @@ class Middleware:
                            aborted: bool) -> None:
         """Discard the SSB (mapping function: aborted/failed -> empty)."""
         if conn.ssb is not None:
-            for ssl in (state.ssl, *state.standby_ssls.values()):
-                ssl.resolve_open(conn.ssb)
+            state.ssl.resolve_open(conn.ssb)
             conn.ssb = None
             if state.propagator is not None or state.standby_propagators:
                 for propagator in state.all_propagators():

@@ -51,7 +51,6 @@ from .journal import (
 from .pipeline import ChangeTap, pipelined_snapshot, serial_snapshot
 from .propagation import divergence_watchdog, make_propagator
 from .region import FIRST_READ_CLASS
-from .ssb import SyncsetList
 from .theory import states_equal
 from .watermark import SnapshotStrategy, watermark_snapshot
 
@@ -593,9 +592,7 @@ class Migration:
                 # Watermark standby appliers were adopted during the
                 # snapshot walk; they keep consuming their tap cursors.
                 continue
-            standby_ssl = SyncsetList()
-            standby_ssl.adopt_opens(state.ssl)
-            standby_ssl.adopt_backlog(state.ssl)
+            standby_ssl = state.ssl.standby()
             standby_prop = make_propagator(
                 self.env, standby_ssl, instance, tenant, self.network,
                 config.policy, metrics=self.metrics,

@@ -621,9 +621,6 @@ class ChangeTap:
         self.name = name
         self.records: List[Any] = []
         self._consumers: Dict[str, TapCursor] = {}
-        # statistics
-        self.appended_txns = 0
-        self.appended_writes = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -673,8 +670,6 @@ class ChangeTap:
         for cursor in self._consumers.values():
             if cursor.active:
                 cursor._pending += 1
-        self.appended_txns += 1
-        self.appended_writes += len(writes)
 
     def marker(self, kind: str, chunk: int) -> TapMarker:
         """Append (and return) a ``lo``/``hi`` watermark marker.

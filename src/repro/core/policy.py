@@ -24,7 +24,7 @@ Madeus        yes    yes       yes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class PropagationPolicy:
     #: each serial commit pays ``penalty * (PLAYER_POOL - 1)``
     #: (:data:`repro.core.propagation.PLAYER_POOL`).
     commit_mutex_penalty: float = 0.0
-
-    def with_penalty(self, penalty: float) -> "PropagationPolicy":
-        """A copy with a different commit-mutex penalty."""
-        return replace(self, commit_mutex_penalty=penalty)
 
 
 #: Serial propagation of *all* operations of *all* committed transactions,

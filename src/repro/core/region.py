@@ -46,7 +46,6 @@ class CriticalRegion:
         # statistics
         self.entries = 0
         self.contended_entries = 0
-        self.total_wait = 0.0
 
     def enter(self, op_class: str) -> Generator[Event, None, None]:
         """Enter the region in ``op_class``; ``yield from`` this."""
@@ -60,10 +59,8 @@ class CriticalRegion:
             return
         self.contended_entries += 1
         waiter = Event(self.env)
-        enqueued = self.env.now
         self._waiters.append((op_class, waiter))
         yield waiter
-        self.total_wait += self.env.now - enqueued
 
     def leave(self) -> None:
         """Leave the region; admits the next class batch if drained."""

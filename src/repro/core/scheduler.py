@@ -42,6 +42,8 @@ waits for the crashed master's recovery
 re-enters the parked migration via
 :meth:`Middleware.resume_migration` — skipping every chunk the
 destination already installed instead of re-dumping from scratch.
+The journal decides, not the job: a job submitted for a tenant whose
+migration an earlier schedule parked resumes that journal too.
 Non-ok outcomes are stamped with the fault windows that overlapped the
 job (:attr:`JobOutcome.fault_events`), so an injected-fault abort is
 distinguishable from a logic error straight from the report.
@@ -103,11 +105,13 @@ class ScheduleOptions:
     #: (:func:`~repro.sim.sync.backoff_delay`).
     retry_base: float = 0.5
     retry_cap: float = 5.0
-    #: Treat a ``SourceCrashed`` suspension as retriable: wait for the
-    #: crashed master to recover, then re-enter the parked migration
-    #: with :meth:`Middleware.resume_migration` instead of giving up.
-    #: Resumes consume retry attempts like any other retry, so this
-    #: needs ``retry_limit >= 1`` to have any effect.
+    #: Resume parked migrations.  Every attempt of a job whose tenant
+    #: has a suspended journal — parked by this job or by an earlier
+    #: schedule — re-enters it with :meth:`Middleware.resume_migration`
+    #: toward the journal's destination instead of migrating afresh.
+    #: A ``SourceCrashed`` suspension becomes retriable: the job waits
+    #: for the crashed master to recover and tries again.  Resumes
+    #: consume retry attempts like any other retry.
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -466,11 +470,17 @@ class MigrationScheduler:
         candidates = [outcome.destination] + [
             name for name in alternates
             if name != outcome.destination]
-        resume_next = False
         try:
             while True:
-                if resume_next:
-                    destination = outcome.destination
+                # The journal, not this job's history, decides: a parked
+                # migration is resumed toward its own destination,
+                # whichever schedule parked it.
+                journal = self.middleware.migration_journal(
+                    outcome.tenant)
+                resuming = (opts.resume and journal is not None
+                            and journal.state == JOURNAL_SUSPENDED)
+                if resuming:
+                    destination = journal.destination
                 else:
                     destination = self._next_destination(outcome,
                                                          candidates)
@@ -478,12 +488,11 @@ class MigrationScheduler:
                         # Every candidate died under an attempt; the
                         # last error already describes the failure.
                         break
-                    outcome.destination = destination
+                outcome.destination = destination
                 outcome.attempts += 1
                 retriable = False
                 try:
-                    if resume_next:
-                        resume_next = False
+                    if resuming:
                         outcome.resumes += 1
                         outcome.report = yield from \
                             self.middleware.resume_migration(
@@ -515,7 +524,6 @@ class MigrationScheduler:
                         break
                     outcome.outcome = "suspended"
                     outcome.error = str(exc)
-                    outcome.destination = journal.destination
                     source_instance = self.middleware.cluster.node(
                         journal.source).instance
                     yield source_instance.wait_recovered()
@@ -528,7 +536,6 @@ class MigrationScheduler:
                                  delay=delay,
                                  phase=journal.suspend_phase)
                     yield self.env.timeout(delay)
-                    resume_next = True
                     continue
                 except CatchUpTimeout as exc:
                     outcome.outcome = "aborted"

@@ -62,11 +62,6 @@ class SyncsetBuffer:
             raise ValueError("SSB %d has no commit entry" % self.ssb_id)
         return self.entries[-1]
 
-    @property
-    def operation_count(self) -> int:
-        """Number of stored operations."""
-        return len(self.entries)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("<SSB %d sts=%s ets=%s ops=%d>"
                 % (self.ssb_id, self.sts, self.ets, len(self.entries)))
@@ -77,10 +72,23 @@ class SyncsetList:
 
     def __init__(self) -> None:
         self._by_sts: Dict[int, List[SyncsetBuffer]] = {}
+        #: A transaction is open once, however many slaves replay it:
+        #: a standby's list shares this set with its primary's
+        #: (:meth:`standby`).
         self._open: Set[SyncsetBuffer] = set()
         # statistics
         self.linked_total = 0
-        self.linked_operations = 0
+
+    def standby(self) -> "SyncsetList":
+        """A list for a standby slave created mid-migration: it shares
+        this list's open set and starts with a copy of its backlog."""
+        other = SyncsetList()
+        other._open = self._open
+        for group in self._by_sts.values():
+            for ssb in group:
+                other._by_sts.setdefault(ssb.sts, []).append(ssb)
+                other.linked_total += 1
+        return other
 
     # ------------------------------------------------------------------
     # open-SSB lifecycle (allocated at first read; resolved at txn end)
@@ -88,20 +96,6 @@ class SyncsetList:
     def register_open(self, ssb: SyncsetBuffer) -> None:
         """Track an allocated, not-yet-committed SSB."""
         self._open.add(ssb)
-
-    def adopt_opens(self, other: "SyncsetList") -> None:
-        """Copy another list's open set (multi-slave SSLs created while
-        transactions are already running must gate on them too)."""
-        self._open |= other._open
-
-    def adopt_backlog(self, other: "SyncsetList") -> None:
-        """Copy another list's linked-but-unconsumed SSBs (a standby
-        slave created mid-migration must replay the whole backlog)."""
-        for group in other._by_sts.values():
-            for ssb in group:
-                self._by_sts.setdefault(ssb.sts, []).append(ssb)
-                self.linked_total += 1
-                self.linked_operations += ssb.operation_count
 
     def resolve_open(self, ssb: SyncsetBuffer) -> None:
         """Forget an open SSB (its transaction ended)."""
@@ -122,7 +116,6 @@ class SyncsetList:
         ssb.linked_at = now
         self._by_sts.setdefault(ssb.sts, []).append(ssb)
         self.linked_total += 1
-        self.linked_operations += ssb.operation_count
 
     def pending_count(self) -> int:
         """Linked SSBs not yet handed to players."""

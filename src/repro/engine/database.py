@@ -105,7 +105,6 @@ class TenantDatabase:
         self.size_multiplier: float = 1.0
         # counters used by experiments
         self.committed_updates = 0
-        self.committed_readonly = 0
         self.aborted = 0
 
     # ------------------------------------------------------------------

@@ -235,8 +235,6 @@ class Executor:
                     for row in rows]
         else:
             rows = [dict(row) for row in rows]
-        if txn is not None:
-            txn.read_count += 1
         return ExecResult(rows=rows)
 
     # ------------------------------------------------------------------
@@ -253,7 +251,6 @@ class Executor:
         snapshot = self._ensure_snapshot(txn)
         chain = table.chains.get(key)
         if chain is not None and chain.latest_csn() > snapshot:
-            self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
                 "first-updater-wins: item already updated by a newer commit")
         lock_key = (table.schema.name, key)
@@ -263,7 +260,6 @@ class Executor:
         # the newest committed version is unchanged, but be defensive.
         chain = table.chains.get(key)
         if chain is not None and chain.latest_csn() > snapshot:
-            self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
                 "first-updater-wins: newer version appeared while waiting")
 

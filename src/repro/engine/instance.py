@@ -332,9 +332,6 @@ class DbmsInstance:
         if not txn.writes:
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
-            tenant = self.tenants.get(txn.tenant)
-            if tenant is not None:
-                tenant.committed_readonly += 1
             if self.observer is not None:
                 self.observer.on_commit(txn)
             return None

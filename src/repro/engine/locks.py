@@ -39,7 +39,6 @@ class LockTable:
         self._entries: Dict[LockKey, _LockEntry] = {}
         # statistics
         self.conflicts = 0
-        self.immediate_aborts = 0
         self.wait_aborts = 0
 
     def holder(self, key: LockKey):

@@ -33,7 +33,7 @@ class Transaction:
 
     __slots__ = ("txn_id", "tenant", "status", "snapshot_csn", "commit_csn",
                  "writes", "write_order", "held_locks", "waiting_on",
-                 "started_at", "finished_at", "read_count", "write_count")
+                 "started_at", "finished_at")
 
     def __init__(self, tenant: str, started_at: float):
         self.txn_id: int = next(Transaction._ids)
@@ -52,8 +52,6 @@ class Transaction:
         self.waiting_on: Optional[LockKey] = None
         self.started_at = started_at
         self.finished_at: Optional[float] = None
-        self.read_count = 0
-        self.write_count = 0
 
     # ------------------------------------------------------------------
     @property
@@ -79,7 +77,6 @@ class Transaction:
         if key not in self.writes:
             self.write_order.append(key)
         self.writes[key] = row
-        self.write_count += 1
 
     def own_write(self, key: LockKey) -> Tuple[bool, Optional[Dict[str, Any]]]:
         """(has_written, value) for reads that must see own writes."""

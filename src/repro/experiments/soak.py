@@ -26,7 +26,8 @@ What the soak asserts, continuously and at the end:
 * **All tenants keep migrating**: every tenant completes at least one
   successful migration, and parked (suspended) migrations are resumed
   from their journal — never re-dumped — once the crashed master
-  recovers.
+  recovers: inside their own job, or by the next wave's scheduler when
+  the job ran out of retries.
 
 Everything lands in the trace (``soak.wave`` / ``soak.summary`` events
 plus the usual migration and fault records) and in a deterministic
@@ -38,9 +39,8 @@ the same seed, model, and dimensions (no wall-clock time is recorded).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..cluster.cluster import Cluster
 from ..core.middleware import (
     JOURNAL_SUSPENDED,
     Middleware,
@@ -50,7 +50,6 @@ from ..core.middleware import (
 from ..core.policy import MADEUS
 from ..core.scheduler import MigrationScheduler, ScheduleOptions
 from ..engine.dump import TransferRates
-from ..errors import CatchUpTimeout, MigrationError, SourceCrashed
 from ..faults import FailureModel, FaultInjector, generate_plan
 from ..metrics.report import format_table
 from ..obs.trace import MIGRATION
@@ -203,35 +202,6 @@ class SoakOutcome:
         }
 
 
-def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
-                   holder: Dict[str, Any]) -> Generator[Any, Any, None]:
-    """Wait out the crashed master, then re-enter a parked migration.
-
-    The scheduler's ``resume`` policy already loops resume attempts
-    *inside* a job; this runner covers the jobs that exhausted their
-    retry budget and ended ``suspended`` — the next wave picks their
-    journal up here instead of (illegally) starting a fresh migration
-    over a still-parked one.
-    """
-    journal = middleware.migration_journal(tenant)
-    try:
-        instance = cluster.node(journal.source).instance
-        if instance.crashed:
-            yield instance.wait_recovered()
-        holder["report"] = yield from middleware.resume_migration(tenant)
-        holder["outcome"] = "ok"
-    except SourceCrashed as exc:
-        # Crashed again mid-resume: parked once more, next wave retries.
-        holder["outcome"] = "suspended"
-        holder["error"] = str(exc)
-    except (MigrationError, CatchUpTimeout) as exc:
-        # Abandoned (unresumable) or diverging: the journal is closed,
-        # so the next wave schedules an ordinary fresh migration.
-        holder["outcome"] = "failed"
-        holder["error"] = str(exc)
-    holder["done"] = True
-
-
 def run_soak(profile: Optional[Profile] = None, *,
              seed: Optional[int] = None,
              hours: float = 2.0,
@@ -319,20 +289,12 @@ def run_soak(profile: Optional[Profile] = None, *,
                                                      owners))
 
     def run_wave(wave_index: int) -> Dict[str, Any]:
+        # Every tenant is submitted: the scheduler's resume policy
+        # re-enters a journal an earlier wave left parked.
         started = env.now
-        resumers: Dict[str, Dict[str, Any]] = {}
-        for tenant in tenant_names:
-            if parked(tenant):
-                holder: Dict[str, Any] = {}
-                resumers[tenant] = holder
-                env.process(
-                    _resume_parked(middleware, cluster, tenant, holder),
-                    name="soak.resume.%s" % tenant)
         scheduler = MigrationScheduler(middleware, schedule_options,
                                        router=fleet)
-        movers = [tenant for tenant in tenant_names
-                  if tenant not in resumers]
-        for tenant in movers:
+        for tenant in tenant_names:
             source = middleware.route(tenant)
             source_index = node_names.index(source)
             destination = node_names[(source_index + 1) % nodes]
@@ -340,60 +302,28 @@ def run_soak(profile: Optional[Profile] = None, *,
                           if name not in (source, destination)]
             scheduler.submit(tenant, destination,
                              alternates=alternates)
-        schedule_holder: Dict[str, Any] = {}
-
-        def schedule_runner() -> Generator[Any, Any, None]:
-            schedule_holder["report"] = yield from scheduler.run()
-            schedule_holder["done"] = True
-
-        if movers:
-            env.process(schedule_runner(),
-                        name="soak.wave.%d" % wave_index)
-        else:
-            schedule_holder["done"] = True
-
-        def wave_done() -> bool:
-            return ("done" in schedule_holder
-                    and all("done" in holder
-                            for holder in resumers.values()))
-
-        testbed.run_until(wave_done, step=5.0, cap=started + WAVE_CAP)
-        wedged = not wave_done()
+        schedule = scheduler.start(name="soak.wave.%d" % wave_index)
+        testbed.run_until(lambda: schedule.triggered, step=5.0,
+                          cap=started + WAVE_CAP)
+        wedged = not schedule.triggered
         if wedged:
             outcome.wedged_waves += 1
         jobs: List[Dict[str, Any]] = []
-        schedule_report = schedule_holder.get("report")
-        if schedule_report is not None:
-            for job in schedule_report.jobs:
-                jobs.append({"tenant": job.tenant,
-                             "outcome": job.outcome,
-                             "attempts": job.attempts,
-                             "resumes": job.resumes,
-                             "destination": job.destination,
-                             "error": job.error})
-                outcome.resumes += job.resumes
-                if job.outcome == "ok":
-                    ok_by_tenant[job.tenant] += 1
-                    outcome.migrations_ok += 1
-                elif job.outcome == "suspended":
-                    outcome.suspended += 1
-                elif job.outcome == "aborted":
-                    outcome.aborted += 1
-                else:
-                    outcome.failed += 1
-        for tenant, holder in sorted(resumers.items()):
-            resumed_outcome = holder.get("outcome", "wedged")
-            jobs.append({"tenant": tenant,
-                         "outcome": resumed_outcome,
-                         "attempts": 1, "resumes": 1,
-                         "destination": middleware.route(tenant),
-                         "error": holder.get("error")})
-            outcome.resumes += 1
-            if resumed_outcome == "ok":
-                ok_by_tenant[tenant] += 1
+        for job in ([] if wedged else schedule.value.jobs):
+            jobs.append({"tenant": job.tenant,
+                         "outcome": job.outcome,
+                         "attempts": job.attempts,
+                         "resumes": job.resumes,
+                         "destination": job.destination,
+                         "error": job.error})
+            outcome.resumes += job.resumes
+            if job.outcome == "ok":
+                ok_by_tenant[job.tenant] += 1
                 outcome.migrations_ok += 1
-            elif resumed_outcome == "suspended":
+            elif job.outcome == "suspended":
                 outcome.suspended += 1
+            elif job.outcome == "aborted":
+                outcome.aborted += 1
             else:
                 outcome.failed += 1
         check_owners("wave %d" % wave_index)

@@ -16,7 +16,6 @@ from .sync import (
     Channel,
     CountdownLatch,
     Gate,
-    Mutex,
     Semaphore,
     backoff_delay,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Event",
     "Gate",
     "Interrupt",
-    "Mutex",
     "Process",
     "RandomStream",
     "Request",

@@ -1,15 +1,11 @@
 """Synchronisation primitives built on the event kernel.
 
-The middleware algorithms in the paper use a critical region (Algorithm 1
-lines 2-9 / 17-28, Algorithm 3 lines 1-5), conductor/player rendezvous
-(Algorithms 4 and 5), and — in the B-CON baseline — a pthread mutex whose
-contention is itself a measured effect (Section 5.3.2).  These primitives
-model exactly those constructs.
-
-:class:`Mutex` records contention statistics and can charge a configurable
-*contention penalty* per contended acquisition, which is how the paper's
-observation that "all players compete for the pthread mutex lock at every
-commit time" becomes a first-class, tunable cost in the simulation.
+The conductor/player rendezvous of Algorithms 4 and 5 (a countdown
+latch), the manager's suspend/resume gate (Algorithm 3), the pipelined
+snapshot's bounded channels, and the scheduler's admission semaphore.
+B-CON's serial commits need no lock of their own: the conductor
+releases them one at a time and each charges the pool's contention
+as a timeout (:class:`repro.core.propagation.Conductor`).
 """
 
 from __future__ import annotations
@@ -26,52 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 def backoff_delay(attempt: int, base: float, cap: float) -> float:
     """Capped exponential backoff ahead of retry ``attempt`` (1-based)."""
     return min(cap, base * (2 ** (attempt - 1)))
-
-
-class Mutex:
-    """A FIFO mutual-exclusion lock with contention accounting.
-
-    ``contention_penalty`` adds simulated time to every acquisition that
-    found the lock busy (cache-line bouncing / futex syscall cost); it is
-    used to model the B-CON commit-serialisation overhead.
-    """
-
-    def __init__(self, env: "Environment", name: Optional[str] = None,
-                 contention_penalty: float = 0.0):
-        self.env = env
-        self.name = name
-        self.contention_penalty = contention_penalty
-        self.locked = False
-        self._waiters: Deque[Event] = deque()
-        # statistics
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.total_wait_time = 0.0
-
-    def acquire(self) -> Generator[Event, None, None]:
-        """Process-style acquire: ``yield from mutex.acquire()``."""
-        self.acquisitions += 1
-        if not self.locked and not self._waiters:
-            self.locked = True
-            return
-        self.contended_acquisitions += 1
-        waiter = Event(self.env)
-        enqueued = self.env.now
-        self._waiters.append(waiter)
-        yield waiter
-        self.total_wait_time += self.env.now - enqueued
-        if self.contention_penalty:
-            yield self.env.timeout(self.contention_penalty)
-
-    def release(self) -> None:
-        """Release the lock; hands it to the oldest waiter if any."""
-        if not self.locked:
-            raise RuntimeError("release of an unlocked mutex %r" % self.name)
-        if self._waiters:
-            # Ownership transfers directly: the lock stays held.
-            self._waiters.popleft().succeed()
-        else:
-            self.locked = False
 
 
 class CountdownLatch:
@@ -176,9 +126,7 @@ class Channel:
         self._closed = False
         self._exc: Optional[BaseException] = None
         # statistics
-        self.put_count = 0
         self.put_wait_time = 0.0
-        self.get_wait_time = 0.0
 
     @property
     def closed(self) -> bool:
@@ -205,7 +153,6 @@ class Channel:
             yield waiter
             self.put_wait_time += self.env.now - enqueued
         self._buffer.append(item)
-        self.put_count += 1
         if self._getters:
             self._getters.popleft().succeed()
 
@@ -227,10 +174,8 @@ class Channel:
             if self._closed:
                 return CLOSED
             waiter = Event(self.env)
-            enqueued = self.env.now
             self._getters.append(waiter)
             yield waiter
-            self.get_wait_time += self.env.now - enqueued
 
     def close(self) -> None:
         """Signal normal end-of-stream; buffered items remain readable."""

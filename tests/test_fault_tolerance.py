@@ -11,9 +11,10 @@ import pytest
 
 from _gate import gate, trace_failures
 from repro.cluster import Cluster
-from repro.core import (B_CON, MADEUS, Middleware, MiddlewareConfig,
-                        MigrationOptions, states_equal)
+from repro.core import (B_ALL, B_CON, B_MIN, MADEUS, Middleware,
+                        MiddlewareConfig, MigrationOptions, states_equal)
 from repro.core.journal import HANDOVER_ROLLED_BACK
+from repro.core.propagation import SerialReplayer
 from repro.engine.dump import TransferRates
 from repro.errors import CatchUpTimeout, MigrationError, SourceCrashed
 from repro.faults import FaultInjector, FaultPlan
@@ -392,6 +393,55 @@ class TestDestinationCrash:
         assert "error" in holder
         assert holder["report"].consistent is True
         assert middleware.route("A") == "node1"
+
+    @pytest.mark.parametrize("policy", [B_MIN, B_ALL],
+                             ids=lambda policy: policy.name)
+    @pytest.mark.parametrize("standbys", [[], ["node2"]],
+                             ids=["no-standby", "one-standby"])
+    def test_serial_replay_dying_mid_catch_up(self, env, policy,
+                                              standbys):
+        """The serial engine of B-ALL and B-MIN notices a dead
+        destination itself: it flags the failure, wakes its waiters,
+        and the manager aborts or fails over as under the conductor."""
+        cluster, middleware = build(env, policy=policy)
+        seed_tenant(env, cluster, middleware)
+        state = middleware.tenant_state("A")
+        seen = {}
+
+        def crasher(env):
+            while state.propagator is None:
+                yield env.timeout(0.02)
+            engine = seen["engine"] = state.propagator
+            failed = engine.wait_failed()
+            cluster.node("node1").instance.crash()
+            seen["reason"] = yield failed
+        env.process(crasher(env))
+        holder = {}
+
+        def main(env):
+            try:
+                holder["report"] = yield from middleware.migrate(
+                    "A", "node1",
+                    MigrationOptions(rates=RATES, standbys=standbys))
+            except MigrationError as exc:
+                holder["error"] = exc
+        env.process(main(env))
+        env.run()
+        engine = seen["engine"]
+        assert isinstance(engine, SerialReplayer)
+        assert "node1" in engine.failed
+        assert seen["reason"] == engine.failed
+        if standbys:
+            report = holder["report"]
+            assert report.outcome == "ok"
+            assert report.failovers == 1
+            assert middleware.route("A") == "node2"
+        else:
+            assert ("destination node1 failed during catch-up"
+                    in str(holder["error"]))
+            assert middleware.route("A") == "node0"
+            assert middleware.reports[-1].outcome == "aborted"
+        assert middleware.owners("A") == [middleware.route("A")]
 
     def test_replay_dying_in_the_handover_drain_rolls_back(self, env):
         """A dead engine releases its drain waiters with its backlog

@@ -47,12 +47,6 @@ class TestPolicies:
         assert B_ALL.commit_mutex_penalty == 0
         assert B_MIN.commit_mutex_penalty == 0
 
-    def test_with_penalty_copies(self):
-        tweaked = B_CON.with_penalty(0.5)
-        assert tweaked.commit_mutex_penalty == 0.5
-        assert B_CON.commit_mutex_penalty != 0.5
-        assert tweaked.name == "B-CON"
-
 
 class TestCostModel:
     def _params(self, **overrides):

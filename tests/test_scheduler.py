@@ -16,6 +16,7 @@ from repro.core import (
     MigrationScheduler,
     ScheduleOptions,
 )
+from repro.core.middleware import JOURNAL_COMPLETED, JOURNAL_SUSPENDED
 from repro.engine import TransferRates
 from repro.errors import MigrationError
 from repro.net import Network, NetworkSpec
@@ -556,3 +557,53 @@ class TestSchedulerRecovery:
         assert faults["dest-dies"]["end"] is None      # never healed
         # an ok job carries no fault stamp
         assert all(record["fault"] for record in job.fault_events)
+
+
+class TestParkedJournalAcrossSchedules:
+    """The journal, not the job, decides between resume and migrate: a
+    schedule resumes a migration that an earlier schedule parked."""
+
+    def test_next_schedule_resumes_a_journal_an_earlier_one_parked(
+            self, env):
+        cluster, middleware = _build_kv_testbed(
+            env, [("A", "node0", 20.0)],
+            nodes=("node0", "node1", "node2"))
+        options = MigrationOptions(rates=RATES, chunk_mb=1.0, resume=True)
+        # First schedule: the source dies mid-dump and the job, with no
+        # retry budget, ends with its migration parked.
+        first = MigrationScheduler(middleware, ScheduleOptions(
+            resume=True, retry_limit=0, migration=options))
+        first.submit("A", "node1")
+        process = first.start()
+        env.run(until=env.now + 1.0)
+        source = cluster.node("node0").instance
+        source.crash()
+        env.run()
+        assert process.value.job("A").outcome == "suspended"
+        journal = middleware.migration_journal("A")
+        assert journal.state == JOURNAL_SUSPENDED
+        installed_at_park = journal.chunks_restored["node1"]
+        assert 0 < installed_at_park < journal.total_chunks
+        restart = env.process(source.restart())
+        env.run()
+        assert restart.ok
+        # Second schedule: whatever destination the job names, it
+        # re-enters the journal toward the journal's own destination.
+        second = MigrationScheduler(middleware, ScheduleOptions(
+            resume=True, migration=options))
+        second.submit("A", "node2")
+        process = second.start()
+        env.run()
+        job = process.value.job("A")
+        assert job.outcome == "ok", job.error
+        assert job.attempts == 1
+        assert job.resumes == 1
+        assert job.destination == "node1"
+        assert job.report.resumed is True
+        assert job.report.chunks_skipped == installed_at_park
+        assert middleware.route("A") == "node1"
+        assert middleware.owners("A") == ["node1"]
+        assert journal.state == JOURNAL_COMPLETED
+        log = journal.chunk_log["node1"]
+        assert len(log) == len(set(log))
+        assert sorted(log) == list(range(journal.total_chunks))

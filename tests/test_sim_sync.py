@@ -1,9 +1,13 @@
-"""Tests for Mutex, CountdownLatch, Gate, Semaphore, backoff_delay."""
+"""Tests for CountdownLatch, Gate, Semaphore, backoff_delay.
+
+B-CON's serial commits take no lock: the conductor releases them one
+at a time (``tests/test_propagation_units.py``), so the kernel keeps no
+mutex primitive.
+"""
 
 import pytest
 
-from repro.sim import (CountdownLatch, Environment, Gate, Mutex,
-                       Semaphore, backoff_delay)
+from repro.sim import CountdownLatch, Gate, Semaphore, backoff_delay
 
 from _helpers import drive
 
@@ -17,52 +21,6 @@ def test_backoff_doubles_from_the_base_up_to_the_cap():
         for attempt in range(1, 12):
             assert backoff_delay(attempt, base, cap) == min(
                 cap, base * (2 ** (attempt - 1)))
-
-
-class TestMutex:
-    def test_uncontended_acquire_is_instant(self, env):
-        mutex = Mutex(env)
-
-        def proc(env):
-            yield from mutex.acquire()
-            at = env.now
-            mutex.release()
-            return at
-        assert drive(env, proc(env)) == 0.0
-        assert mutex.contended_acquisitions == 0
-
-    def test_contended_fifo(self, env):
-        mutex = Mutex(env)
-        order = []
-
-        def locker(env, tag):
-            yield from mutex.acquire()
-            order.append((tag, env.now))
-            yield env.timeout(1)
-            mutex.release()
-        for tag in ("a", "b", "c"):
-            env.process(locker(env, tag))
-        env.run()
-        assert order == [("a", 0), ("b", 1), ("c", 2)]
-
-    def test_contention_penalty_charged(self, env):
-        mutex = Mutex(env, contention_penalty=0.5)
-        times = []
-
-        def locker(env):
-            yield from mutex.acquire()
-            times.append(env.now)
-            yield env.timeout(1)
-            mutex.release()
-        env.process(locker(env))
-        env.process(locker(env))
-        env.run()
-        # second holder: waits 1, then pays 0.5 penalty
-        assert times == [0, 1.5]
-
-    def test_release_unlocked_raises(self, env):
-        with pytest.raises(RuntimeError):
-            Mutex(env).release()
 
 
 class TestCountdownLatch:
