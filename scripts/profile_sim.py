@@ -12,6 +12,7 @@ Usage::
     python scripts/profile_sim.py --experiment fig5 --profile quick
     python scripts/profile_sim.py --sort tottime --top 40
     python scripts/profile_sim.py --out /tmp/fig6.pstats
+    python scripts/profile_sim.py --experiment kv_fleet_chaos --profile quick
 
 Run from the repository root (the script puts ``src/`` on ``sys.path``
 itself, so no ``PYTHONPATH`` needed).
@@ -20,7 +21,10 @@ The last line printed is the count that repeats exactly, where host
 times on a shared box do not: ``pstats`` total calls (Python and C),
 the kernel events every ``Environment`` of the run processed, and their
 ratio — calls per event, what a request-path change should lower while
-the events stay put (``tpcw_order_migrate``: 31.0 before ISSUE 18).
+the events stay put.  Given a ``benchmarks/perf`` workload name, the
+script profiles one repetition of that workload (``--profile quick``:
+the benchmark's own sizes) and counts only its measured sections, the
+part ``sim_s_per_host_s`` is timed on.
 
 Use the profile to *find* a rock, not to size it.  cProfile charges its
 per-call hook to Python frames and nothing to the work inside C calls,
@@ -40,13 +44,19 @@ import os
 import pstats
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+
+#: The four workloads of ``benchmarks/perf`` (``BENCHMARK.json``).
+BENCHMARK_WORKLOADS = ("tpcw_browse_steady", "tpcw_order_migrate",
+                       "kv_router_bounce", "kv_fleet_chaos")
 
 #: Experiments worth profiling, mapped to their runner modules.
 EXPERIMENTS = ("fig5", "fig6", "fig7", "fig8", "fig9", "bench",
-               "multitenant", "kernel")
+               "multitenant", "kernel") + BENCHMARK_WORKLOADS
+
+#: The benchmark's default root seed (``benchmarks/perf/run.py``).
+BENCHMARK_SEED = 7
 
 #: The ``kernel`` experiment: the heavy load's client count and think
 #: time, then a request's three fixed hops (client -> middleware ->
@@ -54,6 +64,23 @@ EXPERIMENTS = ("fig5", "fig6", "fig7", "fig8", "fig9", "bench",
 KERNEL_CLIENTS, KERNEL_THINK_S = 700, 7.0
 KERNEL_HOPS_S = (0.0002, 0.0001, 0.0002)
 KERNEL_SIM_S = 1000.0
+
+
+def _profile_benchmark(workload, profile_name, seed, profiler):
+    """Run one repetition of a benchmark workload with ``profiler`` on
+    in its measured sections only; returns their kernel events."""
+    sys.path.insert(0, os.path.join(_ROOT, "benchmarks", "perf"))
+    import workloads
+
+    sizes = (workloads.SMOKE_SIZES if profile_name == "smoke"
+             else workloads.FULL)
+    rec = workloads.run_rep(workload, sizes,
+                            BENCHMARK_SEED if seed is None else seed,
+                            profiler=profiler)
+    if rec.problems:
+        raise SystemExit("%s failed its checks: %s"
+                         % (workload, rec.problems[:3]))
+    return rec.events
 
 
 def _runner(experiment, profile_name, seed):
@@ -124,12 +151,19 @@ def main(argv=None):
                              "think time, three fixed service hops — a "
                              "two-process timeout(1) loop keeps the heap "
                              "two deep and in order, which no workload "
-                             "does; ignores --profile)" % KERNEL_CLIENTS)
+                             "does; ignores --profile; the four "
+                             "benchmarks/perf workload names profile one "
+                             "repetition's measured sections only)"
+                             % KERNEL_CLIENTS)
     parser.add_argument("--profile", default="smoke",
                         choices=["paper", "quick", "smoke"],
-                        help="experiment scale (default: smoke)")
+                        help="experiment scale (default: smoke; for a "
+                             "benchmark workload, smoke is its --smoke "
+                             "sizes and the others its full sizes)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the profile's root random seed")
+                        help="override the profile's root random seed "
+                             "(a benchmark workload's default: %d)"
+                             % BENCHMARK_SEED)
     parser.add_argument("--top", type=int, default=20,
                         help="number of entries to print (default: 20)")
     parser.add_argument("--sort", default="cumulative",
@@ -139,26 +173,33 @@ def main(argv=None):
                         help="also dump raw cProfile stats here")
     args = parser.parse_args(argv)
 
-    run = _runner(args.experiment, args.profile, args.seed)
-    # The events total: what every Environment.run() of the experiment
-    # dispatched, summed as it returns (no world is kept alive for it).
-    from repro.sim.core import Environment
-    events, run_loop = 0, Environment.run
-
-    def counting_run(self, until=None):
-        nonlocal events
-        before = self.events_processed
-        try:
-            run_loop(self, until)
-        finally:
-            events += self.events_processed - before
-    Environment.run = counting_run
     profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        run()
-    finally:
-        profiler.disable()
+    if args.experiment in BENCHMARK_WORKLOADS:
+        # The benchmark's own recorder switches the profiler on and off
+        # around the measured sections and counts their events.
+        events = _profile_benchmark(args.experiment, args.profile,
+                                    args.seed, profiler)
+    else:
+        run = _runner(args.experiment, args.profile, args.seed)
+        # The events total: what every Environment.run() of the
+        # experiment dispatched, summed as it returns (no world is kept
+        # alive for it).
+        from repro.sim.core import Environment
+        events, run_loop = 0, Environment.run
+
+        def counting_run(self, until=None):
+            nonlocal events
+            before = self.events_processed
+            try:
+                run_loop(self, until)
+            finally:
+                events += self.events_processed - before
+        Environment.run = counting_run
+        profiler.enable()
+        try:
+            run()
+        finally:
+            profiler.disable()
 
     if args.out is not None:
         profiler.dump_stats(args.out)

@@ -419,13 +419,17 @@ class Middleware:
         elif kind is _FIRST_READ:
             # Algorithm 1 lines 1-10: execute, tag STS, allocate the SSB.
             region = state.region
-            yield from region.enter(FIRST_READ_CLASS)
+            waiter = region.enter(FIRST_READ_CLASS)
+            if waiter is not None:
+                yield waiter
         elif kind is _COMMIT and was_update:
             # Algorithm 1 lines 16-29: execute, tag ETS, bump MLC, link.
             # A read-only commit changes no snapshot state: no MLC bump,
             # no critical region (Algorithm 2), nothing to replay.
             region = state.region
-            yield from region.enter(COMMIT_CLASS)
+            waiter = region.enter(COMMIT_CLASS)
+            if waiter is not None:
+                yield waiter
             # Capture the row post-images *before* forwarding: the session
             # drops its Transaction the instant the engine commit returns.
             session = conn._session

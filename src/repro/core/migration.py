@@ -432,7 +432,9 @@ class Migration:
                 strategy=strategy.value)
             # Step 1 starts at a commit boundary: the MTS is read inside
             # the critical region.
-            yield from state.region.enter(FIRST_READ_CLASS)
+            waiter = state.region.enter(FIRST_READ_CLASS)
+            if waiter is not None:
+                yield waiter
             report.mts = state.mlc
             self.snapshot_csn = self.source_instance.current_csn()
             state.migrating = True  # commits from here link their SSBs

@@ -15,7 +15,7 @@ MTS is captured.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from ..sim.events import Event
 
@@ -47,20 +47,23 @@ class CriticalRegion:
         self.entries = 0
         self.contended_entries = 0
 
-    def enter(self, op_class: str) -> Generator[Event, None, None]:
-        """Enter the region in ``op_class``; ``yield from`` this."""
+    def enter(self, op_class: str) -> Optional[Event]:
+        """Enter the region in ``op_class``.
+
+        Returns None when the caller is admitted at once (no kernel
+        event), otherwise the waiter event the caller must yield: it
+        fires when the region admits the caller's class batch.
+        """
         self.entries += 1
-        compatible = (self._active_count == 0
-                      or (self._active_class == op_class
-                          and not self._waiters))
-        if compatible:
+        if (self._active_count == 0
+                or (self._active_class == op_class and not self._waiters)):
             self._active_class = op_class
             self._active_count += 1
-            return
+            return None
         self.contended_entries += 1
         waiter = Event(self.env)
         self._waiters.append((op_class, waiter))
-        yield waiter
+        return waiter
 
     def leave(self) -> None:
         """Leave the region; admits the next class batch if drained."""

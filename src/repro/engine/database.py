@@ -35,18 +35,14 @@ class Table:
         """The version chain of ``key``, or None if never written."""
         return self.chains.get(key)
 
-    def chain_or_create(self, key: Hashable) -> VersionChain:
-        """The version chain of ``key``, creating an empty one if needed."""
-        chain = self.chains.get(key)
-        if chain is None:
-            chain = VersionChain()
-            self.chains[key] = chain
-        return chain
-
     def install(self, key: Hashable, csn: int, row: Optional[Row]) -> None:
         """Install a committed version and maintain secondary indexes."""
-        chain = self.chain_or_create(key)
-        old = chain.latest()
+        chain = self.chains.get(key)
+        if chain is None:
+            chain = self.chains[key] = VersionChain()
+            old = None
+        else:
+            old = chain.latest()
         chain.install(csn, row)
         for index in self.indexes.values():
             if old is not None:

@@ -114,15 +114,15 @@ class Executor:
     # ------------------------------------------------------------------
     def execute(self, txn: Optional[Transaction],
                 statement: Statement) -> Generator[Any, Any, ExecResult]:
-        """Execute one statement; a generator that may wait on locks."""
+        """Execute a DELETE or DDL statement; a generator that may wait
+        on locks.
+
+        The session calls :meth:`select`, :meth:`update` and
+        :meth:`insert` directly (the request path's statements), so a
+        statement resumes through no dispatch frame of its own.
+        """
         # AST nodes are never subclassed: dispatch on the class itself.
         cls = statement.__class__
-        if cls is Select:
-            return self.select(txn, statement)
-        if cls is Update:
-            return (yield from self._update(txn, statement))
-        if cls is Insert:
-            return (yield from self._insert(txn, statement))
         if cls is Delete:
             return (yield from self._delete(txn, statement))
         if cls is CreateTable:
@@ -204,7 +204,7 @@ class Executor:
     def select(self, txn: Optional[Transaction],
                statement: Select) -> ExecResult:
         """A snapshot read never waits, so unlike the writes it is a
-        plain function (the instance calls it without a generator)."""
+        plain function (the session calls it without a generator)."""
         table = (self.database.tables.get(statement.table)
                  or self.database.table(statement.table))  # raises
         snapshot = (self._ensure_snapshot(txn) if txn is not None
@@ -266,8 +266,8 @@ class Executor:
     # ------------------------------------------------------------------
     # UPDATE / DELETE / INSERT
     # ------------------------------------------------------------------
-    def _update(self, txn: Optional[Transaction],
-                statement: Update) -> Generator[Any, Any, ExecResult]:
+    def update(self, txn: Optional[Transaction],
+               statement: Update) -> Generator[Any, Any, ExecResult]:
         if txn is None:
             raise SqlError("UPDATE requires a transaction")
         table = (self.database.tables.get(statement.table)
@@ -309,8 +309,8 @@ class Executor:
             affected += 1
         return ExecResult(affected=affected)
 
-    def _insert(self, txn: Optional[Transaction],
-                statement: Insert) -> Generator[Any, Any, ExecResult]:
+    def insert(self, txn: Optional[Transaction],
+               statement: Insert) -> Generator[Any, Any, ExecResult]:
         if txn is None:
             raise SqlError("INSERT requires a transaction")
         table = (self.database.tables.get(statement.table)

@@ -4,8 +4,8 @@ One :class:`DbmsInstance` runs per node and hosts *multiple tenant
 databases* inside the same process, sharing the CPU, the disk, and —
 crucially — one WAL (the shared process model of Curino et al. [22] the
 paper adopts).  It provides snapshot isolation with the first-updater-wins
-rule and group commit, and exposes the begin/execute/commit/abort
-primitives sessions are built on.
+rule and group commit, and exposes the begin/admit/finish_commit/abort
+primitives :class:`~repro.engine.session.Session` is built on.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from ..sim.resources import Resource
 from .checkpoint import Checkpointer, CheckpointSpec
 from .database import TenantDatabase
 from .disk import Disk, DiskSpec
-from .executor import ExecResult, Executor
-from .sqlmini import Select, Statement
+from .executor import Executor
 from .transaction import Transaction, TxnStatus
 from .wal import WalWriter
 
@@ -278,15 +277,14 @@ class DbmsInstance:
             self.observer.on_begin(txn)
         return txn
 
-    def execute(self, txn: Optional[Transaction], tenant_name: str,
-                statement: Statement,
-                cpu_cost: Optional[float] = None
-                ) -> Generator[Any, Any, ExecResult]:
-        """Run one statement, charging CPU service time then logic.
+    def admit(self, txn: Optional[Transaction],
+              tenant_name: str) -> Executor:
+        """Check that a statement may run; return the tenant's executor.
 
-        CPU is held for the service time and released *before* any lock
-        wait, so a transaction blocked on a row lock does not occupy a
-        core (as in a real DBMS, where it sleeps on a lock queue).
+        Raises :class:`NodeCrashed`, :class:`InvalidTransactionState`
+        (finished ``txn``) or :class:`SchemaError` (unknown tenant), in
+        that order.  The statement itself runs, and waits, in
+        :meth:`Session.execute`.
         """
         if self.crashed:
             self._require_up()  # raises
@@ -295,51 +293,24 @@ class DbmsInstance:
         executor = self._executors.get(tenant_name)
         if executor is None:
             raise SchemaError("no tenant %r on %s" % (tenant_name, self.name))
-        service = (cpu_cost if cpu_cost is not None
-                   else BASE_STATEMENT_CPU)
-        core = self.cpu.request()
-        yield core
-        yield self.env.timeout(service)
-        self.cpu.release(core)
-        self.statements_executed += 1
-        if self._m_statements is not None:
-            self._m_statements.inc()
-        if statement.__class__ is Select:
-            result = executor.select(txn, statement)    # cannot wait
-        else:
-            result = yield from executor.execute(txn, statement)
-        extra = PER_ROW_CPU * (len(result.rows) + result.affected)
-        if extra > 0:
-            yield self.env.timeout(extra)
-        return result
+        return executor
 
-    def commit(self, txn: Transaction
-               ) -> Generator[Any, Any, Optional[int]]:
-        """Commit: WAL flush (group commit) then atomic version install.
+    def finish_commit(self, txn: Transaction) -> Optional[int]:
+        """Commit ``txn`` once :meth:`Session.execute` has waited out its
+        CPU and, for an update transaction, the (possibly grouped) WAL
+        flush: durability before visibility.
 
-        Returns the commit CSN for update transactions, None for
-        read-only ones (which need no flush and create no snapshot —
-        exactly why the mapping function discards them).
+        Installs the versions atomically (no yields) and returns the
+        commit CSN for update transactions, None for read-only ones
+        (which need no flush and create no snapshot — exactly why the
+        mapping function discards them).
         """
-        if self.crashed:
-            self._require_up()
-        if txn.status is not _ACTIVE:
-            txn.require_active()
-        core = self.cpu.request()
-        yield core
-        yield self.env.timeout(END_CPU)
-        self.cpu.release(core)
         if not txn.writes:
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
             if self.observer is not None:
                 self.observer.on_commit(txn)
             return None
-        # Durability first: wait for the (possibly grouped) WAL flush.
-        if self.crashed:  # the CPU wait may have straddled a crash
-            self._require_up()
-        yield self.wal.commit()
-        # Atomic visibility: no yields from here to the end.
         tenant = self.tenant(txn.tenant)
         csn = self.next_csn()
         txn.commit_csn = csn

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Union
 
-from ..errors import (
-    InvalidTransactionState,
-    NodeCrashed,
-    SchemaError,
-    SqlError,
-    TransactionAborted,
-)
-from .instance import DbmsInstance
+from ..errors import NodeCrashed, SchemaError, SqlError, TransactionAborted
+from .instance import BASE_STATEMENT_CPU, END_CPU, PER_ROW_CPU, DbmsInstance
 from .mvcc import Row
-from .sqlmini import Begin, Commit, Rollback, Statement, parse
+from .sqlmini import (
+    Begin,
+    Commit,
+    Insert,
+    Rollback,
+    Select,
+    Statement,
+    Update,
+    parse,
+)
 from .transaction import Transaction, TxnStatus
 
 _ACTIVE = TxnStatus.ACTIVE
@@ -85,6 +88,14 @@ class Session:
         Engine-initiated aborts (first-updater-wins) surface as an
         ``error`` result after the transaction has been rolled back, like
         a PostgreSQL ``ERROR: could not serialize access``.
+
+        This is the one engine generator a statement resumes through:
+        its CPU grant, service time, per-row CPU, lock waits and (for a
+        COMMIT) WAL flush are all waited here, around the instance's
+        non-waiting :meth:`~DbmsInstance.admit` and
+        :meth:`~DbmsInstance.finish_commit`.  CPU is held for the
+        service time and released *before* any lock wait, so a
+        transaction blocked on a row lock does not occupy a core.
         """
         if isinstance(statement, str):
             try:
@@ -96,24 +107,65 @@ class Session:
         cls = statement.__class__
         if cls is Begin:
             return self._begin()
-        if cls is Commit:
-            return (yield from self._commit())
         if cls is Rollback:
             return self._rollback()
+        instance = self.instance
+        txn = self.txn
+        if cls is Commit:
+            if txn is None or txn.status is not _ACTIVE:
+                return SessionResult(kind="error",
+                                     error="no transaction in progress")
+            try:
+                if instance.crashed:
+                    instance._require_up()  # raises
+                core = instance.cpu.request()
+                yield core
+                yield instance.env.timeout(END_CPU)
+                instance.cpu.release(core)
+                if txn.writes:
+                    # Durability first: wait for the (possibly grouped)
+                    # WAL flush; the CPU wait may have straddled a crash.
+                    if instance.crashed:
+                        instance._require_up()  # raises
+                    yield instance.wal.commit()
+                csn = instance.finish_commit(txn)
+            except NodeCrashed as exc:
+                self._drop_dead_txn()
+                return SessionResult(kind="error", error=str(exc))
+            self.txn = None
+            return SessionResult(kind="ok", commit_csn=csn)
         try:
-            result = yield from self.instance.execute(
-                self.txn, self.tenant_name, statement, cpu_cost=cpu_cost)
+            executor = instance.admit(txn, self.tenant_name)
+            core = instance.cpu.request()
+            yield core
+            yield instance.env.timeout(
+                BASE_STATEMENT_CPU if cpu_cost is None else cpu_cost)
+            instance.cpu.release(core)
+            instance.statements_executed += 1
+            if instance._m_statements is not None:
+                instance._m_statements.inc()
+            if cls is Select:
+                result = executor.select(txn, statement)  # cannot wait
+            elif cls is Update:
+                result = yield from executor.update(txn, statement)
+            elif cls is Insert:
+                result = yield from executor.insert(txn, statement)
+            else:
+                result = yield from executor.execute(txn, statement)
+            extra = PER_ROW_CPU * (len(result.rows) + result.affected)
+            if extra > 0:
+                yield instance.env.timeout(extra)
         except TransactionAborted as exc:
             self.aborts_seen += 1
             if self.txn is not None:
-                self.instance.abort(self.txn)
+                instance.abort(self.txn)
                 self.txn = None
             return SessionResult(kind="error", error=str(exc))
         except (SchemaError, SqlError) as exc:
             # Statement-level error: PostgreSQL would poison the txn; we
             # abort it for simplicity, which is the strictest behaviour.
             if self.txn is not None:
-                self.instance.abort(self.txn)
+                instance.abort(self.txn)
                 self.txn = None
             return SessionResult(kind="error", error=str(exc))
         except NodeCrashed as exc:
@@ -137,22 +189,6 @@ class Session:
         except NodeCrashed as exc:
             return SessionResult(kind="error", error=str(exc))
         return SessionResult(kind="ok")
-
-    def _commit(self) -> Generator[Any, Any, SessionResult]:
-        txn = self.txn
-        if txn is None or txn.status is not _ACTIVE:
-            return SessionResult(kind="error",
-                                 error="no transaction in progress")
-        try:
-            csn = yield from self.instance.commit(txn)
-        except InvalidTransactionState as exc:
-            self.txn = None
-            return SessionResult(kind="error", error=str(exc))
-        except NodeCrashed as exc:
-            self._drop_dead_txn()
-            return SessionResult(kind="error", error=str(exc))
-        self.txn = None
-        return SessionResult(kind="ok", commit_csn=csn)
 
     def _drop_dead_txn(self) -> None:
         """Roll back a transaction orphaned by a node crash."""

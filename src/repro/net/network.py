@@ -163,7 +163,7 @@ class Network:
         #: free optimisation.  Also only valid while link state cannot
         #: change mid-flight, so the fault injector clears it before
         #: arming any network fault (outage or degradation), restoring
-        #: the exact per-hop check timing.
+        #: the exact per-hop check schedule (see :meth:`round_trip`).
         self.coalesce_hops = True
         # statistics
         self.messages = 0
@@ -230,8 +230,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def message(self) -> Generator[Any, Any, None]:
-        """One request or response hop: latency only, no payload.
+        """One latency-only hop, no payload.
 
+        The control hop that opens every :meth:`bulk_transfer`, and the
+        single-hop primitive the unit tests drive; customer operations
+        go through :meth:`round_trip`, which does not call this.
         Raises :class:`NetworkDown` if an outage is active when the hop
         starts *or* when it lands.  Bytes go through
         :meth:`bulk_transfer`.
@@ -249,7 +252,12 @@ class Network:
         instead of two chained hops, halving the event cost of every
         customer operation — and changing where the reply falls among
         same-instant events (see the attribute: not result-neutral at
-        saturation).
+        saturation).  Coalesced, the link is checked at departure and
+        at landing.  Per hop (as under any fault injector), each hop is
+        priced at its own start and the link is checked at departure,
+        at the request's landing (the instant the response departs, so
+        one check serves both) and at the response's landing: the two
+        :meth:`message` hops without their frames.
         """
         if self.coalesce_hops:
             if self._down_count:
@@ -260,8 +268,16 @@ class Network:
             if self._down_count:
                 self._check_link()  # raises
             return
-        yield from self.message()
-        yield from self.message()
+        if self._down_count:
+            self._check_link()  # raises
+        self.messages += 1
+        yield self.env.timeout(self.spec.latency * self.latency_factor)
+        if self._down_count:
+            self._check_link()  # raises
+        self.messages += 1
+        yield self.env.timeout(self.spec.latency * self.latency_factor)
+        if self._down_count:
+            self._check_link()  # raises
 
     # ------------------------------------------------------------------
     # shared-link (per-port processor-sharing) model

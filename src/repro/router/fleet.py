@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..engine.session import SessionResult
+from ..engine.sqlmini import Begin, Commit, parse
 from ..errors import NetworkDown, RouterCrashed
 from ..sim.rand import StreamFactory
 from .shard import RouterConfig, RouterConnection, RouterShard
@@ -46,6 +47,9 @@ class RouterFleet:
         #: Seeded reconnect policy: same seed, same failover choices.
         self._rng = StreamFactory(seed).stream("router-reconnect")
         self._next = 0
+        #: The registry's ``router.requests`` counter, fetched (and so
+        #: created) by the first request a live shard takes.
+        self._m_requests = None
 
     # ------------------------------------------------------------------
     def shard(self, name: str) -> RouterShard:
@@ -87,7 +91,14 @@ class RouterFleet:
     def submit(self, conn: RouterConnection, sql: str,
                cpu_cost: Optional[float] = None
                ) -> Generator[Any, Any, SessionResult]:
-        """Proxy one statement through the connection's shard."""
+        """Proxy one statement through the connection's shard.
+
+        The router tier's one generator frame on the request path: the
+        shard contributes its routing cache, park queue and crash
+        surface, and a :class:`RouterCrashed` raised while the request
+        is in the shard's hands becomes an outcome-unknown error and a
+        reconnect.
+        """
         if conn.shard.crashed:
             mid_txn = conn.inner.in_active_txn
             dead = conn.shard.name
@@ -104,14 +115,61 @@ class RouterFleet:
                     kind="error",
                     error="router shard %s died mid-transaction; "
                           "transaction outcome unknown" % dead)
+        shard = conn.shard
+        tenant = conn.tenant
         try:
-            result = yield from conn.shard.handle(conn, sql, cpu_cost)
+            if shard.crashed:
+                raise RouterCrashed(shard.name)
+            requests = self._m_requests
+            if requests is None:
+                requests = self._m_requests = self.metrics.counter(
+                    "router.requests")
+            requests.inc()
+            statement = parse(sql)
+            blocked = 0.0
+            if statement.__class__ is Begin:
+                # The routing decision point: resolve (and, if stale,
+                # re-resolve) the owner, then admit or park.
+                blocked += yield from shard.route(tenant)
+                if self.middleware.draining(tenant):
+                    if shard.parked >= self.config.park_capacity:
+                        self.metrics.counter("router.park_rejects").inc()
+                        shard.observe_downtime(blocked)
+                        return SessionResult(
+                            kind="error",
+                            error="router %s: park queue full"
+                                  % shard.name)
+                    waited, timed_out = yield from shard.park(tenant)
+                    blocked += waited
+                    if timed_out:
+                        self.metrics.counter("router.park_timeouts").inc()
+                        self.tracer.event("router.park_timeout",
+                                          shard=shard.name, tenant=tenant,
+                                          waited=waited)
+                        shard.observe_downtime(blocked)
+                        return SessionResult(
+                            kind="error",
+                            error="router %s: parked request timed out "
+                                  "after %.1f s" % (shard.name, waited))
+                    # The handover may have moved the owner meanwhile.
+                    blocked += yield from shard.route(tenant)
+            result = yield from self.middleware.submit(conn.inner, sql,
+                                                       cpu_cost)
+            if shard.crashed:
+                # The reply is sitting in a dead shard's buffers.  An
+                # executed COMMIT took effect without anyone being told:
+                # count it so tests can bound effects by acks + drops.
+                if statement.__class__ is Commit and result.ok:
+                    self.metrics.counter("router.acks_dropped").inc()
+                raise RouterCrashed(shard.name)
         except RouterCrashed as exc:
             self.metrics.counter("router.crash_errors").inc()
             yield from self._reconnect(conn)
             return SessionResult(
                 kind="error",
                 error="%s; request outcome unknown" % exc)
+        if blocked > 0:
+            shard.observe_downtime(blocked)
         return result
 
     # ------------------------------------------------------------------

@@ -5,11 +5,12 @@ vtgate) do shallow statement inspection and keep a routing cache that
 can go stale; the correctness burden is *detecting* staleness and
 surviving the shard's own death, which is exactly what this models.
 Requests execute on the client's simulation process (``yield from
-shard.handle(...)``), so a shard crash is observed at yield boundaries:
-parked requests wake and fail un-acknowledged, and a reply obtained
-just before the crash is dropped in the shard's buffers and surfaced as
-:class:`~repro.errors.RouterCrashed` (outcome unknown) — never as a
-silent loss or a duplicate.
+fleet.submit(...)``, which runs the shard's :meth:`RouterShard.route`
+and :meth:`RouterShard.park`), so a shard crash is observed at yield
+boundaries: parked requests wake and fail un-acknowledged, and a reply
+obtained just before the crash is dropped in the shard's buffers and
+surfaced as :class:`~repro.errors.RouterCrashed` (outcome unknown) —
+never as a silent loss or a duplicate.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
-from ..engine.session import SessionResult
-from ..engine.sqlmini import Begin, Commit, parse
 from ..errors import RouterCrashed
 from ..sim.events import Event
 from ..sim.sync import backoff_delay
@@ -120,58 +119,9 @@ class RouterShard:
         self._routing.pop(tenant, None)
 
     # ------------------------------------------------------------------
-    # request path
+    # request path (driven by RouterFleet.submit)
     # ------------------------------------------------------------------
-    def handle(self, conn: RouterConnection, sql: str,
-               cpu_cost: Optional[float] = None
-               ) -> Generator[Any, Any, SessionResult]:
-        """Proxy one statement; raises :class:`RouterCrashed` if this
-        shard dies while the request is in its hands."""
-        if self.crashed:
-            raise RouterCrashed(self.name)
-        self.metrics.counter("router.requests").inc()
-        statement = parse(sql)
-        blocked = 0.0
-        if isinstance(statement, Begin):
-            # The routing decision point: resolve (and, if stale,
-            # re-resolve) the owner, then admit or park.
-            blocked += yield from self._route(conn.tenant)
-            if self.middleware.draining(conn.tenant):
-                if self.parked >= self.config.park_capacity:
-                    self.metrics.counter("router.park_rejects").inc()
-                    self._observe_downtime(blocked)
-                    return SessionResult(
-                        kind="error",
-                        error="router %s: park queue full" % self.name)
-                waited, timed_out = yield from self._park(conn.tenant)
-                blocked += waited
-                if timed_out:
-                    self.metrics.counter("router.park_timeouts").inc()
-                    self.tracer.event("router.park_timeout",
-                                      shard=self.name, tenant=conn.tenant,
-                                      waited=waited)
-                    self._observe_downtime(blocked)
-                    return SessionResult(
-                        kind="error",
-                        error="router %s: parked request timed out "
-                              "after %.1f s" % (self.name, waited))
-                # The handover may have moved the owner while we waited.
-                blocked += yield from self._route(conn.tenant)
-        result = yield from self.middleware.submit(conn.inner, sql,
-                                                   cpu_cost)
-        if self.crashed:
-            # The reply is sitting in a dead shard's buffers.  An
-            # executed COMMIT took effect without anyone being told:
-            # count it so tests can bound effects by acks + drops.
-            if isinstance(statement, Commit) and result.ok:
-                self.metrics.counter("router.acks_dropped").inc()
-            raise RouterCrashed(self.name)
-        if blocked > 0:
-            self._observe_downtime(blocked)
-        return result
-
-    # ------------------------------------------------------------------
-    def _route(self, tenant: str) -> Generator[Any, Any, float]:
+    def route(self, tenant: str) -> Generator[Any, Any, float]:
         """Resolve the owner; pay for (and count) stale cache entries.
 
         A stale entry means the BEGIN bounces off the old master, which
@@ -197,8 +147,8 @@ class RouterShard:
         self._routing[tenant] = owner
         return blocked
 
-    def _park(self, tenant: str
-              ) -> Generator[Any, Any, Tuple[float, bool]]:
+    def park(self, tenant: str
+             ) -> Generator[Any, Any, Tuple[float, bool]]:
         """Hold one BEGIN in the bounded queue until the drain ends.
 
         Returns ``(waited_seconds, timed_out)``.  Capped exponential
@@ -232,7 +182,8 @@ class RouterShard:
             self.parked -= 1
             self.metrics.gauge("router.parked").dec()
 
-    def _observe_downtime(self, blocked: float) -> None:
+    def observe_downtime(self, blocked: float) -> None:
+        """Count one blocked request and record how long it waited."""
         self.metrics.counter("router.blocked_requests").inc()
         self.metrics.quantile_histogram("router.downtime").observe(
             blocked)

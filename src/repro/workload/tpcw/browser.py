@@ -76,6 +76,8 @@ def emulated_browser(env: "Environment", middleware: Middleware,
     """One EB's closed loop."""
     state = EbState(customer_id=1 + (eb_index % max(1, ctx.customers)))
     conn = middleware.connect(tenant)
+    submit = middleware.submit
+    network = middleware.cluster.network
     names, weights = mix_weights(config.mix)
     while True:
         yield env.timeout(rng.exponential(config.think_time))
@@ -84,9 +86,20 @@ def emulated_browser(env: "Environment", middleware: Middleware,
         started = env.now
         try:
             # app-server hop: one LAN round trip + servlet processing
-            yield from middleware.cluster.network.round_trip()
+            yield from network.round_trip()
             yield env.timeout(_APPSERVER_DELAY)
-            ok = yield from _run_transaction(middleware, conn, steps)
+            # BEGIN, the steps, COMMIT; not ok if any statement aborted
+            # (the engine already rolled the transaction back, as on
+            # first-updater-wins: no ROLLBACK is sent).
+            result = yield from submit(conn, "BEGIN")
+            if result.ok:
+                for sql, cpu_cost in steps:
+                    result = yield from submit(conn, sql, cpu_cost=cpu_cost)
+                    if not result.ok:
+                        break
+                else:
+                    result = yield from submit(conn, "COMMIT")
+            ok = result.ok
         except NetworkDown:
             # The browser sees a connection error and moves on; the
             # middleware already rolled back anything half-done.
@@ -100,22 +113,6 @@ def emulated_browser(env: "Environment", middleware: Middleware,
             metrics.completions.record(finished)
         else:
             metrics.aborted_interactions += 1
-
-
-def _run_transaction(middleware: Middleware, conn, steps
-                     ) -> Generator[Any, Any, bool]:
-    """BEGIN, run the steps, COMMIT; False if any statement aborted."""
-    result = yield from middleware.submit(conn, "BEGIN")
-    if not result.ok:
-        return False
-    for sql, cpu_cost in steps:
-        result = yield from middleware.submit(conn, sql, cpu_cost=cpu_cost)
-        if not result.ok:
-            # The engine already rolled the transaction back
-            # (first-updater-wins); do not send ROLLBACK.
-            return False
-    result = yield from middleware.submit(conn, "COMMIT")
-    return result.ok
 
 
 def start_tenant_load(env: "Environment", middleware: Middleware,

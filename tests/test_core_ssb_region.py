@@ -139,7 +139,9 @@ class TestCriticalRegion:
         times = []
 
         def enterer(env, tag):
-            yield from region.enter(COMMIT_CLASS)
+            waiter = region.enter(COMMIT_CLASS)
+            if waiter is not None:
+                yield waiter
             times.append((tag, env.now))
             yield env.timeout(1)
             region.leave()
@@ -154,7 +156,9 @@ class TestCriticalRegion:
         times = []
 
         def enterer(env, op_class, tag, hold):
-            yield from region.enter(op_class)
+            waiter = region.enter(op_class)
+            if waiter is not None:
+                yield waiter
             times.append((tag, env.now))
             yield env.timeout(hold)
             region.leave()
@@ -172,7 +176,9 @@ class TestCriticalRegion:
 
         def enterer(env, op_class, tag, hold, delay=0.0):
             yield env.timeout(delay)
-            yield from region.enter(op_class)
+            waiter = region.enter(op_class)
+            if waiter is not None:
+                yield waiter
             times.append((tag, env.now))
             yield env.timeout(hold)
             region.leave()
@@ -188,7 +194,9 @@ class TestCriticalRegion:
 
         def enterer(env, op_class, tag, delay):
             yield env.timeout(delay)
-            yield from region.enter(op_class)
+            waiter = region.enter(op_class)
+            if waiter is not None:
+                yield waiter
             times.append(tag)
             yield env.timeout(1)
             region.leave()
@@ -208,8 +216,29 @@ class TestCriticalRegion:
         region = CriticalRegion(env)
 
         def proc(env):
-            yield from region.enter(COMMIT_CLASS)
+            waiter = region.enter(COMMIT_CLASS)
+            if waiter is not None:
+                yield waiter
             busy = region.busy
             region.leave()
             return (busy, region.busy)
         assert drive(env, proc(env)) == (True, False)
+
+    def test_enter_is_a_plain_call(self, env):
+        """An uncontended entry costs no kernel event; a contended one
+        returns the event that fires when its class is admitted."""
+        region = CriticalRegion(env)
+        events = env.events_processed
+        assert region.enter(FIRST_READ_CLASS) is None
+        assert region.enter(FIRST_READ_CLASS) is None
+        env.run()
+        assert env.events_processed == events
+        waiter = region.enter(COMMIT_CLASS)
+        assert waiter is not None and not waiter.triggered
+        region.leave()
+        assert not waiter.triggered
+        region.leave()
+        assert waiter.triggered and region.busy
+        env.run()
+        assert waiter.processed
+        assert (region.entries, region.contended_entries) == (3, 1)

@@ -70,6 +70,52 @@ class TestNetworkFaults:
         assert network.messages_failed == 1
         assert network.outages == 1
 
+    @pytest.mark.parametrize("fault_at, fault, ends_at, raised, messages", [
+        # (fault time in hops, fault, end time in hops, NetworkDown?,
+        #  messages sent)
+        (None, None, 2.0, False, 2),
+        (0.0, "down", 0.0, True, 0),
+        (0.5, "down", 1.0, True, 1),
+        (1.5, "down", 2.0, True, 2),
+        (0.5, "slow", 11.0, False, 2),
+        (1.5, "slow", 2.0, False, 2),
+    ])
+    def test_per_hop_round_trip(self, env, fault_at, fault, ends_at,
+                                raised, messages):
+        """The per-hop round trip (coalescing off, as under any fault
+        injector): an outage armed during a hop raises at that hop's
+        landing, and a degradation reprices only the hops not yet
+        started."""
+        network = Cluster(env).network
+        network.coalesce_hops = False
+        latency = network.spec.latency
+        outcome = {}
+
+        def client(env):
+            try:
+                yield from network.round_trip()
+            except NetworkDown:
+                outcome["raised"] = True
+            outcome["at"] = env.now
+
+        def breaker(env):
+            yield env.timeout(fault_at * latency)
+            if fault == "down":
+                network.fail_link()
+            else:
+                network.degrade(latency_scale=10.0)
+        if fault_at is not None:
+            if fault_at == 0.0:
+                network.fail_link()
+            else:
+                env.process(breaker(env))
+        env.process(client(env))
+        env.run()
+        assert outcome["at"] == pytest.approx(ends_at * latency)
+        assert outcome.get("raised", False) is raised
+        assert network.messages == messages
+        assert network.messages_failed == (1 if raised else 0)
+
     def test_outage_interrupts_inflight_transfer(self, env):
         cluster = Cluster(env)
         network = cluster.network
