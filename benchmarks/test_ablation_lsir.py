@@ -11,10 +11,8 @@
 
 import pytest
 
-from repro.cluster.node import NodeSpec
 from repro.core.middleware import MigrationReport
-from repro.core.policy import (B_ALL, B_CON, B_MIN, MADEUS,
-                               PropagationPolicy)
+from repro.core.policy import B_ALL, B_CON, B_MIN, MADEUS
 from repro.experiments import TenantSetup, build_testbed
 from repro.experiments.migration_time import run_one
 from repro.metrics.report import format_table

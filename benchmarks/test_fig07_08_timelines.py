@@ -11,8 +11,6 @@ Shape checks (paper):
   "whisker" the paper points out exceeds migration overhead).
 """
 
-import pytest
-
 from repro.experiments import performance
 
 _CACHE = {}

@@ -6,8 +6,6 @@ restore (inserts + attribute alters + index builds) is slower than the
 dump, and the longer it takes the more syncsets pile up.
 """
 
-import pytest
-
 from repro.experiments import dbsize
 
 

@@ -15,8 +15,6 @@ Shape checks (paper):
   measurements.
 """
 
-import pytest
-
 from repro.experiments import multitenant
 
 _CACHE = {}

@@ -7,10 +7,7 @@ migration (replay counters + WAL flush counts) satisfy the same
 inequalities.
 """
 
-import pytest
-
-from repro.experiments.costmodel import (CostParameters, cost_all,
-                                         cost_gap, cost_madeus,
+from repro.experiments.costmodel import (cost_all, cost_gap, cost_madeus,
                                          gap_identity_holds,
                                          gap_is_monotone_in_load,
                                          parameters_from_run)

@@ -14,8 +14,8 @@ Run with::
     python examples/build_your_own_tenant.py
 """
 
-from repro import (Cluster, Environment, MADEUS, Middleware,
-                   MiddlewareConfig, MigrationOptions, TransferRates)
+from repro import (Cluster, Environment, Middleware, MiddlewareConfig,
+                   MigrationOptions, TransferRates)
 from repro.core import states_equal
 from repro.engine import Session
 
@@ -25,7 +25,7 @@ def main() -> None:
     cluster = Cluster(env)
     source = cluster.add_node("node0")
     destination = cluster.add_node("node1")
-    middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
+    middleware = Middleware(env, cluster, MiddlewareConfig())  # Madeus
 
     notes = []
 

@@ -13,8 +13,8 @@ Run with::
     python examples/multislave_failover.py
 """
 
-from repro import (Cluster, Environment, MADEUS, Middleware,
-                   MiddlewareConfig, MigrationOptions, TransferRates)
+from repro import (Cluster, Environment, Middleware, MiddlewareConfig,
+                   MigrationOptions, TransferRates)
 from repro.core import states_equal
 from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
@@ -27,7 +27,7 @@ def run(inject_failure: bool) -> None:
     cluster = Cluster(env)
     for index in range(3):
         cluster.add_node("node%d" % index)
-    middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
+    middleware = Middleware(env, cluster, MiddlewareConfig())  # Madeus
     holder = {}
 
     def scenario(env):

@@ -9,8 +9,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import (Cluster, Environment, MADEUS, Middleware,
-                   MiddlewareConfig, MigrationOptions, TransferRates)
+from repro import (Cluster, Environment, Middleware, MiddlewareConfig,
+                   MigrationOptions, TransferRates)
 from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
 
@@ -20,7 +20,7 @@ def main() -> None:
     cluster = Cluster(env)
     cluster.add_node("node0")   # source (master)
     cluster.add_node("node1")   # destination (slave)
-    middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
+    middleware = Middleware(env, cluster, MiddlewareConfig())  # Madeus
 
     holder = {}
 

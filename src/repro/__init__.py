@@ -22,116 +22,27 @@ on a deterministic discrete-event substrate:
   mixes, emulated browsers) and a simple key-value workload;
 * :mod:`repro.experiments` — one module per paper table/figure.
 
+The package itself exports exactly :mod:`repro.api` (its ``__all__``)
+plus ``__version__``.
+
 Quickstart::
 
-    from repro import (Environment, Cluster, Middleware,
-                       MiddlewareConfig, MADEUS)
+    from repro import Cluster, Environment, Middleware, MiddlewareConfig
 
     env = Environment()
     cluster = Cluster(env)
     cluster.add_node("node0")
     cluster.add_node("node1")
-    middleware = Middleware(env, cluster, MiddlewareConfig(policy=MADEUS))
+    middleware = Middleware(env, cluster, MiddlewareConfig())  # Madeus
     # ... create a tenant, drive load, then:
     # report = yield from middleware.migrate("tenant", "node1")
     # (what one migration does differently is its third argument, a
     # MigrationOptions; MiddlewareConfig.migration is what all start from)
 """
 
-from .cluster import Cluster, Node, NodeSpec
-from .control import (
-    ClusterView,
-    HotspotDetector,
-    LoadWatcher,
-    RebalanceOptions,
-    RebalanceReport,
-    Rebalancer,
-)
-from .core import (
-    ALL_POLICIES,
-    B_ALL,
-    B_CON,
-    B_MIN,
-    MADEUS,
-    Middleware,
-    MiddlewareConfig,
-    MigrationOptions,
-    MigrationReport,
-    MigrationScheduler,
-    PropagationPolicy,
-    ScheduleOptions,
-    ScheduleReport,
-    SnapshotStrategy,
-)
-from .engine import DbmsInstance, Session, TenantDatabase, TransferRates, parse
-from .errors import (
-    CatchUpTimeout,
-    MigrationError,
-    NetworkDown,
-    NodeCrashed,
-    ReproError,
-    RouterCrashed,
-    RoutingError,
-    SchemaError,
-    SqlError,
-    TransactionAborted,
-)
-from .faults import FaultInjector, FaultPlan, FaultSpec
-from .obs import MetricsRegistry, Tracer, read_trace, write_trace
-from .router import RouterConfig, RouterFleet, RouterShard
-from .sim import Environment
+from . import api
+from .api import *  # noqa: F401,F403
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
-__all__ = [
-    "ALL_POLICIES",
-    "B_ALL",
-    "B_CON",
-    "B_MIN",
-    "CatchUpTimeout",
-    "Cluster",
-    "ClusterView",
-    "DbmsInstance",
-    "Environment",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "HotspotDetector",
-    "LoadWatcher",
-    "MADEUS",
-    "MetricsRegistry",
-    "Middleware",
-    "MiddlewareConfig",
-    "MigrationError",
-    "MigrationOptions",
-    "MigrationReport",
-    "MigrationScheduler",
-    "NetworkDown",
-    "Node",
-    "NodeCrashed",
-    "NodeSpec",
-    "PropagationPolicy",
-    "RebalanceOptions",
-    "RebalanceReport",
-    "Rebalancer",
-    "ReproError",
-    "RouterConfig",
-    "RouterCrashed",
-    "RouterFleet",
-    "RouterShard",
-    "RoutingError",
-    "ScheduleOptions",
-    "ScheduleReport",
-    "SchemaError",
-    "Session",
-    "SnapshotStrategy",
-    "SqlError",
-    "TenantDatabase",
-    "Tracer",
-    "TransactionAborted",
-    "TransferRates",
-    "parse",
-    "read_trace",
-    "write_trace",
-    "__version__",
-]
+__all__ = [*api.__all__, "__version__"]

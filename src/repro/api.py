@@ -7,7 +7,18 @@ that is retired is listed there with its replacement and raises
 (``repro.core.middleware``, ``repro.engine``, ...) may reorganise
 without notice.
 
+The top-level :mod:`repro` package re-exports exactly these names
+(plus ``__version__``); everything else is imported from the module
+that defines it.
+
 The surface, by layer:
+
+**Substrate** — what every migration runs on:
+
+* :class:`Environment` — the discrete-event clock and scheduler every
+  component is built on (``env.process(...)``, ``env.run()``);
+* :class:`Cluster` — nodes, each hosting one shared-process DBMS
+  instance, on one simulated LAN (``cluster.add_node(name)``).
 
 **Mechanism** — migrate one tenant:
 
@@ -24,7 +35,7 @@ The surface, by layer:
 * :class:`MigrationReport` — what a finished migration reports;
 * :class:`TransferRates` — the dump/restore rate model;
 * :func:`policy_by_name` — resolve ``"Madeus"`` / ``"B-ALL"`` / ... to
-  a propagation policy.
+  a propagation policy (``MiddlewareConfig()`` runs Madeus).
 
 **Scheduling** — migrate N tenants:
 
@@ -60,7 +71,7 @@ The surface, by layer:
 **Observability** — read what the system measured:
 
 * :class:`MetricsRegistry` — counters and gauges, with the stable read
-  API ``snapshot()`` / ``gauge_value(name, default)``;
+  API ``gauge_value(name, default)`` / ``get(name)``;
 * :class:`QuantileHistogram` — the sample-retaining histogram behind
   the router's per-request downtime metric (``p50``/``p90``/``p99``
   via nearest-rank ``quantile(q)``).
@@ -76,6 +87,7 @@ it: how a migration runs is said in a :class:`MigrationOptions`, which
 :class:`RebalanceOptions` each carry as their ``migration`` field.
 """
 
+from .cluster.cluster import Cluster
 from .control import (
     ClusterView,
     RebalanceOptions,
@@ -99,9 +111,12 @@ from .engine.dump import TransferRates
 from .experiments.bench import run_benchmark
 from .obs.metrics import MetricsRegistry, QuantileHistogram
 from .router import RouterConfig, RouterFleet, RouterShard
+from .sim.core import Environment
 
 __all__ = [
+    "Cluster",
     "ClusterView",
+    "Environment",
     "MetricsRegistry",
     "Middleware",
     "MiddlewareConfig",

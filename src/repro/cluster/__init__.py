@@ -1,6 +1,6 @@
 """Cluster substrate: nodes hosting DBMS instances on a simulated LAN."""
 
 from .cluster import Cluster
-from .node import Node, NodeSpec
+from .node import NodeSpec
 
-__all__ = ["Cluster", "Node", "NodeSpec"]
+__all__ = ["Cluster", "NodeSpec"]

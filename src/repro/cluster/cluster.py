@@ -1,8 +1,8 @@
-"""Cluster assembly: nodes + network + tenant placement."""
+"""Cluster assembly: nodes + network."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import RoutingError
 from ..net.network import Network, NetworkSpec
@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Cluster:
-    """A set of nodes on one LAN, with tenant lookup helpers."""
+    """A set of nodes on one LAN."""
 
     def __init__(self, env: "Environment",
                  network_spec: Optional[NetworkSpec] = None):
@@ -37,25 +37,3 @@ class Cluster:
         if node is None:
             raise RoutingError("unknown node %r" % name)
         return node
-
-    def node_of_tenant(self, tenant_name: str) -> Node:
-        """The node currently hosting ``tenant_name``."""
-        hosts: List[Node] = [n for n in self.nodes.values()
-                             if n.hosts(tenant_name)]
-        if not hosts:
-            raise RoutingError("no node hosts tenant %r" % tenant_name)
-        if len(hosts) > 1:
-            # During migration both master and slave copies exist; routing
-            # must go through the middleware's router, not this helper.
-            raise RoutingError("tenant %r is hosted on %d nodes; use the "
-                               "middleware router during migration"
-                               % (tenant_name, len(hosts)))
-        return hosts[0]
-
-    def tenant_placement(self) -> Dict[str, str]:
-        """tenant name -> node name for all singly-hosted tenants."""
-        placement: Dict[str, str] = {}
-        for node in self.nodes.values():
-            for tenant_name in node.instance.tenants:
-                placement.setdefault(tenant_name, node.name)
-        return placement

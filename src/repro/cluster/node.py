@@ -7,11 +7,10 @@ operations to the node that owns their tenant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from ..engine.checkpoint import CheckpointSpec
-from ..engine.disk import DiskSpec
 from ..engine.instance import DbmsInstance, Observer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,14 +19,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class NodeSpec:
-    """Hardware/software configuration of one node.
+    """Software configuration of one node.
 
-    Defaults mirror the paper's testbed: one 4-core Xeon E3-1220 and one
-    SATA HDD per machine.
+    The hardware is the paper's testbed on every node: one 4-core Xeon
+    E3-1220 (:data:`repro.engine.instance.CPU_CORES`) and one SATA HDD
+    (a default :class:`~repro.engine.disk.DiskSpec`).
     """
 
-    cpu_cores: int = 4
-    disk: DiskSpec = field(default_factory=DiskSpec)
     checkpoint: Optional[CheckpointSpec] = None
 
 
@@ -42,19 +40,9 @@ class Node:
         self.spec = spec or NodeSpec()
         self.instance = DbmsInstance(
             env, name,
-            cpu_cores=self.spec.cpu_cores,
-            disk_spec=self.spec.disk,
             checkpoint_spec=self.spec.checkpoint,
             observer=observer,
         )
-
-    def tenants(self) -> Dict[str, object]:
-        """The tenant databases hosted on this node."""
-        return dict(self.instance.tenants)
-
-    def hosts(self, tenant_name: str) -> bool:
-        """Whether this node hosts ``tenant_name``."""
-        return self.instance.has_tenant(tenant_name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Node %s tenants=%s>" % (self.name,

@@ -11,9 +11,8 @@ so each is testable alone.
 """
 
 from .detector import HotspotDetector
-from .planner import PlannedMove, Planner
+from .planner import Planner
 from .rebalancer import (
-    MoveRecord,
     RebalanceOptions,
     RebalanceReport,
     Rebalancer,
@@ -24,8 +23,6 @@ __all__ = [
     "ClusterView",
     "HotspotDetector",
     "LoadWatcher",
-    "MoveRecord",
-    "PlannedMove",
     "Planner",
     "RebalanceOptions",
     "RebalanceReport",

@@ -24,9 +24,11 @@ trace alone:
   observed cost, for the predicted-vs-observed error the report
   carries.
 
-All knobs live on :class:`RebalanceOptions`, each with its default
-beside it; how one move migrates is its ``migration`` field, a
-:class:`~repro.core.middleware.MigrationOptions`.
+The settable knobs live on :class:`RebalanceOptions`, each with its
+default beside it; how one move migrates is its ``migration`` field, a
+:class:`~repro.core.middleware.MigrationOptions`.  The sampling and
+planning cadence (:data:`SAMPLE_INTERVAL`, :data:`DECIDE_EVERY`) are
+module constants.
 """
 
 from __future__ import annotations
@@ -47,17 +49,19 @@ from .planner import PlannedMove, Planner
 from .watcher import ClusterView, LoadWatcher
 
 
+#: Sim seconds between load samples.
+SAMPLE_INTERVAL = 1.0
+#: Planning cadence: decide every N samples.
+DECIDE_EVERY = 2
+
+
 @dataclass(frozen=True)
 class RebalanceOptions:
     """Per-rebalancer knobs; callers name only what they change."""
 
     # -- sensing -------------------------------------------------------
-    #: Sim seconds between load samples.
-    sample_interval: float = 1.0
     #: Samples in the rolling rate window.
     window: int = 5
-    #: Planning cadence: decide every N samples.
-    decide_every: int = 2
     # -- hotspot detection / planning ----------------------------------
     #: Sim seconds a node (after cooling) and a tenant (after moving)
     #: are left alone — the anti-ping-pong dwell.
@@ -67,12 +71,8 @@ class RebalanceOptions:
     migration: MigrationOptions = MigrationOptions(resume=True)
 
     def __post_init__(self) -> None:
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.decide_every < 1:
-            raise ValueError("decide_every must be >= 1")
 
 
 @dataclass
@@ -118,16 +118,6 @@ class RebalanceReport:
     moves: List[MoveRecord] = field(default_factory=list)
     #: The underlying scheduler's report (set by :meth:`Rebalancer.stop`).
     schedule: Optional[ScheduleReport] = None
-
-    @property
-    def moves_submitted(self) -> int:
-        """Moves handed to the scheduler."""
-        return len(self.moves)
-
-    @property
-    def moves_ok(self) -> int:
-        """Moves whose migration finished ok."""
-        return sum(1 for move in self.moves if move.outcome == "ok")
 
     @property
     def mean_cost_error(self) -> float:
@@ -178,11 +168,6 @@ class Rebalancer:
         self._settlers: List[Any] = []
 
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        """Whether the control loop is live."""
-        return self._running
-
     def in_flight(self) -> List[str]:
         """Tenants with a move currently in flight, sorted."""
         return sorted(self._in_flight)
@@ -199,17 +184,16 @@ class Rebalancer:
         self._running = True
         self.scheduler.start_service()
         self.report.started_at = self.env.now
-        opts = self.options
         samples_since_decide = 0
         while self._running:
-            yield self.env.timeout(opts.sample_interval)
+            yield self.env.timeout(SAMPLE_INTERVAL)
             if not self._running:
                 break
             view = self.watcher.sample_once()
             hot = self.detector.observe(view)
             self.report.samples += 1
             samples_since_decide += 1
-            if samples_since_decide >= opts.decide_every:
+            if samples_since_decide >= DECIDE_EVERY:
                 samples_since_decide = 0
                 self._decide(view, hot)
 

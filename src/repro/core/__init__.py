@@ -7,32 +7,24 @@ migration manager, and the three baseline policies of Table 2.
 """
 
 from .middleware import (
-    Connection,
     Middleware,
     MiddlewareConfig,
     MigrationOptions,
-    MigrationReport,
-    TenantState,
 )
 from .operations import Operation, OpKind, TxnTracker
-from .pipeline import ChangeTap, ChunkFeed, ChunkReader
+from .pipeline import ChunkFeed
 from .policy import (
     ALL_POLICIES,
     B_ALL,
     B_CON,
     B_MIN,
     MADEUS,
-    PropagationPolicy,
     feature_matrix,
     policy_by_name,
 )
-from .propagation import Conductor, PropagationStats, SerialReplayer
 from .scheduler import (
-    SCHEDULE_POLICIES,
-    JobOutcome,
     MigrationScheduler,
     ScheduleOptions,
-    ScheduleReport,
 )
 from .region import (
     COMMIT_CLASS,
@@ -40,14 +32,13 @@ from .region import (
     CriticalRegion,
 )
 from .ssb import SyncsetBuffer, SyncsetList
-from .watermark import ChangeStreamApplier, SnapshotStrategy
+from .watermark import SnapshotStrategy
 from .theory import (
     NECESSARY_DEPENDENCIES,
     UNNECESSARY_DEPENDENCIES,
     DependencyType,
     HistoryRecorder,
     LsirValidator,
-    ReplayEvent,
     mapping_function_output,
     states_equal,
 )
@@ -58,38 +49,24 @@ __all__ = [
     "B_CON",
     "B_MIN",
     "COMMIT_CLASS",
-    "ChangeStreamApplier",
-    "ChangeTap",
     "ChunkFeed",
-    "ChunkReader",
-    "Conductor",
-    "Connection",
     "CriticalRegion",
     "DependencyType",
     "FIRST_READ_CLASS",
     "HistoryRecorder",
-    "JobOutcome",
     "LsirValidator",
     "MADEUS",
     "Middleware",
     "MiddlewareConfig",
     "MigrationOptions",
-    "MigrationReport",
     "MigrationScheduler",
     "NECESSARY_DEPENDENCIES",
     "OpKind",
     "Operation",
-    "PropagationPolicy",
-    "PropagationStats",
-    "ReplayEvent",
-    "SCHEDULE_POLICIES",
     "ScheduleOptions",
-    "ScheduleReport",
-    "SerialReplayer",
     "SnapshotStrategy",
     "SyncsetBuffer",
     "SyncsetList",
-    "TenantState",
     "TxnTracker",
     "UNNECESSARY_DEPENDENCIES",
     "feature_matrix",

@@ -128,11 +128,6 @@ class ChunkFeed:
         return reader
 
     @property
-    def emitted(self) -> int:
-        """Chunks the producer has emitted so far."""
-        return len(self._chunks)
-
-    @property
     def closed(self) -> bool:
         """Whether end-of-stream (or failure) has been signalled."""
         return self._closed or self._exc is not None
@@ -320,14 +315,13 @@ def serial_snapshot(run: "Migration",
 
     Dump the whole tenant, then ship + restore it whole on every node;
     the materialised snapshot outlives a failed ship and is re-sent.
+    :func:`~repro.engine.dump.dump` has no crash check, so a source
+    crash during it is seen after the fan-out, as phase ``restore``.
     """
     report, rates, tenant = run.report, run.opts.rates, run.tenant
     journal = run.journal
-    try:
-        snapshot = yield from dump(run.source_instance, tenant,
-                                   run.snapshot_csn, rates)
-    except NodeCrashed:
-        run.source_crashed("dump")
+    snapshot = yield from dump(run.source_instance, tenant,
+                               run.snapshot_csn, rates)
     report.snapshot_at = run.env.now
     report.snapshot_size_mb = snapshot.size_mb
     run.close_phase(dump_span, mts=report.mts, size_mb=snapshot.size_mb)
@@ -695,13 +689,6 @@ class ChangeTap:
                    for cursor in self._consumers.values()
                    if cursor.active]
         return max(pending) if pending else 0
-
-    @property
-    def drained(self) -> bool:
-        """Whether every active consumer replayed every record."""
-        return all(cursor.drained
-                   for cursor in self._consumers.values()
-                   if cursor.active)
 
     def window_keys(self, lo: TapMarker, hi: TapMarker
                     ) -> Set[Tuple[str, Hashable]]:

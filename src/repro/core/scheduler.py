@@ -164,11 +164,6 @@ class JobOutcome:
         """Sim time spent waiting for admission."""
         return self.started_at - self.submitted_at
 
-    @property
-    def duration(self) -> float:
-        """Sim time from admission to completion."""
-        return self.ended_at - self.started_at
-
 
 @dataclass
 class ScheduleReport:
@@ -270,10 +265,6 @@ class MigrationScheduler:
         self._pending: List[Tuple[str, str, Optional[MigrationOptions],
                                   Tuple[str, ...]]] = []
         self._session: Optional[_ScheduleSession] = None
-
-    @property
-    def _running(self) -> bool:
-        return self._session is not None
 
     # ------------------------------------------------------------------
     def submit(self, tenant: str, destination: str,

@@ -20,20 +20,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
 
 
+#: Dirty megabytes produced per committed update transaction.
+DIRTY_MB_PER_COMMIT = 0.02
+#: Minimum burst so even idle checkpoints are visible.
+MIN_BURST_MB = 4.0
+#: Chunk size per disk write; commits can interleave between chunks,
+#: producing a spike rather than a total stall.
+CHUNK_MB = 2.0
+
+
 @dataclass
 class CheckpointSpec:
-    """Checkpoint cadence and cost model."""
+    """Checkpoint cadence; the burst cost model is the constants above."""
 
     #: Seconds between checkpoint starts (PostgreSQL default: 300 s; the
     #: paper's runs show one near t=290 s).
     interval: float = 290.0
-    #: Dirty megabytes produced per committed update transaction.
-    dirty_mb_per_commit: float = 0.02
-    #: Minimum burst so even idle checkpoints are visible.
-    min_burst_mb: float = 4.0
-    #: Chunk size per disk write; commits can interleave between chunks,
-    #: producing a spike rather than a total stall.
-    chunk_mb: float = 2.0
 
 
 class Checkpointer:
@@ -81,7 +83,7 @@ class Checkpointer:
 
     def note_commit(self, count: int = 1) -> None:
         """Record dirty pages produced by ``count`` committed updates."""
-        self._dirty_mb += self.spec.dirty_mb_per_commit * count
+        self._dirty_mb += DIRTY_MB_PER_COMMIT * count
         if self._m_dirty is not None:
             self._m_dirty.set(self._dirty_mb)
 
@@ -94,7 +96,7 @@ class Checkpointer:
             yield self.env.timeout(self.spec.interval)
             if not self._running:
                 return
-            burst = max(self.spec.min_burst_mb, self._dirty_mb)
+            burst = max(MIN_BURST_MB, self._dirty_mb)
             self._dirty_mb = 0.0
             self.checkpoints += 1
             self.total_flushed_mb += burst
@@ -105,7 +107,7 @@ class Checkpointer:
             started = self.env.now
             remaining = burst
             while remaining > 0:
-                chunk = min(self.spec.chunk_mb, remaining)
+                chunk = min(CHUNK_MB, remaining)
                 yield from self.disk.write(chunk)
                 remaining -= chunk
             if self._m_count is not None:

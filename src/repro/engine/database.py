@@ -117,10 +117,6 @@ class TenantDatabase:
                               % (self.name, name))
         return table
 
-    def has_table(self, name: str) -> bool:
-        """Whether the tenant defines table ``name``."""
-        return name in self.tables
-
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Nominal on-disk size from row counts and schema widths."""

@@ -91,8 +91,3 @@ class Disk:
         self.stalls += 1
         self.stall_time += duration
         yield from self._occupy(duration)
-
-    @property
-    def queue_length(self) -> int:
-        """Requests currently waiting for the head."""
-        return self.head.queue_length

@@ -236,11 +236,6 @@ class SnapshotChunk:
     fixed_overhead_mb: float = 0.0
     size_multiplier: float = 1.0
 
-    @property
-    def final(self) -> bool:
-        """Whether this is the last chunk of the stream."""
-        return self.index == self.total - 1
-
 
 class SnapshotTruncated(RuntimeError):
     """The chunk stream ended before the final chunk arrived."""

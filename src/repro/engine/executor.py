@@ -21,7 +21,6 @@ from .database import Table, TenantDatabase
 from .mvcc import Row
 from .schema import TableSchema
 from .sqlmini import (
-    AlterTable,
     BinaryOp,
     ColumnRef,
     Comparison,
@@ -129,8 +128,6 @@ class Executor:
             return self._create_table(statement)
         if cls is CreateIndex:
             return self._create_index(statement)
-        if cls is AlterTable:
-            return self._alter_table(statement)
         raise SqlError("executor cannot run %r"
                        % statement.__class__.__name__)
 
@@ -336,7 +333,7 @@ class Executor:
         return ExecResult(affected=1)
 
     # ------------------------------------------------------------------
-    # DDL (auto-committed; used by setup and the restore path)
+    # DDL (auto-committed; used by tenant setup)
     # ------------------------------------------------------------------
     def _create_table(self, statement: CreateTable) -> ExecResult:
         self.database.create_table(TableSchema(statement.table,
@@ -346,9 +343,4 @@ class Executor:
     def _create_index(self, statement: CreateIndex) -> ExecResult:
         table = self.database.table(statement.table)
         table.create_index(statement.name, statement.column)
-        return ExecResult(affected=0)
-
-    def _alter_table(self, statement: AlterTable) -> ExecResult:
-        table = self.database.table(statement.table)
-        table.schema.add_column(statement.column)
         return ExecResult(affected=0)

@@ -18,7 +18,7 @@ from ..sim.events import Event
 from ..sim.resources import Resource
 from .checkpoint import Checkpointer, CheckpointSpec
 from .database import TenantDatabase
-from .disk import Disk, DiskSpec
+from .disk import Disk
 from .executor import Executor
 from .transaction import Transaction, TxnStatus
 from .wal import WalWriter
@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ACTIVE = TxnStatus.ACTIVE
 
+
+#: CPU cores per instance: the paper's testbed node, one 4-core Xeon
+#: E3-1220 (its one SATA HDD is a default
+#: :class:`~repro.engine.disk.DiskSpec`).
+CPU_CORES = 4
 
 # The CPU service-time model, in simulated seconds.
 #: Base CPU held per statement (parse/plan/execute overhead) unless the
@@ -64,14 +69,12 @@ class DbmsInstance:
     """A DBMS process hosting many tenants on one node."""
 
     def __init__(self, env: "Environment", name: str,
-                 cpu_cores: int = 4,
-                 disk_spec: Optional[DiskSpec] = None,
                  checkpoint_spec: Optional[CheckpointSpec] = None,
                  observer: Optional[Observer] = None):
         self.env = env
         self.name = name
-        self.cpu = Resource(env, capacity=cpu_cores, name="%s.cpu" % name)
-        self.disk = Disk(env, disk_spec, name="%s.disk" % name)
+        self.cpu = Resource(env, capacity=CPU_CORES, name="%s.cpu" % name)
+        self.disk = Disk(env, name="%s.disk" % name)
         self.wal = WalWriter(env, self.disk, name="%s.wal" % name)
         self.checkpointer: Optional[Checkpointer] = None
         if checkpoint_spec is not None:

@@ -11,7 +11,6 @@ from typing import Any
 
 from ..errors import SqlError
 from .sqlmini import (
-    AlterTable,
     Begin,
     BinaryOp,
     ColumnRef,
@@ -105,9 +104,4 @@ def render(statement: Statement) -> str:
     if isinstance(statement, CreateIndex):
         return "CREATE INDEX %s ON %s (%s)" % (
             statement.name, statement.table, statement.column)
-    if isinstance(statement, AlterTable):
-        column = statement.column
-        return "ALTER TABLE %s ADD COLUMN %s %s%s" % (
-            statement.table, column.name, column.type_name,
-            " PRIMARY KEY" if column.primary_key else "")
     raise SqlError("cannot render statement %r" % (statement,))

@@ -62,26 +62,11 @@ class TableSchema:
         """Name of the primary-key column."""
         return self._primary_key
 
-    def has_column(self, name: str) -> bool:
-        """Whether the table defines column ``name``."""
-        return name in self._column_set
-
     def require_column(self, name: str) -> None:
         """Raise :class:`SchemaError` unless ``name`` is a column."""
         if name not in self._column_set:
             raise SchemaError("table %r has no column %r"
                               % (self.name, name))
-
-    def add_column(self, column: ColumnDef) -> None:
-        """ALTER TABLE ADD COLUMN support."""
-        if column.name in self._column_set:
-            raise SchemaError("column %r already exists in %r"
-                              % (column.name, self.name))
-        if column.primary_key:
-            raise SchemaError("cannot add a second primary key to %r"
-                              % self.name)
-        self.columns = self.columns + (column,)
-        self._column_set.add(column.name)
 
     def add_index(self, index_name: str, column: str) -> None:
         """CREATE INDEX support."""

@@ -3,8 +3,9 @@
 The real Madeus interposes on the libpq / JDBC wire protocols and parses
 each statement to classify it (first read / read / write / commit / abort)
 and to forward it verbatim to master and slave.  Our middleware does the
-same over this dialect, which covers what the TPC-W workload and the
-dump/restore path need:
+same over this dialect, which covers what the TPC-W and key-value
+workloads and tenant setup need (a restore builds its tables from the
+dumped schemas, not from DDL text):
 
 * ``BEGIN`` / ``COMMIT`` / ``ROLLBACK`` (``ABORT`` is a synonym)
 * ``SELECT cols FROM t WHERE conj [ORDER BY col [DESC]] [LIMIT n]``
@@ -13,7 +14,6 @@ dump/restore path need:
 * ``DELETE FROM t WHERE conj``
 * ``CREATE TABLE t (col TYPE [PRIMARY KEY], ...)``
 * ``CREATE INDEX name ON t (col)``
-* ``ALTER TABLE t ADD COLUMN col TYPE`` (used by the restore path)
 
 Expressions support literals (integer, float, single-quoted string, NULL),
 column references, and ``+ - *`` arithmetic.  ``WHERE`` clauses are
@@ -46,7 +46,7 @@ _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "ORDER", "BY", "DESC", "ASC", "LIMIT",
     "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "BEGIN", "COMMIT",
     "ROLLBACK", "ABORT", "CREATE", "TABLE", "INDEX", "ON", "PRIMARY", "KEY",
-    "ALTER", "ADD", "COLUMN", "NULL",
+    "NULL",
 }
 
 _PUNCT = {"(", ")", ",", "*", "=", "<", ">", "+", "-", "<=", ">=", "!=", "<>"}
@@ -245,16 +245,8 @@ class CreateIndex:
     column: str
 
 
-@dataclass(frozen=True)
-class AlterTable:
-    """ALTER TABLE ... ADD COLUMN (restore path uses this)."""
-
-    table: str
-    column: ColumnDef
-
-
 Statement = Union[Select, Insert, Update, Delete, Begin, Commit, Rollback,
-                  CreateTable, CreateIndex, AlterTable]
+                  CreateTable, CreateIndex]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +384,6 @@ class _Parser:
             "ROLLBACK": self._rollback,
             "ABORT": self._rollback,
             "CREATE": self._create,
-            "ALTER": self._alter,
         }
         handler = handlers.get(token.text)
         if handler is None:
@@ -508,14 +499,6 @@ class _Parser:
             return CreateIndex(name, table, column)
         raise SqlError("expected TABLE or INDEX after CREATE in %r"
                        % self.sql)
-
-    def _alter(self) -> AlterTable:
-        self._expect_keyword("ALTER")
-        self._expect_keyword("TABLE")
-        table = self._expect_name()
-        self._expect_keyword("ADD")
-        self._accept_keyword("COLUMN")
-        return AlterTable(table, self._column_def())
 
     def _column_def(self) -> ColumnDef:
         name = self._expect_name()
@@ -690,7 +673,7 @@ parse.cache_clear = _cache_clear  # type: ignore[method-assign]
 
 #: Statement classes that modify data (INSERT/UPDATE/DELETE/DDL).
 _WRITE_TYPES = frozenset((Insert, Update, Delete, CreateTable,
-                          CreateIndex, AlterTable))
+                          CreateIndex))
 
 
 def is_write_statement(statement: Statement) -> bool:

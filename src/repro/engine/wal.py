@@ -52,7 +52,6 @@ class WalWriter:
         self._pending: List[Event] = []
         self._inflight: List[Event] = []
         self._wakeup: Optional[Event] = None
-        self._running = True
         # statistics
         self.commit_count = 0
         self.flush_count = 0
@@ -92,12 +91,6 @@ class WalWriter:
             self._wakeup.succeed()
         return done
 
-    def stop(self) -> None:
-        """Shut the flusher down (used by tests)."""
-        self._running = False
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-
     def crash(self, exc: BaseException) -> None:
         """Fail every queued (unflushed) commit with ``exc``.
 
@@ -113,7 +106,7 @@ class WalWriter:
 
     # ------------------------------------------------------------------
     def _flusher(self) -> Generator:
-        while self._running:
+        while True:
             if not self._pending:
                 self._wakeup = Event(self.env)
                 yield self._wakeup

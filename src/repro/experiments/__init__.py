@@ -30,8 +30,7 @@ audit (:func:`repro.workload.simplekv.run_kv_clients` /
 writer; each supplies only its fleet shape, load shape and report.
 """
 
-from .common import Report, TenantSetup, Testbed, build_testbed
-from .profiles import PAPER, PROFILES, QUICK, SMOKE, Profile, get_profile
+from .common import TenantSetup, build_testbed
+from .profiles import SMOKE, get_profile
 
-__all__ = ["PAPER", "PROFILES", "QUICK", "SMOKE", "Profile", "Report",
-           "TenantSetup", "Testbed", "build_testbed", "get_profile"]
+__all__ = ["SMOKE", "TenantSetup", "build_testbed", "get_profile"]

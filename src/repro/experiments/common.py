@@ -447,8 +447,7 @@ def build_testbed(profile: Profile,
         testbed.contexts[setup.name] = ctx
         config = EbConfig(ebs=profile.ebs(setup.paper_ebs),
                           mix=setup.mix,
-                          think_time=profile.think_time,
-                          cpu_scale=profile.cpu_scale)
+                          think_time=profile.think_time)
         # zlib.crc32 is stable across processes (hash() is salted).
         testbed.metrics[setup.name] = start_tenant_load(
             env, middleware, setup.name, ctx, config,

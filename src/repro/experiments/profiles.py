@@ -34,11 +34,6 @@ class Profile:
     eb_scale: float
     #: Mean EB think time in seconds (spec: 7 s).
     think_time: float
-    #: CPU cost scale placing the Figure-5 knee: 1.35 puts the 2-second
-    #: threshold between 600 and 700 paper-EBs with the network's
-    #: ``coalesce_hops`` off; with it on (the default) 700 EBs reads
-    #: 8 % lower, just under the threshold.
-    cpu_scale: float
     #: Multiplier applied to paper database sizes.
     size_scale: float
     #: Fraction of nominal row counts actually materialised.
@@ -66,7 +61,6 @@ PAPER = Profile(
     name="paper",
     eb_scale=1.0,
     think_time=7.0,
-    cpu_scale=1.35,
     size_scale=1.0,
     row_scale=0.005,
     time_scale=1.0,
@@ -81,7 +75,6 @@ QUICK = Profile(
     name="quick",
     eb_scale=0.1,
     think_time=0.7,
-    cpu_scale=1.35,
     size_scale=0.125,
     row_scale=0.005,
     time_scale=0.125,
@@ -97,7 +90,6 @@ SMOKE = Profile(
     name="smoke",
     eb_scale=0.05,
     think_time=0.35,
-    cpu_scale=1.35,
     size_scale=0.02,
     row_scale=0.002,
     time_scale=0.03,

@@ -12,26 +12,12 @@ correlated bursts) instead of staging them by hand.
 from .generate import FailureModel, generate_plan
 from .injector import FaultInjector
 from .plan import (
-    AFTER_EVENTS,
-    BANDWIDTH,
-    CRASH,
-    DISK_STALL,
-    FAULT_KINDS,
-    LATENCY,
-    LINK_DOWN,
     ROUTER_CRASH,
     FaultPlan,
     FaultSpec,
 )
 
 __all__ = [
-    "AFTER_EVENTS",
-    "BANDWIDTH",
-    "CRASH",
-    "DISK_STALL",
-    "FAULT_KINDS",
-    "LATENCY",
-    "LINK_DOWN",
     "ROUTER_CRASH",
     "FailureModel",
     "FaultInjector",

@@ -1,14 +1,7 @@
-"""Metrics: time-series probes, report formatting, and instruments.
+"""Metrics: report formatting for the experiment harness.
 
-The structured counter/gauge/histogram instruments live in
-:mod:`repro.obs.metrics`; they are re-exported here because this is the
-layer experiment code reaches for when it wants numbers out of a run.
+:mod:`repro.metrics.report` renders the tables and series the paper's
+figures report.  The time-series probes those series come from are
+:mod:`repro.sim.monitor`, and the counter/gauge/histogram instruments
+are :mod:`repro.obs.metrics`; import each from its defining module.
 """
-
-from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from ..sim.monitor import CounterSeries, SampleSeries
-from .report import format_series, format_table, shape_note, sparkline
-
-__all__ = ["Counter", "CounterSeries", "Gauge", "Histogram",
-           "MetricsRegistry", "SampleSeries", "format_series",
-           "format_table", "shape_note", "sparkline"]

@@ -81,11 +81,3 @@ def sparkline(points: Sequence[Tuple[float, float]], width: int = 72) -> str:
     glyphs = " .:-=+*#%@"
     return "".join(glyphs[min(9, int((v - low) / span * 9.999))]
                    for v in values)
-
-
-def shape_note(measured: float, paper: float, label: str) -> str:
-    """One-line paper-vs-measured comparison with the ratio."""
-    if paper == 0:
-        return "%s: measured %.3g (paper: 0)" % (label, measured)
-    return ("%s: measured %.3g vs paper %.3g (x%.2f)"
-            % (label, measured, paper, measured / paper))

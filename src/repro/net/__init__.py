@@ -1,5 +1,5 @@
 """Simulated cluster network (1-GbE-style LAN)."""
 
-from .network import LinkPort, Network, NetworkSpec
+from .network import Network, NetworkSpec
 
-__all__ = ["LinkPort", "Network", "NetworkSpec"]
+__all__ = ["Network", "NetworkSpec"]

@@ -10,28 +10,9 @@ The subsystem is deliberately tiny and dependency-free:
 * :mod:`repro.obs.timeline` renders parsed traces for ``repro trace``.
 """
 
-from .export import (
-    FORMAT_VERSION,
-    TraceData,
-    read_trace,
-    trace_records,
-    write_trace,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .trace import (
-    MIGRATION,
-    PHASE,
-    PHASE_ORDER,
-    ROUND,
-    SPAN,
-    Span,
-    TraceEvent,
-    Tracer,
-    check_phase_order,
-)
+from .export import read_trace, write_trace
+from .metrics import MetricsRegistry
+from .trace import Tracer, check_phase_order
 
-__all__ = ["Counter", "FORMAT_VERSION", "Gauge", "Histogram",
-           "MetricsRegistry", "MIGRATION", "PHASE", "PHASE_ORDER",
-           "ROUND", "SPAN", "Span", "TraceData", "TraceEvent", "Tracer",
-           "check_phase_order", "read_trace", "trace_records",
+__all__ = ["MetricsRegistry", "Tracer", "check_phase_order", "read_trace",
            "write_trace"]

@@ -193,42 +193,21 @@ class MetricsRegistry:
         """The instrument called ``name``, if it exists."""
         return self._instruments.get(name)
 
-    def snapshot(self) -> Dict[str, float]:
-        """A point-in-time flat ``{name: value}`` mapping.
-
-        The stable read API (with :meth:`gauge_value`) for code built on
-        top of the registry — the LoadWatcher, dashboards, tests —
-        instead of reaching into instrument internals.  Counters and
-        gauges contribute their current value; histograms contribute
-        their mean.  The full per-instrument records (high-water marks,
-        sample counts) stay available via :meth:`get` /
-        ``instrument.to_dict()`` and the trace export.
-        """
-        flat: Dict[str, float] = {}
-        for name in self.names():
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                flat[name] = instrument.mean
-            else:
-                flat[name] = instrument.value
-        return flat
-
     def gauge_value(self, name: str, default: float = 0.0) -> float:
         """The current value of ``name``, or ``default`` when absent.
 
-        Reads any instrument that carries a point value (gauges and
-        counters); a histogram — which has no single current value —
-        also yields ``default``.  Never creates the instrument, so
-        sampling loops can probe names that may not exist yet without
-        polluting the registry.
+        The stable read API (with :meth:`get`, which returns the whole
+        instrument) for code built on top of the registry — the
+        LoadWatcher, dashboards, tests.  Reads any instrument that
+        carries a point value (gauges and counters); a histogram —
+        which has no single current value — also yields ``default``.
+        Never creates the instrument, so sampling loops can probe names
+        that may not exist yet without polluting the registry.
         """
         instrument = self._instruments.get(name)
         if instrument is None or isinstance(instrument, Histogram):
             return default
         return instrument.value
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments

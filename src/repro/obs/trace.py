@@ -124,11 +124,6 @@ class Tracer:
         self._next_id = 1
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """The tracer's current clock reading."""
-        return self._clock()
-
     def _full(self) -> bool:
         return len(self.spans) + len(self.events) >= self.max_records
 

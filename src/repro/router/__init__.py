@@ -20,12 +20,11 @@ stale routing entries are detected against the handover journal and
 retried rather than silently misrouted.
 """
 
-from .shard import RouterConfig, RouterConnection, RouterShard
+from .shard import RouterConfig, RouterShard
 from .fleet import RouterFleet
 
 __all__ = [
     "RouterConfig",
-    "RouterConnection",
     "RouterShard",
     "RouterFleet",
 ]

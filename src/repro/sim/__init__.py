@@ -7,10 +7,10 @@ time-series monitors.
 """
 
 from .core import Environment, Process
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout
+from .events import AllOf, Event, Interrupt, Timeout
 from .monitor import CounterSeries, SampleSeries
 from .rand import RandomStream, StreamFactory
-from .resources import Request, Resource
+from .resources import Resource
 from .sync import (
     CLOSED,
     Channel,
@@ -22,7 +22,6 @@ from .sync import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CLOSED",
     "Channel",
     "CountdownLatch",
@@ -33,7 +32,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStream",
-    "Request",
     "Resource",
     "SampleSeries",
     "Semaphore",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 class SampleSeries:
@@ -41,31 +41,6 @@ class SampleSeries:
         window = self.values[lo:hi]
         return sum(window) / len(window)
 
-    def maximum(self, start: float = -math.inf,
-                end: float = math.inf) -> float:
-        """Max value over ``[start, end)``, 0 if empty."""
-        lo = bisect.bisect_left(self.times, start)
-        hi = bisect.bisect_left(self.times, end)
-        if hi <= lo:
-            return 0.0
-        return max(self.values[lo:hi])
-
-    def percentile(self, q: float, start: float = -math.inf,
-                   end: float = math.inf) -> float:
-        """The ``q``-th percentile (0-100) over ``[start, end)``."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        lo = bisect.bisect_left(self.times, start)
-        hi = bisect.bisect_left(self.times, end)
-        window = sorted(self.values[lo:hi])
-        if not window:
-            return 0.0
-        rank = (q / 100.0) * (len(window) - 1)
-        low_idx = int(math.floor(rank))
-        high_idx = min(low_idx + 1, len(window) - 1)
-        frac = rank - low_idx
-        return window[low_idx] * (1 - frac) + window[high_idx] * frac
-
     def bucketed_mean(self, width: float, start: float = 0.0,
                       end: Optional[float] = None
                       ) -> List[Tuple[float, float]]:
@@ -93,9 +68,6 @@ class CounterSeries:
             raise ValueError("occurrences must arrive in time order")
         self.times.append(time)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def count(self, start: float = -math.inf, end: float = math.inf) -> int:
         """Occurrences with timestamp in ``[start, end)``."""
         lo = bisect.bisect_left(self.times, start)
@@ -120,10 +92,3 @@ class CounterSeries:
             buckets.append((t, self.rate(t, t + width)))
             t += width
         return buckets
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean, 0 for an empty sequence."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

@@ -48,10 +48,6 @@ class RandomStream:
         """Choice from ``items`` with the given relative weights."""
         return self._random.choices(items, weights=weights, k=1)[0]
 
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(seq)
-
 
 class StreamFactory:
     """Derives independent :class:`RandomStream` objects from a root seed.

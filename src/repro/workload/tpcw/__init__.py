@@ -4,17 +4,11 @@ emulated browsers."""
 from .browser import EbConfig, TenantMetrics, start_tenant_load
 from .interactions import INTERACTIONS, EbState, IdAllocator, TpcwContext
 from .mixes import (
-    BROWSING_MIX,
-    MIXES,
-    ORDERING_MIX,
-    SHOPPING_MIX,
     UPDATE_INTERACTIONS,
     mix_weights,
     update_fraction,
 )
 from .population import (
-    CUSTOMERS_PER_EB,
-    FIXED_OVERHEAD_MB,
     PAPER_TABLE3,
     PopulationParams,
     nominal_database_size_mb,
@@ -23,10 +17,9 @@ from .population import (
 from .schema import all_schemas
 
 __all__ = [
-    "BROWSING_MIX", "CUSTOMERS_PER_EB", "EbConfig", "EbState",
-    "FIXED_OVERHEAD_MB", "INTERACTIONS", "IdAllocator", "MIXES",
-    "ORDERING_MIX", "PAPER_TABLE3", "PopulationParams", "SHOPPING_MIX",
-    "TenantMetrics", "TpcwContext", "UPDATE_INTERACTIONS", "all_schemas",
-    "mix_weights", "nominal_database_size_mb", "populate",
-    "start_tenant_load", "update_fraction",
+    "EbConfig", "EbState", "INTERACTIONS", "IdAllocator", "PAPER_TABLE3",
+    "PopulationParams", "TenantMetrics", "TpcwContext",
+    "UPDATE_INTERACTIONS", "all_schemas", "mix_weights",
+    "nominal_database_size_mb", "populate", "start_tenant_load",
+    "update_fraction",
 ]

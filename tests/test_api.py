@@ -22,7 +22,8 @@ from repro.workload.simplekv import setup_kv_tenant
 
 RATES = TransferRates(dump_mb_s=8.0, restore_mb_s=4.0, base_mb=16.0)
 
-FACADE_NAMES = ("ClusterView", "MetricsRegistry", "Middleware",
+FACADE_NAMES = ("Cluster", "ClusterView", "Environment",
+                "MetricsRegistry", "Middleware",
                 "MiddlewareConfig", "MigrationOptions",
                 "MigrationReport", "MigrationScheduler",
                 "QuantileHistogram", "RebalanceOptions",
@@ -75,12 +76,20 @@ RETIRED = {
         {"est_reads_per_txn": 2.0}, {"est_writes_per_txn": 2.0},
         {"fsync_latency": 0.005}, {"enter_ratio": 1.5},
         {"exit_ratio": 1.1}, {"sustain": 2},
-        {"max_concurrent_moves": 2}),
+        {"max_concurrent_moves": 2}, {"sample_interval": 1.0},
+        {"decide_every": 2}),
     # Callables outside the four options classes: "Class" or
     # "Class.method" under ``repro`` (dotted module path), with the
     # positional arguments the call needs to get as far as its keywords.
-    "cluster.NodeSpec": ({"group_commit": True},),
-    "engine.DbmsInstance": ({"group_commit": True},),
+    "cluster.NodeSpec": ({"group_commit": True}, {"cpu_cores": 4},
+                         {"disk": None}),
+    "engine.DbmsInstance": ({"group_commit": True}, {"cpu_cores": 4},
+                            {"disk_spec": None}),
+    "engine.checkpoint.CheckpointSpec": (
+        {"dirty_mb_per_commit": 0.02}, {"min_burst_mb": 4.0},
+        {"chunk_mb": 2.0}),
+    "experiments.profiles.Profile": ({"cpu_scale": 1.35},),
+    "workload.tpcw.EbConfig": ({"cpu_scale": 1.0},),
     "engine.DbmsInstance.bind_obs": ({"prefix": "n"},),
     "core.Middleware": ({"tracer": None}, {"metrics": None}),
     "router.RouterFleet": ({"tracer": None}, {"metrics": None}),
@@ -111,11 +120,10 @@ def _field_names(cls):
 #: *Spec / *Params / *Rates`` dataclass under ``repro``.  A new knob is
 #: a diff of this literal (and of the ledger's count).
 KNOB_CENSUS = {
-    "CheckpointSpec": ["interval", "dirty_mb_per_commit", "min_burst_mb",
-                       "chunk_mb"],
+    "CheckpointSpec": ["interval"],
     "DiskSpec": ["fsync_latency", "seek_latency", "read_bandwidth_mb_s",
                  "write_bandwidth_mb_s"],
-    "EbConfig": ["ebs", "mix", "think_time", "cpu_scale"],
+    "EbConfig": ["ebs", "mix", "think_time"],
     "FailureModel": ["node_mtbf", "node_mttr", "link_mtbf", "link_mttr",
                      "degrade_mtbf", "degrade_mttr", "degrade_factor",
                      "disk_stall_mtbf", "disk_stall_mttr", "router_mtbf",
@@ -134,13 +142,12 @@ KNOB_CENSUS = {
                          "divergence_interval", "divergence_window",
                          "divergence_min_growth", "resume"],
     "NetworkSpec": ["latency", "bandwidth_mb_s"],
-    "NodeSpec": ["cpu_cores", "disk", "checkpoint"],
+    "NodeSpec": ["checkpoint"],
     "PopulationParams": ["items", "ebs", "row_scale"],
-    "Profile": ["name", "eb_scale", "think_time", "cpu_scale",
-                "size_scale", "row_scale", "time_scale", "rates",
-                "catchup_deadline", "seed"],
-    "RebalanceOptions": ["sample_interval", "window", "decide_every",
-                         "cooldown", "migration"],
+    "Profile": ["name", "eb_scale", "think_time", "size_scale",
+                "row_scale", "time_scale", "rates", "catchup_deadline",
+                "seed"],
+    "RebalanceOptions": ["window", "cooldown", "migration"],
     "RouterConfig": ["park_capacity", "park_timeout", "retry_base",
                      "retry_cap"],
     "ScheduleOptions": ["policy", "max_concurrent", "migration",
@@ -163,7 +170,7 @@ def test_knob_census():
                     and census_name.search(name)):
                 found[name] = [f.name for f in dataclasses.fields(obj)]
     assert found == KNOB_CENSUS
-    assert sum(len(knobs) for knobs in found.values()) == 99
+    assert sum(len(knobs) for knobs in found.values()) == 90
 
 
 class TestFacade:
@@ -207,20 +214,27 @@ class TestFacade:
 
     def test_top_level_package_reexports_options(self):
         assert repro.MigrationOptions is MigrationOptions
-        assert "MigrationOptions" in repro.__all__
-        assert "MigrationScheduler" in repro.__all__
-        assert "ScheduleOptions" in repro.__all__
-        for name in ("Rebalancer", "RebalanceOptions",
-                     "RebalanceReport", "ClusterView", "LoadWatcher",
-                     "HotspotDetector"):
+        for name in ("MigrationOptions", "MigrationScheduler",
+                     "ScheduleOptions", "Rebalancer", "RebalanceOptions",
+                     "RebalanceReport", "ClusterView", "Cluster",
+                     "Environment"):
             assert name in repro.__all__, name
-            assert hasattr(repro, name), name
+            assert getattr(repro, name) is getattr(repro.api, name), name
+        # Removed in 4.0.0: importable from their defining modules only.
+        for name in ("LoadWatcher", "HotspotDetector", "MADEUS",
+                     "FaultPlan", "Tracer", "parse", "ReproError"):
+            assert name not in repro.__all__, name
 
     def test_top_level_all_is_sorted_and_resolvable(self):
+        # The top level is the facade: repro.api's names plus the
+        # version, one list.
+        assert sorted(repro.__all__) == sorted(
+            [*repro.api.__all__, "__version__"])
         names = [n for n in repro.__all__ if n != "__version__"]
         assert names == sorted(names)
         for name in names:
-            assert hasattr(repro, name), name
+            assert getattr(repro, name) is getattr(repro.api, name), name
+        assert repro.__version__ == "4.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS
@@ -262,6 +276,8 @@ class TestUnifiedKnobNames:
         name, retired = case
         target = repro.api if name in FOUR else repro
         for part in name.split("."):
+            if not hasattr(target, part):  # a submodule not yet imported
+                importlib.import_module("%s.%s" % (target.__name__, part))
             target = getattr(target, part)
         with pytest.raises(TypeError, match="unexpected keyword"):
             target(*POSITIONAL.get(name, ()), **retired)
@@ -435,14 +451,12 @@ class TestRebalanceOptions:
     def test_defaults_are_readable_without_a_call(self):
         from repro.api import RebalanceOptions
         options = RebalanceOptions()
-        assert (options.sample_interval, options.window,
-                options.decide_every) == (1.0, 5, 2)
+        assert options.window == 5
         assert options.cooldown == 30.0
         assert options.migration == MigrationOptions(resume=True)
 
-    @pytest.mark.parametrize("bad", [
-        {"sample_interval": 0.0}, {"window": 0}, {"decide_every": 0}],
-        ids=lambda bad: next(iter(bad)))
+    @pytest.mark.parametrize("bad", [{"window": 0}],
+                             ids=lambda bad: next(iter(bad)))
     def test_out_of_range_values_raise_at_construction(self, bad):
         from repro.api import RebalanceOptions
         with pytest.raises(ValueError, match=next(iter(bad))):

@@ -21,7 +21,6 @@ class TestRenderer:
         "DELETE FROM t WHERE k = 9",
         "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)",
         "CREATE INDEX idx ON t (v)",
-        "ALTER TABLE t ADD COLUMN extra INT",
     ])
     def test_roundtrip_examples(self, sql):
         statement = parse(sql)

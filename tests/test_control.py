@@ -19,6 +19,7 @@ from repro.control import (
     Rebalancer,
     imbalance_coefficient,
 )
+from repro.control.planner import PlannedMove
 from repro.core import (
     MADEUS,
     Middleware,
@@ -353,26 +354,28 @@ class TestLoadWatcher:
             LoadWatcher(middleware, window=0)
 
 
+def _service_bed():
+    """Three nodes; kv tenants A and B on node0."""
+    env = Environment()
+    cluster = Cluster(env)
+    for name in ("node0", "node1", "node2"):
+        cluster.add_node(name)
+    middleware = Middleware(env, cluster, MiddlewareConfig(
+        policy=MADEUS, verify_consistency=True))
+
+    def setup(env):
+        for tenant in ("A", "B"):
+            yield from setup_kv_tenant(
+                cluster.node("node0").instance, tenant, 6)
+            middleware.register_tenant(tenant, "node0")
+    env.process(setup(env))
+    env.run()
+    return env, middleware
+
+
 class TestServiceModeScheduler:
-    def _bed(self):
-        env = Environment()
-        cluster = Cluster(env)
-        for name in ("node0", "node1", "node2"):
-            cluster.add_node(name)
-        middleware = Middleware(env, cluster, MiddlewareConfig(
-            policy=MADEUS, verify_consistency=True))
-
-        def setup(env):
-            for tenant in ("A", "B"):
-                yield from setup_kv_tenant(
-                    cluster.node("node0").instance, tenant, 6)
-                middleware.register_tenant(tenant, "node0")
-        env.process(setup(env))
-        env.run()
-        return env, middleware
-
     def test_submit_returns_player_and_outcome(self):
-        env, middleware = self._bed()
+        env, middleware = _service_bed()
         scheduler = MigrationScheduler(middleware, ScheduleOptions(
             migration=MigrationOptions(rates=RATES)))
         scheduler.start_service()
@@ -393,7 +396,7 @@ class TestServiceModeScheduler:
         assert not scheduler.service_open
 
     def test_jobs_submitted_while_draining_are_awaited(self):
-        env, middleware = self._bed()
+        env, middleware = _service_bed()
         scheduler = MigrationScheduler(middleware, ScheduleOptions(
             migration=MigrationOptions(rates=RATES)))
         scheduler.start_service()
@@ -414,26 +417,55 @@ class TestServiceModeScheduler:
         assert middleware.route("B") == "node2"
 
     def test_service_over_pending_batch_is_rejected(self):
-        env, middleware = self._bed()
+        env, middleware = _service_bed()
         scheduler = MigrationScheduler(middleware)
         scheduler.submit("A", "node1")
         with pytest.raises(MigrationError):
             scheduler.start_service()
 
     def test_stop_without_service_is_rejected(self):
-        env, middleware = self._bed()
+        env, middleware = _service_bed()
         scheduler = MigrationScheduler(middleware)
         with pytest.raises(MigrationError):
             next(scheduler.stop_service())
 
     def test_batch_run_still_queues_and_returns_none(self):
-        env, middleware = self._bed()
+        env, middleware = _service_bed()
         scheduler = MigrationScheduler(middleware, ScheduleOptions(
             migration=MigrationOptions(rates=RATES)))
         assert scheduler.submit("A", "node1") is None
         proc = env.process(scheduler.run())
         env.run()
         assert proc.value.ok_count == 1
+
+
+class TestRebalancerSettle:
+    def test_dead_destination_is_excluded_fleet_wide(self):
+        """A move whose destination dies bars that node as a target
+        for the planner's next rounds, not only for the one job."""
+        env, middleware = _service_bed()
+        middleware.cluster.node("node0").instance.tenant(
+            "A").fixed_overhead_mb = 8.0
+        rebalancer = Rebalancer(middleware, RebalanceOptions(
+            migration=MigrationOptions(rates=RATES, resume=True)))
+        rebalancer.scheduler.start_service()
+        rebalancer._submit(PlannedMove(
+            tenant="A", source="node0", destination="node1", rate=1.0,
+            size_mb=8.0, predicted_cost=1.0))
+        destination = middleware.cluster.node("node1").instance
+
+        def crasher(env):
+            yield env.timeout(0.5)   # inside the ~1 s dump
+            destination.crash()
+        env.process(crasher(env))
+        env.run()
+        record = rebalancer.report.moves[0]
+        assert record.outcome == "failed"
+        assert record.settled_at is not None
+        assert rebalancer.in_flight() == []
+        assert rebalancer.planner.is_excluded("node1", env.now)
+        assert not rebalancer.planner.is_excluded("node2", env.now)
+        assert middleware.route("A") == "node0"
 
 
 class TestStaticLoadStability:
@@ -466,8 +498,7 @@ class TestStaticLoadStability:
                     middleware.tenant_state(tenant).commits_seen += 5
         env.process(offered(env))
         rebalancer = Rebalancer(middleware, RebalanceOptions(
-            sample_interval=1.0, window=2, decide_every=2,
-            cooldown=5.0))
+            window=2, cooldown=5.0))
         rebalancer.start()
         env.run(until=30.0)
         holder = {}

@@ -5,7 +5,9 @@ import pytest
 from repro.cluster import Cluster, NodeSpec
 from repro.engine import DbmsInstance, Session, TransferRates, dump, \
     restore, restore_duration
+from repro.engine.checkpoint import CheckpointSpec
 from repro.engine.disk import DiskSpec
+from repro.engine.instance import CPU_CORES
 from repro.errors import RoutingError
 from repro.net.network import Network, NetworkSpec
 from repro.sim import Environment
@@ -236,35 +238,12 @@ class TestCluster:
         with pytest.raises(RoutingError):
             Cluster(env).node("ghost")
 
-    def test_node_of_tenant(self, env):
-        cluster = Cluster(env)
-        node = cluster.add_node("n0")
-        cluster.add_node("n1")
-        node.instance.create_tenant("A")
-        assert cluster.node_of_tenant("A") is node
-
-    def test_node_of_unknown_tenant_raises(self, env):
-        cluster = Cluster(env)
-        cluster.add_node("n0")
-        with pytest.raises(RoutingError):
-            cluster.node_of_tenant("ghost")
-
-    def test_dual_hosting_detected(self, env):
-        cluster = Cluster(env)
-        cluster.add_node("n0").instance.create_tenant("A")
-        cluster.add_node("n1").instance.create_tenant("A")
-        with pytest.raises(RoutingError, match="2 nodes"):
-            cluster.node_of_tenant("A")
-
-    def test_tenant_placement(self, env):
-        cluster = Cluster(env)
-        cluster.add_node("n0").instance.create_tenant("A")
-        cluster.add_node("n1").instance.create_tenant("B")
-        assert cluster.tenant_placement() == {"A": "n0", "B": "n1"}
-
     def test_node_spec_applied(self, env):
         cluster = Cluster(env)
-        spec = NodeSpec(cpu_cores=8, disk=DiskSpec(fsync_latency=0.123))
+        spec = NodeSpec(checkpoint=CheckpointSpec(interval=12.0))
         node = cluster.add_node("n0", spec)
-        assert node.instance.cpu.capacity == 8
-        assert node.instance.disk.spec.fsync_latency == 0.123
+        assert node.instance.checkpointer.spec.interval == 12.0
+        assert cluster.add_node("n1").instance.checkpointer is None
+        # the hardware is the paper's testbed on every node
+        assert node.instance.cpu.capacity == CPU_CORES == 4
+        assert node.instance.disk.spec == DiskSpec()

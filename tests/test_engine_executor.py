@@ -179,18 +179,6 @@ class TestDelete:
 
 
 class TestDdlThroughSession:
-    def test_alter_table_add_column(self, env, instance):
-        session = Session(instance, "T")
-
-        def proc(env):
-            result = yield from session.execute(
-                "ALTER TABLE book ADD COLUMN note TEXT")
-            return result.ok
-        assert drive(env, proc(env))
-        result = _query(env, instance,
-                        "SELECT note FROM book WHERE id = 1")
-        assert result.rows[0]["note"] is None
-
     def test_create_index_backfills(self, env, instance):
         session = Session(instance, "T")
 

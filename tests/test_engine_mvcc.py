@@ -123,21 +123,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             schema.require_column("missing")
 
-    def test_add_column(self):
-        schema = _schema(ColumnDef("id", "INT", True))
-        schema.add_column(ColumnDef("extra", "TEXT"))
-        assert schema.has_column("extra")
-
-    def test_add_duplicate_column_rejected(self):
-        schema = _schema(ColumnDef("id", "INT", True))
-        with pytest.raises(SchemaError):
-            schema.add_column(ColumnDef("id", "INT"))
-
-    def test_add_second_primary_key_rejected(self):
-        schema = _schema(ColumnDef("id", "INT", True))
-        with pytest.raises(SchemaError):
-            schema.add_column(ColumnDef("id2", "INT", True))
-
     def test_add_index(self):
         schema = _schema(ColumnDef("id", "INT", True),
                          ColumnDef("c", "TEXT"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import checkpoint
 from repro.engine.checkpoint import Checkpointer, CheckpointSpec
 from repro.engine.disk import Disk, DiskSpec
 from repro.engine.wal import WalWriter
@@ -140,13 +141,20 @@ class TestGroupCommit:
         assert wal.mean_group_size == 0.0
 
 
+@pytest.fixture
+def burst_model(monkeypatch):
+    """Patch the checkpoint burst constants: 1 MB dirty per commit, a
+    2 MB minimum burst."""
+    monkeypatch.setattr(checkpoint, "DIRTY_MB_PER_COMMIT", 1.0)
+    monkeypatch.setattr(checkpoint, "MIN_BURST_MB", 2.0)
+
+
 class TestCheckpointerObs:
-    def test_bound_metrics_mirror_checkpoint_activity(self, env):
+    def test_bound_metrics_mirror_checkpoint_activity(self, env,
+                                                      burst_model):
         from repro.obs import MetricsRegistry, Tracer
         disk = Disk(env)
-        spec = CheckpointSpec(interval=10.0, dirty_mb_per_commit=1.0,
-                              min_burst_mb=2.0)
-        ckpt = Checkpointer(env, disk, spec)
+        ckpt = Checkpointer(env, disk, CheckpointSpec(interval=10.0))
         metrics = MetricsRegistry()
         tracer = Tracer(env)
         ckpt.bind_obs(metrics, "node0.checkpoint", tracer=tracer)
@@ -185,11 +193,9 @@ class TestCheckpointer:
         ckpt.stop()
         assert ckpt.checkpoints == 3
 
-    def test_burst_grows_with_dirty_pages(self, env):
+    def test_burst_grows_with_dirty_pages(self, env, burst_model):
         disk = Disk(env)
-        spec = CheckpointSpec(interval=10.0, dirty_mb_per_commit=1.0,
-                              min_burst_mb=2.0)
-        ckpt = Checkpointer(env, disk, spec)
+        ckpt = Checkpointer(env, disk, CheckpointSpec(interval=10.0))
         ckpt.note_commit(count=50)
         env.run(until=11)
         ckpt.stop()
@@ -198,22 +204,22 @@ class TestCheckpointer:
 
     def test_min_burst_applies_when_idle(self, env):
         disk = Disk(env)
-        spec = CheckpointSpec(interval=10.0, min_burst_mb=4.0)
-        ckpt = Checkpointer(env, disk, spec)
+        assert checkpoint.MIN_BURST_MB == 4.0
+        ckpt = Checkpointer(env, disk, CheckpointSpec(interval=10.0))
         env.run(until=11)
         ckpt.stop()
         env.run()
         assert ckpt.total_flushed_mb == pytest.approx(4.0)
 
-    def test_checkpoint_delays_concurrent_fsync(self, env):
+    def test_checkpoint_delays_concurrent_fsync(self, env, monkeypatch):
         """A commit arriving mid-checkpoint queues behind the burst —
         the latency 'whisker' of Figures 7/8."""
         disk = Disk(env, DiskSpec(fsync_latency=0.001,
                                   write_bandwidth_mb_s=10.0,
                                   seek_latency=0.0))
-        spec = CheckpointSpec(interval=1.0, min_burst_mb=10.0,
-                              chunk_mb=10.0)
-        ckpt = Checkpointer(env, disk, spec)
+        monkeypatch.setattr(checkpoint, "MIN_BURST_MB", 10.0)
+        monkeypatch.setattr(checkpoint, "CHUNK_MB", 10.0)
+        ckpt = Checkpointer(env, disk, CheckpointSpec(interval=1.0))
         wal = WalWriter(env, disk)
         times = []
 

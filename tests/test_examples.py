@@ -2,6 +2,7 @@
 ``DeprecationWarning`` an error: the examples are the documented call
 shapes of the public API, and nothing else in the suite runs them."""
 
+import ast
 import importlib.util
 import os
 import warnings
@@ -24,3 +25,18 @@ def test_example_runs(name, monkeypatch, capsys):
         spec.loader.exec_module(module)
         module.main()
     assert capsys.readouterr().out
+
+
+def test_examples_import_only_the_facade_from_the_top_level():
+    # What an example takes from ``repro`` itself is the public API;
+    # anything else is imported from the module that defines it.
+    import repro
+    for name in sorted(os.listdir(EXAMPLES)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(EXAMPLES, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro":
+                for alias in node.names:
+                    assert alias.name in repro.__all__, (name, alias.name)

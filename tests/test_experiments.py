@@ -53,8 +53,8 @@ class TestTestbedBuilder:
     def test_builds_nodes_and_tenants(self):
         testbed = build_testbed(SMOKE,
                                 [TenantSetup("A", "node0", paper_ebs=100)])
-        assert testbed.node("node0").hosts("A")
-        assert not testbed.node("node1").hosts("A")
+        assert testbed.node("node0").instance.has_tenant("A")
+        assert not testbed.node("node1").instance.has_tenant("A")
         assert "A" in testbed.metrics
 
     def test_load_flows(self):

@@ -98,6 +98,12 @@ def crash_when_phase_opens(env, middleware, instance, phase,
     env.process(crasher(env))
 
 
+def _note_crash(env, instance, times):
+    """Process body: append the sim time ``instance`` crashes."""
+    yield instance.wait_crashed()
+    times.append(env.now)
+
+
 class TestSourceCrash:
     """Section 4.2: "if the master fails, Madeus aborts the migration".
 
@@ -169,6 +175,24 @@ class TestSourceCrash:
         # lands (a 2 MB tenant is a single default-size chunk)
         holder = self._run(env, cluster, middleware, chunk_mb=0.25)
         self._assert_aborted_to_source(middleware, holder, "dump")
+        self._assert_commits_survive_restart(env, cluster, workload)
+
+    def test_crash_during_serial_dump_aborts(self, env):
+        # The serial dump reads the whole tenant with no crash check, so
+        # a crash inside it is caught once the snapshot has fanned out:
+        # the abort is labelled "restore" (the golden serial digest of
+        # source_crash_abort pins the same timing).
+        cluster, middleware = build(env)
+        workload = seed_tenant(env, cluster, middleware, overhead_mb=2.0)
+        source = cluster.node("node0").instance
+        crash_when_phase_opens(env, middleware, source, "dump")
+        crashed_at = []
+        env.process(_note_crash(env, source, crashed_at))
+        holder = self._run(env, cluster, middleware, strategy="serial")
+        self._assert_aborted_to_source(middleware, holder, "restore")
+        report = middleware.reports[0]
+        assert report.strategy == "serial"
+        assert crashed_at[0] < report.snapshot_at   # inside the dump
         self._assert_commits_survive_restart(env, cluster, workload)
 
     def test_crash_during_restore_aborts(self, env):

@@ -12,8 +12,7 @@ from repro.experiments.costmodel import (CostParameters, cost_all,
                                          gap_identity_holds,
                                          gap_is_monotone_in_load,
                                          parameters_from_run)
-from repro.metrics.report import (format_series, format_table,
-                                  shape_note, sparkline)
+from repro.metrics.report import format_series, format_table, sparkline
 
 
 class TestPolicies:
@@ -126,10 +125,3 @@ class TestReportFormatting:
 
     def test_sparkline_empty(self):
         assert sparkline([]) == "(empty)"
-
-    def test_shape_note_ratio(self):
-        note = shape_note(2.0, 1.0, "thing")
-        assert "x2.00" in note
-
-    def test_shape_note_zero_paper(self):
-        assert "paper: 0" in shape_note(2.0, 0.0, "thing")

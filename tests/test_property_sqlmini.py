@@ -17,8 +17,7 @@ identifier = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True) \
         "SELECT", "FROM", "WHERE", "AND", "ORDER", "BY", "DESC", "ASC",
         "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE",
         "BEGIN", "COMMIT", "ROLLBACK", "ABORT", "CREATE", "TABLE",
-        "INDEX", "ON", "PRIMARY", "KEY", "ALTER", "ADD", "COLUMN",
-        "NULL"})
+        "INDEX", "ON", "PRIMARY", "KEY", "NULL"})
 
 literal_value = st.one_of(
     st.none(),

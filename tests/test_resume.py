@@ -370,6 +370,44 @@ class TestOneManager:
         _assert_no_lost_commits(cluster, middleware, workload)
 
 
+class TestFailoverThenResume:
+    def test_resume_follows_the_promoted_standby(self, env):
+        """A failover rewrites the journal's destination, so a later
+        park resumes toward the promoted standby, not the dead node."""
+        cluster, middleware = build(env, resume=True)
+        workload = seed_tenant(env, cluster, middleware, overhead_mb=10.0)
+        holder = _launch_migration(env, middleware,
+                                   _options(standbys=("node2",)))
+        state = middleware.tenant_state("A")
+        while state.propagator is None and "report" not in holder:
+            env.run(until=env.now + 0.05)
+        # The destination dies mid catch-up: node2 is promoted ...
+        cluster.node("node1").instance.crash()
+
+        def failed_over():
+            return any(event.name == "migration.failover"
+                       for event in middleware.tracer.events)
+        while not failed_over() and "report" not in holder:
+            env.run(until=env.now + 0.01)
+        assert "report" not in holder
+        journal = middleware.migration_journal("A")
+        assert journal.destination == "node2"
+        # ... then the source dies, and the journal parks.
+        cluster.node("node0").instance.crash()
+        env.run()
+        assert isinstance(holder["error"], SourceCrashed)
+        assert journal.state == JOURNAL_SUSPENDED
+        _restart(env, cluster.node("node0").instance)
+        resumed = _launch_resume(env, middleware)
+        env.run()
+        report = resumed["report"]
+        assert report.outcome == "ok"
+        assert report.owner == "node2"
+        assert middleware.owners("A") == ["node2"]
+        assert journal.state == JOURNAL_COMPLETED
+        _assert_no_lost_commits(cluster, middleware, workload)
+
+
 class TestSchedulerResume:
     def test_resume_policy_rides_out_a_source_crash(self, env):
         cluster, middleware = build(env, nodes=3, resume=True)

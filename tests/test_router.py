@@ -75,10 +75,11 @@ class TestQuantileHistogram:
         registry.histogram("plain")
         with pytest.raises(TypeError):
             registry.quantile_histogram("plain")
-        # snapshot() treats it as a histogram (mean), like its parent.
+        # It summarises like its parent: a mean, no single point value.
         histogram.observe(2.0)
         histogram.observe(4.0)
-        assert registry.snapshot()["router.downtime"] == 3.0
+        assert registry.get("router.downtime").mean == 3.0
+        assert registry.gauge_value("router.downtime", -1.0) == -1.0
 
 
 # ---------------------------------------------------------------------

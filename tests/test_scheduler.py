@@ -533,6 +533,43 @@ class TestSchedulerRecovery:
         assert middleware.metrics.counter(
             "scheduler.retries").value == 0
 
+    def test_catch_up_timeout_is_retried_then_final(self):
+        # A catch-up deadline no attempt can meet: each attempt ends in
+        # CatchUpTimeout, which the retry policy re-attempts once.
+        env = Environment()
+        cluster = Cluster(env)
+        for name in ("node0", "node1"):
+            cluster.add_node(name)
+        middleware = Middleware(env, cluster, MiddlewareConfig(
+            policy=MADEUS, catchup_deadline=0.001))
+
+        def setup(env):
+            yield from setup_kv_tenant(
+                cluster.node("node0").instance, "T1", 12)
+            # a snapshot long enough for a backlog to build behind it
+            cluster.node("node0").instance.tenant(
+                "T1").fixed_overhead_mb = 8.0
+            middleware.register_tenant("T1", "node0")
+        drive(env, setup(env))
+        # load that outlasts both attempts
+        _start_load(env, middleware, "T1", txns=1000, clients=8)
+        scheduler = MigrationScheduler(
+            middleware, ScheduleOptions(retry_limit=1, retry_base=0.05,
+                                        retry_cap=0.1))
+        scheduler.submit("T1", "node1", MigrationOptions(rates=RATES))
+        proc = scheduler.start()
+        env.run()
+        job = proc.value.job("T1")
+        assert job.outcome == "aborted"
+        assert job.attempts == 2
+        assert "could not catch up" in job.error
+        assert job.excluded_destinations == []
+        retries = [e for e in middleware.tracer.events
+                   if e.name == "schedule.retry"]
+        assert len(retries) == 1
+        assert middleware.route("T1") == "node0"
+        assert middleware.tenant_state("T1").gate.is_open
+
     def test_aborted_job_is_stamped_with_overlapping_faults(self):
         from repro.faults import FaultInjector, FaultPlan
         env = Environment()

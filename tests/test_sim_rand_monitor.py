@@ -77,24 +77,6 @@ class TestSampleSeries:
         with pytest.raises(ValueError):
             series.record(4, 1.0)
 
-    def test_percentile(self):
-        series = SampleSeries()
-        for t in range(101):
-            series.record(t, float(t))
-        assert series.percentile(50) == pytest.approx(50.0)
-        assert series.percentile(95) == pytest.approx(95.0)
-
-    def test_percentile_bounds_checked(self):
-        with pytest.raises(ValueError):
-            SampleSeries().percentile(101)
-
-    def test_maximum(self):
-        series = SampleSeries()
-        for t, v in ((0, 1.0), (1, 9.0), (2, 3.0)):
-            series.record(t, v)
-        assert series.maximum() == 9.0
-        assert series.maximum(2, 10) == 3.0
-
     def test_bucketed_mean_shape(self):
         series = SampleSeries()
         for t in range(10):

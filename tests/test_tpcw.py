@@ -16,6 +16,7 @@ from repro.workload.tpcw import (INTERACTIONS, EbConfig, EbState,
                                  mix_weights, nominal_database_size_mb,
                                  populate, start_tenant_load,
                                  update_fraction)
+from repro.workload.tpcw import browser
 
 from _helpers import drive
 
@@ -204,11 +205,13 @@ class TestEmulatedBrowsers:
         context = TpcwContext(customers=scaled["customer"],
                               items=scaled["item"],
                               orders=scaled["orders"])
-        config = EbConfig(ebs=ebs, mix=mix, think_time=0.5,
-                          cpu_scale=1.0)
+        config = EbConfig(ebs=ebs, mix=mix, think_time=0.5)
         metrics = start_tenant_load(env, middleware, "A", context,
                                     config, seed=5)
-        env.run(until=until)
+        with pytest.MonkeyPatch.context() as patch:
+            # unit CPU cost, not the Figure-5 calibration
+            patch.setattr(browser, "CPU_SCALE", 1.0)
+            env.run(until=until)
         return metrics
 
     def test_load_produces_interactions(self, env):
