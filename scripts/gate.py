@@ -145,10 +145,18 @@ GATES = {
     ],
     # benchmarks/perf/run.py --ladder --out <dir>/ladder.json on base
     # and head, same runner, back to back: no rung's host time per
-    # operation may rise more than 30 % over the base run's.
+    # operation may rise more than 30 % over the base run's, and no
+    # rung's kernel events per operation may rise at all -- events may
+    # fall, a host-time gain must not come from adding them.  The 0.1 %
+    # is not slack for the code: the ladder's own run(until=) stops add
+    # 1/3600 of an event per simulated second an operation spans, and
+    # how many land in a host-timed window varies (sim.timeout read
+    # 1.0002765 on a base and 1.0002774 on a head that moved no event),
+    # while one more event per operation is a rise of >= 4 % on every
+    # rung.
     "perf": [
         row("*.json", {"benchmark": "benchmarks/perf"},
-            max_host_regression=0.3),
+            max_host_regression=0.3, max_event_rise=0.001),
     ],
 }
 
@@ -977,31 +985,42 @@ def check_bench(data, min_improvement=None, watermark=False,
 # ----------------------------------------------------------------------
 # the benchmarks/perf ladder
 
-def check_ladder(data, baseline, max_host_regression):
-    """Every rung's host time per operation, head against base.
+def check_ladder(data, baseline, max_host_regression=None,
+                 max_event_rise=None):
+    """Every rung's host time and kernel events per operation, head
+    against base.
 
     ``data`` and ``baseline`` are the documents ``run.py --ladder
     --out`` wrote on the head and on the base commit.  A rung only one
     side has (a PR that adds or retires one) has nothing to compare.
     """
-    rungs = {name: value
-             for name, value in (data.get("ladder") or {}).items()
+    ladder = data.get("ladder") or {}
+    rungs = {name: value for name, value in ladder.items()
              if name.endswith(".host_us")}
     if not rungs:
         return ["no ladder.*.host_us rungs in the artifact"]
     failures = ["%s = %r, expected a positive host time" % (name, value)
                 for name, value in sorted(rungs.items()) if not value > 0]
     if baseline is None:
-        return failures + ["max_host_regression needs --baseline DIR "
-                           "holding the base commit's ladder"]
+        return failures + ["the ladder row needs --baseline DIR holding "
+                           "the base commit's ladder"]
     base_rungs = baseline.get("ladder") or {}
     for name, value in sorted(rungs.items()):
         base = base_rungs.get(name)
-        if base and value > base * (1.0 + max_host_regression):
+        if (max_host_regression is not None and base
+                and value > base * (1.0 + max_host_regression)):
             failures.append(
                 "%s: %.2f us is more than %.0f%% above the base "
                 "run's %.2f us"
                 % (name, value, 100.0 * max_host_regression, base))
+    if max_event_rise is not None:
+        for name, value in sorted(ladder.items()):
+            base = base_rungs.get(name)
+            if (name.endswith(".events") and base is not None
+                    and value > base * (1.0 + max_event_rise)):
+                failures.append(
+                    "%s: %.4f kernel events per operation, above the "
+                    "base run's %.4f" % (name, value, base))
     return failures
 
 

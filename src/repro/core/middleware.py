@@ -413,7 +413,9 @@ class Middleware:
         if kind is _BEGIN:
             # Suspended during switch-over: new transactions wait at the
             # gate; running ones drain (Algorithm 3 lines 14-17).
-            yield state.gate.wait()
+            opened = state.gate.wait()
+            if not self.env.take(opened):
+                yield opened
             state.active_txns += 1
             conn.in_active_txn = True
         elif kind is _FIRST_READ:

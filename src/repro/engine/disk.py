@@ -50,8 +50,11 @@ class Disk:
     # ------------------------------------------------------------------
     def _occupy(self, duration: float) -> Generator:
         request = self.head.request()
-        yield request
-        yield self.env.timeout(duration)
+        if not request.processed:
+            yield request
+        wait = self.env.hold(duration)
+        if wait is not None:
+            yield wait
         self.head.release(request)
 
     def fsync(self, payload_mb: float = 0.0) -> Generator:

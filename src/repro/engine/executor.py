@@ -252,7 +252,8 @@ class Executor:
                 "first-updater-wins: item already updated by a newer commit")
         lock_key = (table.schema.name, key)
         grant = self.database.locks.try_acquire(txn, lock_key)
-        yield grant  # may raise TransactionAborted via event failure
+        if not grant.env.take(grant):
+            yield grant  # may raise TransactionAborted via event failure
         # Re-check after a wait: the previous holder must have aborted, so
         # the newest committed version is unchanged, but be defensive.
         chain = table.chains.get(key)

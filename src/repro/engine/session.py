@@ -119,8 +119,11 @@ class Session:
                 if instance.crashed:
                     instance._require_up()  # raises
                 core = instance.cpu.request()
-                yield core
-                yield instance.env.timeout(END_CPU)
+                if not core.processed:
+                    yield core
+                wait = instance.env.hold(END_CPU)
+                if wait is not None:
+                    yield wait
                 instance.cpu.release(core)
                 if txn.writes:
                     # Durability first: wait for the (possibly grouped)
@@ -136,10 +139,14 @@ class Session:
             return SessionResult(kind="ok", commit_csn=csn)
         try:
             executor = instance.admit(txn, self.tenant_name)
+            env = instance.env
             core = instance.cpu.request()
-            yield core
-            yield instance.env.timeout(
+            if not core.processed:
+                yield core
+            wait = env.hold(
                 BASE_STATEMENT_CPU if cpu_cost is None else cpu_cost)
+            if wait is not None:
+                yield wait
             instance.cpu.release(core)
             instance.statements_executed += 1
             if instance._m_statements is not None:
@@ -154,7 +161,9 @@ class Session:
                 result = yield from executor.execute(txn, statement)
             extra = PER_ROW_CPU * (len(result.rows) + result.affected)
             if extra > 0:
-                yield instance.env.timeout(extra)
+                wait = env.hold(extra)
+                if wait is not None:
+                    yield wait
         except TransactionAborted as exc:
             self.aborts_seen += 1
             if self.txn is not None:

@@ -241,7 +241,9 @@ class Network:
         """
         self._check_link()
         self.messages += 1
-        yield self.env.timeout(self.spec.latency * self.latency_factor)
+        wait = self.env.hold(self.spec.latency * self.latency_factor)
+        if wait is not None:
+            yield wait
         self._check_link()
 
     def round_trip(self) -> Generator[Any, Any, None]:
@@ -259,23 +261,29 @@ class Network:
         one check serves both) and at the response's landing: the two
         :meth:`message` hops without their frames.
         """
+        env = self.env
         if self.coalesce_hops:
             if self._down_count:
                 self._check_link()  # raises
             self.messages += 2
-            yield self.env.timeout(
-                2.0 * self.spec.latency * self.latency_factor)
+            wait = env.hold(2.0 * self.spec.latency * self.latency_factor)
+            if wait is not None:
+                yield wait
             if self._down_count:
                 self._check_link()  # raises
             return
         if self._down_count:
             self._check_link()  # raises
         self.messages += 1
-        yield self.env.timeout(self.spec.latency * self.latency_factor)
+        wait = env.hold(self.spec.latency * self.latency_factor)
+        if wait is not None:
+            yield wait
         if self._down_count:
             self._check_link()  # raises
         self.messages += 1
-        yield self.env.timeout(self.spec.latency * self.latency_factor)
+        wait = env.hold(self.spec.latency * self.latency_factor)
+        if wait is not None:
+            yield wait
         if self._down_count:
             self._check_link()  # raises
 

@@ -38,6 +38,25 @@ processes millions of events for a paper-scale experiment.  That copy
 carries every resumption of every benchmark workload;
 :meth:`Process._resume` is its plain reference form for an event with
 several waiters.  No "active process" is tracked: nothing reads one.
+
+Run-ahead: a wait that is provably the kernel's next dispatch is not
+queued at all.  While the loop is in its inline single-waiter resume
+(the ``_solo`` flag; never in the callback-list branch, in
+:meth:`Process._resume` or outside :meth:`Environment.run`), with the
+same-tick FIFO empty and the heap's top due *strictly* after the wait
+ends, the timeout a process is about to yield would be popped next and
+would resume that same process and nothing else.  So
+:meth:`Environment.hold` instead advances ``now`` in place, takes the
+sequence number the entry would have had, and returns ``None``: the
+caller goes on without yielding.  :meth:`Environment.take` does the same
+for a just-succeeded event that is the FIFO's only entry, and a free
+:class:`~repro.sim.resources.Resource` grants its requester in place.
+A tie on the heap, the ``run(until)`` stop (an urgent entry at
+``until``) and any pending ``succeed()`` always win, so every event is
+dispatched — or run ahead — in exactly the order and at exactly the
+time it was before: ``now`` is written by the dispatch loop *and* by
+``hold``, and ``events_processed`` counts events dispatched plus waits
+run ahead.
 """
 
 from __future__ import annotations
@@ -83,11 +102,12 @@ class Environment:
         assert p.value == 5
     """
 
-    __slots__ = ("now", "_queue", "_tick", "_seq", "_pool")
+    __slots__ = ("now", "_queue", "_tick", "_seq", "_pool", "_solo")
 
     def __init__(self, initial_time: float = 0.0):
-        #: Current simulated time: a plain slot, written only by the
-        #: dispatch loop, so the ~one read per event costs no call.
+        #: Current simulated time: a plain slot, written by the dispatch
+        #: loop and by a wait run ahead in :meth:`hold`, so the ~one read
+        #: per event costs no call.
         self.now = float(initial_time)
         #: Future + urgent events: heap of ``(when, key, event)``.
         self._queue: List[Tuple[float, int, Event]] = []
@@ -96,18 +116,23 @@ class Environment:
         self._seq = 0
         #: Free list of dead Timeout objects for reuse by :meth:`timeout`.
         self._pool: List[Timeout] = []
+        #: True only while :meth:`run` resumes an event's sole waiting
+        #: process inline: the one place a wait may be run ahead.
+        self._solo = False
 
     # ------------------------------------------------------------------
     # time and scheduling
     # ------------------------------------------------------------------
     @property
     def events_processed(self) -> int:
-        """Total events dispatched so far (the sim-throughput metric).
+        """Total events dispatched or run ahead so far (the
+        sim-throughput metric).
 
         Derived instead of counted: every schedule bumps ``_seq`` exactly
         once and every scheduled entry is dispatched exactly once, so
-        dispatched = scheduled - still-pending.  This keeps one increment
-        out of the hot dispatch loop.
+        dispatched = scheduled - still-pending; a wait run ahead takes
+        its sequence number and is never pending.  This keeps one
+        increment out of the hot dispatch loop.
         """
         return self._seq - len(self._tick) - len(self._queue)
 
@@ -163,6 +188,76 @@ class Environment:
             raise ValueError("negative delay %r" % delay)
         return event
 
+    def hold(self, delay: float, _TRIGGERED=TRIGGERED, _Timeout=Timeout,
+             _heappush=heappush) -> Optional[Timeout]:
+        """Wait ``delay``: ``None`` when run ahead, else ``timeout(delay)``.
+
+        For a wait the caller yields the moment it is made::
+
+            timeout = env.hold(delay)
+            if timeout is not None:
+                yield timeout
+
+        Run ahead (``now`` advanced in place, the sequence number taken,
+        ``None`` returned) only when the timeout would be the kernel's
+        next dispatch and would resume the caller and nothing else: see
+        the module docstring.  A wait composed into ``any_of`` /
+        ``all_of``, or made before other code runs, must use
+        :meth:`timeout`.  The fallback is :meth:`timeout`'s body, inline
+        so that it costs no extra call.
+        """
+        if delay >= 0 and self._solo and not self._tick:
+            when = self.now + delay
+            queue = self._queue
+            if not queue or queue[0][0] > when:
+                self._seq += 1
+                self.now = when
+                return None
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event._value = None
+            event._state = _TRIGGERED
+        else:
+            event = _Timeout.__new__(_Timeout)
+            event.env = self
+            event.callbacks = None
+            event._value = None
+            event._exception = None
+            event._state = _TRIGGERED
+            event.name = None
+            event.delay = delay
+        self._seq = seq = self._seq + 1
+        if delay > 0:
+            _heappush(self._queue, (self.now + delay, seq, event))
+        elif delay == 0:
+            self._tick.append((self.now, seq, event))
+        else:
+            self._seq = seq - 1
+            pool.append(event)
+            raise ValueError("negative delay %r" % delay)
+        return event
+
+    def take(self, event: Event) -> bool:
+        """Dispatch a just-triggered ``event`` in place, if that is safe.
+
+        ``True`` when ``event`` — succeeded, nobody waiting on it — is
+        the same-tick FIFO's only entry, nothing on the heap is due now
+        and the caller is being resumed inline: it would be dispatched
+        next and resume only the caller, so it is marked processed here
+        and the caller goes on without yielding it.  ``False`` leaves it
+        queued for the caller to yield.
+        """
+        tick = self._tick
+        if (self._solo and len(tick) == 1 and tick[0][2] is event
+                and event.callbacks is None and event._exception is None):
+            queue = self._queue
+            if not queue or queue[0][0] > self.now:
+                tick.pop()
+                event._state = PROCESSED
+                return True
+        return False
+
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> "Process":
         """Start a new process executing ``generator``."""
@@ -198,7 +293,9 @@ class Environment:
         # additionally inlines Process._resume, saving one Python call
         # frame per event, and recycles dead Timeout objects through the
         # free list, which serves > 99.5 % of the timeouts of every
-        # benchmark workload (both sized in ROADMAP direction 2).
+        # benchmark workload (both sized in ROADMAP direction 2).  Only
+        # that inline resume sets ``_solo`` (the other branches and the
+        # exit clear it), so only it can run a wait ahead.
         tick, queue = self._tick, self._queue
         tick_popleft = tick.popleft
         pool = self._pool
@@ -222,6 +319,7 @@ class Environment:
                 event._state = PROCESSED
                 if callbacks.__class__ is process_type:
                     # ---- inlined Process._resume(event) ----
+                    self._solo = True
                     process = callbacks
                     resume_ev = event
                     try:
@@ -269,12 +367,16 @@ class Environment:
                             and refcount(event) == 3):
                         recycle(event)
                 elif callbacks.__class__ is list_type:
+                    self._solo = False
                     for callback in callbacks:
                         callback(event)
                 elif callbacks is not None:
+                    self._solo = False
                     callbacks(event)
         except StopSimulation:
             pass
+        finally:
+            self._solo = False
 
     @staticmethod
     def _stop_callback(_event: Event) -> None:

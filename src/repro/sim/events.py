@@ -167,9 +167,10 @@ class Timeout(Event):
     """An event that fires ``delay`` units of simulated time in the future.
 
     :meth:`Environment.timeout <repro.sim.core.Environment.timeout>` is
-    the one constructor: it builds (or recycles) the object and puts it
-    on the queue in a single step, so an unscheduled timeout cannot
-    exist.
+    the one constructor (:meth:`~repro.sim.core.Environment.hold` falls
+    back to the same construction inline): it builds (or recycles) the
+    object and puts it on the queue in a single step, so an unscheduled
+    timeout cannot exist.
     """
 
     __slots__ = ("delay",)

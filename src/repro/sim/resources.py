@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from .events import PENDING, TRIGGERED, Event
+from .events import PENDING, PROCESSED, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -64,10 +64,21 @@ class Resource:
 
     # ------------------------------------------------------------------
     def request(self) -> Request:
-        """Claim a slot; the returned event fires when the claim is granted."""
+        """Claim a slot; the returned event fires when the claim is granted.
+
+        A free slot is granted at once, and when the grant is provably
+        the kernel's next dispatch (the rule of
+        :meth:`Environment.take <repro.sim.core.Environment.take>`) it is
+        granted *in place*: the request comes back processed and the
+        requester goes on without yielding it::
+
+            req = resource.request()
+            if not req.processed:
+                yield req
+        """
         req = Request(self)
         if self.users < self.capacity and not self.queue:
-            self._grant(req)
+            self._grant(req, True)
         else:
             self.queue.append(req)
         return req
@@ -87,11 +98,14 @@ class Resource:
             return
         self._account()
         self.users -= 1
+        # A waiter granted here is blocked on its request: the kernel
+        # must dispatch the grant to resume it, so never in place.
         while self.queue and self.users < self.capacity:
-            self._grant(self.queue.popleft())
+            self._grant(self.queue.popleft(), False)
 
-    def _grant(self, req: Request) -> None:
-        # _account() and Event.succeed() flattened in.
+    def _grant(self, req: Request, requester: bool) -> None:
+        # _account() and Event.succeed() flattened in; with
+        # ``requester``, Environment.take's in-place rule too.
         if req._state is not PENDING:
             raise RuntimeError("event %r already triggered" % req)
         env = self.env
@@ -102,8 +116,13 @@ class Resource:
         self.total_waits += 1
         self.total_wait_time += now - req.enqueued_at
         req._value = self
-        req._state = TRIGGERED
         env._seq = seq = env._seq + 1
+        if requester and env._solo and not env._tick:
+            queue = env._queue
+            if not queue or queue[0][0] > now:
+                req._state = PROCESSED
+                return
+        req._state = TRIGGERED
         env._tick.append((now, seq, req))
 
     def _account(self) -> None:

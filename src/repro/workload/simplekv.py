@@ -84,7 +84,9 @@ def kv_client(env: "Environment", middleware: Middleware, tenant: str,
         def stop() -> bool:
             return issued >= config.transactions_per_client
     while not stop():
-        yield env.timeout(rng.exponential(config.think_time))
+        wait = env.hold(rng.exponential(config.think_time))
+        if wait is not None:
+            yield wait
         if stop():
             return
         if rng.random() < config.read_only_ratio:

@@ -83,15 +83,20 @@ def emulated_browser(env: "Environment", middleware: Middleware,
     submit = middleware.submit
     network = middleware.cluster.network
     names, weights = mix_weights(config.mix)
+    hold = env.hold
     while True:
-        yield env.timeout(rng.exponential(config.think_time))
+        wait = hold(rng.exponential(config.think_time))
+        if wait is not None:
+            yield wait
         name = rng.weighted_choice(names, weights)
         steps = INTERACTIONS[name](ctx, state, rng, CPU_SCALE)
         started = env.now
         try:
             # app-server hop: one LAN round trip + servlet processing
             yield from network.round_trip()
-            yield env.timeout(_APPSERVER_DELAY)
+            wait = hold(_APPSERVER_DELAY)
+            if wait is not None:
+                yield wait
             # BEGIN, the steps, COMMIT; not ok if any statement aborted
             # (the engine already rolled the transaction back, as on
             # first-updater-wins: no ROLLBACK is sent).

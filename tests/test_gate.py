@@ -187,6 +187,10 @@ def slow_a_rung(data):
     data["ladder"]["ladder.core.submit_txn.host_us"] *= 1.4
 
 
+def add_an_event(data):
+    data["ladder"]["ladder.core.submit_txn.events"] += 1.0
+
+
 #: key -> (document, corruption, the key's own failure line)
 DOCUMENT_CASES = {
     "min_improvement": (
@@ -202,6 +206,10 @@ DOCUMENT_CASES = {
         ladder, slow_a_rung,
         "ladder.core.submit_txn.host_us: 14.00 us is more than 30% "
         "above the base run's 10.00 us"),
+    "max_event_rise": (
+        ladder, add_an_event,
+        "ladder.core.submit_txn.events: 3.0000 kernel events per "
+        "operation, above the base run's 2.0000"),
 }
 
 
@@ -268,6 +276,18 @@ class TestEveryKeyFails:
         del base["ladder"]["ladder.core.submit_txn.host_us"]
         slow_a_rung(head)
         assert gate.check_ladder(head, base, 0.3) == []
+
+    def test_fewer_events_than_the_base_run_pass(self):
+        head, base = ladder(), ladder()
+        add_an_event(base)
+        assert gate.check_ladder(head, base, 0.3, 0.001) == []
+
+    def test_the_ladders_own_stop_events_are_not_a_rise(self):
+        # the run(until=) stops a host-timed window happens to contain
+        head, base = ladder(), ladder()
+        base["ladder"]["ladder.sim.timeout.events"] = 1.0002765098895283
+        head["ladder"]["ladder.sim.timeout.events"] = 1.0002773788829264
+        assert gate.check_ladder(head, base, 0.3, 0.001) == []
 
     def test_perf_without_a_baseline_cannot_pass(self):
         assert any("needs --baseline" in failure

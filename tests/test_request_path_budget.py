@@ -31,13 +31,15 @@ DRIVER_EVENTS = 2
 SESSION_EVENTS = 13
 SUBMIT_EVENTS = 22
 #: Python calls per transaction, the harness's own frames included:
-#: ~5 % above what 3.11 counts (126 through the session, 226 through
-#: the middleware; 143 and 243 before the engine's statement and
-#: commit waits moved into ``Session.execute`` and the critical region
-#: stopped being a generator, 205 and 375 before that; 3.12
-#: inlines comprehensions and can only count fewer).
-SESSION_CALLS = 132
-SUBMIT_CALLS = 237
+#: ~5 % above what 3.11 counts (96 through the session, 153 through
+#: the middleware; 126 and 226 before a wait that is the kernel's next
+#: dispatch ran ahead in place instead of being yielded through every
+#: frame, 143 and 243 before the engine's statement and commit waits
+#: moved into ``Session.execute`` and the critical region stopped being
+#: a generator, 205 and 375 before that; 3.12 inlines comprehensions
+#: and can only count fewer).
+SESSION_CALLS = 101
+SUBMIT_CALLS = 161
 
 
 def _txn(submit, key):

@@ -1,7 +1,7 @@
 """Kernel tests: environment, processes, timeouts, composite events."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (AllOf, Environment, Event, Interrupt, Process,
                        Resource, Timeout)
@@ -316,6 +316,150 @@ class TestResumePaths:
         assert self.observe(case, 2, calls) == expected
 
 
+class TestRunAhead:
+    """``hold`` / ``take`` / a free ``Resource`` skip the queue only for
+    a wait that is provably the kernel's next dispatch; one test per
+    rule that keeps the rest queued."""
+
+    @staticmethod
+    def holds(env, *delays):
+        """A process that holds ``delays`` in turn, logging what each
+        ``hold`` returned and the time after it."""
+        log = []
+
+        def proc(env):
+            for delay in delays:
+                wait = env.hold(delay)
+                log.append((type(wait).__name__, env.now))
+                if wait is not None:
+                    yield wait
+        env.process(proc(env))
+        return log
+
+    def test_a_wait_never_crosses_until(self, env):
+        log = self.holds(env, 1, 2, 1)
+        env.run(until=3)
+        # 0 -> 1 -> 3 in place would land on the stop: a tie it loses
+        assert log == [("NoneType", 1), ("Timeout", 1)]
+        assert env.now == 3
+        env.run()
+        assert log[2:] == [("NoneType", 4)] and env.now == 4
+
+    def test_a_heap_entry_due_at_the_same_time_blocks_it(self, env):
+        env.timeout(2)                  # due at 2, and scheduled first
+        log = self.holds(env, 2, 1)
+        env.run()
+        assert log == [("Timeout", 0), ("NoneType", 3)]
+
+    def test_a_pending_succeed_blocks_it(self, env):
+        results = []
+
+        def proc(env):
+            env.event().succeed()
+            results.append(env.hold(1))
+            yield results[-1]
+            mine = env.event().succeed("v")
+            results.append(env.take(mine))
+            results.append(env.hold(1))
+        env.process(proc(env))
+        env.run()
+        assert [type(r).__name__ for r in results] == [
+            "Timeout", "bool", "NoneType"]
+        assert results[1] is True and env.now == 2
+
+    def test_take_leaves_a_waited_or_failed_event_queued(self, env):
+        taken = []
+
+        def proc(env):
+            waited = env.event()
+            waited.add_callback(lambda _event: None)
+            taken.append(env.take(waited.succeed()))
+            yield waited
+            failed = env.event().fail(KeyError("k"))
+            taken.append(env.take(failed))
+            try:
+                yield failed
+            except KeyError:
+                pass
+        env.process(proc(env))
+        env.run()
+        assert taken == [False, False]
+
+    def test_outside_run_and_from_the_reference_resume_it_is_queued(
+            self, env):
+        assert type(env.hold(0)) is Timeout
+        gate, seen = env.event(), []
+
+        def proc(env):
+            yield gate
+            seen.append(env.hold(1))
+            if seen[0] is not None:
+                yield seen[0]
+        env.process(proc(env))
+        env.run()
+        gate.add_callback(lambda _event: None)  # two waiters: a list
+        gate.succeed()
+        env.run()
+        assert type(seen[0]) is Timeout and env.now == 1
+
+    def test_a_negative_delay_raises_what_timeout_raises(self, env):
+        raised = []
+
+        def proc(env):
+            for make in (env.timeout, env.hold):
+                with pytest.raises(ValueError) as error:
+                    make(-1)
+                raised.append(str(error.value))
+            yield env.timeout(0)
+        env.process(proc(env))
+        env.run()
+        assert raised == ["negative delay -1"] * 2
+        with pytest.raises(ValueError, match="negative delay -1"):
+            env.hold(-1)
+        # both rejected calls, in and out of run, took no sequence number
+        assert env.events_processed == 3     # start, timeout(0), exit
+
+    def test_events_processed_counts_run_ahead_waits(self):
+        counts = []
+        for wait in ("timeout", "hold"):
+            env = Environment()
+
+            def proc(env):
+                for _ in range(3):
+                    event = getattr(env, wait)(1)
+                    if event is not None:
+                        yield event
+            env.process(proc(env))
+            env.run()
+            counts.append((env.now, env.events_processed))
+        assert counts == [(3, 5), (3, 5)]    # start, three waits, exit
+
+    def test_only_the_requester_of_a_free_resource_is_granted_in_place(
+            self, env):
+        resource = Resource(env, capacity=1)
+        seen = []
+
+        def user(env, tag):
+            request = resource.request()
+            seen.append((tag, "in place" if request.processed else "queued"))
+            if not request.processed:
+                yield request
+            wait = env.hold(1)
+            if wait is not None:
+                yield wait
+            resource.release(request)
+            seen.append((tag, env.now))
+        env.process(user(env, "a"))
+        env.process(user(env, "b"))
+        env.run()
+        # b's start is due at the same instant: a's grant is queued
+        assert seen == [("a", "queued"), ("b", "queued"), ("a", 1),
+                        ("b", 2)]
+        env.process(user(env, "c"))
+        env.run()
+        assert seen[-2:] == [("c", "in place"), ("c", 3)]
+
+
 class TestEvents:
     def test_event_succeed_delivers_value(self, env):
         event = env.event()
@@ -516,7 +660,8 @@ DELAYS = (0, 0.5, 1, 1.5, 2)        # exact in binary: 0.5 + 1.5 ties with 2
 MAX_PROCESSES = 12
 
 _ops = st.one_of(
-    st.tuples(st.just("timeout"), st.sampled_from(DELAYS)),
+    st.tuples(st.sampled_from(("timeout", "hold", "request")),
+              st.sampled_from(DELAYS)),
     st.tuples(st.just("trigger"),      # Event.succeed / Event.fail
               st.tuples(st.sampled_from(("callback", "process", "both")),
                         st.booleans())),
@@ -530,7 +675,8 @@ class _Schedule:
     in the order they happen, every entry put on the kernel's queues —
     with the key the classic single-queue kernel would give it,
     ``(when, urgent-first, sequence)``, counted here and never read
-    from the kernel — and every entry seen dispatched."""
+    from the kernel — and every entry seen dispatched, or run ahead in
+    place, at the time its key says."""
 
     def __init__(self, scripts):
         self.env = Environment()
@@ -540,6 +686,8 @@ class _Schedule:
         self.waiting = {}           # pid -> (key, timeout) it sleeps on
         self.exit_keys = {}
         self.processes = []
+        self.resource = Resource(self.env, capacity=1)
+        self.grants = {}            # request -> key of its grant
 
     def sched(self, when, priority):
         self.scheduled += 1
@@ -548,6 +696,7 @@ class _Schedule:
         return key
 
     def fire(self, key):
+        assert self.env.now == key[0]
         self.log.append(("fire", key))
 
     def start(self, script):
@@ -574,13 +723,36 @@ class _Schedule:
         # Returning succeeds the process event: one more tick entry.
         self.exit_keys[pid] = self.sched(self.env.now, NORMAL)
 
-    def op_timeout(self, pid, delay):
+    def op_timeout(self, pid, delay, hold=False):
         key = self.sched(self.env.now + delay, NORMAL)
-        timeout = self.env.timeout(delay)
-        self.waiting[pid] = (key, timeout)
-        yield timeout
-        del self.waiting[pid]
+        timeout = (self.env.hold if hold else self.env.timeout)(delay)
+        if timeout is not None:         # else run ahead: no yield at all
+            self.waiting[pid] = (key, timeout)
+            yield timeout
+            del self.waiting[pid]
         self.fire(key)
+
+    def op_hold(self, pid, delay):
+        return self.op_timeout(pid, delay, hold=True)
+
+    def op_request(self, pid, delay):
+        """Take the shared one-slot resource, hold it, release it: a
+        free slot is granted at once (in place when that is safe), a
+        taken one when its holder releases it."""
+        request = self.resource.request()
+        if request.granted_at is not None:
+            self.grants[request] = self.sched(self.env.now, NORMAL)
+        try:
+            if not request.processed:
+                yield request
+            self.fire(self.grants.pop(request))
+            yield from self.op_hold(pid, delay)
+        finally:
+            waiters = self.resource.queue
+            waiter = waiters[0] if waiters else None
+            self.resource.release(request)
+            if waiter is not None:
+                self.grants[waiter] = self.sched(self.env.now, NORMAL)
 
     def op_trigger(self, pid, how_fail):
         how, fail = how_fail
@@ -621,9 +793,12 @@ class _Schedule:
         asleep = sorted(self.waiting)
         if asleep:
             victim = asleep[index % len(asleep)]
-            timeout = self.waiting[victim][1]
+            key, timeout = self.waiting[victim]
             yield timeout
             assert self.waiting.get(victim, (None, None))[1] is not timeout
+            # resumed second, but at the timeout's time: the first
+            # waiter cannot have run the clock ahead in between
+            assert self.env.now == key[0]
 
     def run(self, roots, untils):
         for script in self.scripts[:roots]:
@@ -648,6 +823,11 @@ class TestDispatchOrderAgainstReference:
            roots=st.integers(1, 3),
            untils=st.lists(st.sampled_from((0, 0.5, 1, 2, 3)),
                            max_size=3).map(sorted))
+    # Always tried: a timeout with two process waiters, the first of
+    # which holds next — resumed through the callback-list branch, it
+    # must not run ahead of the second.
+    @example(scripts=[[("timeout", 1), ("hold", 1)], [("join", 0)]],
+             roots=2, untils=[])
     def test_every_dispatch_takes_the_smallest_pending_key(
             self, scripts, roots, untils):
         schedule = _Schedule(scripts)
