@@ -92,7 +92,7 @@ GATES = {
     "bench": BENCH_ROWS,
     # The committed reference artifacts at the repository root.
     "baselines": BENCH_ROWS + [bench("rebalance")],
-    # repro chaos at the smoke profile, one row per chaos.SCENARIOS
+    # repro chaos --profile smoke, one row per chaos.SCENARIOS
     # name.  Overlap floors are the exact structural counts of the
     # seeded plans (2, 2, 3 concurrent fault windows), not perf
     # numbers, so they carry no headroom.
@@ -120,7 +120,7 @@ GATES = {
         chaos("degrade-storm", outcome="ok", owners=1, standby_dropped=1,
               min_overlapping_faults=3),
     ],
-    # repro chaos --soak --hours 2.5 --seed 7: 22 migrations finish via
+    # repro soak (quick: 2.5 h, seed 7): 22 migrations finish via
     # journalled resume and 106 faults are injected, so 3 / 3 leave
     # headroom while catching a resume path that stopped working or a
     # fault generator that went quiet.
@@ -129,11 +129,11 @@ GATES = {
             min_resumed=3, max_lost_commits=0, max_lost_requests=0,
             owners=1, min_faults=3),
     ],
-    # repro bench --scenario router --trace-dir <dir>.
+    # the router half of repro bench --trace-dir <dir>.
     "router": [bench("router")] + [
         router_trace(strategy)
         for strategy in ("serial", "pipelined", "watermark")],
-    # repro rebalance: ~55 moves across 3 phases at quick/seed 7, so
+    # repro rebalance --profile quick (seed 7): ~55 moves in 3 phases, so
     # floors of 1 catch a control loop that stopped deciding or
     # settling; every migration it issued completed, one owner each.
     "rebalance": [

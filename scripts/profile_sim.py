@@ -47,13 +47,16 @@ import sys
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
+from repro.cli import SCENARIOS  # noqa: E402
+from repro.experiments import get_profile  # noqa: E402
+
 #: The four workloads of ``benchmarks/perf`` (``BENCHMARK.json``).
 BENCHMARK_WORKLOADS = ("tpcw_browse_steady", "tpcw_order_migrate",
                        "kv_router_bounce", "kv_fleet_chaos")
 
-#: Experiments worth profiling, mapped to their runner modules.
-EXPERIMENTS = ("fig5", "fig6", "fig7", "fig8", "fig9", "bench",
-               "multitenant", "kernel") + BENCHMARK_WORKLOADS
+#: What can be profiled: every row of the CLI's scenario table, the
+#: bare kernel, and the benchmark workloads.
+EXPERIMENTS = tuple(SCENARIOS) + ("kernel",) + BENCHMARK_WORKLOADS
 
 #: The benchmark's default root seed (``benchmarks/perf/run.py``).
 BENCHMARK_SEED = 7
@@ -85,8 +88,6 @@ def _profile_benchmark(workload, profile_name, seed, profiler):
 
 def _runner(experiment, profile_name, seed):
     """Build a zero-argument callable executing the chosen experiment."""
-    from repro.experiments import get_profile
-
     if experiment == "kernel":
         # The pure-kernel loop: no engine, no middleware — the profile
         # to read before touching repro.sim.core itself.  It has the
@@ -114,29 +115,10 @@ def _runner(experiment, profile_name, seed):
         return run
 
     profile = get_profile(profile_name)
-    if experiment == "bench":
-        from repro.experiments import bench
-
-        def run():
-            bench.run(profile, seed=seed,
-                      bench_dir=os.path.join("benchmarks", "results",
-                                             "profile-bench"))
-        return run
-
-    from repro.experiments import (dbsize, migration_time, multitenant,
-                                   performance, preliminary)
-    modules = {
-        "fig5": preliminary,
-        "fig6": migration_time,
-        "fig7": performance,
-        "fig8": performance,
-        "fig9": dbsize,
-        "multitenant": multitenant,
-    }
-    module = modules[experiment]
+    scenario = SCENARIOS[experiment][1]
 
     def run():
-        module.run(profile, seed=seed)
+        scenario(profile, seed=seed)
     return run
 
 
@@ -145,7 +127,9 @@ def main(argv=None):
         description="cProfile one experiment and print the hotspots.")
     parser.add_argument("--experiment", default="fig6",
                         choices=EXPERIMENTS,
-                        help="what to profile (default: fig6; 'kernel' is "
+                        help="what to profile (default: fig6; a "
+                             "scenario of 'repro list' runs as that "
+                             "command would; 'kernel' is "
                              "the bare event loop under the workloads' "
                              "queue shape: %d seeded clients, exponential "
                              "think time, three fixed service hops — a "

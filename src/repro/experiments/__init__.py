@@ -17,15 +17,17 @@ module              reproduces
                     ``build_kv_testbed`` (kv fleets), ``Testbed``
 ==================  =============================================
 
-The modules behind ``repro.cli.COMMANDS`` (the paper's figures and
-tables) and ``bench`` expose ``run(profile, *, seed, trace_dir)``
-returning a :class:`~repro.experiments.common.Report`, which the CLI
-prints; ``chaos``, ``soak`` and ``rebalance`` are entered through
-``run_all`` / ``run_soak`` / ``run_rebalance``.  The TPC-W modules
-run their migrations through ``Testbed.migrate``; the kv-fleet
-scenarios (``bench``'s router scenario, ``soak``, ``rebalance``) share
-one ``Testbed`` builder, one client loop and acknowledged-increment
-audit (:func:`repro.workload.simplekv.run_kv_clients` /
+Every runnable scenario is one row of ``repro.cli.SCENARIOS``: a
+``run(profile, *, seed=None, trace_dir=None)`` returning a
+:class:`~repro.experiments.common.Report` (the paper modules' ``run``
+plus ``migration_time.run_table2`` / ``dbsize.run_table3``,
+``bench.run``, ``chaos.run_all``, ``soak.run_soak`` and
+``rebalance.run_rebalance``), whose traces and JSON artifacts land
+together in the run's trace directory.  The TPC-W modules run their
+migrations through ``Testbed.migrate``; the kv-fleet scenarios
+(``bench``'s router scenario, ``soak``, ``rebalance``) share one
+``Testbed`` builder, one client loop and acknowledged-increment audit
+(:func:`repro.workload.simplekv.run_kv_clients` /
 :func:`~repro.workload.simplekv.audit_kv_tenant`) and one artifact
 writer; each supplies only its fleet shape, load shape and report.
 """

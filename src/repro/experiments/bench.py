@@ -45,8 +45,9 @@ Four scenarios:
     strategy plus zero-loss safety counters; the headline gate is
     relative — watermark p99 below serial p99.
 
-Each scenario writes one ``BENCH_<scenario>.json`` file (see
-EXPERIMENTS.md for the schema).  Values are *simulated* seconds from a
+Each scenario writes one ``BENCH_<scenario>.json`` file beside its
+traces, in the run's trace directory (see EXPERIMENTS.md for the
+schema).  Values are *simulated* seconds from a
 seeded run, so the artifacts are exactly reproducible and safe to gate
 in CI — ``scripts/gate.py bench <dir>`` checks structure and relative
 ordering, never absolute timings.  (The simulator's own host-clock
@@ -55,7 +56,6 @@ speed is measured by ``benchmarks/perf``, not here.)
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -85,9 +85,6 @@ from .common import (
     write_json_artifact,
 )
 from .profiles import Profile, get_profile
-
-#: Default artifact directory (relative to the working directory).
-DEFAULT_BENCH_DIR = os.path.join("benchmarks", "results", "bench")
 
 #: The pipeline scenario's database sizes, as multiples of the rate
 #: model's ``base_mb`` knee.  The sub-knee point shows the small-DB
@@ -537,9 +534,8 @@ def run_router_scenario(profile: Profile,
     return result
 
 
-#: name -> (one-line description, runner): what ``repro bench
-#: --list-scenarios`` prints and what :func:`run_benchmark` runs, in
-#: this order.
+#: name -> (one-line description, runner): what :func:`run_benchmark`
+#: runs, in this order.
 SCENARIOS = {
     "pipeline": ("serial vs pipelined vs watermark snapshot shipping "
                  "across database sizes", run_pipeline_scenario),
@@ -557,11 +553,11 @@ SCENARIOS = {
 def run_benchmark(profile: Optional[Profile] = None, *,
                   scenarios: Optional[Sequence[str]] = None,
                   seed: Optional[int] = None,
-                  bench_dir: Optional[str] = None,
                   trace_dir: Optional[str] = None
                   ) -> List[Any]:
-    """Run the selected bench scenarios and write ``BENCH_*.json``
-    under ``bench_dir`` (default ``benchmarks/results/bench``)."""
+    """Run the selected bench scenarios and write one
+    ``BENCH_<scenario>.json`` each beside their traces (``trace_dir``,
+    else ``$REPRO_TRACE_DIR``, else nowhere)."""
     profile = seeded(profile or get_profile(), seed)
     results: List[Any] = []
     for scenario in (scenarios or SCENARIOS):
@@ -570,8 +566,8 @@ def run_benchmark(profile: Optional[Profile] = None, *,
                              % (scenario, ", ".join(SCENARIOS)))
         result = SCENARIOS[scenario][1](profile, trace_dir=trace_dir)
         result.path = write_json_artifact(
-            bench_dir or DEFAULT_BENCH_DIR,
-            "BENCH_%s.json" % result.scenario, result.to_dict())
+            trace_dir, "BENCH_%s.json" % result.scenario,
+            result.to_dict())
         results.append(result)
     return results
 
@@ -609,8 +605,6 @@ def report(results: List[Any], profile: Profile) -> str:
                        comparison["candidate"],
                        comparison["candidate_p99"],
                        100.0 * comparison["p99_improvement"]))
-            if result.path is not None:
-                router_lines.append("artifact: %s" % result.path)
             continue
         for case in result.cases:
             label = case.scenario
@@ -665,21 +659,16 @@ def report(results: List[Any], profile: Profile) -> str:
                        100.0 * comparison["improvement"],
                        comparison["max_in_flight"],
                        comparison["total_queue_wait"]))
-        if result.path is not None:
-            lines.append("artifact: %s" % result.path)
     lines.extend(router_lines)
     return "\n".join(lines)
 
 
 def run(profile: Optional[Profile] = None, *,
         seed: Optional[int] = None,
-        trace_dir: Optional[str] = None,
-        bench_dir: Optional[str] = None,
-        scenarios: Optional[Sequence[str]] = None) -> Report:
-    """Uniform entry point: run the bench, return the rendered table."""
+        trace_dir: Optional[str] = None) -> Report:
+    """Uniform entry point: every bench scenario, the rendered table."""
     profile = seeded(profile or get_profile(), seed)
-    results = run_benchmark(profile, scenarios=scenarios,
-                            bench_dir=bench_dir, trace_dir=trace_dir)
+    results = run_benchmark(profile, trace_dir=trace_dir)
     artifacts = [r.path for r in results if r.path is not None]
     return Report(experiment="bench", profile=profile.name,
                   seed=profile.seed, text=report(results, profile),

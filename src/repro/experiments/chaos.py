@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.middleware import MigrationOptions, MigrationReport
 from ..faults import FaultInjector, FaultPlan
 from ..metrics.report import format_table
-from .common import TenantSetup, build_testbed
+from .common import Report, TenantSetup, build_testbed, seeded
 from .migration_time import WARMUP_SECONDS
 from .profiles import Profile, get_profile
 
@@ -167,8 +167,8 @@ def _plan_baseline(profile: Profile) -> Tuple[FaultPlan, List[str]]:
     return FaultPlan(), []
 
 
-#: name -> (one-line description, fault-plan builder): what ``repro
-#: chaos --list-scenarios`` prints and what :func:`run_chaos` runs.
+#: name -> (one-line description, fault-plan builder): what
+#: :func:`run_chaos` runs and :func:`run_all` runs every one of.
 SCENARIOS = {
     "baseline": ("no faults (control)", _plan_baseline),
     "standby-crash": ("standby node crashes mid-catch-up -> dropped",
@@ -270,13 +270,19 @@ def run_chaos(scenario: str,
     return chaos
 
 
-def run_all(profile: Optional[Profile] = None,
-            scenarios: Optional[List[str]] = None,
-            trace_dir: Optional[str] = None) -> List[ChaosOutcome]:
-    """Run several scenarios (each on a fresh testbed)."""
-    profile = profile or get_profile()
-    return [run_chaos(name, profile, trace_dir=trace_dir)
-            for name in (scenarios or sorted(SCENARIOS))]
+def run_all(profile: Optional[Profile] = None, *,
+            seed: Optional[int] = None,
+            trace_dir: Optional[str] = None) -> Report:
+    """Run every scenario, each on a fresh testbed; the report's
+    ``data`` is the list of :class:`ChaosOutcome`."""
+    profile = seeded(profile or get_profile(), seed)
+    outcomes = [run_chaos(name, profile, trace_dir=trace_dir)
+                for name in sorted(SCENARIOS)]
+    return Report(experiment="chaos", profile=profile.name,
+                  seed=profile.seed, text=report(outcomes, profile),
+                  data=outcomes,
+                  artifacts=[chaos.trace_path for chaos in outcomes
+                             if chaos.trace_path is not None])
 
 
 def report(outcomes: List[ChaosOutcome], profile: Profile) -> str:

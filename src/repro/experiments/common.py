@@ -69,8 +69,8 @@ from ..workload.tpcw import (
 )
 from .profiles import Profile
 
-#: Where a :class:`Testbed` built without a ``trace_dir`` exports its
-#: traces (the CI artifact convention; see EXPERIMENTS.md).
+#: Where a run given no ``trace_dir`` exports its traces and JSON
+#: artifacts (the CI artifact convention; see EXPERIMENTS.md).
 TRACE_DIR_ENV_VAR = "REPRO_TRACE_DIR"
 
 #: Monotonic sequence number keeping artifact names unique per process.
@@ -84,7 +84,8 @@ class Report:
     ``data`` keeps the experiment-specific result objects (points,
     timeline, cases ...) for programmatic use; ``text`` is the rendered
     human-readable report the CLI prints; ``artifacts`` lists any files
-    the run exported (traces, BENCH_*.json).
+    the run exported (traces, BENCH_*.json); ``ok`` is false when the
+    run's own invariants failed, which the CLI turns into exit code 1.
     """
 
     experiment: str
@@ -93,6 +94,7 @@ class Report:
     text: str
     data: Any = None
     artifacts: List[str] = field(default_factory=list)
+    ok: bool = True
 
 
 def seeded(profile: Profile, seed: Optional[int]) -> Profile:
@@ -387,13 +389,18 @@ def bind_node_obs(middleware: Middleware) -> None:
                                tracer=middleware.tracer)
 
 
-def write_json_artifact(directory: str, name: str,
-                        record: Dict[str, Any]) -> str:
-    """Write ``record`` as ``directory/name``; returns the path.
+def write_json_artifact(directory: Optional[str], name: str,
+                        record: Dict[str, Any]) -> Optional[str]:
+    """Write ``record`` as ``name`` in the run's trace directory —
+    ``directory``, else ``$REPRO_TRACE_DIR`` — and return the path;
+    ``None`` when there is neither.
 
     Sorted keys, fixed indent and no timestamps: a seeded run's
     artifact is byte-identical across runs.
     """
+    directory = directory or os.environ.get(TRACE_DIR_ENV_VAR)
+    if not directory:
+        return None
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
     with open(path, "w") as handle:

@@ -91,6 +91,16 @@ def run(profile: Optional[Profile] = None, *,
                   seed=profile.seed, text=text, data=results)
 
 
+def run_table3(profile: Optional[Profile] = None, *,
+               seed: Optional[int] = None,
+               trace_dir: Optional[str] = None) -> Report:
+    """Uniform entry point: Table 3 alone (no simulation runs)."""
+    del trace_dir
+    profile = seeded(profile or get_profile(), seed)
+    return Report(experiment="table3", profile=profile.name,
+                  seed=profile.seed, text=report_table3(profile))
+
+
 def report_fig9(results: List[SizeResult], profile: Profile) -> str:
     """Figure 9 as a table with paper values and growth factors."""
     paper = {(items, ebs): seconds for items, ebs, seconds in PAPER_FIG9}

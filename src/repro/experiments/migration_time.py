@@ -112,6 +112,16 @@ def run(profile: Optional[Profile] = None, *,
                   seed=profile.seed, text=text, data=results)
 
 
+def run_table2(profile: Optional[Profile] = None, *,
+               seed: Optional[int] = None,
+               trace_dir: Optional[str] = None) -> Report:
+    """Uniform entry point: Table 2 alone (no simulation runs)."""
+    del trace_dir
+    profile = seeded(profile or get_profile(), seed)
+    return Report(experiment="table2", profile=profile.name,
+                  seed=profile.seed, text=report_table2())
+
+
 def report(results: List[MigrationResult], profile: Profile) -> str:
     """Figure 6 as a table with paper values alongside."""
     rows = []

@@ -146,15 +146,15 @@ def run_rebalance(profile: Optional[Profile] = None, *,
                   phases: int = 3,
                   phase_seconds: float = PHASE_SECONDS,
                   options: Optional[RebalanceOptions] = None,
-                  trace_dir: Optional[str] = None,
-                  bench_dir: Optional[str] = None) -> Report:
+                  trace_dir: Optional[str] = None) -> Report:
     """Run one shifting-hotspot rebalance; deterministic under ``seed``.
 
     Phase ``p`` makes hot the tenants of placement group ``p % nodes``
     (the tenants that started on that node), so every phase begins with
     one overloaded node and the :class:`~repro.control.Rebalancer` must
-    notice, plan, and drain it autonomously.  Returns the uniform
-    experiment :class:`Report` whose ``data`` is a
+    notice, plan, and drain it autonomously.  The trace and
+    ``BENCH_rebalance.json`` land in the run's trace directory.
+    Returns the uniform experiment :class:`Report` whose ``data`` is a
     :class:`RebalanceOutcome`.
     """
     if tenants < nodes or nodes < 3:
@@ -312,14 +312,14 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         "trace_rebalance.jsonl",
         {"experiment": "rebalance", "tenants": tenants, "nodes": nodes,
          "phases": phases})
-    if bench_dir:
-        outcome.report_path = write_json_artifact(
-            bench_dir, "BENCH_rebalance.json", outcome.to_dict())
+    outcome.report_path = write_json_artifact(
+        testbed.trace_dir, "BENCH_rebalance.json", outcome.to_dict())
     return Report(experiment="rebalance", profile=profile.name,
                   seed=root_seed, text=report(outcome), data=outcome,
                   artifacts=[path for path in (outcome.trace_path,
                                                outcome.report_path)
-                             if path])
+                             if path],
+                  ok=outcome.ok)
 
 
 def report(outcome: RebalanceOutcome) -> str:

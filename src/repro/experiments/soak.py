@@ -84,6 +84,11 @@ KV_THINK_TIME = 3.0
 #: generated ``router_crash`` stream).
 ROUTER_SHARDS = 2
 
+#: The fault/load horizon when none is passed, in paper hours: scaled
+#: by the profile like every timeline, so 2.5 simulated hours at
+#: ``quick``.
+PAPER_HOURS = 20.0
+
 #: Idle gap between migration waves, in simulated seconds.
 WAVE_GAP = 45.0
 
@@ -204,22 +209,25 @@ class SoakOutcome:
 
 def run_soak(profile: Optional[Profile] = None, *,
              seed: Optional[int] = None,
-             hours: float = 2.0,
+             hours: Optional[float] = None,
              tenants: int = 3,
              nodes: int = 4,
              model: Optional[FailureModel] = None,
-             trace_dir: Optional[str] = None,
-             soak_dir: Optional[str] = None) -> Report:
+             trace_dir: Optional[str] = None) -> Report:
     """Run one chaos soak; deterministic under ``seed``.
 
-    ``hours`` is the *fault/load horizon* in simulated hours; waves of
-    migrations launch until the horizon closes (the last wave may run
-    past it), and every fault the generated plan schedules lands inside
-    it.  Returns the uniform experiment :class:`Report` whose ``data``
-    is a :class:`SoakOutcome`.
+    ``hours`` is the *fault/load horizon* in simulated hours (default:
+    the profile's scaling of :data:`PAPER_HOURS`); waves of migrations
+    launch until the horizon closes (the last wave may run past it),
+    and every fault the generated plan schedules lands inside it.  The
+    trace and ``SOAK_seed<N>.json`` land in the run's trace directory.
+    Returns the uniform experiment :class:`Report` whose ``data`` is a
+    :class:`SoakOutcome`.
     """
     profile = seeded(profile or get_profile(), seed)
     root_seed = profile.seed
+    if hours is None:
+        hours = profile.duration(PAPER_HOURS)
     model = model or DEFAULT_MODEL
     horizon = hours * 3600.0
     node_names = ["node%d" % index for index in range(nodes)]
@@ -411,14 +419,15 @@ def run_soak(profile: Optional[Profile] = None, *,
     outcome.trace_path = testbed.export_trace_as(
         "trace_chaos_soak.jsonl",
         {"experiment": "chaos-soak", "hours": hours})
-    if soak_dir:
-        outcome.report_path = write_json_artifact(
-            soak_dir, "SOAK_seed%s.json" % root_seed, outcome.to_dict())
+    outcome.report_path = write_json_artifact(
+        testbed.trace_dir, "SOAK_seed%s.json" % root_seed,
+        outcome.to_dict())
     return Report(experiment="chaos-soak", profile=profile.name,
                   seed=root_seed, text=report(outcome), data=outcome,
                   artifacts=[path for path in (outcome.trace_path,
                                                outcome.report_path)
-                             if path])
+                             if path],
+                  ok=outcome.ok)
 
 
 def report(outcome: SoakOutcome) -> str:

@@ -234,7 +234,7 @@ class TestFacade:
         assert names == sorted(names)
         for name in names:
             assert getattr(repro, name) is getattr(repro.api, name), name
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS

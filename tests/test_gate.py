@@ -38,8 +38,7 @@ def chaos_dir(tmp_path_factory):
 def soak_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("soak")
     # the shortest seed-7 horizon with three resume-completed migrations
-    soak.run_soak(seed=7, hours=0.25, trace_dir=str(directory),
-                  soak_dir=str(directory))
+    soak.run_soak(seed=7, hours=0.25, trace_dir=str(directory))
     return directory
 
 

@@ -4,8 +4,7 @@ One short seeded run is shared by the whole module (a 12-tenant /
 3-node fleet through two hotspot phases); the tests assert the control
 plane's structural invariants, the BENCH_rebalance.json schema,
 byte-determinism across same-seed runs, the rebalance rows of
-``scripts/gate.py``, and the CLI wiring (including the
-``--list-scenarios`` flags).
+``scripts/gate.py``, and the scenario tables' wiring.
 """
 
 import json
@@ -30,7 +29,7 @@ def _run(directory):
     return rebalance.run_rebalance(
         get_profile("quick"), seed=SEED, tenants=TENANTS, nodes=NODES,
         phases=PHASES, phase_seconds=PHASE_SECONDS,
-        trace_dir=directory, bench_dir=directory)
+        trace_dir=directory)
 
 
 @pytest.fixture(scope="module")
@@ -192,40 +191,9 @@ class TestGates:
 
 
 class TestCli:
-    def test_rebalance_subcommand_runs_and_writes_artifacts(
-            self, tmp_path, capsys):
-        rc = cli_main([
-            "rebalance", "--profile", "quick", "--seed", str(SEED),
-            "--tenants", str(TENANTS), "--nodes", str(NODES),
-            "--phases", "1", "--phase-seconds", "60",
-            "--bench-dir", str(tmp_path),
-            "--trace-dir", str(tmp_path),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Continuous rebalance" in out
-        assert os.path.exists(str(tmp_path / "BENCH_rebalance.json"))
-        assert os.path.exists(str(tmp_path / "trace_rebalance.jsonl"))
-
     def test_repro_list_mentions_rebalance(self, capsys):
         assert cli_main(["list"]) == 0
         assert "rebalance" in capsys.readouterr().out
-
-    def test_bench_list_scenarios(self, capsys):
-        assert cli_main(["bench", "--list-scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] \
-            == sorted(bench.SCENARIOS)
-        for name, (description, _runner) in bench.SCENARIOS.items():
-            assert "%-22s %s" % (name, description) in out
-
-    def test_chaos_list_scenarios(self, capsys):
-        assert cli_main(["chaos", "--list-scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] \
-            == sorted(chaos.SCENARIOS)
-        for name, (description, _builder) in chaos.SCENARIOS.items():
-            assert "%-22s %s" % (name, description) in out
 
     def test_every_scenario_has_a_description(self):
         """One table each: the entry the listing prints is the entry
@@ -238,7 +206,7 @@ class TestCli:
                                                    tmp_path):
         ran = stub_scenarios(monkeypatch, "policies")
         results = bench.run_benchmark(SMOKE, scenarios=["policies"],
-                                      bench_dir=str(tmp_path))
+                                      trace_dir=str(tmp_path))
         assert ran == ["smoke"]
         assert results[0].path == str(tmp_path / "BENCH_stub.json")
         assert os.path.exists(results[0].path)

@@ -1,4 +1,4 @@
-"""The failure-model chaos soak (``repro chaos --soak``).
+"""The failure-model chaos soak (``repro soak``).
 
 One short seeded soak is shared by the whole module (it runs a full
 multi-tenant fleet for half a simulated hour); the tests then assert
@@ -7,12 +7,10 @@ across same-seed runs, and the soak row of ``scripts/gate.py``.
 """
 
 import json
-import os
 
 import pytest
 
 from _gate import corrupt_trace, gate, trace_failures
-from repro.cli import main as cli_main
 from repro.experiments import soak
 from repro.experiments.profiles import QUICK
 
@@ -23,8 +21,7 @@ HOURS = 0.5
 @pytest.fixture(scope="module")
 def soak_run(tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("soak"))
-    report = soak.run_soak(seed=SEED, hours=HOURS,
-                           trace_dir=directory, soak_dir=directory)
+    report = soak.run_soak(seed=SEED, hours=HOURS, trace_dir=directory)
     return report
 
 
@@ -98,8 +95,7 @@ class TestArtifacts:
     def test_same_seed_reruns_are_byte_identical(self, soak_run,
                                                  tmp_path):
         directory = str(tmp_path)
-        rerun = soak.run_soak(seed=SEED, hours=HOURS,
-                              trace_dir=directory, soak_dir=directory)
+        rerun = soak.run_soak(seed=SEED, hours=HOURS, trace_dir=directory)
         with open(soak_run.data.report_path, "rb") as handle:
             first = handle.read()
         with open(rerun.data.report_path, "rb") as handle:
@@ -146,19 +142,3 @@ class TestTraceGate:
                           lose_one), **self.EXPECT)
         assert failures == ["soak lost_commits = 1 > allowed 0"]
 
-
-class TestCli:
-    def test_chaos_soak_cli_smoke(self, tmp_path, capsys):
-        directory = str(tmp_path)
-        code = cli_main(["chaos", "--soak", "--hours", "0.1",
-                         "--seed", "3", "--tenants", "2",
-                         "--nodes", "3",
-                         "--trace-dir", directory,
-                         "--soak-dir", directory])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Chaos soak" in out
-        assert os.path.exists(
-            os.path.join(directory, "trace_chaos_soak.jsonl"))
-        assert os.path.exists(
-            os.path.join(directory, "SOAK_seed3.json"))
