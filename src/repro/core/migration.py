@@ -281,7 +281,7 @@ class Migration:
                     "phase": journal.suspend_phase or journal.phase,
                     "chunks_restored": dict(journal.chunks_restored),
                     "total_chunks": journal.total_chunks,
-                    "backlog": state.ssl.pending_count()}
+                    "backlog": replication_backlog(state)}
                 # Resumed snapshots always stream.
                 attrs.update(pipelined=True, resumed=True,
                              resumes=journal.resumes)

@@ -187,7 +187,7 @@ class _BasePropagator:
         if waiters and self.tracer is not None:
             self.tracer.event("propagation.caught_up",
                               engine=self.policy.name,
-                              backlog=self.ssl.pending_count())
+                              backlog=self._backlog())
         for event in waiters:
             event.succeed()
 
@@ -211,7 +211,7 @@ class _BasePropagator:
         if self.tracer is not None:
             self.tracer.event("propagation.failed",
                               engine=self.policy.name, reason=reason,
-                              backlog=self.ssl.pending_count())
+                              backlog=self._backlog())
         self._on_fail()
         waiters, self._failed_waiters = self._failed_waiters, []
         for event in waiters:
@@ -223,6 +223,11 @@ class _BasePropagator:
 
     def _in_flight(self) -> int:
         raise NotImplementedError
+
+    def _backlog(self) -> int:
+        """Replication units not yet replayed: linked SSBs here, the
+        change-stream cursor under a watermark migration."""
+        return self.ssl.pending_count()
 
     def _is_drained(self) -> bool:
         return (self.ssl.is_empty() and self._in_flight() == 0

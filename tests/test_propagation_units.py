@@ -256,3 +256,29 @@ class TestReplayFailure:
         prop.notify_linked()
         with pytest.raises(MigrationError):
             env.run()
+
+
+class TestBacklogInEvents:
+    """``propagation.caught_up`` / ``propagation.failed`` report the
+    engine's own backlog: the change-stream cursor under a watermark
+    migration, whose SSL stays empty."""
+
+    def test_change_stream_backlog_is_the_cursor(self, env):
+        from repro.core.pipeline import ChangeTap
+        from repro.core.watermark import ChangeStreamApplier
+        from repro.obs.trace import Tracer
+        tap = ChangeTap(env)
+        cursor = tap.consumer("slave")
+        for key in range(3):
+            tap.append_txn((("kv", key, {"k": key, "v": 1}),))
+        tracer = Tracer(env)
+        applier = ChangeStreamApplier(
+            env, cursor, "master", SyncsetList(), _slave(env), "T",
+            Network(env), MADEUS, tracer=tracer)
+        applier.wait_caught_up()
+        applier._fire_caught_up()
+        applier._fail("destination crashed")
+        backlog = {event.name: event.attrs["backlog"]
+                   for event in tracer.events}
+        assert backlog == {"propagation.caught_up": 3,
+                           "propagation.failed": 3}
