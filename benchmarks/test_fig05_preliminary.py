@@ -45,7 +45,7 @@ def test_fig05_preliminary_sweep(benchmark, profile, publish):
            "same-instant arrivals, 700 EBs reads 282 ms / medium where "
            "the paper's band, and this model with it off, is 307 ms / "
            "heavy.  Repairing it moves benchmarks/perf/frozen.json, so "
-           "it needs a frozen.json re-baseline (ROADMAP direction 5).")
+           "it needs a frozen.json re-baseline (ROADMAP direction 2(b)).")
 def test_fig05_bands_match_the_paper(profile):
     points = _sweep.get(profile.name) or preliminary.run_preliminary(
         profile=profile, eb_counts=EB_SWEEP)

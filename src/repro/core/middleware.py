@@ -54,7 +54,6 @@ from .pipeline import ChangeTap
 from .policy import MADEUS, PropagationPolicy
 from .region import COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion
 from .ssb import SyncsetBuffer, SyncsetList
-from .theory import LsirValidator
 from .watermark import SnapshotStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,10 +157,6 @@ class MiddlewareConfig:
 
     #: Propagation protocol (Madeus by default; see ``repro.core.policy``).
     policy: PropagationPolicy = MADEUS
-    #: Record slave replay events for LSIR validation (tests; small runs).
-    validate_lsir: bool = False
-    #: Compare master/slave logical state at switch-over (Theorem 2).
-    verify_consistency: bool = True
     #: Abort the migration if the slave has not caught up by this many
     #: simulated seconds after propagation starts (None = never).
     catchup_deadline: Optional[float] = None
@@ -254,8 +249,6 @@ class Middleware:
         #: middleware's stable storage; see :mod:`repro.core.journal`).
         self.journal = Journal(env, self.tracer, self.metrics)
         self._routes = self.journal.routes
-        self.validator: Optional[LsirValidator] = (
-            LsirValidator() if self.config.validate_lsir else None)
         self.reports: List[MigrationReport] = []
 
     # ------------------------------------------------------------------

@@ -573,7 +573,7 @@ class Migration:
     # ------------------------------------------------------------------
     def _catch_up(self) -> Generator[Any, Any, None]:
         """Concurrent syncset propagation until caught up."""
-        mw, state, report = self.mw, self.state, self.report
+        state, report = self.state, self.report
         tenant, config = self.tenant, self.mw.config
         if self.journal is not None:
             self.journal.phase = "catch-up"
@@ -587,8 +587,8 @@ class Migration:
         if not adopted:
             state.propagator = make_propagator(
                 self.env, state.ssl, self.dest_instance, tenant,
-                self.network, config.policy, mw.validator,
-                tracer=self.tracer, metrics=self.metrics)
+                self.network, config.policy, tracer=self.tracer,
+                metrics=self.metrics)
         for name, instance in self.standby_instances.items():
             if name in state.standby_propagators:
                 # Watermark standby appliers were adopted during the
@@ -724,13 +724,12 @@ class Migration:
         report.switched_at = self.env.now
         self.tracer.event("migration.switched", tenant=tenant,
                           destination=self.destination)
-        if mw.config.verify_consistency:
-            source_db = self.source_instance.tenant(tenant)
-            report.consistent, report.inconsistencies = states_equal(
-                source_db, self.dest_instance.tenant(tenant))
-            for name in list(state.standby_propagators):
-                report.standby_consistency[name], _diffs = states_equal(
-                    source_db, self.standby_instances[name].tenant(tenant))
+        source_db = self.source_instance.tenant(tenant)
+        report.consistent, report.inconsistencies = states_equal(
+            source_db, self.dest_instance.tenant(tenant))
+        for name in list(state.standby_propagators):
+            report.standby_consistency[name], _diffs = states_equal(
+                source_db, self.standby_instances[name].tenant(tenant))
         mw.journal.commit(record)
 
     # ------------------------------------------------------------------
@@ -842,7 +841,7 @@ class Migration:
             attrs.update(resumed=True, settled=True)
             self.metrics.counter("migration.completed").inc()
         else:
-            self._stamp_replay(engine.stats)
+            self._stamp_replay(engine)
             attrs.update(
                 source_crashed=report.source_crashed,
                 rounds=report.rounds,
@@ -876,9 +875,9 @@ class Migration:
         for key, value in values.items():
             self.metrics.gauge("%s.%s" % (prefix, key)).set(value)
 
-    def _stamp_replay(self, stats: Any) -> None:
-        """Fill the report's propagation and slave-WAL figures."""
-        report, wal = self.report, self.dest_instance.wal
+    def _stamp_replay(self, engine: Any) -> None:
+        """Fill the report's replay, slave-WAL and LSIR figures."""
+        report, wal, stats = self.report, self.dest_instance.wal, engine.stats
         report.syncsets_propagated = stats.syncsets_replayed
         report.operations_propagated = stats.operations_replayed
         report.max_concurrent_players = stats.max_concurrent_players
@@ -889,8 +888,8 @@ class Migration:
         if report.slave_flush_count:
             report.slave_mean_group_size = (report.slave_commit_count
                                             / report.slave_flush_count)
-        if self.mw.validator is not None:
-            report.lsir_violations = self.mw.validator.violations()
+        if engine.validator is not None:
+            report.lsir_violations = engine.validator.violations()
         report.source_crashed = self.source_instance.crashed
 
     # ------------------------------------------------------------------

@@ -10,7 +10,8 @@ Two propagation engines implement all four middlewares of Table 2:
   commits whose ETS falls before the next snapshot point propagate —
   concurrently under Madeus (CON-COM, enabling group commit on the
   slave), one at a time under B-CON, each commit paying the pool's
-  competition for the commit mutex.
+  competition for the commit mutex.  Each conductor records its replay
+  schedule in its own :class:`~repro.core.theory.LsirValidator`.
 
 Both engines report the same :class:`PropagationStats` and signal the
 manager through ``caught_up`` events.
@@ -74,10 +75,14 @@ class PropagationStats:
 class _BasePropagator:
     """Shared plumbing: slave replay of single operations."""
 
+    #: The LSIR recorder of this engine's schedule.  Only a
+    #: :class:`Conductor` keeps one: B-ALL, B-MIN and the row-image
+    #: change-stream applier make no LSIR promise.
+    validator: Optional[LsirValidator] = None
+
     def __init__(self, env: "Environment", ssl: SyncsetList,
                  slave: "DbmsInstance", tenant_name: str,
                  network: "Network", policy: PropagationPolicy,
-                 validator: Optional[LsirValidator] = None,
                  tracer: Optional["Tracer"] = None,
                  metrics: Optional["MetricsRegistry"] = None,
                  metrics_prefix: str = "propagation"):
@@ -87,7 +92,6 @@ class _BasePropagator:
         self.tenant_name = tenant_name
         self.network = network
         self.policy = policy
-        self.validator = validator
         self.tracer = tracer
         self.metrics = metrics
         self.metrics_prefix = metrics_prefix
@@ -276,13 +280,6 @@ class _BasePropagator:
                 % (operation.sql, result.error))
         self.stats.operations_replayed += 1
 
-    def _record(self, ssb: SyncsetBuffer, kind: str,
-                write_index: int = -1) -> None:
-        if self.validator is not None:
-            ets = ssb.ets if ssb.ets is not None else -1
-            self.validator.record(ssb.ssb_id, ssb.sts, ets, kind,
-                                  self.env.now, write_index)
-
     def _run(self) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError
         yield
@@ -339,21 +336,16 @@ class SerialReplayer(_BasePropagator):
         yield from self._replay_statement(
             session, Operation(OpKind.BEGIN, "BEGIN", _BEGIN))
         self.stats.operations_replayed -= 1  # BEGIN is bookkeeping
-        write_index = 0
         for entry in ssb.entries:
             if entry.kind == OpKind.COMMIT:
-                self._record(ssb, "commit")
                 yield from self._replay_statement(
                     session, Operation(OpKind.COMMIT, "COMMIT", _COMMIT,
                                        entry.cpu_cost))
                 self.stats.commits_replayed += 1
             elif entry.kind == OpKind.FIRST_READ:
-                self._record(ssb, "first_read")
                 yield from self._replay_statement(session, entry)
                 self.stats.first_reads_replayed += 1
             elif entry.kind == OpKind.WRITE:
-                self._record(ssb, "write", write_index)
-                write_index += 1
                 yield from self._replay_statement(session, entry)
                 self.stats.writes_replayed += 1
             else:  # plain reads (B-ALL keeps them)
@@ -389,6 +381,13 @@ class Conductor(_BasePropagator):
         super().__init__(*args, **kwargs)
         self._awaiting: List[_PlayerHandle] = []
         self._active_players = 0
+        self.validator = LsirValidator()
+
+    def _record(self, ssb: SyncsetBuffer, kind: str,
+                write_index: int = -1) -> None:
+        ets = ssb.ets if ssb.ets is not None else -1
+        self.validator.record(ssb.ssb_id, ssb.sts, ets, kind,
+                              self.env.now, write_index)
 
     def _in_flight(self) -> int:
         return self._active_players
@@ -570,7 +569,6 @@ class Conductor(_BasePropagator):
 def make_propagator(env: "Environment", ssl: SyncsetList,
                     slave: "DbmsInstance", tenant_name: str,
                     network: "Network", policy: PropagationPolicy,
-                    validator: Optional[LsirValidator] = None,
                     tracer: Optional["Tracer"] = None,
                     metrics: Optional["MetricsRegistry"] = None,
                     metrics_prefix: str = "propagation"
@@ -579,7 +577,7 @@ def make_propagator(env: "Environment", ssl: SyncsetList,
     engine_cls = Conductor if policy.concurrent_first_writes \
         else SerialReplayer
     return engine_cls(env, ssl, slave, tenant_name, network, policy,
-                      validator, tracer=tracer, metrics=metrics,
+                      tracer=tracer, metrics=metrics,
                       metrics_prefix=metrics_prefix)
 
 

@@ -129,7 +129,7 @@ class ChangeStreamApplier(_BasePropagator):
                  metrics: Optional["MetricsRegistry"] = None,
                  metrics_prefix: str = "propagation"):
         super().__init__(env, ssl, slave, tenant_name, network, policy,
-                         None, tracer=tracer, metrics=metrics,
+                         tracer=tracer, metrics=metrics,
                          metrics_prefix=metrics_prefix)
         self.cursor = cursor
         self.tap = cursor.tap

@@ -411,7 +411,7 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
     cluster = new_cluster(["node0", "node1"])
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, verify_consistency=True, drop_source_copy=True))
+        policy=MADEUS, drop_source_copy=True))
     fleet = RouterFleet(env, middleware, shards=ROUTER_SHARD_COUNT,
                         seed=profile.seed)
     testbed = build_kv_testbed(

@@ -414,8 +414,6 @@ def build_testbed(profile: Profile,
                   policy: PropagationPolicy = MADEUS,
                   nodes: Optional[List[str]] = None,
                   checkpoints: bool = False,
-                  validate_lsir: bool = False,
-                  verify_consistency: bool = True,
                   trace_dir: Optional[str] = None) -> Testbed:
     """Assemble nodes, middleware (its migrations run at the profile's
     transfer rates), tenant databases, and EB load."""
@@ -428,8 +426,6 @@ def build_testbed(profile: Profile,
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
         policy=policy,
-        validate_lsir=validate_lsir,
-        verify_consistency=verify_consistency,
         catchup_deadline=profile.catchup_deadline,
         migration=MigrationOptions(rates=profile.rates)))
     bind_node_obs(middleware)

@@ -73,7 +73,7 @@ def run_preliminary(profile: Optional[Profile] = None,
         testbed = build_testbed(
             profile,
             [TenantSetup("A", "node0", paper_ebs=paper_ebs)],
-            nodes=["node0"], verify_consistency=False)
+            nodes=["node0"])
         testbed.run(until=measure)
         metrics = testbed.metrics["A"]
         rt = metrics.mean_response_time(measure / 2, measure)

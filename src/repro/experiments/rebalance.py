@@ -172,8 +172,7 @@ def run_rebalance(profile: Optional[Profile] = None, *,
     cluster = new_cluster(node_names)
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=120.0,
+        policy=MADEUS, catchup_deadline=120.0,
         migration=MigrationOptions(rates=REBALANCE_RATES, chunk_mb=4.0,
                                    resume=True)))
     bind_node_obs(middleware)

@@ -238,8 +238,7 @@ def run_soak(profile: Optional[Profile] = None, *,
     cluster = new_cluster(node_names)
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=120.0,
+        policy=MADEUS, catchup_deadline=120.0,
         migration=MigrationOptions(rates=SOAK_RATES, chunk_mb=4.0,
                                    resume=True)))
     bind_node_obs(middleware)

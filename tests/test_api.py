@@ -67,7 +67,8 @@ RETIRED = {
         {"ship_retry_cap": 2.0}, {"divergence_interval": 5.0},
         {"divergence_window": 6}, {"divergence_min_growth": 64},
         {"pipeline_snapshot": True}, {"pipeline_depth": 4},
-        {"handover_journal_sync": 0.002}, {"resumable": True}),
+        {"handover_journal_sync": 0.002}, {"resumable": True},
+        {"validate_lsir": True}, {"verify_consistency": True}),
     "ScheduleOptions": ({"strategy": "watermark"},),
     "RebalanceOptions": (
         {"strategy": "watermark"}, {"retry_limit": 2},
@@ -94,12 +95,17 @@ RETIRED = {
     "core.Middleware": ({"tracer": None}, {"metrics": None}),
     "router.RouterFleet": ({"tracer": None}, {"metrics": None}),
     "router.RouterShard": ({"tracer": None}, {"metrics": None}),
+    "experiments.common.build_testbed": (
+        {"validate_lsir": True}, {"verify_consistency": True}),
+    "core.propagation.make_propagator": ({"validator": None},),
 }
 POSITIONAL = {"engine.DbmsInstance": (None, "n"),
               "engine.DbmsInstance.bind_obs": (None, None),
               "core.Middleware": (None, None),
               "router.RouterFleet": (None, None),
-              "router.RouterShard": (None, None, "r")}
+              "router.RouterShard": (None, None, "r"),
+              "experiments.common.build_testbed": (None, None),
+              "core.propagation.make_propagator": (None,) * 6}
 
 
 def _retired_id(case):
@@ -134,9 +140,8 @@ KNOB_CENSUS = {
     "KvWorkloadConfig": ["keys", "clients", "transactions_per_client",
                          "read_only_ratio", "writes_per_txn",
                          "think_time"],
-    "MiddlewareConfig": ["policy", "validate_lsir", "verify_consistency",
-                         "catchup_deadline", "drop_source_copy",
-                         "migration"],
+    "MiddlewareConfig": ["policy", "catchup_deadline",
+                         "drop_source_copy", "migration"],
     "MigrationOptions": ["rates", "standbys", "strategy", "chunk_mb",
                          "retry_limit", "retry_base", "retry_cap",
                          "divergence_interval", "divergence_window",
@@ -170,7 +175,7 @@ def test_knob_census():
                     and census_name.search(name)):
                 found[name] = [f.name for f in dataclasses.fields(obj)]
     assert found == KNOB_CENSUS
-    assert sum(len(knobs) for knobs in found.values()) == 90
+    assert sum(len(knobs) for knobs in found.values()) == 88
 
 
 class TestFacade:
@@ -234,7 +239,7 @@ class TestFacade:
         assert names == sorted(names)
         for name in names:
             assert getattr(repro, name) is getattr(repro.api, name), name
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS
@@ -469,7 +474,7 @@ def _build(migration=MigrationOptions()):
     cluster.add_node("node0")
     cluster.add_node("node1")
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, verify_consistency=True, migration=migration))
+        policy=MADEUS, migration=migration))
     return env, cluster, middleware
 
 

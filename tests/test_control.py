@@ -361,7 +361,7 @@ def _service_bed():
     for name in ("node0", "node1", "node2"):
         cluster.add_node(name)
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, verify_consistency=True))
+        policy=MADEUS))
 
     def setup(env):
         for tenant in ("A", "B"):

@@ -1,7 +1,10 @@
 """Tests for the theory layer: dependencies, history recording, the
 LSIR validator, and the consistency checker."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (NECESSARY_DEPENDENCIES, UNNECESSARY_DEPENDENCIES,
                         DependencyType, HistoryRecorder, LsirValidator,
@@ -173,6 +176,90 @@ class TestLsirValidator:
 
     def test_empty_schedule_valid(self):
         assert LsirValidator().is_valid
+
+
+def _pairwise_violations(events):
+    """Definition 3 checked pair by pair: every commit against every
+    first read of another SSB.  Returns ``(rule, ssb)`` with the SSB of
+    the first read (1-a), of the commit (1-b), of the writes (rule 2)
+    or of the early commit ("before its first read")."""
+    first_reads, commits, writes = {}, {}, {}
+    for event in events:
+        if event.kind == "first_read":
+            first_reads[event.ssb_id] = event
+        elif event.kind == "commit":
+            commits[event.ssb_id] = event
+        else:
+            writes.setdefault(event.ssb_id, []).append(event)
+
+    def before(a, b):
+        return (a.time, a.sequence) < (b.time, b.sequence)
+
+    found = set()
+    for commit in commits.values():
+        for read in first_reads.values():
+            if read.ssb_id == commit.ssb_id:
+                continue
+            if commit.ets < read.sts and not before(commit, read):
+                found.add(("rule 1-a", read.ssb_id))
+            if read.sts <= commit.ets and not before(read, commit):
+                found.add(("rule 1-b", commit.ssb_id))
+    for ssb_id, ssb_writes in writes.items():
+        indices = [e.write_index for e in sorted(
+            ssb_writes, key=lambda e: (e.time, e.sequence))]
+        if indices != sorted(indices):
+            found.add(("rule 2", ssb_id))
+    for ssb_id, commit in commits.items():
+        read = first_reads.get(ssb_id)
+        if read is not None and not before(read, commit):
+            found.add(("before its first read", ssb_id))
+    return found
+
+
+#: Each message's rule and the SSB the pairwise form names for it.
+_MESSAGE = re.compile(
+    r"(?P<rule>rule 1-a): commit ets=-?\d+ \(ssb \d+\) must precede "
+    r"first read sts=-?\d+ \(ssb (?P<a>\d+)\)$"
+    r"|(?P<rule_b>rule 1-b): first read sts=-?\d+ \(ssb \d+\) must "
+    r"precede commit ets=-?\d+ \(ssb (?P<b>\d+)\)$"
+    r"|(?P<rule_2>rule 2): writes of ssb (?P<w>\d+) replayed out of order"
+    r"|ssb (?P<e>\d+) committed (?P<early>before its first read)$")
+
+#: One replay event: (ssb, sts, ets, kind, time, write index).  Few
+#: SSBs, values and instants, so same-instant ties, repeated times,
+#: ``ets < sts``, repeated kinds and missing commits or first reads
+#: are all common.
+_EVENT = st.tuples(
+    st.integers(0, 5), st.integers(0, 6), st.integers(-1, 6),
+    st.sampled_from(["first_read", "write", "commit"]),
+    st.integers(0, 4), st.integers(0, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=st.lists(_EVENT, max_size=24))
+@example(schedule=[(1, 3, 3, "first_read", 0, 0),
+                   (2, 4, 9, "first_read", 1, 0),
+                   (1, 3, 3, "commit", 2, 0)])
+@example(schedule=[(1, 3, 5, "first_read", 0, 0),
+                   (1, 3, 5, "commit", 1, 0),
+                   (2, 3, 7, "first_read", 2, 0)])
+def test_sorted_pass_agrees_with_the_pairwise_definition(schedule):
+    """``violations()`` reports each rule for exactly the SSBs the
+    pairwise definition of Definition 3 does, with the same message
+    prefixes."""
+    validator = LsirValidator()
+    for ssb_id, sts, ets, kind, time, write_index in schedule:
+        validator.record(ssb_id, sts, ets, kind, float(time),
+                         write_index if kind == "write" else -1)
+    reported = set()
+    for message in validator.violations():
+        match = _MESSAGE.match(message)
+        assert match is not None, message
+        rule = (match["rule"] or match["rule_b"] or match["rule_2"]
+                or match["early"])
+        ssb = match["a"] or match["b"] or match["w"] or match["e"]
+        reported.add((rule, int(ssb)))
+    assert reported == _pairwise_violations(validator.events)
 
 
 class TestStatesEqual:

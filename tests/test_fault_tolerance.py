@@ -30,8 +30,7 @@ def build(env, nodes=3, policy=MADEUS, deadline=None, **migration):
     for index in range(nodes):
         cluster.add_node("node%d" % index)
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=policy, validate_lsir=False, verify_consistency=True,
-        catchup_deadline=deadline,
+        policy=policy, catchup_deadline=deadline,
         migration=MigrationOptions(**migration)))
     return cluster, middleware
 

@@ -2,8 +2,8 @@
 
 These are the core integration tests: each migration must leave the
 slave's logical state equal to the master's final state (Theorem 2),
-Madeus's replay schedule must satisfy the LSIR, and the migration
-reports must be internally consistent.
+the conductor's replay schedule (B-CON, Madeus) must satisfy the LSIR,
+and the migration reports must be internally consistent.
 """
 
 import pytest
@@ -23,19 +23,18 @@ from _helpers import drive
 RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
 
 
-def build(env, policy, validate_lsir=True, deadline=None):
+def build(env, policy, deadline=None):
     cluster = Cluster(env)
     cluster.add_node("node0")
     cluster.add_node("node1")
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=policy, validate_lsir=validate_lsir,
-        verify_consistency=True, catchup_deadline=deadline))
+        policy=policy, catchup_deadline=deadline))
     return cluster, middleware
 
 
 def run_migration(env, policy, *, clients=6, txns=60, read_ratio=0.4,
-                  migrate_after=0.1, seed=42, validate=True):
-    cluster, middleware = build(env, policy, validate_lsir=validate)
+                  migrate_after=0.1, seed=42):
+    cluster, middleware = build(env, policy)
     holder = {}
 
     def main(env):
@@ -113,13 +112,13 @@ class TestMigrationConsistency:
 
 class TestLsirCompliance:
     def test_madeus_schedule_satisfies_lsir(self, env):
-        report, _w, _c, _m = run_migration(env, MADEUS, validate=True)
+        report, _w, _c, _m = run_migration(env, MADEUS)
         assert report.lsir_violations == []
 
     def test_bcon_schedule_satisfies_lsir_rules_too(self, env):
         """B-CON is stricter than the LSIR (serial commits), so its
         schedules also validate."""
-        report, _w, _c, _m = run_migration(env, B_CON, validate=True)
+        report, _w, _c, _m = run_migration(env, B_CON)
         assert report.lsir_violations == []
 
     def test_serial_commit_order_replay_may_violate_1b(self, env):
@@ -128,11 +127,46 @@ class TestLsirCompliance:
         replayed late (rule 1-b).  Consistency still holds for the
         primary-key workload, which is why B-MIN 'works' in the paper
         despite lacking CON-FW."""
-        report, _w, _c, _m = run_migration(env, B_MIN, validate=True,
-                                           read_ratio=0.0, clients=8)
+        report, _w, _c, _m = run_migration(env, B_MIN, read_ratio=0.0,
+                                           clients=8)
         # Not asserted as a violation *must* exist (timing dependent),
-        # but consistency must hold either way.
+        # but consistency must hold either way.  B-MIN makes no LSIR
+        # promise, so its serial replayer records no schedule to judge.
         assert report.consistent is True
+        assert report.lsir_violations == []
+
+    @pytest.mark.parametrize("policy", [MADEUS, B_CON],
+                             ids=lambda p: p.name)
+    def test_concurrent_tenants_are_judged_apart(self, env, policy):
+        """STS and ETS are values of one tenant's MLC, so two tenants
+        migrating at once are two schedules: each replay engine judges
+        its own, and neither reports the other's events."""
+        cluster, middleware = build(env, policy)
+        reports = {}
+
+        def migrate(env, tenant):
+            reports[tenant] = yield from middleware.migrate(
+                tenant, "node1", MigrationOptions(rates=RATES))
+
+        def main(env):
+            for seed, tenant in enumerate("AB"):
+                yield from setup_kv_tenant(
+                    cluster.node("node0").instance, tenant, 40)
+                middleware.register_tenant(tenant, "node0")
+                run_kv_clients(env, middleware, tenant, KvWorkloadConfig(
+                    keys=40, clients=6, transactions_per_client=60,
+                    read_only_ratio=0.4, think_time=0.02), seed=seed)
+            yield env.timeout(0.1)
+            for tenant in "AB":
+                env.process(migrate(env, tenant))
+        env.process(main(env))
+        env.run()
+        assert sorted(reports) == ["A", "B"]
+        for tenant, report in reports.items():
+            assert report.consistent is True, (tenant,
+                                               report.inconsistencies)
+            assert report.syncsets_propagated > 0, tenant
+            assert report.lsir_violations == [], tenant
 
     def test_madeus_group_commit_observed(self, env):
         report, _w, _c, _m = run_migration(env, MADEUS, clients=10,
@@ -227,8 +261,7 @@ class TestMigrationErrors:
     def test_catchup_timeout_surfaces_as_na(self, env):
         """With an impossibly small deadline the migration reports the
         paper's 'N/A' outcome instead of hanging."""
-        cluster, middleware = build(env, B_CON, validate_lsir=False,
-                                    deadline=0.001)
+        cluster, middleware = build(env, B_CON, deadline=0.001)
         outcome = {}
 
         def main(env):
@@ -254,8 +287,7 @@ class TestMigrationErrors:
         assert outcome["timeout"].elapsed >= 0
 
     def test_migration_retry_after_timeout_succeeds(self, env):
-        cluster, middleware = build(env, MADEUS, validate_lsir=False,
-                                    deadline=0.0001)
+        cluster, middleware = build(env, MADEUS, deadline=0.0001)
         outcome = {}
 
         def main(env):

@@ -362,7 +362,7 @@ class TestPipelinedMigration:
         cluster.add_node("node0")
         cluster.add_node("node1")
         middleware = Middleware(env, cluster, MiddlewareConfig(
-            policy=MADEUS, verify_consistency=True))
+            policy=MADEUS))
         holder = {}
         rates = TransferRates(dump_mb_s=8.0, restore_mb_s=4.0,
                               base_mb=16.0, chunk_mb=8.0)

@@ -8,8 +8,8 @@ can be asserted precisely.
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import (B_CON, B_MIN, MADEUS, LsirValidator, Operation,
-                        OpKind, SyncsetBuffer, SyncsetList)
+from repro.core import (B_CON, B_MIN, MADEUS, Operation, OpKind,
+                        SyncsetBuffer, SyncsetList)
 from repro.core.propagation import Conductor, SerialReplayer, \
     make_propagator
 from repro.engine import DbmsInstance, Session, parse
@@ -46,12 +46,11 @@ def _ssb(sts, ets, key, value):
     return ssb
 
 
-def _build(env, policy, validator=None):
+def _build(env, policy):
     slave = _slave(env)
     ssl = SyncsetList()
     network = Network(env)
-    propagator = make_propagator(env, ssl, slave, "T", network, policy,
-                                 validator)
+    propagator = make_propagator(env, ssl, slave, "T", network, policy)
     return slave, ssl, propagator
 
 
@@ -64,11 +63,18 @@ class TestFactory:
         _s, _ssl, prop = _build(env, B_MIN)
         assert isinstance(prop, SerialReplayer)
 
+    def test_only_the_conductor_records_its_schedule(self, env):
+        """B-CON and Madeus promise the LSIR, so each conductor judges
+        its own schedule; B-ALL and B-MIN promise none."""
+        conductors = [_build(env, policy)[2] for policy in (MADEUS, B_CON)]
+        assert conductors[0].validator is not conductors[1].validator
+        assert all(prop.validator.events == [] for prop in conductors)
+        assert _build(env, B_MIN)[2].validator is None
+
 
 class TestConductorRounds:
     def test_replays_linked_ssbs_and_drains(self, env):
-        validator = LsirValidator()
-        slave, ssl, prop = _build(env, MADEUS, validator)
+        slave, ssl, prop = _build(env, MADEUS)
         # two concurrent txns at snapshot 0, one later at snapshot 2
         for ssb in (_ssb(0, 0, 1, 11), _ssb(0, 1, 2, 22),
                     _ssb(2, 2, 3, 33)):
@@ -82,7 +88,7 @@ class TestConductorRounds:
             yield drained
         drive(env, waiter(env))
         assert prop.stats.syncsets_replayed == 3
-        assert validator.is_valid
+        assert prop.validator.is_valid
         table = slave.tenant("T").table("kv")
         assert table.chain(1).latest()["v"] == 11
         assert table.chain(3).latest()["v"] == 33
@@ -123,8 +129,7 @@ class TestConductorRounds:
     def test_conductor_waits_for_open_transaction(self, env):
         """An open SSB at the smallest STS blocks the round until the
         transaction resolves — the invariant behind rule 1-b."""
-        validator = LsirValidator()
-        _slave_inst, ssl, prop = _build(env, MADEUS, validator)
+        _slave_inst, ssl, prop = _build(env, MADEUS)
         open_ssb = _ssb(0, None, 5, 55)
         open_ssb.ets = None
         open_ssb.entries.pop()  # drop the commit entry: still running
@@ -147,9 +152,9 @@ class TestConductorRounds:
             yield prop.wait_fully_drained()
         drive(env, resolver(env))
         assert prop.stats.syncsets_replayed == 2
-        assert validator.is_valid
+        assert prop.validator.is_valid
         # nothing replayed before the open transaction resolved
-        first_times = [e.time for e in validator.events
+        first_times = [e.time for e in prop.validator.events
                        if e.kind == "first_read"]
         assert min(first_times) >= 0.5
 
@@ -170,10 +175,10 @@ class TestConductorRounds:
 
 class TestSerialReplayer:
     def test_replays_in_link_order(self, env):
-        validator = LsirValidator()
-        slave, ssl, prop = _build(env, B_MIN, validator)
-        ssl.link(_ssb(0, 1, 1, 10), 0.0)
-        ssl.link(_ssb(0, 0, 2, 20), 0.1)  # later link, smaller ETS
+        _s, ssl, prop = _build(env, B_MIN)
+        first, second = _ssb(0, 1, 1, 10), _ssb(0, 0, 2, 20)
+        ssl.link(first, 0.0)
+        ssl.link(second, 0.1)  # later link, smaller ETS
         prop.start()
         prop.notify_linked()
         prop.request_stop()
@@ -182,8 +187,7 @@ class TestSerialReplayer:
         def waiter(env):
             yield drained
         drive(env, waiter(env))
-        commits = [e for e in validator.events if e.kind == "commit"]
-        assert [c.ets for c in commits] == [1, 0]  # link order
+        assert first.propagated_at < second.propagated_at  # link order
 
     def test_backlog_pops_in_the_order_of_a_full_resort(self, env):
         """Equal ``linked_at``, out-of-order ``ssb_id``s, two arrivals:

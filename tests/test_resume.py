@@ -170,6 +170,42 @@ class TestResume:
         assert len(log) == len(set(log))
         assert sorted(log) == list(range(journal.total_chunks))
 
+    def test_outage_inside_resumed_stream_reenters_at_the_base(self, env):
+        """A transient link outage inside a resumed pipelined stream
+        keeps the partial copy: the chunks below the feed base cannot be
+        re-shipped on this stream, so the retry re-enters at the base."""
+        cluster, middleware = build(env, nodes=2, resume=True)
+        workload, _holder = _suspend_mid_dump(env, cluster, middleware,
+                                              crash_after=1.5)
+        journal = middleware.migration_journal("A")
+        base = journal.chunks_restored["node1"]
+        assert 0 < base < journal.total_chunks - 2
+        _restart(env, cluster.node("node0").instance)
+        log = journal.chunk_log["node1"]
+        parked = len(log)
+        holder = _launch_resume(env, middleware)
+        while len(log) < parked + 2:   # the resumed stream is under way
+            env.run(until=env.now + 0.05)
+        network = cluster.network
+        network.fail_link()
+
+        def healer(env):
+            yield env.timeout(0.5)
+            network.restore_link()
+        env.process(healer(env))
+        env.run()
+        report = holder["report"]
+        assert report.outcome == "ok"
+        assert report.consistent is True
+        assert report.ship_retries >= 1
+        assert report.chunks_skipped == base
+        assert journal.chunk_log["node1"] is log  # the copy was kept
+        resumed = log[parked:]
+        assert min(resumed) >= base, "a chunk below the base re-shipped"
+        assert len(resumed) > len(set(resumed))  # re-sent from the base
+        assert set(log) == set(range(journal.total_chunks))
+        _assert_no_lost_commits(cluster, middleware, workload)
+
     def test_resume_replays_strictly_less_than_fresh_redump(self, env):
         """The acceptance bound: resumed catch-up ships strictly fewer
         chunks — and strictly fewer total records (chunks + WAL commits

@@ -222,7 +222,7 @@ def _build_kv_testbed(env, tenants, nodes=("node0", "node1"),
     for name in nodes:
         cluster.add_node(name)
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS, verify_consistency=True))
+        policy=MADEUS))
 
     def setup(env):
         for tenant, node, size_mb in tenants:
