@@ -1,9 +1,10 @@
 """Madeus — the paper's primary contribution.
 
 The pure-middleware live-migration proxy: operation classification,
-syncset buffers/list (SSB/SSL), the master/slave logical clocks, the
-critical region, the LSIR, the conductor/player propagation engines, the
-migration manager, and the three baseline policies of Table 2.
+syncset buffers (SSB) and the replication log, the master/slave logical
+clocks, the critical region, the LSIR, the conductor/player propagation
+engines, the migration manager, and the three baseline policies of
+Table 2.
 """
 
 from .middleware import (
@@ -31,7 +32,7 @@ from .region import (
     FIRST_READ_CLASS,
     CriticalRegion,
 )
-from .ssb import SyncsetBuffer, SyncsetList
+from .ssb import SyncsetBuffer
 from .watermark import SnapshotStrategy
 from .theory import (
     NECESSARY_DEPENDENCIES,
@@ -66,7 +67,6 @@ __all__ = [
     "ScheduleOptions",
     "SnapshotStrategy",
     "SyncsetBuffer",
-    "SyncsetList",
     "TxnTracker",
     "UNNECESSARY_DEPENDENCIES",
     "feature_matrix",

@@ -47,9 +47,9 @@ class HandoverRecord:
 
     * ``prepared`` — handover entered; the source still owns the tenant.
     * ``ready`` — every active transaction and every propagator drained;
-      the destination holds all remotely-committed state (commits link
-      their SSBs into the SSL at commit time, and the drain delivered
-      them), so from here the switch can only *roll forward*.
+      the destination holds all remotely-committed state (commits
+      append to the replication log at commit time, and the drain
+      delivered them), so from here the switch can only *roll forward*.
     * ``committed`` / ``rolled-back`` — resolved: routing points at the
       destination / source respectively and the record is inert.
 
@@ -87,8 +87,9 @@ class MigrationJournal:
     interrupted migration without re-dumping is recorded as it happens —
     the chunk plan and snapshot CSN frozen at dump start (Step 1),
     per-node installed-chunk high-water marks (Step 2), and the catch-up
-    low-water mark (syncsets replayed by stopped engines; the SSL itself
-    *is* the remaining backlog).
+    low-water mark (syncsets replayed by stopped engines; the
+    destination's cursor of the replication log *is* the remaining
+    backlog).
     """
 
     tenant: str
@@ -126,9 +127,10 @@ class MigrationJournal:
     #: keyed re-installs are value-idempotent.)
     chunk_log: Dict[str, List[int]] = field(default_factory=dict)
     #: Syncsets replayed by engines retired at quiesce time — the
-    #: catch-up low-water mark.  An SSB is taken off the SSL when an
-    #: engine claims it, so a successor engine starts strictly after
-    #: these and never replays one twice.
+    #: catch-up low-water mark.  An engine claims an SSB by moving the
+    #: destination's cursor past it, so a successor engine reading the
+    #: same cursor starts strictly after these and never replays one
+    #: twice.
     replayed_syncsets: int = 0
     suspended_at: Optional[float] = None
     suspend_phase: Optional[str] = None

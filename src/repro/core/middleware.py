@@ -27,6 +27,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
 )
 
 from ..cluster.cluster import Cluster
@@ -50,10 +51,9 @@ from .journal import (
     MigrationReport,
 )
 from .operations import Operation, OpKind, TxnTracker
-from .pipeline import ChangeTap
 from .policy import MADEUS, PropagationPolicy
 from .region import COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion
-from .ssb import SyncsetBuffer, SyncsetList
+from .ssb import ReplicationLog, SyncsetBuffer
 from .watermark import SnapshotStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,25 +169,26 @@ class MiddlewareConfig:
 
 @dataclass
 class TenantState:
-    """Per-tenant middleware state (MLC, critical region, SSL, gate)."""
+    """Per-tenant middleware state (MLC, critical region, log, gate)."""
 
     name: str
     mlc: int = 0
-    migrating: bool = False
     region: CriticalRegion = None  # type: ignore[assignment]
-    ssl: SyncsetList = field(default_factory=SyncsetList)
+    #: Allocated, not-yet-committed SSBs (one set however many slaves
+    #: replay the tenant).
+    open_ssbs: Set[SyncsetBuffer] = field(default_factory=set)
     gate: Gate = None  # type: ignore[assignment]
     active_txns: int = 0
     drain_waiters: List[Event] = field(default_factory=list)
     propagator: Any = None
-    #: Row-image change stream of a live watermark migration (commit
-    #: post-images in CSN order, with lo/hi markers); ``None`` outside
-    #: :data:`~repro.core.watermark.SnapshotStrategy.WATERMARK` runs.
-    change_tap: Optional[ChangeTap] = None
+    #: The live migration's replication log (SSBs, or row post-images
+    #: with lo/hi markers under a watermark snapshot); ``None`` outside
+    #: a migration.
+    log: Optional[ReplicationLog] = None
     #: Additional slaves fed during a multi-slave migration
     #: (Section 4.2: "Madeus can propagate syncsets to multiple slaves
-    #: at the same time"); node name -> (SyncsetList, propagator).
-    standby_ssls: Dict[str, SyncsetList] = field(default_factory=dict)
+    #: at the same time"), each through its own cursor of the log;
+    #: node name -> propagator.
     standby_propagators: Dict[str, Any] = field(default_factory=dict)
     failed_standbys: List[str] = field(default_factory=list)
     # statistics
@@ -195,6 +196,11 @@ class TenantState:
     commits_seen: int = 0
     read_only_commits: int = 0
     aborts_seen: int = 0
+
+    @property
+    def migrating(self) -> bool:
+        """Whether a migration holds the tenant (its log is open)."""
+        return self.log is not None
 
     def all_propagators(self) -> List[Any]:
         """Every live propagation engine, the primary first."""
@@ -466,7 +472,7 @@ class Middleware:
                                     txn_label=operation.txn_label)
                 ssb.save(operation)
                 conn.ssb = ssb
-                state.ssl.register_open(ssb)
+                state.open_ssbs.add(ssb)
             elif conn.ssb is not None and (
                     kind is _WRITE
                     or (kind is _READ
@@ -486,14 +492,15 @@ class Middleware:
                    operation: Operation, txn: Any) -> None:
         """An update transaction committed: tag ETS, bump MLC, link."""
         state.commits_seen += 1
-        if (state.migrating and state.change_tap is not None
-                and txn is not None and txn.write_order):
-            state.change_tap.append_txn(
-                [(table_name, key,
-                  dict(txn.writes[(table_name, key)])
-                  if txn.writes[(table_name, key)] is not None
-                  else None)
-                 for table_name, key in txn.write_order])
+        log = state.log
+        if (log is not None and log.images and txn is not None
+                and txn.write_order):
+            log.append(tuple(
+                (table_name, key,
+                 dict(txn.writes[(table_name, key)])
+                 if txn.writes[(table_name, key)] is not None
+                 else None)
+                for table_name, key in txn.write_order))
         ssb = conn.ssb
         if ssb is not None:
             ssb.ets = state.mlc
@@ -501,16 +508,13 @@ class Middleware:
         state.mlc += 1
         if ssb is not None:
             conn.ssb = None
-            state.ssl.resolve_open(ssb)
-            # Under a watermark migration the change tap is the
-            # replication stream; linking SSBs too would leak an
-            # undrained SSL backlog.
-            if state.migrating and state.change_tap is None:
-                for ssl in (state.ssl, *state.standby_ssls.values()):
-                    ssl.link(ssb, self.env.now)
+            state.open_ssbs.discard(ssb)
+            if log is not None and not log.images:
+                ssb.linked_at = self.env.now
+                log.append(ssb)
             if state.propagator is not None or state.standby_propagators:
                 for propagator in state.all_propagators():
-                    if state.migrating:
+                    if log is not None:
                         propagator.notify_linked()
                     propagator.notify_open_changed()
         self._transaction_closed(conn, state)
@@ -520,7 +524,7 @@ class Middleware:
                            aborted: bool) -> None:
         """Discard the SSB (mapping function: aborted/failed -> empty)."""
         if conn.ssb is not None:
-            state.ssl.resolve_open(conn.ssb)
+            state.open_ssbs.discard(conn.ssb)
             conn.ssb = None
             if state.propagator is not None or state.standby_propagators:
                 for propagator in state.all_propagators():
@@ -588,7 +592,7 @@ class Middleware:
         keeps the surviving owner, resume picks the journalled
         migration back up after the crashed master recovered — skipping
         every chunk all destinations already installed and replaying
-        only the SSL backlog that accumulated since, instead of
+        only the log backlog that accumulated since, instead of
         re-dumping from scratch.
 
         Invariants (asserted by the race sweep in

@@ -48,9 +48,10 @@ from .journal import (
     MigrationJournal,
     MigrationReport,
 )
-from .pipeline import ChangeTap, pipelined_snapshot, serial_snapshot
+from .pipeline import pipelined_snapshot, serial_snapshot
 from .propagation import divergence_watchdog, make_propagator
 from .region import FIRST_READ_CLASS
+from .ssb import ReplicationLog
 from .theory import states_equal
 from .watermark import SnapshotStrategy, watermark_snapshot
 
@@ -69,26 +70,23 @@ HANDOVER_JOURNAL_SYNC = 0.002
 # ----------------------------------------------------------------------
 
 def replication_backlog(state: "TenantState") -> int:
-    """Pending replication units: tap records under a watermark
-    migration (the SSL stays empty there), linked SSBs otherwise."""
-    if state.change_tap is not None:
-        return state.change_tap.pending_count()
-    return state.ssl.pending_count()
+    """The primary engine's backlog; before it exists, every record the
+    log retains (what the engine's cursor will start with)."""
+    engine = state.propagator
+    if engine is not None:
+        return engine._backlog()
+    return state.log.retained if state.log is not None else 0
 
 
 def drop_standby(mw: "Middleware", state: "TenantState", node_name: str,
                  phase: str, reason: str) -> None:
-    """Discard one standby: stop its engine, drop its backlog."""
+    """Discard one standby: stop its engine, drop its cursor (and with
+    it the backlog, and any watermark it held up)."""
     propagator = state.standby_propagators.pop(node_name, None)
-    ssl = state.standby_ssls.pop(node_name, None)
-    if ssl is not None:
-        ssl.take_all()
     if propagator is not None:
         propagator.request_stop()
-    if state.change_tap is not None:
-        # Broadcast stream: forget this consumer's cursor so pending
-        # watermark markers stop waiting on a dead reader.
-        state.change_tap.discard_consumer("standby:%s" % node_name)
+    if state.log is not None:
+        state.log.discard(node_name)
     state.failed_standbys.append(node_name)
     mw.metrics.counter("migration.standby_dropped").inc()
     mw.tracer.event("migration.standby_dropped", tenant=state.name,
@@ -110,29 +108,30 @@ def teardown(mw: "Middleware", state: "TenantState", phase: str,
     """Take down the migration scaffolding of one tenant.
 
     Orphan dump/ship/restore streams are interrupted, the primary
-    engine is stopped, a watermark tap dies (any applier parked at a
-    marker is released first so it can wind down), the SSL backlog is
-    dropped so it cannot leak into a retry, and every standby is
-    discarded.  ``keep_engine`` parks instead: ``migrating`` stays set
-    so commits keep linking, and the primary engine, tap and backlog
-    stay attached for a resume to adopt.  The orphaned slave copy is
-    left in place either way (in-flight players may still be replaying
-    against it); reopening the gate is the caller's move.
+    engine is stopped, every standby is discarded, and the replication
+    log dies (any applier parked at a marker is released first so it
+    can wind down; every cursor is discarded, so the stopped syncset
+    engines drop their backlog); the tenant stops ``migrating`` with
+    it.  ``keep_engine`` parks instead: commits keep appending, and the
+    primary engine, its cursor and the log stay attached for a resume
+    to adopt.  The orphaned slave copy is left in place either way
+    (in-flight players may still be replaying against it); reopening
+    the gate is the caller's move.
     """
     journal = mw.journal.migrations.get(state.name)
     if journal is not None:
         journal.interrupt_streams(reason)
     if not keep_engine:
-        state.migrating = False
         if state.propagator is not None:
             state.propagator.request_stop()
             state.propagator = None
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        state.ssl.take_all()
     for name in sorted(state.standby_propagators):
         drop_standby(mw, state, name, phase=phase, reason=reason)
+    if not keep_engine and state.log is not None:
+        state.log.cancel_pending_markers()
+        for name in state.log.consumers():
+            state.log.discard(name)
+        state.log = None
 
 
 def recover_routing(mw: "Middleware", tenant: str) -> str:
@@ -320,7 +319,7 @@ class Migration:
         Idempotent from any journal offset: orphan dump/restore streams
         are interrupted and leftover standbys are dropped (the resumed
         attempt runs without them).  A healthy primary engine is *kept*
-        — it holds SSBs it already claimed off the SSL, so the safe
+        — it holds SSBs it already claimed off its cursor, so the safe
         continuations are exactly two: adopt it (catch-up reuses it) or
         wait out its drain.  An engine caught mid-stop (the previous
         attempt died inside the handover drain) is drained here and
@@ -333,21 +332,19 @@ class Migration:
         watermark = self.opts.strategy is SnapshotStrategy.WATERMARK
         teardown(self.mw, state, phase="resume",
                  reason="migration resumed", keep_engine=True)
-        if state.change_tap is not None:
-            # Unpark an applier left waiting at a watermark of the
-            # interrupted attempt: its marker is still at the tap
-            # cursor, so cancelling fires the pending ``proceed`` and
-            # the resumed walk brackets the re-selected chunk afresh.
-            cancelled = state.change_tap.cancel_pending_markers()
-            if cancelled:
-                self.tracer.event("watermark.markers_cancelled",
-                                  tenant=tenant, count=cancelled)
-        elif watermark and journal.phase == "dump":
+        if state.log is None:
             self._end("abandoned", "unresumable", MigrationError(
-                "cannot resume tenant %r: the watermark change tap was "
-                "torn down mid-walk, so commit images since the last "
-                "watermark are unrecoverable — re-migrate from scratch"
-                % (tenant,)))
+                "cannot resume tenant %r: the replication log was torn "
+                "down, so commits since are unrecoverable — re-migrate "
+                "from scratch" % (tenant,)))
+        # Unpark an applier left waiting at a watermark of the
+        # interrupted attempt: its marker is still at the cursor, so
+        # cancelling fires the pending ``proceed`` and the resumed walk
+        # brackets the re-selected chunk afresh.
+        cancelled = state.log.cancel_pending_markers()
+        if cancelled:
+            self.tracer.event("watermark.markers_cancelled",
+                              tenant=tenant, count=cancelled)
         engine = state.propagator
         if engine is not None:
             if engine.failed is not None:
@@ -367,7 +364,6 @@ class Migration:
             # else: healthy and running — catch-up adopts it.
         if not state.gate.is_open:
             state.gate.open()
-        state.migrating = True
         restored = journal.chunks_restored.get(self.destination, 0)
         if restored and not self.dest_instance.has_tenant(tenant):
             # The destination lost its partial copy while parked.
@@ -437,12 +433,11 @@ class Migration:
                 yield waiter
             report.mts = state.mlc
             self.snapshot_csn = self.source_instance.current_csn()
-            state.migrating = True  # commits from here link their SSBs
-            if watermark:
-                # From the very next commit every row post-image flows
-                # into the change tap instead of the SSL — created
-                # inside the critical region so no commit slips between.
-                state.change_tap = ChangeTap(self.env, name=tenant)
+            # From the very next commit every committed update lands in
+            # the log — its SSB, or its row post-images under a
+            # watermark walk — created inside the critical region so no
+            # commit slips between.
+            state.log = ReplicationLog(self.env, images=watermark)
             state.region.leave()
             if opts.resume:
                 self.journal = self._open_journal()
@@ -534,12 +529,10 @@ class Migration:
     def _promote(self, phase: str, reason: str) -> None:
         """Fail over: the first surviving standby becomes destination.
 
-        During catch-up the standby's SSL and propagator simply take
-        over the primary role — the standby replayed the same syncset
-        stream, so it is exactly as caught up as its own backlog says.
-        Under a watermark migration the standby consumed its own cursor
-        of the shared broadcast tap, so only the engine swaps: the dead
-        primary's cursor is discarded and the tap keeps feeding the
+        The standby's engine simply takes over the primary role: it
+        read the same replication log through its own cursor, so it is
+        exactly as caught up as its own backlog says.  The dead
+        primary's cursor is discarded and the log keeps feeding the
         survivor.  Survivor choice is sorted-order for determinism.
         """
         state, report = self.state, self.report
@@ -548,17 +541,9 @@ class Migration:
         self.dest_instance = self.standby_instances.pop(promoted)
         self.destination = promoted
         standby_prop = state.standby_propagators.pop(promoted, None)
-        standby_ssl = state.standby_ssls.pop(promoted, None)
         if standby_prop is not None:
-            if standby_ssl is not None:
-                old_ssl = state.ssl
-                state.ssl = standby_ssl
-                old_ssl.take_all()  # the dead destination's backlog
             state.propagator = standby_prop
-        if state.change_tap is not None:
-            # The dead primary's cursor must not hold up future markers;
-            # the promoted applier keeps reading its own named cursor.
-            state.change_tap.discard_consumer("dest")
+        state.log.discard(failed)
         report.destination = promoted
         report.failovers += 1
         if self.journal is not None:
@@ -582,24 +567,28 @@ class Migration:
         # destination rather than racing a successor against its
         # claimed work: the watermark applier spun up during the
         # snapshot walk, and a resumed migration's parked engine kept
-        # draining while the journal was suspended.
+        # draining while the journal was suspended.  A new engine
+        # reads the destination's cursor, which starts at the log's
+        # oldest record unless a retired engine left it further on.
         adopted = state.propagator is not None
         if not adopted:
             state.propagator = make_propagator(
-                self.env, state.ssl, self.dest_instance, tenant,
-                self.network, config.policy, tracer=self.tracer,
-                metrics=self.metrics)
+                self.env, state.log.cursor(self.destination),
+                self.dest_instance, tenant, self.network, config.policy,
+                state.open_ssbs, tracer=self.tracer, metrics=self.metrics)
+        for name in state.failed_standbys:
+            # Failed by the operator during the walk: gone for good.
+            self.standby_instances.pop(name, None)
         for name, instance in self.standby_instances.items():
             if name in state.standby_propagators:
                 # Watermark standby appliers were adopted during the
-                # snapshot walk; they keep consuming their tap cursors.
+                # snapshot walk; they keep consuming their cursors.
                 continue
-            standby_ssl = state.ssl.standby()
             standby_prop = make_propagator(
-                self.env, standby_ssl, instance, tenant, self.network,
-                config.policy, metrics=self.metrics,
+                self.env, state.log.cursor(name), instance, tenant,
+                self.network, config.policy, state.open_ssbs,
+                metrics=self.metrics,
                 metrics_prefix="propagation.standby.%s" % name)
-            state.standby_ssls[name] = standby_ssl
             state.standby_propagators[name] = standby_prop
             standby_prop.start()
         # Per-slave WAL baselines, recorded up front so a standby
@@ -784,7 +773,6 @@ class Migration:
         if ok:
             # Surviving standbys stay behind as warm replicas: detached,
             # not discarded.
-            state.standby_ssls.clear()
             state.standby_propagators.clear()
             if mw.config.drop_source_copy and not self.settled:
                 self.source_instance.drop_tenant(tenant)

@@ -1,23 +1,8 @@
-"""Chunk-feed and change-tap plumbing for the streamed snapshot paths.
+"""Chunk-feed plumbing and the serial / pipelined snapshot paths.
 
-Two buffering primitives live here:
-
-* :class:`ChunkFeed` / :class:`ChunkReader` broadcast the pipelined
-  snapshot's chunk stream with back-pressure (below);
-* :class:`ChangeTap` / :class:`TapCursor` / :class:`TapMarker` carry
-  the watermark path's row-image change stream: the middleware's commit
-  path appends each committed transaction's post-images, the snapshot
-  manager injects low/high watermark markers around every chunk select,
-  and one change-stream applier *per consumer* replays the whole
-  sequence in commit (= CSN) order.  The tap is a single-feed
-  broadcast: each consumer (the destination and every standby) holds
-  a named :class:`TapCursor` into the one retained record sequence, a
-  marker's ``reached`` fires only once
-  every active consumer has applied everything before it, and a
-  consumer that crashes is discarded without disturbing the others.
-  Cursors — not appliers — own consumption state, so an applier that
-  dies on a fault can be rebuilt mid-stream (reattach by name) without
-  losing or replaying records.
+The watermark path's change stream is not here: it is the migration's
+:class:`~repro.core.ssb.ReplicationLog`, the substrate syncset
+propagation reads too.
 
 The streaming dump is one producer feeding *several* consumers: the
 destination plus every standby each receive the full chunk sequence.  A
@@ -50,14 +35,10 @@ from typing import (
     Any,
     Callable,
     Deque,
-    Dict,
     Generator,
-    Hashable,
     List,
     Optional,
     Sequence,
-    Set,
-    Tuple,
 )
 
 from ..engine.dump import (
@@ -476,252 +457,3 @@ def pipelined_snapshot(run: "Migration",
     if source_died:
         # The *source* died mid-dump: nothing useful restored anywhere.
         run.source_crashed("dump")
-
-
-# ----------------------------------------------------------------------
-# watermark change stream
-# ----------------------------------------------------------------------
-
-class TapMarker:
-    """One low/high watermark record injected into a :class:`ChangeTap`.
-
-    The snapshot manager appends a ``lo`` marker, runs the chunk select,
-    appends a ``hi`` marker, and then waits on :attr:`reached` — which
-    fires once *every active consumer* has applied every change record
-    before the marker (:attr:`awaiting` names the stragglers).  A ``hi``
-    marker additionally parks each consumer until :attr:`proceed` fires,
-    so the deduplicated chunk rows install on every destination strictly
-    between the in-window records and anything newer (the DBLog ordering
-    that makes each copy snapshot-equivalent).  A marker orphaned by a
-    suspension is :attr:`cancelled` on resume so a (possibly rebuilt)
-    applier skips the pause instead of deadlocking on a proceed signal
-    that will never come.
-    """
-
-    __slots__ = ("kind", "chunk", "index", "reached", "proceed",
-                 "cancelled", "awaiting")
-
-    def __init__(self, env: "Environment", kind: str, chunk: int,
-                 index: int, awaiting: Set[str]):
-        self.kind = kind
-        self.chunk = chunk
-        #: Position of this marker in the tap's record sequence.
-        self.index = index
-        self.reached = Event(env)
-        self.proceed = Event(env)
-        self.cancelled = False
-        #: Active consumer names that have not yet reached this marker;
-        #: ``reached`` fires when the set empties (consumption or
-        #: discard, whichever comes first).
-        self.awaiting = awaiting
-        if not awaiting:
-            self.reached.succeed()
-
-
-class TapCursor:
-    """One named consumer's read position in a :class:`ChangeTap`.
-
-    Duck-types the read API the change-stream applier drives
-    (:meth:`peek` / :meth:`advance` / :meth:`reach_marker` /
-    :meth:`consume_marker` / :meth:`pending_count` / :attr:`drained`),
-    so each consumer replays the shared record sequence at its own
-    pace.  The cursor — not the applier — owns consumption state:
-    an applier that dies on a fault is rebuilt around the same cursor
-    (:meth:`ChangeTap.consumer` reattaches by name) and continues from
-    the exact record its predecessor last durably applied.
-    """
-
-    __slots__ = ("tap", "name", "index", "active", "_pending")
-
-    def __init__(self, tap: "ChangeTap", name: str):
-        self.tap = tap
-        self.name = name
-        #: Index of the first unconsumed record.
-        self.index = 0
-        self.active = True
-        self._pending = 0
-
-    def peek(self, limit: int) -> Tuple[List[Any], Optional[TapMarker]]:
-        """The next batch of unconsumed transaction records.
-
-        Returns up to ``limit`` transaction records starting at this
-        cursor, stopping at the first marker.  If the cursor sits *on*
-        a marker, returns ``([], marker)`` instead.  The cursor does not
-        move — call :meth:`advance` after the batch was durably applied
-        so a mid-batch failure replays it (row-image installs are
-        value-idempotent).
-        """
-        records = self.tap.records
-        if self.index < len(records):
-            head = records[self.index]
-            if isinstance(head, TapMarker):
-                return [], head
-        batch: List[Any] = []
-        for record in records[self.index:self.index + limit]:
-            if isinstance(record, TapMarker):
-                break
-            batch.append(record)
-        return batch, None
-
-    def advance(self, count: int) -> None:
-        """Consume ``count`` transaction records at this cursor."""
-        self.index += count
-        self._pending -= count
-
-    def reach_marker(self, marker: TapMarker) -> None:
-        """Announce this consumer applied everything before ``marker``.
-
-        Idempotent per consumer; fires ``marker.reached`` once the last
-        active consumer arrives.
-        """
-        marker.awaiting.discard(self.name)
-        if not marker.awaiting and not marker.reached.triggered:
-            marker.reached.succeed()
-
-    def consume_marker(self, marker: TapMarker) -> None:
-        """Step this cursor past the marker it currently sits on."""
-        assert self.tap.records[self.index] is marker
-        self.index += 1
-
-    def pending_count(self) -> int:
-        """Unconsumed transaction records (this consumer's backlog)."""
-        return self._pending
-
-    @property
-    def drained(self) -> bool:
-        """Whether this consumer has replayed every appended record."""
-        return self.index >= len(self.tap.records)
-
-
-class ChangeTap:
-    """Single-feed broadcast of the row-image change stream.
-
-    Records are appended synchronously from the middleware's commit path
-    (after the master acknowledged the commit and installed its
-    versions), so the sequence is exactly CSN order.  Each transaction
-    record is a tuple of ``(table, key, row_or_None)`` post-images
-    (``None`` = delete); :class:`TapMarker` records interleave with
-    them.  One producer feeds N consumers: each — the destination and
-    every standby — reads through its own named
-    :class:`TapCursor` over the one retained sequence (the
-    :class:`ChunkFeed` retention precedent), a watermark's ``reached``
-    fires only when every active consumer passed it, and
-    :meth:`discard_consumer` drops a crashed consumer without
-    disturbing the rest — no per-reader replay of the source.
-    """
-
-    def __init__(self, env: "Environment", name: Optional[str] = None):
-        self.env = env
-        self.name = name
-        self.records: List[Any] = []
-        self._consumers: Dict[str, TapCursor] = {}
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-
-    def consumer(self, name: str) -> TapCursor:
-        """The named consumer's cursor (created at the stream base).
-
-        Reattach-by-name: asking for an existing name returns the same
-        cursor, which is how a rebuilt applier (restart-and-resume)
-        continues from the record its predecessor last durably applied.
-        A brand-new consumer starts at record 0 — the sequence is
-        retained in full, so late consumers replay from the base.
-        """
-        cursor = self._consumers.get(name)
-        if cursor is None:
-            cursor = TapCursor(self, name)
-            self._consumers[name] = cursor
-        return cursor
-
-    def discard_consumer(self, name: str) -> None:
-        """Permanently drop one consumer (crash / standby discard).
-
-        Removes the consumer from every unconsumed marker's awaiting
-        set — firing ``reached`` where it was the last straggler — so a
-        crashed standby can never wedge the walk for the survivors.
-        Unknown names are a no-op (teardown paths call this blindly).
-        """
-        cursor = self._consumers.get(name)
-        if cursor is None or not cursor.active:
-            return
-        cursor.active = False
-        for record in self.records[cursor.index:]:
-            if isinstance(record, TapMarker):
-                cursor.reach_marker(record)
-
-    # ------------------------------------------------------------------
-    # producer side (commit path + snapshot manager)
-    # ------------------------------------------------------------------
-
-    def append_txn(self, writes: Tuple[Tuple[str, Hashable, Any], ...]
-                   ) -> None:
-        """Append one committed transaction's post-images (CSN order)."""
-        if not writes:
-            return
-        self.records.append(tuple(writes))
-        for cursor in self._consumers.values():
-            if cursor.active:
-                cursor._pending += 1
-
-    def marker(self, kind: str, chunk: int) -> TapMarker:
-        """Append (and return) a ``lo``/``hi`` watermark marker.
-
-        The marker awaits exactly the consumers active at append time;
-        a consumer attached later starts behind it and replays through
-        it without being awaited.
-        """
-        awaiting = {name for name, cursor in self._consumers.items()
-                    if cursor.active}
-        mark = TapMarker(self.env, kind, chunk, len(self.records),
-                         awaiting)
-        self.records.append(mark)
-        return mark
-
-    # ------------------------------------------------------------------
-    # manager-side queries
-    # ------------------------------------------------------------------
-
-    def pending_count(self) -> int:
-        """Worst replication backlog over the active consumers."""
-        pending = [cursor._pending
-                   for cursor in self._consumers.values()
-                   if cursor.active]
-        return max(pending) if pending else 0
-
-    def window_keys(self, lo: TapMarker, hi: TapMarker
-                    ) -> Set[Tuple[str, Hashable]]:
-        """Keys written between the ``lo`` and ``hi`` markers.
-
-        These are the chunk rows the manager must *drop*: the change
-        stream already carries a newer post-image for them, and that
-        image was applied everywhere before ``hi.reached`` fired.
-        """
-        keys: Set[Tuple[str, Hashable]] = set()
-        for record in self.records[lo.index + 1:hi.index]:
-            if isinstance(record, TapMarker):
-                continue
-            for table_name, key, _row in record:
-                keys.add((table_name, key))
-        return keys
-
-    def cancel_pending_markers(self) -> int:
-        """Void every marker some active consumer has yet to pass.
-
-        A resumed migration re-selects its current chunk with fresh
-        markers; stale ones must neither park an applier (``hi`` with
-        no manager waiting to fire ``proceed``) nor confuse window
-        bookkeeping.  Returns the number of markers cancelled.
-        """
-        floors = [cursor.index for cursor in self._consumers.values()
-                  if cursor.active]
-        floor = min(floors) if floors else 0
-        cancelled = 0
-        for record in self.records[floor:]:
-            if isinstance(record, TapMarker):
-                record.cancelled = True
-                if not record.proceed.triggered:
-                    record.proceed.succeed()
-                cancelled += 1
-        return cancelled

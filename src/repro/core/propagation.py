@@ -2,19 +2,26 @@
 
 Two propagation engines implement all four middlewares of Table 2:
 
-* :class:`SerialReplayer` (B-ALL, B-MIN) replays linked SSBs one after
-  another in master commit-completion order, one operation at a time.
-* :class:`Conductor` (B-CON, Madeus) coordinates concurrent players in
-  rounds keyed by the slave logical clock (SLC): all first reads sharing
-  an STS propagate concurrently; writes stream FIFO per player; then the
-  commits whose ETS falls before the next snapshot point propagate —
-  concurrently under Madeus (CON-COM, enabling group commit on the
-  slave), one at a time under B-CON, each commit paying the pool's
-  competition for the commit mutex.  Each conductor records its replay
-  schedule in its own :class:`~repro.core.theory.LsirValidator`.
+* :class:`SerialReplayer` (B-ALL, B-MIN) replays committed SSBs one
+  after another in master commit-completion order, one operation at a
+  time.
+* :class:`Conductor` (B-CON, Madeus) groups the SSBs it reads by STS
+  and coordinates concurrent players in rounds keyed by the slave
+  logical clock (SLC): all first reads sharing an STS propagate
+  concurrently; writes stream FIFO per player; then the commits whose
+  ETS falls before the next snapshot point propagate — concurrently
+  under Madeus (CON-COM, enabling group commit on the slave), one at a
+  time under B-CON, each commit paying the pool's competition for the
+  commit mutex.  Each conductor records its replay schedule in its own
+  :class:`~repro.core.theory.LsirValidator`.
 
-Both engines report the same :class:`PropagationStats` and signal the
-manager through ``caught_up`` events.
+Every engine — these two and the watermark path's
+:class:`~repro.core.watermark.ChangeStreamApplier` — reads the
+migration's :class:`~repro.core.ssb.ReplicationLog` through its own
+named cursor, reports the same :class:`PropagationStats`, signals the
+manager through ``caught_up`` events, and has one backlog
+(:meth:`_BasePropagator._backlog`): its cursor's lag plus the records
+it holds but has not started.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -40,7 +48,7 @@ from ..sim.events import Event
 from ..sim.sync import CountdownLatch, backoff_delay
 from .operations import Operation, OpKind
 from .policy import PropagationPolicy
-from .ssb import SyncsetBuffer, SyncsetList
+from .ssb import LogCursor, SyncsetBuffer
 from .theory import LsirValidator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,14 +88,17 @@ class _BasePropagator:
     #: change-stream applier make no LSIR promise.
     validator: Optional[LsirValidator] = None
 
-    def __init__(self, env: "Environment", ssl: SyncsetList,
+    def __init__(self, env: "Environment", cursor: LogCursor,
                  slave: "DbmsInstance", tenant_name: str,
                  network: "Network", policy: PropagationPolicy,
+                 open_ssbs: AbstractSet[SyncsetBuffer] = frozenset(),
                  tracer: Optional["Tracer"] = None,
                  metrics: Optional["MetricsRegistry"] = None,
                  metrics_prefix: str = "propagation"):
         self.env = env
-        self.ssl = ssl
+        self.cursor = cursor
+        #: The tenant's open (allocated, uncommitted) SSBs.
+        self.open_ssbs = open_ssbs
         self.slave = slave
         self.tenant_name = tenant_name
         self.network = network
@@ -160,7 +171,7 @@ class _BasePropagator:
     # worker-facing signals
     # ------------------------------------------------------------------
     def notify_linked(self) -> None:
-        """Called by workers when an SSB is linked to the SSL."""
+        """Called by workers when a record is appended to the log."""
         if self._link_signal is not None and not self._link_signal.triggered:
             self._link_signal.succeed()
 
@@ -228,14 +239,18 @@ class _BasePropagator:
     def _in_flight(self) -> int:
         raise NotImplementedError
 
+    def _held(self) -> int:
+        """Records read off the cursor and not yet started."""
+        return 0
+
     def _backlog(self) -> int:
-        """Replication units not yet replayed: linked SSBs here, the
-        change-stream cursor under a watermark migration."""
-        return self.ssl.pending_count()
+        """Replication units not yet replayed: the cursor's lag plus
+        the records this engine holds but has not started."""
+        return self.cursor.pending + self._held()
 
     def _is_drained(self) -> bool:
-        return (self.ssl.is_empty() and self._in_flight() == 0
-                and self.ssl.open_count() == 0)
+        return (self.cursor.drained and self._held() == 0
+                and self._in_flight() == 0 and not self.open_ssbs)
 
     def _wait_for_work(self) -> Generator:
         self._link_signal = Event(self.env)
@@ -288,7 +303,7 @@ class _BasePropagator:
 class SerialReplayer(_BasePropagator):
     """Serial propagation in master commit order (B-ALL and B-MIN).
 
-    The SSL's linked order is commit-completion order on the master; the
+    The log's order is commit-completion order on the master; the
     replayer drains it with a single slave session, one operation at a
     time — "each syncset is processed individually" as the paper puts it.
     """
@@ -304,11 +319,14 @@ class SerialReplayer(_BasePropagator):
     def _in_flight(self) -> int:
         return (1 if self._busy else 0) + len(self._queue)
 
+    def _held(self) -> int:
+        return len(self._queue)
+
     def _run(self) -> Generator:
         session = Session(self.slave, self.tenant_name)
         while True:
-            # Collect anything linked since the last look.
-            for ssb in self.ssl.take_all():
+            # Collect anything committed since the last look.
+            for ssb in self.cursor.take():
                 heappush(self._queue,
                          (ssb.linked_at or 0.0, ssb.ssb_id, ssb))
             if not self._queue:
@@ -370,15 +388,19 @@ class _PlayerHandle:
 class Conductor(_BasePropagator):
     """Round-based concurrent propagation (Algorithm 4).
 
-    Each round: pick the smallest STS over linked *and open* SSBs; wait
-    for open transactions at that snapshot point to resolve; propagate
-    that STS group's first reads concurrently; then release the commits
-    whose ETS precedes the next snapshot point — concurrently when the
-    policy allows (Madeus), one at a time otherwise (B-CON).
+    Each round: pick the smallest STS over committed *and open* SSBs;
+    wait for open transactions at that snapshot point to resolve;
+    propagate that STS group's first reads concurrently; then release
+    the commits whose ETS precedes the next snapshot point —
+    concurrently when the policy allows (Madeus), one at a time
+    otherwise (B-CON).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        #: SSBs read off the cursor and not yet played, by STS (in
+        #: commit order within a group).
+        self._by_sts: Dict[int, List[SyncsetBuffer]] = {}
         self._awaiting: List[_PlayerHandle] = []
         self._active_players = 0
         self.validator = LsirValidator()
@@ -391,6 +413,26 @@ class Conductor(_BasePropagator):
 
     def _in_flight(self) -> int:
         return self._active_players
+
+    def _held(self) -> int:
+        return sum(len(group) for group in self._by_sts.values())
+
+    def _pull(self) -> None:
+        """Group the SSBs appended since the last look by STS.  A
+        discarded cursor's backlog is dropped, held groups included."""
+        if not self.cursor.active:
+            self._by_sts.clear()
+        for ssb in self.cursor.take():
+            self._by_sts.setdefault(ssb.sts, []).append(ssb)
+
+    def _smallest_sts(self) -> Optional[int]:
+        """GetSmallestSTS() over held *and open* SSBs: including the
+        open ones keeps the SLC from advancing past a running
+        transaction's snapshot point."""
+        candidates = [ssb.sts for ssb in self.open_ssbs]
+        if self._by_sts:
+            candidates.append(min(self._by_sts))
+        return min(candidates) if candidates else None
 
     def _publish_players(self) -> None:
         """Track the live player count (and its high-water mark)."""
@@ -419,7 +461,8 @@ class Conductor(_BasePropagator):
         while True:
             if self.failed is not None:
                 return
-            # Lag = linked-but-unstarted syncsets plus players still
+            self._pull()
+            # Lag = committed-but-unstarted syncsets plus players still
             # replaying writes.  Players parked awaiting a commit order
             # are NOT lag: the LSIR forbids releasing a commit while an
             # older-snapshot transaction is still running on the master
@@ -428,10 +471,9 @@ class Conductor(_BasePropagator):
             # load.  Step 4 suspends new transactions, the window
             # empties, and the strict drain below completes.
             in_writes = max(0, self._active_players - len(self._awaiting))
-            if (self.ssl.pending_count() + in_writes
-                    <= self.CATCHUP_THRESHOLD):
+            if self._backlog() + in_writes <= self.CATCHUP_THRESHOLD:
                 self._fire_caught_up()
-            smallest = self.ssl.smallest_sts()
+            smallest = self._smallest_sts()
             if smallest is None:
                 if self._awaiting:
                     # No pending or open SSBs anywhere: every held-back
@@ -449,11 +491,12 @@ class Conductor(_BasePropagator):
             slc = smallest
             # Wait until no *running* transaction still has this snapshot
             # point: its syncset (if any) belongs in this round.
-            while self.ssl.open_with_sts(slc) > 0:
+            while any(ssb.sts == slc for ssb in self.open_ssbs):
                 self._open_signal = Event(self.env)
                 yield self._open_signal
                 self._open_signal = None
-            group = self.ssl.take_group(slc)
+            self._pull()
+            group = self._by_sts.pop(slc, [])
             if not group and not self._awaiting:
                 continue
             self.stats.rounds += 1
@@ -476,7 +519,8 @@ class Conductor(_BasePropagator):
             yield latch.wait()
             # Next snapshot point bounds the commit batch (Equation 1):
             # commits with oldSLC <= ETS <= newSLC - 1 may go out now.
-            next_sts = self.ssl.smallest_sts()
+            self._pull()
+            next_sts = self._smallest_sts()
             upper = (next_sts - 1) if next_sts is not None else None
             yield from self._release_commits(upper)
             if round_span is not None:
@@ -566,9 +610,10 @@ class Conductor(_BasePropagator):
         handle.done.succeed()
 
 
-def make_propagator(env: "Environment", ssl: SyncsetList,
+def make_propagator(env: "Environment", cursor: LogCursor,
                     slave: "DbmsInstance", tenant_name: str,
                     network: "Network", policy: PropagationPolicy,
+                    open_ssbs: AbstractSet[SyncsetBuffer] = frozenset(),
                     tracer: Optional["Tracer"] = None,
                     metrics: Optional["MetricsRegistry"] = None,
                     metrics_prefix: str = "propagation"
@@ -576,8 +621,8 @@ def make_propagator(env: "Environment", ssl: SyncsetList,
     """Instantiate the propagation engine a policy calls for."""
     engine_cls = Conductor if policy.concurrent_first_writes \
         else SerialReplayer
-    return engine_cls(env, ssl, slave, tenant_name, network, policy,
-                      tracer=tracer, metrics=metrics,
+    return engine_cls(env, cursor, slave, tenant_name, network, policy,
+                      open_ssbs, tracer=tracer, metrics=metrics,
                       metrics_prefix=metrics_prefix)
 
 
@@ -587,11 +632,11 @@ def divergence_watchdog(env: "Environment", tracer: "Tracer", tenant: str,
                         ) -> Generator:
     """Abort-early detector over the primary replay backlog.
 
-    Samples ``backlog()`` each ``opts.divergence_interval`` (the SSL —
-    read live, so a promoted standby's SSL is followed automatically —
-    or the change tap under a watermark migration) and fires once the
-    backlog has grown *strictly monotonically* across the whole window
-    by at least the configured floor.  A healthy catch-up oscillates
+    Samples ``backlog()`` each ``opts.divergence_interval`` (the primary
+    engine's backlog, read live, so a promoted standby's engine is
+    followed automatically) and fires once the backlog has grown
+    *strictly monotonically* across the whole window by at least the
+    configured floor.  A healthy catch-up oscillates
     toward zero and never sustains that, so a positive signal means
     replay throughput is provably below the master's commit rate — the
     situation the paper reports as "N/A".

@@ -1,4 +1,4 @@
-"""Syncset buffers (SSB) and the syncset list (SSL) — Figures 3 and 4.
+"""Syncset buffers (SSB) and the replication log — Figures 3 and 4.
 
 An SSB belongs to one transaction: it stores the start timestamp (STS,
 the MLC value when the first read executed), the end timestamp (ETS, the
@@ -6,20 +6,43 @@ MLC value when the commit executed), and the syncset entries — the
 minimum query set produced by the mapping function — in a FIFO queue, so
 write order (LSIR rule 2) is preserved by construction.
 
-The SSL groups committed SSBs by STS: all SSBs sharing an STS may have
-their first reads propagated concurrently (Section 4.1).  It also tracks
-*open* SSBs (allocated at first read, not yet committed) so the conductor
-never advances the SLC past a still-running transaction's snapshot point —
-the invariant the consistency proof (Appendix D) relies on.
+A migration's :class:`ReplicationLog` is its one change-propagation
+substrate (the paper's SSL, fed to several slaves at once, Section
+4.2): the commit path appends one record per committed update
+transaction — its SSB, or its row post-images under a watermark
+snapshot, interleaved with the walk's ``lo`` / ``hi`` :class:`Marker`
+records — and every replay engine reads the log through its own named
+:class:`LogCursor`.  A record is kept until the slowest active cursor
+has passed it; a cursor attached late starts at the oldest retained
+record and counts what it has not read as pending.  Grouping SSBs by
+STS is the conductor's business, and the *open* SSBs (allocated at
+first read, not yet committed) are one tenant-wide set
+(``TenantState.open_ssbs``) the conductor reads so it never advances
+the SLC past a still-running transaction's snapshot point — the
+invariant the consistency proof (Appendix D) relies on.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from ..sim.events import Event
 from .operations import Operation, OpKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.core import Environment
 
 
 class SyncsetBuffer:
@@ -67,94 +90,252 @@ class SyncsetBuffer:
                 % (self.ssb_id, self.sts, self.ets, len(self.entries)))
 
 
-class SyncsetList:
-    """The SSL: committed SSBs grouped by STS, plus open-SSB tracking."""
+class Marker:
+    """One ``lo`` / ``hi`` watermark record of a :class:`ReplicationLog`.
 
-    def __init__(self) -> None:
-        self._by_sts: Dict[int, List[SyncsetBuffer]] = {}
-        #: A transaction is open once, however many slaves replay it:
-        #: a standby's list shares this set with its primary's
-        #: (:meth:`standby`).
-        self._open: Set[SyncsetBuffer] = set()
-        # statistics
-        self.linked_total = 0
+    The snapshot manager appends a ``lo`` marker, runs the chunk select,
+    appends a ``hi`` marker, and then waits on :attr:`reached` — which
+    fires once *every active cursor* has passed every record before the
+    marker (:attr:`awaiting` names the stragglers).  A ``hi`` marker
+    additionally parks each reader until :attr:`proceed` fires, so the
+    deduplicated chunk rows install on every destination strictly
+    between the in-window records and anything newer (the DBLog
+    ordering that makes each copy snapshot-equivalent).  A marker
+    orphaned by a suspension is :attr:`cancelled` on resume so a
+    (possibly rebuilt) applier skips the pause instead of deadlocking
+    on a proceed signal that will never come.
+    """
 
-    def standby(self) -> "SyncsetList":
-        """A list for a standby slave created mid-migration: it shares
-        this list's open set and starts with a copy of its backlog."""
-        other = SyncsetList()
-        other._open = self._open
-        for group in self._by_sts.values():
-            for ssb in group:
-                other._by_sts.setdefault(ssb.sts, []).append(ssb)
-                other.linked_total += 1
-        return other
+    __slots__ = ("kind", "reached", "proceed", "cancelled", "awaiting",
+                 "keys")
 
-    # ------------------------------------------------------------------
-    # open-SSB lifecycle (allocated at first read; resolved at txn end)
-    # ------------------------------------------------------------------
-    def register_open(self, ssb: SyncsetBuffer) -> None:
-        """Track an allocated, not-yet-committed SSB."""
-        self._open.add(ssb)
+    def __init__(self, env: "Environment", kind: str, awaiting: Set[str]):
+        self.kind = kind
+        self.reached = Event(env)
+        self.proceed = Event(env)
+        self.cancelled = False
+        #: Active cursor names that have not yet reached this marker;
+        #: ``reached`` fires when the set empties (consumption or
+        #: discard, whichever comes first).
+        self.awaiting = awaiting
+        #: On a ``lo`` marker: the ``(table, key)`` pairs written
+        #: between it and the next ``hi`` — gathered as the records are
+        #: appended, so trimming the records loses none of them.
+        self.keys: Set[Tuple[str, Hashable]] = set()
+        if not awaiting:
+            self.reached.succeed()
 
-    def resolve_open(self, ssb: SyncsetBuffer) -> None:
-        """Forget an open SSB (its transaction ended)."""
-        self._open.discard(ssb)
 
-    def open_count(self) -> int:
-        """Number of transactions with allocated, uncommitted SSBs."""
-        return len(self._open)
+class LogCursor:
+    """One named reader's position in a :class:`ReplicationLog`.
 
-    # ------------------------------------------------------------------
-    # linked SSBs
-    # ------------------------------------------------------------------
-    def link(self, ssb: SyncsetBuffer, now: float) -> None:
-        """Link a committed SSB (Algorithm 1 line 24)."""
-        if ssb.ets is None:
-            raise ValueError("cannot link SSB %d without an ETS"
-                             % ssb.ssb_id)
-        ssb.linked_at = now
-        self._by_sts.setdefault(ssb.sts, []).append(ssb)
-        self.linked_total += 1
+    The cursor — not the engine reading it — owns consumption state:
+    an engine that dies on a fault is rebuilt around the same cursor
+    (:meth:`ReplicationLog.cursor` reattaches by name) and continues
+    from the exact record its predecessor last consumed.
 
-    def pending_count(self) -> int:
-        """Linked SSBs not yet handed to players."""
-        return sum(len(group) for group in self._by_sts.values())
+    A discarded cursor is no longer awaited or retained for.
+    :meth:`take` — the syncset engines' read — then drops the rest of
+    the log instead of returning it: the backlog goes with the slave.
+    :meth:`peek` still reads what the log retains, so a discarded
+    row-image applier drains the retained tail before it stops.
+    """
 
-    def is_empty(self) -> bool:
-        """No linked SSBs awaiting propagation."""
-        return not self._by_sts
+    __slots__ = ("log", "name", "index", "seen", "active")
 
-    def smallest_sts(self) -> Optional[int]:
-        """GetSmallestSTS() over linked *and open* SSBs.
+    def __init__(self, log: "ReplicationLog", name: str):
+        self.log = log
+        self.name = name
+        #: Log position of the first unconsumed record.
+        self.index = log.base
+        #: Transaction records before :attr:`index`.
+        self.seen = log.base_seen
+        self.active = True
 
-        Including open SSBs is what keeps the SLC from advancing past a
-        running transaction's snapshot point.
+    def peek(self, limit: int) -> Tuple[List[Any], Optional[Marker]]:
+        """The next batch of unconsumed transaction records.
+
+        Returns up to ``limit`` transaction records starting at this
+        cursor, stopping at the first marker.  If the cursor sits *on*
+        a marker, returns ``([], marker)`` instead.  The cursor does not
+        move — call :meth:`advance` once the batch was durably applied
+        so a mid-batch failure replays it.
         """
-        candidates: List[int] = []
-        if self._by_sts:
-            candidates.append(min(self._by_sts))
-        if self._open:
-            candidates.append(min(ssb.sts for ssb in self._open))
-        return min(candidates) if candidates else None
+        log = self.log
+        start = self.index - log.base
+        if start < 0:  # discarded, and trimmed past: skip what is gone
+            self.index, self.seen, start = log.base, log.base_seen, 0
+        batch = log.records[start:start + limit]
+        for at, record in enumerate(batch):
+            if record.__class__ is Marker:
+                return batch[:at], (None if at else record)
+        return batch, None
 
-    def smallest_linked_sts(self) -> Optional[int]:
-        """Smallest STS over linked SSBs only."""
-        return min(self._by_sts) if self._by_sts else None
+    def take(self) -> List[Any]:
+        """Consume and return every record up to the next marker
+        (once discarded: consume everything, return nothing)."""
+        if not self.active:
+            self.index, self.seen = self.log.end, self.log.appended
+            return []
+        batch, _marker = self.peek(len(self.log.records))
+        if batch:
+            self.advance(len(batch))
+        return batch
 
-    def open_with_sts(self, sts: int) -> int:
-        """How many open SSBs have the given STS."""
-        return sum(1 for ssb in self._open if ssb.sts == sts)
+    def advance(self, count: int) -> None:
+        """Consume ``count`` transaction records at this cursor."""
+        self.index += count
+        self.seen += count
+        self.log.trim()
 
-    def take_group(self, sts: int) -> List[SyncsetBuffer]:
-        """Remove and return every linked SSB with the given STS."""
-        return self._by_sts.pop(sts, [])
+    def reach_marker(self, marker: Marker) -> None:
+        """Announce this reader passed everything before ``marker``.
 
-    def take_all(self) -> List[SyncsetBuffer]:
-        """Remove and return all linked SSBs in (STS, ETS) order."""
-        drained: List[SyncsetBuffer] = []
-        for sts in sorted(self._by_sts):
-            drained.extend(sorted(self._by_sts[sts],
-                                  key=lambda s: (s.ets, s.ssb_id)))
-        self._by_sts.clear()
-        return drained
+        Idempotent per cursor; fires ``marker.reached`` once the last
+        active cursor arrives.
+        """
+        marker.awaiting.discard(self.name)
+        if not marker.awaiting and not marker.reached.triggered:
+            marker.reached.succeed()
+
+    def consume_marker(self) -> None:
+        """Step this cursor past the marker it currently sits on."""
+        self.index += 1
+        self.log.trim()
+
+    @property
+    def pending(self) -> int:
+        """Unconsumed transaction records (this reader's lag)."""
+        return self.log.appended - self.seen
+
+    @property
+    def drained(self) -> bool:
+        """Whether this cursor has consumed every retained record."""
+        return self.index >= self.log.end
+
+
+class ReplicationLog:
+    """One migration's commit-ordered record stream, N named readers.
+
+    Records are appended synchronously from the middleware's commit
+    path (after the master acknowledged the commit), so the sequence is
+    exactly master commit order.  With :attr:`images` unset each record
+    is a committed :class:`SyncsetBuffer`; a watermark migration's log
+    carries each transaction's ``(table, key, row_or_None)`` post-images
+    (``None`` = delete) instead, with :class:`Marker` records between
+    them.  One producer feeds N cursors — the destination and every
+    standby — and a marker's ``reached`` fires only once every active
+    cursor passed it; :meth:`discard` drops a crashed reader without
+    disturbing the rest.
+    """
+
+    def __init__(self, env: "Environment", images: bool = False):
+        self.env = env
+        #: Whether records are row post-images (a watermark snapshot)
+        #: rather than SSBs.
+        self.images = images
+        #: The retained records, from log position :attr:`base` on.
+        self.records: List[Any] = []
+        self.base = 0
+        #: Transaction records trimmed off before :attr:`base`.
+        self.base_seen = 0
+        #: Transaction records ever appended.
+        self.appended = 0
+        self._cursors: Dict[str, LogCursor] = {}
+        #: The ``lo`` marker whose window is open (keys accumulate).
+        self._window: Optional[Marker] = None
+
+    @property
+    def retained(self) -> int:
+        """Transaction records kept: what a cursor attached now owes."""
+        return self.appended - self.base_seen
+
+    @property
+    def end(self) -> int:
+        """Log position one past the newest record."""
+        return self.base + len(self.records)
+
+    # ------------------------------------------------------------------
+    # readers
+    # ------------------------------------------------------------------
+    def cursor(self, name: str) -> LogCursor:
+        """The named reader's cursor (created at the oldest retained
+        record; asking for an existing name returns the same cursor)."""
+        cursor = self._cursors.get(name)
+        if cursor is None:
+            cursor = self._cursors[name] = LogCursor(self, name)
+        return cursor
+
+    def consumers(self) -> List[str]:
+        """Names of the active cursors, sorted."""
+        return sorted(self._cursors)
+
+    def discard(self, name: str) -> None:
+        """Permanently drop one reader (crash / standby discard).
+
+        Removes it from every unconsumed marker's awaiting set — firing
+        ``reached`` where it was the last straggler — so a crashed
+        standby can never wedge the walk for the survivors, and frees
+        the records only it still held.  Unknown names are a no-op.
+        """
+        cursor = self._cursors.pop(name, None)
+        if cursor is None:
+            return
+        cursor.active = False
+        for record in self.records[cursor.index - self.base:]:
+            if record.__class__ is Marker:
+                cursor.reach_marker(record)
+        self.trim()
+
+    def trim(self) -> None:
+        """Free every record all active cursors have passed."""
+        if not self._cursors:
+            return
+        drop = min(c.index for c in self._cursors.values()) - self.base
+        if drop > 0:
+            gone = self.records[:drop]
+            del self.records[:drop]
+            self.base += drop
+            self.base_seen += sum(1 for record in gone
+                                  if record.__class__ is not Marker)
+
+    # ------------------------------------------------------------------
+    # producer side (commit path + snapshot manager)
+    # ------------------------------------------------------------------
+    def append(self, record: Any) -> None:
+        """Append one committed transaction's record (commit order)."""
+        self.records.append(record)
+        self.appended += 1
+        if self._window is not None:
+            self._window.keys.update(
+                (table_name, key) for table_name, key, _row in record)
+
+    def marker(self, kind: str) -> Marker:
+        """Append (and return) a ``lo`` / ``hi`` watermark marker.
+
+        The marker awaits exactly the cursors active at append time; a
+        cursor attached later starts behind it and reads through it
+        without being awaited.
+        """
+        mark = Marker(self.env, kind, set(self._cursors))
+        self.records.append(mark)
+        self._window = mark if kind == "lo" else None
+        return mark
+
+    def cancel_pending_markers(self) -> int:
+        """Void every marker some active cursor has yet to pass.
+
+        A resumed migration re-selects its current chunk with fresh
+        markers; stale ones must neither park an applier (``hi`` with
+        no manager waiting to fire ``proceed``) nor confuse window
+        bookkeeping.  Returns the number of markers cancelled.
+        """
+        self._window = None
+        cancelled = 0
+        for record in self.records:
+            if record.__class__ is Marker:
+                record.cancelled = True
+                if not record.proceed.triggered:
+                    record.proceed.succeed()
+                cancelled += 1
+        return cancelled

@@ -2,15 +2,14 @@
 
 The third snapshot path (after the serial dump and the pipelined chunk
 stream) interleaves chunked selects with the *live* change stream the
-way DBLog does: the commit path taps each committed transaction's row
-post-images into a :class:`~repro.core.pipeline.ChangeTap`, the
-snapshot manager brackets every chunk select between low and high
-watermark markers injected into that stream, and one
-:class:`ChangeStreamApplier` *per destination node* replays the stream
-in commit order.  The tap is a single-feed broadcast
-(:class:`~repro.core.pipeline.TapCursor` per consumer), so a migration
-with standbys fans the one change stream out to N nodes without
-re-reading the source, and a consumer that crashes mid-walk is
+way DBLog does: the commit path appends each committed transaction's
+row post-images to the migration's
+:class:`~repro.core.ssb.ReplicationLog`, the snapshot manager brackets
+every chunk select between low and high watermark markers appended to
+that log, and one :class:`ChangeStreamApplier` *per destination node*
+replays it in commit order through its own named cursor — so a
+migration with standbys fans the one change stream out to N nodes
+without re-reading the source, and a reader that crashes mid-walk is
 discarded without disturbing the rest.  A chunk row whose key saw a
 change inside its own lo/hi window is dropped — the change stream
 already carries a newer image — so every restored copy is
@@ -36,8 +35,9 @@ from ..engine.dump import (
 from ..engine.wal import change_payload_mb
 from ..errors import NetworkDown, NodeCrashed
 from ..sim.sync import backoff_delay
-from .pipeline import TapCursor, TapMarker, ship_with_retry
+from .pipeline import ship_with_retry
 from .propagation import _BasePropagator
+from .ssb import LogCursor, Marker
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.instance import DbmsInstance
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
     from .migration import Migration
     from .policy import PropagationPolicy
-    from .ssb import SyncsetList
 
 
 class SnapshotStrategy(str, enum.Enum):
@@ -93,9 +92,9 @@ class ChangeStreamApplier(_BasePropagator):
     :class:`Conductor`, speaking the same manager protocol (``start`` /
     ``wait_caught_up`` / ``request_stop`` / ``wait_fully_drained``) so
     the catch-up and handover phases drive it unchanged.  Instead of
-    replaying SQL syncsets it consumes one :class:`TapCursor` of the
-    tenant's broadcast :class:`~repro.core.pipeline.ChangeTap`:
-    committed post-images are batched, shipped over the shared
+    replaying SQL syncsets it consumes one cursor of the migration's
+    image-carrying :class:`~repro.core.ssb.ReplicationLog`: committed
+    post-images are batched, shipped over the shared
     prioritised ``net.bulk_transfer`` stream (so they contend honestly
     with in-flight snapshot chunks), written to the destination disk,
     and installed as fresh versions — value-idempotent, so a batch
@@ -106,13 +105,13 @@ class ChangeStreamApplier(_BasePropagator):
     until the manager has installed the deduplicated chunk on every
     node and fires ``proceed``.
 
-    The read cursor lives on the tap, not here: if this applier dies
+    The read cursor lives on the log, not here: if this applier dies
     on a fault, restart-and-resume builds a fresh one around the same
     named cursor and continues from the exact record its predecessor
     last durably applied.
     """
 
-    #: Max transaction records shipped per round; with the tap appended
+    #: Max transaction records shipped per round; with the log appended
     #: in commit order this bounds both the batch payload and how long
     #: a ``hi`` marker waits behind in-flight work.
     BATCH_LIMIT = 32
@@ -121,30 +120,22 @@ class ChangeStreamApplier(_BasePropagator):
     #: workload the stream never hits a strictly empty instant.
     CATCHUP_THRESHOLD = 8
 
-    def __init__(self, env: "Environment", cursor: TapCursor,
-                 source_name: str, ssl: "SyncsetList",
-                 slave: "DbmsInstance", tenant_name: str,
-                 network: "Network", policy: "PropagationPolicy",
+    def __init__(self, env: "Environment", cursor: LogCursor,
+                 source_name: str, slave: "DbmsInstance",
+                 tenant_name: str, network: "Network",
+                 policy: "PropagationPolicy",
                  tracer: Optional["Tracer"] = None,
                  metrics: Optional["MetricsRegistry"] = None,
                  metrics_prefix: str = "propagation"):
-        super().__init__(env, ssl, slave, tenant_name, network, policy,
+        super().__init__(env, cursor, slave, tenant_name, network, policy,
                          tracer=tracer, metrics=metrics,
                          metrics_prefix=metrics_prefix)
-        self.cursor = cursor
-        self.tap = cursor.tap
         self.source_name = source_name
         self._busy = False
 
     # ------------------------------------------------------------------
     def _in_flight(self) -> int:
         return 1 if self._busy else 0
-
-    def _is_drained(self) -> bool:
-        return self.cursor.drained and not self._busy
-
-    def _backlog(self) -> int:
-        return self.cursor.pending_count()
 
     # ------------------------------------------------------------------
     def _run(self) -> Generator:
@@ -178,7 +169,7 @@ class ChangeStreamApplier(_BasePropagator):
             if self._backlog() <= self.CATCHUP_THRESHOLD:
                 self._fire_caught_up()
 
-    def _consume_marker(self, marker: TapMarker) -> Generator:
+    def _consume_marker(self, marker: Marker) -> Generator:
         """Handle a watermark record at this consumer's cursor.
 
         The cursor announces it reached the marker (``reached`` fires
@@ -190,7 +181,7 @@ class ChangeStreamApplier(_BasePropagator):
         self.cursor.reach_marker(marker)
         if marker.kind == "hi" and not marker.cancelled:
             yield marker.proceed
-        self.cursor.consume_marker(marker)
+        self.cursor.consume_marker()
 
     def _ship_and_apply(self, batch) -> Generator:
         """Ship one batch of transactions and install their images."""
@@ -240,8 +231,8 @@ def watermark_snapshot(run: "Migration",
     """Steps 1+2, virtual-cut style: chunked selects under live load.
 
     The DBLog watermark algorithm: every committed transaction's row
-    post-images flow through the tenant's
-    :class:`~repro.core.pipeline.ChangeTap` and are replayed on the
+    post-images flow through the migration's
+    :class:`~repro.core.ssb.ReplicationLog` and are replayed on the
     destination by a :class:`ChangeStreamApplier` while this manager
     walks the key space in chunks.  Each chunk select is bracketed by
     ``lo`` / ``hi`` markers injected into the change stream; once the
@@ -263,8 +254,9 @@ def watermark_snapshot(run: "Migration",
     """
     state, opts, report = run.state, run.opts, run.report
     tenant, rates, journal = run.tenant, run.opts.rates, run.journal
-    tap = state.change_tap
-    assert tap is not None, "watermark migration without a change tap"
+    log = state.log
+    assert log is not None and log.images, \
+        "watermark migration without an image log"
     source_db = run.source_instance.tenant(tenant)
     size_mb = source_db.size_mb()
     total_rows = source_db.row_count()
@@ -281,16 +273,16 @@ def watermark_snapshot(run: "Migration",
     specs = (journal.schemas if journal is not None and journal.schemas
              else schema_specs(source_db))
 
-    def attach(consumer: str, instance: Any, **metrics: Any) -> Any:
-        """A started applier for ``instance`` off the broadcast tap."""
+    def attach(node_name: str, instance: Any, **metrics: Any) -> Any:
+        """A started applier for ``instance`` off the node's cursor."""
         applier = ChangeStreamApplier(
-            run.env, tap.consumer(consumer), report.source, state.ssl,
-            instance, tenant, run.network, run.mw.config.policy,
+            run.env, log.cursor(node_name), report.source, instance,
+            tenant, run.network, run.mw.config.policy,
             tracer=run.tracer, metrics=run.metrics, **metrics)
         applier.start()
         return applier
 
-    # Standby fan-out off the same broadcast tap: each standby gets its
+    # Standby fan-out off the same log: each standby gets its
     # own named cursor (one feed, N consumers — no per-reader re-read of
     # the source) and replays the identical stream; the chunk walk below
     # ships every deduplicated chunk to standbys too, so a surviving
@@ -302,12 +294,12 @@ def watermark_snapshot(run: "Migration",
                                 source_db.fixed_overhead_mb,
                                 source_db.size_multiplier)
     if state.propagator is None:
-        state.propagator = attach("dest", run.dest_instance)
+        state.propagator = attach(run.destination, run.dest_instance)
     applier = state.propagator
     for name, instance in run.standby_instances.items():
         if name not in state.standby_propagators:
             state.standby_propagators[name] = attach(
-                "standby:%s" % name, instance,
+                name, instance,
                 metrics_prefix="propagation.standby.%s" % name)
     run.open_phase("restore", size_mb=size_mb, pipelined=True,
                    strategy="watermark")
@@ -353,7 +345,7 @@ def watermark_snapshot(run: "Migration",
         return None
 
     while True:
-        lo = tap.marker("lo", chunk_index)
+        lo = log.marker("lo")
         run.tracer.event("watermark.lo", tenant=tenant, chunk=chunk_index)
         applier.notify_linked()
         try:
@@ -362,12 +354,12 @@ def watermark_snapshot(run: "Migration",
                 mb_per_row, rates)
         except NodeCrashed:
             run.source_crashed("dump")
-        hi = tap.marker("hi", chunk_index)
+        hi = log.marker("hi")
         applier.notify_linked()
         for prop in state.standby_propagators.values():
             prop.notify_linked()
         while not hi.reached.triggered:
-            # Section 4.2 applied to the broadcast: a dead standby's
+            # Section 4.2 applied to the fan-out: a dead standby's
             # cursor (which may be the one ``hi`` still waits on) is
             # discarded inside ``watch`` and the walk goes on.
             fired = yield from run.watch(hi.reached, "dump",
@@ -377,7 +369,7 @@ def watermark_snapshot(run: "Migration",
                 # the shared tail aborts.
                 fail_destination(applier.failed or "replay failed")
                 return
-        window = tap.window_keys(lo, hi)
+        window = lo.keys
         fresh = [(table_name, key, row) for table_name, key, row in rows
                  if (table_name, key) not in window]
         chunk_mb = mb_per_row * len(fresh)
@@ -417,7 +409,7 @@ def watermark_snapshot(run: "Migration",
     report.snapshot_at = run.env.now
     run.metrics.gauge("watermark.chunks").set(report.chunks)
     run.metrics.gauge("watermark.backlog_at_walk_end").set(
-        tap.pending_count())
+        applier._backlog())
     run.close_phase(dump_span, mts=report.mts, size_mb=size_mb,
                     chunks=report.chunks,
                     chunks_skipped=report.chunks_skipped)

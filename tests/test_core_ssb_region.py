@@ -1,9 +1,11 @@
-"""Tests for syncset buffers, the SSL, and the critical region."""
+"""Tests for syncset buffers, the replication log, and the critical
+region."""
 
 import pytest
 
 from repro.core import (COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion,
-                        Operation, OpKind, SyncsetBuffer, SyncsetList)
+                        Operation, OpKind, SyncsetBuffer)
+from repro.core.ssb import ReplicationLog
 from repro.engine import parse
 
 from _helpers import drive
@@ -58,79 +60,142 @@ class TestSyncsetBuffer:
         assert SyncsetBuffer(1).ssb_id != SyncsetBuffer(1).ssb_id
 
 
-class TestSyncsetList:
-    def test_link_requires_ets(self):
-        ssl = SyncsetList()
-        with pytest.raises(ValueError):
-            ssl.link(_ssb(sts=1), now=0.0)
+WRITE = (("kv", 1, {"k": 1, "v": 1}),)
 
-    def test_link_and_counts(self):
-        ssl = SyncsetList()
-        ssl.link(_ssb(1, 1), 0.0)
-        ssl.link(_ssb(1, 2), 0.1)
-        ssl.link(_ssb(2, 2), 0.2)
-        assert ssl.pending_count() == 3
-        assert ssl.linked_total == 3
-        assert not ssl.is_empty()
 
-    def test_smallest_sts_over_linked(self):
-        ssl = SyncsetList()
-        ssl.link(_ssb(5, 6), 0.0)
-        ssl.link(_ssb(3, 4), 0.0)
-        assert ssl.smallest_sts() == 3
-        assert ssl.smallest_linked_sts() == 3
+class TestReplicationLog:
+    """The one substrate every replay engine reads: named cursors,
+    watermark markers, late attach and bounded retention."""
 
-    def test_smallest_sts_includes_open(self):
-        """The conductor must not advance past a running transaction's
-        snapshot point."""
-        ssl = SyncsetList()
-        ssl.link(_ssb(5, 6), 0.0)
-        open_ssb = _ssb(2)
-        ssl.register_open(open_ssb)
-        assert ssl.smallest_sts() == 2
-        assert ssl.smallest_linked_sts() == 5
-        ssl.resolve_open(open_ssb)
-        assert ssl.smallest_sts() == 5
+    def test_append_counts(self, env):
+        log = ReplicationLog(env)
+        for sts, ets in ((1, 1), (1, 2), (2, 2)):
+            log.append(_ssb(sts, ets))
+        assert log.appended == log.retained == len(log.records) == 3
 
-    def test_smallest_sts_empty_is_none(self):
-        assert SyncsetList().smallest_sts() is None
+    def test_consumers_read_the_same_records(self, env):
+        log = ReplicationLog(env, images=True)
+        first, second = log.cursor("node1"), log.cursor("node2")
+        log.append(WRITE)
+        log.append(WRITE)
+        batch, marker = first.peek(10)
+        assert len(batch) == 2 and marker is None
+        first.advance(2)
+        batch, _ = second.peek(10)
+        assert len(batch) == 2
+        assert first.drained and not second.drained
+        assert (first.pending, second.pending) == (0, 2)
 
-    def test_open_with_sts(self):
-        ssl = SyncsetList()
-        ssl.register_open(_ssb(4))
-        ssl.register_open(_ssb(4))
-        ssl.register_open(_ssb(9))
-        assert ssl.open_with_sts(4) == 2
-        assert ssl.open_with_sts(9) == 1
-        assert ssl.open_with_sts(5) == 0
+    def test_reattach_by_name_resumes_the_cursor(self, env):
+        log = ReplicationLog(env, images=True)
+        cursor = log.cursor("node1")
+        log.append(WRITE)
+        cursor.advance(1)
+        assert log.cursor("node1") is cursor
 
-    def test_take_group_removes(self):
-        ssl = SyncsetList()
-        a, b = _ssb(1, 1), _ssb(1, 2)
-        ssl.link(a, 0.0)
-        ssl.link(b, 0.0)
-        ssl.link(_ssb(2, 3), 0.0)
-        group = ssl.take_group(1)
-        assert set(s.ssb_id for s in group) == {a.ssb_id, b.ssb_id}
-        assert ssl.pending_count() == 1
+    def test_late_cursor_counts_earlier_records_as_pending(self, env):
+        # The syncset path's normal case: cursors attach at catch-up,
+        # after the dump's commits.
+        log = ReplicationLog(env)
+        for ets in range(3):
+            log.append(_ssb(0, ets))
+        cursor = log.cursor("node1")
+        assert cursor.pending == 3
+        cursor.advance(2)
+        assert cursor.pending == 1
+        assert len(cursor.take()) == 1
+        assert cursor.pending == 0 and cursor.drained
 
-    def test_take_group_missing_sts_empty(self):
-        assert SyncsetList().take_group(7) == []
+    def test_marker_waits_for_every_active_consumer(self, env):
+        log = ReplicationLog(env, images=True)
+        first, second = log.cursor("node1"), log.cursor("node2")
+        log.append(WRITE)
+        marker = log.marker("hi")
+        assert not marker.reached.triggered
+        first.advance(1)
+        _batch, seen = first.peek(10)
+        first.reach_marker(seen)
+        assert not marker.reached.triggered  # still waiting on second
+        second.advance(1)
+        second.reach_marker(marker)
+        assert marker.reached.triggered
 
-    def test_take_all_orders_by_sts_then_ets(self):
-        ssl = SyncsetList()
-        order = [(2, 5), (1, 3), (1, 2), (3, 6)]
-        for sts, ets in order:
-            ssl.link(_ssb(sts, ets), 0.0)
-        drained = ssl.take_all()
-        assert [(s.sts, s.ets) for s in drained] == \
-            [(1, 2), (1, 3), (2, 5), (3, 6)]
-        assert ssl.is_empty()
+    def test_discarding_a_consumer_releases_markers(self, env):
+        log = ReplicationLog(env, images=True)
+        first, second = log.cursor("node1"), log.cursor("node2")
+        log.append(WRITE)
+        marker = log.marker("hi")
+        first.advance(1)
+        first.reach_marker(marker)
+        assert not marker.reached.triggered
+        log.discard("node2")
+        assert marker.reached.triggered
+        assert not second.active
+        assert log.consumers() == ["node1"]
+        # Unknown / repeated discards are tolerated no-ops.
+        log.discard("node2")
+        log.discard("never-attached")
 
-    def test_resolve_unregistered_open_is_noop(self):
-        ssl = SyncsetList()
-        ssl.resolve_open(_ssb(1))
-        assert ssl.open_count() == 0
+    def test_marker_with_no_consumers_fires_immediately(self, env):
+        log = ReplicationLog(env, images=True)
+        marker = log.marker("lo")
+        assert marker.reached.triggered
+
+    def test_discarded_cursor_takes_nothing(self, env):
+        # A syncset engine's discarded cursor drops its backlog.
+        log = ReplicationLog(env)
+        cursor = log.cursor("node2")
+        log.append(_ssb(0, 0))
+        log.discard("node2")
+        log.append(_ssb(0, 1))
+        assert cursor.take() == []
+        assert cursor.pending == 0
+
+    def test_retention_follows_the_slowest_cursor(self, env):
+        log = ReplicationLog(env, images=True)
+        fast, slow = log.cursor("node1"), log.cursor("node2")
+        for _ in range(3):
+            log.append(WRITE)
+        fast.advance(3)
+        assert log.retained == 3  # the slow cursor still needs them
+        slow.advance(1)
+        assert log.retained == 2
+        slow.advance(2)
+        assert log.records == [] and log.retained == 0
+        for _ in range(3):
+            log.append(WRITE)
+        fast.advance(3)
+        slow.advance(1)
+        assert log.retained == 2
+        log.discard("node2")  # discarding the slower cursor trims
+        assert log.records == [] and log.retained == 0
+
+    def test_window_keys_survive_trimming(self, env):
+        log = ReplicationLog(env, images=True)
+        cursor = log.cursor("node1")
+        lo = log.marker("lo")
+        log.append((("kv", 1, {"k": 1}), ("kv", 2, None)))
+        hi = log.marker("hi")
+        log.append((("kv", 3, {"k": 3}),))  # after the window
+        cursor.reach_marker(lo)
+        cursor.consume_marker()
+        cursor.advance(1)
+        cursor.reach_marker(hi)
+        cursor.consume_marker()
+        cursor.advance(1)
+        assert log.records == []
+        assert hi.reached.triggered
+        assert lo.keys == {("kv", 1), ("kv", 2)}
+
+    def test_cancel_voids_markers_not_yet_passed(self, env):
+        log = ReplicationLog(env, images=True)
+        cursor = log.cursor("node1")
+        passed = log.marker("lo")
+        cursor.consume_marker()
+        pending = log.marker("hi")
+        assert log.cancel_pending_markers() == 1
+        assert pending.cancelled and pending.proceed.triggered
+        assert not passed.cancelled
 
 
 class TestCriticalRegion:

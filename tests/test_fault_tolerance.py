@@ -72,6 +72,20 @@ def crash_when_catching_up(env, middleware, instance, extra_delay=0.0):
     env.process(crasher(env))
 
 
+def keep_log(env, middleware):
+    """Hold on to tenant A's replication log once a migration opens it;
+    the returned list gets it."""
+    held = []
+
+    def keeper(env):
+        state = middleware.tenant_state("A")
+        while state.log is None:
+            yield env.timeout(0.02)
+        held.append(state.log)
+    env.process(keeper(env))
+    return held
+
+
 def crash_when_phase_opens(env, middleware, instance, phase,
                            after_phases=()):
     """Crash ``instance`` once ``phase`` opens (and ``after_phases``
@@ -209,12 +223,13 @@ class TestSourceCrash:
         workload = seed_tenant(env, cluster, middleware)
         crash_when_catching_up(env, middleware,
                                cluster.node("node0").instance)
+        log = keep_log(env, middleware)
         holder = self._run(env, cluster, middleware, standbys=["node2"])
         self._assert_aborted_to_source(middleware, holder, "catch-up")
         # standby scaffolding wound down with the abort
         state = middleware.tenant_state("A")
         assert state.standby_propagators == {}
-        assert state.standby_ssls == {}
+        assert state.log is None and log[0].consumers() == []
         self._assert_commits_survive_restart(env, cluster, workload)
 
     def test_source_stays_writable_after_restart(self, env):
@@ -483,10 +498,10 @@ class TestDestinationCrash:
                 record = middleware.journal.handovers.get("A")
                 if (record is not None and record.in_doubt
                         and state.propagator is not None
-                        and state.propagator.ssl.pending_count() > 0):
+                        and state.propagator._backlog() > 0):
                     break
                 yield env.timeout(0.0005)
-            holder["backlog"] = state.propagator.ssl.pending_count()
+            holder["backlog"] = state.propagator._backlog()
             cluster.network.fail_link()
             yield env.timeout(5.0)
             cluster.network.restore_link()
@@ -572,12 +587,16 @@ class TestShipRetries:
 
 
 class TestDivergenceWatchdog:
-    def test_diverging_backlog_aborts_before_deadline(self, env):
-        # B-CON replays serially; a heavy update-only workload commits
-        # faster than the replayer drains, so the backlog grows without
-        # bound and the watchdog should fire long before the deadline.
+    @pytest.mark.parametrize("policy", [B_CON, B_MIN, B_ALL],
+                             ids=lambda policy: policy.name)
+    def test_diverging_backlog_aborts_before_deadline(self, env, policy):
+        # B-CON commits serially and B-MIN / B-ALL replay whole
+        # syncsets one at a time; a heavy update-only workload commits
+        # faster than any of them drains, so the backlog — the serial
+        # replayer's queue included — grows without bound and the
+        # watchdog should fire long before the deadline.
         cluster, middleware = build(
-            env, nodes=2, policy=B_CON, deadline=60.0,
+            env, nodes=2, policy=policy, deadline=60.0,
             divergence_interval=0.05, divergence_window=4,
             divergence_min_growth=8)
         seed_tenant(env, cluster, middleware, clients=8, txns=4000,
@@ -611,6 +630,7 @@ class TestAbortCleanup:
         cluster, middleware = build(env, deadline=0.001)
         seed_tenant(env, cluster, middleware, clients=8, txns=400,
                     think_time=0.005, read_ratio=0.0)
+        log = keep_log(env, middleware)
         holder = {}
 
         def main(env):
@@ -626,7 +646,7 @@ class TestAbortCleanup:
         state = middleware.tenant_state("A")
         assert state.propagator is None
         assert state.standby_propagators == {}
-        assert state.standby_ssls == {}
+        assert state.log is None and log[0].consumers() == []
         report = middleware.reports[0]
         assert report.outcome == "aborted"
         assert "node2" in report.failed_standbys

@@ -78,7 +78,7 @@ class TestAutocommitStatements:
         drive(env, proc(env))
         assert conn.ssb is None
         state = middleware.tenant_state("A")
-        assert state.ssl.open_count() == 0
+        assert len(state.open_ssbs) == 0
 
 
 class TestSuspensionGate:
@@ -234,7 +234,7 @@ class TestSubmitOutcomes:
                 state.commits_seen, state.read_only_commits,
                 state.aborts_seen, state.mlc,
                 len(conn.ssb.entries) if conn.ssb is not None else None,
-                state.ssl.open_count(), state.region.busy
+                len(state.open_ssbs), state.region.busy
                 ) == outcomes[SUBMIT_ENDINGS.index(ending)]
 
     @pytest.mark.parametrize("kind", ["first_read", "commit"])

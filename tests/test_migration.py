@@ -362,8 +362,8 @@ class TestWorkerBookkeeping:
                 conn, "UPDATE kv SET v = 1 WHERE k = 1")
             yield from middleware.submit(conn, "COMMIT")
             state = middleware.tenant_state("A")
-            return (state.ssl.pending_count(), state.ssl.open_count())
-        assert drive(env, main(env)) == (0, 0)
+            return (state.log, len(state.open_ssbs))
+        assert drive(env, main(env)) == (None, 0)
 
     def test_aborted_txn_discards_ssb(self, env):
         cluster, middleware = build(env, MADEUS)
@@ -380,7 +380,7 @@ class TestWorkerBookkeeping:
                 conn, "UPDATE kv SET v = 1 WHERE k = 1")
             yield from middleware.submit(conn, "ROLLBACK")
             state = middleware.tenant_state("A")
-            return (state.ssl.open_count(), state.aborts_seen, conn.ssb)
+            return (len(state.open_ssbs), state.aborts_seen, conn.ssb)
         opens, aborts, ssb = drive(env, main(env))
         assert opens == 0
         assert aborts == 1
@@ -413,7 +413,7 @@ class TestWorkerBookkeeping:
                 c2, "UPDATE kv SET v = 2 WHERE k = 2")
             yield env.timeout(0.1)
             return (result.ok, c2.ssb, c2.tracker.in_txn,
-                    middleware.tenant_state("A").ssl.open_count())
+                    len(middleware.tenant_state("A").open_ssbs))
         ok, ssb, in_txn, opens = drive(env, main(env))
         assert ok is False
         assert ssb is None

@@ -1,10 +1,9 @@
 """Unit coverage for the router tier and its substrate.
 
-Four layers: the sample-retaining :class:`QuantileHistogram`, the
-broadcast :class:`ChangeTap` cursor semantics (one feed, N consumers,
-per-consumer discard), the shard behaviours (connection draining, stale
-route detection, crash/restart), and the ``router_crash`` fault kind
-(plan validation, injection, seeded :class:`FailureModel` stream).
+Three layers: the sample-retaining :class:`QuantileHistogram`, the
+shard behaviours (connection draining, stale route detection,
+crash/restart), and the ``router_crash`` fault kind (plan validation,
+injection, seeded :class:`FailureModel` stream).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MigrationOptions, SnapshotStrategy
-from repro.core.pipeline import ChangeTap
 from repro.faults import (
     ROUTER_CRASH,
     FailureModel,
@@ -80,74 +78,6 @@ class TestQuantileHistogram:
         histogram.observe(4.0)
         assert registry.get("router.downtime").mean == 3.0
         assert registry.gauge_value("router.downtime", -1.0) == -1.0
-
-
-# ---------------------------------------------------------------------
-# Broadcast ChangeTap
-# ---------------------------------------------------------------------
-
-WRITE = (("kv", 1, {"k": 1, "v": 1}),)
-
-
-class TestTapBroadcast:
-    def test_consumers_read_the_same_records(self, env):
-        tap = ChangeTap(env, name="A")
-        first = tap.consumer("dest")
-        second = tap.consumer("standby:node2")
-        tap.append_txn(WRITE)
-        tap.append_txn(WRITE)
-        batch, marker = first.peek(10)
-        assert len(batch) == 2 and marker is None
-        first.advance(2)
-        batch, _ = second.peek(10)
-        assert len(batch) == 2
-        assert first.drained and not second.drained
-        assert tap.pending_count() == 2  # slowest active consumer
-
-    def test_reattach_by_name_resumes_the_cursor(self, env):
-        tap = ChangeTap(env, name="A")
-        cursor = tap.consumer("dest")
-        tap.append_txn(WRITE)
-        cursor.advance(1)
-        assert tap.consumer("dest") is cursor
-
-    def test_marker_waits_for_every_active_consumer(self, env):
-        tap = ChangeTap(env, name="A")
-        first = tap.consumer("dest")
-        second = tap.consumer("standby:node2")
-        tap.append_txn(WRITE)
-        marker = tap.marker("hi", 0)
-        assert not marker.reached.triggered
-        first.advance(1)
-        _batch, seen = first.peek(10)
-        first.reach_marker(seen)
-        assert not marker.reached.triggered  # still waiting on second
-        second.advance(1)
-        second.reach_marker(marker)
-        assert marker.reached.triggered
-
-    def test_discarding_a_consumer_releases_markers(self, env):
-        tap = ChangeTap(env, name="A")
-        first = tap.consumer("dest")
-        second = tap.consumer("standby:node2")
-        tap.append_txn(WRITE)
-        marker = tap.marker("hi", 0)
-        first.advance(1)
-        first.reach_marker(marker)
-        assert not marker.reached.triggered
-        tap.discard_consumer("standby:node2")
-        assert marker.reached.triggered
-        assert not second.active
-        # Discarded consumers no longer hold the backlog watermark.
-        assert tap.pending_count() == 0
-        # Unknown / repeated discards are tolerated no-ops.
-        tap.discard_consumer("standby:node2")
-        tap.discard_consumer("never-attached")
-
-    def test_marker_with_no_consumers_fires_immediately(self, env):
-        tap = ChangeTap(env, name="A")
-        marker = tap.marker("lo", 0)
-        assert marker.reached.triggered
 
 
 # ---------------------------------------------------------------------

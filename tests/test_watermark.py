@@ -226,6 +226,19 @@ class TestWatermarkMigration:
                                overhead_mb=10.0)
         holder = _launch(env, middleware, resume=False,
                          standbys=("node2",))
+        retention = []
+
+        def after_catch_up(env):
+            # Bounded retention: once caught up, the log keeps only
+            # what its slowest active cursor has yet to read.  (The
+            # handover that follows lasts milliseconds: poll finely.)
+            while not any(span.name == "catch-up" and span.end is not None
+                          for span in middleware.tracer.spans):
+                yield env.timeout(0.0005)
+            log = middleware.tenant_state("A").log
+            retention.append((len(log.records), max(
+                log.cursor(name).pending for name in log.consumers())))
+        env.process(after_catch_up(env))
         env.run()
         report = holder["report"]
         assert report.outcome == "ok"
@@ -234,6 +247,8 @@ class TestWatermarkMigration:
         assert report.failed_standbys == []
         assert middleware.owners("A") == ["node1"]
         _assert_no_lost_commits(cluster, middleware, workload)
+        [(held, slowest_lag)] = retention
+        assert held <= slowest_lag
 
     def test_standby_crash_mid_walk_is_discarded(self, env):
         # Per-consumer crash discard: a standby dying mid-walk drops
@@ -277,7 +292,7 @@ class TestWatermarkMigration:
         state = middleware.tenant_state("A")
         assert state.gate.is_open
         assert not state.migrating
-        assert state.change_tap is None
+        assert state.log is None
         assert state.propagator is None
         _assert_no_lost_commits(cluster, middleware, workload)
 
