@@ -495,12 +495,9 @@ class Middleware:
         log = state.log
         if (log is not None and log.images and txn is not None
                 and txn.write_order):
-            log.append(tuple(
-                (table_name, key,
-                 dict(txn.writes[(table_name, key)])
-                 if txn.writes[(table_name, key)] is not None
-                 else None)
-                for table_name, key in txn.write_order))
+            writes = txn.writes
+            log.append(tuple((table_name, key, writes[(table_name, key)])
+                             for table_name, key in txn.write_order))
         ssb = conn.ssb
         if ssb is not None:
             ssb.ets = state.mlc

@@ -213,8 +213,7 @@ class ChangeStreamApplier(_BasePropagator):
         for writes in batch:
             csn = self.slave.next_csn()
             for table_name, key, row in writes:
-                tenant.table(table_name).install(
-                    key, csn, dict(row) if row is not None else None)
+                tenant.table(table_name).install(key, csn, row)
             self.stats.syncsets_replayed += 1
             self.stats.commits_replayed += 1
             self.stats.writes_replayed += len(writes)

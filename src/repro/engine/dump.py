@@ -24,6 +24,12 @@ Two snapshot paths coexist:
   the linear insert cost per chunk instead of one superlinear
   index-build over the whole database — which is exactly where the
   pipelined path beats the serial one on large tenants.
+
+Every path here, and :func:`watermark_select`, moves the source's row
+images by reference: a committed image is never written again
+(DESIGN.md §4b item 10), so a snapshot, a chunk and the destination's
+restored versions share the dicts the source's chains hold, and a
+tenant copy costs its chains and indexes, not a second set of rows.
 """
 
 from __future__ import annotations
@@ -147,8 +153,7 @@ def dump(instance: DbmsInstance, tenant_name: str, snapshot_csn: int,
     rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
-        rows[table_name] = {key: dict(row)
-                            for key, row in table.visible_rows(snapshot_csn)}
+        rows[table_name] = dict(table.visible_rows(snapshot_csn))
     return LogicalSnapshot(tenant_name, snapshot_csn, schema_specs(tenant),
                            rows, size_mb,
                            tenant.fixed_overhead_mb, tenant.size_multiplier)
@@ -202,7 +207,7 @@ def restore(instance: DbmsInstance, snapshot: LogicalSnapshot,
     for table_name, table_rows in snapshot.rows.items():
         table = tenant.table(table_name)
         for key, row in table_rows.items():
-            table.install(key, csn, dict(row))
+            table.install(key, csn, row)
     # Recreate secondary indexes (their build time is inside ``duration``).
     for spec in snapshot.schemas:
         table = tenant.table(spec.name)
@@ -289,7 +294,7 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
         for key, row in table.visible_rows(snapshot_csn):
-            flat.append((table_name, key, dict(row)))
+            flat.append((table_name, key, row))
     read_bw = instance.disk.spec.read_bandwidth_mb_s
     for index in range(start_index, total):
         if instance.crashed:
@@ -388,7 +393,7 @@ def restore_stream(instance: DbmsInstance, source: Any,
         for table_name, table_rows in chunk.rows.items():
             table = tenant.table(table_name)
             for key, row in table_rows.items():
-                table.install(key, csn, dict(row))
+                table.install(key, csn, row)
         received = max(received, chunk.index + 1)
         if on_chunk is not None:
             on_chunk(chunk)
@@ -429,11 +434,11 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
     chain head) and then pacing the I/O against the source disk at the
     dump rate — so chunk selects contend with foreground commits and
     the WAL exactly like a dump slice does.  Returns ``(rows,
-    next_cursor)`` where ``rows`` is a list of ``(table, key,
-    row_copy)`` and ``next_cursor`` is ``None`` once the key walk is
-    exhausted.  Correctness under concurrent writes comes from the
-    low/high watermark bracket the caller places around this select,
-    not from MVCC snapshots.
+    next_cursor)`` where ``rows`` is a list of ``(table, key, row)``
+    (the source's shared image) and ``next_cursor`` is ``None`` once
+    the key walk is exhausted.  Correctness under concurrent writes
+    comes from the low/high watermark bracket the caller places around
+    this select, not from MVCC snapshots.
     """
     tenant = instance.tenant(tenant_name)
     rows: List[Tuple[str, Hashable, Dict[str, Any]]] = []
@@ -447,7 +452,7 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
             if (cursor is not None and table_name == cursor[0]
                     and not key > cursor[1]):
                 continue
-            rows.append((table_name, key, dict(latest[key])))
+            rows.append((table_name, key, latest[key]))
             if len(rows) >= max_rows:
                 next_cursor = (table_name, key)
                 break

@@ -9,61 +9,87 @@ before [it] starts" and nothing committed later.
 
 Uncommitted writes never enter a chain; they live in the writing
 transaction's private write set until commit installs them atomically.
+
+A committed row image is immutable: once installed, nothing writes to
+the dict again (an UPDATE installs a new dict built from a copy), so the
+snapshot paths share images between tenant copies instead of copying
+them.  Most rows have one version and one key per index value, and both
+structures below are laid out for that case (DESIGN.md §4b item 10).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 Row = Dict[str, Any]
+
+#: ``dict.get`` default that no stored posting can be.
+_ABSENT = object()
 
 
 class VersionChain:
     """Committed versions of one row, ascending by CSN.
 
     A version value of ``None`` is a tombstone (the row was deleted).
+    CSNs are positive (:meth:`DbmsInstance.next_csn` counts from 1): an
+    empty chain reports ``latest_csn() == 0`` and every install must
+    exceed the newest CSN.  The newest version is the ``_csn`` /
+    ``_row`` pair; older versions, oldest first, fill the parallel
+    ``_old_csns`` / ``_old_rows`` lists, which are ``None`` until a
+    second version arrives.
     """
 
-    __slots__ = ("csns", "rows")
+    __slots__ = ("_csn", "_row", "_old_csns", "_old_rows")
 
     def __init__(self) -> None:
-        self.csns: List[int] = []
-        self.rows: List[Optional[Row]] = []
+        self._csn = 0
+        self._row: Optional[Row] = None
+        self._old_csns: Optional[List[int]] = None
+        self._old_rows: Optional[List[Optional[Row]]] = None
 
     def install(self, csn: int, row: Optional[Row]) -> None:
         """Append the version committed at ``csn`` (must be the newest)."""
-        if self.csns and csn <= self.csns[-1]:
+        if csn <= self._csn:
             raise ValueError("non-monotonic CSN %d after %d"
-                             % (csn, self.csns[-1]))
-        self.csns.append(csn)
-        self.rows.append(row)
+                             % (csn, self._csn))
+        if self._csn:
+            if self._old_csns is None:
+                self._old_csns = [self._csn]
+                self._old_rows = [self._row]
+            else:
+                self._old_csns.append(self._csn)
+                self._old_rows.append(self._row)
+        self._csn = csn
+        self._row = row
 
     def read(self, snapshot_csn: int) -> Optional[Row]:
         """Newest version visible at ``snapshot_csn`` (None if absent)."""
-        csns = self.csns
-        if not csns:
-            return None
         # Read-latest fast path: most reads run at a snapshot at or past
-        # the newest committed version, so skip the binary search.
-        if snapshot_csn >= csns[-1]:
-            return self.rows[-1]
+        # the newest committed version (an empty chain's is 0).
+        if snapshot_csn >= self._csn:
+            return self._row
+        csns = self._old_csns
+        if csns is None:
+            return None
         index = bisect.bisect_right(csns, snapshot_csn) - 1
         if index < 0:
             return None
-        return self.rows[index]
+        return self._old_rows[index]
 
     def latest(self) -> Optional[Row]:
         """The newest committed version regardless of snapshots."""
-        return self.rows[-1] if self.rows else None
+        return self._row
 
     def latest_csn(self) -> int:
         """CSN of the newest committed version, 0 if none."""
-        return self.csns[-1] if self.csns else 0
+        return self._csn
 
     def version_count(self) -> int:
         """Number of committed versions in the chain."""
-        return len(self.csns)
+        if self._old_csns is None:
+            return 1 if self._csn else 0
+        return len(self._old_csns) + 1
 
     def prune(self, horizon_csn: int) -> int:
         """Drop versions superseded before ``horizon_csn``; returns count.
@@ -73,11 +99,20 @@ class VersionChain:
         is the vacuum analogue; nothing in the engine calls it yet
         (ROADMAP direction 1's bounded-memory audit will).
         """
-        keep_from = bisect.bisect_right(self.csns, horizon_csn) - 1
+        csns = self._old_csns
+        if csns is None:
+            return 0
+        if horizon_csn >= self._csn:
+            keep_from = len(csns)
+        else:
+            keep_from = bisect.bisect_right(csns, horizon_csn) - 1
         if keep_from <= 0:
             return 0
-        del self.csns[:keep_from]
-        del self.rows[:keep_from]
+        if keep_from == len(csns):
+            self._old_csns = self._old_rows = None
+        else:
+            del csns[:keep_from]
+            del self._old_rows[:keep_from]
         return keep_from
 
 
@@ -93,25 +128,45 @@ class SecondaryIndex:
 
     def __init__(self, column: str):
         self.column = column
-        self.entries: Dict[Any, set] = {}
+        #: value -> posting.  A posting is the one key indexed under the
+        #: value until a second key arrives; then it is a ``set`` that
+        #: stays a set even when it shrinks back to one key, so
+        #: :meth:`lookup` keeps the set's iteration order.  Keys are
+        #: hashable, so a key is never a ``set``.
+        self.entries: Dict[Any, Union[Hashable, Set[Hashable]]] = {}
 
     def add(self, value: Any, key: Any) -> None:
         """Index ``key`` under ``value``."""
-        self.entries.setdefault(value, set()).add(key)
+        entries = self.entries
+        posting = entries.get(value, _ABSENT)
+        if posting is _ABSENT:
+            entries[value] = key
+        elif posting.__class__ is set:
+            posting.add(key)
+        elif posting is not key and posting != key:
+            entries[value] = {posting, key}
 
     def remove(self, value: Any, key: Any) -> None:
-        """Drop ``key`` from ``value``'s posting set, if present."""
-        keys = self.entries.get(value)
-        if keys is None:
-            return
-        keys.discard(key)
-        if not keys:
-            del self.entries[value]
+        """Drop ``key`` from ``value``'s posting, if present."""
+        entries = self.entries
+        posting = entries.get(value, _ABSENT)
+        if posting.__class__ is set:
+            posting.discard(key)
+            if not posting:
+                del entries[value]
+        elif posting is not _ABSENT and (posting is key or posting == key):
+            del entries[value]
 
     def lookup(self, value: Any) -> Tuple[Any, ...]:
         """Candidate primary keys whose latest version had ``value``."""
-        return tuple(self.entries.get(value, ()))
+        posting = self.entries.get(value, _ABSENT)
+        if posting.__class__ is set:
+            return tuple(posting)
+        if posting is _ABSENT:
+            return ()
+        return (posting,)
 
     def entry_count(self) -> int:
         """Total number of (value, key) postings."""
-        return sum(len(keys) for keys in self.entries.values())
+        return sum(len(posting) if posting.__class__ is set else 1
+                   for posting in self.entries.values())

@@ -152,6 +152,12 @@ class SoakOutcome:
     router: Dict[str, Any] = field(default_factory=dict)
     committed_txns: int = 0
     aborted_txns: int = 0
+    #: End-of-run MVCC census over every tenant copy the nodes still
+    #: hold: committed row versions (tombstones included) and the
+    #: longest version chain.  Nothing prunes chains yet, so both grow
+    #: with the run.
+    row_versions: int = 0
+    longest_chain: int = 0
     report_path: Optional[str] = None
     trace_path: Optional[str] = None
 
@@ -192,6 +198,10 @@ class SoakOutcome:
             "workload": {
                 "committed_txns": self.committed_txns,
                 "aborted_txns": self.aborted_txns,
+            },
+            "mvcc": {
+                "row_versions": self.row_versions,
+                "longest_chain": self.longest_chain,
             },
             "invariants": {
                 "owner_violations": self.owner_violations,
@@ -394,6 +404,14 @@ def run_soak(profile: Optional[Profile] = None, *,
         1 for span in middleware.tracer.find(kind=MIGRATION)
         if span.attrs.get("resumed")
         and span.attrs.get("outcome") == "ok")
+    for name in node_names:
+        for copy in cluster.node(name).instance.tenants.values():
+            for table in copy.tables.values():
+                for chain in table.chains.values():
+                    versions = chain.version_count()
+                    outcome.row_versions += versions
+                    outcome.longest_chain = max(outcome.longest_chain,
+                                                versions)
     outcome.router = fleet.stats()
     outcome.phantom_bound = (kv_config.writes_per_txn
                              * int(outcome.router["acks_dropped"]))
@@ -465,6 +483,8 @@ def report(outcome: SoakOutcome) -> str:
                                 outcome.failed))
     lines.append("workload: %d committed txns, %d aborted"
                  % (outcome.committed_txns, outcome.aborted_txns))
+    lines.append("mvcc: %d committed row versions, longest chain %d"
+                 % (outcome.row_versions, outcome.longest_chain))
     if outcome.router:
         lines.append("router: %d shards, %d crashes, %d reconnects, "
                      "%d acks dropped, %d stale routes"

@@ -50,6 +50,14 @@ class TestVersionChain:
         with pytest.raises(ValueError):
             chain.install(4, {})
 
+    def test_csns_are_positive(self):
+        """An empty chain's newest CSN reads 0, so 0 cannot follow it."""
+        chain = VersionChain()
+        with pytest.raises(ValueError):
+            chain.install(0, {})
+        chain.install(1, {})
+        assert chain.version_count() == 1
+
     def test_prune_keeps_visible_version(self):
         chain = VersionChain()
         for csn in (1, 2, 3, 4):
@@ -95,6 +103,17 @@ class TestSecondaryIndex:
         index = SecondaryIndex("c")
         index.remove("ghost", 1)
         assert index.entry_count() == 0
+
+    def test_posting_is_a_bare_key_until_a_second_key(self):
+        index = SecondaryIndex("c")
+        index.add("x", 1)
+        index.add("x", 1)
+        assert index.entries == {"x": 1}
+        index.add("x", 2)
+        assert index.entries == {"x": {1, 2}}
+        index.remove("x", 1)
+        assert index.entries == {"x": {2}}
+        assert index.lookup("x") == (2,)
 
 
 def _schema(*cols):

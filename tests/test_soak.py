@@ -69,7 +69,7 @@ class TestArtifacts:
         assert record["experiment"] == "chaos-soak"
         assert record["seed"] == SEED
         assert record["ok"] is True
-        for section in ("faults", "migrations", "workload",
+        for section in ("faults", "migrations", "workload", "mvcc",
                         "invariants", "waves", "model"):
             assert section in record
         assert record["invariants"]["lost_commits"] == 0
@@ -80,6 +80,17 @@ class TestArtifacts:
         for wave in record["waves"]:
             assert {"wave", "started", "ended", "jobs"} \
                 <= set(wave.keys())
+        assert record["mvcc"] == {
+            "row_versions": soak_run.data.row_versions,
+            "longest_chain": soak_run.data.longest_chain}
+
+    def test_mvcc_census_counts_every_live_copy(self, soak_run):
+        """Every tenant copy holds at least its keys' first versions;
+        nothing prunes, so increments pile up as chain versions."""
+        outcome = soak_run.data
+        assert outcome.longest_chain > 1
+        assert outcome.row_versions >= len(outcome.tenants) * soak.KV_KEYS
+        assert outcome.row_versions > outcome.longest_chain
 
     def test_trace_has_wave_and_summary_events(self, soak_run):
         names = set()
