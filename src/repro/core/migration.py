@@ -448,8 +448,8 @@ class Migration:
         else:
             yield from serial_snapshot(self, dump_span)
         if self.source_instance.crashed:
-            # The master died while the slaves restored (the serial path
-            # restores from an already-materialised snapshot, so nothing
+            # The master died while the slaves restored (once the dump
+            # is over nothing in a restore reads the source, so nothing
             # in the pipeline notices).  Whatever landed is abandoned.
             self.source_crashed("restore")
         # A standby that failed to restore is discarded (Section 4.2); a
@@ -810,6 +810,8 @@ class Migration:
                 "snapshot_size_mb": report.snapshot_size_mb,
                 "failovers": report.failovers,
                 "ship_retries": report.ship_retries}
+        if report.snapshot_at < report.started_at:
+            del last["dump_time"]  # the snapshot was never taken
         if parked:
             self.metrics.counter("migration.suspended").inc()
             self.tracer.event(

@@ -15,15 +15,14 @@ buffer:
   disk from ballooning the in-flight buffer;
 * each :class:`ChunkReader` consumes at its own pace, and a reader can
   :meth:`~ChunkReader.rewind` to chunk 0 after a transient network
-  outage — emitted chunks are retained for exactly this, mirroring the
-  serial path where the materialised snapshot outlives a failed ship
-  and is simply re-sent;
+  outage — emitted chunks are retained for exactly this, so a failed
+  ship of either cut (serial or pipelined) is re-sent from the feed;
 * a reader that fails permanently is :meth:`~ChunkReader.close`\\ d so
   the producer stops waiting for it, and :meth:`ChunkFeed.fail` tears
   the whole stream down when the *source* dies mid-dump.
 
-Retained chunks cost simulated-master memory equal to the snapshot —
-the same footprint the serial path's :class:`LogicalSnapshot` has; the
+Retained chunks cost simulated-master memory equal to the snapshot
+until the snapshot step :meth:`~ChunkFeed.release`\\ s the feed; the
 ``depth`` bound governs what is in flight toward each destination.
 """
 
@@ -41,13 +40,7 @@ from typing import (
     Sequence,
 )
 
-from ..engine.dump import (
-    SnapshotTruncated,
-    dump,
-    dump_stream,
-    restore,
-    restore_stream,
-)
+from ..engine.dump import SnapshotTruncated, dump_stream, restore_stream
 from ..errors import NetworkDown, NodeCrashed
 from ..sim.events import Event, Interrupt
 from ..sim.sync import CLOSED, Channel, backoff_delay
@@ -160,6 +153,14 @@ class ChunkFeed:
         self._exc = exc
         self._wake(self._reader_waiters)
         self._wake(self._producer_waiters)
+
+    def release(self) -> None:
+        """Drop the retained chunks and the readers once the snapshot
+        step is over, breaking the feed <-> reader cycle so the chunks
+        go at once rather than at the next cyclic garbage collection.
+        """
+        self._chunks = []
+        self._readers = []
 
     def _wake(self, waiters: Deque[Event]) -> None:
         # Succeed (not fail) so waiters re-check state; events abandoned
@@ -287,44 +288,59 @@ def discard_copy(run: "Migration", node_name: str, instance: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# snapshot producers over the feed (and its one-chunk degenerate case)
+# the two cuts of the chunk stream over a feed: one chunk, and N
 # ----------------------------------------------------------------------
 
 def serial_snapshot(run: "Migration",
                     dump_span: Any) -> Generator[Any, Any, None]:
-    """Steps 1+2, the paper-faithful chain: one monolithic chunk.
+    """Steps 1+2, the paper-faithful chain: the one-chunk cut.
 
-    Dump the whole tenant, then ship + restore it whole on every node;
-    the materialised snapshot outlives a failed ship and is re-sent.
-    :func:`~repro.engine.dump.dump` has no crash check, so a source
-    crash during it is seen after the fan-out, as phase ``restore``.
+    Dump the whole tenant inline as a single chunk into a
+    :class:`ChunkFeed`, then ship it whole with one bulk transfer to
+    every node and restore it there; a failed ship rewinds the node's
+    reader and re-sends the retained chunk.  A source crash during the
+    dump aborts (or suspends) the migration in phase ``dump``.
     """
     report, rates, tenant = run.report, run.opts.rates, run.tenant
     journal = run.journal
-    snapshot = yield from dump(run.source_instance, tenant,
-                               run.snapshot_csn, rates)
+    size_mb = run.source_instance.tenant(tenant).size_mb()
+    feed = ChunkFeed(run.env, name="feed.%s" % tenant)
+    readers = {name: feed.reader(name)
+               for name in [run.destination, *run.standby_instances]}
+    try:
+        yield from dump_stream(run.source_instance, tenant,
+                               run.snapshot_csn, rates, feed,
+                               total_chunks=1, total_size_mb=size_mb)
+    except NodeCrashed:
+        run.source_crashed("dump")
     report.snapshot_at = run.env.now
-    report.snapshot_size_mb = snapshot.size_mb
-    run.close_phase(dump_span, mts=report.mts, size_mb=snapshot.size_mb)
-    run.open_phase("restore", size_mb=snapshot.size_mb)
+    report.snapshot_size_mb = size_mb
+    run.close_phase(dump_span, mts=report.mts, size_mb=size_mb)
+    run.open_phase("restore", size_mb=size_mb)
 
     def node_stream(node_name: str, instance: Any) -> Generator:
+        reader = readers[node_name]
+
         def attempt() -> Generator:
             yield from run.network.bulk_transfer(
-                report.source, node_name, snapshot.size_mb)
-            yield from restore(instance, snapshot, rates,
-                               tenant_name=tenant)
+                report.source, node_name, size_mb)
+            yield from restore_stream(instance, reader, rates,
+                                      tenant_name=tenant)
 
-        error = yield from ship_with_retry(
-            run, node_name, attempt,
-            lambda: discard_copy(run, node_name, instance))
+        def on_outage() -> None:
+            discard_copy(run, node_name, instance)
+            reader.rewind()
+
+        error = yield from ship_with_retry(run, node_name, attempt,
+                                           on_outage)
         if error is None and journal is not None:
-            # The serial restore lands whole: journal the entire chunk
-            # plan as installed.
+            # The one chunk lands whole: journal the entire chunk plan
+            # as installed.
             journal.chunks_restored[node_name] = journal.total_chunks
         return error
 
     yield from fan_out(run, node_stream)
+    feed.release()
 
 
 def pipelined_snapshot(run: "Migration",
@@ -338,9 +354,8 @@ def pipelined_snapshot(run: "Migration",
     channel -> idle pump -> stalled feed reader -> paused dump.
 
     Per-node failure semantics match the serial path: transient outages
-    rewind the reader and resend from the feed base (the feed retains
-    emitted chunks exactly as the serial path retains its materialised
-    snapshot), crashes mark the node failed.
+    rewind the reader and resend from the feed base, crashes mark the
+    node failed.
 
     On a resumed run the journal's frozen chunk plan governs the
     stream: the producer re-slices from the lowest chunk any node still
@@ -454,6 +469,7 @@ def pipelined_snapshot(run: "Migration",
     run.metrics.gauge("pipeline.chunks").set(report.chunks)
     run.metrics.gauge("pipeline.backpressure_wait_s").set(
         feed.producer_wait_time)
+    feed.release()
     if source_died:
         # The *source* died mid-dump: nothing useful restored anywhere.
         run.source_crashed("dump")

@@ -26,8 +26,10 @@ import enum
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
 from ..engine.dump import (
+    ChunkRows,
     create_from_schemas,
     finalize_indexes,
+    install_chunk,
     restore_duration,
     schema_specs,
     watermark_select,
@@ -324,23 +326,15 @@ def watermark_snapshot(run: "Migration",
         error = yield from ship_with_retry(run, node_name, ship)
         if error is not None:
             return error
-        if chunk_mb > 0:
-            yield from instance.disk.write(chunk_mb)
-            if instance is run.dest_instance:
-                # Only the destination is paced to the restore rate;
-                # standbys are charged the disk write alone.
-                spec = instance.disk.spec
-                pace = restore_duration(chunk_mb, rates) - (
-                    spec.seek_latency
-                    + chunk_mb / spec.write_bandwidth_mb_s)
-                if pace > 0:
-                    yield run.env.timeout(pace)
-        if instance.crashed:
+        # Only the destination is paced to the restore rate; standbys
+        # are charged the disk write alone.
+        duration = (restore_duration(chunk_mb, rates)
+                    if instance is run.dest_instance else 0.0)
+        try:
+            yield from install_chunk(instance, instance.tenant(tenant),
+                                     rows, chunk_mb, duration, rates)
+        except NodeCrashed:
             return "%s crashed during watermark install" % node_name
-        csn = instance.next_csn()
-        copy = instance.tenant(tenant)
-        for table_name, key, row in rows:
-            copy.table(table_name).install(key, csn, row)
         return None
 
     while True:
@@ -369,9 +363,12 @@ def watermark_snapshot(run: "Migration",
                 fail_destination(applier.failed or "replay failed")
                 return
         window = lo.keys
-        fresh = [(table_name, key, row) for table_name, key, row in rows
-                 if (table_name, key) not in window]
-        chunk_mb = mb_per_row * len(fresh)
+        fresh: ChunkRows = {}
+        for table_name, key, row in rows:
+            if (table_name, key) not in window:
+                fresh.setdefault(table_name, {})[key] = row
+        kept = sum(map(len, fresh.values()))
+        chunk_mb = mb_per_row * kept
         error = yield from install(run.destination, run.dest_instance,
                                    fresh, chunk_mb)
         if error is not None:
@@ -391,7 +388,7 @@ def watermark_snapshot(run: "Migration",
         if not hi.proceed.triggered:
             hi.proceed.succeed()
         run.tracer.event("watermark.hi", tenant=tenant, chunk=chunk_index,
-                         rows=len(rows), deduped=len(rows) - len(fresh),
+                         rows=len(rows), deduped=len(rows) - kept,
                          window=len(window))
         report.chunks += 1
         if journal is not None:

@@ -3,17 +3,15 @@
 Multi-version concurrency control with snapshot isolation and the
 first-updater-wins rule, a shared-process multi-tenant instance model, a
 WAL with group commit, a periodic checkpointer, a simulated disk, and a
-mini-SQL dialect with parser, executor, sessions, and logical
-dump/restore.
+mini-SQL dialect with parser, executor, sessions, and the logical
+dump/restore chunk stream.
 """
 
 from .database import TenantDatabase
 from .dump import (
     SnapshotTruncated,
     TransferRates,
-    dump,
     dump_stream,
-    restore,
     restore_duration,
     restore_stream,
 )
@@ -30,10 +28,8 @@ __all__ = [
     "SnapshotTruncated",
     "TenantDatabase",
     "TransferRates",
-    "dump",
     "dump_stream",
     "parse",
-    "restore",
     "restore_duration",
     "restore_stream",
 ]

@@ -8,34 +8,41 @@ destination "not only inserts data but also alters the attributes of the
 databases and creates indexes", which is why larger databases accumulate
 more syncsets and migrate superlinearly slower (Figure 9).
 
-Both operations are timed in chunks against the owning node's disk so
-that customer traffic and the WAL contend realistically with them.
+There is one snapshot data path, cut three ways (DBLog's certified
+cuts: a full dump is the single-chunk cut):
 
-Two snapshot paths coexist:
+* :func:`dump_stream` emits a tenant as :class:`SnapshotChunk` pieces,
+  all captured at one snapshot CSN, and :func:`restore_stream` installs
+  them.  The serial strategy is the one-chunk cut — one chunk of the
+  whole tenant, so its restore pays :func:`restore_duration` of the
+  whole database, the superlinear index-build term of Figure 9.
+* The pipelined strategy is the N-chunk cut of the same stream: dump,
+  ship and restore overlap (correct under a live write stream because
+  MVCC keeps every version at the snapshot CSN visible until the dump
+  transaction ends), and each chunk pays the linear insert cost of its
+  own size — which is exactly where pipelining beats the serial cut on
+  large tenants.
+* The watermark strategy cuts the *live* state with
+  :func:`watermark_select` instead of a frozen CSN.
 
-* the serial :func:`dump` / :func:`restore` pair materialises one
-  :class:`LogicalSnapshot` and is the paper-faithful baseline, and
-* the chunk-streaming :func:`dump_stream` / :func:`restore_stream` pair
-  emits :class:`SnapshotChunk` pieces at the captured CSN so dump, ship
-  and restore can overlap (DBLog-style chunk-interleaved capture is
-  correct under a live write stream because MVCC keeps every version at
-  the snapshot CSN visible until the dump transaction ends).  A
-  streaming restore bulk-loads and index-builds *per chunk*, so it pays
-  the linear insert cost per chunk instead of one superlinear
-  index-build over the whole database — which is exactly where the
-  pipelined path beats the serial one on large tenants.
+Every cut pays disk I/O through the same two calls, so customer traffic
+and the WAL contend with all of them alike: :func:`paced_read` (one
+read slice at the dump rate) and :func:`install_chunk` (the write paced
+to a target duration in ``rates.chunk_mb`` slices, then one install at
+a fresh CSN).
 
-Every path here, and :func:`watermark_select`, moves the source's row
-images by reference: a committed image is never written again
-(DESIGN.md §4b item 10), so a snapshot, a chunk and the destination's
-restored versions share the dicts the source's chains hold, and a
-tenant copy costs its chains and indexes, not a second set of rows.
+Every path here moves the source's row images by reference: a committed
+image is never written again (DESIGN.md §4b item 10), so a chunk and the
+destination's restored versions share the dicts the source's chains
+hold, and a tenant copy costs its chains and indexes, not a second set
+of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
 
 from ..errors import NodeCrashed
@@ -72,19 +79,6 @@ class SchemaSpec:
         return TableSchema(self.name, self.columns)
 
 
-@dataclass
-class LogicalSnapshot:
-    """A consistent logical copy of one tenant at a snapshot CSN."""
-
-    tenant_name: str
-    snapshot_csn: int
-    schemas: List[SchemaSpec]
-    rows: Dict[str, Dict[Hashable, Dict[str, Any]]]
-    size_mb: float
-    fixed_overhead_mb: float = 0.0
-    size_multiplier: float = 1.0
-
-
 def schema_specs(tenant: Any) -> List[SchemaSpec]:
     """One :class:`SchemaSpec` per table of ``tenant``, catalog order."""
     specs = []
@@ -101,7 +95,7 @@ def create_from_schemas(instance: DbmsInstance, tenant_name: str,
                         size_multiplier: float = 1.0) -> Any:
     """Create an empty tenant shell on ``instance`` from schema specs.
 
-    Shared by every restore flavour (serial, chunk-streamed, watermark):
+    Shared by both restores (the chunk stream and the watermark walk):
     the destination needs the tables and size-accounting knobs in place
     before the first row lands.  Secondary indexes are *not* created
     here — see :func:`finalize_indexes`.  Returns the tenant database.
@@ -117,46 +111,15 @@ def create_from_schemas(instance: DbmsInstance, tenant_name: str,
 def finalize_indexes(tenant: Any, schemas: List[SchemaSpec]) -> None:
     """Create any secondary indexes the copy does not have yet.
 
-    The streamed paths defer index creation until after the bulk load
-    (their build time is already inside the pacing model); idempotent so
-    a resumed restore may call it again.
+    The one index builder: every restore defers index creation until
+    after the bulk load (the build time is already inside the pacing
+    model); idempotent so a resumed restore may call it again.
     """
     for spec in schemas:
         table = tenant.table(spec.name)
         for index_name, column in spec.indexes.items():
             if index_name not in table.indexes:
                 table.create_index(index_name, column)
-
-
-def dump(instance: DbmsInstance, tenant_name: str, snapshot_csn: int,
-         rates: TransferRates) -> Generator[Any, Any, LogicalSnapshot]:
-    """Stream a consistent dump of ``tenant_name`` at ``snapshot_csn``.
-
-    The caller supplies the snapshot CSN (the middleware manager captures
-    it inside its critical region so that MTS corresponds exactly to a
-    commit boundary).  Reads are charged to the master's disk in chunks so
-    foreground commits interleave.
-    """
-    tenant = instance.tenant(tenant_name)
-    size_mb = tenant.size_mb()
-    remaining = size_mb
-    while remaining > 0:
-        chunk = min(rates.chunk_mb, remaining)
-        yield from instance.disk.read(chunk)
-        # pace the dump at the configured rate (parsing/output formatting
-        # keeps it below raw disk bandwidth)
-        read_bw = instance.disk.spec.read_bandwidth_mb_s
-        pace = chunk / rates.dump_mb_s - chunk / read_bw
-        if pace > 0:
-            yield instance.env.timeout(pace)
-        remaining -= chunk
-    rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
-    for table_name in tenant.catalog.table_names():
-        table = tenant.table(table_name)
-        rows[table_name] = dict(table.visible_rows(snapshot_csn))
-    return LogicalSnapshot(tenant_name, snapshot_csn, schema_specs(tenant),
-                           rows, size_mb,
-                           tenant.fixed_overhead_mb, tenant.size_multiplier)
 
 
 #: Extra restore time fraction per decade of size above ``base_mb``.
@@ -173,51 +136,61 @@ def restore_duration(size_mb: float, rates: TransferRates) -> float:
         size_mb / rates.base_mb))
 
 
-def restore(instance: DbmsInstance, snapshot: LogicalSnapshot,
-            rates: TransferRates,
-            tenant_name: str | None = None) -> Generator[Any, Any, str]:
-    """Recreate the dumped tenant on ``instance`` (the destination).
+# ----------------------------------------------------------------------
+# disk I/O shared by every snapshot cut
+# ----------------------------------------------------------------------
 
-    Creates the schema, bulk-loads the rows, then "creates indexes and
-    alters attributes" — all charged to the destination's disk in chunks.
-    Returns the created tenant's name.
+#: A chunk's rows: table name -> primary key -> row image.
+ChunkRows = Dict[str, Dict[Hashable, Dict[str, Any]]]
+
+
+def paced_read(instance: DbmsInstance, size_mb: float,
+               rates: TransferRates) -> Generator[Any, Any, None]:
+    """Read one ``size_mb`` slice off ``instance``'s disk at the dump rate.
+
+    The read is charged to the disk (so it contends with foreground
+    commits and the WAL), then paced down to ``rates.dump_mb_s``:
+    parsing and output formatting keep a dump below raw disk bandwidth.
     """
-    name = tenant_name or snapshot.tenant_name
-    tenant = create_from_schemas(instance, name, snapshot.schemas,
-                                 snapshot.fixed_overhead_mb,
-                                 snapshot.size_multiplier)
-    duration = restore_duration(snapshot.size_mb, rates)
-    write_mb = snapshot.size_mb
-    chunks = max(1, int(math.ceil(write_mb / rates.chunk_mb)))
-    pace_per_chunk = duration / chunks
-    for _index in range(chunks):
+    yield from instance.disk.read(size_mb)
+    read_bw = instance.disk.spec.read_bandwidth_mb_s
+    pace = size_mb / rates.dump_mb_s - size_mb / read_bw
+    if pace > 0:
+        yield instance.env.timeout(pace)
+
+
+def install_chunk(instance: DbmsInstance, tenant: Any, rows: ChunkRows,
+                  size_mb: float, duration: float, rates: TransferRates
+                  ) -> Generator[Any, Any, None]:
+    """Write ``size_mb`` to ``instance``'s disk, then install ``rows``.
+
+    The write goes in ``max(1, ceil(size_mb / rates.chunk_mb))`` equal
+    slices, each paced so the whole write takes ``duration`` (a 0 s
+    target charges the disk write alone); a crash is checked after every
+    slice.  The rows then land as fresh versions at one new CSN.
+    Raises :class:`NodeCrashed` if ``instance`` crashed.
+    """
+    slices = max(1, int(math.ceil(size_mb / rates.chunk_mb)))
+    piece = size_mb / slices
+    spec = instance.disk.spec
+    for _slice in range(slices):
+        if piece > 0:
+            yield from instance.disk.write(piece)
+            io_time = spec.seek_latency + piece / spec.write_bandwidth_mb_s
+            pace = duration / slices - io_time
+            if pace > 0:
+                yield instance.env.timeout(pace)
         if instance.crashed:
             raise NodeCrashed(instance.name, "crashed during restore")
-        chunk = write_mb / chunks
-        yield from instance.disk.write(chunk)
-        io_time = (instance.disk.spec.seek_latency
-                   + chunk / instance.disk.spec.write_bandwidth_mb_s)
-        pace = pace_per_chunk - io_time
-        if pace > 0:
-            yield instance.env.timeout(pace)
-    if instance.crashed:
-        raise NodeCrashed(instance.name, "crashed during restore")
-    # Bulk-install the snapshot rows at a fresh CSN on the destination.
     csn = instance.next_csn()
-    for table_name, table_rows in snapshot.rows.items():
+    for table_name, table_rows in rows.items():
         table = tenant.table(table_name)
         for key, row in table_rows.items():
             table.install(key, csn, row)
-    # Recreate secondary indexes (their build time is inside ``duration``).
-    for spec in snapshot.schemas:
-        table = tenant.table(spec.name)
-        for index_name, column in spec.indexes.items():
-            table.create_index(index_name, column)
-    return name
 
 
 # ----------------------------------------------------------------------
-# chunk-streaming snapshot path
+# the chunk stream: serial (one chunk) and pipelined (N chunks) cuts
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -226,8 +199,9 @@ class SnapshotChunk:
 
     Chunk 0 additionally carries the schema specs so the destination can
     create the tenant before any data lands.  All chunks are captured at
-    the same ``snapshot_csn`` — the stream as a whole is exactly as
-    consistent as a monolithic :class:`LogicalSnapshot`.
+    the same ``snapshot_csn``, so the stream as a whole is one
+    consistent snapshot however many chunks it is cut into; the serial
+    strategy's snapshot is the single chunk of a one-chunk plan.
     """
 
     tenant_name: str
@@ -236,7 +210,7 @@ class SnapshotChunk:
     total: int
     size_mb: float
     total_size_mb: float
-    rows: Dict[str, Dict[Hashable, Dict[str, Any]]]
+    rows: ChunkRows
     schemas: List[SchemaSpec] = field(default_factory=list)
     fixed_overhead_mb: float = 0.0
     size_multiplier: float = 1.0
@@ -262,12 +236,14 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
                 ) -> Generator[Any, Any, int]:
     """Dump ``tenant_name`` as a stream of :class:`SnapshotChunk`.
 
-    Each chunk is read from the master's disk, paced to ``dump_mb_s``,
-    and handed to ``sink.put`` (a :class:`~repro.sim.Channel`-like
-    object) *before* the next chunk is read — so a full sink exerts
-    back-pressure on the dump itself.  The sink is closed on success;
-    on failure the caller owns tearing the sink down.  Returns the
-    number of chunks emitted.
+    Each chunk is read from the master's disk in :func:`paced_read`
+    slices of at most ``rates.chunk_mb`` (a one-chunk plan of a large
+    tenant reads many), and handed to ``sink.put`` (a
+    :class:`~repro.sim.Channel`-like object) *before* the next chunk is
+    read — so a full sink exerts back-pressure on the dump itself.  A
+    source crash is checked before every chunk and after every read
+    slice.  The sink is closed on success; on failure the caller owns
+    tearing the sink down.  Returns the number of chunks emitted.
 
     Resume support: a journalled re-entry passes ``start_index`` (the
     lowest chunk index any destination still needs) together with the
@@ -290,26 +266,37 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     # same versions stay visible for the whole dump transaction, so
     # slicing the capture across chunk emissions changes nothing.
     schemas = schema_specs(tenant)
-    flat: List[Tuple[str, Hashable, Dict[str, Any]]] = []
-    for table_name in tenant.catalog.table_names():
-        table = tenant.table(table_name)
-        for key, row in table.visible_rows(snapshot_csn):
-            flat.append((table_name, key, row))
-    read_bw = instance.disk.spec.read_bandwidth_mb_s
+    captured = {table_name: dict(tenant.table(table_name)
+                                 .visible_rows(snapshot_csn))
+                for table_name in tenant.catalog.table_names()}
+    row_count = sum(len(rows) for rows in captured.values())
+    # One pass over the capture deals each chunk its share of the rows;
+    # a resume first skips the shares of the chunks it does not re-send.
+    flat = ((table_name, key, row)
+            for table_name, rows in captured.items()
+            for key, row in rows.items())
+    dealt = start_index * row_count // total
+    next(islice(flat, dealt, dealt), None)
     for index in range(start_index, total):
         if instance.crashed:
             raise NodeCrashed(instance.name, "crashed during dump")
         chunk_size = size_mb / total
-        if chunk_size > 0:
-            yield from instance.disk.read(chunk_size)
-            pace = chunk_size / rates.dump_mb_s - chunk_size / read_bw
-            if pace > 0:
-                yield instance.env.timeout(pace)
-        lo = index * len(flat) // total
-        hi = (index + 1) * len(flat) // total
-        rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
-        for table_name, key, row in flat[lo:hi]:
-            rows.setdefault(table_name, {})[key] = row
+        remaining = chunk_size
+        while remaining > 0:
+            piece = min(rates.chunk_mb, remaining)
+            yield from paced_read(instance, piece, rates)
+            remaining -= piece
+            if instance.crashed:
+                raise NodeCrashed(instance.name, "crashed during dump")
+        share = (index + 1) * row_count // total - dealt
+        dealt += share
+        if total == 1:
+            # The one chunk of a one-chunk plan is the capture itself.
+            rows = captured
+        else:
+            rows = {}
+            for table_name, key, row in islice(flat, share):
+                rows.setdefault(table_name, {})[key] = row
         chunk = SnapshotChunk(
             tenant_name, snapshot_csn, index, total, chunk_size, size_mb,
             rows, schemas if index == 0 else [],
@@ -331,12 +318,14 @@ def restore_stream(instance: DbmsInstance, source: Any,
 
     ``source.get`` must yield :class:`SnapshotChunk` objects in order
     and then the :data:`~repro.sim.CLOSED` sentinel.  Each chunk is
-    bulk-loaded and paced to ``restore_duration(chunk.size_mb)`` — the
-    incremental index-maintenance model: small chunks never cross
-    ``base_mb``, so the stream dodges the whole-database n·log n
-    index-build that makes the serial restore superlinear.  Secondary
-    indexes are finalised after the last chunk.  Returns the tenant
-    name; raises :class:`SnapshotTruncated` if the stream closes early.
+    bulk-loaded by :func:`install_chunk`, paced to
+    ``restore_duration(chunk.size_mb)`` — the incremental
+    index-maintenance model: a one-chunk (serial) stream pays the
+    whole-database n·log n index-build that makes Figure 9 superlinear,
+    while small pipelined chunks never cross ``base_mb`` and dodge it.
+    Secondary indexes are finalised after the last chunk.  Returns the
+    tenant name; raises :class:`SnapshotTruncated` if the stream closes
+    early.
 
     Resume support: a journalled re-entry passes ``resume_from`` (the
     count of chunks already installed durably — they are never
@@ -379,21 +368,9 @@ def restore_stream(instance: DbmsInstance, source: Any,
         if chunk.schemas:
             spec_schemas = list(chunk.schemas)
         expected = chunk.total
-        if chunk.size_mb > 0:
-            yield from instance.disk.write(chunk.size_mb)
-            io_time = (instance.disk.spec.seek_latency
-                       + chunk.size_mb
-                       / instance.disk.spec.write_bandwidth_mb_s)
-            pace = restore_duration(chunk.size_mb, rates) - io_time
-            if pace > 0:
-                yield instance.env.timeout(pace)
-        if instance.crashed:
-            raise NodeCrashed(instance.name, "crashed during restore")
-        csn = instance.next_csn()
-        for table_name, table_rows in chunk.rows.items():
-            table = tenant.table(table_name)
-            for key, row in table_rows.items():
-                table.install(key, csn, row)
+        yield from install_chunk(
+            instance, tenant, chunk.rows, chunk.size_mb,
+            restore_duration(chunk.size_mb, rates), rates)
         received = max(received, chunk.index + 1)
         if on_chunk is not None:
             on_chunk(chunk)
@@ -410,7 +387,7 @@ def restore_stream(instance: DbmsInstance, source: Any,
 
 
 # ----------------------------------------------------------------------
-# watermark (virtual-cut) chunk selects
+# the watermark (virtual) cut: chunk selects over the live state
 # ----------------------------------------------------------------------
 
 #: A position in the watermark key walk: ``(table_name, key)`` of the
@@ -427,18 +404,18 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
                                           WatermarkCursor]]:
     """One chunked watermark select over the *live* table state.
 
-    Unlike :func:`dump` / :func:`dump_stream` there is no frozen
-    snapshot CSN: the select reads the latest committed rows strictly
-    after ``cursor`` in ``(table, key)`` order, up to ``max_rows`` of
-    them, capturing the row images synchronously (one MVCC read per
-    chain head) and then pacing the I/O against the source disk at the
-    dump rate — so chunk selects contend with foreground commits and
-    the WAL exactly like a dump slice does.  Returns ``(rows,
-    next_cursor)`` where ``rows`` is a list of ``(table, key, row)``
-    (the source's shared image) and ``next_cursor`` is ``None`` once
-    the key walk is exhausted.  Correctness under concurrent writes
-    comes from the low/high watermark bracket the caller places around
-    this select, not from MVCC snapshots.
+    Unlike :func:`dump_stream` there is no frozen snapshot CSN: the
+    select reads the latest committed rows strictly after ``cursor`` in
+    ``(table, key)`` order, up to ``max_rows`` of them, capturing the
+    row images synchronously (one MVCC read per chain head) and then
+    paying one :func:`paced_read` of their size — so chunk selects
+    contend with foreground commits and the WAL exactly like a dump
+    slice does.  Returns ``(rows, next_cursor)`` where ``rows`` is a
+    list of ``(table, key, row)`` (the source's shared image) and
+    ``next_cursor`` is ``None`` once the key walk is exhausted.
+    Correctness under concurrent writes comes from the low/high
+    watermark bracket the caller places around this select, not from
+    MVCC snapshots.
     """
     tenant = instance.tenant(tenant_name)
     rows: List[Tuple[str, Hashable, Dict[str, Any]]] = []
@@ -462,9 +439,5 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
         raise NodeCrashed(instance.name, "crashed during chunk select")
     chunk_mb = mb_per_row * len(rows)
     if chunk_mb > 0:
-        yield from instance.disk.read(chunk_mb)
-        read_bw = instance.disk.spec.read_bandwidth_mb_s
-        pace = chunk_mb / rates.dump_mb_s - chunk_mb / read_bw
-        if pace > 0:
-            yield instance.env.timeout(pace)
+        yield from paced_read(instance, chunk_mb, rates)
     return rows, next_cursor

@@ -1,10 +1,12 @@
-"""Tests for logical dump/restore and the cluster/network substrate."""
+"""Tests for the logical dump/restore chunk stream (its one-chunk serial
+cut) and the cluster/network substrate."""
 
 import pytest
 
 from repro.cluster import Cluster, NodeSpec
-from repro.engine import DbmsInstance, Session, TransferRates, dump, \
-    restore, restore_duration
+from repro.core import ChunkFeed
+from repro.engine import DbmsInstance, Session, TransferRates, \
+    dump_stream, restore_duration, restore_stream
 from repro.engine.checkpoint import CheckpointSpec
 from repro.engine.disk import DiskSpec
 from repro.engine.instance import CPU_CORES
@@ -30,19 +32,34 @@ def _setup_tenant(env, instance, rows=20):
     drive(env, setup(env))
 
 
+def _dump(env, instance, csn, rates):
+    """The serial dump: the one-chunk cut of ``dump_stream`` into a feed.
+
+    Returns a reader positioned on the lone chunk.
+    """
+    feed = ChunkFeed(env)
+    reader = feed.reader()
+    drive(env, dump_stream(instance, "T", csn, rates, feed,
+                           total_chunks=1))
+    return reader
+
+
+def _chunk(env, reader):
+    """The snapshot chunk ``reader`` holds (the reader is rewound)."""
+    chunk = drive(env, reader.get())
+    reader.rewind()
+    return chunk
+
+
 class TestDump:
     def test_dump_captures_snapshot_state(self, env):
         instance = DbmsInstance(env, "src")
         _setup_tenant(env, instance, rows=10)
         csn = instance.current_csn()
-
-        def proc(env):
-            snapshot = yield from dump(instance, "T", csn,
-                                       TransferRates())
-            return snapshot
-        snapshot = drive(env, proc(env))
-        assert snapshot.snapshot_csn == csn
-        assert len(snapshot.rows["kv"]) == 10
+        chunk = _chunk(env, _dump(env, instance, csn, TransferRates()))
+        assert chunk.snapshot_csn == csn
+        assert (chunk.index, chunk.total) == (0, 1)
+        assert len(chunk.rows["kv"]) == 10
 
     def test_dump_excludes_later_commits(self, env):
         instance = DbmsInstance(env, "src")
@@ -56,54 +73,46 @@ class TestDump:
             yield from s.execute("UPDATE kv SET v = 999 WHERE k = 0")
             yield from s.execute("COMMIT")
 
-        def dumper(env):
-            snapshot = yield from dump(instance, "T", csn,
-                                       TransferRates(dump_mb_s=0.001))
-            return snapshot
+        feed = ChunkFeed(env)
+        reader = feed.reader()
         env.process(mutate(env))
-        process = env.process(dumper(env))
+        env.process(dump_stream(instance, "T", csn,
+                                TransferRates(dump_mb_s=0.001), feed,
+                                total_chunks=1))
         env.run()
-        snapshot = process.value
         # the concurrent update committed during the dump is invisible
-        assert snapshot.rows["kv"][0]["v"] == 0
+        assert _chunk(env, reader).rows["kv"][0]["v"] == 0
 
     def test_dump_duration_scales_with_size(self, env):
         instance = DbmsInstance(env, "src")
         _setup_tenant(env, instance)
         instance.tenant("T").fixed_overhead_mb = 10.0
         csn = instance.current_csn()
-
-        def proc(env):
-            started = env.now
-            yield from dump(instance, "T", csn,
-                            TransferRates(dump_mb_s=5.0))
-            return env.now - started
-        elapsed = drive(env, proc(env))
-        assert elapsed == pytest.approx(10.0 / 5.0, rel=0.2)
+        started = env.now
+        _dump(env, instance, csn, TransferRates(dump_mb_s=5.0))
+        assert env.now - started == pytest.approx(10.0 / 5.0, rel=0.2)
 
 
 class TestRestore:
-    def _roundtrip(self, env, rows=15):
+    def _roundtrip(self, env, rows=15, tenant_name=None):
         source = DbmsInstance(env, "src")
         destination = DbmsInstance(env, "dst")
         _setup_tenant(env, source, rows=rows)
-        csn = source.current_csn()
-
-        def proc(env):
-            snapshot = yield from dump(source, "T", csn, TransferRates())
-            yield from restore(destination, snapshot, TransferRates())
-        drive(env, proc(env))
-        return source, destination
+        reader = _dump(env, source, source.current_csn(), TransferRates())
+        name = drive(env, restore_stream(destination, reader,
+                                         TransferRates(),
+                                         tenant_name=tenant_name))
+        return source, destination, name
 
     def test_restored_rows_match(self, env):
-        source, destination = self._roundtrip(env)
+        source, destination, _name = self._roundtrip(env)
         from repro.core import states_equal
         equal, differences = states_equal(source.tenant("T"),
                                           destination.tenant("T"))
         assert equal, differences
 
     def test_restored_indexes_rebuilt(self, env):
-        _source, destination = self._roundtrip(env, rows=15)
+        _source, destination, _name = self._roundtrip(env, rows=15)
         table = destination.tenant("T").table("kv")
         assert "idx_v" in table.indexes
         assert table.indexes["idx_v"].entry_count() == 15
@@ -114,29 +123,70 @@ class TestRestore:
         _setup_tenant(env, source)
         source.tenant("T").fixed_overhead_mb = 7.0
         source.tenant("T").size_multiplier = 3.0
-        csn = source.current_csn()
-
-        def proc(env):
-            snapshot = yield from dump(source, "T", csn, TransferRates())
-            yield from restore(destination, snapshot, TransferRates())
-        drive(env, proc(env))
+        reader = _dump(env, source, source.current_csn(), TransferRates())
+        drive(env, restore_stream(destination, reader, TransferRates()))
         assert destination.tenant("T").size_mb() == pytest.approx(
             source.tenant("T").size_mb())
 
     def test_restore_rename(self, env):
+        _source, destination, name = self._roundtrip(
+            env, tenant_name="T-copy")
+        assert name == "T-copy"
+        assert destination.has_tenant("T-copy")
+
+
+class TestOneChunkSlicing:
+    """A tenant larger than ``rates.chunk_mb`` cut as one chunk: the
+    dump reads it in ``min(chunk_mb, remaining)`` slices, the restore
+    writes it in equal slices and takes the whole-database
+    ``restore_duration`` — the superlinear Figure-9 term the serial
+    strategy keeps."""
+
+    RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0, base_mb=4.0,
+                          chunk_mb=4.0)
+    SIZE_MB = 10.0
+
+    def _record_io(self, monkeypatch, instance, kind, sizes):
+        disk = instance.disk
+        io = getattr(disk, kind)
+
+        def recorded(size_mb):
+            sizes.append(size_mb)
+            yield from io(size_mb)
+        monkeypatch.setattr(disk, kind, recorded)
+
+    def test_one_chunk_is_sliced_like_the_serial_dump_and_restore(
+            self, env, monkeypatch):
+        rates = self.RATES
         source = DbmsInstance(env, "src")
         destination = DbmsInstance(env, "dst")
-        _setup_tenant(env, source)
-        csn = source.current_csn()
+        _setup_tenant(env, source, rows=12)
+        tenant = source.tenant("T")
+        tenant.size_multiplier = 0.0
+        tenant.fixed_overhead_mb = self.SIZE_MB
+        reads, writes = [], []
+        self._record_io(monkeypatch, source, "read", reads)
+        self._record_io(monkeypatch, destination, "write", writes)
 
-        def proc(env):
-            snapshot = yield from dump(source, "T", csn, TransferRates())
-            name = yield from restore(destination, snapshot,
-                                      TransferRates(),
-                                      tenant_name="T-copy")
-            return name
-        assert drive(env, proc(env)) == "T-copy"
-        assert destination.has_tenant("T-copy")
+        started = env.now
+        reader = _dump(env, source, source.current_csn(), rates)
+        dumped = env.now - started
+        assert reads == [4.0, 4.0, 2.0]
+        # every slice costs a seek plus its size at the dump rate
+        seek = source.disk.spec.seek_latency
+        assert dumped == pytest.approx(
+            len(reads) * seek + self.SIZE_MB / rates.dump_mb_s)
+
+        started = env.now
+        drive(env, restore_stream(destination, reader, rates))
+        restored = env.now - started
+        assert writes == [self.SIZE_MB / 3] * 3
+        assert restored == pytest.approx(
+            restore_duration(self.SIZE_MB, rates))
+        # superlinear: above base_mb the whole-database restore is
+        # slower than restoring the same bytes at the linear rate
+        assert restored > self.SIZE_MB / rates.restore_mb_s
+        assert destination.tenant("T").table("kv").live_row_count() == 12
 
 
 class TestRestoreDuration:

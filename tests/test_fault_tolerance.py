@@ -191,10 +191,9 @@ class TestSourceCrash:
         self._assert_commits_survive_restart(env, cluster, workload)
 
     def test_crash_during_serial_dump_aborts(self, env):
-        # The serial dump reads the whole tenant with no crash check, so
-        # a crash inside it is caught once the snapshot has fanned out:
-        # the abort is labelled "restore" (the golden serial digest of
-        # source_crash_abort pins the same timing).
+        # The serial dump is the one-chunk cut of the stream and checks
+        # for a source crash after every read slice, so a crash inside
+        # it aborts in phase "dump" before anything is shipped.
         cluster, middleware = build(env)
         workload = seed_tenant(env, cluster, middleware, overhead_mb=2.0)
         source = cluster.node("node0").instance
@@ -202,10 +201,12 @@ class TestSourceCrash:
         crashed_at = []
         env.process(_note_crash(env, source, crashed_at))
         holder = self._run(env, cluster, middleware, strategy="serial")
-        self._assert_aborted_to_source(middleware, holder, "restore")
+        self._assert_aborted_to_source(middleware, holder, "dump")
         report = middleware.reports[0]
         assert report.strategy == "serial"
-        assert crashed_at[0] < report.snapshot_at   # inside the dump
+        assert crashed_at[0] < report.ended_at
+        assert report.snapshot_at == 0.0   # the snapshot never landed
+        assert not cluster.node("node1").instance.has_tenant("A")
         self._assert_commits_survive_restart(env, cluster, workload)
 
     def test_crash_during_restore_aborts(self, env):

@@ -2,13 +2,16 @@
 plumbing, chunk-boundary edge cases of dump_stream/restore_stream, and
 the pipelined-vs-serial equivalence + speedup at the middleware level."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import ChunkFeed, MADEUS, Middleware, MiddlewareConfig, \
     MigrationOptions, states_equal
 from repro.cluster import Cluster
 from repro.engine import DbmsInstance, Session, SnapshotTruncated, \
-    TransferRates, dump, dump_stream, restore, restore_stream
+    TransferRates, dump_stream, restore_stream
 from repro.engine.dump import plan_chunks
 from repro.errors import NodeCrashed
 from repro.sim import CLOSED, Channel, Environment
@@ -339,19 +342,18 @@ class TestStreamEquivalence:
         stream_dst = DbmsInstance(env, "stream")
         _setup_tenant(env, source, rows=30, size_mb=24.0)
         csn = source.current_csn()
-
-        def serial(env):
-            snapshot = yield from dump(source, "T", csn, RATES)
-            yield from restore(serial_dst, snapshot, RATES)
-        drive(env, serial(env))
-        channel = Channel(env, capacity=4)
-        env.process(dump_stream(source, "T", csn, RATES, channel))
-        drive(env, restore_stream(stream_dst, channel, RATES))
-        equal, differences = states_equal(serial_dst.tenant("T"),
-                                          stream_dst.tenant("T"))
+        copies = []
+        for destination, total_chunks in ((serial_dst, 1),
+                                          (stream_dst, None)):
+            channel = Channel(env, capacity=4)
+            env.process(dump_stream(source, "T", csn, RATES, channel,
+                                    total_chunks=total_chunks))
+            drive(env, restore_stream(destination, channel, RATES))
+            copies.append(destination.tenant("T"))
+        assert plan_chunks(24.0, RATES.chunk_mb) > 1
+        equal, differences = states_equal(*copies)
         assert equal, differences
-        equal, differences = states_equal(source.tenant("T"),
-                                          stream_dst.tenant("T"))
+        equal, differences = states_equal(source.tenant("T"), copies[1])
         assert equal, differences
 
 
@@ -401,3 +403,27 @@ class TestPipelinedMigration:
         # dump+restore overlap: the pipelined wall clock must beat
         # serial by a real margin, not a rounding error
         assert piped.migration_time < serial.migration_time * 0.9
+
+    @pytest.mark.parametrize("strategy", ["serial", "pipelined"])
+    def test_snapshot_chunks_die_with_the_snapshot_step(self, monkeypatch,
+                                                        strategy):
+        # The feed retains every chunk for rewinds and its readers point
+        # back at it; once the snapshot step is over the feed must let
+        # go without waiting for a cyclic garbage collection.
+        chunks = []
+        put = ChunkFeed.put
+
+        def recording_put(feed, chunk):
+            chunks.append(weakref.ref(chunk))
+            return put(feed, chunk)
+        monkeypatch.setattr(ChunkFeed, "put", recording_put)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report, _cluster = self._migrate(strategy=strategy)
+            assert report.outcome == "ok"
+            assert chunks
+            assert [ref() for ref in chunks] == [None] * len(chunks)
+        finally:
+            if enabled:
+                gc.enable()

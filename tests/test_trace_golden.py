@@ -12,9 +12,12 @@ trace`` reads) and compares its sha256 with
 The digests were recorded at the commit *before* the migration manager
 was restructured, so an unchanged digest is the proof that a refactor
 of ``repro.core`` moved code without moving a single event, span
-attribute or metric.  A deliberate behaviour change re-records them::
+attribute or metric.  A deliberate behaviour change re-records exactly
+the cases it moves, leaving every other digest byte-identical (bare
+``--record`` re-records every case)::
 
-    PYTHONPATH=src python tests/test_trace_golden.py --record
+    PYTHONPATH=src python tests/test_trace_golden.py --record \\
+        <scenario>/<strategy> [<scenario>/<strategy> ...]
 
 and is reviewed as a diff of traces, not of hashes: ``--dump
 <scenario>/<strategy>`` writes that case's exported trace (the exact
@@ -465,8 +468,7 @@ def _case_id(scenario, strategy):
     return "%s/%s" % (scenario.__name__, strategy)
 
 
-def _run_case(scenario, strategy):
-    world = scenario(strategy)
+def _record(world):
     return {"outcomes": world.outcomes, "sha256": world.digest()}
 
 
@@ -479,9 +481,17 @@ def _golden():
                          ids=[_case_id(*case) for case in CASES])
 def test_trace_digest_is_unchanged(scenario, strategy):
     expected = _golden()[_case_id(scenario, strategy)]
-    observed = _run_case(scenario, strategy)
+    world = scenario(strategy)
+    observed = _record(world)
     assert observed["outcomes"] == expected["outcomes"]
     assert observed["sha256"] == expected["sha256"]
+    # A gauge reports only milestones an attempt reached, so no phase
+    # time is ever negative.
+    metrics = world.middleware.metrics
+    negative = {name: metrics.gauge_value(name) for name in metrics.names()
+                if name.startswith("migration.last.")
+                and name.endswith("_time") and metrics.gauge_value(name) < 0}
+    assert negative == {}
 
 
 def test_digest_file_lists_exactly_the_cases():
@@ -528,22 +538,32 @@ def test_scenarios_reach_the_paths_they_name():
             "SourceCrashed", "MigrationError"]
 
 
-if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
-        by_id = {_case_id(*case): case for case in CASES}
-        if sys.argv[2] not in by_id:
-            raise SystemExit("unknown case %r; one of:\n  %s"
-                             % (sys.argv[2], "\n  ".join(sorted(by_id))))
-        scenario, strategy = by_id[sys.argv[2]]
+def _main(argv):
+    by_id = {_case_id(*case): case for case in CASES}
+    command, names = (argv[0], argv[1:]) if argv else (None, [])
+    unknown = [name for name in names if name not in by_id]
+    if unknown:
+        raise SystemExit("unknown case %r; one of:\n  %s"
+                         % (unknown[0], "\n  ".join(sorted(by_id))))
+    if command == "--dump" and len(names) == 1:
+        scenario, strategy = by_id[names[0]]
         sys.stdout.write(scenario(strategy).trace_text())
-        raise SystemExit(0)
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: test_trace_golden.py --record | "
+        return
+    if command != "--record":
+        raise SystemExit("usage: test_trace_golden.py --record "
+                         "[<scenario>/<strategy> ...] | "
                          "--dump <scenario>/<strategy>")
-    recorded = {_case_id(scenario, strategy): _run_case(scenario, strategy)
-                for scenario, strategy in CASES}
+    # Bare --record re-records every case; named cases re-record only
+    # those and leave every other entry of the file as it is.
+    recorded = _golden() if names else {}
+    for name in names or sorted(by_id):
+        recorded[name] = _record(by_id[name][0](by_id[name][1]))
     with open(DIGEST_PATH, "w") as handle:
         json.dump(recorded, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    for name in sorted(recorded):
+    for name in names or sorted(recorded):
         print("%-48s %s" % (name, recorded[name]["outcomes"]))
+
+
+if __name__ == "__main__":
+    _main(sys.argv[1:])
