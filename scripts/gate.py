@@ -2,14 +2,15 @@
 """The CI gate: ``python scripts/gate.py <scenario> <dir> [--baseline DIR]``.
 
 Reads the artifacts a scenario run left in ``<dir>`` -- ``trace_*.jsonl``
-traces, ``BENCH_*.json`` bench artifacts, the ``benchmarks/perf`` ladder
--- and checks them against the scenario's rows in :data:`GATES`.  What a
-scenario must satisfy is declared there, as data; there are no flags to
-assemble.  A row claims a file by its name *and* by what the artifact
-says about itself (the trace's meta line, the JSON document's top-level
-keys), so a trace exported under the wrong name is not gated as
-something it is not, and a row nothing claimed fails the run naming the
-missing file.  Files no row claims are ignored.
+traces, ``BENCH_*.json`` bench artifacts, the ``SOAK_seed<N>.json`` soak
+report, the ``benchmarks/perf`` ladder -- and checks them against the
+scenario's rows in :data:`GATES`.  What a scenario must satisfy is
+declared there, as data; there are no flags to assemble.  A row claims
+a file by its name *and* by what the artifact says about itself (the
+trace's meta line, the JSON document's top-level keys), so a trace
+exported under the wrong name is not gated as something it is not, and
+a row nothing claimed fails the run naming the missing file.  Files no
+row claims are ignored.
 
 Values come from the artifacts, never from scraping stdout.  The script
 is deliberately stdlib-only and does not import :mod:`repro`, so the
@@ -128,6 +129,11 @@ GATES = {
         row("trace_chaos_soak.jsonl", {"experiment": "chaos-soak"},
             min_resumed=3, max_lost_commits=0, max_lost_requests=0,
             owners=1, min_faults=3),
+        # The vacuum horizon bounds version chains: the seed-7 report
+        # ends with a longest chain of 9 (176 before chains were
+        # pruned), so 45 is 5x headroom.
+        row("SOAK_seed*.json", {"experiment": "chaos-soak"},
+            max_longest_chain=45),
     ],
     # the router half of repro bench --trace-dir <dir>.
     "router": [bench("router")] + [
@@ -983,6 +989,21 @@ def check_bench(data, min_improvement=None, watermark=False,
 
 
 # ----------------------------------------------------------------------
+# the soak report (schema documented in EXPERIMENTS.md)
+
+def check_soak(data, max_longest_chain=None):
+    """Failures for one SOAK_seed<N>.json document; the keyword
+    arguments are the expectation keys a soak row may carry."""
+    longest = (data.get("mvcc") or {}).get("longest_chain")
+    if longest is None:
+        return ["no mvcc.longest_chain in the soak report"]
+    if max_longest_chain is not None and longest > max_longest_chain:
+        return ["mvcc longest_chain = %s > allowed %d"
+                % (longest, max_longest_chain)]
+    return []
+
+
+# ----------------------------------------------------------------------
 # the benchmarks/perf ladder
 
 def check_ladder(data, baseline, max_host_regression=None,
@@ -1066,6 +1087,8 @@ def check_artifact(artifact, expect, baseline=None):
         return failures
     if "bench" in artifact:
         return check_bench(artifact, **expect)
+    if artifact.get("experiment") == "chaos-soak":
+        return check_soak(artifact, **expect)
     return check_ladder(artifact, baseline, **expect)
 
 

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..engine.dump import SchemaSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..engine.instance import SnapshotPin
     from ..obs.metrics import MetricsRegistry
     from ..obs.trace import Tracer
     from ..sim.core import Environment
@@ -98,9 +99,10 @@ class MigrationJournal:
     mts: int
     snapshot_csn: int
     #: Chunk plan frozen at dump start: the tenant keeps growing under
-    #: load, so a resumed dump must not re-derive it — under MVCC the
-    #: versions visible at ``snapshot_csn`` survive the source's
-    #: crash-and-recovery, so the frozen slices stay byte-identical.
+    #: load, so a resumed dump must not re-derive it — the source's
+    #: pin (:attr:`pin`) keeps the versions visible at
+    #: ``snapshot_csn`` through its crash-and-recovery, so the frozen
+    #: slices stay byte-identical.
     size_mb: float
     total_chunks: int
     pipelined: bool
@@ -142,6 +144,10 @@ class MigrationJournal:
     #: The live :class:`~repro.core.migration.Migration` attempt — the
     #: one manager; ``None`` once it ended, however it ended.
     manager: Any = None
+    #: The source's :class:`~repro.engine.instance.SnapshotPin` on
+    #: ``snapshot_csn``: held while the journal is open (active or
+    #: suspended), released by :meth:`close`.
+    pin: Optional[SnapshotPin] = None
 
     @property
     def open(self) -> bool:
@@ -167,9 +173,13 @@ class MigrationJournal:
         self.manager = None
 
     def close(self, state: str) -> None:
-        """End the current attempt in lifecycle state ``state``."""
+        """End the current attempt in lifecycle state ``state``; the
+        source's snapshot pin goes with it."""
         self.state = state
         self.manager = None
+        if self.pin is not None:
+            self.pin.release()
+            self.pin = None
         if state == JOURNAL_COMPLETED:
             self.phase = "done"
 

@@ -56,6 +56,7 @@ from .theory import states_equal
 from .watermark import SnapshotStrategy, watermark_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..engine.instance import SnapshotPin
     from .middleware import Middleware, MigrationOptions, TenantState
 
 #: Durable-write latency of the handover journal's ``ready`` record (the
@@ -248,6 +249,9 @@ class Migration:
         self.source_down = (None if settled
                             else self.source_instance.wait_crashed())
         self.snapshot_csn = journal.snapshot_csn if journal else None
+        #: The source's pin on ``snapshot_csn`` while this attempt holds
+        #: it itself; a journalled attempt hands it to its journal.
+        self.pin: Optional[SnapshotPin] = None
         #: Per-node snapshot verdicts: ``None`` = restored, else why not.
         self.restore_errors: Dict[str, Optional[str]] = {}
         #: Per-slave WAL baselines captured at catch-up start.
@@ -312,6 +316,13 @@ class Migration:
         finally:
             if self.journal is not None:
                 self.journal.manager = None
+            self.release_pin()
+
+    def release_pin(self) -> None:
+        """Drop this attempt's own pin (a journal's outlives it)."""
+        if self.pin is not None:
+            self.pin.release()
+            self.pin = None
 
     def reenter(self) -> Generator[Any, Any, str]:
         """Adopt what the interrupted attempt left; return the phase.
@@ -432,7 +443,10 @@ class Migration:
             if waiter is not None:
                 yield waiter
             report.mts = state.mlc
-            self.snapshot_csn = self.source_instance.current_csn()
+            # Pinned as it is read: the dump reads the source at this
+            # CSN after the region, however long it is parked.
+            self.pin = self.source_instance.pin_snapshot()
+            self.snapshot_csn = self.pin.csn
             # From the very next commit every committed update lands in
             # the log — its SSB, or its row post-images under a
             # watermark walk — created inside the critical region so no
@@ -447,6 +461,8 @@ class Migration:
             yield from pipelined_snapshot(self, dump_span)
         else:
             yield from serial_snapshot(self, dump_span)
+        # Nothing reads the snapshot past the copy.
+        self.release_pin()
         if self.source_instance.crashed:
             # The master died while the slaves restored (once the dump
             # is over nothing in a restore reads the source, so nothing
@@ -483,7 +499,8 @@ class Migration:
             snapshot_csn=self.snapshot_csn, size_mb=size_mb,
             total_chunks=plan_chunks(size_mb, opts.chunk_mb),
             pipelined=report.pipelined, strategy=report.strategy,
-            schemas=schema_specs(tenant_db))
+            schemas=schema_specs(tenant_db), pin=self.pin)
+        self.pin = None
         journal.manager = self
         self.mw.journal.migrations[self.tenant] = journal
         return journal

@@ -9,6 +9,7 @@ dump/restore chunk stream.
 
 from .database import TenantDatabase
 from .dump import (
+    SnapshotTooOld,
     SnapshotTruncated,
     TransferRates,
     dump_stream,
@@ -25,6 +26,7 @@ __all__ = [
     "ExecResult",
     "Session",
     "SessionResult",
+    "SnapshotTooOld",
     "SnapshotTruncated",
     "TenantDatabase",
     "TransferRates",

@@ -35,8 +35,14 @@ class Table:
         """The version chain of ``key``, or None if never written."""
         return self.chains.get(key)
 
-    def install(self, key: Hashable, csn: int, row: Optional[Row]) -> None:
-        """Install a committed version and maintain secondary indexes."""
+    def install(self, key: Hashable, csn: int, row: Optional[Row],
+                horizon: Optional[int] = None) -> None:
+        """Install a committed version and maintain secondary indexes.
+
+        With a ``horizon`` (the instance's
+        :meth:`~repro.engine.instance.DbmsInstance.prune_horizon`) the
+        chain is then pruned to what snapshots at or above it can see.
+        """
         chain = self.chains.get(key)
         if chain is None:
             chain = self.chains[key] = VersionChain()
@@ -44,6 +50,8 @@ class Table:
         else:
             old = chain.latest()
         chain.install(csn, row)
+        if horizon is not None:
+            chain.prune(horizon)
         for index in self.indexes.values():
             if old is not None:
                 index.remove(old.get(index.column), key)

@@ -18,10 +18,10 @@ cuts: a full dump is the single-chunk cut):
   whole database, the superlinear index-build term of Figure 9.
 * The pipelined strategy is the N-chunk cut of the same stream: dump,
   ship and restore overlap (correct under a live write stream because
-  MVCC keeps every version at the snapshot CSN visible until the dump
-  transaction ends), and each chunk pays the linear insert cost of its
-  own size — which is exactly where pipelining beats the serial cut on
-  large tenants.
+  the migration pins the snapshot CSN on the source, so the vacuum
+  horizon keeps every version visible there until the pin goes), and
+  each chunk pays the linear insert cost of its own size — which is
+  exactly where pipelining beats the serial cut on large tenants.
 * The watermark strategy cuts the *live* state with
   :func:`watermark_select` instead of a frozen CSN.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
 
-from ..errors import NodeCrashed
+from ..errors import NodeCrashed, ReproError
 from .instance import DbmsInstance
 from .schema import TableSchema
 from .sqlmini import ColumnDef
@@ -167,7 +167,9 @@ def install_chunk(instance: DbmsInstance, tenant: Any, rows: ChunkRows,
     The write goes in ``max(1, ceil(size_mb / rates.chunk_mb))`` equal
     slices, each paced so the whole write takes ``duration`` (a 0 s
     target charges the disk write alone); a crash is checked after every
-    slice.  The rows then land as fresh versions at one new CSN.
+    slice.  The rows then land as fresh versions at one new CSN; a row
+    a resumed or re-delivered chunk lands on again is pruned to the
+    instance's horizon.
     Raises :class:`NodeCrashed` if ``instance`` crashed.
     """
     slices = max(1, int(math.ceil(size_mb / rates.chunk_mb)))
@@ -183,10 +185,11 @@ def install_chunk(instance: DbmsInstance, tenant: Any, rows: ChunkRows,
         if instance.crashed:
             raise NodeCrashed(instance.name, "crashed during restore")
     csn = instance.next_csn()
+    horizon = instance.prune_horizon()
     for table_name, table_rows in rows.items():
         table = tenant.table(table_name)
         for key, row in table_rows.items():
-            table.install(key, csn, row)
+            table.install(key, csn, row, horizon)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +223,16 @@ class SnapshotTruncated(RuntimeError):
     """The chunk stream ended before the final chunk arrived."""
 
 
+class SnapshotTooOld(ReproError):
+    """A dump asked for a snapshot the source has already vacuumed.
+
+    PostgreSQL's "snapshot too old": a prune has used a horizon above
+    the snapshot CSN, so versions visible there may be gone.  A dump
+    whose snapshot is pinned for as long as it may be read never sees
+    this.
+    """
+
+
 def plan_chunks(size_mb: float, chunk_mb: float) -> int:
     """Number of chunks a ``size_mb`` tenant streams in (always >= 1)."""
     if size_mb <= 0:
@@ -249,10 +262,18 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     lowest chunk index any destination still needs) together with the
     chunk plan frozen at the *original* dump start (``total_chunks``,
     ``total_size_mb``) — the tenant keeps growing under load, so the
-    plan must not be re-derived.  Under MVCC the versions visible at
-    ``snapshot_csn`` survive even a crash-and-restart of the source, so
-    the resumed slices are byte-identical to the originals.
+    plan must not be re-derived.  The migration's pin keeps the versions
+    visible at ``snapshot_csn`` through even a crash-and-restart of the
+    source, so the resumed slices are byte-identical to the originals;
+    a snapshot below the source's
+    :attr:`~repro.engine.instance.DbmsInstance.vacuumed_through` raises
+    :class:`SnapshotTooOld` instead of capturing pruned rows.
     """
+    if snapshot_csn < instance.vacuumed_through:
+        raise SnapshotTooOld(
+            "%s: snapshot %d of %r is below the vacuum horizon %d"
+            % (instance.name, snapshot_csn, tenant_name,
+               instance.vacuumed_through))
     tenant = instance.tenant(tenant_name)
     size_mb = (total_size_mb if total_size_mb is not None
                else tenant.size_mb())
@@ -262,9 +283,9 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     if not 0 <= start_index <= total:
         raise ValueError("start_index %d outside the %d-chunk plan"
                          % (start_index, total))
-    # Capture the row set at the snapshot CSN up front: under MVCC the
-    # same versions stay visible for the whole dump transaction, so
-    # slicing the capture across chunk emissions changes nothing.
+    # Capture the row set at the snapshot CSN up front: the pin keeps
+    # the same versions visible for the whole dump, so slicing the
+    # capture across chunk emissions changes nothing.
     schemas = schema_specs(tenant)
     captured = {table_name: dict(tenant.table(table_name)
                                  .visible_rows(snapshot_csn))

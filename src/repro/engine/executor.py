@@ -100,10 +100,12 @@ class Executor:
     """Executes statements for transactions of one tenant database."""
 
     def __init__(self, database: TenantDatabase,
+                 take_snapshot: Callable[[], int],
                  current_csn: Callable[[], int],
                  read_hook: Optional[ReadHook] = None,
                  write_hook: Optional[WriteHook] = None):
         self.database = database
+        self._take_snapshot = take_snapshot
         self._current_csn = current_csn
         self.read_hook = read_hook
         self.write_hook = write_hook
@@ -135,9 +137,13 @@ class Executor:
     # snapshot handling
     # ------------------------------------------------------------------
     def _ensure_snapshot(self, txn: Transaction) -> int:
-        """Implicit snapshot creation just before the first operation."""
+        """Implicit snapshot creation just before the first operation.
+
+        The snapshot is taken through the instance, which holds the
+        vacuum horizon at it until the transaction commits or aborts.
+        """
         if txn.snapshot_csn is None:
-            txn.snapshot_csn = self._current_csn()
+            txn.snapshot_csn = self._take_snapshot()
         return txn.snapshot_csn
 
     # ------------------------------------------------------------------

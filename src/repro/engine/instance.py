@@ -6,11 +6,19 @@ crucially — one WAL (the shared process model of Curino et al. [22] the
 paper adopts).  It provides snapshot isolation with the first-updater-wins
 rule and group commit, and exposes the begin/admit/finish_commit/abort
 primitives :class:`~repro.engine.session.Session` is built on.
+
+The instance also keeps the *vacuum horizon*: the oldest snapshot CSN
+any open transaction or :class:`SnapshotPin` still holds (the current
+CSN when none does).  Every install that can stack a second version on
+a row prunes that row's chain down to what the horizon still needs: the
+newest version at or below it and the versions committed after it
+(DESIGN.md §4b item 11).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, List, Optional
 
 from ..errors import NodeCrashed, SchemaError
 from ..obs.metrics import MetricsRegistry
@@ -65,6 +73,31 @@ class Observer:
         """Called after a transaction rolls back."""
 
 
+class SnapshotPin:
+    """A hold on one snapshot CSN of one instance, outside any transaction.
+
+    A migration's dump reads the source at ``csn`` long after the
+    critical region it was taken in (a journalled resume re-reads it
+    after a crash of the source), so it pins the CSN: while the pin is
+    held the horizon stays at or below ``csn`` and every version visible
+    there survives.  Made by :meth:`DbmsInstance.pin_snapshot`.
+    """
+
+    __slots__ = ("instance", "csn")
+
+    def __init__(self, instance: "DbmsInstance", csn: int):
+        self.instance: Optional[DbmsInstance] = instance
+        self.csn = csn
+
+    def release(self) -> None:
+        """Give the hold back; idempotent."""
+        instance = self.instance
+        if instance is not None:
+            self.instance = None
+            instance._pins.remove(self.csn)
+            instance.release_snapshot(self.csn)
+
+
 class DbmsInstance:
     """A DBMS process hosting many tenants on one node."""
 
@@ -84,6 +117,17 @@ class DbmsInstance:
         self.tenants: Dict[str, TenantDatabase] = {}
         self._executors: Dict[str, Executor] = {}
         self._csn = 0
+        # Snapshot holders, oldest first: one ``[csn, holders]`` entry
+        # per snapshot CSN taken, appended in CSN order (snapshots are
+        # only ever taken at the current CSN, which never decreases)
+        # and dropped from the front once they hold nothing.
+        self._holders: Deque[List[int]] = deque()
+        self._holder_at: Dict[int, List[int]] = {}
+        #: CSNs of the live :class:`SnapshotPin` holds.
+        self._pins: List[int] = []
+        #: The highest horizon any prune has used: a snapshot below it
+        #: may have lost versions it could see.
+        self.vacuumed_through = 0
         # crash/recovery state (see crash()/restart())
         self.crashed = False
         self._replayed_commits = 0
@@ -228,8 +272,9 @@ class DbmsInstance:
         self.tenants[name] = tenant
         read_hook = self.observer.on_read if self.observer else None
         write_hook = self.observer.on_write if self.observer else None
-        self._executors[name] = Executor(tenant, self.current_csn,
-                                         read_hook, write_hook)
+        self._executors[name] = Executor(tenant, self.take_snapshot,
+                                         self.current_csn, read_hook,
+                                         write_hook)
         return tenant
 
     def drop_tenant(self, name: str) -> None:
@@ -265,6 +310,60 @@ class DbmsInstance:
         """
         self._csn += 1
         return self._csn
+
+    def take_snapshot(self) -> int:
+        """Hold a snapshot at the current CSN and return that CSN.
+
+        Every holder gives it back exactly once through
+        :meth:`release_snapshot` (a transaction does so when it commits
+        or aborts).
+        """
+        csn = self._csn
+        entry = self._holder_at.get(csn)
+        if entry is None:
+            entry = self._holder_at[csn] = [csn, 1]
+            self._holders.append(entry)
+        else:
+            entry[1] += 1
+        return csn
+
+    def release_snapshot(self, csn: int) -> None:
+        """Give back one hold on the snapshot at ``csn``."""
+        self._holder_at[csn][1] -= 1
+
+    def pin_snapshot(self) -> SnapshotPin:
+        """Hold a snapshot at the current CSN outside any transaction."""
+        csn = self.take_snapshot()
+        self._pins.append(csn)
+        return SnapshotPin(self, csn)
+
+    def pinned_csns(self) -> List[int]:
+        """CSNs of the live pins, ascending (with repeats)."""
+        return sorted(self._pins)
+
+    def horizon(self) -> int:
+        """The oldest held snapshot CSN, else the current CSN.
+
+        Amortised O(1): entries that hold nothing are dropped from the
+        front as they reach it.
+        """
+        holders = self._holders
+        while holders:
+            entry = holders[0]
+            if entry[1]:
+                return entry[0]
+            holders.popleft()
+            del self._holder_at[entry[0]]
+        return self._csn
+
+    def prune_horizon(self) -> int:
+        """:meth:`horizon` for a prune about to use it.
+
+        Records it as :attr:`vacuumed_through` (the horizon never
+        decreases, so the latest is the highest).
+        """
+        horizon = self.vacuumed_through = self.horizon()
+        return horizon
 
     # ------------------------------------------------------------------
     # transaction lifecycle
@@ -303,11 +402,15 @@ class DbmsInstance:
         CPU and, for an update transaction, the (possibly grouped) WAL
         flush: durability before visibility.
 
-        Installs the versions atomically (no yields) and returns the
+        Gives back the snapshot, installs the versions atomically (no
+        yields), pruning each chain to the horizon, and returns the
         commit CSN for update transactions, None for read-only ones
         (which need no flush and create no snapshot — exactly why the
         mapping function discards them).
         """
+        if txn.snapshot_csn is not None:
+            # release_snapshot, inline on the commit path
+            self._holder_at[txn.snapshot_csn][1] -= 1
         if not txn.writes:
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
@@ -317,9 +420,11 @@ class DbmsInstance:
         tenant = self.tenant(txn.tenant)
         csn = self.next_csn()
         txn.commit_csn = csn
+        horizon = self.prune_horizon()
         for key in txn.write_order:
             table_name, row_key = key
-            tenant.table(table_name).install(row_key, csn, txn.writes[key])
+            tenant.table(table_name).install(row_key, csn, txn.writes[key],
+                                             horizon)
         txn.status = TxnStatus.COMMITTED
         txn.finished_at = self.env.now
         tenant.locks.release_all(txn, committed=True)
@@ -338,6 +443,8 @@ class DbmsInstance:
         if txn.status == TxnStatus.ABORTED:
             return
         txn.require_active()
+        if txn.snapshot_csn is not None:
+            self.release_snapshot(txn.snapshot_csn)
         tenant = self.tenants.get(txn.tenant)
         txn.status = TxnStatus.ABORTED
         txn.finished_at = self.env.now

@@ -10,6 +10,13 @@ before [it] starts" and nothing committed later.
 Uncommitted writes never enter a chain; they live in the writing
 transaction's private write set until commit installs them atomically.
 
+Versions no snapshot can see any more are dropped on write: every
+install that can stack a second version on a row prunes the chain to
+its instance's vacuum horizon, the oldest snapshot still held
+(:meth:`~repro.engine.instance.DbmsInstance.prune_horizon`).  A chain
+therefore holds the newest version at or below the horizon plus the
+versions committed after it, however long the run.
+
 A committed row image is immutable: once installed, nothing writes to
 the dict again (an UPDATE installs a new dict built from a copy), so the
 snapshot paths share images between tenant copies instead of copying
@@ -96,8 +103,10 @@ class VersionChain:
 
         Keeps the newest version at or below the horizon (it is still
         visible to snapshots at the horizon) plus everything newer.  This
-        is the vacuum analogue; nothing in the engine calls it yet
-        (ROADMAP direction 1's bounded-memory audit will).
+        is the vacuum analogue: :meth:`Table.install
+        <repro.engine.database.Table.install>` calls it on every chain a
+        commit, a chunk install or a change-stream apply writes, with
+        the instance's horizon.
         """
         csns = self._old_csns
         if csns is None:

@@ -154,10 +154,15 @@ class SoakOutcome:
     aborted_txns: int = 0
     #: End-of-run MVCC census over every tenant copy the nodes still
     #: hold: committed row versions (tombstones included) and the
-    #: longest version chain.  Nothing prunes chains yet, so both grow
-    #: with the run.
+    #: longest version chain.  Every write prunes its chain to the
+    #: vacuum horizon, so both stay bounded however long the run.
     row_versions: int = 0
     longest_chain: int = 0
+    #: Node -> its live snapshot pins (``pinned``) and the snapshot
+    #: CSNs of the open journals it is the source of (``journals``),
+    #: at the end of the run; a pin lives exactly as long as its
+    #: journal, so the two are equal.  Not part of the report record.
+    pins: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
     report_path: Optional[str] = None
     trace_path: Optional[str] = None
 
@@ -412,6 +417,14 @@ def run_soak(profile: Optional[Profile] = None, *,
                     outcome.row_versions += versions
                     outcome.longest_chain = max(outcome.longest_chain,
                                                 versions)
+    journals = [middleware.migration_journal(tenant)
+                for tenant in tenant_names]
+    for name in node_names:
+        outcome.pins[name] = {
+            "pinned": cluster.node(name).instance.pinned_csns(),
+            "journals": sorted(journal.snapshot_csn for journal in journals
+                               if journal is not None and journal.open
+                               and journal.source == name)}
     outcome.router = fleet.stats()
     outcome.phantom_bound = (kv_config.writes_per_txn
                              * int(outcome.router["acks_dropped"]))

@@ -182,6 +182,18 @@ def pad_serialized_to_the_poll_step(data):
         comparison["serialized_wall_clock"] = padded
 
 
+def soak_report():
+    """A soak report's ``mvcc`` census as ``repro soak`` (seed 7)
+    writes it under the vacuum horizon."""
+    return {"experiment": "chaos-soak", "seed": 7,
+            "mvcc": {"row_versions": 708, "longest_chain": 9}}
+
+
+def unpruned_chains(data):
+    """The census of the same run before chains were pruned."""
+    data["mvcc"] = {"row_versions": 25645, "longest_chain": 176}
+
+
 def slow_a_rung(data):
     data["ladder"]["ladder.core.submit_txn.host_us"] *= 1.4
 
@@ -209,6 +221,9 @@ DOCUMENT_CASES = {
         ladder, add_an_event,
         "ladder.core.submit_txn.events: 3.0000 kernel events per "
         "operation, above the base run's 2.0000"),
+    "max_longest_chain": (
+        soak_report, unpruned_chains,
+        "mvcc longest_chain = 176 > allowed 45"),
 }
 
 
@@ -219,8 +234,9 @@ class TestEveryKeyFails:
     def test_every_key_of_the_table_has_a_checker(self):
         bench_keys = set(inspect.signature(gate.check_bench).parameters)
         ladder_keys = set(inspect.signature(gate.check_ladder).parameters)
-        assert keys_in_table() <= (set(gate.TRACE_CHECKS)
-                                   | bench_keys | ladder_keys)
+        soak_keys = set(inspect.signature(gate.check_soak).parameters)
+        assert keys_in_table() <= (set(gate.TRACE_CHECKS) | bench_keys
+                                   | ladder_keys | soak_keys)
 
     @pytest.mark.parametrize("key", sorted(TRACE_CASES))
     def test_trace_key(self, key, chaos_dir, soak_dir, tmp_path):

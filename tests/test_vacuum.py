@@ -1,0 +1,303 @@
+"""The vacuum horizon: snapshot holders, journal pins, prune on write.
+
+Each ``DbmsInstance`` tracks the oldest snapshot still in use — open
+transactions and :class:`~repro.engine.instance.SnapshotPin` holds — and
+every install that can stack a second version on a row prunes that
+row's chain to it.  These tests check the bookkeeping directly, drive
+generated interleavings against a twin that never prunes (it pins CSN 0
+first), follow a migration's pin through its journal, and plant the
+mutant the loud failure exists for: a pin released at suspension
+instead of at close.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.journal import MigrationJournal
+from repro.engine import DbmsInstance, Session, SnapshotTooOld, dump_stream
+from repro.engine.dump import TransferRates
+from repro.sim import Environment
+from repro.sim.sync import Channel
+
+from _helpers import drive
+from test_trace_golden import World, _park
+
+KEYS = 3
+
+
+def _instance(pin_zero=False):
+    env = Environment()
+    instance = DbmsInstance(env, "n0")
+    pin = instance.pin_snapshot() if pin_zero else None
+    instance.create_tenant("T")
+    session = Session(instance, "T")
+    statements = (["CREATE TABLE kv (k INT PRIMARY KEY, v INT)", "BEGIN"]
+                  + ["INSERT INTO kv (k, v) VALUES (%d, 0)" % key
+                     for key in range(KEYS)] + ["COMMIT"])
+    for sql in statements:
+        assert drive(env, session.execute(sql)).ok, sql
+    return env, instance, pin
+
+
+def _run(env, session, sql):
+    return drive(env, session.execute(sql))
+
+
+def _bump(env, instance, key=0):
+    session = Session(instance, "T")
+    for sql in ("BEGIN", "UPDATE kv SET v = v + 1 WHERE k = %d" % key,
+                "COMMIT"):
+        assert _run(env, session, sql).ok, sql
+
+
+def _chain(instance, key=0):
+    return instance.tenant("T").table("kv").chain(key)
+
+
+class TestHorizon:
+    def test_no_holder_means_the_current_csn(self):
+        env, instance, _pin = _instance()
+        assert instance.horizon() == instance.current_csn() == 1
+        _bump(env, instance)
+        assert instance.horizon() == 2
+
+    def test_a_transaction_holds_its_snapshot_until_it_commits(self):
+        env, instance, _pin = _instance()
+        reader = Session(instance, "T")
+        _run(env, reader, "BEGIN")
+        assert instance.horizon() == 1
+        _run(env, reader, "SELECT v FROM kv WHERE k = 0")
+        _bump(env, instance)
+        _bump(env, instance)
+        assert instance.horizon() == 1
+        _run(env, reader, "COMMIT")
+        assert instance.horizon() == instance.current_csn() == 3
+
+    def test_an_abort_gives_the_snapshot_back(self):
+        env, instance, _pin = _instance()
+        reader = Session(instance, "T")
+        _run(env, reader, "BEGIN")
+        _run(env, reader, "SELECT v FROM kv WHERE k = 0")
+        _bump(env, instance)
+        _run(env, reader, "ROLLBACK")
+        assert instance.horizon() == 2
+
+    def test_a_pin_holds_until_released_once(self):
+        env, instance, _pin = _instance()
+        pin = instance.pin_snapshot()
+        _bump(env, instance)
+        assert (instance.horizon(), instance.pinned_csns()) == (1, [1])
+        pin.release()
+        pin.release()
+        assert (instance.horizon(), instance.pinned_csns()) == (2, [])
+
+
+class TestPruneOnWrite:
+    def test_an_unread_row_keeps_one_version(self):
+        env, instance, _pin = _instance()
+        for _ in range(5):
+            _bump(env, instance)
+        assert _chain(instance).version_count() == 1
+        assert _chain(instance).latest()["v"] == 5
+
+    def test_an_open_reader_keeps_what_it_can_see(self):
+        env, instance, _pin = _instance()
+        reader = Session(instance, "T")
+        _run(env, reader, "BEGIN")
+        _run(env, reader, "SELECT v FROM kv WHERE k = 1")
+        for _ in range(3):
+            _bump(env, instance)
+        assert _chain(instance).version_count() == 4
+        assert _run(env, reader, "SELECT v FROM kv WHERE k = 0").rows \
+            == [{"v": 0}]
+        _run(env, reader, "COMMIT")
+        _bump(env, instance)
+        assert _chain(instance).version_count() == 1
+        assert instance.vacuumed_through == instance.current_csn()
+
+
+class TestSnapshotTooOld:
+    def _dump(self, env, instance, csn):
+        channel = Channel(env, capacity=4)
+        env.process(dump_stream(instance, "T", csn, TransferRates(),
+                                channel))
+        env.run()
+
+    def test_a_dump_below_the_vacuumed_horizon_raises(self):
+        env, instance, _pin = _instance()
+        csn = instance.current_csn()
+        _bump(env, instance)
+        with pytest.raises(SnapshotTooOld, match="below the vacuum"):
+            self._dump(env, instance, csn)
+
+    def test_a_pinned_dump_reads_its_snapshot(self):
+        env, instance, _pin = _instance()
+        pin = instance.pin_snapshot()
+        _bump(env, instance)
+        self._dump(env, instance, pin.csn)
+        assert _chain(instance).read(pin.csn)["v"] == 0
+
+
+# ----------------------------------------------------------------------
+# generated interleavings against a never-pruning twin
+
+SLOTS = 3
+steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["begin", "commit", "abort"]),
+              st.integers(0, SLOTS - 1), st.just(0)),
+    st.tuples(st.sampled_from(["read", "write", "delete", "insert"]),
+              st.integers(0, SLOTS - 1), st.integers(0, KEYS - 1)),
+    st.tuples(st.sampled_from(["pin", "unpin"]), st.integers(0, 3),
+              st.just(0))), max_size=40)
+
+SQL = {"read": "SELECT v FROM kv WHERE k = %d",
+       "write": "UPDATE kv SET v = v + 1 WHERE k = %d",
+       "delete": "DELETE FROM kv WHERE k = %d",
+       "insert": "INSERT INTO kv (k, v) VALUES (%d, 7)"}
+
+
+class Side:
+    """One instance driven through the steps: a session per slot, the
+    generated pins, and the twin's permanent CSN-0 pin."""
+
+    def __init__(self, pin_zero):
+        self.env, self.instance, self.zero = _instance(pin_zero)
+        self.sessions = [Session(self.instance, "T") for _ in range(SLOTS)]
+        self.pins = []
+
+    def step(self, op, slot, key):
+        """What the step returned, comparable across the two sides."""
+        if op == "pin":
+            self.pins.append(self.instance.pin_snapshot())
+            return self.pins[-1].csn
+        if op == "unpin":
+            if self.pins:
+                self.pins.pop(slot % len(self.pins)).release()
+            return None
+        sql = {"begin": "BEGIN", "commit": "COMMIT",
+               "abort": "ROLLBACK"}.get(op) or SQL[op] % key
+        result = _run(self.env, self.sessions[slot], sql)
+        return (result.kind, result.rows, result.affected, result.error,
+                result.commit_csn)
+
+    def holders(self):
+        """Brute force: the CSN of every live snapshot."""
+        held = [pin.csn for pin in self.pins]
+        if self.zero is not None:
+            held.append(self.zero.csn)
+        held += [session.txn.snapshot_csn for session in self.sessions
+                 if session.in_transaction
+                 and session.txn.snapshot_csn is not None]
+        return held
+
+
+def _lock_holder(side, slot, key):
+    """Another open slot holds the row lock (the step would wait)."""
+    for other, session in enumerate(side.sessions):
+        if (other != slot and session.in_transaction
+                and ("kv", key) in session.txn.held_locks):
+            return True
+    return False
+
+
+@given(ops=steps)
+@example(ops=[("begin", 0, 0), ("read", 0, 1), ("begin", 1, 0),
+              ("write", 1, 0), ("commit", 1, 0), ("abort", 0, 0)])
+@settings(max_examples=500, deadline=None)
+def test_pruning_matches_a_twin_that_never_prunes(ops):
+    """Every step returns what it returns on the twin, every live
+    snapshot reads every key alike on both, and the horizon is the
+    brute-force minimum over the live holders after every step."""
+    pruned, twin = Side(pin_zero=False), Side(pin_zero=True)
+    for op, slot, key in ops:
+        if op in SQL and op != "read" and _lock_holder(pruned, slot, key):
+            continue
+        assert pruned.step(op, slot, key) == twin.step(op, slot, key)
+        for side in (pruned, twin):
+            held = side.holders()
+            assert side.instance.horizon() == (
+                min(held) if held else side.instance.current_csn())
+        assert twin.instance.horizon() == 0
+        table, twin_table = (side.instance.tenant("T").table("kv")
+                             for side in (pruned, twin))
+        for snapshot in set(pruned.holders()) | {
+                pruned.instance.current_csn()}:
+            for row_key in range(KEYS):
+                chain, twin_chain = (t.chain(row_key)
+                                     for t in (table, twin_table))
+                assert chain.read(snapshot) == twin_chain.read(snapshot)
+                assert (chain.version_count()
+                        <= twin_chain.version_count())
+
+
+# ----------------------------------------------------------------------
+# a migration's pin lives exactly as long as its journal
+
+def _source_pins(world):
+    return world.instance("node0").pinned_csns()
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_the_source_is_pinned_while_the_snapshot_is_needed(resume):
+    world = World("pipelined", resume=resume)
+    seen = {}
+    world.launch()
+    world.when(world.phase_open("catch-up"),
+               lambda: seen.setdefault("catch-up", _source_pins(world)))
+    world.env.run()
+    assert world.outcomes == ["ok"]
+    journal = world.middleware.migration_journal("A")
+    # A journal holds its pin through catch-up (a resume may re-dump);
+    # a journal-less attempt lets go once the copy is made.
+    assert seen["catch-up"] == ([journal.snapshot_csn] if resume else [])
+    assert _source_pins(world) == []
+
+
+def _write_on_the_parked_source(world):
+    """One customer commit on the recovered source, through the
+    middleware so the parked migration's log records it."""
+    middleware = world.middleware
+    conn = middleware.connect("A")
+
+    def txn(env):
+        for sql in ("BEGIN", "UPDATE kv SET v = v + 1 WHERE k = 0",
+                    "COMMIT"):
+            result = yield from middleware.submit(conn, sql)
+            assert result.ok, result.error
+    drive(world.env, txn(world.env))
+
+
+def _park_write_resume():
+    """``source_crash_dump_resume`` with one commit on the source while
+    the migration is parked (its load has finished by then, so without
+    it nothing would be pruned between suspension and resume)."""
+    world = _park(World("pipelined", resume=True), "dump", 0.35,
+                  ("node2",))
+    _write_on_the_parked_source(world)
+    world.launch(resume=True)
+    world.env.run()
+    return world
+
+
+def test_a_parked_journal_keeps_its_snapshot_readable():
+    world = _park_write_resume()
+    assert world.outcomes == ["SourceCrashed", "ok+resumed"]
+    assert _source_pins(world) == []
+
+
+def test_a_pin_released_at_suspension_fails_the_resumed_dump(
+        monkeypatch):
+    """The planted mutant: the pin goes at ``park`` rather than at
+    ``close``, the parked source prunes past the journal's snapshot, and
+    the resumed dump must fail loudly instead of shipping pruned rows."""
+    park = MigrationJournal.park
+
+    def park_and_unpin(self, phase, now):
+        park(self, phase, now)
+        self.pin.release()
+
+    monkeypatch.setattr(MigrationJournal, "park", park_and_unpin)
+    with pytest.raises(SnapshotTooOld):
+        _park_write_resume()
