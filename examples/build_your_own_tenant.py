@@ -7,7 +7,7 @@ Shows the lower-level public API a downstream user would build on:
   SSB bookkeeping and all),
 * inspecting snapshot-isolation behaviour (a first-updater-wins abort),
 * live-migrating the tenant and then verifying the slave's state
-  yourself with the theory layer's ``states_equal``.
+  yourself with ``repro.check.states_equal``.
 
 Run with::
 
@@ -16,7 +16,7 @@ Run with::
 
 from repro import (Cluster, Environment, Middleware, MiddlewareConfig,
                    MigrationOptions, TransferRates)
-from repro.core import states_equal
+from repro.check import states_equal
 from repro.engine import Session
 
 

@@ -15,7 +15,7 @@ Run with::
 
 from repro import (Cluster, Environment, Middleware, MiddlewareConfig,
                    MigrationOptions, TransferRates)
-from repro.core import states_equal
+from repro.check import states_equal
 from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
 

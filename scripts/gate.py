@@ -131,9 +131,11 @@ GATES = {
             owners=1, min_faults=3),
         # The vacuum horizon bounds version chains: the seed-7 report
         # ends with a longest chain of 9 (176 before chains were
-        # pruned), so 45 is 5x headroom.
+        # pruned), so 45 is 5x headroom.  The report's own verdict
+        # (owners, ledger, every migration consistent and LSIR-clean)
+        # must hold.
         row("SOAK_seed*.json", {"experiment": "chaos-soak"},
-            max_longest_chain=45),
+            max_longest_chain=45, report_ok=True),
     ],
     # the router half of repro bench --trace-dir <dir>.
     "router": [bench("router")] + [
@@ -991,16 +993,20 @@ def check_bench(data, min_improvement=None, watermark=False,
 # ----------------------------------------------------------------------
 # the soak report (schema documented in EXPERIMENTS.md)
 
-def check_soak(data, max_longest_chain=None):
+def check_soak(data, max_longest_chain=None, report_ok=None):
     """Failures for one SOAK_seed<N>.json document; the keyword
     arguments are the expectation keys a soak row may carry."""
+    failures = []
     longest = (data.get("mvcc") or {}).get("longest_chain")
     if longest is None:
-        return ["no mvcc.longest_chain in the soak report"]
-    if max_longest_chain is not None and longest > max_longest_chain:
-        return ["mvcc longest_chain = %s > allowed %d"
-                % (longest, max_longest_chain)]
-    return []
+        failures.append("no mvcc.longest_chain in the soak report")
+    elif max_longest_chain is not None and longest > max_longest_chain:
+        failures.append("mvcc longest_chain = %s > allowed %d"
+                        % (longest, max_longest_chain))
+    if report_ok is not None and data.get("ok") is not report_ok:
+        failures.append("soak report ok = %s, expected %s"
+                        % (data.get("ok"), report_ok))
+    return failures
 
 
 # ----------------------------------------------------------------------

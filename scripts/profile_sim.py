@@ -28,7 +28,7 @@ part ``sim_s_per_host_s`` is timed on.
 
 Use the profile to *find* a rock, not to size it.  cProfile charges its
 per-call hook to Python frames and nothing to the work inside C calls,
-so C-heavy frames are under-reported: ``theory.states_equal`` (two
+so C-heavy frames are under-reported: ``check.states_equal`` (two
 ``sorted(row.items())`` fingerprints per handover, almost all of it in
 C) showed as 2.9 % of the traced ``tpcw_order_migrate`` section of
 ``benchmarks/perf`` (0.58 s of 19.8 s) while, timed directly with

@@ -9,7 +9,6 @@ from ..net.network import Network, NetworkSpec
 from .node import Node, NodeSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.instance import Observer
     from ..sim.core import Environment
 
 
@@ -22,12 +21,11 @@ class Cluster:
         self.network = Network(env, network_spec)
         self.nodes: Dict[str, Node] = {}
 
-    def add_node(self, name: str, spec: Optional[NodeSpec] = None,
-                 observer: Optional["Observer"] = None) -> Node:
+    def add_node(self, name: str, spec: Optional[NodeSpec] = None) -> Node:
         """Provision a new node."""
         if name in self.nodes:
             raise RoutingError("node %r already exists" % name)
-        node = Node(self.env, name, spec, observer=observer)
+        node = Node(self.env, name, spec)
         self.nodes[name] = node
         return node
 

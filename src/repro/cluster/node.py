@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..engine.checkpoint import CheckpointSpec
-from ..engine.instance import DbmsInstance, Observer
+from ..engine.instance import DbmsInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
@@ -33,16 +33,12 @@ class Node:
     """A physical machine running one shared-process DBMS instance."""
 
     def __init__(self, env: "Environment", name: str,
-                 spec: Optional[NodeSpec] = None,
-                 observer: Optional[Observer] = None):
+                 spec: Optional[NodeSpec] = None):
         self.env = env
         self.name = name
         self.spec = spec or NodeSpec()
-        self.instance = DbmsInstance(
-            env, name,
-            checkpoint_spec=self.spec.checkpoint,
-            observer=observer,
-        )
+        self.instance = DbmsInstance(env, name,
+                                     checkpoint_spec=self.spec.checkpoint)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Node %s tenants=%s>" % (self.name,

@@ -34,15 +34,6 @@ from .region import (
 )
 from .ssb import SyncsetBuffer
 from .watermark import SnapshotStrategy
-from .theory import (
-    NECESSARY_DEPENDENCIES,
-    UNNECESSARY_DEPENDENCIES,
-    DependencyType,
-    HistoryRecorder,
-    LsirValidator,
-    mapping_function_output,
-    states_equal,
-)
 
 __all__ = [
     "ALL_POLICIES",
@@ -52,25 +43,18 @@ __all__ = [
     "COMMIT_CLASS",
     "ChunkFeed",
     "CriticalRegion",
-    "DependencyType",
     "FIRST_READ_CLASS",
-    "HistoryRecorder",
-    "LsirValidator",
     "MADEUS",
     "Middleware",
     "MiddlewareConfig",
     "MigrationOptions",
     "MigrationScheduler",
-    "NECESSARY_DEPENDENCIES",
     "OpKind",
     "Operation",
     "ScheduleOptions",
     "SnapshotStrategy",
     "SyncsetBuffer",
     "TxnTracker",
-    "UNNECESSARY_DEPENDENCIES",
     "feature_matrix",
-    "mapping_function_output",
     "policy_by_name",
-    "states_equal",
 ]

@@ -37,6 +37,7 @@ from typing import (
     Sequence,
 )
 
+from ..check import states_equal
 from ..engine.dump import plan_chunks, schema_specs
 from ..errors import CatchUpTimeout, MigrationError, SourceCrashed
 from ..obs.trace import MIGRATION
@@ -52,7 +53,6 @@ from .pipeline import pipelined_snapshot, serial_snapshot
 from .propagation import divergence_watchdog, make_propagator
 from .region import FIRST_READ_CLASS
 from .ssb import ReplicationLog
-from .theory import states_equal
 from .watermark import SnapshotStrategy, watermark_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -55,11 +55,6 @@ class Operation:
     #: middleware-assigned transaction sequence (for reports/validation)
     txn_label: Optional[int] = None
 
-    @property
-    def is_sync_relevant(self) -> bool:
-        """Whether the mapping function may keep this operation."""
-        return self.kind in (OpKind.FIRST_READ, OpKind.WRITE, OpKind.COMMIT)
-
 
 class TxnTracker:
     """Per-connection transaction-state machine for classification.

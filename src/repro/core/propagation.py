@@ -13,7 +13,7 @@ Two propagation engines implement all four middlewares of Table 2:
   under Madeus (CON-COM, enabling group commit on the slave), one at a
   time under B-CON, each commit paying the pool's competition for the
   commit mutex.  Each conductor records its replay schedule in its own
-  :class:`~repro.core.theory.LsirValidator`.
+  :class:`~repro.check.LsirValidator`.
 
 Every engine — these two and the watermark path's
 :class:`~repro.core.watermark.ChangeStreamApplier` — reads the
@@ -40,6 +40,7 @@ from typing import (
     Tuple,
 )
 
+from ..check import LsirValidator
 from ..engine.session import Session
 from ..engine.sqlmini import Begin, Commit
 from ..errors import MigrationError, NetworkDown, NodeCrashed
@@ -49,7 +50,6 @@ from ..sim.sync import CountdownLatch, backoff_delay
 from .operations import Operation, OpKind
 from .policy import PropagationPolicy
 from .ssb import LogCursor, SyncsetBuffer
-from .theory import LsirValidator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.instance import DbmsInstance

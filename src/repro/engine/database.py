@@ -141,18 +141,3 @@ class TenantDatabase:
     def row_count(self) -> int:
         """Total live rows across all tables."""
         return sum(t.live_row_count() for t in self.tables.values())
-
-    # ------------------------------------------------------------------
-    def state_fingerprint(self) -> Dict[str, Dict[Hashable, Tuple]]:
-        """Canonical logical state: table -> key -> sorted row items.
-
-        Used by the consistency checker (Theorem 2): after switch-over the
-        slave's fingerprint must equal the master's.
-        """
-        state: Dict[str, Dict[Hashable, Tuple]] = {}
-        for name, table in self.tables.items():
-            rows: Dict[Hashable, Tuple] = {}
-            for key, row in table.latest_rows():
-                rows[key] = tuple(sorted(row.items()))
-            state[name] = rows
-        return state

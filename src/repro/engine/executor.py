@@ -35,12 +35,6 @@ from .sqlmini import (
 )
 from .transaction import Transaction
 
-#: Optional observer interface used by the theory layer: callables
-#: (txn_id, table, key, info) invoked on reads and writes.
-ReadHook = Callable[[int, str, Hashable, int], None]
-WriteHook = Callable[[int, str, Hashable], None]
-
-
 @dataclass(slots=True)
 class ExecResult:
     """Outcome of one statement: result rows or an affected-row count."""
@@ -101,14 +95,10 @@ class Executor:
 
     def __init__(self, database: TenantDatabase,
                  take_snapshot: Callable[[], int],
-                 current_csn: Callable[[], int],
-                 read_hook: Optional[ReadHook] = None,
-                 write_hook: Optional[WriteHook] = None):
+                 current_csn: Callable[[], int]):
         self.database = database
         self._take_snapshot = take_snapshot
         self._current_csn = current_csn
-        self.read_hook = read_hook
-        self.write_hook = write_hook
 
     # ------------------------------------------------------------------
     # public entry point
@@ -218,11 +208,6 @@ class Executor:
             if row is None or not _matches(row, statement.where):
                 continue
             rows.append(row)
-            if self.read_hook is not None and txn is not None:
-                chain = table.chain(key)
-                version = chain.latest_csn() if chain is not None else 0
-                self.read_hook(txn.txn_id, statement.table, key,
-                               min(version, snapshot))
         if statement.order_by is not None:
             table.schema.require_column(statement.order_by)
             rows.sort(key=lambda r: (r.get(statement.order_by) is None,
@@ -290,8 +275,6 @@ class Executor:
             for column, expression in statement.assignments:
                 new_row[column] = _evaluate(expression, row)
             txn.record_write((statement.table, key), new_row)
-            if self.write_hook is not None:
-                self.write_hook(txn.txn_id, statement.table, key)
             affected += 1
         return ExecResult(affected=affected)
 
@@ -308,8 +291,6 @@ class Executor:
                 continue
             yield from self._acquire_write(txn, table, key)
             txn.record_write((statement.table, key), None)
-            if self.write_hook is not None:
-                self.write_hook(txn.txn_id, statement.table, key)
             affected += 1
         return ExecResult(affected=affected)
 
@@ -335,8 +316,6 @@ class Executor:
                               % (key, schema.name))
         yield from self._acquire_write(txn, table, key)
         txn.record_write((schema.name, key), row)
-        if self.write_hook is not None:
-            self.write_hook(txn.txn_id, schema.name, key)
         return ExecResult(affected=1)
 
     # ------------------------------------------------------------------

@@ -53,26 +53,6 @@ PER_ROW_CPU = 0.0001
 END_CPU = 0.0002
 
 
-class Observer:
-    """Optional engine observer; the theory layer subclasses this."""
-
-    def on_begin(self, txn: Transaction) -> None:
-        """Called when a transaction is created."""
-
-    def on_read(self, txn_id: int, table: str, key: Any,
-                version_csn: int) -> None:
-        """Called for each row read."""
-
-    def on_write(self, txn_id: int, table: str, key: Any) -> None:
-        """Called for each row written (uncommitted)."""
-
-    def on_commit(self, txn: Transaction) -> None:
-        """Called after a transaction's versions are installed."""
-
-    def on_abort(self, txn: Transaction) -> None:
-        """Called after a transaction rolls back."""
-
-
 class SnapshotPin:
     """A hold on one snapshot CSN of one instance, outside any transaction.
 
@@ -102,8 +82,7 @@ class DbmsInstance:
     """A DBMS process hosting many tenants on one node."""
 
     def __init__(self, env: "Environment", name: str,
-                 checkpoint_spec: Optional[CheckpointSpec] = None,
-                 observer: Optional[Observer] = None):
+                 checkpoint_spec: Optional[CheckpointSpec] = None):
         self.env = env
         self.name = name
         self.cpu = Resource(env, capacity=CPU_CORES, name="%s.cpu" % name)
@@ -113,7 +92,6 @@ class DbmsInstance:
         if checkpoint_spec is not None:
             self.checkpointer = Checkpointer(env, self.disk, checkpoint_spec,
                                              name="%s.ckpt" % name)
-        self.observer = observer
         self.tenants: Dict[str, TenantDatabase] = {}
         self._executors: Dict[str, Executor] = {}
         self._csn = 0
@@ -270,11 +248,8 @@ class DbmsInstance:
                               % (name, self.name))
         tenant = TenantDatabase(name, self.env)
         self.tenants[name] = tenant
-        read_hook = self.observer.on_read if self.observer else None
-        write_hook = self.observer.on_write if self.observer else None
         self._executors[name] = Executor(tenant, self.take_snapshot,
-                                         self.current_csn, read_hook,
-                                         write_hook)
+                                         self.current_csn)
         return tenant
 
     def drop_tenant(self, name: str) -> None:
@@ -374,10 +349,7 @@ class DbmsInstance:
             self._require_up()
         if tenant_name not in self.tenants:
             self.tenant(tenant_name)  # raises
-        txn = Transaction(tenant_name, self.env.now)
-        if self.observer is not None:
-            self.observer.on_begin(txn)
-        return txn
+        return Transaction(tenant_name, self.env.now)
 
     def admit(self, txn: Optional[Transaction],
               tenant_name: str) -> Executor:
@@ -414,8 +386,6 @@ class DbmsInstance:
         if not txn.writes:
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
-            if self.observer is not None:
-                self.observer.on_commit(txn)
             return None
         tenant = self.tenant(txn.tenant)
         csn = self.next_csn()
@@ -434,8 +404,6 @@ class DbmsInstance:
             self._m_commits.inc()
         if self.checkpointer is not None:
             self.checkpointer.note_commit()
-        if self.observer is not None:
-            self.observer.on_commit(txn)
         return csn
 
     def abort(self, txn: Transaction) -> None:
@@ -455,5 +423,3 @@ class DbmsInstance:
         self.aborts += 1
         if self._m_aborts is not None:
             self._m_aborts.inc()
-        if self.observer is not None:
-            self.observer.on_abort(txn)

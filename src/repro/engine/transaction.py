@@ -2,9 +2,8 @@
 
 A :class:`Transaction` carries its snapshot CSN (assigned lazily, just
 before its first operation executes — Section 3.1 of the paper assumes this
-realistic implicit snapshot creation), its private write set, the locks it
-holds, and a per-transaction operation log used by the theory layer to
-extract dependencies.
+realistic implicit snapshot creation), its private write set and the
+locks it holds.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ plus ``migration_time.run_table2`` / ``dbsize.run_table3``,
 together in the run's trace directory.  The TPC-W modules run their
 migrations through ``Testbed.migrate``; the kv-fleet scenarios
 (``bench``'s router scenario, ``soak``, ``rebalance``) share one
-``Testbed`` builder, one client loop and acknowledged-increment audit
-(:func:`repro.workload.simplekv.run_kv_clients` /
-:func:`~repro.workload.simplekv.audit_kv_tenant`) and one artifact
-writer; each supplies only its fleet shape, load shape and report.
+``Testbed`` builder, one client loop
+(:func:`repro.workload.simplekv.run_kv_clients`), one verdict
+(:func:`repro.check.judge`: owners, the acknowledged-increment ledger
+and every migration report) and one artifact writer; each supplies only
+its fleet shape, load shape and report.
 """
 
 from .common import TenantSetup, build_testbed

@@ -59,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import check
 from ..core.middleware import (
     Middleware,
     MiddlewareConfig,
@@ -150,6 +151,9 @@ class BenchCase:
     #: pipelined rows keep the exact pre-watermark schema so those
     #: figures stay byte-identical across artifact versions.
     strategy: Optional[str] = None
+    #: The migration's verdict (:func:`repro.check.migration_violations`;
+    #: empty when it was right).  Not part of the artifact.
+    violations: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         record = {
@@ -227,7 +231,8 @@ def _case_from_report(scenario: str, report: MigrationReport,
         # pipelined rows keep the pre-watermark schema byte-identical.
         strategy=(report.strategy
                   if report.strategy == SnapshotStrategy.WATERMARK.value
-                  else None))
+                  else None),
+        violations=check.migration_violations([report]))
 
 
 def _run_migration(profile: Profile,
@@ -390,6 +395,9 @@ class RouterBenchResult:
     #: counters (``lost_requests`` must be 0 on every row).
     strategies: List[Dict[str, Any]] = field(default_factory=list)
     comparisons: List[Dict[str, Any]] = field(default_factory=list)
+    #: Each strategy leg's :class:`~repro.check.Verdict`, in the order
+    #: of ``strategies``.  Not part of the artifact.
+    verdicts: List[check.Verdict] = field(default_factory=list)
     path: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -404,10 +412,11 @@ class RouterBenchResult:
 
 
 def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
-                         migrations: int,
-                         trace_dir: Optional[str]) -> Dict[str, Any]:
+                         migrations: int, trace_dir: Optional[str]
+                         ) -> Tuple[Dict[str, Any], check.Verdict]:
     """One strategy's leg: bounce a tenant ``migrations`` times under
-    kv load through the router tier, collect the downtime histogram."""
+    kv load through the router tier, collect the downtime histogram;
+    returns the leg's record and its verdict."""
     cluster = new_cluster(["node0", "node1"])
     env = cluster.env
     middleware = Middleware(env, cluster, MiddlewareConfig(
@@ -453,11 +462,13 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
     env.run(until=env.now + 1.0)
 
     # Safety ledger: every acknowledged increment must be on the final
-    # owner; without router crashes there is no phantom allowance.
-    audit = simplekv.audit_kv_tenant(middleware, "A", workload)
-    lost, phantom = audit.lost_increments, audit.phantom_increments
-
+    # owner, phantoms only up to the acknowledgements the router tier
+    # dropped (none without router crashes).
     stats = fleet.stats()
+    phantom_bound = config.writes_per_txn * int(stats["acks_dropped"])
+    verdict = check.judge(middleware, ["A"], {"A": workload},
+                          phantom_bound=phantom_bound)
+    lost, phantom = verdict.lost_commits, verdict.phantom_increments
     histogram = middleware.metrics.get("router.downtime")
     if histogram is not None and histogram.count:
         downtime = {
@@ -489,15 +500,14 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
     }
     middleware.tracer.event(
         "router.summary", lost_requests=lost,
-        phantom_increments=phantom,
-        phantom_bound=config.writes_per_txn
-        * int(stats["acks_dropped"]), **stats)
+        phantom_increments=phantom, phantom_bound=phantom_bound,
+        **stats)
     # This trace's meta line has never carried a "policy" key.
     testbed.export_trace_as(
         "trace_router_%s.jsonl" % strategy.value,
         {"experiment": "bench-router", "strategy": strategy.value,
          "policy": None})
-    return record
+    return record, verdict
 
 
 def run_router_scenario(profile: Profile,
@@ -515,9 +525,10 @@ def run_router_scenario(profile: Profile,
                                seed=profile.seed,
                                migrations=migrations)
     for strategy in ROUTER_STRATEGIES:
-        result.strategies.append(
-            _run_router_strategy(profile, strategy, migrations,
-                                 trace_dir))
+        record, verdict = _run_router_strategy(profile, strategy,
+                                               migrations, trace_dir)
+        result.strategies.append(record)
+        result.verdicts.append(verdict)
     by_name = {record["strategy"]: record
                for record in result.strategies}
     serial_p99 = by_name["serial"]["downtime"]["p99"]
@@ -670,6 +681,17 @@ def run(profile: Optional[Profile] = None, *,
     profile = seeded(profile or get_profile(), seed)
     results = run_benchmark(profile, trace_dir=trace_dir)
     artifacts = [r.path for r in results if r.path is not None]
+    problems = []
+    for result in results:
+        if isinstance(result, RouterBenchResult):
+            problems += ["router %s leg: %s" % (record["strategy"], problem)
+                         for record, verdict in zip(result.strategies,
+                                                    result.verdicts)
+                         for problem in verdict.problems()]
+        else:
+            problems += [problem for case in result.cases
+                         for problem in case.violations]
     return Report(experiment="bench", profile=profile.name,
-                  seed=profile.seed, text=report(results, profile),
-                  data=results, artifacts=artifacts)
+                  seed=profile.seed,
+                  text="\n".join([report(results, profile), *problems]),
+                  data=results, artifacts=artifacts, ok=not problems)

@@ -18,7 +18,9 @@ migration ends:
 Every injected fault and every recovery action lands in the trace
 (``fault.injected``, ``migration.retry``, ``migration.standby_dropped``,
 ``migration.failover``), so a chaos run is fully auditable offline —
-``scripts/gate.py chaos <dir>`` gates exactly that in CI.
+``scripts/gate.py chaos <dir>`` gates exactly that in CI.  However it
+ends, :func:`repro.check.judge` must find one owner and, if the
+migration completed, a consistent and LSIR-clean one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import check
 from ..core.middleware import MigrationOptions, MigrationReport
 from ..faults import FaultInjector, FaultPlan
 from ..metrics.report import format_table
@@ -214,6 +217,8 @@ class ChaosOutcome:
     gate_open: bool = True
     trace_path: Optional[str] = None
     plan: List[Dict[str, Any]] = field(default_factory=list)
+    #: One owner, and the migration consistent and LSIR-clean.
+    verdict: check.Verdict = field(default_factory=check.Verdict)
 
 
 def run_chaos(scenario: str,
@@ -262,7 +267,8 @@ def run_chaos(scenario: str,
         failovers=int(registry.counter("migration.failover").value),
         consistent=report.consistent if report is not None else None,
         gate_open=testbed.middleware.tenant_state("A").gate.is_open,
-        plan=plan.to_dicts())
+        plan=plan.to_dicts(),
+        verdict=check.judge(testbed.middleware, ["A"]))
     chaos.trace_path = testbed.export_trace_as(
         "trace_chaos_%s.jsonl" % scenario,
         {"tenant": "A", "scenario": scenario,
@@ -282,7 +288,8 @@ def run_all(profile: Optional[Profile] = None, *,
                   seed=profile.seed, text=report(outcomes, profile),
                   data=outcomes,
                   artifacts=[chaos.trace_path for chaos in outcomes
-                             if chaos.trace_path is not None])
+                             if chaos.trace_path is not None],
+                  ok=all(chaos.verdict.ok for chaos in outcomes))
 
 
 def report(outcomes: List[ChaosOutcome], profile: Profile) -> str:
@@ -296,9 +303,12 @@ def report(outcomes: List[ChaosOutcome], profile: Profile) -> str:
                      chaos.standby_dropped, chaos.failovers,
                      {True: "yes", False: "NO", None: "-"}[chaos.consistent],
                      migration_time])
-    return format_table(
+    table = format_table(
         ["scenario", "outcome", "route", "faults", "retries",
          "standby drop", "failover", "consistent", "migration [s]"],
         rows,
         title="Chaos - migration under injected faults (profile=%s)"
               % profile.name)
+    return "\n".join([table] + ["%s: %s" % (chaos.scenario, problem)
+                                for chaos in outcomes
+                                for problem in chaos.verdict.problems()])

@@ -14,7 +14,9 @@ from the current placement and think times — deterministic, no racing
 the sampler) right after the hotspot shifts and again at phase end.
 The rebalancer passes when the coefficient strictly decreases in every
 phase: it noticed the hotspot, drained it, and did not ping-pong
-anything (a cooldown audit and a per-key lost-commit audit run too).
+anything (a cooldown audit runs too, and :func:`repro.check.judge`'s
+verdict: one owner per tenant, no lost or phantom increment, every
+migration consistent and LSIR-clean).
 
 Everything lands in a deterministic ``BENCH_rebalance.json`` — same
 seed, byte-identical artifact — and a trace with
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .. import check
 from ..control import RebalanceOptions, Rebalancer, imbalance_coefficient
 from ..core.middleware import Middleware, MiddlewareConfig, MigrationOptions
 from ..core.policy import MADEUS
@@ -64,8 +67,11 @@ PHASE_SECONDS = 150.0
 
 
 @dataclass
-class RebalanceOutcome:
-    """Everything one rebalance run measured, JSON-serialisable."""
+class RebalanceOutcome(check.Verdict):
+    """Everything one rebalance run measured, JSON-serialisable; its
+    :class:`~repro.check.Verdict` fields are the run's verdict (no
+    router tier drops acknowledgements here, so no phantom is
+    allowed)."""
 
     seed: int
     profile: str
@@ -80,9 +86,6 @@ class RebalanceOutcome:
     mean_cost_error: float = 0.0
     committed_txns: int = 0
     aborted_txns: int = 0
-    lost_commits: int = 0
-    value_mismatches: int = 0
-    owner_violations: List[str] = field(default_factory=list)
     #: Tenants decided twice within one cooldown window (must stay 0).
     cooldown_violations: int = 0
     report_path: Optional[str] = None
@@ -103,11 +106,9 @@ class RebalanceOutcome:
     @property
     def ok(self) -> bool:
         """Every structural invariant held for the whole run."""
-        return (self.converged
+        return (super().ok
+                and self.converged
                 and self.moves_submitted > 0
-                and self.lost_commits == 0
-                and self.value_mismatches == 0
-                and not self.owner_violations
                 and self.cooldown_violations == 0)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -285,18 +286,10 @@ def run_rebalance(profile: Optional[Profile] = None, *,
                               else None),
         })
 
+    check.judge(middleware, tenant_names, workloads, verdict=outcome)
     for tenant in tenant_names:
-        owners = middleware.owners(tenant)
-        if len(owners) != 1:
-            outcome.owner_violations.append(
-                "tenant %s has owners %r" % (tenant, owners))
-        workload = workloads[tenant]
-        outcome.committed_txns += workload.committed_txns
-        outcome.aborted_txns += workload.aborted_txns
-        audit = simplekv.audit_kv_tenant(middleware, tenant, workload)
-        # No router tier here, so any difference is a mismatch.
-        outcome.value_mismatches += audit.keys_below + audit.keys_above
-        outcome.lost_commits += audit.lost_increments
+        outcome.committed_txns += workloads[tenant].committed_txns
+        outcome.aborted_txns += workloads[tenant].aborted_txns
 
     middleware.tracer.event(
         "rebalance.summary", phases=len(outcome.phases),
@@ -347,10 +340,14 @@ def report(outcome: RebalanceOutcome) -> str:
     lines.append("workload: %d committed txns, %d aborted"
                  % (outcome.committed_txns, outcome.aborted_txns))
     lines.append("invariants: %d lost commits, %d value mismatches, "
-                 "%d owner violations, %d cooldown violations, "
+                 "%d phantom increments, %d owner violations, "
+                 "%d migration violations, %d cooldown violations, "
                  "converged=%s -> %s"
                  % (outcome.lost_commits, outcome.value_mismatches,
+                    outcome.phantom_increments,
                     len(outcome.owner_violations),
+                    len(outcome.migration_violations),
                     outcome.cooldown_violations, outcome.converged,
                     "OK" if outcome.ok else "FAIL"))
+    lines += outcome.migration_violations
     return "\n".join(lines)

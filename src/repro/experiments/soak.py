@@ -19,10 +19,10 @@ What the soak asserts, continuously and at the end:
 * **Zero lost commits**: the key-value clients
   (:func:`repro.workload.simplekv.kv_client`, stopped at the horizon)
   count every acknowledged increment; at the end of the run
-  :func:`~repro.workload.simplekv.audit_kv_tenant` compares the owning
-  node's table with that ledger, key by key, for every tenant — below
-  it is a loss, above it a phantom bounded by the router tier's
-  ``acks_dropped``.
+  :func:`repro.check.judge` compares the owning node's table with that
+  ledger, key by key, for every tenant — below it is a loss, above it
+  a phantom bounded by the router tier's ``acks_dropped`` — and reads
+  every migration report: each must be consistent and LSIR-clean.
 * **All tenants keep migrating**: every tenant completes at least one
   successful migration, and parked (suspended) migrations are resumed
   from their journal — never re-dumped — once the crashed master
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .. import check
 from ..core.middleware import (
     JOURNAL_SUSPENDED,
     Middleware,
@@ -111,8 +112,9 @@ DEFAULT_MODEL = FailureModel(
 
 
 @dataclass
-class SoakOutcome:
-    """Everything one soak run measured, JSON-serialisable."""
+class SoakOutcome(check.Verdict):
+    """Everything one soak run measured, JSON-serialisable; its
+    :class:`~repro.check.Verdict` fields are the run's verdict."""
 
     seed: int
     hours: float
@@ -132,22 +134,8 @@ class SoakOutcome:
     resumes: int = 0
     #: Tenants that never completed a single migration.
     unmigrated_tenants: List[str] = field(default_factory=list)
-    #: Post-wave owner-count violations (must stay empty).
-    owner_violations: List[str] = field(default_factory=list)
     #: Waves that hit the watchdog cap before finishing.
     wedged_waves: int = 0
-    #: Acknowledged increments missing from the final owner copies.
-    lost_commits: int = 0
-    #: Keys whose final value fell *below* the acknowledged count
-    #: (an actual loss; surplus is accounted separately).
-    value_mismatches: int = 0
-    #: Increments present on the owner beyond the acknowledged count —
-    #: COMMITs that executed but whose reply died in a crashed router
-    #: shard's buffers (outcome-unknown, never acked).
-    phantom_increments: int = 0
-    #: Upper bound on legitimate phantoms: ``writes_per_txn`` times the
-    #: router tier's ``acks_dropped`` counter.
-    phantom_bound: int = 0
     #: Router-tier counters (``RouterFleet.stats()``).
     router: Dict[str, Any] = field(default_factory=dict)
     committed_txns: int = 0
@@ -169,10 +157,7 @@ class SoakOutcome:
     @property
     def ok(self) -> bool:
         """Did every structural invariant hold for the whole soak?"""
-        return (not self.owner_violations
-                and self.lost_commits == 0
-                and self.value_mismatches == 0
-                and self.phantom_increments <= self.phantom_bound
+        return (super().ok
                 and not self.unmigrated_tenants
                 and self.wedged_waves == 0)
 
@@ -302,14 +287,6 @@ def run_soak(profile: Optional[Profile] = None, *,
         return (journal is not None
                 and journal.state == JOURNAL_SUSPENDED)
 
-    def check_owners(where: str) -> None:
-        for tenant in tenant_names:
-            owners = middleware.owners(tenant)
-            if len(owners) != 1:
-                outcome.owner_violations.append(
-                    "%s: tenant %s has owners %r" % (where, tenant,
-                                                     owners))
-
     def run_wave(wave_index: int) -> Dict[str, Any]:
         # Every tenant is submitted: the scheduler's resume policy
         # re-enters a journal an earlier wave left parked.
@@ -348,7 +325,8 @@ def run_soak(profile: Optional[Profile] = None, *,
                 outcome.aborted += 1
             else:
                 outcome.failed += 1
-        check_owners("wave %d" % wave_index)
+        outcome.owner_violations += check.owner_violations(
+            middleware, tenant_names, "wave %d" % wave_index)
         record = {"wave": wave_index, "started": round(started, 6),
                   "ended": round(env.now, 6), "wedged": wedged,
                   "jobs": jobs}
@@ -383,19 +361,14 @@ def run_soak(profile: Optional[Profile] = None, *,
         step=5.0, cap=env.now + 600.0)
     env.run(until=env.now + 5.0)
     injector.close()
-    check_owners("final")
+    outcome.router = fleet.stats()
+    check.judge(middleware, tenant_names, workloads,
+                phantom_bound=(kv_config.writes_per_txn
+                               * int(outcome.router["acks_dropped"])),
+                verdict=outcome)
     for tenant in tenant_names:
-        workload = workloads[tenant]
-        outcome.committed_txns += workload.committed_txns
-        outcome.aborted_txns += workload.aborted_txns
-        audit = simplekv.audit_kv_tenant(middleware, tenant, workload)
-        # Below the acknowledged count is a real loss.  Surplus is a
-        # COMMIT that executed but whose reply died in a crashed router
-        # shard (outcome-unknown, never acked); it is bounded by the
-        # router's acks_dropped counter.
-        outcome.value_mismatches += audit.keys_below
-        outcome.lost_commits += audit.lost_increments
-        outcome.phantom_increments += audit.phantom_increments
+        outcome.committed_txns += workloads[tenant].committed_txns
+        outcome.aborted_txns += workloads[tenant].aborted_txns
         if ok_by_tenant[tenant] == 0:
             outcome.unmigrated_tenants.append(tenant)
     registry = middleware.metrics
@@ -425,9 +398,6 @@ def run_soak(profile: Optional[Profile] = None, *,
             "journals": sorted(journal.snapshot_csn for journal in journals
                                if journal is not None and journal.open
                                and journal.source == name)}
-    outcome.router = fleet.stats()
-    outcome.phantom_bound = (kv_config.writes_per_txn
-                             * int(outcome.router["acks_dropped"]))
     middleware.tracer.event(
         "soak.summary", waves=len(outcome.waves),
         migrations_ok=outcome.migrations_ok,
@@ -508,12 +478,14 @@ def report(outcome: SoakOutcome) -> str:
                         outcome.router.get("stale_routes", 0)))
     lines.append("invariants: %d lost commits, %d value mismatches, "
                  "%d phantom increments (bound %d), "
-                 "%d owner violations, %d unmigrated tenants, "
-                 "%d wedged waves -> %s"
+                 "%d owner violations, %d migration violations, "
+                 "%d unmigrated tenants, %d wedged waves -> %s"
                  % (outcome.lost_commits, outcome.value_mismatches,
                     outcome.phantom_increments, outcome.phantom_bound,
                     len(outcome.owner_violations),
+                    len(outcome.migration_violations),
                     len(outcome.unmigrated_tenants),
                     outcome.wedged_waves,
                     "OK" if outcome.ok else "FAIL"))
+    lines += outcome.migration_violations
     return "\n".join(lines)

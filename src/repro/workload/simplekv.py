@@ -177,37 +177,3 @@ def run_kv_clients(env: "Environment", middleware: Middleware,
         if spawned is not None:
             spawned.append(client)
     return result
-
-
-@dataclass(frozen=True)
-class KvAudit:
-    """One tenant's final ``kv`` values against its acknowledged ledger."""
-
-    #: Acknowledged increments missing from the table.
-    lost_increments: int
-    #: Increments in the table that no client saw acknowledged.
-    phantom_increments: int
-    #: Keys whose value is below / above their acknowledged count.
-    keys_below: int
-    keys_above: int
-
-
-def audit_kv_tenant(middleware: Middleware, tenant: str,
-                    result: KvWorkloadResult) -> KvAudit:
-    """Compare ``tenant``'s ``kv`` table on its owner with ``result``.
-
-    Every key starts at 0 and every committed update adds 1, so a key
-    must hold exactly its acknowledged increment count.
-    """
-    owner = middleware.cluster.node(middleware.route(tenant)).instance
-    table = owner.tenant(tenant).table("kv")
-    lost = phantom = below = above = 0
-    for key, increments in result.committed_increments.items():
-        got = table.chain(key).latest()["v"]
-        if got < increments:
-            below += 1
-            lost += increments - got
-        elif got > increments:
-            above += 1
-            phantom += got - increments
-    return KvAudit(lost, phantom, below, above)

@@ -40,3 +40,48 @@ def assert_parses_like_the_full_parser(sql):
     expected = parse_outcome(lambda text: _Parser(text).parse(), sql)
     assert parse_outcome(parse, sql) == expected, sql
     return expected
+
+
+def mapped_syncsets(body, commit=True):
+    """What the middleware's mapping function (Definition 2) appends to
+    a migration's replication log for one kv transaction.
+
+    ``body`` lists the transaction's statements after BEGIN, ``"read"``
+    (a SELECT; the first one is the snapshot-creating first read) or
+    ``"write"`` (an UPDATE); the transaction then
+    ends with COMMIT, or with ROLLBACK when ``commit`` is false.  Runs
+    the statements through ``Middleware.submit`` under the default
+    policy (Madeus) while the tenant has a log, and returns the
+    operation kinds of each SSB appended, e.g. ``[["first_read",
+    "write", "commit"]]``.
+    """
+    from repro.cluster import Cluster
+    from repro.core import Middleware, MiddlewareConfig
+    from repro.core.ssb import ReplicationLog
+    from repro.workload.simplekv import setup_kv_tenant
+
+    env = Environment()
+    cluster = Cluster(env)
+    cluster.add_node("node0")
+    middleware = Middleware(env, cluster, MiddlewareConfig())
+    keys = 4
+
+    def transaction():
+        yield from setup_kv_tenant(cluster.node("node0").instance, "T",
+                                   keys)
+        middleware.register_tenant("T", "node0")
+        log = middleware.tenant_state("T").log = ReplicationLog(env)
+        conn = middleware.connect("T")
+        statements = ["BEGIN"]
+        statements += [("SELECT v FROM kv WHERE k = %d" if kind == "read"
+                        else "UPDATE kv SET v = v + 1 WHERE k = %d")
+                       % (index % keys) for index, kind in enumerate(body)]
+        statements.append("COMMIT" if commit else "ROLLBACK")
+        for sql in statements:
+            result = yield from middleware.submit(conn, sql)
+            assert result.ok, (sql, result.error)
+        return log
+
+    log = drive(env, transaction())
+    return [[operation.kind.value for operation in ssb.entries]
+            for ssb in log.records]

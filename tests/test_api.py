@@ -85,7 +85,9 @@ RETIRED = {
     "cluster.NodeSpec": ({"group_commit": True}, {"cpu_cores": 4},
                          {"disk": None}),
     "engine.DbmsInstance": ({"group_commit": True}, {"cpu_cores": 4},
-                            {"disk_spec": None}),
+                            {"disk_spec": None}, {"observer": None}),
+    "cluster.Cluster.add_node": ({"observer": None},),
+    "cluster.node.Node": ({"observer": None},),
     "engine.checkpoint.CheckpointSpec": (
         {"dirty_mb_per_commit": 0.02}, {"min_burst_mb": 4.0},
         {"chunk_mb": 2.0}),
@@ -100,6 +102,8 @@ RETIRED = {
     "core.propagation.make_propagator": ({"validator": None},),
 }
 POSITIONAL = {"engine.DbmsInstance": (None, "n"),
+              "cluster.Cluster.add_node": (None, "n"),
+              "cluster.node.Node": (None, "n"),
               "engine.DbmsInstance.bind_obs": (None, None),
               "core.Middleware": (None, None),
               "router.RouterFleet": (None, None),
@@ -239,7 +243,7 @@ class TestFacade:
         assert names == sorted(names)
         for name in names:
             assert getattr(repro, name) is getattr(repro.api, name), name
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS

@@ -3,8 +3,10 @@ mapping-function contract."""
 
 import pytest
 
-from repro.core import OpKind, TxnTracker, mapping_function_output
+from repro.core import OpKind, TxnTracker
 from repro.errors import SqlError
+
+from _helpers import mapped_syncsets
 
 
 class TestClassification:
@@ -110,41 +112,32 @@ class TestClassification:
         later = tracker.classify_text("SELECT v FROM t WHERE k = 2")
         write = tracker.classify_text("UPDATE t SET v = 1 WHERE k = 1")
         commit = tracker.classify_text("COMMIT")
-        assert first.is_sync_relevant
-        assert not later.is_sync_relevant
-        assert write.is_sync_relevant
-        assert commit.is_sync_relevant
+        assert [first.kind, later.kind, write.kind, commit.kind] == [
+            OpKind.FIRST_READ, OpKind.READ, OpKind.WRITE, OpKind.COMMIT]
+        # the mapping function keeps all but the later read
+        assert mapped_syncsets(["read", "read", "write"]) == [
+            ["first_read", "write", "commit"]]
 
 
 class TestMappingFunction:
-    """Definition 2 via the reference implementation."""
+    """Definition 2 on the middleware's own capture: what one
+    transaction appends to the replication log."""
 
     def test_read_only_committed_maps_to_empty(self):
-        output = mapping_function_output(
-            ["first_read", "read", "commit"], committed=True,
-            is_update=False)
-        assert output == []
+        assert mapped_syncsets(["read", "read"], commit=True) == []
 
     def test_aborted_update_maps_to_empty(self):
-        output = mapping_function_output(
-            ["first_read", "write", "abort"], committed=False,
-            is_update=True)
-        assert output == []
+        assert mapped_syncsets(["read", "write"], commit=False) == []
 
     def test_committed_update_keeps_minimum_set(self):
-        output = mapping_function_output(
-            ["first_read", "read", "write", "read", "write", "commit"],
-            committed=True, is_update=True)
-        assert output == ["first_read", "write", "write", "commit"]
+        output = mapped_syncsets(["read", "read", "write", "read",
+                                  "write"])
+        assert output == [["first_read", "write", "write", "commit"]]
 
     def test_order_preserved(self):
-        output = mapping_function_output(
-            ["first_read", "write", "write", "commit"],
-            committed=True, is_update=True)
-        assert output == ["first_read", "write", "write", "commit"]
+        output = mapped_syncsets(["read", "write", "write"])
+        assert output == [["first_read", "write", "write", "commit"]]
 
     def test_all_later_reads_discarded(self):
-        kinds = ["first_read"] + ["read"] * 10 + ["write", "commit"]
-        output = mapping_function_output(kinds, True, True)
-        assert output.count("read") == 0
-        assert output[0] == "first_read"
+        output = mapped_syncsets(["read"] * 11 + ["write"])
+        assert output == [["first_read", "write", "commit"]]

@@ -1,112 +1,11 @@
-"""Tests for the theory layer: dependencies, history recording, the
-LSIR validator, and the consistency checker."""
+"""Tests for :mod:`repro.check`'s two halves of Theorem 2: the LSIR
+validator and the master/slave state comparison."""
 
 import re
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import (NECESSARY_DEPENDENCIES, UNNECESSARY_DEPENDENCIES,
-                        DependencyType, HistoryRecorder, LsirValidator,
-                        states_equal)
-from repro.engine import DbmsInstance, Session
-from repro.sim import Environment
-
-from _helpers import drive, drive_all
-
-
-class TestDependencyPartition:
-    def test_lemma3_partition_is_complete_and_disjoint(self):
-        """Lemmas 1-3: the six types split into 4 necessary + 2 not."""
-        every = set(DependencyType)
-        assert NECESSARY_DEPENDENCIES | UNNECESSARY_DEPENDENCIES == every
-        assert not (NECESSARY_DEPENDENCIES & UNNECESSARY_DEPENDENCIES)
-
-    def test_lemma1_inter_ww_unnecessary(self):
-        assert DependencyType.INTER_WW in UNNECESSARY_DEPENDENCIES
-
-    def test_lemma2_intra_wr_unnecessary(self):
-        assert DependencyType.INTRA_WR in UNNECESSARY_DEPENDENCIES
-
-    def test_necessary_set_matches_lemma3(self):
-        assert NECESSARY_DEPENDENCIES == {
-            DependencyType.INTER_WR, DependencyType.INTER_RW,
-            DependencyType.INTRA_RW, DependencyType.INTRA_WW}
-
-
-@pytest.fixture
-def recorded(env):
-    """Run a small workload under a HistoryRecorder and return it."""
-    recorder = HistoryRecorder()
-    inst = DbmsInstance(env, "n0", observer=recorder)
-    inst.create_tenant("T")
-
-    def setup(env):
-        s = Session(inst, "T")
-        yield from s.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
-        yield from s.execute("BEGIN")
-        for key in (1, 2):
-            yield from s.execute(
-                "INSERT INTO kv (k, v) VALUES (%d, 0)" % key)
-        yield from s.execute("COMMIT")
-    drive(env, setup(env))
-
-    def writer(env):
-        s = Session(inst, "T")
-        yield from s.execute("BEGIN")
-        yield from s.execute("SELECT v FROM kv WHERE k = 1")
-        yield from s.execute("UPDATE kv SET v = v + 1 WHERE k = 1")
-        yield from s.execute("UPDATE kv SET v = v + 1 WHERE k = 1")
-        yield from s.execute("COMMIT")
-
-    def reader(env):
-        s = Session(inst, "T")
-        yield env.timeout(1)
-        yield from s.execute("BEGIN")
-        yield from s.execute("SELECT v FROM kv WHERE k = 1")
-        yield from s.execute("COMMIT")
-    drive_all(env, writer(env), reader(env))
-    return recorder
-
-
-class TestHistoryRecorder:
-    def test_committed_updates_listed_in_commit_order(self, recorded):
-        updates = recorded.committed_updates()
-        assert len(updates) == 2  # setup insert txn + writer txn
-        csns = [t.commit_csn for t in updates]
-        assert csns == sorted(csns)
-
-    def test_read_only_txn_not_an_update(self, recorded):
-        read_only = [t for t in recorded.transactions.values()
-                     if t.status == "committed" and not t.writes]
-        assert len(read_only) == 1
-
-    def test_intra_ww_detected(self, recorded):
-        dependencies = recorded.extract_dependencies()
-        kinds = {d[0] for d in dependencies}
-        assert DependencyType.INTRA_WW in kinds
-
-    def test_inter_wr_detected(self, recorded):
-        """The late reader saw the writer's committed version."""
-        dependencies = recorded.extract_dependencies()
-        assert any(d[0] == DependencyType.INTER_WR
-                   for d in dependencies)
-
-    def test_abort_recorded(self, env):
-        recorder = HistoryRecorder()
-        inst = DbmsInstance(env, "n0", observer=recorder)
-        inst.create_tenant("T")
-
-        def proc(env):
-            s = Session(inst, "T")
-            yield from s.execute("CREATE TABLE kv (k INT PRIMARY KEY, "
-                                 "v INT)")
-            yield from s.execute("BEGIN")
-            yield from s.execute("SELECT v FROM kv WHERE k = 1")
-            yield from s.execute("ROLLBACK")
-        drive(env, proc(env))
-        statuses = [t.status for t in recorder.transactions.values()]
-        assert "aborted" in statuses
+from repro.check import LsirValidator, states_equal
 
 
 class TestLsirValidator:
@@ -123,7 +22,7 @@ class TestLsirValidator:
             (2, 4, 4, "first_read"),
             (2, 4, 4, "commit"),
         ])
-        assert validator.is_valid
+        assert not validator.violations()
 
     def test_rule_1a_violation_detected(self):
         validator = LsirValidator()
@@ -156,7 +55,7 @@ class TestLsirValidator:
         validator.record(2, 3, 4, "first_read", 0.0)
         validator.record(1, 3, 3, "commit", 1.0)
         validator.record(2, 3, 4, "commit", 1.0)
-        assert validator.is_valid
+        assert not validator.violations()
 
     def test_rule_2_write_order_violation(self):
         validator = LsirValidator()
@@ -175,7 +74,7 @@ class TestLsirValidator:
         assert any("before its first read" in p for p in problems)
 
     def test_empty_schedule_valid(self):
-        assert LsirValidator().is_valid
+        assert not LsirValidator().violations()
 
 
 def _pairwise_violations(events):

@@ -106,7 +106,7 @@ class TestRestore:
 
     def test_restored_rows_match(self, env):
         source, destination, _name = self._roundtrip(env)
-        from repro.core import states_equal
+        from repro.check import states_equal
         equal, differences = states_equal(source.tenant("T"),
                                           destination.tenant("T"))
         assert equal, differences

@@ -10,9 +10,10 @@ exactly as CI does it.
 import pytest
 
 from _gate import gate, trace_failures
+from repro.check import states_equal
 from repro.cluster import Cluster
 from repro.core import (B_ALL, B_CON, B_MIN, MADEUS, Middleware,
-                        MiddlewareConfig, MigrationOptions, states_equal)
+                        MiddlewareConfig, MigrationOptions)
 from repro.core.journal import HANDOVER_ROLLED_BACK
 from repro.core.propagation import SerialReplayer
 from repro.engine.dump import TransferRates

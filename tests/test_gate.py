@@ -183,10 +183,11 @@ def pad_serialized_to_the_poll_step(data):
 
 
 def soak_report():
-    """A soak report's ``mvcc`` census as ``repro soak`` (seed 7)
-    writes it under the vacuum horizon."""
+    """A soak report's ``mvcc`` census and verdict as ``repro soak``
+    (seed 7) writes them under the vacuum horizon."""
     return {"experiment": "chaos-soak", "seed": 7,
-            "mvcc": {"row_versions": 708, "longest_chain": 9}}
+            "mvcc": {"row_versions": 708, "longest_chain": 9},
+            "ok": True}
 
 
 def unpruned_chains(data):
@@ -224,6 +225,10 @@ DOCUMENT_CASES = {
     "max_longest_chain": (
         soak_report, unpruned_chains,
         "mvcc longest_chain = 176 > allowed 45"),
+    # e.g. one migration of the soak ended inconsistent
+    "report_ok": (
+        soak_report, lambda data: data.update(ok=False),
+        "soak report ok = False, expected True"),
 }
 
 

@@ -3,6 +3,7 @@ exception hierarchy."""
 
 import pytest
 
+from repro.check import KvAudit, audit_kv_tenant, judge, states_equal
 from repro.cluster import Cluster
 from repro.core import MADEUS, Middleware, MiddlewareConfig
 from repro.engine import DbmsInstance, TenantDatabase
@@ -13,8 +14,7 @@ from repro.errors import (CatchUpTimeout, MigrationError, ReproError,
                           TransactionAborted)
 from repro.sim import Environment
 from repro.sim.rand import StreamFactory
-from repro.workload.simplekv import (KvAudit, KvWorkloadConfig,
-                                     KvWorkloadResult, audit_kv_tenant,
+from repro.workload.simplekv import (KvWorkloadConfig, KvWorkloadResult,
                                      kv_client, run_kv_clients,
                                      setup_kv_tenant)
 
@@ -282,15 +282,11 @@ class TestKvAudit:
         audit = audit_kv_tenant(middleware, "A", result)
         assert audit == KvAudit(lost_increments=2, phantom_increments=3,
                                 keys_below=1, keys_above=1)
-        # what each scenario reports from it
-        router_bench = (audit.lost_increments, audit.phantom_increments)
-        soak = (audit.lost_increments, audit.keys_below,
-                audit.phantom_increments)
-        rebalance = (audit.lost_increments,
-                     audit.keys_below + audit.keys_above)
-        assert router_bench == (2, 3)
-        assert soak == (2, 1, 3)
-        assert rebalance == (2, 2)
+        # what every kv scenario's verdict reads from it
+        verdict = judge(middleware, ["A"], {"A": result}, phantom_bound=3)
+        assert (verdict.lost_commits, verdict.value_mismatches,
+                verdict.phantom_increments) == (2, 1, 3)
+        assert not verdict.ok and not verdict.owner_violations
 
     def test_clean_run_audits_clean(self, env):
         _cluster, middleware = _kv_world(env, keys=10)
@@ -337,8 +333,15 @@ class TestTenantDatabase:
         table = tenant.table("t")
         table.install(1, 1, {"k": 1, "v": 10})
         table.install(1, 2, {"k": 1, "v": 20})
-        fingerprint = tenant.state_fingerprint()
-        assert fingerprint["t"][1] == (("k", 1), ("v", 20))
+        # the consistency checker compares latest versions only
+        latest = TenantDatabase("y", env)
+        latest.create_table(tenant.table("t").schema)
+        latest.table("t").install(1, 5, {"k": 1, "v": 20})
+        assert states_equal(tenant, latest) == (True, [])
+        latest.table("t").install(1, 6, {"k": 1, "v": 10})
+        assert states_equal(tenant, latest) == (False, [
+            "table 't' key 1: master=(('k', 1), ('v', 20)) "
+            "slave=(('k', 1), ('v', 10))"])
 
     def test_size_with_multiplier_and_overhead(self, env):
         from repro.engine.schema import TableSchema

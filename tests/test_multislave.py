@@ -3,9 +3,10 @@ several slaves, and surviving a standby failure mid-migration."""
 
 import pytest
 
+from repro.check import states_equal
 from repro.cluster import Cluster
 from repro.core import (MADEUS, Middleware, MiddlewareConfig,
-                        MigrationOptions, states_equal)
+                        MigrationOptions)
 from repro.engine.dump import TransferRates
 from repro.errors import MigrationError
 from repro.sim import Environment

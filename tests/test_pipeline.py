@@ -7,8 +7,9 @@ import weakref
 
 import pytest
 
+from repro.check import states_equal
 from repro.core import ChunkFeed, MADEUS, Middleware, MiddlewareConfig, \
-    MigrationOptions, states_equal
+    MigrationOptions
 from repro.cluster import Cluster
 from repro.engine import DbmsInstance, Session, SnapshotTruncated, \
     TransferRates, dump_stream, restore_stream

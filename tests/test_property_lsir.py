@@ -11,18 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.core import (ALL_POLICIES, B_CON, MADEUS, Middleware,
-                        MiddlewareConfig, MigrationOptions,
-                        mapping_function_output)
+                        MiddlewareConfig, MigrationOptions)
 from repro.engine.dump import TransferRates
 from repro.sim import Environment
 from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
 
+from _helpers import mapped_syncsets
+
 RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
 
 
 # ---------------------------------------------------------------------------
-# mapping function (Definition 2) properties
+# mapping function (Definition 2) properties, on the middleware's own
+# capture (TxnTracker classification + Middleware.submit's SSB)
 # ---------------------------------------------------------------------------
 
 op_kind = st.sampled_from(["read", "write"])
@@ -30,35 +32,33 @@ op_kind = st.sampled_from(["read", "write"])
 
 @st.composite
 def master_transaction(draw):
-    body = draw(st.lists(op_kind, min_size=1, max_size=10))
-    kinds = (["first_read"] + body) if body[0] != "write" else \
-        (["first_read"] + body[1:])
-    committed = draw(st.booleans())
-    kinds.append("commit" if committed else "abort")
-    is_update = "write" in kinds
-    return kinds, committed, is_update
+    """A transaction body that opens with its first read, and whether
+    it commits."""
+    body = ["read"] + draw(st.lists(op_kind, max_size=9))
+    return body, draw(st.booleans())
 
 
+@settings(max_examples=60, deadline=None)
 @given(txn=master_transaction())
 def test_mapping_function_output_shape(txn):
-    """Def. 2: either empty, or exactly first_read + writes + commit."""
-    kinds, committed, is_update = txn
-    output = mapping_function_output(kinds, committed, is_update)
-    if not committed or not is_update:
+    """Def. 2: a committed update appends exactly one syncset, first
+    read + its writes in order + commit; a read-only or aborted
+    transaction appends nothing."""
+    body, committed = txn
+    output = mapped_syncsets(body, committed)
+    if not committed or "write" not in body:
         assert output == []
         return
-    assert output[0] == "first_read"
-    assert output[-1] == "commit"
-    middle = output[1:-1]
-    assert all(k == "write" for k in middle)
-    assert len(middle) == kinds.count("write")
+    assert output == [["first_read"] + ["write"] * body.count("write")
+                      + ["commit"]]
 
 
+@settings(max_examples=60, deadline=None)
 @given(txn=master_transaction())
 def test_mapping_function_never_grows(txn):
-    kinds, committed, is_update = txn
-    output = mapping_function_output(kinds, committed, is_update)
-    assert len(output) <= len(kinds)
+    body, committed = txn
+    output = mapped_syncsets(body, committed)
+    assert sum(len(syncset) for syncset in output) <= len(body) + 1
 
 
 # ---------------------------------------------------------------------------
