@@ -26,9 +26,8 @@ The surface, by layer:
   ``MiddlewareConfig.migration`` is what its migrations start from;
 * :class:`MigrationOptions` — per-migration knobs for
   :meth:`Middleware.migrate` (rates, standbys, the snapshot
-  ``strategy``, ship retries, the divergence watchdog, ``resume``);
-  a field left ``None`` is taken from the config, then the library
-  default;
+  ``strategy``, ``chunk_mb``, ``resume``); a field left ``None`` is
+  taken from the config, then the library default;
 * :class:`SnapshotStrategy` — how the initial copy is produced
   (``SERIAL`` / ``PIPELINED`` / ``WATERMARK``), the type of
   ``MigrationOptions.strategy``;
@@ -82,9 +81,9 @@ The surface, by layer:
   programmatically.
 
 Every knob is a field of exactly one class, with its default beside
-it: how a migration runs is said in a :class:`MigrationOptions`, which
-:class:`MiddlewareConfig`, :class:`ScheduleOptions` and
-:class:`RebalanceOptions` each carry as their ``migration`` field.
+it: how a migration runs is said in a :class:`MigrationOptions`, passed
+to one call or carried by :class:`MiddlewareConfig` as its
+``migration`` field, and nowhere else.
 """
 
 from .cluster.cluster import Cluster

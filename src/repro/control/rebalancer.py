@@ -8,7 +8,7 @@ borderline node never ping-pongs), and the
 :class:`~repro.control.planner.Planner` (Section 4.5.2 cost-ranked
 moves) onto a service-mode
 :class:`~repro.core.scheduler.MigrationScheduler` — every chosen move
-is submitted live with the scheduler's full retry/resume machinery
+is submitted live and journalled, under the scheduler's retry budget
 (a crash-parked move is resumed from its journal) and a
 max-concurrent-moves budget.
 
@@ -25,10 +25,10 @@ trace alone:
   carries.
 
 The settable knobs live on :class:`RebalanceOptions`, each with its
-default beside it; how one move migrates is its ``migration`` field, a
-:class:`~repro.core.middleware.MigrationOptions`.  The sampling and
-planning cadence (:data:`SAMPLE_INTERVAL`, :data:`DECIDE_EVERY`) are
-module constants.
+default beside it.  Every move migrates on :data:`MOVE_OPTIONS` laid
+over the middleware's config, so it is journalled on any middleware.
+The sampling and planning cadence (:data:`SAMPLE_INTERVAL`,
+:data:`DECIDE_EVERY`) are module constants.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .watcher import ClusterView, LoadWatcher
 SAMPLE_INTERVAL = 1.0
 #: Planning cadence: decide every N samples.
 DECIDE_EVERY = 2
+#: What every move passes to the scheduler: the control plane journals
+#: its moves, so a crash-parked move is resumed, not restarted.
+MOVE_OPTIONS = MigrationOptions(resume=True)
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,6 @@ class RebalanceOptions:
     #: Sim seconds a node (after cooling) and a tenant (after moving)
     #: are left alone — the anti-ping-pong dwell.
     cooldown: float = 30.0
-    # -- actuation -----------------------------------------------------
-    #: Per-move migration knobs: the control plane journals its moves.
-    migration: MigrationOptions = MigrationOptions(resume=True)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -152,16 +152,14 @@ class Rebalancer:
         self.watcher = LoadWatcher(middleware, nodes=nodes,
                                    window=opts.window)
         self.detector = HotspotDetector(cooldown=opts.cooldown)
-        rates = middleware.resolve_options(opts.migration).rates
+        rates = middleware.resolve_options(MOVE_OPTIONS).rates
         self.planner = Planner(
             middleware, cooldown=opts.cooldown,
             dump_mb_s=rates.dump_mb_s, restore_mb_s=rates.restore_mb_s)
         # Two moves in flight at once; every move gets two scheduler
-        # re-attempts, and a crash-parked one is resumed from its
-        # journal.
+        # re-attempts, which resume a crash-parked move's journal.
         self.scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            max_concurrent=2, migration=opts.migration, retry_limit=2,
-            resume=True))
+            max_concurrent=2, retry_limit=2))
         self.report = RebalanceReport()
         self._running = False
         self._in_flight: Set[str] = set()
@@ -247,7 +245,8 @@ class Rebalancer:
             "rebalance.submit", tenant=move.tenant,
             source=move.source, destination=move.destination,
             predicted_cost=round(move.predicted_cost, 6))
-        player = self.scheduler.submit(move.tenant, move.destination)
+        player = self.scheduler.submit(move.tenant, move.destination,
+                                       MOVE_OPTIONS)
         self._settlers.append(self.env.process(
             self._settle(record, player),
             name="rebalance.settle.%s" % move.tenant))

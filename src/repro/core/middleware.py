@@ -104,21 +104,6 @@ class MigrationOptions:
     strategy: Optional[SnapshotStrategy] = None
     #: Chunk size for the streamed dump (unset -> ``rates.chunk_mb``).
     chunk_mb: Optional[float] = None
-    #: Resend attempts per node when the snapshot ship/restore hits a
-    #: transient network outage, and the capped exponential backoff
-    #: between them.
-    retry_limit: Optional[int] = None
-    retry_base: Optional[float] = None
-    retry_cap: Optional[float] = None
-    #: Catch-up divergence watchdog (active only with a
-    #: ``catchup_deadline``): sample the backlog every
-    #: ``divergence_interval`` seconds and abort early once it has grown
-    #: strictly monotonically across ``divergence_window`` samples by at
-    #: least ``divergence_min_growth`` syncsets — a healthy catch-up
-    #: never sustains that.
-    divergence_interval: Optional[float] = None
-    divergence_window: Optional[int] = None
-    divergence_min_growth: Optional[int] = None
     #: Journal per-migration progress (frozen chunk plan, snapshot CSN,
     #: per-node installed chunks, catch-up low-water mark) so a source
     #: crash *suspends* the migration instead of aborting it, and
@@ -128,6 +113,9 @@ class MigrationOptions:
     resume: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        if self.chunk_mb is not None and not self.chunk_mb > 0:
+            raise ValueError("MigrationOptions.chunk_mb must be positive, "
+                             "got %r" % (self.chunk_mb,))
         object.__setattr__(self, "strategy",
                            SnapshotStrategy.coerce(self.strategy))
         if self.standbys is not None:
@@ -145,10 +133,7 @@ class MigrationOptions:
 #: ``rates``.
 MIGRATION_DEFAULTS = MigrationOptions(
     rates=TransferRates(), standbys=(),
-    strategy=SnapshotStrategy.PIPELINED,
-    retry_limit=5, retry_base=0.1, retry_cap=2.0,
-    divergence_interval=5.0, divergence_window=6,
-    divergence_min_growth=64, resume=False)
+    strategy=SnapshotStrategy.PIPELINED, resume=False)
 
 
 @dataclass

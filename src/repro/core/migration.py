@@ -625,7 +625,7 @@ class Migration:
             extras.append(diverging)
             self.env.process(
                 divergence_watchdog(
-                    self.env, self.tracer, tenant, self.opts,
+                    self.env, self.tracer, tenant,
                     lambda: replication_backlog(state), diverging,
                     watchdog_control),
                 name="catchup.watchdog.%s" % tenant)

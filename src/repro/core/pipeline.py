@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: per-destination in-flight channel capacity).
 PIPELINE_DEPTH = 4
 
+#: Resends per node when a snapshot ship hits a transient network
+#: outage, and the capped exponential backoff between them (sim
+#: seconds); read by :func:`ship_with_retry` at each call.
+SHIP_RETRY_LIMIT = 5
+SHIP_RETRY_BASE = 0.1
+SHIP_RETRY_CAP = 2.0
+
 
 class ChunkFeed:
     """Single-producer, multi-reader broadcast buffer with back-pressure.
@@ -227,10 +234,9 @@ def ship_with_retry(run: "Migration", node_name: str,
 
     A transient outage (:class:`NetworkDown`) calls ``on_outage``
     (discard the partial copy, rewind the reader, ...) and resends
-    after a capped exponential backoff, up to ``opts.retry_limit``
+    after a capped exponential backoff, up to :data:`SHIP_RETRY_LIMIT`
     times; a crashed node or truncated stream is final.
     """
-    opts = run.opts
     attempts = 0
     while True:
         try:
@@ -240,11 +246,11 @@ def ship_with_retry(run: "Migration", node_name: str,
             attempts += 1
             if on_outage is not None:
                 on_outage()
-            if attempts > opts.retry_limit:
+            if attempts > SHIP_RETRY_LIMIT:
                 return str(exc)
         except (NodeCrashed, SnapshotTruncated) as exc:
             return str(exc)
-        delay = backoff_delay(attempts, opts.retry_base, opts.retry_cap)
+        delay = backoff_delay(attempts, SHIP_RETRY_BASE, SHIP_RETRY_CAP)
         run.report.ship_retries += 1
         run.metrics.counter("migration.retries").inc()
         run.tracer.event("migration.retry", tenant=run.tenant,

@@ -61,6 +61,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Size of the player thread pool competing for the commit mutex.
 PLAYER_POOL = 32
 
+#: Catch-up divergence watchdog (:func:`divergence_watchdog`, armed only
+#: with a ``catchup_deadline``): sample the backlog every interval (sim
+#: seconds) and abort once it has grown strictly monotonically across
+#: the window of samples by at least the minimum growth, in syncsets.
+DIVERGENCE_INTERVAL = 5.0
+DIVERGENCE_WINDOW = 6
+DIVERGENCE_MIN_GROWTH = 64
+
 _BEGIN = Begin()
 _COMMIT = Commit()
 
@@ -627,33 +635,32 @@ def make_propagator(env: "Environment", cursor: LogCursor,
 
 
 def divergence_watchdog(env: "Environment", tracer: "Tracer", tenant: str,
-                        opts: Any, backlog: Callable[[], int],
-                        fired: Event, control: Dict[str, bool]
-                        ) -> Generator:
+                        backlog: Callable[[], int], fired: Event,
+                        control: Dict[str, bool]) -> Generator:
     """Abort-early detector over the primary replay backlog.
 
-    Samples ``backlog()`` each ``opts.divergence_interval`` (the primary
+    Samples ``backlog()`` each :data:`DIVERGENCE_INTERVAL` (the primary
     engine's backlog, read live, so a promoted standby's engine is
     followed automatically) and fires once the backlog has grown
-    *strictly monotonically* across the whole window by at least the
-    configured floor.  A healthy catch-up oscillates
-    toward zero and never sustains that, so a positive signal means
-    replay throughput is provably below the master's commit rate — the
-    situation the paper reports as "N/A".
+    *strictly monotonically* across :data:`DIVERGENCE_WINDOW` samples
+    by at least :data:`DIVERGENCE_MIN_GROWTH`.  A healthy catch-up
+    oscillates toward zero and never sustains that, so a positive signal
+    means replay throughput is provably below the master's commit rate
+    — the situation the paper reports as "N/A".
     """
     samples: List[int] = []
     while not control["stop"]:
-        yield env.timeout(opts.divergence_interval)
+        yield env.timeout(DIVERGENCE_INTERVAL)
         if control["stop"]:
             return
         samples.append(backlog())
-        if len(samples) > opts.divergence_window:
+        if len(samples) > DIVERGENCE_WINDOW:
             samples.pop(0)
-        if (len(samples) == opts.divergence_window
+        if (len(samples) == DIVERGENCE_WINDOW
                 and all(later > earlier for earlier, later
                         in zip(samples, samples[1:]))
                 and (samples[-1] - samples[0]
-                     >= opts.divergence_min_growth)):
+                     >= DIVERGENCE_MIN_GROWTH)):
             tracer.event("migration.diverging", tenant=tenant,
                          samples=list(samples))
             if not fired.triggered:

@@ -32,18 +32,17 @@ scheduler remembers destinations that died under the job
 (*excluded-destination memory*) and retries into the next alternate
 named at :meth:`MigrationScheduler.submit` time, so one faulted
 migration neither wedges the schedule nor keeps retrying into the same
-dead node.  A :class:`~repro.errors.SourceCrashed` abort is final by
-default — the tenant's master must recover first, and the paper's rule
-is to abort and keep serving from the source.  With
-``ScheduleOptions(resume=True)`` and a journalled
-(:attr:`MigrationOptions.resume`) migration, the scheduler instead
-waits for the crashed master's recovery
-(:meth:`~repro.engine.instance.DbmsInstance.wait_recovered`) and
-re-enters the parked migration via
-:meth:`Middleware.resume_migration` — skipping every chunk the
-destination already installed instead of re-dumping from scratch.
-The journal decides, not the job: a job submitted for a tenant whose
-migration an earlier schedule parked resumes that journal too.
+dead node.  A :class:`~repro.errors.SourceCrashed` abort of an
+unjournalled migration is final — the paper's rule is to abort and
+keep serving from the source.  A journalled
+(:attr:`MigrationOptions.resume`) migration is suspended instead, and
+the scheduler, within its retry budget, waits for the crashed master's
+recovery (:meth:`~repro.engine.instance.DbmsInstance.wait_recovered`)
+and re-enters it via :meth:`Middleware.resume_migration` — skipping
+every chunk the destination already installed instead of re-dumping
+from scratch.  The journal decides, not the job: every attempt of a
+job whose tenant's journal is suspended, parked by this job or by an
+earlier schedule, resumes it toward the journal's destination.
 Non-ok outcomes are stamped with the fault windows that overlapped the
 job (:attr:`JobOutcome.fault_events`), so an injected-fault abort is
 distinguishable from a logic error straight from the report.
@@ -95,9 +94,6 @@ class ScheduleOptions:
     policy: str = "fifo"
     #: Cap on migrations in flight at once; ``0`` means unlimited.
     max_concurrent: int = 0
-    #: Per-job knobs of every job submitted without its own options
-    #: (which replace this whole, they are not laid over it).
-    migration: Optional[MigrationOptions] = None
     #: Re-attempts per job after a failed/aborted migration (0 = give up
     #: immediately).
     retry_limit: int = 0
@@ -105,14 +101,6 @@ class ScheduleOptions:
     #: (:func:`~repro.sim.sync.backoff_delay`).
     retry_base: float = 0.5
     retry_cap: float = 5.0
-    #: Resume parked migrations.  Every attempt of a job whose tenant
-    #: has a suspended journal — parked by this job or by an earlier
-    #: schedule — re-enters it with :meth:`Middleware.resume_migration`
-    #: toward the journal's destination instead of migrating afresh.
-    #: A ``SourceCrashed`` suspension becomes retriable: the job waits
-    #: for the crashed master to recover and tries again.  Resumes
-    #: consume retry attempts like any other retry.
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.policy not in SCHEDULE_POLICIES:
@@ -146,8 +134,8 @@ class JobOutcome:
     report: Optional[MigrationReport] = None
     #: Migration attempts made (1 = no retry was needed).
     attempts: int = 0
-    #: Attempts that re-entered a parked migration from its journal
-    #: (``ScheduleOptions(resume=True)``) rather than starting over.
+    #: Attempts that re-entered the tenant's suspended journal
+    #: (:meth:`Middleware.resume_migration`) rather than starting over.
     resumes: int = 0
     #: Destinations this job gave up on (the node died under the
     #: attempt); retries skip them.
@@ -248,7 +236,7 @@ class MigrationScheduler:
 
     A service-mode :meth:`submit` returns the job's player process (its
     ``value`` is the :class:`JobOutcome`), still bounded by
-    ``max_concurrent`` and covered by the same retry/resume policy.
+    ``max_concurrent`` and covered by the same retries and resumes.
     """
 
     def __init__(self, middleware: Middleware,
@@ -272,9 +260,11 @@ class MigrationScheduler:
                alternates: Sequence[str] = ()) -> Optional[Any]:
         """Queue one migration; runs when :meth:`run` admits it.
 
-        ``alternates`` names fallback destinations for the retry policy:
-        when an attempt's destination dies, the excluded-destination
-        memory skips it and the next alternate is tried instead.  With
+        Every attempt runs on ``options`` laid over the middleware's
+        config (:meth:`Middleware.resolve_options`).  ``alternates``
+        names fallback destinations for the retry policy: when an
+        attempt's destination dies, the excluded-destination memory
+        skips it and the next alternate is tried instead.  With
         ``retry_limit == 0`` (the default) they are never consulted.
 
         While a service session is open (:meth:`start_service`) the job
@@ -468,7 +458,7 @@ class MigrationScheduler:
                 # whichever schedule parked it.
                 journal = self.middleware.migration_journal(
                     outcome.tenant)
-                resuming = (opts.resume and journal is not None
+                resuming = (journal is not None
                             and journal.state == JOURNAL_SUSPENDED)
                 if resuming:
                     destination = journal.destination
@@ -487,13 +477,11 @@ class MigrationScheduler:
                         outcome.resumes += 1
                         outcome.report = yield from \
                             self.middleware.resume_migration(
-                                outcome.tenant,
-                                options or opts.migration)
+                                outcome.tenant, options)
                     else:
                         outcome.report = \
                             yield from self.middleware.migrate(
-                                outcome.tenant, destination,
-                                options or opts.migration)
+                                outcome.tenant, destination, options)
                     outcome.outcome = "ok"
                     if self.router is not None:
                         self.router.invalidate(outcome.tenant)
@@ -504,11 +492,11 @@ class MigrationScheduler:
                     suspended = (journal is not None
                                  and journal.state
                                  == JOURNAL_SUSPENDED)
-                    if (not opts.resume or not suspended
+                    if (not suspended
                             or outcome.attempts > opts.retry_limit):
-                        # Final by design without the resume policy:
-                        # the master must recover, and the paper's
-                        # rule is abort + keep the source.
+                        # Final without a journal to re-enter (the
+                        # paper's rule: abort and keep the source) or
+                        # without retry budget to wait for recovery.
                         outcome.outcome = ("suspended" if suspended
                                            else "aborted")
                         outcome.error = str(exc)

@@ -65,6 +65,12 @@ class TransferRates:
     base_mb: float = 800.0
     chunk_mb: float = 32.0
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not value > 0:
+                raise ValueError("TransferRates.%s must be positive, "
+                                 "got %r" % (name, value))
+
 
 @dataclass
 class SchemaSpec:

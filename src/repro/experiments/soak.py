@@ -8,9 +8,9 @@ processes, link flaps, degradation windows, disk stalls, correlated
 bursts, router-shard crashes — and runs a multi-tenant key-value fleet
 (fronted by a crashable :class:`~repro.router.RouterFleet`) through
 wave after wave of scheduled migrations for simulated hours or days,
-with restart-and-resume enabled
-(``MiddlewareConfig(migration=MigrationOptions(resume=True, ...))`` plus
-the scheduler's ``resume`` retry policy).
+with restart-and-resume enabled: every migration is journalled
+(``MiddlewareConfig(migration=MigrationOptions(resume=True, ...))``), so
+the scheduler resumes a crash-suspended one within its retry budget.
 
 What the soak asserts, continuously and at the end:
 
@@ -278,8 +278,7 @@ def run_soak(profile: Optional[Profile] = None, *,
                           tenants=tenant_names, model=model.to_dict(),
                           planned_faults=len(plan))
     schedule_options = ScheduleOptions(
-        max_concurrent=2, retry_limit=6, retry_base=1.0, retry_cap=30.0,
-        resume=True)
+        max_concurrent=2, retry_limit=6, retry_base=1.0, retry_cap=30.0)
     ok_by_tenant = {tenant: 0 for tenant in tenant_names}
 
     def parked(tenant: str) -> bool:
@@ -288,8 +287,8 @@ def run_soak(profile: Optional[Profile] = None, *,
                 and journal.state == JOURNAL_SUSPENDED)
 
     def run_wave(wave_index: int) -> Dict[str, Any]:
-        # Every tenant is submitted: the scheduler's resume policy
-        # re-enters a journal an earlier wave left parked.
+        # Every tenant is submitted: the scheduler re-enters a journal
+        # an earlier wave left parked.
         started = env.now
         scheduler = MigrationScheduler(middleware, schedule_options,
                                        router=fleet)

@@ -132,7 +132,7 @@ class RouterFleet:
                 # re-resolve) the owner, then admit or park.
                 blocked += yield from shard.route(tenant)
                 if self.middleware.draining(tenant):
-                    if shard.parked >= self.config.park_capacity:
+                    if shard.park_full:
                         self.metrics.counter("router.park_rejects").inc()
                         shard.observe_downtime(blocked)
                         return SessionResult(

@@ -27,28 +27,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
 
 
+#: Max ``BEGIN``\ s one shard parks while a tenant drains; the next
+#: one is rejected (bounded queue, like a listen backlog).
+PARK_CAPACITY = 32
+#: Capped exponential backoff between drain re-checks (sim seconds).
+DRAIN_RETRY_BASE = 0.05
+DRAIN_RETRY_CAP = 1.0
+
+
 @dataclass(frozen=True)
 class RouterConfig:
     """Tuning knobs of the router tier (shared by every shard)."""
 
-    #: Max ``BEGIN``\ s one shard parks while a tenant drains; the next
-    #: one is rejected (bounded queue, like a listen backlog).
-    park_capacity: int = 32
     #: How long a parked ``BEGIN`` waits for the handover to finish
     #: before it is failed back to the client.
     park_timeout: float = 30.0
-    #: Capped exponential backoff between drain re-checks.
-    retry_base: float = 0.05
-    retry_cap: float = 1.0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on a nonsensical configuration."""
-        if self.park_capacity < 1:
-            raise ValueError("park_capacity must be >= 1")
         if self.park_timeout <= 0:
             raise ValueError("park_timeout must be positive")
-        if self.retry_base <= 0 or self.retry_cap < self.retry_base:
-            raise ValueError("need 0 < retry_base <= retry_cap")
 
 
 class RouterConnection:
@@ -147,6 +145,11 @@ class RouterShard:
         self._routing[tenant] = owner
         return blocked
 
+    @property
+    def park_full(self) -> bool:
+        """Whether :data:`PARK_CAPACITY` BEGINs are already parked."""
+        return self.parked >= PARK_CAPACITY
+
     def park(self, tenant: str
              ) -> Generator[Any, Any, Tuple[float, bool]]:
         """Hold one BEGIN in the bounded queue until the drain ends.
@@ -170,8 +173,8 @@ class RouterShard:
                 if now >= deadline:
                     return now - start, True
                 attempt += 1
-                delay = min(backoff_delay(attempt, self.config.retry_base,
-                                          self.config.retry_cap),
+                delay = min(backoff_delay(attempt, DRAIN_RETRY_BASE,
+                                          DRAIN_RETRY_CAP),
                             deadline - now)
                 yield self.env.any_of([self.env.timeout(delay),
                                        self._crash_event])

@@ -39,17 +39,8 @@ FOUR = ("MigrationOptions", "MiddlewareConfig", "ScheduleOptions",
 #: Field names two of the four classes both use — each time for a knob
 #: of its own, never for a copy of the other's.
 SAME_NAME_OWN_KNOB = {
-    # where the three outer classes carry a MigrationOptions
-    "migration": {"MiddlewareConfig", "ScheduleOptions",
-                  "RebalanceOptions"},
     # propagation protocol / admission order
     "policy": {"MiddlewareConfig", "ScheduleOptions"},
-    # per-node snapshot resends and journalling / per-job re-attempts
-    # and re-entering a parked job
-    "retry_limit": {"MigrationOptions", "ScheduleOptions"},
-    "retry_base": {"MigrationOptions", "ScheduleOptions"},
-    "retry_cap": {"MigrationOptions", "ScheduleOptions"},
-    "resume": {"MigrationOptions", "ScheduleOptions"},
 }
 
 #: Keywords this repo once accepted, by class; each now raises the
@@ -61,7 +52,9 @@ RETIRED = {
         {"ship_retry_cap": 1}, {"resumable": True},
         {"pipeline": True}, {"pipeline": False},
         {"pipeline": True, "strategy": "watermark"},
-        {"pipeline_depth": 4}),
+        {"pipeline_depth": 4}, {"retry_limit": 5}, {"retry_base": 0.1},
+        {"retry_cap": 2.0}, {"divergence_interval": 5.0},
+        {"divergence_window": 6}, {"divergence_min_growth": 64}),
     "MiddlewareConfig": (
         {"ship_retry_limit": 5}, {"ship_retry_base": 0.1},
         {"ship_retry_cap": 2.0}, {"divergence_interval": 5.0},
@@ -69,7 +62,8 @@ RETIRED = {
         {"pipeline_snapshot": True}, {"pipeline_depth": 4},
         {"handover_journal_sync": 0.002}, {"resumable": True},
         {"validate_lsir": True}, {"verify_consistency": True}),
-    "ScheduleOptions": ({"strategy": "watermark"},),
+    "ScheduleOptions": ({"strategy": "watermark"}, {"resume": True},
+                        {"migration": MigrationOptions()}),
     "RebalanceOptions": (
         {"strategy": "watermark"}, {"retry_limit": 2},
         {"retry_base": 0.5}, {"retry_cap": 5.0}, {"resume": True},
@@ -78,7 +72,10 @@ RETIRED = {
         {"fsync_latency": 0.005}, {"enter_ratio": 1.5},
         {"exit_ratio": 1.1}, {"sustain": 2},
         {"max_concurrent_moves": 2}, {"sample_interval": 1.0},
-        {"decide_every": 2}),
+        {"decide_every": 2},
+        {"migration": MigrationOptions(resume=True)}),
+    "RouterConfig": ({"park_capacity": 32}, {"retry_base": 0.05},
+                     {"retry_cap": 1.0}),
     # Callables outside the four options classes: "Class" or
     # "Class.method" under ``repro`` (dotted module path), with the
     # positional arguments the call needs to get as far as its keywords.
@@ -147,21 +144,17 @@ KNOB_CENSUS = {
     "MiddlewareConfig": ["policy", "catchup_deadline",
                          "drop_source_copy", "migration"],
     "MigrationOptions": ["rates", "standbys", "strategy", "chunk_mb",
-                         "retry_limit", "retry_base", "retry_cap",
-                         "divergence_interval", "divergence_window",
-                         "divergence_min_growth", "resume"],
+                         "resume"],
     "NetworkSpec": ["latency", "bandwidth_mb_s"],
     "NodeSpec": ["checkpoint"],
     "PopulationParams": ["items", "ebs", "row_scale"],
     "Profile": ["name", "eb_scale", "think_time", "size_scale",
                 "row_scale", "time_scale", "rates", "catchup_deadline",
                 "seed"],
-    "RebalanceOptions": ["window", "cooldown", "migration"],
-    "RouterConfig": ["park_capacity", "park_timeout", "retry_base",
-                     "retry_cap"],
-    "ScheduleOptions": ["policy", "max_concurrent", "migration",
-                        "retry_limit", "retry_base", "retry_cap",
-                        "resume"],
+    "RebalanceOptions": ["window", "cooldown"],
+    "RouterConfig": ["park_timeout"],
+    "ScheduleOptions": ["policy", "max_concurrent", "retry_limit",
+                        "retry_base", "retry_cap"],
     "SchemaSpec": ["name", "columns", "indexes"],
     "TransferRates": ["dump_mb_s", "restore_mb_s", "base_mb", "chunk_mb"],
 }
@@ -170,16 +163,22 @@ KNOB_CENSUS = {
 def test_knob_census():
     census_name = re.compile(
         r"(Config|Options|Model|Profile|Spec|Params|Rates)$")
-    found = {}
+    found, carries_migration = {}, set()
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
             if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
                     and obj.__module__ == module.__name__
                     and census_name.search(name)):
-                found[name] = [f.name for f in dataclasses.fields(obj)]
+                fields = dataclasses.fields(obj)
+                found[name] = [f.name for f in fields]
+                carries_migration.update(
+                    "%s.%s" % (name, f.name) for f in fields
+                    if "MigrationOptions" in str(f.type))
     assert found == KNOB_CENSUS
-    assert sum(len(knobs) for knobs in found.values()) == 88
+    assert sum(len(knobs) for knobs in found.values()) == 76
+    # One home: a migration's options are a call's or the config's.
+    assert carries_migration == {"MiddlewareConfig.migration"}
 
 
 class TestFacade:
@@ -243,7 +242,7 @@ class TestFacade:
         assert names == sorted(names)
         for name in names:
             assert getattr(repro, name) is getattr(repro.api, name), name
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS
@@ -268,13 +267,12 @@ class TestUnifiedKnobNames:
                            for name in _field_names(cls)), cls.__name__
 
     def test_strategy_is_a_migration_option_only(self):
-        # The outer layers say it as migration=MigrationOptions(
-        # strategy=...); none of them has a pass-through copy.
+        # Said as MigrationOptions(strategy=...), to one call or in
+        # MiddlewareConfig.migration; no outer class has a copy.
         assert "strategy" in _field_names(MigrationOptions)
         for name in FOUR[1:]:
             fields = _field_names(getattr(repro.api, name))
             assert "strategy" not in fields, name
-            assert "migration" in fields, name
 
     @pytest.mark.parametrize(
         "case", [(name, retired) for name in RETIRED
@@ -300,8 +298,8 @@ class TestUnifiedKnobNames:
     def test_new_spellings_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            MigrationOptions(retry_limit=2, retry_base=0.5,
-                             retry_cap=2.0, resume=True)
+            MigrationOptions(strategy="watermark", chunk_mb=2.0,
+                             resume=True)
         deprecations = [w for w in caught
                         if issubclass(w.category, DeprecationWarning)]
         assert not deprecations
@@ -316,10 +314,10 @@ class TestMigrationOptions:
     def test_resolve_fills_from_config(self):
         from repro.api import SnapshotStrategy
         _env, _cluster, middleware = _build(MigrationOptions(
-            strategy="serial", retry_limit=7))
+            strategy="serial", chunk_mb=7.0))
         resolved = middleware.resolve_options(None)
         assert resolved.strategy is SnapshotStrategy.SERIAL
-        assert resolved.retry_limit == 7
+        assert resolved.chunk_mb == 7.0
         assert resolved.rates == TransferRates()
         assert resolved.standbys == ()
         piped = _build()[2].resolve_options(MigrationOptions())
@@ -339,18 +337,28 @@ class TestMigrationOptions:
         with pytest.raises(Exception):
             MigrationOptions().pipeline = True
 
+    @pytest.mark.parametrize("value", [0.0, -4.0])
+    @pytest.mark.parametrize("knob", [
+        "MigrationOptions.chunk_mb", "TransferRates.dump_mb_s",
+        "TransferRates.restore_mb_s", "TransferRates.base_mb",
+        "TransferRates.chunk_mb"])
+    def test_non_positive_sizes_and_rates_raise_at_construction(
+            self, knob, value):
+        # Left through, a zero divided a whole simulation and a
+        # negative chunk size silently became a one-chunk plan.
+        owner, name = knob.split(".")
+        with pytest.raises(ValueError, match=re.escape(knob)):
+            getattr(repro.api, owner)(**{name: value})
+
 
 #: Every MigrationOptions field set, twice: ``CALL`` differs from
 #: ``CONFIGURED``, which differs from MIGRATION_DEFAULTS.
 CALL = MigrationOptions(
     rates=RATES, standbys=("node2",), strategy="watermark", chunk_mb=2.0,
-    retry_limit=1, retry_base=0.3, retry_cap=0.9, divergence_interval=1.5,
-    divergence_window=3, divergence_min_growth=9, resume=False)
+    resume=False)
 CONFIGURED = MigrationOptions(
     rates=TransferRates(dump_mb_s=3.0), standbys=("node3",),
-    strategy="serial", chunk_mb=8.0, retry_limit=2, retry_base=0.4,
-    retry_cap=1.1, divergence_interval=2.5, divergence_window=4,
-    divergence_min_growth=11, resume=True)
+    strategy="serial", chunk_mb=8.0, resume=True)
 KNOBS = sorted(_field_names(MigrationOptions))
 
 
@@ -437,8 +445,6 @@ class TestScheduleOptions:
         assert options.policy == "fifo"
         assert options.max_concurrent == 0
         assert options.retry_limit == 0
-        assert options.resume is False
-        assert options.migration is None
 
     def test_unknown_policy_rejected(self):
         from repro.api import ScheduleOptions
@@ -462,7 +468,6 @@ class TestRebalanceOptions:
         options = RebalanceOptions()
         assert options.window == 5
         assert options.cooldown == 30.0
-        assert options.migration == MigrationOptions(resume=True)
 
     @pytest.mark.parametrize("bad", [{"window": 0}],
                              ids=lambda bad: next(iter(bad)))

@@ -26,7 +26,6 @@ from repro.core import (
     MiddlewareConfig,
     MigrationOptions,
     MigrationScheduler,
-    ScheduleOptions,
 )
 from repro.engine import TransferRates
 from repro.errors import MigrationError
@@ -355,13 +354,13 @@ class TestLoadWatcher:
 
 
 def _service_bed():
-    """Three nodes; kv tenants A and B on node0."""
+    """Three nodes; kv tenants A and B on node0; migrations at RATES."""
     env = Environment()
     cluster = Cluster(env)
     for name in ("node0", "node1", "node2"):
         cluster.add_node(name)
     middleware = Middleware(env, cluster, MiddlewareConfig(
-        policy=MADEUS))
+        policy=MADEUS, migration=MigrationOptions(rates=RATES)))
 
     def setup(env):
         for tenant in ("A", "B"):
@@ -376,8 +375,7 @@ def _service_bed():
 class TestServiceModeScheduler:
     def test_submit_returns_player_and_outcome(self):
         env, middleware = _service_bed()
-        scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            migration=MigrationOptions(rates=RATES)))
+        scheduler = MigrationScheduler(middleware)
         scheduler.start_service()
         assert scheduler.service_open
         holder = {}
@@ -397,8 +395,7 @@ class TestServiceModeScheduler:
 
     def test_jobs_submitted_while_draining_are_awaited(self):
         env, middleware = _service_bed()
-        scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            migration=MigrationOptions(rates=RATES)))
+        scheduler = MigrationScheduler(middleware)
         scheduler.start_service()
         holder = {}
 
@@ -431,8 +428,7 @@ class TestServiceModeScheduler:
 
     def test_batch_run_still_queues_and_returns_none(self):
         env, middleware = _service_bed()
-        scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            migration=MigrationOptions(rates=RATES)))
+        scheduler = MigrationScheduler(middleware)
         assert scheduler.submit("A", "node1") is None
         proc = env.process(scheduler.run())
         env.run()
@@ -446,8 +442,7 @@ class TestRebalancerSettle:
         env, middleware = _service_bed()
         middleware.cluster.node("node0").instance.tenant(
             "A").fixed_overhead_mb = 8.0
-        rebalancer = Rebalancer(middleware, RebalanceOptions(
-            migration=MigrationOptions(rates=RATES, resume=True)))
+        rebalancer = Rebalancer(middleware)
         rebalancer.scheduler.start_service()
         rebalancer._submit(PlannedMove(
             tenant="A", source="node0", destination="node1", rate=1.0,

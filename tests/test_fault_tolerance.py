@@ -7,6 +7,8 @@ chaos experiment harness end to end, gated by scripts/gate.py
 exactly as CI does it.
 """
 
+from unittest.mock import patch
+
 import pytest
 
 from _gate import gate, trace_failures
@@ -14,6 +16,7 @@ from repro.check import states_equal
 from repro.cluster import Cluster
 from repro.core import (B_ALL, B_CON, B_MIN, MADEUS, Middleware,
                         MiddlewareConfig, MigrationOptions)
+from repro.core import pipeline, propagation
 from repro.core.journal import HANDOVER_ROLLED_BACK
 from repro.core.propagation import SerialReplayer
 from repro.engine.dump import TransferRates
@@ -23,6 +26,14 @@ from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
 
 RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
+
+#: A ship-retry budget a never-restored link outlasts, and a watchdog
+#: that reads a diverging backlog within seconds: each patches its
+#: module's constants for a ``with patch.multiple(...)`` block.
+TIGHT_SHIP_RETRIES = dict(SHIP_RETRY_LIMIT=2, SHIP_RETRY_BASE=0.01,
+                          SHIP_RETRY_CAP=0.02)
+FAST_WATCHDOG = dict(DIVERGENCE_INTERVAL=0.05, DIVERGENCE_WINDOW=4,
+                     DIVERGENCE_MIN_GROWTH=8)
 
 
 def build(env, nodes=3, policy=MADEUS, deadline=None, **migration):
@@ -566,9 +577,7 @@ class TestShipRetries:
                    for e in middleware.tracer.events)
 
     def test_outage_longer_than_retry_budget_aborts(self, env):
-        cluster, middleware = build(
-            env, nodes=2, retry_limit=2, retry_base=0.01,
-            retry_cap=0.02)
+        cluster, middleware = build(env, nodes=2)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0,
                     think_time=0.05)
         cluster.network.fail_link()   # never restored
@@ -581,7 +590,8 @@ class TestShipRetries:
             except MigrationError as exc:
                 holder["error"] = exc
         env.process(main(env))
-        env.run(until=30.0)
+        with patch.multiple(pipeline, **TIGHT_SHIP_RETRIES):
+            env.run(until=30.0)
         assert "no standby survives" in str(holder["error"])
         assert middleware.route("A") == "node0"
         assert middleware.tenant_state("A").gate.is_open
@@ -598,9 +608,7 @@ class TestDivergenceWatchdog:
         # replayer's queue included — grows without bound and the
         # watchdog should fire long before the deadline.
         cluster, middleware = build(
-            env, nodes=2, policy=policy, deadline=60.0,
-            divergence_interval=0.05, divergence_window=4,
-            divergence_min_growth=8)
+            env, nodes=2, policy=policy, deadline=60.0)
         seed_tenant(env, cluster, middleware, clients=8, txns=4000,
                     think_time=0.002, read_ratio=0.0)
         holder = {}
@@ -613,7 +621,8 @@ class TestDivergenceWatchdog:
                 holder["timeout"] = exc
                 holder["at"] = env.now
         env.process(main(env))
-        env.run(until=40.0)
+        with patch.multiple(propagation, **FAST_WATCHDOG):
+            env.run(until=40.0)
         timeout = holder["timeout"]
         assert timeout.reason == "diverging"
         assert "diverging" in str(timeout)

@@ -8,7 +8,7 @@ master's WAL-replay restart — skipping every chunk the destination
 already installed instead of re-dumping from scratch.  These tests
 cover the journal lifecycle, the parked-state semantics, the
 strictly-fewer-work acceptance bound versus a fresh re-dump, and the
-scheduler's ``resume`` retry policy end to end.
+scheduler resuming a suspended journal end to end.
 """
 
 import pytest
@@ -457,9 +457,8 @@ class TestSchedulerResume:
             yield from source.restart()
         env.process(chaos(env))
         scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            resume=True, retry_limit=3,
-            migration=_options()))
-        scheduler.submit("A", "node1", alternates=("node2",))
+            retry_limit=3))
+        scheduler.submit("A", "node1", _options(), alternates=("node2",))
         process = scheduler.start()
         env.run()
         report = process.value
@@ -475,29 +474,6 @@ class TestSchedulerResume:
                    for event in middleware.tracer.events)
         journal = middleware.migration_journal("A")
         assert journal.state == JOURNAL_COMPLETED
-
-    def test_without_resume_policy_job_stays_suspended(self, env):
-        cluster, middleware = build(env, nodes=2, resume=True)
-        seed_tenant(env, cluster, middleware, overhead_mb=10.0)
-        source = cluster.node("node0").instance
-
-        def chaos(env):
-            yield env.timeout(2.5)
-            source.crash()
-            yield env.timeout(3.0)
-            yield from source.restart()
-        env.process(chaos(env))
-        scheduler = MigrationScheduler(middleware, ScheduleOptions(
-            retry_limit=3, migration=_options()))
-        scheduler.submit("A", "node1")
-        process = scheduler.start()
-        env.run()
-        job = process.value.job("A")
-        assert job.outcome == "suspended"
-        assert job.resumes == 0
-        assert middleware.migration_journal("A").state \
-            == JOURNAL_SUSPENDED
-        assert middleware.route("A") == "node0"
 
 
 class TestJournalLifecycle:

@@ -20,6 +20,7 @@ from repro.faults import (
 )
 from repro.obs.metrics import MetricsRegistry, QuantileHistogram
 from repro.router import RouterConfig, RouterFleet
+from repro.router import shard as router_shard
 from repro.workload.simplekv import (
     KvWorkloadConfig,
     run_kv_clients,
@@ -117,11 +118,7 @@ def _migrate(env, middleware, **extra):
 class TestRouterConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RouterConfig(park_capacity=0).validate()
-        with pytest.raises(ValueError):
             RouterConfig(park_timeout=0).validate()
-        with pytest.raises(ValueError):
-            RouterConfig(retry_base=0.5, retry_cap=0.1).validate()
 
     def test_fleet_needs_a_shard(self, env):
         _cluster, middleware = build(env, nodes=2)
@@ -146,11 +143,11 @@ class TestConnectionDraining:
         for shard in fleet.shards:
             assert shard.parked == 0
 
-    def test_park_queue_is_bounded(self, env):
+    def test_park_queue_is_bounded(self, env, monkeypatch):
         # Close the gate by hand and land two BEGINs on a capacity-1
         # shard: the first parks, the second is rejected outright.
+        monkeypatch.setattr(router_shard, "PARK_CAPACITY", 1)
         cluster, middleware, fleet = _routed(env, shards=1,
-                                             park_capacity=1,
                                              park_timeout=60.0)
         _register_kv_tenant(env, cluster, middleware)
         middleware.tenant_state("A").gate.close()

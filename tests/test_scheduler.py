@@ -16,6 +16,7 @@ from repro.core import (
     MigrationScheduler,
     ScheduleOptions,
 )
+from repro.core import pipeline
 from repro.core.middleware import JOURNAL_COMPLETED, JOURNAL_SUSPENDED
 from repro.engine import TransferRates
 from repro.errors import MigrationError
@@ -414,7 +415,8 @@ def _crash_when_catching_up(env, middleware, tenant, instance,
 
 
 class TestSchedulerRecovery:
-    def test_transient_failure_retries_into_same_destination(self):
+    def test_transient_failure_retries_into_same_destination(
+            self, monkeypatch):
         env = Environment()
         cluster, middleware = _build_kv_testbed(
             env, [("T1", "node0", 8.0)])
@@ -432,9 +434,10 @@ class TestSchedulerRecovery:
                                         retry_cap=1.0))
         # tight ship-retry budget: a single attempt cannot sit out the
         # outage on its own, so recovery must come from the scheduler
-        scheduler.submit("T1", "node1", MigrationOptions(
-            rates=RATES, retry_limit=1, retry_base=0.01,
-            retry_cap=0.02))
+        monkeypatch.setattr(pipeline, "SHIP_RETRY_LIMIT", 1)
+        monkeypatch.setattr(pipeline, "SHIP_RETRY_BASE", 0.01)
+        monkeypatch.setattr(pipeline, "SHIP_RETRY_CAP", 0.02)
+        scheduler.submit("T1", "node1", MigrationOptions(rates=RATES))
         proc = scheduler.start()
         env.run()
         report = proc.value
@@ -608,9 +611,8 @@ class TestParkedJournalAcrossSchedules:
         options = MigrationOptions(rates=RATES, chunk_mb=1.0, resume=True)
         # First schedule: the source dies mid-dump and the job, with no
         # retry budget, ends with its migration parked.
-        first = MigrationScheduler(middleware, ScheduleOptions(
-            resume=True, retry_limit=0, migration=options))
-        first.submit("A", "node1")
+        first = MigrationScheduler(middleware)
+        first.submit("A", "node1", options)
         process = first.start()
         env.run(until=env.now + 1.0)
         source = cluster.node("node0").instance
@@ -626,9 +628,8 @@ class TestParkedJournalAcrossSchedules:
         assert restart.ok
         # Second schedule: whatever destination the job names, it
         # re-enters the journal toward the journal's own destination.
-        second = MigrationScheduler(middleware, ScheduleOptions(
-            resume=True, migration=options))
-        second.submit("A", "node2")
+        second = MigrationScheduler(middleware)
+        second.submit("A", "node2", options)
         process = second.start()
         env.run()
         job = process.value.job("A")

@@ -37,18 +37,26 @@ import io
 import json
 import os
 import sys
+from unittest.mock import patch
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.core import B_CON, MigrationOptions  # noqa: E402
+from repro.core import pipeline, propagation  # noqa: E402
 from repro.errors import MigrationError  # noqa: E402
 from repro.obs.export import write_trace  # noqa: E402
 from repro.obs.trace import PHASE  # noqa: E402
 from repro.sim import Environment, Interrupt  # noqa: E402
 
-from test_fault_tolerance import RATES, build, seed_tenant  # noqa: E402
+from test_fault_tolerance import (  # noqa: E402
+    FAST_WATCHDOG,
+    RATES,
+    TIGHT_SHIP_RETRIES,
+    build,
+    seed_tenant,
+)
 
 SEED = 7
 STRATEGIES = ("serial", "pipelined", "watermark")
@@ -222,12 +230,12 @@ def flaky_network(strategy):
 
 
 def network_outlasts_retries(strategy):
-    world = World(strategy, retry_limit=2, retry_base=0.01,
-                  retry_cap=0.02)
-    world.launch(standbys=("node2",))
-    world.when(world.phase_open("restore"),
-               world.cluster.network.fail_link, delay=0.25)
-    world.env.run(until=30.0)
+    with patch.multiple(pipeline, **TIGHT_SHIP_RETRIES):
+        world = World(strategy)
+        world.launch(standbys=("node2",))
+        world.when(world.phase_open("restore"),
+                   world.cluster.network.fail_link, delay=0.25)
+        world.env.run(until=30.0)
     return world
 
 
@@ -375,13 +383,12 @@ def operator_fails_standby(strategy):
 
 def diverging_backlog(strategy):
     """B-CON replays serially; update-only load outruns it."""
-    world = World(strategy, nodes=2, policy=B_CON, deadline=60.0,
-                  divergence_interval=0.05, divergence_window=4,
-                  divergence_min_growth=8,
-                  tenant=dict(clients=8, txns=1200, think_time=0.002,
-                              read_ratio=0.0))
-    world.launch()
-    world.env.run(until=12.0)
+    with patch.multiple(propagation, **FAST_WATCHDOG):
+        world = World(strategy, nodes=2, policy=B_CON, deadline=60.0,
+                      tenant=dict(clients=8, txns=1200,
+                                  think_time=0.002, read_ratio=0.0))
+        world.launch()
+        world.env.run(until=12.0)
     return world
 
 

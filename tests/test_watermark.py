@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control import RebalanceOptions, Rebalancer
+from repro.control.rebalancer import MOVE_OPTIONS
 from repro.core import MigrationOptions, SnapshotStrategy
 from repro.core.middleware import JOURNAL_COMPLETED
-from repro.core.scheduler import MigrationScheduler, ScheduleOptions
+from repro.core.scheduler import MigrationScheduler
 from repro.errors import MigrationError, SourceCrashed
 from repro.obs.trace import check_phase_order
 from repro.sim import Environment
@@ -76,11 +76,12 @@ class TestSnapshotStrategyCoerce:
             SnapshotStrategy.coerce(7)
 
 
-def _scheduled(env, schedule_options, job_options=None):
-    """The report of tenant A's migration as a one-job schedule."""
-    cluster, middleware = build(env, nodes=2)
+def _scheduled(env, job_options=None, **config):
+    """The report of tenant A's migration as a one-job schedule;
+    ``config`` keywords become the middleware's MigrationOptions."""
+    cluster, middleware = build(env, nodes=2, **config)
     seed_tenant(env, cluster, middleware)
-    scheduler = MigrationScheduler(middleware, schedule_options)
+    scheduler = MigrationScheduler(middleware)
     scheduler.submit("A", "node1", job_options)
     process = scheduler.start()
     env.run()
@@ -88,8 +89,8 @@ def _scheduled(env, schedule_options, job_options=None):
 
 
 class TestStrategyThreading:
-    """One knob on one class: the scheduler and the rebalancer are told
-    the strategy in their ``migration`` options."""
+    """One knob on one class: a scheduled job or a rebalancer move runs
+    on its own options laid over the middleware's ``migration``."""
 
     def test_migration_options_coerce_and_resolve(self, env):
         options = MigrationOptions(strategy="watermark")
@@ -101,24 +102,23 @@ class TestStrategyThreading:
                 is SnapshotStrategy.WATERMARK)
 
     def test_schedule_options_fill_the_migration_strategy(self, env):
-        report = _scheduled(env, ScheduleOptions(migration=_options()))
+        # The schedule carries no migration options; the job's do.
+        report = _scheduled(env, _options())
         assert report.strategy == "watermark"
 
     def test_rebalance_options_fill_the_migration_strategy(self, env):
-        _cluster, middleware = build(env, nodes=2)
-        moves = _options(resume=True)
-        rebalancer = Rebalancer(middleware,
-                                RebalanceOptions(migration=moves))
-        assert rebalancer.scheduler.options.migration is moves
-        assert (Rebalancer(middleware).scheduler.options.migration
-                == MigrationOptions(resume=True))
+        # Moves run on MOVE_OPTIONS over the config: journalled, at
+        # the configured strategy.
+        _cluster, middleware = build(env, nodes=2, strategy="watermark")
+        moves = middleware.resolve_options(MOVE_OPTIONS)
+        assert moves.strategy is SnapshotStrategy.WATERMARK
+        assert moves.resume is True
 
     def test_explicit_migration_strategy_wins(self, env):
-        # A job's own options replace the schedule's, whole.
+        # A job's own options are laid over the middleware's.
         report = _scheduled(
-            env, ScheduleOptions(migration=_options()),
-            MigrationOptions(rates=RATES, chunk_mb=CHUNK_MB,
-                             strategy="pipelined"))
+            env, MigrationOptions(strategy="pipelined"), rates=RATES,
+            chunk_mb=CHUNK_MB, strategy="watermark")
         assert report.strategy == "pipelined"
 
 
