@@ -172,7 +172,7 @@ GATES = {
 # ----------------------------------------------------------------------
 # traces
 
-# Must match repro.obs.trace.PHASE_ORDER.
+# Must match repro.obs.trace.PHASE_ORDER (tests/test_soak.py pins it).
 PHASE_ORDER = ("dump", "restore", "catch-up", "handover")
 PHASE_RANK = {name: rank for rank, name in enumerate(PHASE_ORDER)}
 
@@ -216,16 +216,22 @@ class Trace:
 
 
 def check_phase_order(spans):
-    """Return a list of problems with the phase spans (empty = ok)."""
+    """Return a list of problems with the phase spans (empty = ok).
+
+    The one judge of phase order.  Per migration (phase spans grouped
+    by their ``parent`` link), in start order: every phase is one of
+    :data:`PHASE_ORDER`, is finished, has a non-negative duration,
+    comes strictly later in that order than its predecessor, and starts
+    no earlier than its predecessor ended -- except the dump/restore
+    pair of a pipelined snapshot, both tagged ``pipelined``, which
+    overlaps by design.
+    """
     problems = []
     by_migration = {}
     for span in spans:
         if span.get("kind") != "phase":
             continue
-        # the exporter writes the parent link as "parent"; accept the
-        # older "parent_id" spelling too
-        parent = span.get("parent", span.get("parent_id"))
-        by_migration.setdefault(parent, []).append(span)
+        by_migration.setdefault(span.get("parent"), []).append(span)
     if not by_migration:
         return ["no phase spans found"]
     for parent, phases in sorted(by_migration.items(),
@@ -246,7 +252,7 @@ def check_phase_order(spans):
                 problems.append("migration %s: phase %r has negative "
                                 "duration" % (parent, name))
             if previous is not None:
-                if PHASE_RANK[name] < PHASE_RANK[previous["name"]]:
+                if PHASE_RANK[name] <= PHASE_RANK[previous["name"]]:
                     problems.append(
                         "migration %s: expected order %s but %r "
                         "follows %r" % (parent, "/".join(PHASE_ORDER),

@@ -43,6 +43,6 @@ Quickstart::
 from . import api
 from .api import *  # noqa: F401,F403
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [*api.__all__, "__version__"]

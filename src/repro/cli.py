@@ -1,13 +1,13 @@
 """Command-line interface: run any scenario from the shell.
 
 Three forms: ``repro list`` enumerates the commands, ``repro trace
-FILE... [--check-phases]`` renders exported traces, and ``repro
-<scenario> [--profile P] [--seed N] [--trace-dir DIR]`` runs one row of
+FILE...`` renders exported traces, and ``repro <scenario> [--profile
+P] [--seed N] [--trace-dir DIR]`` runs one row of
 :data:`SCENARIOS`, prints its report and the artifacts it wrote, and
 exits 1 when the run's own invariants failed.  Traces and JSON
 artifacts (``BENCH_*.json``, ``SOAK_seed<N>.json``) land together in
 the run's trace directory: ``--trace-dir``, else ``$REPRO_TRACE_DIR``,
-else nowhere.
+else nowhere.  Phase order is judged by ``scripts/gate.py``, not here.
 
 Examples::
 
@@ -17,7 +17,7 @@ Examples::
     python -m repro all --profile smoke
     python -m repro bench --profile quick --trace-dir out/
     python -m repro soak --trace-dir out/
-    python -m repro trace out/trace_chaos_soak.jsonl --check-phases
+    python -m repro trace out/trace_chaos_soak.jsonl
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ def _run_trace(args: argparse.Namespace) -> int:
     instrumented migration emits; see ``repro.obs``) — the phase
     timeline, the migration-phase table, the propagation-round summary,
     and every exported metric."""
-    from .obs import check_phase_order, read_trace
+    from .obs import read_trace
     from .obs.timeline import render_report
 
-    status = 0
     for index, path in enumerate(args.trace):
         if index:
             print()
@@ -137,15 +136,7 @@ def _run_trace(args: argparse.Namespace) -> int:
                   % (path, type(exc).__name__, exc), file=sys.stderr)
             return 2
         print(render_report(data, source=path))
-        if args.check_phases:
-            problems = check_phase_order(data.spans)
-            for problem in problems:
-                print("phase-order problem: %s" % problem)
-            if problems:
-                status = 1
-            else:
-                print("phase order: ok")
-    return status
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="path(s) to trace.jsonl files emitted by an "
                           "instrumented run (--trace-dir or "
                           "$REPRO_TRACE_DIR)")
-    sub.add_argument("--check-phases", action="store_true",
-                     help="exit nonzero unless every migration's phase "
-                          "spans are finished and ordered dump -> "
-                          "restore -> catch-up -> handover")
     return parser
 
 

@@ -1,12 +1,14 @@
 """Hotspot detection with hysteresis.
 
-A node is *hot* when its load has exceeded ``enter_ratio`` times the
-cluster mean for ``sustain`` consecutive samples; it stays hot until
-load drops below ``exit_ratio`` times the mean.  The enter threshold
-sits strictly above the exit threshold, and leaving the hot state
-starts a ``cooldown`` window during which the node cannot re-enter —
-the classic two-threshold-plus-dwell shape that keeps a borderline node
-from ping-ponging tenants back and forth.
+A node is *hot* when its load has exceeded :data:`ENTER_RATIO` times
+the cluster mean for :data:`SUSTAIN` consecutive samples; it stays hot
+until load drops below :data:`EXIT_RATIO` times the mean.  The enter
+threshold sits strictly above the exit threshold, and leaving the hot
+state starts a ``cooldown`` window during which the node cannot
+re-enter — the classic two-threshold-plus-dwell shape that keeps a
+borderline node from ping-ponging tenants back and forth.  The three
+are module constants, read at each call; only the cooldown is
+settable (:class:`~repro.control.rebalancer.RebalanceOptions`).
 
 All comparisons are strict, so a load sitting *exactly* on a threshold
 never changes state: hysteresis with a dead band, not a knife edge.
@@ -18,6 +20,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .watcher import ClusterView
+
+#: A node enters the hot state above this multiple of the mean load...
+ENTER_RATIO = 1.5
+#: ...and leaves it below this one (the dead band lies between).
+EXIT_RATIO = 1.1
+#: Consecutive samples above the enter threshold that make a node hot.
+SUSTAIN = 2
 
 
 @dataclass
@@ -37,21 +46,10 @@ class HotspotDetector:
     downstream planning.
     """
 
-    def __init__(self, enter_ratio: float = 1.5,
-                 exit_ratio: float = 1.1, sustain: int = 2,
-                 cooldown: float = 30.0, min_load: float = 0.0):
-        if enter_ratio <= exit_ratio:
-            raise ValueError("enter_ratio must exceed exit_ratio "
-                             "(hysteresis needs a dead band)")
-        if sustain < 1:
-            raise ValueError("sustain must be >= 1")
+    def __init__(self, cooldown: float = 30.0):
         if cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-        self.enter_ratio = enter_ratio
-        self.exit_ratio = exit_ratio
-        self.sustain = sustain
         self.cooldown = cooldown
-        self.min_load = min_load
         self._nodes: Dict[str, _NodeState] = {}
 
     def _state(self, node: str) -> _NodeState:
@@ -75,7 +73,7 @@ class HotspotDetector:
             load = loads[node]
             state = self._state(node)
             if state.hot:
-                if load < self.exit_ratio * mean:
+                if load < EXIT_RATIO * mean:
                     state.hot = False
                     state.streak = 0
                     state.cooling_until = now + self.cooldown
@@ -88,10 +86,9 @@ class HotspotDetector:
                 # one cooldown window.
                 state.streak = 0
                 continue
-            if (mean > 0 and load > self.enter_ratio * mean
-                    and load > self.min_load):
+            if mean > 0 and load > ENTER_RATIO * mean:
                 state.streak += 1
-                if state.streak >= self.sustain:
+                if state.streak >= SUSTAIN:
                     state.hot = True
                     hot.append(node)
             else:

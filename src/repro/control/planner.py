@@ -5,11 +5,14 @@ The planner is the *deciding* leg of the control plane.  Given a
 list, it picks (tenant, destination) moves that drain the hot nodes
 into the least-loaded cold ones, and ranks the candidates by predicted
 migration cost from the paper's Section 4.5.2 model: the dump/restore
-transfer term plus :func:`~repro.experiments.costmodel.cost_madeus`
-over :func:`~repro.experiments.costmodel.parameters_from_run`
-parameters fed from the view's live counters (commit and WAL-flush
-rates).  Cheapest moves first — under a concurrent-move budget, the
-moves that finish fastest rebalance the cluster soonest.
+transfer term (at the rates a move migrates at, :data:`MOVE_OPTIONS`
+over the middleware's config) plus
+:func:`~repro.experiments.costmodel.cost_madeus` over
+:func:`~repro.experiments.costmodel.parameters_from_run` parameters fed
+from the view's live counters (commit and WAL-flush rates) and this
+module's per-statement cost constants.  Cheapest moves first — under a
+concurrent-move budget, the moves that finish fastest rebalance the
+cluster soonest.
 
 Two memories keep the plan sane across rounds:
 
@@ -17,7 +20,7 @@ Two memories keep the plan sane across rounds:
   eligible again until its cooldown expires, so the planner can never
   ping-pong one tenant between nodes;
 * *excluded destinations* — a node that failed a move (crashed under
-  restore) is skipped as a target until its exclusion TTL expires,
+  restore) is skipped as a target for :data:`EXCLUSION_TTL`,
   mirroring the scheduler's per-job excluded-destination memory at the
   fleet level.
 """
@@ -26,13 +29,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
+from ..core.middleware import Middleware, MigrationOptions
 from ..experiments.costmodel import cost_madeus, parameters_from_run
 from .watcher import ClusterView
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.middleware import Middleware
+#: What every move passes to the scheduler: the control plane journals
+#: its moves, so a crash-parked move is resumed, not restarted.
+MOVE_OPTIONS = MigrationOptions(resume=True)
+#: Sim seconds a node that failed a move is barred as a target.
+EXCLUSION_TTL = 60.0
+#: Section 4.5.2 parameters the view does not measure: statements per
+#: transaction and their replay costs, and the slave's fsync latency.
+EST_READS_PER_TXN = 2.0
+EST_WRITES_PER_TXN = 2.0
+READ_COST = 0.003
+WRITE_COST = 0.004
+FSYNC_LATENCY = 0.005
 
 
 @dataclass(frozen=True)
@@ -53,23 +67,10 @@ class PlannedMove:
 class Planner:
     """Rank (tenant, destination) moves by predicted migration cost."""
 
-    def __init__(self, middleware: "Middleware", *,
-                 cooldown: float = 30.0, exclusion_ttl: float = 60.0,
-                 est_reads_per_txn: float = 2.0,
-                 est_writes_per_txn: float = 2.0,
-                 fsync_latency: float = 0.005,
-                 dump_mb_s: float = 40.0, restore_mb_s: float = 10.0,
-                 read_cost: float = 0.003, write_cost: float = 0.004):
+    def __init__(self, middleware: Middleware, *,
+                 cooldown: float = 30.0):
         self.middleware = middleware
         self.cooldown = cooldown
-        self.exclusion_ttl = exclusion_ttl
-        self.est_reads_per_txn = est_reads_per_txn
-        self.est_writes_per_txn = est_writes_per_txn
-        self.fsync_latency = fsync_latency
-        self.dump_mb_s = dump_mb_s
-        self.restore_mb_s = restore_mb_s
-        self.read_cost = read_cost
-        self.write_cost = write_cost
         #: Tenant -> sim time its move cooldown expires.
         self._moved_until: Dict[str, float] = {}
         #: Node -> sim time its destination exclusion expires.
@@ -86,7 +87,7 @@ class Planner:
 
     def exclude_destination(self, node: str, now: float) -> None:
         """Bar ``node`` as a move target for one exclusion TTL."""
-        self._excluded_until[node] = now + self.exclusion_ttl
+        self._excluded_until[node] = now + EXCLUSION_TTL
 
     def is_excluded(self, node: str, now: float) -> bool:
         """Whether ``node`` is currently barred as a target."""
@@ -97,15 +98,17 @@ class Planner:
                        size_mb: float) -> float:
         """Predicted migration cost for moving ``tenant`` now.
 
-        Transfer term (dump + restore of the snapshot at the configured
-        rates) plus the Section 4.5.2 catch-up cost (Eq. 2) of the
-        operations the tenant commits *during* that transfer, with the
+        Transfer term (dump + restore of the snapshot at the rates of
+        :data:`MOVE_OPTIONS` over the middleware's config) plus the
+        Section 4.5.2 catch-up cost (Eq. 2) of the operations the
+        tenant commits *during* that transfer, with the
         group-commit split estimated from the source node's live
         commit/flush rates (more flushes per commit -> fewer grouped
         commits -> costlier catch-up).
         """
-        transfer = (size_mb / self.dump_mb_s
-                    + size_mb / self.restore_mb_s)
+        rates = self.middleware.resolve_options(MOVE_OPTIONS).rates
+        transfer = (size_mb / rates.dump_mb_s
+                    + size_mb / rates.restore_mb_s)
         rate = view.tenant_rates.get(tenant, 0.0)
         total_txns = int(math.ceil(rate * transfer))
         if total_txns <= 0:
@@ -120,11 +123,11 @@ class Planner:
         flush_count = int(math.ceil(total_txns * flushes_per_commit))
         params = parameters_from_run(
             total_txns=total_txns,
-            reads_per_txn=self.est_reads_per_txn,
-            writes_per_txn=self.est_writes_per_txn,
+            reads_per_txn=EST_READS_PER_TXN,
+            writes_per_txn=EST_WRITES_PER_TXN,
             flush_count=min(total_txns, flush_count),
-            fsync_latency=self.fsync_latency,
-            read_cost=self.read_cost, write_cost=self.write_cost)
+            fsync_latency=FSYNC_LATENCY,
+            read_cost=READ_COST, write_cost=WRITE_COST)
         return transfer + cost_madeus(params)
 
     def _tenant_size(self, tenant: str, source: str) -> float:

@@ -2,7 +2,7 @@
 
 :class:`Rebalancer` closes the loop that ROADMAP item 1 left open: it
 wires the :class:`~repro.control.watcher.LoadWatcher` (sampling load
-from the obs gauges), the
+from the middleware's commit and WAL-flush counters), the
 :class:`~repro.control.detector.HotspotDetector` (hysteresis, so a
 borderline node never ping-pongs), and the
 :class:`~repro.control.planner.Planner` (Section 4.5.2 cost-ranked
@@ -25,10 +25,11 @@ trace alone:
   carries.
 
 The settable knobs live on :class:`RebalanceOptions`, each with its
-default beside it.  Every move migrates on :data:`MOVE_OPTIONS` laid
-over the middleware's config, so it is journalled on any middleware.
-The sampling and planning cadence (:data:`SAMPLE_INTERVAL`,
-:data:`DECIDE_EVERY`) are module constants.
+default beside it.  Every move migrates on
+:data:`~repro.control.planner.MOVE_OPTIONS` laid over the middleware's
+config, so it is journalled on any middleware.  The sampling and
+planning cadence (:data:`SAMPLE_INTERVAL`, :data:`DECIDE_EVERY`) are
+module constants, and the loop watches every node of the cluster.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Set
 
-from ..core.middleware import Middleware, MigrationOptions
+from ..core.middleware import Middleware
 from ..core.scheduler import (
     MigrationScheduler,
     ScheduleOptions,
@@ -45,7 +46,7 @@ from ..core.scheduler import (
 from ..errors import MigrationError
 from ..obs.trace import SPAN
 from .detector import HotspotDetector
-from .planner import PlannedMove, Planner
+from .planner import MOVE_OPTIONS, PlannedMove, Planner
 from .watcher import ClusterView, LoadWatcher
 
 
@@ -53,9 +54,6 @@ from .watcher import ClusterView, LoadWatcher
 SAMPLE_INTERVAL = 1.0
 #: Planning cadence: decide every N samples.
 DECIDE_EVERY = 2
-#: What every move passes to the scheduler: the control plane journals
-#: its moves, so a crash-parked move is resumed, not restarted.
-MOVE_OPTIONS = MigrationOptions(resume=True)
 
 
 @dataclass(frozen=True)
@@ -144,18 +142,13 @@ class Rebalancer:
     """
 
     def __init__(self, middleware: Middleware,
-                 options: Optional[RebalanceOptions] = None,
-                 nodes: Optional[List[str]] = None):
+                 options: Optional[RebalanceOptions] = None):
         self.middleware = middleware
         self.env = middleware.env
         self.options = opts = options or RebalanceOptions()
-        self.watcher = LoadWatcher(middleware, nodes=nodes,
-                                   window=opts.window)
+        self.watcher = LoadWatcher(middleware, window=opts.window)
         self.detector = HotspotDetector(cooldown=opts.cooldown)
-        rates = middleware.resolve_options(MOVE_OPTIONS).rates
-        self.planner = Planner(
-            middleware, cooldown=opts.cooldown,
-            dump_mb_s=rates.dump_mb_s, restore_mb_s=rates.restore_mb_s)
+        self.planner = Planner(middleware, cooldown=opts.cooldown)
         # Two moves in flight at once; every move gets two scheduler
         # re-attempts, which resume a crash-parked move's journal.
         self.scheduler = MigrationScheduler(middleware, ScheduleOptions(

@@ -1,22 +1,20 @@
 """Sampling cluster load into rolling windows.
 
 The :class:`LoadWatcher` is the *sensing* leg of the control plane: it
-periodically asks the middleware to publish its per-tenant counters and
-per-link utilisation (:meth:`Middleware.publish_load_gauges`), reads
-them back exclusively through the stable
-:meth:`~repro.obs.metrics.MetricsRegistry.gauge_value` API, converts
-the cumulative counters into *rates* (commits per sim second over the
-sample interval), and smooths each rate over a rolling window.  The
-rest of the control plane never touches raw counters: the hotspot
-detector and planner consume the immutable :class:`ClusterView` the
-watcher produces.
+periodically reads the counters that make load where they are counted
+— each tenant's ``commits_seen`` on the middleware and each node's
+``wal.flush_count`` — converts the cumulative counters into *rates*
+(per sim second over the sample interval), and smooths each rate over
+a rolling window.  The rest of the control plane never touches raw
+counters: the hotspot detector and planner consume the immutable
+:class:`ClusterView` the watcher produces.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.middleware import Middleware
@@ -45,7 +43,7 @@ class ClusterView:
     """One immutable, point-in-time reading of cluster load.
 
     Everything downstream decision code needs, so the detector and
-    planner are pure functions of a view instead of re-reading gauges
+    planner are pure functions of a view instead of re-reading counters
     themselves (and possibly seeing a torn sample).
     """
 
@@ -61,10 +59,6 @@ class ClusterView:
     node_loads: Dict[str, float] = field(default_factory=dict)
     #: Node -> windowed mean WAL flush rate (flushes / sim second).
     node_flush_rates: Dict[str, float] = field(default_factory=dict)
-    #: Conductor concurrent-players gauge (propagation pressure).
-    players: float = 0.0
-    #: Link-port name -> busy fraction since the previous sample.
-    link_utilisation: Dict[str, float] = field(default_factory=dict)
 
     @property
     def imbalance(self) -> float:
@@ -84,46 +78,45 @@ class ClusterView:
 class LoadWatcher:
     """Sample per-tenant/per-node load into rolling windows.
 
-    Passive: :meth:`sample_once` takes one reading and returns the
-    refreshed :class:`ClusterView`; the caller (the
+    Passive: :meth:`sample_once` takes one reading of every registered
+    tenant and every node of the cluster and returns the refreshed
+    :class:`ClusterView`; the caller (the
     :class:`~repro.control.rebalancer.Rebalancer` loop, or a test)
-    decides the cadence.  All iteration is over sorted names, so a
-    seeded run samples deterministically.
+    decides the cadence.  The counters are read where they are kept
+    (``middleware.tenant_state(t).commits_seen``, each node's
+    ``instance.wal.flush_count``), so a node no metrics registry was
+    bound to reads its true load.  All iteration is over sorted names,
+    so a seeded run samples deterministically.
     """
 
-    def __init__(self, middleware: "Middleware",
-                 nodes: Optional[List[str]] = None,
-                 window: int = 5):
+    def __init__(self, middleware: "Middleware", window: int = 5):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.middleware = middleware
         self.env = middleware.env
-        self.nodes = sorted(nodes if nodes is not None
-                            else middleware.cluster.nodes)
+        self.nodes = sorted(middleware.cluster.nodes)
         self.window = window
         self._last_at: Optional[float] = None
-        self._last_commits: Dict[str, float] = {}
-        self._last_flushes: Dict[str, float] = {}
-        self._rates: Dict[str, Deque[float]] = {}
-        self._flush_rates: Dict[str, Deque[float]] = {}
+        #: (counter, name) -> its last reading / its rolling rates.
+        self._last: Dict[Tuple[str, str], float] = {}
+        self._windows: Dict[Tuple[str, str], Deque[float]] = {}
         self._view = ClusterView(at=self.env.now, window=window,
                                  node_loads={name: 0.0
                                              for name in self.nodes})
 
     # ------------------------------------------------------------------
-    def _window_for(self, store: Dict[str, Deque[float]],
-                    key: str) -> Deque[float]:
-        bucket = store.get(key)
+    def _rate(self, key: Tuple[str, str], count: float,
+              elapsed: float) -> float:
+        """Fold the cumulative ``count`` into ``key``'s rolling window
+        (nothing on the first reading) and return the window mean."""
+        bucket = self._windows.get(key)
         if bucket is None:
-            bucket = deque(maxlen=self.window)
-            store[key] = bucket
-        return bucket
-
-    @staticmethod
-    def _mean(bucket: Deque[float]) -> float:
-        if not bucket:
-            return 0.0
-        return sum(bucket) / len(bucket)
+            bucket = self._windows[key] = deque(maxlen=self.window)
+        last = self._last.get(key)
+        if last is not None and elapsed > 0:
+            bucket.append(max(0.0, count - last) / elapsed)
+        self._last[key] = count
+        return sum(bucket) / len(bucket) if bucket else 0.0
 
     def sample_once(self) -> ClusterView:
         """Take one reading and return the refreshed view.
@@ -132,22 +125,15 @@ class LoadWatcher:
         need two points); it reports zero rates rather than guessing.
         """
         middleware = self.middleware
-        metrics = self.middleware.metrics
         now = self.env.now
-        since = self._last_at if self._last_at is not None else 0.0
-        middleware.publish_load_gauges(since=since)
-        elapsed = now - since if self._last_at is not None else 0.0
+        elapsed = now - self._last_at if self._last_at is not None else 0.0
 
         tenant_rates: Dict[str, float] = {}
         tenant_nodes: Dict[str, str] = {}
         for tenant in middleware.tenants():
-            commits = metrics.gauge_value("tenant.%s.commits" % tenant)
-            last = self._last_commits.get(tenant)
-            bucket = self._window_for(self._rates, tenant)
-            if last is not None and elapsed > 0:
-                bucket.append(max(0.0, commits - last) / elapsed)
-            self._last_commits[tenant] = commits
-            tenant_rates[tenant] = self._mean(bucket)
+            tenant_rates[tenant] = self._rate(
+                ("commits", tenant),
+                middleware.tenant_state(tenant).commits_seen, elapsed)
             tenant_nodes[tenant] = middleware.route(tenant)
 
         node_loads = {name: 0.0 for name in self.nodes}
@@ -156,29 +142,18 @@ class LoadWatcher:
             if host in node_loads:
                 node_loads[host] += rate
 
-        node_flush_rates: Dict[str, float] = {}
-        for node in self.nodes:
-            flushes = metrics.gauge_value("%s.wal.flushes" % node)
-            last = self._last_flushes.get(node)
-            bucket = self._window_for(self._flush_rates, node)
-            if last is not None and elapsed > 0:
-                bucket.append(max(0.0, flushes - last) / elapsed)
-            self._last_flushes[node] = flushes
-            node_flush_rates[node] = self._mean(bucket)
-
-        link_utilisation: Dict[str, float] = {}
-        for name in sorted(
-                middleware.cluster.network.link_ports()):
-            link_utilisation[name] = metrics.gauge_value(
-                "net.link.%s.utilisation" % name)
+        node_flush_rates = {
+            node: self._rate(
+                ("flushes", node),
+                middleware.cluster.node(node).instance.wal.flush_count,
+                elapsed)
+            for node in self.nodes}
 
         self._last_at = now
         self._view = ClusterView(
             at=now, window=self.window, tenant_rates=tenant_rates,
             tenant_nodes=tenant_nodes, node_loads=node_loads,
-            node_flush_rates=node_flush_rates,
-            players=metrics.gauge_value("propagation.players"),
-            link_utilisation=link_utilisation)
+            node_flush_rates=node_flush_rates)
         return self._view
 
     def view(self) -> ClusterView:

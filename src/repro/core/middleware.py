@@ -268,36 +268,6 @@ class Middleware:
         """Every registered tenant name, sorted."""
         return sorted(self._tenants)
 
-    def publish_load_gauges(self, since: float = 0.0) -> None:
-        """Mirror per-tenant and per-link load into the registry.
-
-        The worker path keeps its counters as plain attributes on
-        :class:`TenantState` (the hot path must not pay a registry
-        lookup per statement); this publishes them as
-        ``tenant.<name>.operations`` / ``.commits`` / ``.aborts``
-        gauges, plus ``net.link.<port>.utilisation`` (the busy fraction
-        of every materialised :class:`~repro.net.network.LinkPort`
-        since ``since``), so the control plane and library users read
-        load exclusively through the stable
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` /
-        ``gauge_value`` API.  Sampling loops (the LoadWatcher) call
-        this once per tick, off the hot path.
-        """
-        for name in sorted(self._tenants):
-            state = self._tenants[name]
-            prefix = "tenant.%s" % name
-            self.metrics.gauge("%s.operations" % prefix).set(
-                state.operations_seen)
-            self.metrics.gauge("%s.commits" % prefix).set(
-                state.commits_seen)
-            self.metrics.gauge("%s.aborts" % prefix).set(
-                state.aborts_seen)
-        network = self.cluster.network
-        for port_name, port in sorted(network.link_ports().items()):
-            self.metrics.gauge("net.link.%s.utilisation"
-                               % port_name).set(
-                port.utilisation(since=since))
-
     def owners(self, tenant: str) -> List[str]:
         """The node(s) that own ``tenant`` — by design exactly one.
 

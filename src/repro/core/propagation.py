@@ -265,32 +265,51 @@ class _BasePropagator:
         yield self._link_signal
         self._link_signal = None
 
-    #: Resend budget for one operation across a transient link outage.
+    #: Resend budget for one hop across a transient link outage.
     NET_RETRY_LIMIT = 6
     NET_RETRY_BASE = 0.05
     NET_RETRY_CAP = 1.0
+
+    #: The slave counts as "caught up" once the replay lag is this many
+    #: replication units or fewer.  Under heavy workload the pipe never
+    #: hits a strictly empty instant (commits arrive every few
+    #: milliseconds), so — like any practical migration controller —
+    #: the manager moves to Step 4 at a small bounded lag and drains the
+    #: remainder there.
+    CATCHUP_THRESHOLD = 8
+
+    def _resend(self, down: NetworkDown, hop: Callable[..., Generator],
+                *args: Any) -> Generator:
+        """Resend ``hop(*args)``, which just raised ``down``, with capped
+        exponential backoff; re-raise the last outage past the budget.
+
+        Callers run the first attempt inline and enter here only on an
+        outage, so a fault-free hop costs no extra generator frame.
+        """
+        for attempt in range(1, self.NET_RETRY_LIMIT + 1):
+            self.stats.net_retries += 1
+            yield self.env.timeout(backoff_delay(
+                attempt, self.NET_RETRY_BASE, self.NET_RETRY_CAP))
+            try:
+                yield from hop(*args)
+                return
+            except NetworkDown as again:
+                down = again
+        raise down
 
     def _replay_statement(self, session: Session,
                           operation: Operation) -> Generator:
         """Forward one operation to the slave and await its response.
 
-        Transient :class:`NetworkDown` hops are resent with capped
-        exponential backoff (replay is idempotent up to the statement:
-        nothing reached the slave).  A crashed slave raises
-        :class:`NodeCrashed` so the manager can discard or fail over.
+        Transient :class:`NetworkDown` hops are resent (:meth:`_resend`;
+        replay is idempotent up to the statement: nothing reached the
+        slave).  A crashed slave raises :class:`NodeCrashed` so the
+        manager can discard or fail over.
         """
-        attempt = 0
-        while True:
-            try:
-                yield from self.network.round_trip()
-                break
-            except NetworkDown:
-                attempt += 1
-                if attempt > self.NET_RETRY_LIMIT:
-                    raise
-                self.stats.net_retries += 1
-                yield self.env.timeout(backoff_delay(
-                    attempt, self.NET_RETRY_BASE, self.NET_RETRY_CAP))
+        try:
+            yield from self.network.round_trip()
+        except NetworkDown as down:
+            yield from self._resend(down, self.network.round_trip)
         result = yield from session.execute(operation.statement,
                                             cpu_cost=operation.cpu_cost)
         if not result.ok:
@@ -450,13 +469,6 @@ class Conductor(_BasePropagator):
                 self._active_players)
 
     # ------------------------------------------------------------------
-    #: The slave counts as "caught up" once the replay lag is this many
-    #: syncsets or fewer.  Under heavy workload the pipe never hits a
-    #: strictly empty instant (commits arrive every few milliseconds),
-    #: so — like any practical migration controller — the manager moves
-    #: to Step 4 at a small bounded lag and drains the remainder there.
-    CATCHUP_THRESHOLD = 8
-
     def _on_fail(self) -> None:
         # Unpark players waiting for a commit order so their processes can
         # observe the dead slave and exit instead of hanging forever.

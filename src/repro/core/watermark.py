@@ -36,7 +36,6 @@ from ..engine.dump import (
 )
 from ..engine.wal import change_payload_mb
 from ..errors import NetworkDown, NodeCrashed
-from ..sim.sync import backoff_delay
 from .pipeline import ship_with_retry
 from .propagation import _BasePropagator
 from .ssb import LogCursor, Marker
@@ -118,10 +117,6 @@ class ChangeStreamApplier(_BasePropagator):
     #: a ``hi`` marker waits behind in-flight work.
     BATCH_LIMIT = 32
 
-    #: Same bounded-lag definition as :class:`Conductor`: under heavy
-    #: workload the stream never hits a strictly empty instant.
-    CATCHUP_THRESHOLD = 8
-
     def __init__(self, env: "Environment", cursor: LogCursor,
                  source_name: str, slave: "DbmsInstance",
                  tenant_name: str, network: "Network",
@@ -189,20 +184,13 @@ class ChangeStreamApplier(_BasePropagator):
         """Ship one batch of transactions and install their images."""
         operations = sum(len(writes) for writes in batch)
         payload = change_payload_mb(operations)
-        attempt = 0
-        while True:
+        if payload > 0:
+            ship = self.network.bulk_transfer
+            route = (self.source_name, self.slave.name, payload)
             try:
-                if payload > 0:
-                    yield from self.network.bulk_transfer(
-                        self.source_name, self.slave.name, payload)
-                break
-            except NetworkDown:
-                attempt += 1
-                if attempt > self.NET_RETRY_LIMIT:
-                    raise
-                self.stats.net_retries += 1
-                yield self.env.timeout(backoff_delay(
-                    attempt, self.NET_RETRY_BASE, self.NET_RETRY_CAP))
+                yield from ship(*route)
+            except NetworkDown as down:
+                yield from self._resend(down, ship, *route)
         if self.slave.crashed:
             raise NodeCrashed(self.slave.name,
                               "crashed during change-stream apply")

@@ -204,8 +204,7 @@ def run_rebalance(profile: Optional[Profile] = None, *,
     # -- the control plane ----------------------------------------------
     rebalance_options = options or RebalanceOptions(
         window=3, cooldown=min(25.0, phase_seconds / 3.0))
-    rebalancer = Rebalancer(middleware, rebalance_options,
-                            nodes=node_names)
+    rebalancer = Rebalancer(middleware, rebalance_options)
     rebalancer.start()
 
     def offered_loads() -> Dict[str, float]:

@@ -57,6 +57,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..obs.trace import PHASE_ORDER
+
 CRASH = "crash"
 LINK_DOWN = "link_down"
 LATENCY = "latency"
@@ -73,9 +75,6 @@ NODE_KINDS = (CRASH, DISK_STALL)
 
 #: Kinds whose ``target`` names a router shard instead of a node.
 ROUTER_KINDS = (ROUTER_CRASH,)
-
-#: The phase names a spec may anchor to (repro.obs.trace.PHASE_ORDER).
-PHASES = ("dump", "restore", "catch-up", "handover")
 
 #: Lifecycle moments of another fault a spec may chain to via ``after``.
 AFTER_EVENTS = ("injected", "recovered")
@@ -139,9 +138,10 @@ class FaultSpec:
         if self.kind == DISK_STALL and self.duration <= 0:
             raise ValueError("fault %r: a disk stall needs a positive "
                              "duration" % self.name)
-        if self.phase is not None and self.phase not in PHASES:
+        if self.phase is not None and self.phase not in PHASE_ORDER:
             raise ValueError("fault %r: unknown phase %r (one of %s)"
-                             % (self.name, self.phase, ", ".join(PHASES)))
+                             % (self.name, self.phase,
+                                ", ".join(PHASE_ORDER)))
         if self.after_event not in AFTER_EVENTS:
             raise ValueError(
                 "fault %r: unknown after_event %r (one of %s)"

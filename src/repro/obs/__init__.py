@@ -12,7 +12,6 @@ The subsystem is deliberately tiny and dependency-free:
 
 from .export import read_trace, write_trace
 from .metrics import MetricsRegistry
-from .trace import Tracer, check_phase_order
+from .trace import Tracer
 
-__all__ = ["MetricsRegistry", "Tracer", "check_phase_order", "read_trace",
-           "write_trace"]
+__all__ = ["MetricsRegistry", "Tracer", "read_trace", "write_trace"]

@@ -195,60 +195,3 @@ class Tracer:
         """Direct children of ``span``, in start order."""
         return self.find(parent=span)
 
-
-def check_phase_order(spans: List[Span]) -> List[str]:
-    """Validate migration phase spans; returns human-readable problems.
-
-    For each migration (grouped by ``parent_id``) the phases present must
-    appear in :data:`PHASE_ORDER`, each phase must be finished with a
-    non-negative duration, and each phase must start no earlier than its
-    predecessor ended.  An empty return value means the trace is clean.
-
-    Pipelined exception: consecutive phases that both carry a truthy
-    ``pipelined`` attribute (dump/restore on the streamed snapshot path)
-    are *expected* to overlap — start order is still enforced, the
-    no-overlap rule is waived for exactly that pair.
-    """
-    problems: List[str] = []
-    groups: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        if span.kind == PHASE:
-            groups.setdefault(span.parent_id, []).append(span)
-    if not groups:
-        return ["no phase spans found"]
-    rank = {name: index for index, name in enumerate(PHASE_ORDER)}
-    for parent_id, phases in sorted(groups.items(),
-                                    key=lambda item: item[0] or -1):
-        phases.sort(key=lambda s: (s.start, s.span_id))
-        label = ("migration %s" % parent_id if parent_id is not None
-                 else "orphan phases")
-        previous: Optional[Span] = None
-        for phase in phases:
-            if phase.name not in rank:
-                problems.append("%s: unknown phase %r"
-                                % (label, phase.name))
-                continue
-            if phase.end is None:
-                problems.append("%s: phase %r never finished"
-                                % (label, phase.name))
-                continue
-            if phase.duration is not None and phase.duration < 0:
-                problems.append("%s: phase %r has negative duration"
-                                % (label, phase.name))
-            if previous is not None:
-                if rank[phase.name] <= rank[previous.name]:
-                    problems.append(
-                        "%s: phase %r started after %r (expected order: "
-                        "%s)" % (label, previous.name, phase.name,
-                                 " -> ".join(PHASE_ORDER)))
-                overlap_ok = (phase.attrs.get("pipelined")
-                              and previous.attrs.get("pipelined"))
-                if (previous.end is not None
-                        and phase.start < previous.end
-                        and not overlap_ok):
-                    problems.append(
-                        "%s: phase %r started at %g before %r ended "
-                        "at %g" % (label, phase.name, phase.start,
-                                   previous.name, previous.end))
-            previous = phase
-    return problems

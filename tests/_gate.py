@@ -1,9 +1,12 @@
 """``scripts/gate.py`` for the tests: the module itself (it is a script,
-not part of the package) and corrupted copies of real artifacts."""
+not part of the package), its judgement of a live tracer, and corrupted
+copies of real artifacts."""
 
 import importlib.util
 import json
 import os
+
+from repro.obs import write_trace
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -22,6 +25,13 @@ gate = _load()
 def trace_failures(path, **expect):
     """What a table row expecting ``expect`` says about the trace."""
     return gate.check_artifact(gate.Trace(str(path)), expect)
+
+
+def phase_order_failures(tracer, path):
+    """What the gate's ``phase_order`` key says about a live
+    :class:`~repro.obs.Tracer`, exported to ``path`` first."""
+    write_trace(str(path), tracer)
+    return trace_failures(path, phase_order=True)
 
 
 def corrupt_trace(source, target, mutate):

@@ -97,7 +97,21 @@ RETIRED = {
     "experiments.common.build_testbed": (
         {"validate_lsir": True}, {"verify_consistency": True}),
     "core.propagation.make_propagator": ({"validator": None},),
+    # 9.0.0: the control plane's constants and derived values.
+    "control.HotspotDetector": ({"enter_ratio": 1.5}, {"exit_ratio": 1.1},
+                                {"sustain": 2}, {"min_load": 0.0}),
+    "control.Planner": ({"exclusion_ttl": 60.0},
+                        {"est_reads_per_txn": 2.0},
+                        {"est_writes_per_txn": 2.0},
+                        {"fsync_latency": 0.005}, {"read_cost": 0.003},
+                        {"write_cost": 0.004}, {"dump_mb_s": 40.0},
+                        {"restore_mb_s": 10.0}),
+    "control.Rebalancer": ({"nodes": ["node0"]},),
+    "control.LoadWatcher": ({"nodes": ["node0"]},),
+    "control.ClusterView": ({"players": 0.0}, {"link_utilisation": {}}),
 }
+#: Methods this repo once had, by class; each is now an AttributeError.
+RETIRED_METHODS = {"core.Middleware": ("publish_load_gauges",)}
 POSITIONAL = {"engine.DbmsInstance": (None, "n"),
               "cluster.Cluster.add_node": (None, "n"),
               "cluster.node.Node": (None, "n"),
@@ -106,7 +120,23 @@ POSITIONAL = {"engine.DbmsInstance": (None, "n"),
               "router.RouterFleet": (None, None),
               "router.RouterShard": (None, None, "r"),
               "experiments.common.build_testbed": (None, None),
-              "core.propagation.make_propagator": (None,) * 6}
+              "core.propagation.make_propagator": (None,) * 6,
+              "control.Planner": (None,),
+              "control.Rebalancer": (None,),
+              "control.LoadWatcher": (None,),
+              "control.ClusterView": (0.0, 1)}
+
+
+def _resolve(name):
+    """``repro.api.<name>`` for the four classes, else ``repro.<name>``
+    (a dotted path under the package), importing submodules on the
+    way."""
+    target = repro.api if name in FOUR else repro
+    for part in name.split("."):
+        if not hasattr(target, part):  # a submodule not yet imported
+            importlib.import_module("%s.%s" % (target.__name__, part))
+        target = getattr(target, part)
+    return target
 
 
 def _retired_id(case):
@@ -242,7 +272,7 @@ class TestFacade:
         assert names == sorted(names)
         for name in names:
             assert getattr(repro, name) is getattr(repro.api, name), name
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_policy_by_name_resolves_madeus(self):
         assert repro.api.policy_by_name("Madeus") is MADEUS
@@ -281,13 +311,15 @@ class TestUnifiedKnobNames:
         # There are no shims: an unknown keyword is a TypeError from
         # the dataclass (or the signature) itself.
         name, retired = case
-        target = repro.api if name in FOUR else repro
-        for part in name.split("."):
-            if not hasattr(target, part):  # a submodule not yet imported
-                importlib.import_module("%s.%s" % (target.__name__, part))
-            target = getattr(target, part)
         with pytest.raises(TypeError, match="unexpected keyword"):
-            target(*POSITIONAL.get(name, ()), **retired)
+            _resolve(name)(*POSITIONAL.get(name, ()), **retired)
+
+    @pytest.mark.parametrize(
+        "name,method", [(name, method) for name in RETIRED_METHODS
+                        for method in RETIRED_METHODS[name]])
+    def test_each_retired_method_is_gone(self, name, method):
+        with pytest.raises(AttributeError):
+            getattr(_resolve(name), method)
 
     def test_no_options_class_has_a_resolve_method(self):
         # Defaults are readable without a call; the one place options

@@ -152,6 +152,7 @@ class TestScenarioTable:
         ["rebalance", "--phases", "3"],
         ["rebalance", "--phase-seconds", "150"],
         ["rebalance", "--bench-dir", "out"],
+        ["trace", "trace.jsonl", "--check-phases"],
     ], ids=" ".join)
     def test_each_retired_spelling_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -19,6 +19,7 @@ from repro.control import (
     Rebalancer,
     imbalance_coefficient,
 )
+from repro.control import detector as detector_module
 from repro.control.planner import PlannedMove
 from repro.core import (
     MADEUS,
@@ -30,7 +31,11 @@ from repro.core import (
 from repro.engine import TransferRates
 from repro.errors import MigrationError
 from repro.sim import Environment
-from repro.workload.simplekv import setup_kv_tenant
+from repro.workload.simplekv import (
+    KvWorkloadConfig,
+    run_kv_clients,
+    setup_kv_tenant,
+)
 
 RATES = TransferRates(dump_mb_s=8.0, restore_mb_s=4.0, base_mb=16.0)
 
@@ -76,38 +81,44 @@ class TestClusterView:
             _view({}).at = 9.0
 
 
+@pytest.fixture
+def sustain_one(monkeypatch):
+    """A node is hot after one sample above the enter threshold."""
+    monkeypatch.setattr(detector_module, "SUSTAIN", 1)
+
+
 class TestHotspotDetector:
+    # ENTER_RATIO 1.5, EXIT_RATIO 1.1, SUSTAIN 2 (1 under sustain_one).
     def test_enters_only_after_sustain_samples(self):
-        detector = HotspotDetector(enter_ratio=1.5, exit_ratio=1.1,
-                                   sustain=2, cooldown=10.0)
+        detector = HotspotDetector(cooldown=10.0)
         loads = {"n0": 6.0, "n1": 1.0, "n2": 1.0, "n3": 0.0}
         assert detector.observe(_view(loads, at=1.0)) == []
         assert detector.observe(_view(loads, at=2.0)) == ["n0"]
         assert detector.is_hot("n0")
 
+    @pytest.mark.usefixtures("sustain_one")
     def test_exact_enter_threshold_never_transitions(self):
         # mean = 2.0, enter threshold = 3.0; a load of exactly 3.0 must
         # never enter (strict comparison: dead band, not knife edge).
-        detector = HotspotDetector(enter_ratio=1.5, exit_ratio=1.1,
-                                   sustain=1, cooldown=0.0)
+        detector = HotspotDetector(cooldown=0.0)
         loads = {"n0": 3.0, "n1": 2.0, "n2": 2.0, "n3": 1.0}
         for tick in range(5):
             assert detector.observe(_view(loads, at=float(tick))) == []
 
+    @pytest.mark.usefixtures("sustain_one")
     def test_dead_band_keeps_a_hot_node_hot(self):
         # Enter at > 1.5x mean, exit only below 1.1x mean: a load that
         # falls between the thresholds must stay hot, not flap.
-        detector = HotspotDetector(enter_ratio=1.5, exit_ratio=1.1,
-                                   sustain=1, cooldown=10.0)
+        detector = HotspotDetector(cooldown=10.0)
         hot = {"n0": 6.0, "n1": 1.0, "n2": 1.0, "n3": 0.0}
         assert detector.observe(_view(hot, at=1.0)) == ["n0"]
         between = {"n0": 2.6, "n1": 2.0, "n2": 2.0, "n3": 1.4}
         # mean 2.0 -> exit threshold 2.2 < 2.6 < enter threshold 3.0
         assert detector.observe(_view(between, at=2.0)) == ["n0"]
 
+    @pytest.mark.usefixtures("sustain_one")
     def test_exit_starts_cooldown_preventing_reentry(self):
-        detector = HotspotDetector(enter_ratio=1.5, exit_ratio=1.1,
-                                   sustain=1, cooldown=10.0)
+        detector = HotspotDetector(cooldown=10.0)
         hot = {"n0": 6.0, "n1": 1.0, "n2": 1.0, "n3": 0.0}
         even = {"n0": 2.0, "n1": 2.0, "n2": 2.0, "n3": 2.0}
         assert detector.observe(_view(hot, at=1.0)) == ["n0"]
@@ -119,28 +130,20 @@ class TestHotspotDetector:
         # After the window the streak accumulates again.
         assert detector.observe(_view(hot, at=13.0)) == ["n0"]
 
+    @pytest.mark.usefixtures("sustain_one")
     def test_idle_cluster_has_no_hotspots(self):
-        detector = HotspotDetector(sustain=1)
+        detector = HotspotDetector()
         loads = {"n0": 0.0, "n1": 0.0}
         assert detector.observe(_view(loads, at=1.0)) == []
 
-    def test_min_load_floor_suppresses_tiny_clusters(self):
-        detector = HotspotDetector(enter_ratio=1.5, exit_ratio=1.1,
-                                   sustain=1, min_load=5.0)
-        loads = {"n0": 4.0, "n1": 1.0, "n2": 1.0}
-        assert detector.observe(_view(loads, at=1.0)) == []
-
+    @pytest.mark.usefixtures("sustain_one")
     def test_hot_list_is_heaviest_first(self):
-        detector = HotspotDetector(enter_ratio=1.2, exit_ratio=1.1,
-                                   sustain=1)
+        detector = HotspotDetector()
+        # mean 3.25: both n0 and n1 are above the 4.875 enter threshold
         loads = {"n0": 5.0, "n1": 7.0, "n2": 0.5, "n3": 0.5}
         assert detector.observe(_view(loads, at=1.0)) == ["n1", "n0"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HotspotDetector(enter_ratio=1.1, exit_ratio=1.1)
-        with pytest.raises(ValueError):
-            HotspotDetector(sustain=0)
         with pytest.raises(ValueError):
             HotspotDetector(cooldown=-1.0)
 
@@ -236,7 +239,7 @@ class TestPlanner:
 
     def test_excluded_destination_is_skipped_until_ttl(self):
         _env, _cluster, middleware = _planner_bed()
-        planner = Planner(middleware, exclusion_ttl=60.0)
+        planner = Planner(middleware)
         planner.exclude_destination("node3", now=0.0)
         moves = planner.plan(_planner_view(at=1.0), ["node0"], now=1.0)
         assert moves[0].destination == "node1"  # next least-loaded
@@ -346,6 +349,22 @@ class TestLoadWatcher:
         # window mean of [4.0, 0.0]
         assert view.tenant_rates["A"] == pytest.approx(2.0)
         assert watcher.view() is view
+
+    def test_unbound_nodes_read_their_wal_flushes(self):
+        # No registry was bound to node0 (no bind_node_obs): its flush
+        # rate comes from the WAL itself, not from a metrics gauge.
+        env, middleware = self._bed()
+        watcher = LoadWatcher(middleware, window=3)
+        watcher.sample_once()
+        run_kv_clients(env, middleware, "A", KvWorkloadConfig(
+            keys=4, clients=4, transactions_per_client=40,
+            read_only_ratio=0.0), seed=3)
+        env.run()
+        wal = middleware.cluster.node("node0").instance.wal
+        assert wal.flush_count >= 90
+        view = watcher.sample_once()
+        assert view.node_flush_rates["node0"] > 0
+        assert view.node_flush_rates["node1"] == 0.0
 
     def test_window_validation(self):
         env, middleware = self._bed()

@@ -351,9 +351,7 @@ class TestSerialShipCrossesTheLinkPorts:
         assert peak("node2.ingress") == 1
         assert network.port("node0", "egress").bytes_mb == (
             2 * report.snapshot_size_mb)
-        middleware.publish_load_gauges()
-        assert metrics.gauge_value(
-            "net.link.node0.egress.utilisation") > 0.0
+        assert network.port("node0", "egress").utilisation() > 0
 
 
 class TestDestinationCrash:

@@ -314,6 +314,53 @@ class TestEveryKeyFails:
                    for failure in gate.check_ladder(ladder(), None, 0.3))
 
 
+def phase(name, start, end, pipelined=False):
+    """A phase span record of migration 7, as the exporter writes it."""
+    return {"type": "span", "kind": "phase", "name": name, "parent": 7,
+            "start": start, "end": end,
+            "attrs": {"pipelined": True} if pipelined else {}}
+
+
+class TestPhaseOrder:
+    """The ``phase_order`` key: the one judge of migration phase order."""
+
+    def test_in_order_phases_pass(self):
+        assert gate.check_phase_order([
+            phase("dump", 0.0, 2.0), phase("catch-up", 3.0, 5.0),
+            phase("handover", 5.0, 6.0)]) == []
+
+    def test_a_pipelined_overlap_passes(self):
+        assert gate.check_phase_order([
+            phase("dump", 0.0, 4.0, pipelined=True),
+            phase("restore", 1.0, 5.0, pipelined=True),
+            phase("catch-up", 5.0, 6.0)]) == []
+
+    def test_no_phase_spans_fail(self):
+        assert gate.check_phase_order([]) == ["no phase spans found"]
+
+    def test_an_unfinished_phase_fails(self):
+        assert gate.check_phase_order([phase("dump", 0.0, None)]) == [
+            "migration 7: phase 'dump' never finished"]
+
+    def test_an_overlap_outside_the_pipelined_pair_fails(self):
+        assert gate.check_phase_order([
+            phase("dump", 0.0, 4.0, pipelined=True),
+            phase("catch-up", 3.0, 5.0)]) == [
+            "migration 7: phase 'catch-up' starts before 'dump' ends"]
+
+    def test_out_of_order_phases_fail(self):
+        assert gate.check_phase_order([
+            phase("catch-up", 0.0, 1.0), phase("dump", 2.0, 3.0)]) == [
+            "migration 7: expected order dump/restore/catch-up/handover "
+            "but 'dump' follows 'catch-up'"]
+
+    def test_a_repeated_phase_fails(self):
+        assert gate.check_phase_order([
+            phase("dump", 0.0, 1.0), phase("dump", 1.0, 2.0)]) == [
+            "migration 7: expected order dump/restore/catch-up/handover "
+            "but 'dump' follows 'dump'"]
+
+
 # ----------------------------------------------------------------------
 # whole scenarios
 

@@ -5,10 +5,9 @@ import json
 
 import pytest
 
-from repro.obs import (MetricsRegistry, Tracer, check_phase_order,
-                       read_trace, write_trace)
+from _gate import trace_failures
+from repro.obs import MetricsRegistry, Tracer, read_trace, write_trace
 from repro.obs.timeline import render_report, render_timeline
-from repro.obs.trace import PHASE, Span
 
 
 class TestTracerSpans:
@@ -79,40 +78,6 @@ class TestTracerSpans:
         tracer = Tracer(env)
         span = tracer.start("open")
         assert span.open and span.duration is None
-
-
-class TestPhaseOrderChecker:
-    @staticmethod
-    def _phase(span_id, name, start, end, parent=7):
-        span = Span(span_id, name, PHASE, start, parent_id=parent)
-        span.end = end
-        return span
-
-    def test_clean_phases_pass(self):
-        spans = [self._phase(1, "dump", 0.0, 2.0),
-                 self._phase(2, "catch-up", 3.0, 5.0),
-                 self._phase(3, "handover", 5.0, 6.0)]
-        assert check_phase_order(spans) == []
-
-    def test_missing_phases_reported(self):
-        assert check_phase_order([]) == ["no phase spans found"]
-
-    def test_out_of_order_phases_reported(self):
-        spans = [self._phase(1, "catch-up", 0.0, 1.0),
-                 self._phase(2, "dump", 2.0, 3.0)]
-        problems = check_phase_order(spans)
-        assert problems and "expected order" in problems[0]
-
-    def test_unfinished_phase_reported(self):
-        span = Span(1, "dump", PHASE, 0.0, parent_id=7)
-        problems = check_phase_order([span])
-        assert problems == ["migration 7: phase 'dump' never finished"]
-
-    def test_overlapping_phases_reported(self):
-        spans = [self._phase(1, "dump", 0.0, 4.0),
-                 self._phase(2, "catch-up", 3.0, 5.0)]
-        problems = check_phase_order(spans)
-        assert any("before" in p for p in problems)
 
 
 class TestMetricsRegistry:
@@ -220,7 +185,7 @@ class TestJsonlRoundTrip:
         assert data.metric_value("wal.flushes") == 12
         assert data.metric_value("propagation.rounds") == 4
         assert data.metrics["wal.group_size"]["count"] == 1
-        assert check_phase_order(data.spans) == []
+        assert trace_failures(path, phase_order=True) == []
 
     def test_every_line_is_json(self, env, tmp_path):
         tracer, registry = self._sample(env)

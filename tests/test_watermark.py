@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control.rebalancer import MOVE_OPTIONS
+from repro.control.planner import MOVE_OPTIONS
 from repro.core import MigrationOptions, SnapshotStrategy
 from repro.core.middleware import JOURNAL_COMPLETED
 from repro.core.scheduler import MigrationScheduler
 from repro.errors import MigrationError, SourceCrashed
-from repro.obs.trace import check_phase_order
 from repro.sim import Environment
 
+from _gate import phase_order_failures
 from _helpers import drive
 from test_fault_tolerance import RATES, build, seed_tenant
 
@@ -204,13 +204,14 @@ class TestWatermarkMigration:
         assert report.dump_time > 0
         assert report.catchup_time < 0.5 * report.dump_time
 
-    def test_snapshot_spans_declare_their_overlap(self, env):
+    def test_snapshot_spans_declare_their_overlap(self, env, tmp_path):
         cluster, middleware = build(env, nodes=2)
         seed_tenant(env, cluster, middleware, overhead_mb=10.0)
         holder = _launch(env, middleware, resume=False)
         env.run()
         assert holder["report"].outcome == "ok"
-        assert check_phase_order(middleware.tracer.spans) == []
+        assert phase_order_failures(middleware.tracer,
+                                    tmp_path / "trace.jsonl") == []
         strategies = {span.attrs.get("strategy")
                       for span in middleware.tracer.spans
                       if span.name in ("dump", "restore")}
