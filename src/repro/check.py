@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core.journal import MigrationReport
     from .core.middleware import Middleware
     from .engine.database import TenantDatabase
-    from .engine.mvcc import Row
+    from .engine.mvcc import Image
+    from .engine.schema import TableSchema
     from .workload.simplekv import KvWorkloadResult
 
 
@@ -141,15 +142,16 @@ class LsirValidator:
 # ---------------------------------------------------------------------------
 
 def _latest_state(tenant: "TenantDatabase"
-                  ) -> Dict[str, Dict[Hashable, "Row"]]:
-    """table -> key -> latest committed row (tombstones skipped)."""
+                  ) -> Dict[str, Dict[Hashable, "Image"]]:
+    """table -> key -> latest committed image (tombstones skipped)."""
     return {name: dict(table.latest_rows())
             for name, table in tenant.tables.items()}
 
 
-def _items(row: Optional["Row"]) -> Optional[Tuple]:
+def _items(schema: "TableSchema", row: Optional["Image"]
+           ) -> Optional[Tuple]:
     """A row as its sorted items: how a difference names it."""
-    return None if row is None else tuple(sorted(row.items()))
+    return None if row is None else tuple(sorted(schema.row(row).items()))
 
 
 def states_equal(master: "TenantDatabase",
@@ -176,9 +178,11 @@ def states_equal(master: "TenantDatabase",
                                % (table, "slave" if s_rows is None
                                   else "master"))
             continue
+        schema = master.tables[table].schema
         keys = set(m_rows) | set(s_rows)
         for key in sorted(keys, key=repr):
-            m_row, s_row = _items(m_rows.get(key)), _items(s_rows.get(key))
+            m_row = _items(schema, m_rows.get(key))
+            s_row = _items(schema, s_rows.get(key))
             if m_row != s_row:
                 differences.append(
                     "table %r key %r: master=%r slave=%r"
@@ -210,13 +214,17 @@ def audit_kv_tenant(middleware: "Middleware", tenant: str,
     """Compare ``tenant``'s ``kv`` table on its owner with ``result``.
 
     Every key starts at 0 and every committed update adds 1, so a key
-    must hold exactly its acknowledged increment count.
+    must hold exactly its acknowledged increment count; a key missing
+    on the owner, or deleted there, holds 0 and has lost them all.
     """
     owner = middleware.cluster.node(middleware.route(tenant)).instance
     table = owner.tenant(tenant).table("kv")
+    schema = table.schema
     lost = phantom = below = above = 0
     for key, increments in result.committed_increments.items():
-        got = table.chain(key).latest()["v"]
+        chain = table.chain(key)
+        image = None if chain is None else chain.latest()
+        got = 0 if image is None else schema.row(image).get("v", 0)
         if got < increments:
             below += 1
             lost += increments - got

@@ -67,11 +67,14 @@ class ChunkFeed:
     Implements the ``sink`` protocol :func:`dump_stream` expects
     (``put`` / ``close`` / ``fail``); attach consumers with
     :meth:`reader` *before* the producer starts so back-pressure sees
-    them from the first chunk.
+    them from the first chunk.  ``depth`` defaults to
+    :data:`PIPELINE_DEPTH`, read at construction.
     """
 
-    def __init__(self, env: "Environment", depth: int = 4,
+    def __init__(self, env: "Environment", depth: Optional[int] = None,
                  name: Optional[str] = None):
+        if depth is None:
+            depth = PIPELINE_DEPTH
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.env = env
@@ -386,8 +389,7 @@ def pipelined_snapshot(run: "Migration",
     report.snapshot_size_mb = size_mb
     report.chunks_skipped = base
     started = env.now
-    feed = ChunkFeed(env, depth=PIPELINE_DEPTH,
-                     name="feed.%s" % tenant)
+    feed = ChunkFeed(env, name="feed.%s" % tenant)
     readers = {name: feed.reader(name, start=offsets[name] - base)
                for name in nodes}
     source_died = False

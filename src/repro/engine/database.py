@@ -4,6 +4,11 @@ One :class:`TenantDatabase` is one customer's database inside a shared
 DBMS process (the shared process model of Curino et al. that the paper
 assumes).  It owns a catalog, the MVCC heap, secondary indexes, a lock
 table, and size accounting used by the migration experiments.
+
+The heap stores row images (:data:`~repro.engine.mvcc.Image`, tuples in
+schema column order), and index upkeep reads the indexed column by its
+schema position; an :data:`~repro.engine.mvcc.ABSENT` value is indexed
+under ``None``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..errors import SchemaError
-from .mvcc import Row, SecondaryIndex, VersionChain
+from .mvcc import ABSENT, Image, SecondaryIndex, VersionChain
 from .schema import Catalog, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +40,7 @@ class Table:
         """The version chain of ``key``, or None if never written."""
         return self.chains.get(key)
 
-    def install(self, key: Hashable, csn: int, row: Optional[Row],
+    def install(self, key: Hashable, csn: int, row: Optional[Image],
                 horizon: Optional[int] = None) -> None:
         """Install a committed version and maintain secondary indexes.
 
@@ -52,24 +57,30 @@ class Table:
         chain.install(csn, row)
         if horizon is not None:
             chain.prune(horizon)
+        positions = self.schema.positions
         for index in self.indexes.values():
+            position = positions[index.column]
             if old is not None:
-                index.remove(old.get(index.column), key)
+                value = old[position]
+                index.remove(None if value is ABSENT else value, key)
             if row is not None:
-                index.add(row.get(index.column), key)
+                value = row[position]
+                index.add(None if value is ABSENT else value, key)
 
     def create_index(self, index_name: str, column: str) -> None:
         """Build a new secondary index over the latest committed versions."""
         self.schema.add_index(index_name, column)
         index = SecondaryIndex(column)
+        position = self.schema.positions[column]
         for key, chain in self.chains.items():
             row = chain.latest()
             if row is not None:
-                index.add(row.get(column), key)
+                value = row[position]
+                index.add(None if value is ABSENT else value, key)
         self.indexes[index_name] = index
 
     # ------------------------------------------------------------------
-    def latest_rows(self) -> Iterator[Tuple[Hashable, Row]]:
+    def latest_rows(self) -> Iterator[Tuple[Hashable, Image]]:
         """Iterate over (key, latest committed row), skipping tombstones."""
         for key, chain in self.chains.items():
             row = chain.latest()
@@ -77,7 +88,7 @@ class Table:
                 yield key, row
 
     def visible_rows(self, snapshot_csn: int
-                     ) -> Iterator[Tuple[Hashable, Row]]:
+                     ) -> Iterator[Tuple[Hashable, Image]]:
         """Iterate over rows visible at ``snapshot_csn``."""
         for key, chain in self.chains.items():
             row = chain.read(snapshot_csn)

@@ -33,7 +33,7 @@ a fresh CSN).
 
 Every path here moves the source's row images by reference: a committed
 image is never written again (DESIGN.md §4b item 10), so a chunk and the
-destination's restored versions share the dicts the source's chains
+destination's restored versions share the tuples the source's chains
 hold, and a tenant copy costs its chains and indexes, not a second set
 of rows.
 """
@@ -47,6 +47,7 @@ from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
 
 from ..errors import NodeCrashed, ReproError
 from .instance import DbmsInstance
+from .mvcc import Image
 from .schema import TableSchema
 from .sqlmini import ColumnDef
 
@@ -147,7 +148,7 @@ def restore_duration(size_mb: float, rates: TransferRates) -> float:
 # ----------------------------------------------------------------------
 
 #: A chunk's rows: table name -> primary key -> row image.
-ChunkRows = Dict[str, Dict[Hashable, Dict[str, Any]]]
+ChunkRows = Dict[str, Dict[Hashable, Image]]
 
 
 def paced_read(instance: DbmsInstance, size_mb: float,
@@ -426,8 +427,7 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
                      cursor: WatermarkCursor, max_rows: int,
                      mb_per_row: float, rates: TransferRates
                      ) -> Generator[Any, Any,
-                                    Tuple[List[Tuple[str, Hashable,
-                                                     Dict[str, Any]]],
+                                    Tuple[List[Tuple[str, Hashable, Image]],
                                           WatermarkCursor]]:
     """One chunked watermark select over the *live* table state.
 
@@ -445,7 +445,7 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
     MVCC snapshots.
     """
     tenant = instance.tenant(tenant_name)
-    rows: List[Tuple[str, Hashable, Dict[str, Any]]] = []
+    rows: List[Tuple[str, Hashable, Image]] = []
     next_cursor: WatermarkCursor = None
     for table_name in sorted(tenant.catalog.table_names()):
         if cursor is not None and table_name < cursor[0]:

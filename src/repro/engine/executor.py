@@ -9,16 +9,34 @@ behind a concurrent writer's lock otherwise).
 Execution methods are generators because lock acquisition can block in
 simulated time; they raise :class:`TransactionAborted` on conflicts, which
 the session layer converts into an engine-initiated rollback.
+
+Rows are read and written as images (:data:`~repro.engine.mvcc.Image`):
+tuples indexed by :attr:`TableSchema.positions`, where
+:data:`~repro.engine.mvcc.ABSENT` marks a column the row's INSERT did
+not set and reads as ``None`` (an expression naming it is an unknown
+column).  INSERT builds the image straight from the statement and
+UPDATE builds a new one from the visible image; committed images are
+never written again, so they are shared, not copied.  SELECT hands
+every client fresh dicts in schema column order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..errors import SchemaError, SqlError, TransactionAborted
 from .database import Table, TenantDatabase
-from .mvcc import Row
+from .mvcc import ABSENT, Image, Row
 from .schema import TableSchema
 from .sqlmini import (
     BinaryOp,
@@ -43,18 +61,20 @@ class ExecResult:
     affected: int = 0
 
 
-def _evaluate(expression: Any, row: Row) -> Any:
+def _evaluate(expression: Any, row: Image,
+              positions: Dict[str, int]) -> Any:
     """Evaluate a SET/SELECT expression against the current row."""
     if isinstance(expression, Literal):
         return expression.value
     if isinstance(expression, ColumnRef):
-        if expression.name not in row:
+        position = positions.get(expression.name)
+        if position is None or row[position] is ABSENT:
             raise SqlError("unknown column %r in expression"
                            % expression.name)
-        return row[expression.name]
+        return row[position]
     if isinstance(expression, BinaryOp):
-        left = _evaluate(expression.left, row)
-        right = _evaluate(expression.right, row)
+        left = _evaluate(expression.left, row, positions)
+        right = _evaluate(expression.right, row, positions)
         if expression.op == "+":
             return left + right
         if expression.op == "-":
@@ -65,13 +85,15 @@ def _evaluate(expression: Any, row: Row) -> Any:
     raise SqlError("unsupported expression %r" % (expression,))
 
 
-def _matches(row: Row, where: Tuple[Comparison, ...]) -> bool:
-    """Whether ``row`` satisfies every conjunct of ``where``."""
+def _matches(row: Image, where: Tuple[Comparison, ...],
+             positions: Dict[str, int]) -> bool:
+    """Whether ``row`` satisfies every conjunct of ``where`` (whose
+    columns :meth:`Executor._candidates` has checked)."""
     for comparison in where:
-        actual = row.get(comparison.column)
+        actual = row[positions[comparison.column]]
         expected = comparison.value
         op = comparison.op
-        if actual is None:
+        if actual is None or actual is ABSENT:
             return False
         if op == "=":
             ok = actual == expected
@@ -148,7 +170,7 @@ class Executor:
         because indexes only cover committed versions.
         """
         schema = table.schema
-        columns = schema._column_set
+        columns = schema.positions
         for comparison in where:
             if comparison.column not in columns:
                 schema.require_column(comparison.column)  # raises
@@ -180,7 +202,7 @@ class Executor:
         return keys
 
     def _visible_row(self, txn: Optional[Transaction], table: Table,
-                     key: Hashable, snapshot_csn: int) -> Optional[Row]:
+                     key: Hashable, snapshot_csn: int) -> Optional[Image]:
         """Snapshot read of one key, honouring own uncommitted writes."""
         if txn is not None and txn.writes:
             written, value = txn.own_write((table.schema.name, key))
@@ -202,28 +224,38 @@ class Executor:
                  or self.database.table(statement.table))  # raises
         snapshot = (self._ensure_snapshot(txn) if txn is not None
                     else self._current_csn())
-        rows: List[Row] = []
-        for key in self._candidates(txn, table, statement.where):
+        schema = table.schema
+        positions = schema.positions
+        where = statement.where
+        images: List[Image] = []
+        for key in self._candidates(txn, table, where):
             row = self._visible_row(txn, table, key, snapshot)
-            if row is None or not _matches(row, statement.where):
+            if row is None or not _matches(row, where, positions):
                 continue
-            rows.append(row)
+            images.append(row)
         if statement.order_by is not None:
-            table.schema.require_column(statement.order_by)
-            rows.sort(key=lambda r: (r.get(statement.order_by) is None,
-                                     r.get(statement.order_by)),
-                      reverse=statement.descending)
+            schema.require_column(statement.order_by)
+            position = positions[statement.order_by]
+
+            def order(image: Image) -> Tuple[bool, Any]:
+                value = image[position]
+                if value is ABSENT:
+                    value = None
+                return value is None, value
+            images.sort(key=order, reverse=statement.descending)
         if statement.limit is not None:
-            rows = rows[:statement.limit]
-        if statement.columns:
-            for column in statement.columns:
-                if column not in table.schema._column_set:
-                    table.schema.require_column(column)  # raises
-            rows = [{c: row.get(c) for c in statement.columns}
-                    for row in rows]
-        else:
-            rows = [dict(row) for row in rows]
-        return ExecResult(rows=rows)
+            images = images[:statement.limit]
+        columns = statement.columns
+        if not columns:
+            return ExecResult(rows=[schema.row(image) for image in images])
+        for column in columns:
+            if column not in positions:
+                schema.require_column(column)  # raises
+        return ExecResult(rows=[
+            {column: (None if image[positions[column]] is ABSENT
+                      else image[positions[column]])
+             for column in columns}
+            for image in images])
 
     # ------------------------------------------------------------------
     # write-path helpers
@@ -262,19 +294,23 @@ class Executor:
         table = (self.database.tables.get(statement.table)
                  or self.database.table(statement.table))  # raises
         snapshot = self._ensure_snapshot(txn)
-        for column, _expr in statement.assignments:
-            if column not in table.schema._column_set:
+        positions = table.schema.positions
+        places = []
+        for column, expression in statement.assignments:
+            position = positions.get(column)
+            if position is None:
                 table.schema.require_column(column)  # raises
+            places.append((position, expression))
         affected = 0
         for key in self._candidates(txn, table, statement.where):
             row = self._visible_row(txn, table, key, snapshot)
-            if row is None or not _matches(row, statement.where):
+            if row is None or not _matches(row, statement.where, positions):
                 continue
             yield from self._acquire_write(txn, table, key)
-            new_row = dict(row)
-            for column, expression in statement.assignments:
-                new_row[column] = _evaluate(expression, row)
-            txn.record_write((statement.table, key), new_row)
+            new_row = list(row)
+            for position, expression in places:
+                new_row[position] = _evaluate(expression, row, positions)
+            txn.record_write((statement.table, key), tuple(new_row))
             affected += 1
         return ExecResult(affected=affected)
 
@@ -285,9 +321,10 @@ class Executor:
         table = self.database.table(statement.table)
         snapshot = self._ensure_snapshot(txn)
         affected = 0
+        positions = table.schema.positions
         for key in self._candidates(txn, table, statement.where):
             row = self._visible_row(txn, table, key, snapshot)
-            if row is None or not _matches(row, statement.where):
+            if row is None or not _matches(row, statement.where, positions):
                 continue
             yield from self._acquire_write(txn, table, key)
             txn.record_write((statement.table, key), None)
@@ -302,20 +339,22 @@ class Executor:
                  or self.database.table(statement.table))  # raises
         snapshot = self._ensure_snapshot(txn)
         schema = table.schema
-        row: Row = {}
+        positions = schema.positions
+        row = [ABSENT] * len(positions)
         for column, value in zip(statement.columns, statement.values):
-            if column not in schema._column_set:
+            position = positions.get(column)
+            if position is None:
                 schema.require_column(column)  # raises
-            row[column] = value
-        key = row.get(schema.primary_key)
-        if key is None:
+            row[position] = value
+        key = row[positions[schema.primary_key]]
+        if key is None or key is ABSENT:
             raise SchemaError("INSERT into %r must set the primary key %r"
                               % (schema.name, schema.primary_key))
         if self._visible_row(txn, table, key, snapshot) is not None:
             raise SchemaError("duplicate primary key %r in %r"
                               % (key, schema.name))
         yield from self._acquire_write(txn, table, key)
-        txn.record_write((schema.name, key), row)
+        txn.record_write((schema.name, key), tuple(row))
         return ExecResult(affected=1)
 
     # ------------------------------------------------------------------

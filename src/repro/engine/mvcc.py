@@ -17,11 +17,16 @@ its instance's vacuum horizon, the oldest snapshot still held
 therefore holds the newest version at or below the horizon plus the
 versions committed after it, however long the run.
 
-A committed row image is immutable: once installed, nothing writes to
-the dict again (an UPDATE installs a new dict built from a copy), so the
-snapshot paths share images between tenant copies instead of copying
-them.  Most rows have one version and one key per index value, and both
-structures below are laid out for that case (DESIGN.md §4b item 10).
+A committed row image is an :data:`Image`: a plain tuple of the row's
+values in its table's schema column order
+(:attr:`~repro.engine.schema.TableSchema.positions` maps a column to its
+place).  A column the row's INSERT did not set holds :data:`ABSENT`,
+which every reader takes for ``None``; ``SELECT *`` leaves it out.  A
+tuple cannot be written in place, so the snapshot paths share images
+between tenant copies instead of copying them; what clients see is
+a :data:`Row` dict the executor builds per result.  Most rows have one
+version and one key per index value, and both structures below are
+laid out for that case (DESIGN.md §4b item 10).
 """
 
 from __future__ import annotations
@@ -29,10 +34,24 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple, Union
 
+#: A row as a client sees it: column name -> value.
 Row = Dict[str, Any]
+#: A committed row as the heap stores it: values in schema column order.
+Image = Tuple[Any, ...]
 
-#: ``dict.get`` default that no stored posting can be.
-_ABSENT = object()
+
+class _Absent:
+    """The type of :data:`ABSENT` (one instance)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ABSENT"
+
+
+#: What an image holds for a column its INSERT did not set, and the
+#: ``dict.get`` default no stored posting can be (keys are never it).
+ABSENT = _Absent()
 
 
 class VersionChain:
@@ -51,11 +70,11 @@ class VersionChain:
 
     def __init__(self) -> None:
         self._csn = 0
-        self._row: Optional[Row] = None
+        self._row: Optional[Image] = None
         self._old_csns: Optional[List[int]] = None
-        self._old_rows: Optional[List[Optional[Row]]] = None
+        self._old_rows: Optional[List[Optional[Image]]] = None
 
-    def install(self, csn: int, row: Optional[Row]) -> None:
+    def install(self, csn: int, row: Optional[Image]) -> None:
         """Append the version committed at ``csn`` (must be the newest)."""
         if csn <= self._csn:
             raise ValueError("non-monotonic CSN %d after %d"
@@ -70,7 +89,7 @@ class VersionChain:
         self._csn = csn
         self._row = row
 
-    def read(self, snapshot_csn: int) -> Optional[Row]:
+    def read(self, snapshot_csn: int) -> Optional[Image]:
         """Newest version visible at ``snapshot_csn`` (None if absent)."""
         # Read-latest fast path: most reads run at a snapshot at or past
         # the newest committed version (an empty chain's is 0).
@@ -84,7 +103,7 @@ class VersionChain:
             return None
         return self._old_rows[index]
 
-    def latest(self) -> Optional[Row]:
+    def latest(self) -> Optional[Image]:
         """The newest committed version regardless of snapshots."""
         return self._row
 
@@ -147,8 +166,8 @@ class SecondaryIndex:
     def add(self, value: Any, key: Any) -> None:
         """Index ``key`` under ``value``."""
         entries = self.entries
-        posting = entries.get(value, _ABSENT)
-        if posting is _ABSENT:
+        posting = entries.get(value, ABSENT)
+        if posting is ABSENT:
             entries[value] = key
         elif posting.__class__ is set:
             posting.add(key)
@@ -158,20 +177,20 @@ class SecondaryIndex:
     def remove(self, value: Any, key: Any) -> None:
         """Drop ``key`` from ``value``'s posting, if present."""
         entries = self.entries
-        posting = entries.get(value, _ABSENT)
+        posting = entries.get(value, ABSENT)
         if posting.__class__ is set:
             posting.discard(key)
             if not posting:
                 del entries[value]
-        elif posting is not _ABSENT and (posting is key or posting == key):
+        elif posting is not ABSENT and (posting is key or posting == key):
             del entries[value]
 
     def lookup(self, value: Any) -> Tuple[Any, ...]:
         """Candidate primary keys whose latest version had ``value``."""
-        posting = self.entries.get(value, _ABSENT)
+        posting = self.entries.get(value, ABSENT)
         if posting.__class__ is set:
             return tuple(posting)
-        if posting is _ABSENT:
+        if posting is ABSENT:
             return ()
         return (posting,)
 

@@ -1,6 +1,10 @@
 """Table schemas and per-tenant catalogs.
 
 A tenant database owns a :class:`Catalog` of :class:`TableSchema` objects.
+A schema lays out its table's row images: :attr:`TableSchema.positions`
+maps each column to its place in the stored tuple, :meth:`~TableSchema.image`
+builds an image from a column -> value mapping and :meth:`~TableSchema.row`
+turns one back into the dict a client sees.
 Schemas also drive the size model: each column type has a nominal on-disk
 width, so row counts translate into database sizes (Table 3 of the paper).
 """
@@ -8,9 +12,10 @@ width, so row counts translate into database sizes (Table 3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import SchemaError
+from .mvcc import ABSENT, Image, Row
 from .sqlmini import ColumnDef
 
 #: Nominal on-disk width in bytes per column type, tuple space included.
@@ -55,7 +60,10 @@ class TableSchema:
             raise SchemaError("table %r must have exactly one primary key "
                               "column, found %d" % (self.name, len(primaries)))
         self._primary_key = primaries[0]
-        self._column_set = set(names)
+        self._names = tuple(names)
+        #: column -> its place in this table's row images.
+        self.positions: Dict[str, int] = {
+            name: position for position, name in enumerate(names)}
 
     @property
     def primary_key(self) -> str:
@@ -64,9 +72,22 @@ class TableSchema:
 
     def require_column(self, name: str) -> None:
         """Raise :class:`SchemaError` unless ``name`` is a column."""
-        if name not in self._column_set:
+        if name not in self.positions:
             raise SchemaError("table %r has no column %r"
                               % (self.name, name))
+
+    def image(self, values: Mapping[str, Any]) -> Image:
+        """The stored image of a row given as column -> value; a column
+        ``values`` does not name holds :data:`~repro.engine.mvcc.ABSENT`."""
+        for name in values:
+            self.require_column(name)
+        return tuple([values.get(name, ABSENT) for name in self._names])
+
+    def row(self, image: Image) -> Row:
+        """``image`` as the dict a client sees, in column order, without
+        the columns its INSERT did not set."""
+        return {name: value for name, value in zip(self._names, image)
+                if value is not ABSENT}
 
     def add_index(self, index_name: str, column: str) -> None:
         """CREATE INDEX support."""

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..errors import InvalidTransactionState
+from .mvcc import Image
 
 LockKey = Tuple[str, Hashable]
 
@@ -43,8 +44,8 @@ class Transaction:
         self.snapshot_csn: Optional[int] = None
         #: CSN assigned at commit (update transactions only).
         self.commit_csn: Optional[int] = None
-        #: (table, key) -> latest uncommitted row value (None = delete).
-        self.writes: Dict[LockKey, Optional[Dict[str, Any]]] = {}
+        #: (table, key) -> latest uncommitted row image (None = delete).
+        self.writes: Dict[LockKey, Optional[Image]] = {}
         #: Keys in first-write order, for deterministic install order.
         self.write_order: List[LockKey] = []
         self.held_locks: Set[LockKey] = set()
@@ -70,14 +71,13 @@ class Transaction:
                 "transaction %d is %s" % (self.txn_id, self.status.value))
 
     # ------------------------------------------------------------------
-    def record_write(self, key: LockKey,
-                     row: Optional[Dict[str, Any]]) -> None:
+    def record_write(self, key: LockKey, row: Optional[Image]) -> None:
         """Buffer an uncommitted write of ``key``."""
         if key not in self.writes:
             self.write_order.append(key)
         self.writes[key] = row
 
-    def own_write(self, key: LockKey) -> Tuple[bool, Optional[Dict[str, Any]]]:
+    def own_write(self, key: LockKey) -> Tuple[bool, Optional[Image]]:
         """(has_written, value) for reads that must see own writes."""
         if key in self.writes:
             return True, self.writes[key]

@@ -106,7 +106,9 @@ def populate(instance: "DbmsInstance", tenant_name: str,
     """Create and bulk-load a TPC-W tenant (not timed; setup only).
 
     Rows are installed directly at CSN 1, bypassing SQL, because initial
-    population is not part of any measured path.
+    population is not part of any measured path; each is built as its
+    image, values in the table's schema column order
+    (:mod:`repro.workload.tpcw.schema`).
     """
     tenant = instance.create_tenant(tenant_name)
     tenant.fixed_overhead_mb = FIXED_OVERHEAD_MB
@@ -128,71 +130,66 @@ def populate(instance: "DbmsInstance", tenant_name: str,
 def _load_country(tenant, csn: int) -> None:
     table = tenant.table("country")
     for co_id in range(1, 93):
-        table.install(co_id, csn, {
-            "co_id": co_id, "co_name": "country%d" % co_id,
-            "co_exchange": 1.0, "co_currency": "CUR"})
+        # co_id, co_name, co_exchange, co_currency
+        table.install(co_id, csn, (co_id, "country%d" % co_id, 1.0, "CUR"))
 
 
 def _load_items(tenant, csn: int, items: int, authors: int,
                 rng: RandomStream) -> None:
     table = tenant.table("item")
     for i_id in range(1, items + 1):
-        table.install(i_id, csn, {
-            "i_id": i_id,
-            "i_title": "title%d" % i_id,
-            "i_a_id": 1 + (i_id % max(1, authors)),
-            "i_pub_date": 0, "i_publisher": "pub%d" % (i_id % 100),
-            "i_subject": "subject%d" % (i_id % 24),
-            "i_desc": "description of item %d" % i_id,
-            "i_related1": 1 + (i_id % items),
-            "i_related2": 1 + ((i_id + 1) % items),
-            "i_related3": 1 + ((i_id + 2) % items),
-            "i_related4": 1 + ((i_id + 3) % items),
-            "i_related5": 1 + ((i_id + 4) % items),
-            "i_thumbnail": "thumb%d" % i_id, "i_image": "image%d" % i_id,
-            "i_srp": round(rng.uniform(1.0, 100.0), 2),
-            "i_cost": round(rng.uniform(1.0, 100.0), 2),
-            "i_avail": 0, "i_stock": rng.randint(10, 30),
-            "i_isbn": "isbn%d" % i_id, "i_page": rng.randint(20, 9999),
-            "i_backing": "paperback", "i_dimensions": "20x15x2",
-            "i_pad": "x" * 8})
+        table.install(i_id, csn, (
+            i_id, "title%d" % i_id,                     # i_id, i_title
+            1 + (i_id % max(1, authors)),               # i_a_id
+            0, "pub%d" % (i_id % 100),                  # i_pub_date, ..
+            "subject%d" % (i_id % 24),                  # i_subject
+            "description of item %d" % i_id,            # i_desc
+            1 + (i_id % items),                         # i_related1..5
+            1 + ((i_id + 1) % items),
+            1 + ((i_id + 2) % items),
+            1 + ((i_id + 3) % items),
+            1 + ((i_id + 4) % items),
+            "thumb%d" % i_id, "image%d" % i_id,         # i_thumbnail, ..
+            round(rng.uniform(1.0, 100.0), 2),          # i_srp
+            round(rng.uniform(1.0, 100.0), 2),          # i_cost
+            0, rng.randint(10, 30),                     # i_avail, i_stock
+            "isbn%d" % i_id, rng.randint(20, 9999),     # i_isbn, i_page
+            "paperback", "20x15x2", "x" * 8))           # .., i_pad
 
 
 def _load_authors(tenant, csn: int, authors: int,
                   rng: RandomStream) -> None:
     table = tenant.table("author")
     for a_id in range(1, authors + 1):
-        table.install(a_id, csn, {
-            "a_id": a_id, "a_fname": "fn%d" % a_id,
-            "a_lname": "ln%d" % a_id, "a_mname": "m",
-            "a_dob": 0, "a_bio": "bio", "a_bio2": "bio", "a_bio3": "bio"})
+        # a_id, a_fname, a_lname, a_mname, a_dob, a_bio, a_bio2, a_bio3
+        table.install(a_id, csn, (a_id, "fn%d" % a_id, "ln%d" % a_id, "m",
+                                  0, "bio", "bio", "bio"))
 
 
 def _load_customers(tenant, csn: int, customers: int,
                     rng: RandomStream) -> None:
     table = tenant.table("customer")
     for c_id in range(1, customers + 1):
-        table.install(c_id, csn, {
-            "c_id": c_id, "c_uname": "user%d" % c_id,
-            "c_passwd": "pw%d" % c_id, "c_fname": "fn%d" % c_id,
-            "c_lname": "ln%d" % c_id, "c_addr_id": 2 * c_id - 1,
-            "c_phone": "555-%07d" % c_id, "c_email": "u%d@x.com" % c_id,
-            "c_since": 0, "c_last_login": 0, "c_login": 0,
-            "c_expiration": 0,
-            "c_discount": round(rng.uniform(0.0, 0.5), 2),
-            "c_balance": 0.0, "c_ytd_pmt": 0.0, "c_birthdate": 0,
-            "c_data": "d" * 16})
+        table.install(c_id, csn, (
+            c_id, "user%d" % c_id,                      # c_id, c_uname
+            "pw%d" % c_id, "fn%d" % c_id,               # c_passwd, c_fname
+            "ln%d" % c_id, 2 * c_id - 1,                # c_lname, c_addr_id
+            "555-%07d" % c_id, "u%d@x.com" % c_id,      # c_phone, c_email
+            0, 0, 0, 0,                                 # c_since .. c_expir.
+            round(rng.uniform(0.0, 0.5), 2),            # c_discount
+            0.0, 0.0, 0,                                # .. c_birthdate
+            "d" * 16))                                  # c_data
 
 
 def _load_addresses(tenant, csn: int, addresses: int,
                     rng: RandomStream) -> None:
     table = tenant.table("address")
     for addr_id in range(1, addresses + 1):
-        table.install(addr_id, csn, {
-            "addr_id": addr_id, "addr_street1": "street %d" % addr_id,
-            "addr_street2": "", "addr_city": "city%d" % (addr_id % 100),
-            "addr_state": "st", "addr_zip": "%05d" % (addr_id % 99999),
-            "addr_co_id": 1 + (addr_id % 92)})
+        # addr_id, addr_street1, addr_street2, addr_city, addr_state,
+        # addr_zip, addr_co_id
+        table.install(addr_id, csn, (
+            addr_id, "street %d" % addr_id, "", "city%d" % (addr_id % 100),
+            "st", "%05d" % (addr_id % 99999), 1 + (addr_id % 92)))
 
 
 def _load_orders(tenant, csn: int, orders: int, customers: int,
@@ -203,21 +200,19 @@ def _load_orders(tenant, csn: int, orders: int, customers: int,
     ol_id = 0
     for o_id in range(1, orders + 1):
         c_id = 1 + (o_id % max(1, customers))
-        order_table.install(o_id, csn, {
-            "o_id": o_id, "o_c_id": c_id, "o_date": 0,
-            "o_sub_total": 10.0, "o_tax": 0.8, "o_total": 10.8,
-            "o_ship_type": "air", "o_ship_date": 0,
-            "o_bill_addr_id": 2 * c_id - 1, "o_ship_addr_id": 2 * c_id,
-            "o_status": "shipped"})
+        # o_id, o_c_id, o_date, o_sub_total, o_tax, o_total, o_ship_type,
+        # o_ship_date, o_bill_addr_id, o_ship_addr_id, o_status
+        order_table.install(o_id, csn, (
+            o_id, c_id, 0, 10.0, 0.8, 10.8, "air", 0,
+            2 * c_id - 1, 2 * c_id, "shipped"))
         for _line in range(3):
             ol_id += 1
-            line_table.install(ol_id, csn, {
-                "ol_id": ol_id, "ol_o_id": o_id,
-                "ol_i_id": rng.randint(1, max(1, items)),
-                "ol_qty": rng.randint(1, 5), "ol_discount": 0.0,
-                "ol_comments": "c"})
-        cc_table.install(o_id, csn, {
-            "cx_o_id": o_id, "cx_type": "VISA", "cx_num": "4111",
-            "cx_name": "name", "cx_expiry": 0, "cx_auth_id": "auth",
-            "cx_xact_amt": 10.8, "cx_xact_date": 0,
-            "cx_co_id": 1 + (o_id % 92)})
+            # ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments
+            line_table.install(ol_id, csn, (
+                ol_id, o_id, rng.randint(1, max(1, items)),
+                rng.randint(1, 5), 0.0, "c"))
+        # cx_o_id, cx_type, cx_num, cx_name, cx_expiry, cx_auth_id,
+        # cx_xact_amt, cx_xact_date, cx_co_id
+        cc_table.install(o_id, csn, (
+            o_id, "VISA", "4111", "name", 0, "auth", 10.8, 0,
+            1 + (o_id % 92)))

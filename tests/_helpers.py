@@ -21,6 +21,14 @@ def drive_all(env: Environment, *generators, until=None):
     return [p.value if p.triggered else None for p in processes]
 
 
+def latest_value(table, key, column="v"):
+    """``column`` of ``key``'s newest committed version in ``table``.
+
+    The heap stores a row as a tuple in schema column order; this reads
+    it through the table's schema."""
+    return table.schema.row(table.chain(key).latest())[column]
+
+
 def parse_outcome(parser, sql):
     """What ``parser(sql)`` gives: the AST and its repr (``1`` and ``1.0``
     are equal, their reprs are not), or the ``SqlError`` message."""

@@ -171,7 +171,8 @@ class TestStatesEqual:
             ColumnDef("k", "INT", True), ColumnDef("v", "INT"))))
         table = tenant.table("t")
         for key, value in rows.items():
-            table.install(key, 1, {"k": key, "v": value})
+            table.install(key, 1, table.schema.image({"k": key,
+                                                      "v": value}))
         return tenant
 
     def _extra_table(self):

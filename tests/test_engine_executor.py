@@ -221,6 +221,27 @@ class TestDdlThroughSession:
                      "SELECT id FROM book WHERE subject = 'db'")
         assert 1 not in [r["id"] for r in old.rows]
 
+    def test_an_unset_indexed_column_is_indexed_as_null(self, env,
+                                                         instance):
+        session = Session(instance, "T")
+
+        def proc(env):
+            yield from session.execute("BEGIN")
+            yield from session.execute(
+                "INSERT INTO book (id, price) VALUES (9, 1.0)")
+            yield from session.execute("COMMIT")
+            yield from session.execute(
+                "CREATE INDEX idx_stock ON book (stock)")
+            yield from session.execute("BEGIN")
+            yield from session.execute(
+                "UPDATE book SET subject = 'db' WHERE id = 9")
+            yield from session.execute("COMMIT")
+        drive(env, proc(env))
+        indexes = instance.tenant("T").table("book").indexes
+        assert indexes["idx_stock"].lookup(None) == (9,)
+        assert 9 in indexes["idx_subject"].lookup("db")
+        assert indexes["idx_subject"].lookup(None) == ()
+
 
 class TestStatistics:
     def test_statement_counter(self, env, instance):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.mvcc import SecondaryIndex, VersionChain
+from repro.engine.mvcc import ABSENT, SecondaryIndex, VersionChain
 from repro.engine.schema import Catalog, TableSchema
 from repro.engine.sqlmini import ColumnDef
 from repro.errors import SchemaError
@@ -15,26 +15,26 @@ class TestVersionChain:
 
     def test_visibility_by_snapshot(self):
         chain = VersionChain()
-        chain.install(5, {"v": "old"})
-        chain.install(10, {"v": "new"})
+        chain.install(5, ("old",))
+        chain.install(10, ("new",))
         assert chain.read(4) is None
-        assert chain.read(5) == {"v": "old"}
-        assert chain.read(9) == {"v": "old"}
-        assert chain.read(10) == {"v": "new"}
-        assert chain.read(999) == {"v": "new"}
+        assert chain.read(5) == ("old",)
+        assert chain.read(9) == ("old",)
+        assert chain.read(10) == ("new",)
+        assert chain.read(999) == ("new",)
 
     def test_tombstone_hides_row(self):
         chain = VersionChain()
-        chain.install(1, {"v": 1})
+        chain.install(1, (1,))
         chain.install(2, None)
-        assert chain.read(1) == {"v": 1}
+        assert chain.read(1) == (1,)
         assert chain.read(2) is None
 
     def test_latest(self):
         chain = VersionChain()
-        chain.install(1, {"v": 1})
-        chain.install(3, {"v": 3})
-        assert chain.latest() == {"v": 3}
+        chain.install(1, (1,))
+        chain.install(3, (3,))
+        assert chain.latest() == (3,)
         assert chain.latest_csn() == 3
 
     def test_empty_latest(self):
@@ -44,39 +44,39 @@ class TestVersionChain:
 
     def test_non_monotonic_install_rejected(self):
         chain = VersionChain()
-        chain.install(5, {})
+        chain.install(5, ())
         with pytest.raises(ValueError):
-            chain.install(5, {})
+            chain.install(5, ())
         with pytest.raises(ValueError):
-            chain.install(4, {})
+            chain.install(4, ())
 
     def test_csns_are_positive(self):
         """An empty chain's newest CSN reads 0, so 0 cannot follow it."""
         chain = VersionChain()
         with pytest.raises(ValueError):
-            chain.install(0, {})
-        chain.install(1, {})
+            chain.install(0, ())
+        chain.install(1, ())
         assert chain.version_count() == 1
 
     def test_prune_keeps_visible_version(self):
         chain = VersionChain()
         for csn in (1, 2, 3, 4):
-            chain.install(csn, {"v": csn})
+            chain.install(csn, (csn,))
         dropped = chain.prune(horizon_csn=3)
         assert dropped == 2
         # version at csn=3 must survive (visible to horizon snapshots)
-        assert chain.read(3) == {"v": 3}
-        assert chain.read(4) == {"v": 4}
+        assert chain.read(3) == (3,)
+        assert chain.read(4) == (4,)
 
     def test_prune_nothing_below_horizon(self):
         chain = VersionChain()
-        chain.install(10, {"v": 1})
+        chain.install(10, (1,))
         assert chain.prune(5) == 0
 
     def test_version_count(self):
         chain = VersionChain()
-        chain.install(1, {})
-        chain.install(2, {})
+        chain.install(1, ())
+        chain.install(2, ())
         assert chain.version_count() == 2
 
 
@@ -166,6 +166,23 @@ class TestTableSchema:
         plain = _schema(ColumnDef("id", "INT", True),
                         ColumnDef("c", "TEXT"))
         assert indexed.row_width_bytes() > plain.row_width_bytes()
+
+    def test_image_is_a_tuple_in_column_order(self):
+        schema = _schema(ColumnDef("id", "INT", True),
+                         ColumnDef("a", "TEXT"), ColumnDef("b", "INT"))
+        assert schema.positions == {"id": 0, "a": 1, "b": 2}
+        image = schema.image({"b": 2, "id": 1, "a": None})
+        assert image == (1, None, 2) and image.__class__ is tuple
+        assert list(schema.row(image)) == ["id", "a", "b"]
+        with pytest.raises(SchemaError):
+            schema.image({"id": 1, "nope": 0})
+
+    def test_an_unset_column_is_absent_not_null(self):
+        schema = _schema(ColumnDef("id", "INT", True),
+                         ColumnDef("a", "TEXT"), ColumnDef("b", "INT"))
+        image = schema.image({"id": 1, "b": None})
+        assert image == (1, ABSENT, None)
+        assert schema.row(image) == {"id": 1, "b": None}
 
 
 class TestCatalog:

@@ -12,6 +12,7 @@ from unittest.mock import patch
 import pytest
 
 from _gate import gate, trace_failures
+from _helpers import latest_value
 from repro.check import states_equal
 from repro.cluster import Cluster
 from repro.core import (B_ALL, B_CON, B_MIN, MADEUS, Middleware,
@@ -188,7 +189,7 @@ class TestSourceCrash:
         assert restarted.get("done")
         table = source.tenant("A").table("kv")
         for key, increments in workload.committed_increments.items():
-            assert table.chain(key).latest()["v"] == increments, \
+            assert latest_value(table, key) == increments, \
                 "key %d lost committed increments" % key
 
     def test_crash_during_dump_aborts(self, env):
@@ -379,7 +380,7 @@ class TestDestinationCrash:
         # every committed increment made it to the promoted standby
         promoted = cluster.node("node2").instance.tenant("A")
         for key, increments in workload.committed_increments.items():
-            assert promoted.table("kv").chain(key).latest()["v"] == \
+            assert latest_value(promoted.table("kv"), key) == \
                 increments
 
     def test_no_standby_aborts_and_source_stays_live(self, env):
@@ -541,7 +542,7 @@ class TestDestinationCrash:
         # every acknowledged increment is on the owner
         table = cluster.node("node0").instance.tenant("A").table("kv")
         for key, increments in workload.committed_increments.items():
-            assert table.chain(key).latest()["v"] == increments
+            assert latest_value(table, key) == increments
 
 
 class TestShipRetries:

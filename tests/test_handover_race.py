@@ -24,6 +24,7 @@ from repro.core import MigrationOptions
 from repro.errors import MigrationError
 from repro.sim import Environment, Interrupt
 
+from _helpers import latest_value
 from test_fault_tolerance import RATES, build, seed_tenant
 
 #: Crash instants as fractions of each journal sub-window, kept
@@ -91,7 +92,7 @@ def _handover_window():
 def _assert_no_committed_txn_lost(cluster, owner, workload):
     table = cluster.node(owner).instance.tenant("A").table("kv")
     for key, increments in workload.committed_increments.items():
-        assert table.chain(key).latest()["v"] == increments, \
+        assert latest_value(table, key) == increments, \
             "key %d lost increments on owner %s" % (key, owner)
 
 

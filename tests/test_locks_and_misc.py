@@ -18,7 +18,7 @@ from repro.workload.simplekv import (KvWorkloadConfig, KvWorkloadResult,
                                      kv_client, run_kv_clients,
                                      setup_kv_tenant)
 
-from _helpers import drive
+from _helpers import drive, latest_value
 
 
 class TestLockTable:
@@ -173,7 +173,7 @@ class TestSimpleKvWorkload:
         table = cluster.node("n0").instance.tenant("A").table("kv")
         for key in range(10):
             expected = result.committed_increments.get(key, 0)
-            assert table.chain(key).latest()["v"] == expected
+            assert latest_value(table, key) == expected
 
     def test_deterministic_across_runs(self):
         def run_once():
@@ -299,6 +299,30 @@ class TestKvAudit:
         assert audit_kv_tenant(middleware, "A",
                                result) == KvAudit(0, 0, 0, 0)
 
+    @pytest.mark.parametrize("fate", ["dropped", "deleted"])
+    def test_a_missing_key_loses_all_its_increments(self, env, fate):
+        """A planted loss: one key's chain dropped from the owner (or its
+        row deleted there) reports that key's acknowledged count as
+        lost instead of crashing the audit."""
+        cluster, middleware = _kv_world(env, keys=10)
+        config = KvWorkloadConfig(keys=10, clients=3,
+                                  transactions_per_client=20,
+                                  think_time=0.004)
+        result = run_kv_clients(env, middleware, "A", config, seed=4)
+        env.run()
+        key, count = max(result.committed_increments.items(),
+                         key=lambda item: item[1])
+        assert count > 0
+        instance = cluster.node(middleware.route("A")).instance
+        table = instance.tenant("A").table("kv")
+        if fate == "dropped":
+            del table.chains[key]
+        else:
+            table.install(key, instance.next_csn(), None)
+        assert audit_kv_tenant(middleware, "A", result) == KvAudit(
+            lost_increments=count, phantom_increments=0, keys_below=1,
+            keys_above=0)
+
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc_type", [
@@ -331,14 +355,15 @@ class TestTenantDatabase:
         tenant.create_table(TableSchema("t", (
             ColumnDef("k", "INT", True), ColumnDef("v", "INT"))))
         table = tenant.table("t")
-        table.install(1, 1, {"k": 1, "v": 10})
-        table.install(1, 2, {"k": 1, "v": 20})
+        image = table.schema.image
+        table.install(1, 1, image({"k": 1, "v": 10}))
+        table.install(1, 2, image({"k": 1, "v": 20}))
         # the consistency checker compares latest versions only
         latest = TenantDatabase("y", env)
         latest.create_table(tenant.table("t").schema)
-        latest.table("t").install(1, 5, {"k": 1, "v": 20})
+        latest.table("t").install(1, 5, image({"k": 1, "v": 20}))
         assert states_equal(tenant, latest) == (True, [])
-        latest.table("t").install(1, 6, {"k": 1, "v": 10})
+        latest.table("t").install(1, 6, image({"k": 1, "v": 10}))
         assert states_equal(tenant, latest) == (False, [
             "table 't' key 1: master=(('k', 1), ('v', 20)) "
             "slave=(('k', 1), ('v', 10))"])
@@ -349,7 +374,7 @@ class TestTenantDatabase:
         tenant = TenantDatabase("x", env)
         tenant.create_table(TableSchema("t", (
             ColumnDef("k", "INT", True),)))
-        tenant.table("t").install(1, 1, {"k": 1})
+        tenant.table("t").install(1, 1, (1,))
         base = tenant.size_bytes()
         tenant.size_multiplier = 10.0
         tenant.fixed_overhead_mb = 1.0

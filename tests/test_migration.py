@@ -18,7 +18,7 @@ from repro.sim import Environment, StreamFactory
 from repro.workload.simplekv import (KvWorkloadConfig, run_kv_clients,
                                      setup_kv_tenant)
 
-from _helpers import drive
+from _helpers import drive, latest_value
 
 RATES = TransferRates(dump_mb_s=5.0, restore_mb_s=2.0)
 
@@ -75,8 +75,7 @@ class TestMigrationConsistency:
         slave = cluster.node("node1").instance.tenant("A")
         table = slave.table("kv")
         for key, increments in workload.committed_increments.items():
-            row = table.chain(key).latest()
-            assert row["v"] == increments, "key %d" % key
+            assert latest_value(table, key) == increments, "key %d" % key
 
     def test_post_switch_traffic_lands_on_slave(self, env):
         cluster, middleware = build(env, MADEUS)
@@ -101,9 +100,9 @@ class TestMigrationConsistency:
         env.run()
         assert holder["report"].consistent
         slave = cluster.node("node1").instance.tenant("A")
-        assert slave.table("kv").chain(0).latest()["v"] == 100
+        assert latest_value(slave.table("kv"), 0) == 100
         master = cluster.node("node0").instance.tenant("A")
-        assert master.table("kv").chain(0).latest()["v"] == 0
+        assert latest_value(master.table("kv"), 0) == 0
 
     def test_route_updated_after_switchover(self, env):
         _report, _w, _cluster, middleware = run_migration(env, MADEUS)

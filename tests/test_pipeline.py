@@ -9,7 +9,7 @@ import pytest
 
 from repro.check import states_equal
 from repro.core import ChunkFeed, MADEUS, Middleware, MiddlewareConfig, \
-    MigrationOptions
+    MigrationOptions, pipeline
 from repro.cluster import Cluster
 from repro.engine import DbmsInstance, Session, SnapshotTruncated, \
     TransferRates, dump_stream, restore_stream
@@ -110,6 +110,13 @@ class TestChannel:
 
 
 class TestChunkFeed:
+    def test_depth_defaults_to_the_pipeline_depth_at_call_time(
+            self, env, monkeypatch):
+        assert ChunkFeed(env).depth == pipeline.PIPELINE_DEPTH == 4
+        monkeypatch.setattr(pipeline, "PIPELINE_DEPTH", 2)
+        assert ChunkFeed(env).depth == 2
+        assert ChunkFeed(env, depth=3).depth == 3
+
     def test_broadcast_to_two_readers(self, env):
         feed = ChunkFeed(env, depth=2)
         readers = [feed.reader("a"), feed.reader("b")]

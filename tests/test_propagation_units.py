@@ -17,7 +17,7 @@ from repro.engine import DbmsInstance, Session, parse
 from repro.net.network import Network
 from repro.sim import Environment
 
-from _helpers import drive
+from _helpers import drive, latest_value
 
 
 def _slave(env, keys=10):
@@ -105,8 +105,8 @@ class TestConductorRounds:
         assert prop.stats.syncsets_replayed == 3
         assert not prop.validator.violations()
         table = slave.tenant("T").table("kv")
-        assert table.chain(1).latest()["v"] == 11
-        assert table.chain(3).latest()["v"] == 33
+        assert latest_value(table, 1) == 11
+        assert latest_value(table, 3) == 33
 
     def test_concurrent_commits_share_flush(self, env):
         slave, log, prop = _build(env, MADEUS)

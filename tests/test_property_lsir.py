@@ -117,7 +117,7 @@ def test_migration_preserves_state_for_any_policy(scenario):
     for key in range(scenario["keys"]):
         expected = holder["workload"].committed_increments.get(key, 0)
         row = table.chain(key).latest() if table.chain(key) else None
-        value = row["v"] if row else 0
+        value = table.schema.row(row)["v"] if row else 0
         assert value == expected, "key %d: %r != %r" % (key, value,
                                                         expected)
 

@@ -24,6 +24,7 @@ from repro.core.scheduler import MigrationScheduler, ScheduleOptions
 from repro.errors import MigrationError, SourceCrashed
 from repro.sim import Interrupt
 
+from _helpers import latest_value
 from test_fault_tolerance import RATES, build, seed_tenant
 
 #: 1 MB chunks over the ~10 MB tenant give the journal a fine-grained
@@ -84,7 +85,7 @@ def _assert_no_lost_commits(cluster, middleware, workload):
     owner = middleware.route("A")
     table = cluster.node(owner).instance.tenant("A").table("kv")
     for key, increments in workload.committed_increments.items():
-        assert table.chain(key).latest()["v"] == increments, \
+        assert latest_value(table, key) == increments, \
             "key %d lost increments on owner %s" % (key, owner)
 
 

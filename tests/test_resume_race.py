@@ -19,7 +19,7 @@ from repro.core import MigrationOptions
 from repro.core.middleware import JOURNAL_COMPLETED
 from repro.errors import SourceCrashed
 
-from _helpers import drive
+from _helpers import drive, latest_value
 from test_fault_tolerance import RATES, build, seed_tenant
 
 CHUNK_MB = 1.0
@@ -91,7 +91,7 @@ def _assert_no_lost_commits(cluster, middleware, workload):
     owner = middleware.route("A")
     table = cluster.node(owner).instance.tenant("A").table("kv")
     for key, increments in workload.committed_increments.items():
-        assert table.chain(key).latest()["v"] == increments, \
+        assert latest_value(table, key) == increments, \
             "key %d lost increments on owner %s" % (key, owner)
 
 

@@ -31,6 +31,7 @@ from repro.workload.simplekv import (
     setup_kv_tenant,
 )
 
+from _helpers import latest_value
 from test_fault_tolerance import RATES, build
 
 WRITES_PER_TXN = 2
@@ -103,7 +104,7 @@ def _migration_window(middleware):
 def _final_values(cluster, middleware, keys):
     owner = middleware.route("A")
     table = cluster.node(owner).instance.tenant("A").table("kv")
-    return {key: table.chain(key).latest()["v"] for key in range(keys)}
+    return {key: latest_value(table, key) for key in range(keys)}
 
 
 def _run_probe(strategy):

@@ -1,13 +1,14 @@
-"""Committed row images are immutable and shared between tenant copies.
+"""Committed row images are immutable tuples shared between tenant copies.
 
-Once a version is installed nothing writes to its dict again, so the
-snapshot paths (serial dump and restore, the chunk stream, watermark
-chunk selects) hand the source's image objects to the destination
-instead of copying them.  These tests run real kv migrations with every
-installed row frozen — a dict whose mutators raise — and check that no
-row was written in place and that every row nobody wrote since the
-initial load is the *same object* on the source and the destination, so
-a reintroduced copy or an in-place write fails here.
+The heap stores every committed row as a tuple in its table's schema
+column order, so nothing can write an image in place, and the snapshot
+paths (serial dump and restore, the chunk stream, watermark chunk
+selects) hand the source's image objects to the destination instead of
+copying them.  These tests run real kv migrations, check that every
+version ``Table.install`` received was a tuple (or a tombstone), and
+that every row nobody wrote since the initial load is the *same object*
+on the source and the destination, so a reintroduced dict install or a
+reintroduced copy fails here.
 """
 
 from __future__ import annotations
@@ -18,58 +19,48 @@ import pytest
 
 from repro.core import MigrationOptions
 from repro.engine.database import Table
+from repro.engine.schema import TableSchema
+from repro.engine.sqlmini import ColumnDef
 
 from test_fault_tolerance import RATES, build, seed_tenant
 from test_resume import _launch_resume, _restart, _suspend_mid_dump
 
 
-class FrozenRow(dict):
-    """A row image whose mutators record the attempt and raise."""
+class Installs:
+    """What ``Table.install`` received while a test ran."""
 
-    __slots__ = ()
-    attempts: list = []
-    #: ``(table, key)`` -> versions installed there while the test ran.
-    installs: Counter = Counter()
-
-    def _refuse(self, *args, **kwargs):
-        FrozenRow.attempts.append((dict(self), args))
-        raise TypeError("committed row image written in place")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-
-def freeze(row):
-    """``row`` as a :class:`FrozenRow`; an already frozen row as is."""
-    if row is None or row.__class__ is FrozenRow:
-        return row
-    return FrozenRow(row)
+    #: ``(table, key)`` -> versions installed there.
+    counts: Counter = Counter()
+    #: Classes of installed versions that were neither tuple nor None.
+    not_tuples: list = []
 
 
 @pytest.fixture
-def frozen_rows(monkeypatch):
-    """Every version installed while the test runs is frozen."""
+def installs(monkeypatch):
+    """Record every version installed while the test runs."""
     install = Table.install
 
-    def frozen_install(self, key, csn, row, horizon=None):
-        FrozenRow.installs[self, key] += 1
-        install(self, key, csn, freeze(row), horizon)
+    def recording_install(self, key, csn, row, horizon=None):
+        Installs.counts[self, key] += 1
+        if row is not None and row.__class__ is not tuple:
+            Installs.not_tuples.append(row.__class__)
+        install(self, key, csn, row, horizon)
 
-    monkeypatch.setattr(Table, "install", frozen_install)
-    monkeypatch.setattr(FrozenRow, "attempts", [])
-    monkeypatch.setattr(FrozenRow, "installs", Counter())
-    return FrozenRow.attempts
+    monkeypatch.setattr(Table, "install", recording_install)
+    monkeypatch.setattr(Installs, "counts", Counter())
+    monkeypatch.setattr(Installs, "not_tuples", [])
+    return Installs
 
 
-def test_freeze_is_idempotent_and_refuses_writes():
-    row = freeze({"k": 1})
-    assert freeze(row) is row
-    with pytest.raises(TypeError):
-        row["k"] = 2
-    with pytest.raises(TypeError):
-        row.update(k=2)
-    assert dict(row) == {"k": 1}
-    assert dict(row).__class__ is dict
+def test_a_dict_install_is_caught(installs):
+    schema = TableSchema("t", (ColumnDef("k", "INT", True),
+                               ColumnDef("v", "INT")))
+    table = Table(schema)
+    table.install(0, 1, schema.image({"k": 0, "v": 0}))
+    table.install(0, 2, None)
+    assert installs.not_tuples == []
+    table.install(0, 3, {"k": 0, "v": 1})
+    assert installs.not_tuples == [dict]
 
 
 def _assert_shared(cluster, source, destination):
@@ -79,11 +70,11 @@ def _assert_shared(cluster, source, destination):
     src = cluster.node(source).instance.tenant("A").table("kv")
     dst = cluster.node(destination).instance.tenant("A").table("kv")
     untouched = [key for key in src.chains
-                 if FrozenRow.installs[src, key] == 1]
+                 if Installs.counts[src, key] == 1]
     assert 0 < len(untouched) < len(src.chains)
     for key in untouched:
         row = src.chain(key).latest()
-        assert row.__class__ is FrozenRow
+        assert row.__class__ is tuple
         assert dst.chain(key).latest() is row, key
 
 
@@ -92,7 +83,7 @@ KEYS, TXNS = 120, 20
 
 
 @pytest.mark.parametrize("strategy", ["serial", "pipelined", "watermark"])
-def test_migration_shares_untouched_rows(env, frozen_rows, strategy):
+def test_migration_shares_untouched_rows(env, installs, strategy):
     cluster, middleware = build(env, nodes=2)
     seed_tenant(env, cluster, middleware, keys=KEYS, txns=TXNS)
     holder = {}
@@ -106,12 +97,11 @@ def test_migration_shares_untouched_rows(env, frozen_rows, strategy):
     report = holder["report"]
     assert report.outcome == "ok"
     assert all(r.consistent for r in middleware.reports)
-    assert frozen_rows == []
+    assert installs.not_tuples == []
     _assert_shared(cluster, "node0", "node1")
 
 
-def test_resumed_pipelined_migration_shares_untouched_rows(env,
-                                                           frozen_rows):
+def test_resumed_pipelined_migration_shares_untouched_rows(env, installs):
     cluster, middleware = build(env, nodes=2, resume=True)
     _suspend_mid_dump(env, cluster, middleware, keys=KEYS, txns=TXNS)
     _restart(env, cluster.node("node0").instance)
@@ -123,5 +113,5 @@ def test_resumed_pipelined_migration_shares_untouched_rows(env,
     assert report.chunks_skipped > 0
     assert all(r.consistent for r in middleware.reports
                if r.outcome == "ok")
-    assert frozen_rows == []
+    assert installs.not_tuples == []
     _assert_shared(cluster, "node0", "node1")

@@ -32,7 +32,7 @@ from repro.errors import MigrationError, SourceCrashed
 from repro.sim import Environment
 
 from _gate import phase_order_failures
-from _helpers import drive
+from _helpers import drive, latest_value
 from test_fault_tolerance import RATES, build, seed_tenant
 
 CHUNK_MB = 1.0
@@ -154,7 +154,7 @@ def _assert_no_lost_commits(cluster, middleware, workload):
     owner = middleware.route("A")
     table = cluster.node(owner).instance.tenant("A").table("kv")
     for key, increments in workload.committed_increments.items():
-        assert table.chain(key).latest()["v"] == increments, \
+        assert latest_value(table, key) == increments, \
             "key %d lost increments on owner %s" % (key, owner)
 
 
