@@ -130,12 +130,16 @@ GATES = {
             min_resumed=3, max_lost_commits=0, max_lost_requests=0,
             owners=1, min_faults=3),
         # The vacuum horizon bounds version chains: the seed-7 report
-        # ends with a longest chain of 9 (176 before chains were
-        # pruned), so 45 is 5x headroom.  The report's own verdict
-        # (owners, ledger, every migration consistent and LSIR-clean)
-        # must hold.
+        # ends with a longest chain of 6 (9 before the freeze FIFO
+        # pruned chains once the horizon passed them, 176 before chains
+        # were pruned at all), so 45 keeps >= 5x headroom.  The freeze
+        # FIFO drains as the horizon advances: its seed-7 high-water is
+        # 200 (4,141 for a FIFO that never drains), so 1,000 is 5x.
+        # The report's own verdict (owners, ledger, every migration
+        # consistent and LSIR-clean) must hold.
         row("SOAK_seed*.json", {"experiment": "chaos-soak"},
-            max_longest_chain=45, report_ok=True),
+            max_longest_chain=45, max_pending_freeze=1000,
+            report_ok=True),
     ],
     # the router half of repro bench --trace-dir <dir>.
     "router": [bench("router")] + [
@@ -999,16 +1003,26 @@ def check_bench(data, min_improvement=None, watermark=False,
 # ----------------------------------------------------------------------
 # the soak report (schema documented in EXPERIMENTS.md)
 
-def check_soak(data, max_longest_chain=None, report_ok=None):
+def check_soak(data, max_longest_chain=None, max_pending_freeze=None,
+               report_ok=None):
     """Failures for one SOAK_seed<N>.json document; the keyword
     arguments are the expectation keys a soak row may carry."""
     failures = []
-    longest = (data.get("mvcc") or {}).get("longest_chain")
+    mvcc = data.get("mvcc") or {}
+    longest = mvcc.get("longest_chain")
     if longest is None:
         failures.append("no mvcc.longest_chain in the soak report")
     elif max_longest_chain is not None and longest > max_longest_chain:
         failures.append("mvcc longest_chain = %s > allowed %d"
                         % (longest, max_longest_chain))
+    if max_pending_freeze is not None:
+        pending = mvcc.get("pending_freeze_high_water")
+        if pending is None:
+            failures.append("no mvcc.pending_freeze_high_water in the "
+                            "soak report")
+        elif pending > max_pending_freeze:
+            failures.append("mvcc pending_freeze_high_water = %s > "
+                            "allowed %d" % (pending, max_pending_freeze))
     if report_ok is not None and data.get("ok") is not report_ok:
         failures.append("soak report ok = %s, expected %s"
                         % (data.get("ok"), report_ok))

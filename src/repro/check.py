@@ -20,6 +20,7 @@ At run time this module imports nothing from ``repro``, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # LSIR schedule validation (Definition 3)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ReplayEvent:
     """One observed propagation event on the slave."""
 
@@ -62,76 +63,105 @@ def _replay_order(event: ReplayEvent) -> Tuple[float, int]:
     return event.time, event.sequence
 
 
+def _before(a: ReplayEvent, b: ReplayEvent) -> bool:
+    """``_replay_order(a) < _replay_order(b)``, without the tuples."""
+    return a.time < b.time or (a.time == b.time and a.sequence < b.sequence)
+
+
 class LsirValidator:
     """Collects one engine's slave replay events and checks them
     against the LSIR (STS / ETS are one tenant's MLC values, so each
-    :class:`~repro.core.propagation.Conductor` owns one)."""
+    :class:`~repro.core.propagation.Conductor` owns one).
+
+    :meth:`record` files each event where :meth:`violations` reads it:
+    per SSB the last first read, the last commit and every write in
+    record order.
+    """
 
     def __init__(self) -> None:
-        self.events: List[ReplayEvent] = []
+        #: ssb -> its last recorded first read.
+        self.first_reads: Dict[int, ReplayEvent] = {}
+        #: ssb -> its last recorded commit.
+        self.commits: Dict[int, ReplayEvent] = {}
+        #: ssb -> its writes, in record order.
+        self.writes: Dict[int, List[ReplayEvent]] = {}
         self._sequence = 0
 
     def record(self, ssb_id: int, sts: int, ets: int, kind: str,
                time: float, write_index: int = -1) -> None:
         """Record one replay event (called by players)."""
         self._sequence += 1
-        self.events.append(ReplayEvent(ssb_id, sts, ets, kind, write_index,
-                                       time, self._sequence))
+        event = ReplayEvent(ssb_id, sts, ets, kind, write_index, time,
+                            self._sequence)
+        if kind == "first_read":
+            self.first_reads[ssb_id] = event
+        elif kind == "commit":
+            self.commits[ssb_id] = event
+        else:
+            self.writes.setdefault(ssb_id, []).append(event)
 
     def violations(self) -> List[str]:
         """All LSIR violations in the recorded schedule (empty = valid).
 
-        Rules (1-a) and (1-b) take one sort of the first reads and
-        commits by STS / ETS, first reads ahead at a tie, and one pass:
-        the commits passed have a smaller ETS, so must precede the first
-        read at hand (1-a); the first reads passed have an STS no
-        larger, so must precede the commit at hand (1-b).  Only the
-        latest-replayed one of another SSB needs checking.
+        Rules (1-a) and (1-b) take one merge of the first reads sorted
+        by STS and the commits sorted by ETS, first reads ahead at a
+        tie, and one pass: the commits passed have a smaller ETS, so
+        must precede the first read at hand (1-a); the first reads
+        passed have an STS no larger, so must precede the commit at
+        hand (1-b).  Only the latest-replayed one of another SSB needs
+        checking, so the pass keeps the two latest-replayed of each
+        kind.  Nothing is allocated per first read or commit but the two
+        sorted lists, and rule (2) sorts one SSB's writes at a time.
         """
         problems: List[str] = []
-        first_reads: Dict[int, ReplayEvent] = {}
-        commits: Dict[int, ReplayEvent] = {}
-        writes: Dict[int, List[ReplayEvent]] = {}
-        for event in self.events:
-            if event.kind == "first_read":
-                first_reads[event.ssb_id] = event
-            elif event.kind == "commit":
-                commits[event.ssb_id] = event
+        first_reads, commits = self.first_reads, self.commits
+        reads = sorted(first_reads.values(), key=attrgetter("sts"))
+        ends = sorted(commits.values(), key=attrgetter("ets"))
+        # The latest- and second-latest-replayed first read and commit.
+        read, prior_read = None, None
+        commit, prior_commit = None, None
+        r = c = 0
+        while r < len(reads) or c < len(ends):
+            if c == len(ends) or (r < len(reads)
+                                  and reads[r].sts <= ends[c].ets):
+                event = reads[r]
+                r += 1
+                other = (commit if commit is None
+                         or commit.ssb_id != event.ssb_id else prior_commit)
+                if other is not None and _before(event, other):
+                    problems.append(
+                        "rule 1-a: commit ets=%d (ssb %d) must precede "
+                        "first read sts=%d (ssb %d)"
+                        % (other.ets, other.ssb_id, event.sts, event.ssb_id))
+                if read is None or _before(read, event):
+                    read, prior_read = event, read
+                elif prior_read is None or _before(prior_read, event):
+                    prior_read = event
             else:
-                writes.setdefault(event.ssb_id, []).append(event)
-        latest: List[List[ReplayEvent]] = [[], []]  # first reads, commits
-        for _value, is_commit, event in sorted(
-                [(read.sts, 0, read) for read in first_reads.values()]
-                + [(commit.ets, 1, commit) for commit in commits.values()],
-                key=lambda item: item[:2]):
-            other = next((e for e in reversed(latest[1 - is_commit])
-                          if e.ssb_id != event.ssb_id), None)
-            late = (other is not None
-                    and _replay_order(event) < _replay_order(other))
-            if late and is_commit:
-                problems.append(
-                    "rule 1-b: first read sts=%d (ssb %d) must precede "
-                    "commit ets=%d (ssb %d)"
-                    % (other.sts, other.ssb_id, event.ets, event.ssb_id))
-            elif late:
-                problems.append(
-                    "rule 1-a: commit ets=%d (ssb %d) must precede "
-                    "first read sts=%d (ssb %d)"
-                    % (other.ets, other.ssb_id, event.sts, event.ssb_id))
-            latest[is_commit] = sorted(latest[is_commit] + [event],
-                                       key=_replay_order)[-2:]
+                event = ends[c]
+                c += 1
+                other = (read if read is None
+                         or read.ssb_id != event.ssb_id else prior_read)
+                if other is not None and _before(event, other):
+                    problems.append(
+                        "rule 1-b: first read sts=%d (ssb %d) must precede "
+                        "commit ets=%d (ssb %d)"
+                        % (other.sts, other.ssb_id, event.ets, event.ssb_id))
+                if commit is None or _before(commit, event):
+                    commit, prior_commit = event, commit
+                elif prior_commit is None or _before(prior_commit, event):
+                    prior_commit = event
         # Rule (2): write order within each SSB is FIFO.
-        for ssb_id, ssb_writes in writes.items():
+        for ssb_id, ssb_writes in self.writes.items():
             indexed = sorted(ssb_writes, key=_replay_order)
             indices = [e.write_index for e in indexed]
             if indices != sorted(indices):
                 problems.append("rule 2: writes of ssb %d replayed out of "
                                 "order: %s" % (ssb_id, indices))
         # Sanity: a commit never precedes its own first read or writes.
-        for ssb_id, commit in commits.items():
-            read = first_reads.get(ssb_id)
-            if (read is not None
-                    and _replay_order(commit) <= _replay_order(read)):
+        for ssb_id, end in commits.items():
+            start = first_reads.get(ssb_id)
+            if start is not None and not _before(start, end):
                 problems.append("ssb %d committed before its first read"
                                 % ssb_id)
         return problems
@@ -154,6 +184,26 @@ def _items(schema: "TableSchema", row: Optional["Image"]
     return None if row is None else tuple(sorted(schema.row(row).items()))
 
 
+def _same_state(master: "TenantDatabase",
+                slave: "TenantDatabase") -> bool:
+    """Whether both tenants hold the same tables and, in each, the same
+    key -> latest image map: every master row is the slave's row under
+    its key, and the live-row counts agree.  Copies neither state."""
+    if master.tables.keys() != slave.tables.keys():
+        return False
+    for name, table in master.tables.items():
+        other = slave.tables[name]
+        rows = 0
+        for key, row in table.latest_rows():
+            found = other.latest(key)
+            if found is not row and found != row:
+                return False
+            rows += 1
+        if rows != other.live_row_count():
+            return False
+    return True
+
+
 def states_equal(master: "TenantDatabase",
                  slave: "TenantDatabase") -> Tuple[bool, List[str]]:
     """Compare the logical states of two tenants (Theorem 2 check).
@@ -163,12 +213,13 @@ def states_equal(master: "TenantDatabase",
 
     Snapshot-equivalence is equality of the key -> row maps, so equal
     states -- every handover of a correct run -- are settled by one
-    dict comparison; only states that differ pay for the sorted walk
-    that names the differences.
+    walk that probes the slave per master key and allocates nothing per
+    row; only states that differ pay for copying both and the sorted
+    walk that names the differences.
     """
-    master_state, slave_state = _latest_state(master), _latest_state(slave)
-    if master_state == slave_state:
+    if _same_state(master, slave):
         return True, []
+    master_state, slave_state = _latest_state(master), _latest_state(slave)
     differences: List[str] = []
     for table in sorted(set(master_state) | set(slave_state)):
         m_rows = master_state.get(table)
@@ -222,8 +273,7 @@ def audit_kv_tenant(middleware: "Middleware", tenant: str,
     schema = table.schema
     lost = phantom = below = above = 0
     for key, increments in result.committed_increments.items():
-        chain = table.chain(key)
-        image = None if chain is None else chain.latest()
+        image = table.latest(key)
         got = 0 if image is None else schema.row(image).get("v", 0)
         if got < increments:
             below += 1

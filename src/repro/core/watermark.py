@@ -201,10 +201,7 @@ class ChangeStreamApplier(_BasePropagator):
                               "crashed during change-stream apply")
         tenant = self.slave.tenant(self.tenant_name)
         for writes in batch:
-            csn = self.slave.next_csn()
-            horizon = self.slave.prune_horizon()
-            for table_name, key, row in writes:
-                tenant.table(table_name).install(key, csn, row, horizon)
+            self.slave.install(tenant, writes)
             self.stats.syncsets_replayed += 1
             self.stats.commits_replayed += 1
             self.stats.writes_replayed += len(writes)

@@ -1,22 +1,34 @@
-"""Tenant databases: tables of version chains plus secondary indexes.
+"""Tenant databases: tables of row slots plus secondary indexes.
 
 One :class:`TenantDatabase` is one customer's database inside a shared
 DBMS process (the shared process model of Curino et al. that the paper
 assumes).  It owns a catalog, the MVCC heap, secondary indexes, a lock
 table, and size accounting used by the migration experiments.
 
-The heap stores row images (:data:`~repro.engine.mvcc.Image`, tuples in
-schema column order), and index upkeep reads the indexed column by its
-schema position; an :data:`~repro.engine.mvcc.ABSENT` value is indexed
-under ``None``.
+The heap maps each primary key to a *slot*: a
+:class:`~repro.engine.mvcc.VersionChain`, or the bare image of a frozen
+row, one version every snapshot sees (:mod:`repro.engine.mvcc`).  Row
+images (:data:`~repro.engine.mvcc.Image`) are tuples in schema column
+order, and index upkeep reads the indexed column by its schema
+position; an :data:`~repro.engine.mvcc.ABSENT` value is indexed under
+``None``.  Keys are never removed from the slot dict (a deleted row is
+a tombstone chain), so a full scan keeps insertion order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterator,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..errors import SchemaError
-from .mvcc import ABSENT, Image, SecondaryIndex, VersionChain
+from .mvcc import ABSENT, FROZEN_CSN, Image, SecondaryIndex, VersionChain
 from .schema import Catalog, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,7 +41,8 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self.chains: Dict[Hashable, VersionChain] = {}
+        #: key -> its :class:`VersionChain`, or a frozen row's image.
+        self.slots: Dict[Hashable, Union[VersionChain, Image]] = {}
         self.indexes: Dict[str, SecondaryIndex] = {
             name: SecondaryIndex(column)
             for name, column in schema.indexes.items()
@@ -37,26 +50,57 @@ class Table:
 
     # ------------------------------------------------------------------
     def chain(self, key: Hashable) -> Optional[VersionChain]:
-        """The version chain of ``key``, or None if never written."""
-        return self.chains.get(key)
+        """The version chain of ``key``, or None if never written.
+
+        A frozen row is thawed in place into its one version at
+        :data:`~repro.engine.mvcc.FROZEN_CSN`, which every snapshot
+        reads alike; its next install freezes it again.  The executor
+        reads slots directly and never thaws on a read.
+        """
+        slot = self.slots.get(key)
+        if slot.__class__ is VersionChain or slot is None:
+            return slot
+        chain = self.slots[key] = VersionChain(FROZEN_CSN, slot)
+        return chain
+
+    def latest(self, key: Hashable) -> Optional[Image]:
+        """The newest committed image of ``key`` (None if absent or
+        deleted)."""
+        slot = self.slots.get(key)
+        if slot.__class__ is VersionChain:
+            return slot.latest()
+        return slot
 
     def install(self, key: Hashable, csn: int, row: Optional[Image],
-                horizon: Optional[int] = None) -> None:
+                horizon: int = 0) -> bool:
         """Install a committed version and maintain secondary indexes.
 
-        With a ``horizon`` (the instance's
-        :meth:`~repro.engine.instance.DbmsInstance.prune_horizon`) the
-        chain is then pruned to what snapshots at or above it can see.
+        The row is then pruned to what snapshots at or above ``horizon``
+        (the instance's
+        :meth:`~repro.engine.instance.DbmsInstance.prune_horizon`; 0,
+        the default, prunes nothing) can see and frozen when that leaves
+        one version, not a tombstone, at or below it; an install onto a
+        frozen row thaws it first.  Returns whether ``csn`` is above the
+        horizon, i.e. whether a later horizon may still prune or freeze
+        the row (:meth:`settle`).
         """
-        chain = self.chains.get(key)
-        if chain is None:
-            chain = self.chains[key] = VersionChain()
-            old = None
+        slots = self.slots
+        slot = slots.get(key)
+        if slot.__class__ is VersionChain:
+            old = slot.latest()
+            slot.install(csn, row)
+            frozen = slot.vacuum(horizon)
+            if frozen is not None:
+                slots[key] = frozen
         else:
-            old = chain.latest()
-        chain.install(csn, row)
-        if horizon is not None:
-            chain.prune(horizon)
+            old = slot
+            if csn <= horizon and row is not None:
+                slots[key] = row
+            else:
+                chain = slots[key] = (VersionChain() if slot is None
+                                      else VersionChain(FROZEN_CSN, slot))
+                chain.install(csn, row)
+                chain.prune(horizon)
         positions = self.schema.positions
         for index in self.indexes.values():
             position = positions[index.column]
@@ -66,38 +110,63 @@ class Table:
             if row is not None:
                 value = row[position]
                 index.add(None if value is ABSENT else value, key)
+        return csn > horizon
+
+    def settle(self, key: Hashable, horizon: int) -> None:
+        """Prune ``key`` to a newer ``horizon`` and freeze it if that
+        leaves one version, not a tombstone, at or below it."""
+        slot = self.slots.get(key)
+        if slot.__class__ is VersionChain:
+            frozen = slot.vacuum(horizon)
+            if frozen is not None:
+                self.slots[key] = frozen
 
     def create_index(self, index_name: str, column: str) -> None:
         """Build a new secondary index over the latest committed versions."""
         self.schema.add_index(index_name, column)
         index = SecondaryIndex(column)
         position = self.schema.positions[column]
-        for key, chain in self.chains.items():
-            row = chain.latest()
-            if row is not None:
-                value = row[position]
-                index.add(None if value is ABSENT else value, key)
+        for key, row in self.latest_rows():
+            value = row[position]
+            index.add(None if value is ABSENT else value, key)
         self.indexes[index_name] = index
 
     # ------------------------------------------------------------------
     def latest_rows(self) -> Iterator[Tuple[Hashable, Image]]:
         """Iterate over (key, latest committed row), skipping tombstones."""
-        for key, chain in self.chains.items():
-            row = chain.latest()
-            if row is not None:
-                yield key, row
+        for key, slot in self.slots.items():
+            if slot.__class__ is VersionChain:
+                slot = slot.latest()
+                if slot is None:
+                    continue
+            yield key, slot
 
     def visible_rows(self, snapshot_csn: int
                      ) -> Iterator[Tuple[Hashable, Image]]:
         """Iterate over rows visible at ``snapshot_csn``."""
-        for key, chain in self.chains.items():
-            row = chain.read(snapshot_csn)
-            if row is not None:
-                yield key, row
+        for key, slot in self.slots.items():
+            if slot.__class__ is VersionChain:
+                slot = slot.read(snapshot_csn)
+                if slot is None:
+                    continue
+            yield key, slot
 
     def live_row_count(self) -> int:
         """Number of non-deleted rows in the latest committed state."""
         return sum(1 for _ in self.latest_rows())
+
+    def census(self) -> Tuple[int, int, int]:
+        """``(committed versions, longest chain, frozen rows)``: a
+        frozen row counts one version."""
+        versions = longest = frozen = 0
+        for slot in self.slots.values():
+            if slot.__class__ is VersionChain:
+                count = slot.version_count()
+            else:
+                count, frozen = 1, frozen + 1
+            versions += count
+            longest = max(longest, count)
+        return versions, longest, frozen
 
 
 class TenantDatabase:

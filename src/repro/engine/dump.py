@@ -28,8 +28,8 @@ cuts: a full dump is the single-chunk cut):
 Every cut pays disk I/O through the same two calls, so customer traffic
 and the WAL contend with all of them alike: :func:`paced_read` (one
 read slice at the dump rate) and :func:`install_chunk` (the write paced
-to a target duration in ``rates.chunk_mb`` slices, then one install at
-a fresh CSN).
+to a target duration in ``rates.chunk_mb`` slices, then one
+:meth:`~repro.engine.instance.DbmsInstance.install` at a fresh CSN).
 
 Every path here moves the source's row images by reference: a committed
 image is never written again (DESIGN.md §4b item 10), so a chunk and the
@@ -174,8 +174,9 @@ def install_chunk(instance: DbmsInstance, tenant: Any, rows: ChunkRows,
     The write goes in ``max(1, ceil(size_mb / rates.chunk_mb))`` equal
     slices, each paced so the whole write takes ``duration`` (a 0 s
     target charges the disk write alone); a crash is checked after every
-    slice.  The rows then land as fresh versions at one new CSN; a row
-    a resumed or re-delivered chunk lands on again is pruned to the
+    slice.  The rows then land as fresh versions at one new CSN through
+    :meth:`~repro.engine.instance.DbmsInstance.install`, so a row a
+    resumed or re-delivered chunk lands on again is pruned to the
     instance's horizon.
     Raises :class:`NodeCrashed` if ``instance`` crashed.
     """
@@ -191,12 +192,9 @@ def install_chunk(instance: DbmsInstance, tenant: Any, rows: ChunkRows,
                 yield instance.env.timeout(pace)
         if instance.crashed:
             raise NodeCrashed(instance.name, "crashed during restore")
-    csn = instance.next_csn()
-    horizon = instance.prune_horizon()
-    for table_name, table_rows in rows.items():
-        table = tenant.table(table_name)
-        for key, row in table_rows.items():
-            table.install(key, csn, row, horizon)
+    instance.install(tenant, ((table_name, key, row)
+                              for table_name, table_rows in rows.items()
+                              for key, row in table_rows.items()))
 
 
 # ----------------------------------------------------------------------

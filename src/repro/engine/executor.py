@@ -36,7 +36,7 @@ from typing import (
 
 from ..errors import SchemaError, SqlError, TransactionAborted
 from .database import Table, TenantDatabase
-from .mvcc import ABSENT, Image, Row
+from .mvcc import ABSENT, Image, Row, VersionChain
 from .schema import TableSchema
 from .sqlmini import (
     BinaryOp,
@@ -193,7 +193,7 @@ class Executor:
                 if keys is not None:
                     break
         if keys is None:
-            keys = list(table.chains.keys())
+            keys = list(table.slots.keys())
         if txn is not None:
             table_name = schema.name
             for (name, key) in txn.write_order:
@@ -208,10 +208,10 @@ class Executor:
             written, value = txn.own_write((table.schema.name, key))
             if written:
                 return value
-        chain = table.chains.get(key)
-        if chain is None:
-            return None
-        return chain.read(snapshot_csn)
+        slot = table.slots.get(key)
+        if slot.__class__ is VersionChain:
+            return slot.read(snapshot_csn)
+        return slot  # None or a frozen row, which every snapshot sees
 
     # ------------------------------------------------------------------
     # SELECT
@@ -266,11 +266,12 @@ class Executor:
 
         Raises :class:`TransactionAborted` immediately when the newest
         committed version postdates the snapshot, or later if a concurrent
-        lock holder commits first.
+        lock holder commits first.  A frozen row predates every
+        snapshot, so it never does.
         """
         snapshot = self._ensure_snapshot(txn)
-        chain = table.chains.get(key)
-        if chain is not None and chain.latest_csn() > snapshot:
+        slot = table.slots.get(key)
+        if slot.__class__ is VersionChain and slot.latest_csn() > snapshot:
             raise TransactionAborted(
                 "first-updater-wins: item already updated by a newer commit")
         lock_key = (table.schema.name, key)
@@ -279,8 +280,8 @@ class Executor:
             yield grant  # may raise TransactionAborted via event failure
         # Re-check after a wait: the previous holder must have aborted, so
         # the newest committed version is unchanged, but be defensive.
-        chain = table.chains.get(key)
-        if chain is not None and chain.latest_csn() > snapshot:
+        slot = table.slots.get(key)
+        if slot.__class__ is VersionChain and slot.latest_csn() > snapshot:
             raise TransactionAborted(
                 "first-updater-wins: newer version appeared while waiting")
 

@@ -9,25 +9,40 @@ primitives :class:`~repro.engine.session.Session` is built on.
 
 The instance also keeps the *vacuum horizon*: the oldest snapshot CSN
 any open transaction or :class:`SnapshotPin` still holds (the current
-CSN when none does).  Every install that can stack a second version on
-a row prunes that row's chain down to what the horizon still needs: the
-newest version at or below it and the versions committed after it
-(DESIGN.md §4b item 11).
+CSN when none does).  Every version goes in through
+:meth:`DbmsInstance.install`, which prunes its row down to what the
+horizon still needs (the newest version at or below it and the versions
+committed after it) and freezes a row left with one version every
+snapshot sees.  An install above the horizon waits on the *freeze
+FIFO* until a later horizon reaches its CSN, and is pruned and frozen
+then (DESIGN.md §4b items 10 and 11).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    Generator,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..errors import NodeCrashed, SchemaError
 from ..obs.metrics import MetricsRegistry
 from ..sim.events import Event
 from ..sim.resources import Resource
 from .checkpoint import Checkpointer, CheckpointSpec
-from .database import TenantDatabase
+from .database import Table, TenantDatabase
 from .disk import Disk
 from .executor import Executor
+from .mvcc import Image
 from .transaction import Transaction, TxnStatus
 from .wal import WalWriter
 
@@ -106,6 +121,11 @@ class DbmsInstance:
         #: The highest horizon any prune has used: a snapshot below it
         #: may have lost versions it could see.
         self.vacuumed_through = 0
+        # The freeze FIFO: ``(csn, table, key)`` of every install made
+        # above the horizon, in CSN order, until a horizon reaches it.
+        self._unsettled: Deque[Tuple[int, Table, Hashable]] = deque()
+        #: The most entries the freeze FIFO has held at once.
+        self.pending_freeze_high_water = 0
         # crash/recovery state (see crash()/restart())
         self.crashed = False
         self._replayed_commits = 0
@@ -253,11 +273,14 @@ class DbmsInstance:
         return tenant
 
     def drop_tenant(self, name: str) -> None:
-        """Remove a tenant (after migration switch-over)."""
+        """Remove a tenant (after migration switch-over), with its
+        entries on the freeze FIFO, which would keep the copy alive."""
         if name not in self.tenants:
             raise SchemaError("no tenant %r on %s" % (name, self.name))
-        del self.tenants[name]
+        tables = set(self.tenants.pop(name).tables.values())
         del self._executors[name]
+        self._unsettled = deque(entry for entry in self._unsettled
+                                if entry[1] not in tables)
 
     def tenant(self, name: str) -> TenantDatabase:
         """Look up a tenant database."""
@@ -335,10 +358,39 @@ class DbmsInstance:
         """:meth:`horizon` for a prune about to use it.
 
         Records it as :attr:`vacuumed_through` (the horizon never
-        decreases, so the latest is the highest).
+        decreases, so the latest is the highest), and settles every
+        install on the freeze FIFO it has reached
+        (:meth:`Table.settle <repro.engine.database.Table.settle>`).
         """
         horizon = self.vacuumed_through = self.horizon()
+        unsettled = self._unsettled
+        while unsettled and unsettled[0][0] <= horizon:
+            _csn, table, key = unsettled.popleft()
+            table.settle(key, horizon)
         return horizon
+
+    def install(self, tenant: TenantDatabase,
+                writes: Iterable[Tuple[str, Hashable, Optional[Image]]]
+                ) -> int:
+        """Install ``writes`` (``(table, key, image or None)``) at one
+        fresh CSN and return it; no yields, so atomically.
+
+        The one way committed versions enter the heap: a commit, a
+        restored chunk, a change-stream apply and a bulk load all come
+        here.  Each row is pruned against the horizon and frozen when
+        every snapshot sees its one version; one installed above the
+        horizon goes on the freeze FIFO.
+        """
+        csn = self.next_csn()
+        horizon = self.prune_horizon()
+        unsettled = self._unsettled
+        for table_name, key, row in writes:
+            table = tenant.table(table_name)
+            if table.install(key, csn, row, horizon):
+                unsettled.append((csn, table, key))
+        if len(unsettled) > self.pending_freeze_high_water:
+            self.pending_freeze_high_water = len(unsettled)
+        return csn
 
     # ------------------------------------------------------------------
     # transaction lifecycle
@@ -374,11 +426,11 @@ class DbmsInstance:
         CPU and, for an update transaction, the (possibly grouped) WAL
         flush: durability before visibility.
 
-        Gives back the snapshot, installs the versions atomically (no
-        yields), pruning each chain to the horizon, and returns the
-        commit CSN for update transactions, None for read-only ones
-        (which need no flush and create no snapshot — exactly why the
-        mapping function discards them).
+        Gives back the snapshot, installs the versions through
+        :meth:`install`, and returns the commit CSN for update
+        transactions, None for read-only ones (which need no flush and
+        create no snapshot — exactly why the mapping function discards
+        them).
         """
         if txn.snapshot_csn is not None:
             # release_snapshot, inline on the commit path
@@ -388,13 +440,10 @@ class DbmsInstance:
             txn.finished_at = self.env.now
             return None
         tenant = self.tenant(txn.tenant)
-        csn = self.next_csn()
-        txn.commit_csn = csn
-        horizon = self.prune_horizon()
-        for key in txn.write_order:
-            table_name, row_key = key
-            tenant.table(table_name).install(row_key, csn, txn.writes[key],
-                                             horizon)
+        writes = txn.writes
+        csn = txn.commit_csn = self.install(
+            tenant, [(table_name, key, writes[table_name, key])
+                     for table_name, key in txn.write_order])
         txn.status = TxnStatus.COMMITTED
         txn.finished_at = self.env.now
         tenant.locks.release_all(txn, committed=True)

@@ -1,21 +1,30 @@
 """Multi-version storage: version chains with snapshot visibility.
 
-Each (table, primary key) slot holds a :class:`VersionChain` of committed
-versions tagged with the commit sequence number (CSN) that installed them.
-A transaction reading at snapshot ``s`` sees the newest version whose CSN
+Each (table, primary key) slot holds the committed versions of one row,
+each tagged with the commit sequence number (CSN) that installed it.  A
+transaction reading at snapshot ``s`` sees the newest version whose CSN
 is ``<= s`` — exactly the SI read rule of Section 1 of the paper: the
 transaction "detects all the changes made by other transactions committed
 before [it] starts" and nothing committed later.
 
-Uncommitted writes never enter a chain; they live in the writing
+Uncommitted writes never enter a slot; they live in the writing
 transaction's private write set until commit installs them atomically.
 
-Versions no snapshot can see any more are dropped on write: every
-install that can stack a second version on a row prunes the chain to
-its instance's vacuum horizon, the oldest snapshot still held
-(:meth:`~repro.engine.instance.DbmsInstance.prune_horizon`).  A chain
-therefore holds the newest version at or below the horizon plus the
-versions committed after it, however long the run.
+Versions no snapshot can see any more are dropped: every install prunes
+its row to the instance's vacuum horizon, the oldest snapshot still
+held (:meth:`~repro.engine.instance.DbmsInstance.prune_horizon`), and
+an install above the horizon is pruned again once the horizon passes
+it (the instance's freeze FIFO).  A row therefore holds the newest
+version at or below the horizon plus the versions committed after it,
+however long the run.
+
+A row left with one version at or below the horizon, not a tombstone,
+is *frozen*, PostgreSQL's rule for a tuple older than every live
+snapshot (Ports & Grittner): its slot holds the bare image, no
+:class:`VersionChain`, and every snapshot reads it.  An install onto a
+frozen slot thaws it into a chain whose older version is stamped at
+:data:`FROZEN_CSN`, at or below every horizon a frozen row can exist
+under.  Tombstones stay chains.
 
 A committed row image is an :data:`Image`: a plain tuple of the row's
 values in its table's schema column order
@@ -25,7 +34,7 @@ which every reader takes for ``None``; ``SELECT *`` leaves it out.  A
 tuple cannot be written in place, so the snapshot paths share images
 between tenant copies instead of copying them; what clients see is
 a :data:`Row` dict the executor builds per result.  Most rows have one
-version and one key per index value, and both structures below are
+version and one key per index value, and the structures below are
 laid out for that case (DESIGN.md §4b item 10).
 """
 
@@ -53,6 +62,11 @@ class _Absent:
 #: ``dict.get`` default no stored posting can be (keys are never it).
 ABSENT = _Absent()
 
+#: The CSN a frozen version reads as: the first one
+#: :meth:`DbmsInstance.next_csn` hands out, so at or below every
+#: snapshot that can be live while a frozen row exists.
+FROZEN_CSN = 1
+
 
 class VersionChain:
     """Committed versions of one row, ascending by CSN.
@@ -63,14 +77,15 @@ class VersionChain:
     exceed the newest CSN.  The newest version is the ``_csn`` /
     ``_row`` pair; older versions, oldest first, fill the parallel
     ``_old_csns`` / ``_old_rows`` lists, which are ``None`` until a
-    second version arrives.
+    second version arrives.  ``VersionChain(FROZEN_CSN, image)`` is a
+    frozen row's one version as a chain.
     """
 
     __slots__ = ("_csn", "_row", "_old_csns", "_old_rows")
 
-    def __init__(self) -> None:
-        self._csn = 0
-        self._row: Optional[Image] = None
+    def __init__(self, csn: int = 0, row: Optional[Image] = None) -> None:
+        self._csn = csn
+        self._row = row
         self._old_csns: Optional[List[int]] = None
         self._old_rows: Optional[List[Optional[Image]]] = None
 
@@ -122,10 +137,7 @@ class VersionChain:
 
         Keeps the newest version at or below the horizon (it is still
         visible to snapshots at the horizon) plus everything newer.  This
-        is the vacuum analogue: :meth:`Table.install
-        <repro.engine.database.Table.install>` calls it on every chain a
-        commit, a chunk install or a change-stream apply writes, with
-        the instance's horizon.
+        is the vacuum analogue; :meth:`vacuum` runs it.
         """
         csns = self._old_csns
         if csns is None:
@@ -142,6 +154,20 @@ class VersionChain:
             del csns[:keep_from]
             del self._old_rows[:keep_from]
         return keep_from
+
+    def vacuum(self, horizon_csn: int) -> Optional[Image]:
+        """:meth:`prune` to ``horizon_csn``; then the image to freeze.
+
+        That is the one version left when it is at or below the horizon
+        and not a tombstone (every snapshot sees it), else ``None``.
+        :meth:`Table.install <repro.engine.database.Table.install>` and
+        :meth:`Table.settle <repro.engine.database.Table.settle>` call
+        it with the instance's horizon.
+        """
+        self.prune(horizon_csn)
+        if self._old_csns is None and self._csn <= horizon_csn:
+            return self._row
+        return None
 
 
 class SecondaryIndex:

@@ -141,11 +141,15 @@ class SoakOutcome(check.Verdict):
     committed_txns: int = 0
     aborted_txns: int = 0
     #: End-of-run MVCC census over every tenant copy the nodes still
-    #: hold: committed row versions (tombstones included) and the
-    #: longest version chain.  Every write prunes its chain to the
-    #: vacuum horizon, so both stay bounded however long the run.
+    #: hold: committed row versions (tombstones included), the longest
+    #: version chain and the frozen rows (one version each, no chain),
+    #: plus the most installs any node's freeze FIFO held at once.
+    #: Every install is pruned to the vacuum horizon, so all stay
+    #: bounded however long the run.
     row_versions: int = 0
     longest_chain: int = 0
+    frozen_rows: int = 0
+    pending_freeze_high_water: int = 0
     #: Node -> its live snapshot pins (``pinned``) and the snapshot
     #: CSNs of the open journals it is the source of (``journals``),
     #: at the end of the run; a pin lives exactly as long as its
@@ -192,6 +196,8 @@ class SoakOutcome(check.Verdict):
             "mvcc": {
                 "row_versions": self.row_versions,
                 "longest_chain": self.longest_chain,
+                "frozen_rows": self.frozen_rows,
+                "pending_freeze_high_water": self.pending_freeze_high_water,
             },
             "invariants": {
                 "owner_violations": self.owner_violations,
@@ -382,13 +388,16 @@ def run_soak(profile: Optional[Profile] = None, *,
         if span.attrs.get("resumed")
         and span.attrs.get("outcome") == "ok")
     for name in node_names:
-        for copy in cluster.node(name).instance.tenants.values():
+        instance = cluster.node(name).instance
+        outcome.pending_freeze_high_water = max(
+            outcome.pending_freeze_high_water,
+            instance.pending_freeze_high_water)
+        for copy in instance.tenants.values():
             for table in copy.tables.values():
-                for chain in table.chains.values():
-                    versions = chain.version_count()
-                    outcome.row_versions += versions
-                    outcome.longest_chain = max(outcome.longest_chain,
-                                                versions)
+                versions, longest, frozen = table.census()
+                outcome.row_versions += versions
+                outcome.longest_chain = max(outcome.longest_chain, longest)
+                outcome.frozen_rows += frozen
     journals = [middleware.migration_journal(tenant)
                 for tenant in tenant_names]
     for name in node_names:
@@ -465,8 +474,10 @@ def report(outcome: SoakOutcome) -> str:
                                 outcome.failed))
     lines.append("workload: %d committed txns, %d aborted"
                  % (outcome.committed_txns, outcome.aborted_txns))
-    lines.append("mvcc: %d committed row versions, longest chain %d"
-                 % (outcome.row_versions, outcome.longest_chain))
+    lines.append("mvcc: %d committed row versions, longest chain %d, "
+                 "%d frozen rows, freeze FIFO high-water %d"
+                 % (outcome.row_versions, outcome.longest_chain,
+                    outcome.frozen_rows, outcome.pending_freeze_high_water))
     if outcome.router:
         lines.append("router: %d shards, %d crashes, %d reconnects, "
                      "%d acks dropped, %d stale routes"

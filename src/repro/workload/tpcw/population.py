@@ -24,13 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 from ...sim.rand import RandomStream
 from .schema import all_schemas
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.instance import DbmsInstance
+    from ...engine.mvcc import Image
+
+#: What a loader yields: ``(table, key, image)``.
+Load = Iterator[Tuple[str, int, "Image"]]
 
 #: Fixed per-database footprint implied by Table 3 (GB -> MB).
 FIXED_OVERHEAD_MB = 200.0
@@ -105,10 +110,12 @@ def populate(instance: "DbmsInstance", tenant_name: str,
              params: PopulationParams, rng: RandomStream) -> None:
     """Create and bulk-load a TPC-W tenant (not timed; setup only).
 
-    Rows are installed directly at CSN 1, bypassing SQL, because initial
-    population is not part of any measured path; each is built as its
-    image, values in the table's schema column order
-    (:mod:`repro.workload.tpcw.schema`).
+    Rows are installed directly, bypassing SQL, because initial
+    population is not part of any measured path: one
+    :meth:`~repro.engine.instance.DbmsInstance.install` at one CSN, at
+    or below the horizon when no snapshot is held, so the loaded rows
+    are born frozen.  Each is built as its image, values in the table's
+    schema column order (:mod:`repro.workload.tpcw.schema`).
     """
     tenant = instance.create_tenant(tenant_name)
     tenant.fixed_overhead_mb = FIXED_OVERHEAD_MB
@@ -117,28 +124,25 @@ def populate(instance: "DbmsInstance", tenant_name: str,
     for schema in all_schemas().values():
         tenant.create_table(schema)
     counts = params.scaled_cardinalities()
-    csn = instance.next_csn()
-    _load_country(tenant, csn)
-    _load_items(tenant, csn, counts["item"], counts["author"], rng)
-    _load_authors(tenant, csn, counts["author"], rng)
-    _load_customers(tenant, csn, counts["customer"], rng)
-    _load_addresses(tenant, csn, counts["address"], rng)
-    _load_orders(tenant, csn, counts["orders"], counts["customer"],
-                 counts["item"], rng)
+    instance.install(tenant, chain(
+        _load_country(),
+        _load_items(counts["item"], counts["author"], rng),
+        _load_authors(counts["author"], rng),
+        _load_customers(counts["customer"], rng),
+        _load_addresses(counts["address"], rng),
+        _load_orders(counts["orders"], counts["customer"], counts["item"],
+                     rng)))
 
 
-def _load_country(tenant, csn: int) -> None:
-    table = tenant.table("country")
+def _load_country() -> Load:
     for co_id in range(1, 93):
         # co_id, co_name, co_exchange, co_currency
-        table.install(co_id, csn, (co_id, "country%d" % co_id, 1.0, "CUR"))
+        yield "country", co_id, (co_id, "country%d" % co_id, 1.0, "CUR")
 
 
-def _load_items(tenant, csn: int, items: int, authors: int,
-                rng: RandomStream) -> None:
-    table = tenant.table("item")
+def _load_items(items: int, authors: int, rng: RandomStream) -> Load:
     for i_id in range(1, items + 1):
-        table.install(i_id, csn, (
+        yield "item", i_id, (
             i_id, "title%d" % i_id,                     # i_id, i_title
             1 + (i_id % max(1, authors)),               # i_a_id
             0, "pub%d" % (i_id % 100),                  # i_pub_date, ..
@@ -154,23 +158,19 @@ def _load_items(tenant, csn: int, items: int, authors: int,
             round(rng.uniform(1.0, 100.0), 2),          # i_cost
             0, rng.randint(10, 30),                     # i_avail, i_stock
             "isbn%d" % i_id, rng.randint(20, 9999),     # i_isbn, i_page
-            "paperback", "20x15x2", "x" * 8))           # .., i_pad
+            "paperback", "20x15x2", "x" * 8)            # .., i_pad
 
 
-def _load_authors(tenant, csn: int, authors: int,
-                  rng: RandomStream) -> None:
-    table = tenant.table("author")
+def _load_authors(authors: int, rng: RandomStream) -> Load:
     for a_id in range(1, authors + 1):
         # a_id, a_fname, a_lname, a_mname, a_dob, a_bio, a_bio2, a_bio3
-        table.install(a_id, csn, (a_id, "fn%d" % a_id, "ln%d" % a_id, "m",
-                                  0, "bio", "bio", "bio"))
+        yield "author", a_id, (a_id, "fn%d" % a_id, "ln%d" % a_id, "m",
+                               0, "bio", "bio", "bio")
 
 
-def _load_customers(tenant, csn: int, customers: int,
-                    rng: RandomStream) -> None:
-    table = tenant.table("customer")
+def _load_customers(customers: int, rng: RandomStream) -> Load:
     for c_id in range(1, customers + 1):
-        table.install(c_id, csn, (
+        yield "customer", c_id, (
             c_id, "user%d" % c_id,                      # c_id, c_uname
             "pw%d" % c_id, "fn%d" % c_id,               # c_passwd, c_fname
             "ln%d" % c_id, 2 * c_id - 1,                # c_lname, c_addr_id
@@ -178,41 +178,36 @@ def _load_customers(tenant, csn: int, customers: int,
             0, 0, 0, 0,                                 # c_since .. c_expir.
             round(rng.uniform(0.0, 0.5), 2),            # c_discount
             0.0, 0.0, 0,                                # .. c_birthdate
-            "d" * 16))                                  # c_data
+            "d" * 16)                                   # c_data
 
 
-def _load_addresses(tenant, csn: int, addresses: int,
-                    rng: RandomStream) -> None:
-    table = tenant.table("address")
+def _load_addresses(addresses: int, rng: RandomStream) -> Load:
     for addr_id in range(1, addresses + 1):
         # addr_id, addr_street1, addr_street2, addr_city, addr_state,
         # addr_zip, addr_co_id
-        table.install(addr_id, csn, (
+        yield "address", addr_id, (
             addr_id, "street %d" % addr_id, "", "city%d" % (addr_id % 100),
-            "st", "%05d" % (addr_id % 99999), 1 + (addr_id % 92)))
+            "st", "%05d" % (addr_id % 99999), 1 + (addr_id % 92))
 
 
-def _load_orders(tenant, csn: int, orders: int, customers: int,
-                 items: int, rng: RandomStream) -> None:
-    order_table = tenant.table("orders")
-    line_table = tenant.table("order_line")
-    cc_table = tenant.table("cc_xacts")
+def _load_orders(orders: int, customers: int, items: int,
+                 rng: RandomStream) -> Load:
     ol_id = 0
     for o_id in range(1, orders + 1):
         c_id = 1 + (o_id % max(1, customers))
         # o_id, o_c_id, o_date, o_sub_total, o_tax, o_total, o_ship_type,
         # o_ship_date, o_bill_addr_id, o_ship_addr_id, o_status
-        order_table.install(o_id, csn, (
+        yield "orders", o_id, (
             o_id, c_id, 0, 10.0, 0.8, 10.8, "air", 0,
-            2 * c_id - 1, 2 * c_id, "shipped"))
+            2 * c_id - 1, 2 * c_id, "shipped")
         for _line in range(3):
             ol_id += 1
             # ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments
-            line_table.install(ol_id, csn, (
+            yield "order_line", ol_id, (
                 ol_id, o_id, rng.randint(1, max(1, items)),
-                rng.randint(1, 5), 0.0, "c"))
+                rng.randint(1, 5), 0.0, "c")
         # cx_o_id, cx_type, cx_num, cx_name, cx_expiry, cx_auth_id,
         # cx_xact_amt, cx_xact_date, cx_co_id
-        cc_table.install(o_id, csn, (
+        yield "cc_xacts", o_id, (
             o_id, "VISA", "4111", "name", 0, "auth", 10.8, 0,
-            1 + (o_id % 92)))
+            1 + (o_id % 92))

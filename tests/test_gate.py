@@ -184,15 +184,23 @@ def pad_serialized_to_the_poll_step(data):
 
 def soak_report():
     """A soak report's ``mvcc`` census and verdict as ``repro soak``
-    (seed 7) writes them under the vacuum horizon."""
+    (seed 7) writes them under the vacuum horizon and the freeze FIFO."""
     return {"experiment": "chaos-soak", "seed": 7,
-            "mvcc": {"row_versions": 708, "longest_chain": 9},
+            "mvcc": {"row_versions": 386, "longest_chain": 6,
+                     "frozen_rows": 234, "pending_freeze_high_water": 200},
             "ok": True}
 
 
 def unpruned_chains(data):
     """The census of the same run before chains were pruned."""
     data["mvcc"] = {"row_versions": 25645, "longest_chain": 176}
+
+
+def undrained_freeze_fifo(data):
+    """The census of the same run with a freeze FIFO that never
+    drains (``prune_horizon`` settling nothing)."""
+    data["mvcc"].update(row_versions=708, longest_chain=9, frozen_rows=90,
+                        pending_freeze_high_water=4141)
 
 
 def slow_a_rung(data):
@@ -225,6 +233,9 @@ DOCUMENT_CASES = {
     "max_longest_chain": (
         soak_report, unpruned_chains,
         "mvcc longest_chain = 176 > allowed 45"),
+    "max_pending_freeze": (
+        soak_report, undrained_freeze_fifo,
+        "mvcc pending_freeze_high_water = 4141 > allowed 1000"),
     # e.g. one migration of the soak ended inconsistent
     "report_ok": (
         soak_report, lambda data: data.update(ok=False),

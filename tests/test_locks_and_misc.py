@@ -316,7 +316,7 @@ class TestKvAudit:
         instance = cluster.node(middleware.route("A")).instance
         table = instance.tenant("A").table("kv")
         if fate == "dropped":
-            del table.chains[key]
+            del table.slots[key]
         else:
             table.install(key, instance.next_csn(), None)
         assert audit_kv_tenant(middleware, "A", result) == KvAudit(

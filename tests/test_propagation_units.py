@@ -83,7 +83,8 @@ class TestFactory:
         its own schedule; B-ALL and B-MIN promise none."""
         conductors = [_build(env, policy)[2] for policy in (MADEUS, B_CON)]
         assert conductors[0].validator is not conductors[1].validator
-        assert all(prop.validator.events == [] for prop in conductors)
+        assert all(prop.validator.first_reads == prop.validator.commits
+                   == prop.validator.writes == {} for prop in conductors)
         assert _build(env, B_MIN)[2].validator is None
 
 
@@ -169,8 +170,8 @@ class TestConductorRounds:
         assert prop.stats.syncsets_replayed == 2
         assert not prop.validator.violations()
         # nothing replayed before the open transaction resolved
-        first_times = [e.time for e in prop.validator.events
-                       if e.kind == "first_read"]
+        first_times = [e.time
+                       for e in prop.validator.first_reads.values()]
         assert min(first_times) >= 0.5
 
     def test_rounds_counted(self, env):

@@ -40,11 +40,11 @@ def installs(monkeypatch):
     """Record every version installed while the test runs."""
     install = Table.install
 
-    def recording_install(self, key, csn, row, horizon=None):
+    def recording_install(self, key, csn, row, horizon=0):
         Installs.counts[self, key] += 1
         if row is not None and row.__class__ is not tuple:
             Installs.not_tuples.append(row.__class__)
-        install(self, key, csn, row, horizon)
+        return install(self, key, csn, row, horizon)
 
     monkeypatch.setattr(Table, "install", recording_install)
     monkeypatch.setattr(Installs, "counts", Counter())
@@ -69,9 +69,9 @@ def _assert_shared(cluster, source, destination):
     since) are the source's objects on the destination."""
     src = cluster.node(source).instance.tenant("A").table("kv")
     dst = cluster.node(destination).instance.tenant("A").table("kv")
-    untouched = [key for key in src.chains
+    untouched = [key for key in src.slots
                  if Installs.counts[src, key] == 1]
-    assert 0 < len(untouched) < len(src.chains)
+    assert 0 < len(untouched) < len(src.slots)
     for key in untouched:
         row = src.chain(key).latest()
         assert row.__class__ is tuple

@@ -82,7 +82,10 @@ class TestArtifacts:
                 <= set(wave.keys())
         assert record["mvcc"] == {
             "row_versions": soak_run.data.row_versions,
-            "longest_chain": soak_run.data.longest_chain}
+            "longest_chain": soak_run.data.longest_chain,
+            "frozen_rows": soak_run.data.frozen_rows,
+            "pending_freeze_high_water":
+                soak_run.data.pending_freeze_high_water}
 
     def test_mvcc_census_counts_every_live_copy(self, soak_run):
         """Every tenant copy holds at least one version of each of its

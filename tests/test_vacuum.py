@@ -1,16 +1,22 @@
-"""The vacuum horizon: snapshot holders, journal pins, prune on write.
+"""The vacuum horizon: snapshot holders, journal pins, prune on write,
+frozen rows.
 
 Each ``DbmsInstance`` tracks the oldest snapshot still in use — open
 transactions and :class:`~repro.engine.instance.SnapshotPin` holds — and
-every install that can stack a second version on a row prunes that
-row's chain to it.  These tests check the bookkeeping directly, drive
-generated interleavings against a twin that never prunes (it pins CSN 0
-first), follow a migration's pin through its journal, and plant the
-mutant the loud failure exists for: a pin released at suspension
-instead of at close.
+every install prunes its row to it, freezing a row left with one
+version every snapshot sees (an install above the horizon waits on the
+freeze FIFO until the horizon passes it).  These tests check the
+bookkeeping directly, drive generated interleavings against a twin that
+never prunes or freezes (it pins CSN 0 first), follow a migration's pin
+through its journal, check that a dropped tenant copy is not kept alive
+by the FIFO, and plant the mutant the loud failure exists for: a pin
+released at suspension instead of at close.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.journal import MigrationJournal
 from repro.engine import DbmsInstance, Session, SnapshotTooOld, dump_stream
 from repro.engine.dump import TransferRates
+from repro.engine.mvcc import VersionChain
 from repro.sim import Environment
 from repro.sim.sync import Channel
 
@@ -27,13 +34,27 @@ from test_trace_golden import World, _park
 KEYS = 3
 
 
-def _instance(pin_zero=False):
+def _instance(pin_zero=False, history=None):
+    """An instance with tenant ``T``'s three-row ``kv`` table; with a
+    ``history`` list, every version committed to ``kv`` is appended to
+    it as ``(csn, key, image or None)``."""
     env = Environment()
     instance = DbmsInstance(env, "n0")
+    if history is not None:
+        install = instance.install
+
+        def recording_install(tenant, writes):
+            writes = list(writes)
+            csn = install(tenant, writes)
+            history.extend((csn, key, row)
+                           for table, key, row in writes if table == "kv")
+            return csn
+        instance.install = recording_install
     pin = instance.pin_snapshot() if pin_zero else None
     instance.create_tenant("T")
     session = Session(instance, "T")
-    statements = (["CREATE TABLE kv (k INT PRIMARY KEY, v INT)", "BEGIN"]
+    statements = (["CREATE TABLE kv (k INT PRIMARY KEY, v INT)",
+                   "CREATE INDEX kv_v ON kv (v)", "BEGIN"]
                   + ["INSERT INTO kv (k, v) VALUES (%d, 0)" % key
                      for key in range(KEYS)] + ["COMMIT"])
     for sql in statements:
@@ -162,10 +183,13 @@ SQL = {"read": "SELECT v FROM kv WHERE k = %d",
 
 class Side:
     """One instance driven through the steps: a session per slot, the
-    generated pins, and the twin's permanent CSN-0 pin."""
+    generated pins, the twin's permanent CSN-0 pin, and the history of
+    every version committed to ``kv``."""
 
     def __init__(self, pin_zero):
-        self.env, self.instance, self.zero = _instance(pin_zero)
+        self.history = []
+        self.env, self.instance, self.zero = _instance(pin_zero,
+                                                       self.history)
         self.sessions = [Session(self.instance, "T") for _ in range(SLOTS)]
         self.pins = []
 
@@ -204,14 +228,44 @@ def _lock_holder(side, slot, key):
     return False
 
 
+def _seen_at(history, snapshot):
+    """What SI shows a reader at ``snapshot``, from the committed
+    history alone: each key's newest version at or below it, deleted
+    keys left out."""
+    rows = {}
+    for csn, key, row in history:     # in CSN order
+        if csn <= snapshot:
+            rows[key] = row
+    return {key: row for key, row in rows.items() if row is not None}
+
+
+def _versions(table, key):
+    """How many versions ``key``'s slot holds, read from the slot itself
+    (:meth:`Table.chain` would thaw a frozen row)."""
+    slot = table.slots[key]
+    return slot.version_count() if slot.__class__ is VersionChain else 1
+
+
 @given(ops=steps)
 @example(ops=[("begin", 0, 0), ("read", 0, 1), ("begin", 1, 0),
               ("write", 1, 0), ("commit", 1, 0), ("abort", 0, 0)])
+# Under slot 0's snapshot key 0 is thawed by the next commit and key 2
+# by the one after it (a thawed version stamped above the horizon would
+# hide it from slot 0), and key 1 is deleted and re-inserted; all three
+# are frozen again through the FIFO once slot 0 lets go.
+@example(ops=[("begin", 0, 0), ("read", 0, 2), ("begin", 1, 0),
+              ("write", 1, 0), ("delete", 1, 1), ("commit", 1, 0),
+              ("begin", 1, 0), ("insert", 1, 1), ("write", 1, 2),
+              ("commit", 1, 0), ("read", 0, 2), ("commit", 0, 0),
+              ("begin", 2, 0), ("write", 2, 2), ("commit", 2, 0)])
 @settings(max_examples=500, deadline=None)
 def test_pruning_matches_a_twin_that_never_prunes(ops):
-    """Every step returns what it returns on the twin, every live
-    snapshot reads every key alike on both, and the horizon is the
-    brute-force minimum over the live holders after every step."""
+    """Every step returns what it returns on the twin; the latest rows,
+    every live snapshot's rows (in full-scan order) and every index
+    lookup are the twin's, and what the committed history says SI shows
+    (which a mutant both sides run alike cannot fake); no row holds
+    more versions than there; and the horizon is the brute-force
+    minimum over the live holders after every step."""
     pruned, twin = Side(pin_zero=False), Side(pin_zero=True)
     for op, slot, key in ops:
         if op in SQL and op != "read" and _lock_holder(pruned, slot, key):
@@ -224,14 +278,50 @@ def test_pruning_matches_a_twin_that_never_prunes(ops):
         assert twin.instance.horizon() == 0
         table, twin_table = (side.instance.tenant("T").table("kv")
                              for side in (pruned, twin))
+        latest = _seen_at(pruned.history, pruned.instance.current_csn())
+        assert list(table.latest_rows()) == list(twin_table.latest_rows())
+        assert dict(table.latest_rows()) == latest
         for snapshot in set(pruned.holders()) | {
                 pruned.instance.current_csn()}:
-            for row_key in range(KEYS):
-                chain, twin_chain = (t.chain(row_key)
-                                     for t in (table, twin_table))
-                assert chain.read(snapshot) == twin_chain.read(snapshot)
-                assert (chain.version_count()
-                        <= twin_chain.version_count())
+            assert (list(table.visible_rows(snapshot))
+                    == list(twin_table.visible_rows(snapshot)))
+            assert (dict(table.visible_rows(snapshot))
+                    == _seen_at(pruned.history, snapshot))
+        index, twin_index = (t.indexes["kv_v"] for t in (table, twin_table))
+        position = table.schema.positions["v"]
+        for value in (set(index.entries) | set(twin_index.entries)
+                      | {row[position] for row in latest.values()}):
+            keys = sorted(key for key, row in latest.items()
+                          if row[position] == value)
+            assert sorted(index.lookup(value)) == keys
+            assert sorted(twin_index.lookup(value)) == keys
+        for row_key in twin_table.slots:
+            assert _versions(table, row_key) <= _versions(twin_table,
+                                                          row_key)
+
+
+def test_a_dropped_copy_leaves_the_freeze_fifo():
+    """The source copy a serial migration drops is garbage: the freeze
+    FIFO holds none of its tables once ``drop_tenant`` has run.  A
+    snapshot held on the source for the whole run (as a long reader of
+    another tenant would) keeps the horizon below every install there,
+    so they are all still on the FIFO when the copy is dropped."""
+    world = World("serial")
+    world.middleware.config.drop_source_copy = True
+    source = world.instance("node0")
+    held = source.pin_snapshot()
+    tables = []
+    world.launch()
+    world.when(lambda: source.has_tenant("A"),
+               lambda: tables.append(weakref.ref(
+                   source.tenant("A").table("kv"))))
+    world.env.run()
+    assert world.outcomes == ["ok"]
+    assert not source.has_tenant("A")
+    assert source.pending_freeze_high_water > 0
+    gc.collect()
+    assert tables[0]() is None
+    held.release()
 
 
 # ----------------------------------------------------------------------
