@@ -130,9 +130,10 @@ GATES = {
             min_resumed=3, max_lost_commits=0, max_lost_requests=0,
             owners=1, min_faults=3),
         # The vacuum horizon bounds version chains: the seed-7 report
-        # ends with a longest chain of 6 (9 before the freeze FIFO
-        # pruned chains once the horizon passed them, 176 before chains
-        # were pruned at all), so 45 keeps >= 5x headroom.  The freeze
+        # ends with a longest chain of 1 (6 while only the next install
+        # settled the freeze FIFO, 9 before the FIFO pruned chains once
+        # the horizon passed them, 176 before chains were pruned at
+        # all), so 45 keeps >= 5x headroom over all but 176.  The freeze
         # FIFO drains as the horizon advances: its seed-7 high-water is
         # 200 (4,141 for a FIFO that never drains), so 1,000 is 5x.
         # The report's own verdict (owners, ledger, every migration

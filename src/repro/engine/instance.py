@@ -15,7 +15,8 @@ horizon still needs (the newest version at or below it and the versions
 committed after it) and freezes a row left with one version every
 snapshot sees.  An install above the horizon waits on the *freeze
 FIFO* until a later horizon reaches its CSN, and is pruned and frozen
-then (DESIGN.md §4b items 10 and 11).
+then: by the next install, or as soon as a released hold moves the
+horizon (DESIGN.md §4b items 10 and 11).
 """
 
 from __future__ import annotations
@@ -327,7 +328,17 @@ class DbmsInstance:
 
     def release_snapshot(self, csn: int) -> None:
         """Give back one hold on the snapshot at ``csn``."""
-        self._holder_at[csn][1] -= 1
+        entry = self._holder_at[csn]
+        entry[1] -= 1
+        if not entry[1] and self._unsettled:
+            self._settle_released(entry)
+
+    def _settle_released(self, entry: List[int]) -> None:
+        """Settle the freeze FIFO when the hold just given back emptied
+        the oldest snapshot: the horizon moved, and an idle node has no
+        next install to settle what it reached."""
+        if self._holders[0] is entry:
+            self.prune_horizon()
 
     def pin_snapshot(self) -> SnapshotPin:
         """Hold a snapshot at the current CSN outside any transaction."""
@@ -432,10 +443,15 @@ class DbmsInstance:
         create no snapshot — exactly why the mapping function discards
         them).
         """
+        entry = None
         if txn.snapshot_csn is not None:
-            # release_snapshot, inline on the commit path
-            self._holder_at[txn.snapshot_csn][1] -= 1
+            # release_snapshot, inline on the commit path; an update
+            # transaction's install below settles the FIFO anyway
+            entry = self._holder_at[txn.snapshot_csn]
+            entry[1] -= 1
         if not txn.writes:
+            if entry is not None and not entry[1] and self._unsettled:
+                self._settle_released(entry)
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
             return None

@@ -8,9 +8,20 @@ and every run is exactly reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict, Sequence, TypeVar
+
+# The interpreter's built-in SHA-256 first: ``hashlib`` maps OpenSSL's
+# libcrypto, ~3.7 MB of RSS in every process, to hash a few substream
+# names (CPython's own random.py does the same for its seeds).  The
+# digest, and so every seed, is the same bytes either way.
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 T = TypeVar("T")
 
@@ -63,7 +74,7 @@ class StreamFactory:
     def stream(self, name: str) -> RandomStream:
         """Return (creating if needed) the substream called ``name``."""
         if name not in self._streams:
-            digest = hashlib.sha256(
+            digest = sha256(
                 ("%d/%s" % (self.root_seed, name)).encode()).digest()
             seed = int.from_bytes(digest[:8], "big")
             self._streams[name] = RandomStream(seed)

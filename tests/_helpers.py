@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.sim import Environment
 
 
@@ -12,6 +17,19 @@ def drive(env: Environment, generator, until=None):
     if not process.triggered:
         raise AssertionError("process did not finish by until=%r" % until)
     return process.value
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``repro``; return its stdout (a non-zero exit fails the test)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def drive_all(env: Environment, *generators, until=None):

@@ -6,13 +6,14 @@ import typing
 import pytest
 
 from repro.cli import SCENARIOS, build_parser, main
-from repro.engine.render import render, render_expression, render_literal
 from repro.engine.sqlmini import (BinaryOp, ColumnRef, Literal, parse)
 from repro.errors import SqlError
 from repro.experiments import soak
 from repro.experiments.common import (TRACE_DIR_ENV_VAR, Report,
                                       write_json_artifact)
 from repro.experiments.profiles import QUICK, SMOKE
+
+from _render import render, render_expression, render_literal
 
 
 class TestRenderer:

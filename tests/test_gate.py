@@ -186,8 +186,8 @@ def soak_report():
     """A soak report's ``mvcc`` census and verdict as ``repro soak``
     (seed 7) writes them under the vacuum horizon and the freeze FIFO."""
     return {"experiment": "chaos-soak", "seed": 7,
-            "mvcc": {"row_versions": 386, "longest_chain": 6,
-                     "frozen_rows": 234, "pending_freeze_high_water": 200},
+            "mvcc": {"row_versions": 288, "longest_chain": 1,
+                     "frozen_rows": 288, "pending_freeze_high_water": 200},
             "ok": True}
 
 

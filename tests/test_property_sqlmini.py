@@ -4,13 +4,13 @@ the cached ``parse`` against a fresh full parser."""
 
 from hypothesis import given, strategies as st
 
-from repro.engine.render import render
 from repro.engine.sqlmini import (Begin, BinaryOp, ColumnDef, ColumnRef,
                                   Commit, Comparison, CreateIndex,
                                   CreateTable, Delete, Insert, Literal,
                                   Rollback, Select, Update, parse)
 
 from _helpers import assert_parses_like_the_full_parser
+from _render import render
 
 identifier = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True) \
     .filter(lambda s: s.upper() not in {

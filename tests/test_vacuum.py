@@ -9,7 +9,8 @@ freeze FIFO until the horizon passes it).  These tests check the
 bookkeeping directly, drive generated interleavings against a twin that
 never prunes or freezes (it pins CSN 0 first), follow a migration's pin
 through its journal, check that a dropped tenant copy is not kept alive
-by the FIFO, and plant the mutant the loud failure exists for: a pin
+by the FIFO, check that an idle node's FIFO settles when its last hold
+goes, and plant the mutant the loud failure exists for: a pin
 released at suspension instead of at close.
 """
 
@@ -138,6 +139,38 @@ class TestPruneOnWrite:
         _bump(env, instance)
         assert _chain(instance).version_count() == 1
         assert instance.vacuumed_through == instance.current_csn()
+
+
+class TestIdleSettle:
+    """A node that stops taking writes settles its freeze FIFO when the
+    oldest hold is given back, not at a next install that may never
+    come."""
+
+    @pytest.mark.parametrize("release", ["COMMIT", "ROLLBACK", "unpin"])
+    def test_the_fifo_settles_when_the_oldest_hold_goes(self, release):
+        env, instance, _pin = _instance()
+        reader = Session(instance, "T")
+        if release == "unpin":
+            oldest = instance.pin_snapshot()
+        else:
+            _run(env, reader, "BEGIN")
+            _run(env, reader, "SELECT v FROM kv WHERE k = 1")
+        _bump(env, instance, key=0)
+        newer = instance.pin_snapshot()
+        _bump(env, instance, key=2)
+        assert len(instance._unsettled) == 2
+        newer.release()     # not the oldest hold: the horizon stays
+        assert len(instance._unsettled) == 2
+        if release == "unpin":
+            oldest.release()
+        else:
+            assert _run(env, reader, release).ok
+        assert not instance._unsettled
+        assert (instance.horizon() == instance.vacuumed_through
+                == instance.current_csn())
+        slots = instance.tenant("T").table("kv").slots
+        assert not any(slot.__class__ is VersionChain
+                       for slot in slots.values())
 
 
 class TestSnapshotTooOld:
